@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from tyang import daha as daha_mod
 from tyang import drinfeld as drinfeld_mod
@@ -23,17 +22,6 @@ from tyang.superlinalg import Grid2Witness
 
 class InputError(ValueError):
     pass
-
-
-PIPELINES = (
-    "verify-yangian",
-    "verify-twisted",
-    "classify",
-    "reduce",
-    "daha",
-    "drinfeld",
-    "appendix",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +90,14 @@ def build_daha_module(spec):
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
+def _build(constructor, inputs, key):
+    """Run a build_* constructor on inputs[key]; a malformed spec is an InputError."""
+    try:
+        return constructor(inputs[key])
+    except (KeyError, TypeError, ZeroDivisionError) as e:
+        raise InputError(f"{constructor.__name__} on inputs[{key!r}]: {type(e).__name__}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # Serialization helpers for report payloads.
 
@@ -139,7 +135,7 @@ def _check(cid, anchor, ok, witness=None, data=None):
 
 
 def pipe_verify_yangian(inputs, max_dim):
-    T = build_taction(inputs["t"])
+    T = _build(build_taction, inputs, "t")
     _guard_dim(T.dim * T.kappa, max_dim)
     checks = []
     w = yangian_mod.verify_rtt(T)
@@ -163,7 +159,7 @@ def pipe_verify_yangian(inputs, max_dim):
 
 
 def pipe_verify_twisted(inputs, max_dim):
-    B = build_baction(inputs["b"])
+    B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
     checks = []
     rep = twisted_mod.verify_b(B)
@@ -189,7 +185,7 @@ def pipe_verify_twisted(inputs, max_dim):
 
 
 def pipe_classify(inputs, max_dim):
-    B = build_baction(inputs["b"])
+    B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
     eta = _rat_list(inputs["eta"])
     mu = twisted_mod.highest_bweight(B, eta)
@@ -213,7 +209,7 @@ def pipe_classify(inputs, max_dim):
 
 
 def pipe_reduce(inputs, max_dim):
-    B = build_baction(inputs["b"])
+    B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
     mode = inputs["mode"]
     a = int(inputs["a"]) if "a" in inputs else None
@@ -240,7 +236,7 @@ def pipe_reduce(inputs, max_dim):
 
 
 def pipe_daha(inputs, max_dim):
-    M = build_daha_module(inputs["m"])
+    M = _build(build_daha_module, inputs, "m")
     _guard_dim(M.dim, max_dim)
     checks = []
     bad = daha_mod.verify_daha(M)
@@ -259,7 +255,7 @@ def pipe_daha(inputs, max_dim):
 
 
 def pipe_drinfeld(inputs, max_dim):
-    M = build_daha_module(inputs["m"])
+    M = _build(build_daha_module, inputs, "m")
     ps = ParitySeq(inputs["ps"])
     eps = inputs["eps"]
     epsilon = int(inputs.get("epsilon", 1))
@@ -308,6 +304,8 @@ PIPELINE_FUNCS = {
     "drinfeld": pipe_drinfeld,
     "appendix": pipe_appendix,
 }
+
+PIPELINES = tuple(PIPELINE_FUNCS)
 
 
 def _guard_dim(dim, max_dim):
@@ -383,11 +381,10 @@ def main(argv=None):
     runp.add_argument("--only", help="run only the check with this id")
     runp.add_argument("--max-dim", type=int, default=64, help="safety cap on carrier dimensions")
     runp.add_argument("--timings", action="store_true", help="include wall-clock timing (non-reproducible)")
-    runp.add_argument("--list-pipelines", action="store_true")
     sub.add_parser("list", help="list the available pipelines")
     args = parser.parse_args(argv)
 
-    if args.command == "list" or (args.command == "run" and args.list_pipelines):
+    if args.command == "list":
         for p in PIPELINES:
             print(p)
         return 0

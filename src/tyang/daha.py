@@ -254,10 +254,6 @@ def verify_daha(M: DahaModule):
     th1 = M.params.theta1
     d = M.dim
     I = mat_identity(d)
-
-    def is_zero(A):
-        return all(not x for row in A for x in row)
-
     for k in range(1, l):
         s = M.sigma[k - 1]
         if mat_mul(s, s) != I:

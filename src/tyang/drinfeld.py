@@ -11,12 +11,15 @@ from fractions import Fraction
 
 from tyang.exactalg import Poly, RatFun, rat
 from tyang.daha import DahaModule, sf_presentation
-from tyang.glmn import ParitySeq
+from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
+    at_slots,
+    common_den,
+    elementary,
     kron_ops,
-    mat_identity,
+    kron_sum,
     mat_mul,
     rfmat_inverse,
     tensor_space,
@@ -30,7 +33,7 @@ from tyang.twisted import (
     irreducible_burnside,
     b_tensor,
 )
-from tyang.yangian import TAction, extract_grid, flip_at, realize_mixed
+from tyang.yangian import TAction, extract_grid, flip_at
 
 
 class ParameterConstraint(ValueError):
@@ -61,40 +64,25 @@ class DrinfeldModule:
         return self.action.space.dim if self.action is not None else 0
 
 
-def q_operator(ps: ParitySeq, k: int, l: int, eps_filter=None):
+def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
     """The coupling operator between V-slot k and the auxiliary slot.
 
-    With eps_filter set to (eps, True) only index pairs with equal signs are
-    kept, with (eps, False) only the mixed ones.
+    It is sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux), with w(i, j) = 1 unless
+    a weight function of the 1-based pair (i, j) is given.
     """
     kk = ps.kappa
-    vsp = ps.space()
-    spaces = [vsp] * (l + 1)
-    dim = kk ** (l + 1)
-    total = [[Fraction(0)] * dim for _ in range(dim)]
+    terms = []
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
-            if eps_filter is not None:
-                eps, keep_equal = eps_filter
-                if (eps[i - 1] == eps[j - 1]) != keep_equal:
-                    continue
+            w = 1 if weight is None else weight(i, j)
+            if not w:
+                continue
             pi, pj = ps.parity(i), ps.parity(j)
             sgn = -1 if (pi * pj + pi + pj) % 2 else 1
             par = (pi + pj) % 2
-            e = [[Fraction(0)] * kk for _ in range(kk)]
-            e[i - 1][j - 1] = Fraction(sgn)
-            e2 = [[Fraction(0)] * kk for _ in range(kk)]
-            e2[i - 1][j - 1] = Fraction(1)
-            ops = [(None, 0)] * (l + 1)
-            ops[k - 1] = (e, par)
-            ops[l] = (e2, par)
-            term = kron_ops(ops, spaces)
-            for r in range(dim):
-                tr = term[r]
-                for c in range(dim):
-                    if tr[c]:
-                        total[r][c] += tr[c]
-    return total
+            ops = {k - 1: (elementary(kk, i, j, sgn), par), l: (elementary(kk, i, j), par)}
+            terms.append((w, at_slots(l + 1, ops)))
+    return kron_sum(terms, [ps.space()] * (l + 1))
 
 
 def _resolvent(y, shift, chi, dim):
@@ -112,59 +100,21 @@ def _resolvent(y, shift, chi, dim):
     return rfmat_inverse(RFMatrix(ents))
 
 
-def _kron_plain_rf(A: RFMatrix, B):
-    """Kronecker product of an even RFMatrix with a constant grid."""
-    n, m = A.rows, len(B)
-    dim = n * m
-    zero = RatFun.zero()
-    out = [[zero] * dim for _ in range(dim)]
-    for r1 in range(n):
-        for c1 in range(n):
-            a = A[r1, c1]
-            if not a:
-                continue
-            for r2 in range(m):
-                Br = B[r2]
-                orow = out[r1 * m + r2]
-                for c2 in range(m):
-                    if Br[c2]:
-                        orow[c1 * m + c2] = a * Br[c2]
-    return out
-
-
-def _kron_plain(A, B):
-    n, m = len(A), len(B)
-    dim = n * m
-    out = [[Fraction(0)] * dim for _ in range(dim)]
-    for r1 in range(n):
-        for c1 in range(n):
-            a = A[r1][c1]
-            if not a:
-                continue
-            for r2 in range(m):
-                Br = B[r2]
-                orow = out[r1 * m + r2]
-                for c2 in range(m):
-                    if Br[c2]:
-                        orow[c1 * m + c2] = a * Br[c2]
-    return out
+def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
+    """The super space M x V^l."""
+    return tensor_space([SuperSpace([0] * M.dim)] + [ps.space()] * M.params.l)
 
 
 def _series_factor(M: DahaModule, ps, k, l, chi, shift, sign=1):
     """1 + sign * resolvent(y_k) x Q^(k) on M x V^l x V."""
-    dM = M.dim
-    kk = ps.kappa
-    res = _resolvent(M.y[k - 1], shift, chi, dM)
+    res = _resolvent(M.y[k - 1], shift, chi, M.dim)
     Q = q_operator(ps, k, l)
-    grid = _kron_plain_rf(res, Q)
-    dim = dM * (kk ** (l + 1))
+    spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * (l + 1))]
+    grid = RFMatrix.from_const(kron_ops([(res.entries, 0), (Q, 0)], spaces)).entries
     one = RatFun.one()
-    ents = [
-        [grid[r][c] if sign == 1 else -grid[r][c] for c in range(dim)]
-        for r in range(dim)
-    ]
-    for r in range(dim):
-        ents[r][r] = ents[r][r] + one
+    ents = [[x if sign == 1 else -x for x in row] for row in grid]
+    for r, row in enumerate(ents):
+        row[r] = row[r] + one
     return RFMatrix(ents)
 
 
@@ -199,12 +149,6 @@ def _quotient_maps(nrows, pivots, D):
     return proj, sect, free
 
 
-def _sandwich(proj, grid: RFMatrix, sect):
-    P = RFMatrix.from_const(proj)
-    S = RFMatrix.from_const(sect)
-    return P @ grid @ S
-
-
 def _check_invariant(grids, nbasis):
     """Every grid must map the subspace into itself over the function field."""
     cols = [list(v) for v in nbasis]
@@ -215,6 +159,45 @@ def _check_invariant(grids, nbasis):
             if _rf_vector_coords_in_span(w, cols) is None:
                 return key
     return None
+
+
+def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
+    """The operators g - epsilon on M x V^l whose images span the quotient
+    subspace, for g = sigma_i x P^(i,i+1) and g = m x v for (m, v) in extra."""
+    l = M.params.l
+    pairs = [(M.sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
+    spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
+    out = []
+    for m, v in pairs + list(extra):
+        op = kron_ops([(m, 0), (v, 0)], spaces)
+        for r, row in enumerate(op):
+            row[r] -= epsilon
+        out.append(op)
+    return out
+
+
+def _quotient_module(grids, nmats, carrier, letter, family, head) -> DrinfeldModule:
+    """Quotient of the carrier by the images of nmats, with the induced action.
+
+    Raises WellDefinednessFailure when a series grid (named letter_(i, j) in
+    the message) does not preserve the subspace; the induced action is
+    family(head, quotient space, quotient grids, ("drinfeld",)).
+    """
+    nrows, pivots = _column_span_rref(nmats)
+    bad = _check_invariant(grids, nrows)
+    if bad is not None:
+        raise WellDefinednessFailure(
+            f"series coefficients do not preserve the quotient subspace at {letter}_{bad}",
+            witness=bad,
+        )
+    proj, sect, free = _quotient_maps(nrows, pivots, carrier.dim)
+    if not free:
+        return DrinfeldModule(None, carrier, proj, sect, nrows)
+    qspace = SuperSpace([carrier.parities[f] for f in free])
+    P = RFMatrix.from_const(proj, row_space=qspace)
+    S = RFMatrix.from_const(sect, col_space=qspace)
+    qgrids = {key: P @ m @ S for key, m in grids.items()}
+    return DrinfeldModule(family(head, qspace, qgrids, ("drinfeld",)), carrier, proj, sect, nrows)
 
 
 def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> DrinfeldModule:
@@ -231,44 +214,14 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     l = M.params.l
-    kk = ps.kappa
-    dM = M.dim
-    vsp = ps.space()
-    carrier = tensor_space([SuperSpace([0] * dM)] + [vsp] * l)
-
+    carrier = _carrier(M, ps)
     F = None
     for k in range(1, l + 1):
         Tk = _series_factor(M, ps, k, l, chi, c)
         F = Tk if F is None else F @ Tk
     grids = extract_grid(F, ps, carrier)
-
-    nmats = []
-    for i in range(1, l):
-        Pflip = flip_at(ps, i, i + 1, l)
-        op = _kron_plain(M.sigma[i - 1], Pflip)
-        for r in range(len(op)):
-            op[r][r] -= epsilon
-        nmats.append(op)
-    nrows, pivots = _column_span_rref(nmats)
-    bad = _check_invariant(grids, nrows)
-    if bad is not None:
-        raise WellDefinednessFailure(
-            f"series coefficients do not preserve the quotient subspace at t_{bad}",
-            witness=bad,
-        )
-    D = dM * kk**l
-    proj, sect, free = _quotient_maps(nrows, pivots, D)
-    if not free:
-        return DrinfeldModule(None, carrier, proj, sect, nrows)
-    qspace = SuperSpace([carrier.parities[f] for f in free])
-    qgrids = {}
-    for key, m in grids.items():
-        qm = _sandwich(proj, m, sect)
-        qm.row_space = qspace
-        qm.col_space = qspace
-        qgrids[key] = qm
-    act = TAction(ps, qspace, qgrids, ("drinfeld",))
-    return DrinfeldModule(act, carrier, proj, sect, nrows)
+    nmats = _sign_relations(M, ps, epsilon)
+    return _quotient_module(grids, nmats, carrier, "t", TAction, ps)
 
 
 def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None) -> DrinfeldModule:
@@ -282,72 +235,10 @@ def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=No
         raise ParameterConstraint("need a module carrying the flip generator")
     if epsilon not in (1, -1):
         raise ParameterConstraint("epsilon must be +-1")
-    th1, th2 = M.params.theta1, M.params.theta2
-    ctx0 = TwistedContext(ps, eps)
-    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
-    if gamma is None:
-        gamma = (th2 / th1 - ctx0.varpi(1)) / 2
-    else:
-        gamma = rat(gamma)
+    ctx, grids = drinfeld_module_raw_grids(M, ps, eps, epsilon, chi, gamma)
     l = M.params.l
-    kk = ps.kappa
-    dM = M.dim
-    vsp = ps.space()
-    carrier = tensor_space([SuperSpace([0] * dM)] + [vsp] * l)
-    jay = ps.jay
-
-    F = None
-    for k in range(1, l + 1):
-        Tk = _series_factor(M, ps, k, l, chi, -jay)
-        F = Tk if F is None else F @ Tk
-    ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
-    g = ctx.g_rf()
-    D = dM * (kk ** (l + 1))
-    gfull_entries = [[RatFun.zero()] * D for _ in range(D)]
-    for m in range(dM * kk**l):
-        for a in range(kk):
-            for b in range(kk):
-                if g[a, b]:
-                    gfull_entries[m * kk + a][m * kk + b] = g[a, b]
-    F = F @ RFMatrix(gfull_entries)
-    for k in range(l, 0, -1):
-        # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
-        Sk = _series_factor(M, ps, k, l, chi, jay, sign=-1).subs_neg()
-        F = F @ Sk
-    grids = extract_grid(F, ps, carrier)
-
-    nmats = []
-    for i in range(1, l):
-        Pflip = flip_at(ps, i, i + 1, l)
-        op = _kron_plain(M.sigma[i - 1], Pflip)
-        for r in range(len(op)):
-            op[r][r] -= epsilon
-        nmats.append(op)
-    gl = _g_at_slot(ps, ctx0, l, l)
-    op = _kron_plain(M.varsigma_l, gl)
-    for r in range(len(op)):
-        op[r][r] -= epsilon
-    nmats.append(op)
-    nrows, pivots = _column_span_rref(nmats)
-    bad = _check_invariant(grids, nrows)
-    if bad is not None:
-        raise WellDefinednessFailure(
-            f"series coefficients do not preserve the quotient subspace at b_{bad}",
-            witness=bad,
-        )
-    Dc = dM * kk**l
-    proj, sect, free = _quotient_maps(nrows, pivots, Dc)
-    if not free:
-        return DrinfeldModule(None, carrier, proj, sect, nrows)
-    qspace = SuperSpace([carrier.parities[f] for f in free])
-    qgrids = {}
-    for key, m in grids.items():
-        qm = _sandwich(proj, m, sect)
-        qm.row_space = qspace
-        qm.col_space = qspace
-        qgrids[key] = qm
-    act = BAction(ctx, qspace, qgrids, ("drinfeld",))
-    return DrinfeldModule(act, carrier, proj, sect, nrows)
+    nmats = _sign_relations(M, ps, epsilon, [(M.varsigma_l, _g_at_slot(ps, ctx, l, l))])
+    return _quotient_module(grids, nmats, _carrier(M, ps), "b", BAction, ctx)
 
 
 def _g_at_slot(ps, ctx, slot, l):
@@ -395,55 +286,32 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
     gamma = (th2 / th1 - ctx0.varpi(1)) / 2
     l = M.params.l
     kk = ps.kappa
-    dM = M.dim
 
-    dmod = drinfeld_module_raw_grids(M, ps, eps, epsilon)
-    vsp = ps.space()
-    spaces_v = [vsp] * l
-    carrier_dim = dM * kk**l
+    _ctx, dmod = drinfeld_module_raw_grids(M, ps, eps, epsilon)
+    spaces = [SuperSpace([0] * M.dim)] + [ps.space()] * l
+    carrier_dim = M.dim * kk**l
 
     ys, fail = sf_presentation(M)
     if fail is not None:
         raise ParameterConstraint(f"module fails the transformed relations: {fail}")
 
-    nmats = []
-    for i in range(1, l):
-        Pflip = flip_at(ps, i, i + 1, l)
-        op = _kron_plain(M.sigma[i - 1], Pflip)
-        for r in range(len(op)):
-            op[r][r] -= epsilon
-        nmats.append(op)
-    gl = _g_at_slot(ps, ctx0, l, l)
-    op = _kron_plain(M.varsigma_l, gl)
-    for r in range(len(op)):
-        op[r][r] -= epsilon
-    nmats.append(op)
+    nmats = _sign_relations(M, ps, epsilon, [(M.varsigma_l, _g_at_slot(ps, ctx0, l, l))])
     nrows, _pivots = _column_span_rref(nmats)
-    from tyang.glmn import _coords_in_span
 
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
             ei, ej = ctx0.eps_sign(i), ctx0.eps_sign(j)
             si = ps.sign(i)
             pij = (ps.parity(i) + ps.parity(j)) % 2
-            e = [[Fraction(0)] * kk for _ in range(kk)]
-            e[i - 1][j - 1] = Fraction(1)
+            e = elementary(kk, i, j)
             # sum_k E_ij^(k) on V^l, Koszul-signed, tensored with 1_M or y_k.
-            box_sum = [[Fraction(0)] * kk**l for _ in range(kk**l)]
-            ybox_sum = [[Fraction(0)] * carrier_dim for _ in range(carrier_dim)]
-            for k in range(1, l + 1):
-                ops = [(None, 0)] * l
-                ops[k - 1] = (e, pij)
-                ek = kron_ops(ops, spaces_v)
-                for r in range(kk**l):
-                    for cc in range(kk**l):
-                        if ek[r][cc]:
-                            box_sum[r][cc] += ek[r][cc]
-                yk = _kron_plain(ys[k - 1], ek)
-                for r in range(carrier_dim):
-                    for cc in range(carrier_dim):
-                        if yk[r][cc]:
-                            ybox_sum[r][cc] += yk[r][cc]
+            box_sum = kron_sum(
+                [(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces
+            )
+            ybox_sum = kron_sum(
+                [(1, at_slots(l + 1, {0: (ys[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
+                spaces,
+            )
 
             m = dmod[(i, j)]
             coeff0 = [[x.series(0)[0] if x else Fraction(0) for x in row] for row in m.entries]
@@ -451,7 +319,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
             if coeff0 != want0:
                 return (0, (i, j))
             coeff1 = [[x.series(1)[1] if x else Fraction(0) for x in row] for row in m.entries]
-            want1 = [[si * (ei + ej) * _kron_row(box_sum, dM, r, c) for c in range(carrier_dim)] for r in range(carrier_dim)]
+            want1 = [[si * (ei + ej) * x for x in row] for row in box_sum]
             if i == j:
                 for r in range(carrier_dim):
                     want1[r][r] += gamma
@@ -469,45 +337,31 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
     return None
 
 
-def _kron_row(box_sum, dM, r, c):
-    """Entry of 1_M x box_sum at carrier coordinates."""
-    n = len(box_sum)
-    if r // n != c // n:
-        return Fraction(0)
-    return box_sum[r % n][c % n]
-
-
 def drinfeld_module_raw_grids(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None):
-    """The unquotiented series grids of the reflection-twisted action."""
+    """The unquotiented series grids of the reflection-twisted action.
+
+    Returns (ctx, grids): ctx carries gamma, which defaults to
+    (theta2/theta1 - varpi_1)/2, and chi defaults to epsilon/theta1.
+    """
     th1, th2 = M.params.theta1, M.params.theta2
     ctx0 = TwistedContext(ps, eps)
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
-    if gamma is None:
-        gamma = (th2 / th1 - ctx0.varpi(1)) / 2
+    gamma = rat(gamma) if gamma is not None else (th2 / th1 - ctx0.varpi(1)) / 2
     l = M.params.l
-    kk = ps.kappa
-    dM = M.dim
-    vsp = ps.space()
-    carrier = tensor_space([SuperSpace([0] * dM)] + [vsp] * l)
+    carrier = _carrier(M, ps)
     jay = ps.jay
     F = None
     for k in range(1, l + 1):
         Tk = _series_factor(M, ps, k, l, chi, -jay)
         F = Tk if F is None else F @ Tk
     ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
-    g = ctx.g_rf()
-    D = dM * (kk ** (l + 1))
-    gfull = [[RatFun.zero()] * D for _ in range(D)]
-    for m in range(dM * kk**l):
-        for a in range(kk):
-            for b in range(kk):
-                if g[a, b]:
-                    gfull[m * kk + a][m * kk + b] = g[a, b]
-    F = F @ RFMatrix(gfull)
+    gfull = kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [carrier, ps.space()])
+    F = F @ RFMatrix.from_const(gfull)
     for k in range(l, 0, -1):
+        # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
         Sk = _series_factor(M, ps, k, l, chi, jay, sign=-1).subs_neg()
         F = F @ Sk
-    return extract_grid(F, ps, carrier)
+    return ctx, extract_grid(F, ps, carrier)
 
 
 def appendix_identities(ps: ParitySeq, eps, l: int):
@@ -527,10 +381,13 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
     def scale(A, c):
         return [[c * x for x in row] for row in A]
 
+    same = lambda i, j: ctx.eps_sign(i) == ctx.eps_sign(j)
+    mixed = lambda i, j: ctx.eps_sign(i) != ctx.eps_sign(j)
+    eps_sum = lambda i, j: ctx.eps_sign(i) + ctx.eps_sign(j)
     for k in range(1, l + 1):
         Qk = q_operator(ps, k, l)
-        Qkk = q_operator(ps, k, l, eps_filter=(eps, True))
-        Qkp = q_operator(ps, k, l, eps_filter=(eps, False))
+        Qkk = q_operator(ps, k, l, same)
+        Qkp = q_operator(ps, k, l, mixed)
         if add(Qkk, Qkp) != Qk:
             return f"split Q^({k})"
         anti = add(mat_mul(Qkk, Qkp), mat_mul(Qkp, Qkk))
@@ -541,7 +398,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
         both = add(mat_mul(gaux, Qk), mat_mul(Qk, gaux))
-        ref = _entrywise_eps_sum(ps, ctx, k, l)
+        ref = q_operator(ps, k, l, eps_sum)
         if both != ref:
             return f"diagonal sum at k={k}"
     if l >= 2:
@@ -597,13 +454,8 @@ def _aux_entry(F, ps: ParitySeq, i, j, l):
 
 
 def _box_at(ps, i, j, k, l):
-    kk = ps.kappa
-    vsp = ps.space()
-    e = [[Fraction(0)] * kk for _ in range(kk)]
-    e[i - 1][j - 1] = Fraction(1)
-    ops = [(None, 0)] * l
-    ops[k - 1] = (e, (ps.parity(i) + ps.parity(j)) % 2)
-    return kron_ops(ops, [vsp] * l)
+    e = elementary(ps.kappa, i, j)
+    return kron_ops(at_slots(l, {k - 1: (e, (ps.parity(i) + ps.parity(j)) % 2)}), [ps.space()] * l)
 
 
 def _sigma_weighted_sum(ps, i, j, l):
@@ -652,37 +504,6 @@ def _flip_pair_sum(ps, ctx, i, j, l):
                 if term[r][c]:
                     out[r][c] += term[r][c]
     return out
-
-
-def _entrywise_eps_sum(ps, ctx, k, l):
-    """sum_ij (eps_i + eps_j) * (Q^(k) component at (i, j))."""
-    kk = ps.kappa
-    dim = kk ** (l + 1)
-    vsp = ps.space()
-    spaces = [vsp] * (l + 1)
-    total = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            w = ctx.eps_sign(i) + ctx.eps_sign(j)
-            if not w:
-                continue
-            pi, pj = ps.parity(i), ps.parity(j)
-            sgn = -1 if (pi * pj + pi + pj) % 2 else 1
-            par = (pi + pj) % 2
-            e = [[Fraction(0)] * kk for _ in range(kk)]
-            e[i - 1][j - 1] = Fraction(sgn)
-            e2 = [[Fraction(0)] * kk for _ in range(kk)]
-            e2[i - 1][j - 1] = Fraction(1)
-            ops = [(None, 0)] * (l + 1)
-            ops[k - 1] = (e, par)
-            ops[l] = (e2, par)
-            term = kron_ops(ops, spaces)
-            for r in range(dim):
-                tr = term[r]
-                for c in range(dim):
-                    if tr[c]:
-                        total[r][c] += w * tr[c]
-    return total
 
 
 def drinfeld_to_json(D: DrinfeldModule) -> dict:
@@ -762,13 +583,7 @@ def _intertwiner(lhs: BAction, rhs: BAction):
     for key in sorted(lhs.b):
         A = lhs.b[key]
         Bm = rhs.b[key]
-        den = Poly.one()
-        for m in (A, Bm):
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        g = den.gcd(e.den)
-                        den = den * (e.den // g)
+        den = common_den(e for m in (A, Bm) for row in m.entries for e in row)
         # Coefficient rows of A X - X B = 0, one per polynomial degree.
         polys = {}
         maxdeg = -1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tyang import _kernel
-from tyang.exactalg import Poly, Rat, RatFun, rat
+from tyang.exactalg import Poly, RatFun, rat
 
 
 class DimensionMismatch(ValueError):
@@ -69,15 +69,6 @@ def mat_identity(n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_zero(n, m):
-    zero = Fraction(0)
-    return [[zero] * m for _ in range(n)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -92,14 +83,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
-
-
-def mat_eq(A, B):
-    return A == B
-
-
-def mat_is_zero(A):
-    return all(not x for row in A for x in row)
 
 
 def mat_nullspace(A):
@@ -237,6 +220,39 @@ def kron_ops(ops, spaces):
     return total
 
 
+def at_slots(nslots, placed):
+    """A kron_ops operator list: placed maps 0-based slots to (matrix, parity),
+    every other slot carries the identity."""
+    return [placed.get(s, (None, 0)) for s in range(nslots)]
+
+
+def elementary(k, i, j, c=1):
+    """c * E_ij on a k-dimensional space, 1-based indices."""
+    e = [[Fraction(0)] * k for _ in range(k)]
+    e[i - 1][j - 1] = Fraction(c)
+    return e
+
+
+def kron_sum(terms, spaces):
+    """The sum of w * kron_ops(ops, spaces) over the (w, ops) pairs in terms.
+
+    Entries that no term touches stay Fraction(0), so RatFun sums go through
+    RFMatrix.from_const.
+    """
+    dim = 1
+    for sp in spaces:
+        dim *= sp.dim
+    total = [[Fraction(0)] * dim for _ in range(dim)]
+    for w, ops in terms:
+        for row, trow in zip(total, kron_ops(ops, spaces)):
+            for c, x in enumerate(trow):
+                if x:
+                    if w != 1:
+                        x = w * x
+                    row[c] = row[c] + x if row[c] else x
+    return total
+
+
 def apply_at_factor(op, k, spaces, op_parity):
     """Lift op on the k-th factor (1-based) to the full tensor space.
 
@@ -244,15 +260,22 @@ def apply_at_factor(op, k, spaces, op_parity):
     """
     if not 1 <= k <= len(spaces):
         raise DimensionMismatch(f"factor index {k} out of range")
-    ops = [(None, 0)] * len(spaces)
-    ops[k - 1] = (op, op_parity)
-    grid = kron_ops(ops, spaces)
+    grid = kron_ops(at_slots(len(spaces), {k - 1: (op, op_parity)}), spaces)
     sp = tensor_space(spaces)
     return RFMatrix.from_const(grid, row_space=sp, col_space=sp)
 
 
 # ---------------------------------------------------------------------------
 # Matrices over the rational-function field.
+
+def common_den(entries) -> Poly:
+    """The lcm of the denominators of the nonzero RatFun entries."""
+    d = Poly.one()
+    for e in entries:
+        if e:
+            d = d * (e.den // d.gcd(e.den))
+    return d
+
 
 class RFMatrix:
     """Dense matrix of RatFun entries, optionally tagged with super spaces."""
@@ -268,7 +291,11 @@ class RFMatrix:
 
     @staticmethod
     def from_const(grid, row_space=None, col_space=None) -> "RFMatrix":
-        ents = [[RatFun.const(x) if not isinstance(x, RatFun) else x for x in row] for row in grid]
+        zero = RatFun.zero()
+        ents = [
+            [x if isinstance(x, RatFun) else RatFun.const(x) if x else zero for x in row]
+            for row in grid
+        ]
         return RFMatrix(ents, row_space, col_space)
 
     @staticmethod
@@ -378,36 +405,6 @@ class RFMatrix:
                     return False
         return True
 
-    def transpose(self) -> "RFMatrix":
-        return RFMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.col_space,
-            self.row_space,
-        )
-
-    def common_den(self) -> Poly:
-        d = Poly.one()
-        for row in self.entries:
-            for e in row:
-                if e:
-                    g = d.gcd(e.den)
-                    d = d * (e.den // g)
-        return d
-
-    def cleared_degree(self) -> int:
-        """Max degree of D*entry over all entries, D the common denominator."""
-        d = self.common_den()
-        best = 0
-        for row in self.entries:
-            for e in row:
-                if e:
-                    best = max(best, e.num.degree + d.degree - e.den.degree)
-        return best
-
-    def poles(self) -> Poly:
-        """Product of denominators; its roots are all potential poles."""
-        return self.common_den()
-
     def check_parity(self, pi, row_parities=None, col_parities=None) -> bool:
         """True when every entry respects the grading of a parity-pi operator."""
         rp = row_parities or (self.row_space.parities if self.row_space else None)
@@ -473,11 +470,7 @@ def rfmat_kernel(Ms) -> list:
         if M.cols != ncols:
             raise DimensionMismatch("kernel of matrices with different column spaces")
         for row in M.entries:
-            den = Poly.one()
-            for e in row:
-                if e:
-                    g = den.gcd(e.den)
-                    den = den * (e.den // g)
+            den = common_den(row)
             cleared = []
             maxdeg = -1
             for e in row:

@@ -4,6 +4,9 @@ weights, classification certificates, rank reductions, and irreducibility.
 Every B-action here arises either through the twist embedding
 B(u) = T(u) G T(-u)^{-1}, through the one-dimensional family, or through the
 coideal tensor construction; the abstract algebra is never represented.
+BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
+are shared, and its lifts (1 x G and the flip) come from the same kron_ops
+assembler.
 """
 
 from dataclasses import dataclass, field
@@ -19,22 +22,23 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
+    common_den,
+    kron_ops,
     mat_identity,
     mat_mul,
     mat_nullspace,
     mat_vec,
     rfmat_kernel,
-    tensor_space,
 )
 from tyang.yangian import (
     NotHighest,
+    SeriesFamily,
     TAction,
-    _block_sign,
+    _extend_R,
     extract_grid,
-    flip_matrix,
+    flip_at,
     inverse_series_action,
     r_matrix_at,
-    realize_full,
     realize_mixed,
 )
 
@@ -120,61 +124,16 @@ class TwistedContext:
         return f"TwistedContext(s={list(self.ps.s)}, eps={list(self.eps)}, gamma={self.gamma})"
 
 
-class BAction:
-    """A family { b_ij(u) } of rational-function matrices on one module."""
+class BAction(SeriesFamily):
+    """The family { b_ij(u) } of B(u) on one module; b aliases the entries."""
 
     def __init__(self, ctx: TwistedContext, space: SuperSpace, b, provenance=("direct",)):
+        super().__init__(ctx.ps, space, b, provenance)
         self.ctx = ctx
-        self.space = space
-        self.b = dict(b)
-        self.provenance = provenance
 
     @property
-    def ps(self):
-        return self.ctx.ps
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    @property
-    def kappa(self):
-        return self.ctx.kappa
-
-    def full(self, slot=1, nslots=1) -> RFMatrix:
-        return realize_full(self.b, self.ps, self.space, slot, nslots)
-
-    def full_at(self, x, slot=1, nslots=1, negate=False):
-        x = rat(x)
-        grids = {key: m.eval_mat(-x if negate else x) for key, m in self.b.items()}
-        return realize_full(grids, self.ps, self.space, slot, nslots)
-
-    def common_den(self) -> Poly:
-        d = Poly.one()
-        for m in self.b.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        g = d.gcd(e.den)
-                        d = d * (e.den // g)
-        return d
-
-    def cleared_degree(self) -> int:
-        d = self.common_den()
-        best = d.degree
-        for m in self.b.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        best = max(best, e.num.degree + d.degree - e.den.degree)
-        return best
-
-    def coefficient_matrix(self, i, j, r):
-        """The matrix of the u^-r coefficient of b_ij(u)."""
-        out = []
-        for row in self.b[(i, j)].entries:
-            out.append([e.series(r)[r] if e else Fraction(0) for e in row])
-        return out
+    def b(self):
+        return self.t
 
     def tilde_operator(self, i: int) -> RFMatrix:
         """(2u - rho_{i+1}) b_ii(u) + sum_{a>i} s_a b_aa(u)."""
@@ -193,19 +152,8 @@ def b_from_T(T: TAction, ctx: TwistedContext) -> BAction:
     Tf = T.full()
     Tp = inverse_series_action(T)
     Tpn = Tp.full().subs_neg()
-    g = ctx.g_rf()
-    d = T.dim
-    k = ctx.kappa
-    gfull = RFMatrix(
-        [
-            [
-                g[r % k, c % k] if r // k == c // k else RatFun.zero()
-                for c in range(d * k)
-            ]
-            for r in range(d * k)
-        ]
-    )
-    F = Tf @ gfull @ Tpn
+    gfull = kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [T.space, ctx.ps.space()])
+    F = Tf @ RFMatrix.from_const(gfull) @ Tpn
     grids = extract_grid(F, ctx.ps, T.space)
     return BAction(ctx, T.space, grids, ("embedding", T, ctx.gamma))
 
@@ -271,22 +219,22 @@ def verify_b(B: BAction) -> BReport:
     product B(u)B(-u) is computed exactly and must be an even scalar.
     """
     rep = BReport()
-    P = flip_matrix(B.ps)
+    P = flip_at(B.ps, 1, 2, 2)
     dB = B.common_den()
     bB = B.cleared_degree()
 
     def lhs(u0, v0):
         B1 = B.full_at(u0, slot=1, nslots=2)
         B2 = B.full_at(v0, slot=2, nslots=2)
-        Rm = _extend(r_matrix_at(P, u0 - v0), B.dim)
-        Rp = _extend(r_matrix_at(P, u0 + v0), B.dim)
+        Rm = _extend_R(r_matrix_at(P, u0 - v0), B.dim)
+        Rp = _extend_R(r_matrix_at(P, u0 + v0), B.dim)
         return mat_mul(Rm, mat_mul(B1, mat_mul(Rp, B2)))
 
     def rhs(u0, v0):
         B1 = B.full_at(u0, slot=1, nslots=2)
         B2 = B.full_at(v0, slot=2, nslots=2)
-        Rm = _extend(r_matrix_at(P, u0 - v0), B.dim)
-        Rp = _extend(r_matrix_at(P, u0 + v0), B.dim)
+        Rm = _extend_R(r_matrix_at(P, u0 - v0), B.dim)
+        Rp = _extend_R(r_matrix_at(P, u0 + v0), B.dim)
         return mat_mul(B2, mat_mul(Rp, mat_mul(B1, Rm)))
 
     w = check_identity_2var(
@@ -315,20 +263,6 @@ def verify_b(B: BAction) -> BReport:
     if rep.scalar_ok and f != f.subs_neg():
         rep.even_ok = False
     return rep
-
-
-def _extend(R, carrier_dim):
-    n = len(R)
-    out = [[Fraction(0)] * (carrier_dim * n) for _ in range(carrier_dim * n)]
-    for m in range(carrier_dim):
-        base = m * n
-        for r in range(n):
-            Rr = R[r]
-            orow = out[base + r]
-            for c in range(n):
-                if Rr[c]:
-                    orow[base + c] = Rr[c]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +316,12 @@ def highest_bweight(B: BAction, eta) -> BHighestWeight:
     return BHighestWeight(tuple(mus), B.ctx)
 
 
-def _rf_vector_coords_in_span(w, K, den_hint=None):
+def _rf_vector_coords_in_span(w, K):
     """Write a RatFun vector as a rational-function combination of constant
     basis vectors; returns the coefficient list or None when outside."""
     if not K:
         return None if any(w) else []
-    den = Poly.one()
-    for e in w:
-        if e:
-            g = den.gcd(e.den)
-            den = den * (e.den // g)
+    den = common_den(w)
     cleared = [e.num * (den // e.den) if e else Poly.zero() for e in w]
     maxdeg = max((p.degree for p in cleared), default=-1)
     coeff_polys = [[Fraction(0)] * (maxdeg + 1) for _ in K]
@@ -435,13 +365,7 @@ def find_highest_space(B: BAction, check_pairs=10):
     restricted = []
     for r in range(1, kk + 1):
         restricted.append(restrict_rf(B.b[(r, r)], K))
-    dens = Poly.one()
-    for m in restricted:
-        for row in m.entries:
-            for e in row:
-                if e:
-                    g = dens.gcd(e.den)
-                    dens = dens * (e.den // g)
+    dens = common_den(e for m in restricted for row in m.entries for e in row)
     pairs = []
     x = 1
     while len(pairs) < check_pairs:
@@ -838,13 +762,7 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     candidate element splits over the rationals.
     """
     d = B.dim
-    dden = B.common_den()
-    orders = dden.degree + 2
-    for m in B.b.values():
-        for row in m.entries:
-            for e in row:
-                if e:
-                    orders = max(orders, e.num.degree + dden.degree - e.den.degree + 2)
+    orders = B.cleared_degree() + 2
     gens = []
     kk = B.kappa
     for i in range(1, kk + 1):

@@ -1,11 +1,15 @@
 """Generating-series actions T(u) on modules: evaluation, shift, tensor,
 inverse series, highest-weight extraction, and duals.
 
-A TAction stores one rational-function matrix per generator pair (i, j),
-1-based.  The operator on module x V is assembled with the sign
-(-1)^(|i||j|+|j|) in front of the (i, j) block, which is exactly the
-convention making block products behave like ordinary matrix products; all
-Koszul signs are produced by kron_ops.
+SeriesFamily is the one family type: it stores one rational-function matrix
+per generator pair (i, j), 1-based, and owns evaluation, assembly and the
+degree data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction
+(B(u)) are thin subclasses.  The operator on module x V is assembled with
+the sign (-1)^(|i||j|+|j|) in front of the (i, j) block, which is exactly the
+convention making block products behave like ordinary matrix products.
+Every tensor lift, flip and sum of lifts goes through kron_ops (summed by
+kron_sum), so all Koszul signs come from that single assembler; _extend_R,
+the even lift 1 x R(x) made at every grid point, is a plain block copy.
 """
 
 from fractions import Fraction
@@ -17,11 +21,12 @@ from tyang.superlinalg import (
     Grid2Witness,
     RFMatrix,
     SuperSpace,
+    at_slots,
     check_identity_2var,
-    kron_ops,
-    mat_identity,
+    common_den,
+    elementary,
+    kron_sum,
     mat_mul,
-    mat_sub,
     rfmat_inverse,
     tensor_space,
 )
@@ -46,27 +51,14 @@ def realize_mixed(grids, ps: ParitySeq, spaces, op_slot: int, e_slot: int):
     is one, otherwise a Fraction grid.
     """
     k = ps.kappa
-    dim = 1
-    for sp in spaces:
-        dim *= sp.dim
-    rf_mode = any(isinstance(g, RFMatrix) for g in grids.values())
-    zero = RatFun.zero() if rf_mode else Fraction(0)
-    total = [[zero] * dim for _ in range(dim)]
+    terms = []
     for (i, j), x in grids.items():
         grid = x.entries if isinstance(x, RFMatrix) else x
         par = (ps.parity(i) + ps.parity(j)) % 2
-        e = [[Fraction(0)] * k for _ in range(k)]
-        e[i - 1][j - 1] = Fraction(_block_sign(ps, i, j))
-        ops = [(None, 0)] * len(spaces)
-        ops[op_slot] = (grid, par)
-        ops[e_slot] = (e, par)
-        term = kron_ops(ops, spaces)
-        for r in range(dim):
-            tr = term[r]
-            for c in range(dim):
-                if tr[c]:
-                    total[r][c] = total[r][c] + tr[c]
-    if rf_mode:
+        e = elementary(k, i, j, _block_sign(ps, i, j))
+        terms.append((1, at_slots(len(spaces), {op_slot: (grid, par), e_slot: (e, par)})))
+    total = kron_sum(terms, spaces)
+    if any(isinstance(g, RFMatrix) for g in grids.values()):
         sp = tensor_space(spaces)
         return RFMatrix.from_const(total, sp, sp)
     return total
@@ -99,26 +91,6 @@ def extract_grid(F: RFMatrix, ps: ParitySeq, carrier: SuperSpace):
     return out
 
 
-def flip_matrix(ps: ParitySeq):
-    """The graded flip P = sum s_b E_ab x E_ba on V x V as a Fraction grid."""
-    k = ps.kappa
-    vsp = ps.space()
-    total = [[Fraction(0)] * k * k for _ in range(k * k)]
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            par = (ps.parity(a) + ps.parity(b)) % 2
-            eab = [[Fraction(0)] * k for _ in range(k)]
-            eab[a - 1][b - 1] = Fraction(ps.sign(b))
-            eba = [[Fraction(0)] * k for _ in range(k)]
-            eba[b - 1][a - 1] = Fraction(1)
-            term = kron_ops([(eab, par), (eba, par)], [vsp, vsp])
-            for r in range(k * k):
-                for c in range(k * k):
-                    if term[r][c]:
-                        total[r][c] += term[r][c]
-    return total
-
-
 def r_matrix_at(P, x: Fraction):
     """R(x) = 1 - P/x evaluated at a nonzero rational point."""
     n = len(P)
@@ -128,15 +100,19 @@ def r_matrix_at(P, x: Fraction):
     return out
 
 
-class TAction:
-    """A family { t_ij(u) } of rational-function matrices on one module."""
+class SeriesFamily:
+    """A generating matrix sum_ij E_ij x x_ij(u) on one module.
+
+    t maps each 1-based pair (i, j) to the RFMatrix of x_ij(u) on space.
+    T(u), its inverse series T'(u) and the twisted B(u) all share this
+    layout, so evaluation, assembly and degree data live here once.
+    """
 
     def __init__(self, ps: ParitySeq, space: SuperSpace, t, provenance=("direct",)):
         self.ps = ps
         self.space = space
         self.t = dict(t)
         self.provenance = provenance
-        self._tprime = None
 
     @property
     def dim(self) -> int:
@@ -145,6 +121,9 @@ class TAction:
     @property
     def kappa(self) -> int:
         return self.ps.kappa
+
+    def _entries(self):
+        return (e for m in self.t.values() for row in m.entries for e in row)
 
     def full(self, slot=1, nslots=1) -> RFMatrix:
         return realize_full(self.t, self.ps, self.space, slot, nslots)
@@ -158,70 +137,33 @@ class TAction:
         return realize_full(grids, self.ps, self.space, slot, nslots)
 
     def common_den(self) -> Poly:
-        d = Poly.one()
-        for m in self.t.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        g = d.gcd(e.den)
-                        d = d * (e.den // g)
-        return d
+        return common_den(self._entries())
 
     def cleared_degree(self) -> int:
+        """Max degree over the entries after clearing the common denominator."""
         d = self.common_den()
         best = d.degree
-        for m in self.t.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        best = max(best, e.num.degree + d.degree - e.den.degree)
+        for e in self._entries():
+            if e:
+                best = max(best, e.num.degree + d.degree - e.den.degree)
         return best
 
     def coefficient_matrix(self, i, j, r):
-        """The matrix of the u^-r coefficient of t_ij(u)."""
+        """The matrix of the u^-r coefficient of x_ij(u)."""
         out = []
         for row in self.t[(i, j)].entries:
             out.append([e.series(r)[r] if e else Fraction(0) for e in row])
         return out
 
 
-class TPrimeAction:
-    """The inverse-series family { t'_ij(u) }; same layout as TAction."""
+class TAction(SeriesFamily):
+    """The family { t_ij(u) } of T(u) on one module."""
 
-    def __init__(self, ps, space, t):
-        self.ps = ps
-        self.space = space
-        self.t = dict(t)
+    _tprime = None  # the inverse-series family, once computed
 
-    def full(self, slot=1, nslots=1) -> RFMatrix:
-        return realize_full(self.t, self.ps, self.space, slot, nslots)
 
-    def full_at(self, x, slot=1, nslots=1, negate=False):
-        x = rat(x)
-        grids = {
-            key: m.eval_mat(-x if negate else x) for key, m in self.t.items()
-        }
-        return realize_full(grids, self.ps, self.space, slot, nslots)
-
-    def common_den(self) -> Poly:
-        d = Poly.one()
-        for m in self.t.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        g = d.gcd(e.den)
-                        d = d * (e.den // g)
-        return d
-
-    def cleared_degree(self) -> int:
-        d = self.common_den()
-        best = d.degree
-        for m in self.t.values():
-            for row in m.entries:
-                for e in row:
-                    if e:
-                        best = max(best, e.num.degree + d.degree - e.den.degree)
-        return best
+class TPrimeAction(SeriesFamily):
+    """The inverse-series family { t'_ij(u) }."""
 
 
 def trivial_action(ps: ParitySeq) -> TAction:
@@ -279,31 +221,15 @@ def tensor_action(L: TAction, R: TAction) -> TAction:
     t = {}
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
-            acc = None
-            for k in range(1, kk + 1):
-                li = L.t[(i, k)]
-                rj = R.t[(k, j)]
-                if li.is_zero() or rj.is_zero():
-                    continue
-                term = kron_ops(
-                    [
-                        (li.entries, (ps.parity(i) + ps.parity(k)) % 2),
-                        (rj.entries, (ps.parity(k) + ps.parity(j)) % 2),
-                    ],
-                    spaces,
-                )
-                if acc is None:
-                    acc = term
-                else:
-                    for r in range(len(acc)):
-                        tr = term[r]
-                        for c in range(len(acc)):
-                            if tr[c]:
-                                acc[r][c] = acc[r][c] + tr[c]
-            if acc is None:
-                t[(i, j)] = RFMatrix.zero(space.dim, space.dim, space, space)
-            else:
-                t[(i, j)] = RFMatrix.from_const(acc, space, space)
+            terms = (
+                (1, [
+                    (L.t[(i, k)].entries, (ps.parity(i) + ps.parity(k)) % 2),
+                    (R.t[(k, j)].entries, (ps.parity(k) + ps.parity(j)) % 2),
+                ])
+                for k in range(1, kk + 1)
+                if not (L.t[(i, k)].is_zero() or R.t[(k, j)].is_zero())
+            )
+            t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
     return TAction(ps, space, t, ("tensor", L, R))
 
 
@@ -326,36 +252,15 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         t = {}
         for i in range(1, kk + 1):
             for j in range(1, kk + 1):
-                acc = None
+                terms = []
                 for a in range(1, kk + 1):
-                    la = Lp.t[(a, j)]
-                    ra = Rp.t[(i, a)]
+                    la, ra = Lp.t[(a, j)], Rp.t[(i, a)]
                     if la.is_zero() or ra.is_zero():
                         continue
-                    sgn = (
-                        -1
-                        if ((ps.parity(a) + ps.parity(j)) * (ps.parity(i) + ps.parity(a))) % 2
-                        else 1
-                    )
-                    term = kron_ops(
-                        [
-                            (la.entries, (ps.parity(a) + ps.parity(j)) % 2),
-                            (ra.entries, (ps.parity(i) + ps.parity(a)) % 2),
-                        ],
-                        spaces,
-                    )
-                    if acc is None:
-                        acc = [[sgn * x for x in row] for row in term]
-                    else:
-                        for r in range(len(acc)):
-                            tr = term[r]
-                            for c in range(len(acc)):
-                                if tr[c]:
-                                    acc[r][c] = acc[r][c] + sgn * tr[c]
-                if acc is None:
-                    t[(i, j)] = RFMatrix.zero(space.dim, space.dim, space, space)
-                else:
-                    t[(i, j)] = RFMatrix.from_const(acc, space, space)
+                    paj = (ps.parity(a) + ps.parity(j)) % 2
+                    pia = (ps.parity(i) + ps.parity(a)) % 2
+                    terms.append((-1 if paj * pia else 1, [(la.entries, paj), (ra.entries, pia)]))
+                t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
         T._tprime = TPrimeAction(ps, space, t)
         return T._tprime
     inv = rfmat_inverse(T.full())
@@ -500,83 +405,60 @@ def lambda_prime_check(T: TAction, xi, lams=None, npairs=10):
 def verify_rtt(T: TAction):
     """Certify the exchange relation and its two inverse-series variants.
 
-    Returns None on pass or the first Grid2Witness, labelled with which
-    identity failed.
+    The exchange relation is R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v); the
+    mixed ones put T'(-u) (left) or T'(-v) (right) in place of one factor
+    and read A1(u) R(u+v) B2(v) = B2(v) R(u+v) A1(u).  Returns None on pass
+    or the first Grid2Witness, labelled with which identity failed.
     """
-    ps = T.ps
-    P = flip_matrix(ps)
-    dT = T.common_den()
+    P = flip_at(T.ps, 1, 2, 2)
     Tp = inverse_series_action(T)
-    dTp = Tp.common_den()
-    bT = T.cleared_degree()
-    bTp = Tp.cleared_degree()
-
-    def lhs_rtt(u0, v0):
-        T1 = T.full_at(u0, slot=1, nslots=2)
-        T2 = T.full_at(v0, slot=2, nslots=2)
-        R = _extend_R(r_matrix_at(P, u0 - v0), T.dim)
-        return mat_mul(R, mat_mul(T1, T2))
-
-    def rhs_rtt(u0, v0):
-        T1 = T.full_at(u0, slot=1, nslots=2)
-        T2 = T.full_at(v0, slot=2, nslots=2)
-        R = _extend_R(r_matrix_at(P, u0 - v0), T.dim)
-        return mat_mul(T2, mat_mul(T1, R))
-
-    w = check_identity_2var(
-        lhs_rtt,
-        rhs_rtt,
-        (bT + 2, bT + 2),
-        bad_u=lambda u: dT(u) == 0,
-        bad_v=lambda v: dT(v) == 0,
-    )
-    if w is not None:
-        return Grid2Witness(w.point, w.lhs, w.rhs, label="exchange")
-
-    def lhs_mixed1(u0, v0):
-        A = Tp.full_at(u0, slot=1, nslots=2, negate=True)
-        B = T.full_at(v0, slot=2, nslots=2)
-        R = _extend_R(r_matrix_at(P, u0 + v0), T.dim)
-        return mat_mul(A, mat_mul(R, B))
-
-    def rhs_mixed1(u0, v0):
-        A = Tp.full_at(u0, slot=1, nslots=2, negate=True)
-        B = T.full_at(v0, slot=2, nslots=2)
-        R = _extend_R(r_matrix_at(P, u0 + v0), T.dim)
-        return mat_mul(B, mat_mul(R, A))
-
-    w = check_identity_2var(
-        lhs_mixed1,
-        rhs_mixed1,
-        (bTp + 2, bT + 2),
-        bad_u=lambda u: dTp(-u) == 0,
-        bad_v=lambda v: dT(v) == 0,
-    )
-    if w is not None:
-        return Grid2Witness(w.point, w.lhs, w.rhs, label="mixed-left")
-
-    def lhs_mixed2(u0, v0):
-        A = T.full_at(u0, slot=1, nslots=2)
-        B = Tp.full_at(v0, slot=2, nslots=2, negate=True)
-        R = _extend_R(r_matrix_at(P, u0 + v0), T.dim)
-        return mat_mul(A, mat_mul(R, B))
-
-    def rhs_mixed2(u0, v0):
-        A = T.full_at(u0, slot=1, nslots=2)
-        B = Tp.full_at(v0, slot=2, nslots=2, negate=True)
-        R = _extend_R(r_matrix_at(P, u0 + v0), T.dim)
-        return mat_mul(B, mat_mul(R, A))
-
-    w = check_identity_2var(
-        lhs_mixed2,
-        rhs_mixed2,
-        (bT + 2, bTp + 2),
-        bad_u=lambda u: dT(u) == 0,
-        bad_v=lambda v: dTp(-v) == 0,
-    )
-    if w is not None:
-        return Grid2Witness(w.point, w.lhs, w.rhs, label="mixed-right")
+    # (family, common denominator, grid bound, evaluated at minus the point)
+    fam = (T, T.common_den(), T.cleared_degree() + 2, False)
+    inv = (Tp, Tp.common_den(), Tp.cleared_degree() + 2, True)
+    for label, first, second in (
+        ("exchange", fam, fam),
+        ("mixed-left", inv, fam),
+        ("mixed-right", fam, inv),
+    ):
+        w = _rtt_check(P, T.dim, label, first, second)
+        if w is not None:
+            return w
     return None
+
+
+def _rtt_check(P, carrier_dim, label, first, second):
+    """Grid-certify X (Y Z) = Z (Y X) for one identity of verify_rtt.
+
+    (X, Y, Z) is (R(u-v), A1(u), B2(v)) for the exchange relation and
+    (A1(u), R(u+v), B2(v)) for the mixed ones.
+    """
+    (A, dA, bound_a, neg_a), (B, dB, bound_b, neg_b) = first, second
+    mixed = label != "exchange"
+
+    def factors(u0, v0):
+        A1 = A.full_at(u0, slot=1, nslots=2, negate=neg_a)
+        B2 = B.full_at(v0, slot=2, nslots=2, negate=neg_b)
+        R = _extend_R(r_matrix_at(P, u0 + v0 if mixed else u0 - v0), carrier_dim)
+        return (A1, R, B2) if mixed else (R, A1, B2)
+
+    def lhs(u0, v0):
+        X, Y, Z = factors(u0, v0)
+        return mat_mul(X, mat_mul(Y, Z))
+
+    def rhs(u0, v0):
+        X, Y, Z = factors(u0, v0)
+        return mat_mul(Z, mat_mul(Y, X))
+
+    w = check_identity_2var(
+        lhs,
+        rhs,
+        (bound_a, bound_b),
+        bad_u=lambda u: dA(-u if neg_a else u) == 0,
+        bad_v=lambda v: dB(-v if neg_b else v) == 0,
+    )
+    if w is None:
+        return None
+    return Grid2Witness(w.point, w.lhs, w.rhs, label=label)
 
 
 def _extend_R(R, carrier_dim):
@@ -595,29 +477,19 @@ def _extend_R(R, carrier_dim):
 
 
 def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
-    """The graded flip acting on factors (slot_a, slot_b) of V^nfactors."""
+    """The graded flip sum s_b E_ab x E_ba acting on factors (slot_a, slot_b)
+    of V^nfactors."""
     k = ps.kappa
-    vsp = ps.space()
-    spaces = [vsp] * nfactors
-    dim = k**nfactors
-    total = [[Fraction(0)] * dim for _ in range(dim)]
+    terms = []
     for a in range(1, k + 1):
         for b in range(1, k + 1):
             par = (ps.parity(a) + ps.parity(b)) % 2
-            eab = [[Fraction(0)] * k for _ in range(k)]
-            eab[a - 1][b - 1] = Fraction(ps.sign(b))
-            eba = [[Fraction(0)] * k for _ in range(k)]
-            eba[b - 1][a - 1] = Fraction(1)
-            ops = [(None, 0)] * nfactors
-            ops[slot_a - 1] = (eab, par)
-            ops[slot_b - 1] = (eba, par)
-            term = kron_ops(ops, spaces)
-            for r in range(dim):
-                tr = term[r]
-                for c in range(dim):
-                    if tr[c]:
-                        total[r][c] += tr[c]
-    return total
+            ops = {
+                slot_a - 1: (elementary(k, a, b, ps.sign(b)), par),
+                slot_b - 1: (elementary(k, b, a), par),
+            }
+            terms.append((1, at_slots(nfactors, ops)))
+    return kron_sum(terms, [ps.space()] * nfactors)
 
 
 def verify_yang_baxter(ps: ParitySeq):
@@ -625,19 +497,11 @@ def verify_yang_baxter(ps: ParitySeq):
     P12 = flip_at(ps, 1, 2, 3)
     P13 = flip_at(ps, 1, 3, 3)
     P23 = flip_at(ps, 2, 3, 3)
-
-    def r_at(Pm, x):
-        n = len(Pm)
-        out = [[-p / x for p in row] for row in Pm]
-        for i in range(n):
-            out[i][i] += 1
-        return out
-
     lhs = lambda u, v: mat_mul(
-        r_at(P12, u - v), mat_mul(r_at(P13, u), r_at(P23, v))
+        r_matrix_at(P12, u - v), mat_mul(r_matrix_at(P13, u), r_matrix_at(P23, v))
     )
     rhs = lambda u, v: mat_mul(
-        r_at(P23, v), mat_mul(r_at(P13, u), r_at(P12, u - v))
+        r_matrix_at(P23, v), mat_mul(r_matrix_at(P13, u), r_matrix_at(P12, u - v))
     )
     return check_identity_2var(
         lhs, rhs, (4, 4), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -65,6 +66,49 @@ class TestDeterminism:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# SHA-256 of each shipped scenario's `tyang run` report, pinned so that
+# refactors are held to byte-identical output across commits.
+GOLDEN_REPORTS = {
+    "appendix-k2-l2.json": (0, "fd48bff2ba03ab7d78c7545e556721f9f88188e044f36666c730ffd098930c16"),
+    "daha-principal-l2.json": (0, "111845454c1fc3e4bc2a22bd6c730de0ce8874a2fe8b3e5b02bf5b25e353145d"),
+    "drinfeld-char-21.json": (0, "f04049bdf541e78ff4208fb385026d481acfcc3c0327cd1900f119709f1dc22a"),
+    "rank1-L12.json": (0, "d349d7f5e9c5cf426e5eb22ba9ff51f5739754d7030a1757bb0fc39fc7d25bbd"),
+    "reduce-over-L12.json": (0, "25cede47cc2091d13c20e238a0a625a41a33d040f008c0d190feda3c8adf2729"),
+    "twisted-L12-cgamma.json": (0, "d6a3936f93331abf40083397752f11875e53bb9abe533568f44c7a633e0ea412"),
+    "twisted-negative-control.json": (1, "b52f5e80d29570423bf79cb52ab973234a7442bf81722b16a2f7caa07cfe3f1c"),
+    "yangian-L12-tensor.json": (0, "6dc79dee80cd0525038ec11ca578a43a5d83f8aa733851c36bbf3cd4622f3475"),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_report_digest(self, name, tmp_path):
+        want_code, want_digest = GOLDEN_REPORTS[name]
+        out = tmp_path / "report.json"
+        assert main(["run", scenario_path(name), "--out", str(out)]) == want_code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
+
+
+LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "inputs, constructor",
+        [
+            ({}, "build_taction"),
+            ({"t": {"type": "evaluation", "module": dict(LAB12, a="1/0")}}, "build_taction"),
+            ({"t": {"type": "evaluation", "module": LAB12, "z": 1.5}}, "build_taction"),
+        ],
+        ids=["missing-t", "zero-denominator", "float-z"],
+    )
+    def test_constructor_errors_exit_2(self, inputs, constructor, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "pipeline": "verify-yangian", "inputs": inputs}))
+        assert main(["run", str(path)]) == 2
+        assert constructor in capsys.readouterr().err
 
 
 class TestMainEntry:

@@ -167,7 +167,8 @@ class TestAppendixIdentities:
     def test_vacuous_mixed_part(self):
         # Equal eps on both indices leaves the mixed component empty.
         ps = ParitySeq([1, -1])
-        Qp = q_operator(ps, 1, 1, eps_filter=((1, 1), False))
+        eps = (1, 1)
+        Qp = q_operator(ps, 1, 1, lambda i, j: eps[i - 1] != eps[j - 1])
         assert all(not x for row in Qp for x in row)
 
     def test_three_letters(self):
