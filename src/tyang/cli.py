@@ -31,6 +31,16 @@ def _rat_list(values):
     return [rat(v) for v in values]
 
 
+def _reduction_mode(mode):
+    if mode not in ("over", "under", "star"):
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    return mode
+
+
+def _center_poly(terms):
+    return {tuple(int(e) for e in term["mono"]): rat(term["coeff"]) for term in terms}
+
+
 def build_gl_module(spec):
     kind = spec.get("type")
     if kind == "vector":
@@ -90,11 +100,18 @@ def build_daha_module(spec):
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
-def _build(constructor, inputs, key):
-    """Run a build_* constructor on inputs[key]; a malformed spec is an InputError."""
+def _build(constructor, inputs, key, *args):
+    """Run constructor(*args, inputs[key]); a missing or malformed field is an
+    InputError naming the constructor and the field.
+
+    Every read of a scenario's inputs goes through here, so bad input exits 2
+    while the checks that run afterwards stay unwrapped.
+    """
     try:
-        return constructor(inputs[key])
-    except (KeyError, TypeError, ZeroDivisionError) as e:
+        return constructor(*args, inputs[key])
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"{constructor.__name__} on inputs[{key!r}]: {type(e).__name__}: {e}") from e
 
 
@@ -144,7 +161,7 @@ def pipe_verify_yangian(inputs, max_dim):
     prod_ok = (T.full() @ Tp.full()).is_identity()
     checks.append(_check("inverse-product", "series times inverse series is the identity", prod_ok))
     if "xi" in inputs:
-        xi = _rat_list(inputs["xi"])
+        xi = _build(_rat_list, inputs, "xi")
         try:
             lams = yangian_mod.highest_lweight(T, xi)
             checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
@@ -170,7 +187,7 @@ def pipe_verify_twisted(inputs, max_dim):
                          None if rep.scalar_ok else {"detail": "non-scalar product"},
                          data={"f": _rf_json(rep.f)} if rep.f is not None else None))
     if "eta" in inputs:
-        eta = _rat_list(inputs["eta"])
+        eta = _build(_rat_list, inputs, "eta")
         try:
             mu = twisted_mod.highest_bweight(B, eta)
             checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
@@ -187,7 +204,7 @@ def pipe_verify_twisted(inputs, max_dim):
 def pipe_classify(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
-    eta = _rat_list(inputs["eta"])
+    eta = _build(_rat_list, inputs, "eta")
     mu = twisted_mod.highest_bweight(B, eta)
     checks = []
     bad = twisted_mod.verma_conditions(mu)
@@ -211,8 +228,8 @@ def pipe_classify(inputs, max_dim):
 def pipe_reduce(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
-    mode = inputs["mode"]
-    a = int(inputs["a"]) if "a" in inputs else None
+    mode = _build(_reduction_mode, inputs, "mode")
+    a = _build(int, inputs, "a") if "a" in inputs else None
     checks = []
     try:
         red = twisted_mod.reduce_rank(B, mode, a)
@@ -247,7 +264,7 @@ def pipe_daha(inputs, max_dim):
         checks.append(_check("transformed-presentation", "anticommuting family and its bracket formula",
                              fail is None, None if fail is None else {"relation": fail}))
     if "center" in inputs:
-        poly = {tuple(int(e) for e in term["mono"]): rat(term["coeff"]) for term in inputs["center"]}
+        poly = _build(_center_poly, inputs, "center")
         bad = daha_mod.center_check(M, poly)
         checks.append(_check("center", "symmetric polynomials in the squares are central", bad is None,
                              None if bad is None else {"generator": bad}))
@@ -256,14 +273,10 @@ def pipe_daha(inputs, max_dim):
 
 def pipe_drinfeld(inputs, max_dim):
     M = _build(build_daha_module, inputs, "m")
-    ps = ParitySeq(inputs["ps"])
-    eps = inputs["eps"]
-    epsilon = int(inputs.get("epsilon", 1))
-    kwargs = {}
-    if "chi" in inputs:
-        kwargs["chi"] = rat(inputs["chi"])
-    if "gamma" in inputs:
-        kwargs["gamma"] = rat(inputs["gamma"])
+    ps = _build(ParitySeq, inputs, "ps")
+    eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
+    epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
+    kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
     _guard_dim(M.dim * ps.kappa ** (M.params.l + 1), max_dim)
     checks = []
     try:
@@ -287,10 +300,11 @@ def pipe_drinfeld(inputs, max_dim):
 
 
 def pipe_appendix(inputs, max_dim):
-    ps = ParitySeq(inputs["ps"])
-    l = int(inputs["l"])
+    ps = _build(ParitySeq, inputs, "ps")
+    eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
+    l = _build(int, inputs, "l")
     _guard_dim(ps.kappa ** (l + 1), max_dim)
-    bad = drinfeld_mod.appendix_identities(ps, inputs["eps"], l)
+    bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",
                    bad is None, None if bad is None else {"identity": bad})]
 

@@ -12,6 +12,7 @@ Conventions fixed here and used everywhere else:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tyang import _kernel
 from tyang.exactalg import Poly, RatFun, rat
@@ -83,6 +84,32 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
+
+
+def clear_denominators(A):
+    """A Fraction matrix as (N, d): N an integer matrix and d > 0 the lcm of
+    the entry denominators, so that A = N / d."""
+    d = lcm(*{x.denominator for row in A for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
+def int_mat_mul(A, B):
+    """Product of integer matrices with zero skipping, kept in Python ints.
+
+    Fraction-free chains stay on this helper end to end; converting to and
+    from Fraction inside mat_mul on each call costs more than it saves.
+    """
+    p = len(B[0]) if B else 0
+    out = []
+    for Ai in A:
+        row = [0] * p
+        for a, Bk in zip(Ai, B):
+            if a:
+                for j, b in enumerate(Bk):
+                    if b:
+                        row[j] += a * b
+        out.append(row)
+    return out
 
 
 def mat_nullspace(A):
@@ -502,11 +529,17 @@ class Grid2Witness:
 def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None, bad_pair=None):
     """Certify a two-variable matrix identity on a degree-beating grid.
 
-    lhs_eval and rhs_eval map a rational point (u0, v0) to Fraction matrices.
-    deg_bound = (d_u, d_v) must dominate the degrees of both sides after
-    clearing denominators; equality on a (d_u+1) x (d_v+1) product grid of
-    admissible points then certifies the identity.  Returns None on pass and
-    a Grid2Witness on the first failing point.
+    lhs_eval and rhs_eval map a rational point (u0, v0) to matrices, and
+    lhs_eval is called exactly once per grid point visited, before rhs_eval.
+    Both sides may carry a common nonzero scale s(u0, v0) (say, integer
+    matrices over the product of the factors' denominators): equality of
+    s * lhs and s * rhs is equality of the sides, so the verdict is that of
+    the unscaled identity.  deg_bound = (d_u, d_v) must dominate the degrees
+    of both sides after clearing denominators; equality on a
+    (d_u+1) x (d_v+1) product grid of admissible points then certifies the
+    identity.  Returns None on pass and a Grid2Witness on the first failing
+    point, holding the sides as the callbacks returned them (scaled, if
+    they were).
     """
     d_u, d_v = deg_bound
     us = []

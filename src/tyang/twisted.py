@@ -16,13 +16,13 @@ from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal
 from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
     DimensionMismatch,
-    Grid2Witness,
     RFMatrix,
     SuperSpace,
     algebra_closure,
     charpoly,
     check_identity_2var,
     common_den,
+    int_mat_mul,
     kron_ops,
     mat_identity,
     mat_mul,
@@ -33,13 +33,14 @@ from tyang.superlinalg import (
 from tyang.yangian import (
     NotHighest,
     SeriesFamily,
+    ScaledR,
     TAction,
-    _extend_R,
+    cleared_evaluator,
     extract_grid,
     flip_at,
     inverse_series_action,
-    r_matrix_at,
     realize_mixed,
+    scaled_witness,
 )
 
 
@@ -215,27 +216,23 @@ class BReport:
 def verify_b(B: BAction) -> BReport:
     """Certify the reflection equation and the unitarity scalar.
 
-    The reflection equation is certified on a degree-beating grid; the
-    product B(u)B(-u) is computed exactly and must be an even scalar.
+    The reflection equation is certified on a degree-beating grid, both
+    sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
+    B2 = N_2 / d_2, p_-+ the numerators of u -+ v); the product B(u)B(-u)
+    is computed exactly and must be an even scalar.
     """
     rep = BReport()
-    P = flip_at(B.ps, 1, 2, 2)
+    R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
+    B1 = cleared_evaluator(B, 1)
+    B2 = cleared_evaluator(B, 2)
     dB = B.common_den()
     bB = B.cleared_degree()
 
-    def lhs(u0, v0):
-        B1 = B.full_at(u0, slot=1, nslots=2)
-        B2 = B.full_at(v0, slot=2, nslots=2)
-        Rm = _extend_R(r_matrix_at(P, u0 - v0), B.dim)
-        Rp = _extend_R(r_matrix_at(P, u0 + v0), B.dim)
-        return mat_mul(Rm, mat_mul(B1, mat_mul(Rp, B2)))
+    def lhs(u0, v0):  # R(u-v) B1(u) R(u+v) B2(v)
+        return R.left(u0 - v0, int_mat_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
 
-    def rhs(u0, v0):
-        B1 = B.full_at(u0, slot=1, nslots=2)
-        B2 = B.full_at(v0, slot=2, nslots=2)
-        Rm = _extend_R(r_matrix_at(P, u0 - v0), B.dim)
-        Rp = _extend_R(r_matrix_at(P, u0 + v0), B.dim)
-        return mat_mul(B2, mat_mul(Rp, mat_mul(B1, Rm)))
+    def rhs(u0, v0):  # B2(v) R(u+v) B1(u) R(u-v)
+        return int_mat_mul(B2(v0)[0], R.left(u0 + v0, R.right(B1(u0)[0], u0 - v0)))
 
     w = check_identity_2var(
         lhs,
@@ -244,8 +241,11 @@ def verify_b(B: BAction) -> BReport:
         bad_u=lambda u: dB(u) == 0,
         bad_v=lambda v: dB(v) == 0,
     )
-    if w is not None:
-        rep.reflection = Grid2Witness(w.point, w.lhs, w.rhs, label="reflection")
+    rep.reflection = scaled_witness(
+        w,
+        lambda u0, v0: B1(u0)[1] * B2(v0)[1] * (u0 - v0).numerator * (u0 + v0).numerator,
+        "reflection",
+    )
 
     F = B.full()
     prod = F @ F.subs_neg()

@@ -8,8 +8,12 @@ degree data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction
 the sign (-1)^(|i||j|+|j|) in front of the (i, j) block, which is exactly the
 convention making block products behave like ordinary matrix products.
 Every tensor lift, flip and sum of lifts goes through kron_ops (summed by
-kron_sum), so all Koszul signs come from that single assembler; _extend_R,
-the even lift 1 x R(x) made at every grid point, is a plain block copy.
+kron_sum), so all Koszul signs come from that single assembler.  The grid
+checks never assemble 1 x R(x): ScaledR applies p R(p/q) = p 1 - q (1 x P)
+to integer matrices as a signed permutation, and cleared_evaluator memoises
+each family evaluation per grid coordinate as an integer matrix over its
+denominator lcm, so both sides of an identity are integer chains over one
+common nonzero scale per point.
 """
 
 from fractions import Fraction
@@ -23,8 +27,10 @@ from tyang.superlinalg import (
     SuperSpace,
     at_slots,
     check_identity_2var,
+    clear_denominators,
     common_den,
     elementary,
+    int_mat_mul,
     kron_sum,
     mat_mul,
     rfmat_inverse,
@@ -98,6 +104,77 @@ def r_matrix_at(P, x: Fraction):
     for i in range(n):
         out[i][i] += 1
     return out
+
+
+class ScaledR:
+    """p R(x) = p 1 - q (1 x P) on carrier x V x V at x = p/q, in O(n^2).
+
+    P is the graded flip on V x V, a signed permutation, so 1 x P moves
+    whole rows (from the left) or columns (from the right) of a matrix up
+    to sign; no R-matrix is assembled.  Both products carry the scale p.
+    """
+
+    def __init__(self, P, carrier_dim):
+        n = len(P)
+        flip = []  # (column, sign) of the one nonzero entry in each row of P
+        for row in P:
+            [(c, s)] = [(c, int(e)) for c, e in enumerate(row) if e]
+            flip.append((c, s))
+        self.rows = [(m * n + c, s) for m in range(carrier_dim) for c, s in flip]
+        self.col_src = [0] * len(self.rows)
+        self.col_sign = [0] * len(self.rows)
+        for i, (j, s) in enumerate(self.rows):
+            self.col_src[j], self.col_sign[j] = i, s
+
+    @staticmethod
+    def _pq(x):
+        # A zero scale would make both sides vanish: refuse the pole of R.
+        if not x:
+            raise ZeroDivisionError("R(x) has a pole at x = 0")
+        return x.numerator, x.denominator
+
+    def left(self, x, M):
+        """p R(x) M."""
+        p, q = self._pq(x)
+        out = []
+        for Mi, (j, s) in zip(M, self.rows):
+            c = q * s
+            out.append([p * a - c * b for a, b in zip(Mi, M[j])])
+        return out
+
+    def right(self, M, x):
+        """M p R(x)."""
+        p, q = self._pq(x)
+        cs = [q * s for s in self.col_sign]
+        return [[p * a - c * Mi[i] for a, i, c in zip(Mi, self.col_src, cs)] for Mi in M]
+
+
+def cleared_evaluator(family, slot, negate=False):
+    """x -> (N, d) with family.full_at(x, slot, 2, negate) = N / d.
+
+    Memoised per grid coordinate and evaluated on first use, so a check
+    evaluates each family once per coordinate and a failing one no further
+    than it reaches.
+    """
+    cache = {}
+
+    def at(x):
+        if x not in cache:
+            cache[x] = clear_denominators(family.full_at(x, slot=slot, nslots=2, negate=negate))
+        return cache[x]
+
+    return at
+
+
+def scaled_witness(w, scale, label):
+    """Label the witness of a grid check run on scaled sides, dividing both
+    sides by scale(u0, v0) back to the exact Fraction values."""
+    if w is None:
+        return None
+    s = scale(*w.point)
+    lhs = [[Fraction(x, s) for x in row] for row in w.lhs]
+    rhs = [[Fraction(x, s) for x in row] for row in w.rhs]
+    return Grid2Witness(w.point, lhs, rhs, label=label)
 
 
 class SeriesFamily:
@@ -410,45 +487,46 @@ def verify_rtt(T: TAction):
     and read A1(u) R(u+v) B2(v) = B2(v) R(u+v) A1(u).  Returns None on pass
     or the first Grid2Witness, labelled with which identity failed.
     """
-    P = flip_at(T.ps, 1, 2, 2)
+    R = ScaledR(flip_at(T.ps, 1, 2, 2), T.dim)
     Tp = inverse_series_action(T)
-    # (family, common denominator, grid bound, evaluated at minus the point)
-    fam = (T, T.common_den(), T.cleared_degree() + 2, False)
-    inv = (Tp, Tp.common_den(), Tp.cleared_degree() + 2, True)
+    # (slot-1 and slot-2 evaluators, common denominator, grid bound, evaluated
+    # at minus the point); the three identities share the evaluators' caches.
+    fam = (cleared_evaluator(T, 1), cleared_evaluator(T, 2), T.common_den(), T.cleared_degree() + 2, False)
+    inv = (
+        cleared_evaluator(Tp, 1, True),
+        cleared_evaluator(Tp, 2, True),
+        Tp.common_den(),
+        Tp.cleared_degree() + 2,
+        True,
+    )
     for label, first, second in (
         ("exchange", fam, fam),
         ("mixed-left", inv, fam),
         ("mixed-right", fam, inv),
     ):
-        w = _rtt_check(P, T.dim, label, first, second)
+        w = _rtt_check(R, label, first, second)
         if w is not None:
             return w
     return None
 
 
-def _rtt_check(P, carrier_dim, label, first, second):
+def _rtt_check(R, label, first, second):
     """Grid-certify X (Y Z) = Z (Y X) for one identity of verify_rtt.
 
     (X, Y, Z) is (R(u-v), A1(u), B2(v)) for the exchange relation and
-    (A1(u), R(u+v), B2(v)) for the mixed ones.
+    (A1(u), R(u+v), B2(v)) for the mixed ones.  Both sides are integer
+    chains over the scale d_A d_B p, with A1 = N_A / d_A, B2 = N_B / d_B
+    and p R(x) applied by ScaledR.
     """
-    (A, dA, bound_a, neg_a), (B, dB, bound_b, neg_b) = first, second
-    mixed = label != "exchange"
-
-    def factors(u0, v0):
-        A1 = A.full_at(u0, slot=1, nslots=2, negate=neg_a)
-        B2 = B.full_at(v0, slot=2, nslots=2, negate=neg_b)
-        R = _extend_R(r_matrix_at(P, u0 + v0 if mixed else u0 - v0), carrier_dim)
-        return (A1, R, B2) if mixed else (R, A1, B2)
-
-    def lhs(u0, v0):
-        X, Y, Z = factors(u0, v0)
-        return mat_mul(X, mat_mul(Y, Z))
-
-    def rhs(u0, v0):
-        X, Y, Z = factors(u0, v0)
-        return mat_mul(Z, mat_mul(Y, X))
-
+    (A1, _, dA, bound_a, neg_a), (_, B2, dB, bound_b, neg_b) = first, second
+    if label == "exchange":
+        x = lambda u0, v0: u0 - v0
+        lhs = lambda u0, v0: R.left(x(u0, v0), int_mat_mul(A1(u0)[0], B2(v0)[0]))
+        rhs = lambda u0, v0: R.right(int_mat_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
+    else:
+        x = lambda u0, v0: u0 + v0
+        lhs = lambda u0, v0: int_mat_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
+        rhs = lambda u0, v0: int_mat_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
     w = check_identity_2var(
         lhs,
         rhs,
@@ -456,24 +534,7 @@ def _rtt_check(P, carrier_dim, label, first, second):
         bad_u=lambda u: dA(-u if neg_a else u) == 0,
         bad_v=lambda v: dB(-v if neg_b else v) == 0,
     )
-    if w is None:
-        return None
-    return Grid2Witness(w.point, w.lhs, w.rhs, label=label)
-
-
-def _extend_R(R, carrier_dim):
-    """1_carrier x R, with R an even matrix on V x V."""
-    n = len(R)
-    out = [[Fraction(0)] * (carrier_dim * n) for _ in range(carrier_dim * n)]
-    for m in range(carrier_dim):
-        base = m * n
-        for r in range(n):
-            Rr = R[r]
-            orow = out[base + r]
-            for c in range(n):
-                if Rr[c]:
-                    orow[base + c] = Rr[c]
-    return out
+    return scaled_witness(w, lambda u0, v0: A1(u0)[1] * B2(v0)[1] * x(u0, v0).numerator, label)
 
 
 def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):

@@ -94,21 +94,32 @@ class TestGoldenReports:
 LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}
 
 
+B_L12 = {"type": "from-T", "t": {"type": "evaluation", "module": LAB12}, "eps": [1, 1]}
+CHAR21 = {"type": "char", "l": 1, "theta1": "1", "theta2": "2"}
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
-        "inputs, constructor",
+        "pipeline, inputs, named",
         [
-            ({}, "build_taction"),
-            ({"t": {"type": "evaluation", "module": dict(LAB12, a="1/0")}}, "build_taction"),
-            ({"t": {"type": "evaluation", "module": LAB12, "z": 1.5}}, "build_taction"),
+            ("verify-yangian", {}, "build_taction"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": dict(LAB12, a="1/0")}}, "build_taction"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": LAB12, "z": 1.5}}, "build_taction"),
+            ("verify-twisted", {"b": dict(B_L12, eps=[1, 2])}, "build_baction"),
+            ("appendix", {"ps": [1, -1], "eps": [1, -1]}, "inputs['l']"),
+            ("classify", {"b": B_L12}, "inputs['eta']"),
+            ("reduce", {"b": B_L12}, "inputs['mode']"),
+            ("drinfeld", {"m": CHAR21, "eps": [1, -1]}, "inputs['ps']"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1]}, "inputs['eps']"),
         ],
-        ids=["missing-t", "zero-denominator", "float-z"],
+        ids=["missing-t", "zero-denominator", "float-z", "eps-value", "appendix-missing-l",
+             "classify-missing-eta", "reduce-missing-mode", "drinfeld-missing-ps", "drinfeld-missing-eps"],
     )
-    def test_constructor_errors_exit_2(self, inputs, constructor, tmp_path, capsys):
+    def test_constructor_errors_exit_2(self, pipeline, inputs, named, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": "bad", "pipeline": "verify-yangian", "inputs": inputs}))
+        path.write_text(json.dumps({"name": "bad", "pipeline": pipeline, "inputs": inputs}))
         assert main(["run", str(path)]) == 2
-        assert constructor in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 class TestMainEntry:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -261,6 +262,37 @@ class TestGridCheck:
 
         check_identity_2var(lhs, lambda u, v: [[F(1)]], (1, 1), bad_u=lambda u: u == 1)
         assert all(u != 1 for u, _ in seen)
+
+    @staticmethod
+    def _row_bump(d):
+        # u*v against u*v + 7 * prod_{i<d} (u - u_i): u-degree d, vanishing on
+        # the first d placed u-rows (the odd values 1, 3, 5, ...), not the last.
+        us = [F(2 * i + 1) for i in range(d + 1)]
+        lhs = lambda u, v: [[u * v]]
+        rhs = lambda u, v: [[u * v + 7 * math.prod(u - ui for ui in us[:d])]]
+        return us, lhs, rhs
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bound_is_sharp(self, d):
+        us, lhs, rhs = self._row_bump(d)
+        w = check_identity_2var(lhs, rhs, (d, d))
+        assert w is not None and w.point == (us[d], F(2))
+        # One row short, every placed row agrees: the recorded bound is needed.
+        assert check_identity_2var(lhs, rhs, (d - 1, d)) is None
+
+    def test_common_scale_keeps_verdict_and_point(self):
+        # u - v is odd, so nonzero (of either sign) on every grid point.
+        scaled = lambda f: lambda u, v: [[(u - v) * x for x in row] for row in f(u, v)]
+        _, lhs, rhs = self._row_bump(2)
+        w = check_identity_2var(lhs, rhs, (2, 2))
+        ws = check_identity_2var(scaled(lhs), scaled(rhs), (2, 2))
+        assert ws.point == w.point
+        u0, v0 = w.point
+        assert ws.lhs == [[(u0 - v0) * x for x in row] for row in w.lhs]
+        assert check_identity_2var(scaled(lhs), scaled(rhs), (1, 2)) is None
+        square = lambda u, v: [[(u + v) ** 2]]
+        expanded = lambda u, v: [[u * u + 2 * u * v + v * v]]
+        assert check_identity_2var(scaled(square), scaled(expanded), (2, 2)) is None
 
 
 class TestNullspace:

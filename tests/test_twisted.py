@@ -5,10 +5,12 @@ import pytest
 
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, weight_decompose, _coords_in_span
-from tyang.superlinalg import RFMatrix, SuperSpace, mat_vec
+from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec
 from tyang.yangian import (
     NotHighest,
     evaluation_action,
+    flip_at,
+    r_matrix_at,
     highest_lweight,
     lambda_prime_formula,
     tensor_action,
@@ -124,6 +126,31 @@ class TestEmbedding:
         B = b_from_T(evaluation_action(make_vector_rep(ps), 0), ctx)
         Ff = B.full()
         assert (Ff @ Ff.subs_neg()).is_identity()
+
+
+def lift_r(R, carrier, ps):
+    """1 x R on carrier x V x V, assembled densely."""
+    return kron_ops(at_slots(2, {1: (R, 0)}), [carrier, ps.space().tensor(ps.space())])
+
+
+class TestReflectionWitness:
+    def test_witness_matches_fraction_path(self, b_l12):
+        # Flipping b_12 alone on L(a, b) with eps_1 = eps_2 breaks the reflection equation.
+        b = dict(b_l12.b)
+        b[(1, 2)] = b[(1, 2)].scale(-1)
+        bad = BAction(b_l12.ctx, b_l12.space, b)
+        w = verify_b(bad).reflection
+        assert w is not None and w.label == "reflection"
+        u0, v0 = w.point
+        P = flip_at(bad.ps, 1, 2, 2)
+        Rm = lift_r(r_matrix_at(P, u0 - v0), bad.space, bad.ps)
+        Rp = lift_r(r_matrix_at(P, u0 + v0), bad.space, bad.ps)
+        B1 = bad.full_at(u0, slot=1, nslots=2)
+        B2 = bad.full_at(v0, slot=2, nslots=2)
+        assert w.lhs == mat_mul(Rm, mat_mul(B1, mat_mul(Rp, B2)))
+        assert w.rhs == mat_mul(B2, mat_mul(Rp, mat_mul(B1, Rm)))
+        assert w.lhs != w.rhs
+        assert all(type(x) is Fraction for m in (w.lhs, w.rhs) for row in m for x in row)
 
 
 class TestOneDimensional:

@@ -7,16 +7,21 @@ from support import lab_t_table, lab_tprime_table, rows_match_table
 
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep, weight_decompose
-from tyang.superlinalg import RFMatrix, kron_ops, mat_vec
+from tyang import yangian
+from tyang.superlinalg import RFMatrix, at_slots, kron_ops, mat_mul, mat_vec
 from tyang.yangian import (
     NotHighest,
+    SeriesFamily,
     TAction,
+    TPrimeAction,
     dual_action,
     evaluation_action,
+    flip_at,
     highest_lweight,
     inverse_series_action,
     lambda_prime_check,
     lambda_prime_formula,
+    r_matrix_at,
     shift_action,
     solve_shift_quotient,
     tensor_action,
@@ -161,6 +166,59 @@ class TestRTT:
         broken = TAction(ps, T.space, bad)
         w = verify_rtt(broken)
         assert w is not None and w.status == "fail"
+
+    def test_each_family_evaluated_once_per_coordinate(self, monkeypatch):
+        # |us| + |vs| evaluations per identity, not four per grid point.
+        T = evaluation_action(make_Lab(1, 1, 2), 0)
+        calls, seen = [0], []
+        full_at, check = SeriesFamily.full_at, yangian.check_identity_2var
+
+        def counting_full_at(self, *args, **kwargs):
+            calls[0] += 1
+            return full_at(self, *args, **kwargs)
+
+        def recording_check(lhs, rhs, deg_bound, **kwargs):
+            calls[0] = 0
+            w = check(lhs, rhs, deg_bound, **kwargs)
+            seen.append((calls[0], deg_bound))
+            return w
+
+        monkeypatch.setattr(SeriesFamily, "full_at", counting_full_at)
+        monkeypatch.setattr(yangian, "check_identity_2var", recording_check)
+        assert verify_rtt(T) is None
+        assert len(seen) == 3
+        for n, (d_u, d_v) in seen:
+            assert 0 < n <= (d_u + 1) + (d_v + 1)
+
+    @pytest.mark.parametrize("label", ["exchange", "mixed-left"])
+    def test_witness_matches_fraction_path(self, label):
+        ps = ParitySeq([1, -1])
+        T = evaluation_action(make_Lab(1, 1, 2), 0)
+        if label == "exchange":
+            bad = dict(T.t)
+            bad[(1, 2)] = bad[(1, 2)].scale(-1)
+            T = TAction(ps, T.space, bad)
+        else:
+            # A wrong inverse series leaves the exchange relation intact.
+            Tp = dict(inverse_series_action(T).t)
+            Tp[(1, 2)] = Tp[(1, 2)].scale(-1)
+            T._tprime = TPrimeAction(ps, T.space, Tp)
+        w = verify_rtt(T)
+        assert w is not None and w.label == label
+        u0, v0 = w.point
+        P = flip_at(ps, 1, 2, 2)
+        lift = lambda x: kron_ops(at_slots(2, {1: (r_matrix_at(P, x), 0)}), [T.space, ps.space().tensor(ps.space())])
+        B2 = T.full_at(v0, slot=2, nslots=2)
+        if label == "exchange":
+            R, A1 = lift(u0 - v0), T.full_at(u0, slot=1, nslots=2)
+            assert w.lhs == mat_mul(R, mat_mul(A1, B2))
+            assert w.rhs == mat_mul(B2, mat_mul(A1, R))
+        else:
+            R, A1 = lift(u0 + v0), T._tprime.full_at(u0, slot=1, nslots=2, negate=True)
+            assert w.lhs == mat_mul(A1, mat_mul(R, B2))
+            assert w.rhs == mat_mul(B2, mat_mul(R, A1))
+        assert w.lhs != w.rhs
+        assert all(type(x) is Fraction for m in (w.lhs, w.rhs) for row in m for x in row)
 
 
 class TestHighestWeight:
