@@ -37,6 +37,13 @@ def _reduction_mode(mode):
     return mode
 
 
+def _star_index(kappa, a):
+    a = int(a)
+    if not 1 <= a < kappa:
+        raise ValueError(f"star reduction needs 1 <= a < kappa = {kappa}, got {a}")
+    return a
+
+
 def _center_poly(terms):
     return {tuple(int(e) for e in term["mono"]): rat(term["coeff"]) for term in terms}
 
@@ -229,7 +236,10 @@ def pipe_reduce(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
     _guard_dim(B.dim * B.kappa, max_dim)
     mode = _build(_reduction_mode, inputs, "mode")
-    a = _build(int, inputs, "a") if "a" in inputs else None
+    if mode == "star":
+        a = _build(_star_index, inputs, "a", B.kappa)
+    else:
+        a = _build(int, inputs, "a") if "a" in inputs else None
     checks = []
     try:
         red = twisted_mod.reduce_rank(B, mode, a)

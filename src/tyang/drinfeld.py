@@ -18,10 +18,13 @@ from tyang.superlinalg import (
     at_slots,
     common_den,
     elementary,
+    int_rows,
     kron_ops,
     kron_sum,
-    mat_mul,
     rfmat_inverse,
+    sparse_add,
+    sparse_mul,
+    sparse_scale,
     tensor_space,
 )
 from tyang.twisted import (
@@ -365,90 +368,100 @@ def drinfeld_module_raw_grids(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=
 
 
 def appendix_identities(ps: ParitySeq, eps, l: int):
-    """Exact operator identities on V^l x V; None on pass, else an id."""
+    """Exact operator identities on V^l x V; None on pass, else an id.
+
+    Works on integer row-sparse matrices (superlinalg.int_rows): every
+    q_operator, flip and box is converted once, and G and the Gz_k are +-1
+    sign vectors that scale rows or columns.
+    """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
     jay2 = ps.m - ps.n  # 2 * jay
     varpi1 = ctx.varpi(1)
     dim = kk ** (l + 1)
-    gaux = [[Fraction(0)] * dim for _ in range(dim)]
-    for idx in range(dim):
-        gaux[idx][idx] = Fraction(ctx.eps_sign(idx % kk + 1))
-
-    def add(A, B, cb=1):
-        return [[x + cb * y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)]
-
-    def scale(A, c):
-        return [[c * x for x in row] for row in A]
+    g = [ctx.eps_sign(idx % kk + 1) for idx in range(dim)]
 
     same = lambda i, j: ctx.eps_sign(i) == ctx.eps_sign(j)
     mixed = lambda i, j: ctx.eps_sign(i) != ctx.eps_sign(j)
     eps_sum = lambda i, j: ctx.eps_sign(i) + ctx.eps_sign(j)
+    Qs = []
     for k in range(1, l + 1):
-        Qk = q_operator(ps, k, l)
-        Qkk = q_operator(ps, k, l, same)
-        Qkp = q_operator(ps, k, l, mixed)
-        if add(Qkk, Qkp) != Qk:
+        Qk = int_rows(q_operator(ps, k, l))
+        Qkk = int_rows(q_operator(ps, k, l, same))
+        Qkp = int_rows(q_operator(ps, k, l, mixed))
+        if sparse_add(Qkk, Qkp) != Qk:
             return f"split Q^({k})"
-        anti = add(mat_mul(Qkk, Qkp), mat_mul(Qkp, Qkk))
-        if anti != scale(Qkp, Fraction(jay2)):
+        kp, pk = sparse_mul(Qkk, Qkp), sparse_mul(Qkp, Qkk)
+        if sparse_add(kp, pk) != sparse_scale(Qkp, jay2):
             return f"anticommutator Q^k Q^p at k={k}"
-        comm = add(mat_mul(Qkk, Qkp), mat_mul(Qkp, Qkk), -1)
-        if mat_mul(gaux, comm) != scale(Qkp, varpi1):
+        if sparse_scale(sparse_add(kp, pk, -1), rows=g) != sparse_scale(Qkp, varpi1):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
-        both = add(mat_mul(gaux, Qk), mat_mul(Qk, gaux))
-        ref = q_operator(ps, k, l, eps_sum)
-        if both != ref:
+        both = sparse_add(sparse_scale(Qk, rows=g), sparse_scale(Qk, cols=g))
+        if both != int_rows(q_operator(ps, k, l, eps_sum)):
             return f"diagonal sum at k={k}"
+        Qs.append(Qk)
     if l >= 2:
-        Qs = [q_operator(ps, k, l) for k in range(1, l + 1)]
-        lhs1 = None
+        # sum_{k != r} (Q_k Q_r G if k < r else G Q_k Q_r), and
+        # sum_{k, r} Q_k G Q_r = (sum_k Q_k) G (sum_r Q_r).
+        zero = [{} for _ in range(dim)]
+        below, above, qsum = zero, zero, zero
         for k in range(1, l + 1):
+            qsum = sparse_add(qsum, Qs[k - 1])
             for r in range(1, l + 1):
-                if r == k:
-                    continue
-                prod = mat_mul(Qs[k - 1], Qs[r - 1])
-                term = mat_mul(prod, gaux) if k < r else mat_mul(gaux, prod)
-                lhs1 = term if lhs1 is None else add(lhs1, term)
-        lhs2 = None
-        for k in range(1, l + 1):
-            for r in range(1, l + 1):
-                term = mat_mul(Qs[k - 1], mat_mul(gaux, Qs[r - 1]))
-                lhs2 = term if lhs2 is None else add(lhs2, term)
+                if r < k:
+                    below = sparse_add(below, sparse_mul(Qs[k - 1], Qs[r - 1]))
+                elif r > k:
+                    above = sparse_add(above, sparse_mul(Qs[k - 1], Qs[r - 1]))
+        lhs1 = sparse_add(sparse_scale(above, cols=g), sparse_scale(below, rows=g))
+        lhs2 = sparse_mul(sparse_scale(qsum, cols=g), qsum)
+        flips = {
+            (a, b): int_rows(flip_at(ps, a, b, l))
+            for a in range(1, l + 1)
+            for b in range(a + 1, l + 1)
+        }
+        gz = [_signs(_g_at_slot(ps, ctx, slot, l)) for slot in range(1, l + 1)]
         for i in range(1, kk + 1):
             for j in range(1, kk + 1):
                 if ctx.eps_sign(i) == ctx.eps_sign(j):
                     continue
                 si = ps.sign(i)
                 ei = ctx.eps_sign(i)
+                boxes = [int_rows(_box_at(ps, i, j, k, l)) for k in range(1, l + 1)]
                 got1 = _aux_entry(lhs1, ps, i, j, l)
-                want1 = _sigma_weighted_sum(ps, i, j, l)
-                if scale(want1, Fraction(si)) != scale(got1, Fraction(-ei)):
+                want1 = _sigma_weighted_sum(flips, boxes)
+                if sparse_scale(want1, si) != sparse_scale(got1, -ei):
                     return f"ordered double sum at (i,j)=({i},{j})"
                 got2 = _aux_entry(lhs2, ps, i, j, l)
-                want2 = _flip_pair_sum(ps, ctx, i, j, l)
-                if scale(want2, Fraction(si)) != scale(got2, Fraction(ei)):
+                want2 = _flip_pair_sum(flips, gz, varpi1, boxes)
+                if sparse_scale(want2, si) != sparse_scale(got2, ei):
                     return f"sandwiched double sum at (i,j)=({i},{j})"
     return None
 
 
+def _signs(A):
+    """The diagonal of a diagonal integer matrix, as a list of ints."""
+    rows = int_rows(A)
+    if any(r.keys() - {i} for i, r in enumerate(rows)):
+        raise ValueError("expected a diagonal matrix")
+    return [r.get(i, 0) for i, r in enumerate(rows)]
+
+
 def _aux_entry(F, ps: ParitySeq, i, j, l):
-    """Standard (i, j) entry of an operator on V^l x V, as a V^l matrix."""
+    """Standard (i, j) entry of a row-sparse operator on V^l x V, as a
+    row-sparse V^l matrix."""
     kk = ps.kappa
-    d = kk**l
     pi, pj = ps.parity(i), ps.parity(j)
     bs = -1 if (pi * pj + pj) % 2 else 1
     pij = (pi + pj) % 2
-    vsp = ps.space()
-    pars = tensor_space([vsp] * l).parities
+    pars = tensor_space([ps.space()] * l).parities
     out = []
-    for q in range(d):
-        row = []
-        for p in range(d):
-            v = F[q * kk + (i - 1)][p * kk + (j - 1)]
-            sign = bs * (-1 if (pij and pars[p]) else 1)
-            row.append(v if sign == 1 else -v)
+    for q in range(kk**l):
+        row = {}
+        for c, v in F[q * kk + (i - 1)].items():
+            p, jc = divmod(c, kk)
+            if jc == j - 1:
+                row[p] = -bs * v if (pij and pars[p]) else bs * v
         out.append(row)
     return out
 
@@ -458,51 +471,39 @@ def _box_at(ps, i, j, k, l):
     return kron_ops(at_slots(l, {k - 1: (e, (ps.parity(i) + ps.parity(j)) % 2)}), [ps.space()] * l)
 
 
-def _sigma_weighted_sum(ps, i, j, l):
-    """sum_k (sum_{r<k} P^(r,k) - sum_{r>k} P^(r,k)) E_ij^(k) on V^l."""
-    kk = ps.kappa
-    d = kk**l
-    out = [[Fraction(0)] * d for _ in range(d)]
+def _sigma_weighted_sum(flips, boxes):
+    """sum_k (sum_{r<k} P^(r,k) - sum_{r>k} P^(r,k)) E_ij^(k) on V^l.
+
+    Row-sparse throughout: flips[(a, b)] is P^(a,b) for a < b and
+    boxes[k - 1] is E_ij^(k).
+    """
+    l = len(boxes)
+    out = [{} for _ in boxes[0]]
     for k in range(1, l + 1):
-        box = _box_at(ps, i, j, k, l)
-        acc = None
+        acc = [{} for _ in boxes[0]]
         for r in range(1, l + 1):
-            if r == k:
-                continue
-            P = flip_at(ps, min(r, k), max(r, k), l)
-            P = P if r < k else [[-x for x in row] for row in P]
-            acc = P if acc is None else [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, P)]
-        if acc is None:
-            continue
-        term = mat_mul(acc, box)
-        for r in range(d):
-            for c in range(d):
-                if term[r][c]:
-                    out[r][c] += term[r][c]
+            if r != k:
+                acc = sparse_add(acc, flips[min(r, k), max(r, k)], 1 if r < k else -1)
+        out = sparse_add(out, sparse_mul(acc, boxes[k - 1]))
     return out
 
 
-def _flip_pair_sum(ps, ctx, i, j, l):
-    """sum_k (sum_{r != k} P^(k,r) Gz_r Gz_k + varpi_1 Gz_k) E_ij^(k) on V^l."""
-    kk = ps.kappa
-    d = kk**l
-    out = [[Fraction(0)] * d for _ in range(d)]
-    gz = [_g_at_slot(ps, ctx, slot, l) for slot in range(1, l + 1)]
-    varpi1 = ctx.varpi(1)
+def _flip_pair_sum(flips, gz, varpi1, boxes):
+    """sum_k (sum_{r != k} P^(k,r) Gz_r Gz_k + varpi_1 Gz_k) E_ij^(k) on V^l.
+
+    Row-sparse throughout, as in _sigma_weighted_sum; gz[k - 1] is the
+    sign vector of Gz_k.
+    """
+    l = len(boxes)
+    out = [{} for _ in boxes[0]]
     for k in range(1, l + 1):
-        box = _box_at(ps, i, j, k, l)
-        acc = [[varpi1 * x for x in row] for row in gz[k - 1]]
+        gk = gz[k - 1]
+        acc = [{c: varpi1 * s} if varpi1 else {} for c, s in enumerate(gk)]
         for r in range(1, l + 1):
-            if r == k:
-                continue
-            P = flip_at(ps, min(r, k), max(r, k), l)
-            term = mat_mul(P, mat_mul(gz[r - 1], gz[k - 1]))
-            acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, term)]
-        term = mat_mul(acc, box)
-        for r in range(d):
-            for c in range(d):
-                if term[r][c]:
-                    out[r][c] += term[r][c]
+            if r != k:
+                signs = [a * b for a, b in zip(gz[r - 1], gk)]
+                acc = sparse_add(acc, sparse_scale(flips[min(r, k), max(r, k)], cols=signs))
+        out = sparse_add(out, sparse_mul(acc, boxes[k - 1]))
     return out
 
 

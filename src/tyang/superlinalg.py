@@ -112,6 +112,62 @@ def int_mat_mul(A, B):
     return out
 
 
+# Row-sparse matrices: one {col: value} dict per row, zeros left out, the
+# row format of _kron_rows.  Every helper drops entries that cancel, so ==
+# on two such matrices is equality of the matrices.
+
+def int_rows(A):
+    """A dense matrix of integral Fractions (or ints) as row-sparse Python
+    ints; a non-integral entry raises ValueError, it is never truncated."""
+    out = []
+    for row in A:
+        r = {}
+        for c, x in enumerate(row):
+            if x:
+                if x.denominator != 1:
+                    raise ValueError(f"non-integral entry {x}")
+                r[c] = x.numerator
+        out.append(r)
+    return out
+
+
+def sparse_mul(A, B):
+    """The product of row-sparse matrices."""
+    out = []
+    for Ai in A:
+        row = {}
+        for k, a in Ai.items():
+            for j, b in B[k].items():
+                row[j] = row.get(j, 0) + a * b
+        out.append({j: x for j, x in row.items() if x})
+    return out
+
+
+def sparse_add(A, B, c=1):
+    """A + c * B for row-sparse matrices of one shape."""
+    out = []
+    for Ai, Bi in zip(A, B):
+        row = dict(Ai)
+        for j, b in Bi.items():
+            row[j] = row.get(j, 0) + c * b
+        out.append({j: x for j, x in row.items() if x})
+    return out
+
+
+def sparse_scale(A, c=1, rows=None, cols=None):
+    """c * diag(rows) * A * diag(cols) for a row-sparse A; rows and cols
+    are vectors (say, of signs) and None stands for all ones."""
+    out = []
+    for i, Ai in enumerate(A):
+        ci = c if rows is None else c * rows[i]
+        if cols is None:
+            row = {j: ci * x for j, x in Ai.items()}
+        else:
+            row = {j: ci * x * cols[j] for j, x in Ai.items()}
+        out.append({j: x for j, x in row.items() if x})
+    return out
+
+
 def mat_nullspace(A):
     """Basis of the right nullspace of a Fraction matrix, in RREF convention."""
     if not A:
@@ -206,45 +262,58 @@ def algebra_closure(gens, dim, include_identity=True, cap=None):
 # ---------------------------------------------------------------------------
 # Koszul-signed tensor assembly.
 
+def _kron_rows(ops, spaces):
+    """kron_ops as row-sparse rows: one {col: value} dict per row holding
+    only the nonzero entries.  This is the one place Koszul signs are read."""
+    if len(ops) != len(spaces):
+        raise DimensionMismatch("one operator slot per tensor factor required")
+    rows = [{0: Fraction(1)}]
+    col_par = [0]
+    for (m, par), sp in zip(ops, spaces):
+        d = sp.dim
+        if m is not None and (len(m) != d or (m and len(m[0]) != d)):
+            raise DimensionMismatch("operator does not match its factor")
+        if m is not None:
+            m = [[(c2, x) for c2, x in enumerate(mr) if x] for mr in m]
+        new = []
+        for row1 in rows:
+            signed = [
+                (c1 * d, -v if par and col_par[c1] else v) for c1, v in row1.items()
+            ]
+            for r2 in range(d):
+                if m is None:
+                    new.append({base + r2: vs for base, vs in signed})
+                else:
+                    mr = m[r2]
+                    new.append({base + c2: vs * x for base, vs in signed for c2, x in mr})
+        rows = new
+        col_par = [(cp + q) % 2 for cp in col_par for q in sp.parities]
+    return rows
+
+
+def _dense(rows, ncols):
+    """Row-sparse rows as a dense matrix, Fraction(0) where a row is silent."""
+    zero = Fraction(0)
+    out = []
+    for r in rows:
+        row = [zero] * ncols
+        for c, x in r.items():
+            row[c] = x
+        out.append(row)
+    return out
+
+
 def kron_ops(ops, spaces):
     """Assemble an operator prod_k x_k on the tensor of spaces.
 
     ops is a list aligned with spaces of pairs (matrix, parity), with matrix
     None standing for the identity.  Works uniformly for Fraction and RatFun
     entries; the Koszul sign of factor k is driven by the parities of the
-    column indices of factors 1..k-1.
+    column indices of factors 1..k-1.  Built row-sparse by _kron_rows and
+    returned dense.
     """
-    if len(ops) != len(spaces):
-        raise DimensionMismatch("one operator slot per tensor factor required")
-    total = [[Fraction(1)]]
-    col_par = [0]
-    for (m, par), sp in zip(ops, spaces):
-        d = sp.dim
-        if m is not None and (len(m) != d or (m and len(m[0]) != d)):
-            raise DimensionMismatch("operator does not match its factor")
-        nrows = len(total)
-        ncols = len(total[0]) if total else 0
-        new = [[Fraction(0)] * (ncols * d) for _ in range(nrows * d)]
-        for r1 in range(nrows):
-            row1 = total[r1]
-            for c1 in range(ncols):
-                v = row1[c1]
-                if not v:
-                    continue
-                sign = -1 if (par and col_par[c1] % 2) else 1
-                vs = v if sign == 1 else -v
-                if m is None:
-                    for r2 in range(d):
-                        new[r1 * d + r2][c1 * d + r2] = vs
-                else:
-                    for r2 in range(d):
-                        mr = m[r2]
-                        for c2 in range(d):
-                            if mr[c2]:
-                                new[r1 * d + r2][c1 * d + c2] = vs * mr[c2]
-        total = new
-        col_par = [cp + q for cp in col_par for q in sp.parities]
-    return total
+    rows = _kron_rows(ops, spaces)
+    return _dense(rows, len(rows))
 
 
 def at_slots(nslots, placed):
@@ -263,21 +332,21 @@ def elementary(k, i, j, c=1):
 def kron_sum(terms, spaces):
     """The sum of w * kron_ops(ops, spaces) over the (w, ops) pairs in terms.
 
-    Entries that no term touches stay Fraction(0), so RatFun sums go through
-    RFMatrix.from_const.
+    The sparse rows of each term are added directly.  Entries that no term
+    touches stay Fraction(0), so RatFun sums go through RFMatrix.from_const.
     """
     dim = 1
     for sp in spaces:
         dim *= sp.dim
-    total = [[Fraction(0)] * dim for _ in range(dim)]
+    total = [{} for _ in range(dim)]
     for w, ops in terms:
-        for row, trow in zip(total, kron_ops(ops, spaces)):
-            for c, x in enumerate(trow):
-                if x:
-                    if w != 1:
-                        x = w * x
-                    row[c] = row[c] + x if row[c] else x
-    return total
+        for row, trow in zip(total, _kron_rows(ops, spaces)):
+            for c, x in trow.items():
+                if w != 1:
+                    x = w * x
+                prev = row.get(c)
+                row[c] = prev + x if prev else x
+    return _dense(total, dim)
 
 
 def apply_at_factor(op, k, spaces, op_parity):

@@ -425,7 +425,8 @@ class TestCriterion9Drinfeld:
 
     def test_appendix_identities_sweep(self):
         # Every (kappa, l) combination with kappa <= 4 and l <= 3 is covered
-        # by at least one sign pattern, plus full sign sweeps at kappa = 2.
+        # by at least one sign pattern, plus full sign sweeps at kappa = 2
+        # and 3 for l <= 2.
         for signs in itertools.product([1, -1], repeat=2):
             ps = ParitySeq(signs)
             for eps in itertools.product([1, -1], repeat=2):
@@ -443,6 +444,11 @@ class TestCriterion9Drinfeld:
             for l in (1, 2):
                 assert appendix_identities(ParitySeq(signs), list(eps), l) is None
         assert appendix_identities(ParitySeq([1, 1, -1, -1]), [1, -1, 1, -1], 3) is None
+        for signs in itertools.product([1, -1], repeat=3):
+            ps = ParitySeq(signs)
+            for eps in itertools.product([1, -1], repeat=3):
+                for l in (1, 2):
+                    assert appendix_identities(ps, list(eps), l) is None, (signs, eps, l)
         _ok("criterion 9d: operator identities for l <= 3, kappa <= 4")
 
     def test_functor_tensor_compatibility(self):

@@ -111,9 +111,12 @@ class TestMalformedInputs:
             ("reduce", {"b": B_L12}, "inputs['mode']"),
             ("drinfeld", {"m": CHAR21, "eps": [1, -1]}, "inputs['ps']"),
             ("drinfeld", {"m": CHAR21, "ps": [1, -1]}, "inputs['eps']"),
+            ("reduce", {"b": B_L12, "mode": "star"}, "inputs['a']"),
+            ("reduce", {"b": B_L12, "mode": "star", "a": 2}, "inputs['a']"),
         ],
         ids=["missing-t", "zero-denominator", "float-z", "eps-value", "appendix-missing-l",
-             "classify-missing-eta", "reduce-missing-mode", "drinfeld-missing-ps", "drinfeld-missing-eps"],
+             "classify-missing-eta", "reduce-missing-mode", "drinfeld-missing-ps", "drinfeld-missing-eps",
+             "reduce-star-missing-a", "reduce-star-a-out-of-range"],
     )
     def test_constructor_errors_exit_2(self, pipeline, inputs, named, tmp_path, capsys):
         path = tmp_path / "bad.json"

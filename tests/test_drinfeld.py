@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tyang.drinfeld as drinfeld
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
 from tyang.exactalg import RatFun
 from tyang.glmn import ParitySeq, make_vector_rep
@@ -18,7 +19,7 @@ from tyang.drinfeld import (
     tk_sk_identity,
 )
 from tyang.superlinalg import mat_identity, mat_mul
-from tyang.twisted import find_highest_space, highest_bweight, verify_b
+from tyang.twisted import TwistedContext, find_highest_space, highest_bweight, verify_b
 from tyang.yangian import evaluation_action, verify_rtt
 
 
@@ -174,6 +175,53 @@ class TestAppendixIdentities:
     def test_three_letters(self):
         ps = ParitySeq([1, -1])
         assert appendix_identities(ps, [1, -1], 3) is None
+
+
+def _negate_first_entry(A):
+    """A copy of a dense matrix with its first nonzero entry negated."""
+    A = [list(row) for row in A]
+    r, c = next((r, c) for r, row in enumerate(A) for c, x in enumerate(row) if x)
+    A[r][c] = -A[r][c]
+    return A
+
+
+class TestAppendixNegativeControls:
+    """Faults injected into the operators appendix_identities builds on must
+    be reported, under the id of the first identity they break."""
+
+    CASES = [((1, -1), (1, -1)), ((1, 1, -1), (1, -1, 1))]
+
+    @pytest.mark.parametrize("signs, eps", CASES)
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("q_operator", "split Q^(1)"),
+            ("flip_at", "ordered double sum at (i,j)=(1,2)"),
+            ("_g_at_slot", "sandwiched double sum at (i,j)=(1,2)"),
+        ],
+    )
+    def test_sign_flipped_entry(self, monkeypatch, signs, eps, name, want):
+        orig = getattr(drinfeld, name)
+        monkeypatch.setattr(drinfeld, name, lambda *a: _negate_first_entry(orig(*a)))
+        assert appendix_identities(ParitySeq(signs), list(eps), 2) == want
+
+    @pytest.mark.parametrize("signs, eps", CASES)
+    def test_sign_flipped_diagonal_sum_reference(self, monkeypatch, signs, eps):
+        # Only the eps_i + eps_j weighted operator (weight +-2 on (1, 1)) is hit.
+        orig = drinfeld.q_operator
+
+        def q_operator(ps, k, l, weight=None):
+            Q = orig(ps, k, l, weight)
+            return _negate_first_entry(Q) if weight is not None and abs(weight(1, 1)) == 2 else Q
+
+        monkeypatch.setattr(drinfeld, "q_operator", q_operator)
+        assert appendix_identities(ParitySeq(signs), list(eps), 2) == "diagonal sum at k=1"
+
+    @pytest.mark.parametrize("signs, eps", CASES)
+    def test_shifted_varpi(self, monkeypatch, signs, eps):
+        orig = TwistedContext.varpi
+        monkeypatch.setattr(TwistedContext, "varpi", lambda ctx, i: orig(ctx, i) + 1)
+        assert appendix_identities(ParitySeq(signs), list(eps), 2) == "twisted commutator at k=1"
 
 
 class TestFunctorTensor:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import (
@@ -15,12 +17,18 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
+    int_mat_mul,
+    int_rows,
     kron_ops,
+    kron_sum,
     mat_identity,
     mat_mul,
     mat_nullspace,
     rfmat_inverse,
     rfmat_kernel,
+    sparse_add,
+    sparse_mul,
+    sparse_scale,
     tensor_space,
 )
 
@@ -109,6 +117,127 @@ class TestKron:
             )
             prod = m1 @ m2
             assert prod.check_parity((p1 + p2) % 2)
+
+
+def kron_reference(ops, spaces):
+    """kron_ops entry by entry from its definition: the product of the
+    factor entries, times (-1)^(parity of factor k * parities of the column
+    indices of factors 1..k-1) for every k."""
+    idx = list(itertools.product(*(range(sp.dim) for sp in spaces)))
+    out = []
+    for r in idx:
+        row = []
+        for c in idx:
+            x, seen = F(1), 0
+            for (m, par), sp, rk, ck in zip(ops, spaces, r, c):
+                x = x * (F(int(rk == ck)) if m is None else m[rk][ck])
+                if par and seen % 2:
+                    x = -x
+                seen += sp.parity(ck)
+            row.append(x)
+        out.append(row)
+    return out
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+RATFUNS = st.builds(
+    lambda a, b, c: RatFun(Poly([a, b]), Poly([c, F(1)])), FRACTIONS, FRACTIONS, FRACTIONS
+)
+
+
+@st.composite
+def kron_terms(draw, entries):
+    """(terms, spaces) for kron_sum: 2-3 factors of dim 1-3 with random
+    parities, identity slots, and weights of which some cancel."""
+    spaces = [
+        SuperSpace(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+
+    def slot(sp):
+        if draw(st.booleans()):
+            return (None, 0)
+        cell = st.one_of(st.just(F(0)), entries)
+        m = [[draw(cell) for _ in range(sp.dim)] for _ in range(sp.dim)]
+        return (m, draw(st.integers(0, 1)))
+
+    terms = [
+        (draw(st.sampled_from([1, -1, 2, F(1, 3)])), [slot(sp) for sp in spaces])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        w, ops = terms[draw(st.integers(0, len(terms) - 1))]
+        terms.append((-w, ops))
+    return terms, spaces
+
+
+class TestKronSum:
+    """kron_sum adds the row-sparse terms of kron_ops directly; it must equal
+    the entrywise sum of the dense terms."""
+
+    @staticmethod
+    def entrywise(terms, spaces):
+        dim = tensor_space(spaces).dim
+        total = [[F(0)] * dim for _ in range(dim)]
+        touched = set()
+        for w, ops in terms:
+            for r, row in enumerate(kron_ops(ops, spaces)):
+                for c, x in enumerate(row):
+                    if x:
+                        touched.add((r, c))
+                    total[r][c] = total[r][c] + w * x
+        return total, touched
+
+    @settings(max_examples=80, deadline=None)
+    @given(kron_terms(FRACTIONS))
+    def test_fraction_terms(self, case):
+        terms, spaces = case
+        for _w, ops in terms:
+            assert kron_ops(ops, spaces) == kron_reference(ops, spaces)
+        got = kron_sum(terms, spaces)
+        want, touched = self.entrywise(terms, spaces)
+        assert got == want
+        for r, row in enumerate(got):
+            for c, x in enumerate(row):
+                if (r, c) not in touched:
+                    assert type(x) is Fraction and x == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(kron_terms(RATFUNS))
+    def test_ratfun_terms(self, case):
+        terms, spaces = case
+        got = kron_sum(terms, spaces)
+        want, touched = self.entrywise(terms, spaces)
+        assert RFMatrix.from_const(got) == RFMatrix.from_const(want)
+        for r, row in enumerate(got):
+            for c, x in enumerate(row):
+                if (r, c) not in touched:
+                    assert type(x) is Fraction and x == 0
+
+
+class TestSparseRows:
+    A = [[F(2), F(0), F(-1)], [F(0), F(0), F(0)], [F(1), F(3), F(0)]]
+    B = [[F(1), F(1), F(0)], [F(0), F(2), F(0)], [F(2), F(2), F(-4)]]
+
+    def test_int_rows_keeps_nonzero_integers(self):
+        assert int_rows(self.A) == [{0: 2, 2: -1}, {}, {0: 1, 1: 3}]
+
+    def test_int_rows_refuses_fractions(self):
+        with pytest.raises(ValueError):
+            int_rows([[F(1), F(1, 2)]])
+
+    def test_ops_match_dense_and_drop_cancellations(self):
+        A, B = int_rows(self.A), int_rows(self.B)
+        assert sparse_mul(A, B) == int_rows(int_mat_mul(self.A, self.B))
+        assert sparse_add(A, A, -1) == [{}, {}, {}]
+        assert sparse_add(A, B, 2) == int_rows(
+            [[a + 2 * b for a, b in zip(ra, rb)] for ra, rb in zip(self.A, self.B)]
+        )
+        signs = [1, -1, -1]
+        assert sparse_scale(A, 3, rows=signs, cols=signs) == int_rows(
+            [[3 * signs[i] * x * signs[j] for j, x in enumerate(row)] for i, row in enumerate(self.A)]
+        )
+        assert sparse_scale(A, 0) == [{}, {}, {}]
 
 
 class TestApplyAtFactor:
