@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, repeat
 
 from tyang import daha as daha_mod
 from tyang import drinfeld as drinfeld_mod
@@ -107,6 +108,20 @@ def build_daha_module(spec):
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
+def _daha_dim_factors(spec):
+    """The dimension of the Hecke module a build_daha_module spec describes,
+    as factors to multiply, and its l; read from the spec, nothing is built."""
+    kind = spec.get("type")
+    if kind == "char":
+        return [1], int(spec["l"])
+    if kind == "principal":
+        l = int(spec["l"])
+        return (2 * i for i in range(1, l + 1)), l  # the signed permutations, 2^l l!
+    if kind == "daha-json":
+        return [int(spec["data"]["dim"])], int(spec["data"]["l"])
+    raise InputError(f"unknown hecke module constructor {kind!r}")
+
+
 def _build(constructor, inputs, key, *args):
     """Run constructor(*args, inputs[key]); a missing or malformed field is an
     InputError naming the constructor and the field.
@@ -160,7 +175,7 @@ def _check(cid, anchor, ok, witness=None, data=None):
 
 def pipe_verify_yangian(inputs, max_dim):
     T = _build(build_taction, inputs, "t")
-    _guard_dim(T.dim * T.kappa, max_dim)
+    _guard_dim([T.dim, T.kappa], max_dim)
     checks = []
     w = yangian_mod.verify_rtt(T)
     checks.append(_check("exchange-relation", "series exchange relation on two auxiliary spaces", w is None, _witness_json(w)))
@@ -184,7 +199,7 @@ def pipe_verify_yangian(inputs, max_dim):
 
 def pipe_verify_twisted(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim(B.dim * B.kappa, max_dim)
+    _guard_dim([B.dim, B.kappa], max_dim)
     checks = []
     rep = twisted_mod.verify_b(B)
     checks.append(_check("reflection-equation", "quartic exchange relation with both spectral arguments",
@@ -210,7 +225,7 @@ def pipe_verify_twisted(inputs, max_dim):
 
 def pipe_classify(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim(B.dim * B.kappa, max_dim)
+    _guard_dim([B.dim, B.kappa], max_dim)
     eta = _build(_rat_list, inputs, "eta")
     mu = twisted_mod.highest_bweight(B, eta)
     checks = []
@@ -234,7 +249,7 @@ def pipe_classify(inputs, max_dim):
 
 def pipe_reduce(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim(B.dim * B.kappa, max_dim)
+    _guard_dim([B.dim, B.kappa], max_dim)
     mode = _build(_reduction_mode, inputs, "mode")
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
@@ -263,8 +278,9 @@ def pipe_reduce(inputs, max_dim):
 
 
 def pipe_daha(inputs, max_dim):
+    factors, _l = _build(_daha_dim_factors, inputs, "m")
+    _guard_dim(factors, max_dim)
     M = _build(build_daha_module, inputs, "m")
-    _guard_dim(M.dim, max_dim)
     checks = []
     bad = daha_mod.verify_daha(M)
     checks.append(_check("relations", "defining relations of the degenerate Hecke algebra", bad is None,
@@ -282,15 +298,19 @@ def pipe_daha(inputs, max_dim):
 
 
 def pipe_drinfeld(inputs, max_dim):
-    M = _build(build_daha_module, inputs, "m")
+    factors, l = _build(_daha_dim_factors, inputs, "m")
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
     kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
-    _guard_dim(M.dim * ps.kappa ** (M.params.l + 1), max_dim)
+    _guard_dim(chain(factors, repeat(ps.kappa, l + 1)), max_dim)
+    M = _build(build_daha_module, inputs, "m")
+    # One series product and one set of sign relations serve both checks;
+    # the expansion check rebuilds the product if chi or gamma is off default.
+    product = drinfeld_mod.reflection_product(M, ps, eps, epsilon, **kwargs)
     checks = []
     try:
-        D = drinfeld_mod.drinfeld_BC(M, ps, eps, epsilon, **kwargs)
+        D = drinfeld_mod.drinfeld_BC(M, ps, eps, epsilon, **kwargs, product=product)
     except drinfeld_mod.WellDefinednessFailure as e:
         return [_check("well-defined", "series coefficients preserve the quotient subspace", False,
                        {"witness": str(e.witness)})]
@@ -303,7 +323,7 @@ def pipe_drinfeld(inputs, max_dim):
                              _witness_json(rep.reflection),
                              data={"f": _rf_json(rep.f)}))
     if inputs.get("expansion", True):
-        res = drinfeld_mod.bchi_expansion_check(M, ps, eps, epsilon)
+        res = drinfeld_mod.bchi_expansion_check(M, ps, eps, epsilon, product=product)
         checks.append(_check("expansion", "first three series coefficients in closed form", res is None,
                              None if res is None else {"order": res[0], "entry": list(res[1])}))
     return checks
@@ -313,7 +333,7 @@ def pipe_appendix(inputs, max_dim):
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     l = _build(int, inputs, "l")
-    _guard_dim(ps.kappa ** (l + 1), max_dim)
+    _guard_dim(repeat(ps.kappa, l + 1), max_dim)
     bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",
                    bad is None, None if bad is None else {"identity": bad})]
@@ -332,9 +352,17 @@ PIPELINE_FUNCS = {
 PIPELINES = tuple(PIPELINE_FUNCS)
 
 
-def _guard_dim(dim, max_dim):
-    if dim > max_dim:
-        raise InputError(f"module dimension {dim} exceeds the safety cap {max_dim}")
+def _guard_dim(factors, max_dim):
+    """Refuse a carrier whose dimension, the product of the positive integer
+    factors, exceeds max_dim.  The product stops at the first partial
+    product above the cap, so a huge dimension is never formed."""
+    factors = iter(factors)
+    dim = 1
+    for f in factors:
+        dim *= f
+        if dim > max_dim:
+            at_least = "at least " if next(factors, None) is not None else ""
+            raise InputError(f"module dimension {at_least}{dim} exceeds the safety cap {max_dim}")
 
 
 def run_scenario(path, only=None, max_dim=64, timings=False):

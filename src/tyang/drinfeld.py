@@ -2,7 +2,12 @@
 
 The carrier is M x V^l; the series action is a product of resolvent factors
 1 + (u - shift - chi y_k)^{-1} Q^(k), twisted in the reflection case by the
-diagonal matrix G + gamma/u and the mirrored inverse factors.  The functor
+diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
+is built cleared, as (d_k 1 + K_k) / d_k with K_k row-sparse over Poly and
+d_k a scalar polynomial, and the product is kept as N / den without any
+reduction: the quotient subspace is certified on the power-of-u
+coefficients of N, the series expansion is read off N / den, and only the
+entries of the induced quotient action become reduced RatFuns.  The functor
 output lives on the quotient by the sign-isotypic images of the reflections,
 with explicit projection and section fixed by pivot order.
 """
@@ -15,13 +20,16 @@ from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
+    _dense,
+    _kron_rows,
+    _kron_sum_rows,
     at_slots,
+    cleared_resolvent,
     common_den,
     elementary,
     int_rows,
     kron_ops,
     kron_sum,
-    rfmat_inverse,
     sparse_add,
     sparse_mul,
     sparse_scale,
@@ -30,13 +38,12 @@ from tyang.superlinalg import (
 from tyang.twisted import (
     BAction,
     TwistedContext,
-    _rf_vector_coords_in_span,
     find_highest_space,
     highest_bweight,
     irreducible_burnside,
     b_tensor,
 )
-from tyang.yangian import TAction, extract_grid, flip_at
+from tyang.yangian import TAction, flip_at
 
 
 class ParameterConstraint(ValueError):
@@ -67,12 +74,8 @@ class DrinfeldModule:
         return self.action.space.dim if self.action is not None else 0
 
 
-def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
-    """The coupling operator between V-slot k and the auxiliary slot.
-
-    It is sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux), with w(i, j) = 1 unless
-    a weight function of the 1-based pair (i, j) is given.
-    """
+def _q_rows(ps: ParitySeq, k: int, l: int, weight=None):
+    """q_operator as row-sparse rows ({col: value} per row, zeros left out)."""
     kk = ps.kappa
     terms = []
     for i in range(1, kk + 1):
@@ -85,22 +88,17 @@ def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
             par = (pi + pj) % 2
             ops = {k - 1: (elementary(kk, i, j, sgn), par), l: (elementary(kk, i, j), par)}
             terms.append((w, at_slots(l + 1, ops)))
-    return kron_sum(terms, [ps.space()] * (l + 1))
+    return _kron_sum_rows(terms, [ps.space()] * (l + 1))
 
 
-def _resolvent(y, shift, chi, dim):
-    """((u + shift) 1 - chi y)^{-1} as an RFMatrix."""
-    ents = []
-    for r in range(dim):
-        row = []
-        for c in range(dim):
-            if r == c:
-                p = Poly([shift - chi * y[r][c], 1])
-            else:
-                p = Poly([-chi * y[r][c]])
-            row.append(RatFun(p))
-        ents.append(row)
-    return rfmat_inverse(RFMatrix(ents))
+def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
+    """The coupling operator between V-slot k and the auxiliary slot.
+
+    It is sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux), with w(i, j) = 1 unless
+    a weight function of the 1-based pair (i, j) is given.
+    """
+    rows = _q_rows(ps, k, l, weight)
+    return _dense(rows, len(rows))
 
 
 def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
@@ -108,17 +106,63 @@ def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
     return tensor_space([SuperSpace([0] * M.dim)] + [ps.space()] * M.params.l)
 
 
-def _series_factor(M: DahaModule, ps, k, l, chi, shift, sign=1):
-    """1 + sign * resolvent(y_k) x Q^(k) on M x V^l x V."""
-    res = _resolvent(M.y[k - 1], shift, chi, M.dim)
-    Q = q_operator(ps, k, l)
-    spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * (l + 1))]
-    grid = RFMatrix.from_const(kron_ops([(res.entries, 0), (Q, 0)], spaces)).entries
-    one = RatFun.one()
-    ents = [[x if sign == 1 else -x for x in row] for row in grid]
-    for r, row in enumerate(ents):
-        row[r] = row[r] + one
-    return RFMatrix(ents)
+def _neg_u(p: Poly) -> Poly:
+    """p(-u)."""
+    return Poly([-c if t % 2 else c for t, c in enumerate(p.coeffs)])
+
+
+def _cleared_factor(M: DahaModule, ps, k, l, chi, shift, sign=1, neg=False):
+    """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) on M x V^l x V, as a
+    step (d, K) of _cleared_product: the factor is (d 1 + K) / d with d the
+    resolvent's common_den and K = sign * (d resolvent) x Q^(k) row-sparse
+    over Poly.  neg substitutes u -> -u.  Both tensor factors are even, so
+    the Kronecker product carries no Koszul sign.
+    """
+    n = M.dim
+    y = M.y[k - 1]
+    A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
+    R, d = cleared_resolvent(A)
+    if neg:
+        R = [[_neg_u(p) for p in row] for row in R]
+        d = _neg_u(d)
+    Q = _q_rows(ps, k, l)
+    width = len(Q)
+    K = []
+    for Ra in R:
+        blocks = [(b * width, x if sign == 1 else -x) for b, x in enumerate(Ra) if x]
+        for Qr in Q:
+            K.append({base + c: x * q for base, x in blocks for c, q in Qr.items()})
+    return d, K
+
+
+def _g_step(ctx: TwistedContext, dim):
+    """1 x (G + gamma/u) on M x V^l x V as a step (d, K) of _cleared_product:
+    (u G + gamma) / u, or G / 1 when ctx carries no gamma."""
+    kk = ctx.kappa
+    if ctx.gamma is None:
+        d = Poly.one()
+        diag = [Poly([ctx.eps_sign(a) - 1]) for a in range(1, kk + 1)]
+    else:
+        d = Poly.x()
+        diag = [Poly([ctx.gamma, ctx.eps_sign(a) - 1]) for a in range(1, kk + 1)]
+    return d, [{r: diag[r % kk]} if diag[r % kk] else {} for r in range(dim)]
+
+
+def _cleared_product(steps, dim):
+    """The product of the factors (d 1 + K) / d over the steps (d, K), in
+    order, as (N, den): N row-sparse over Poly and den = prod d.
+
+    Each step is N <- d N + N K, so no gcd is ever taken; N / den is the
+    product as a matrix over the function field.
+    """
+    one = Poly.one()
+    N = [{r: one} for r in range(dim)]
+    den = one
+    for d, K in steps:
+        NK = sparse_mul(N, K)
+        N = sparse_add(N if d.is_one() else sparse_scale(N, d), NK)
+        den = den * d
+    return N, den
 
 
 def _column_span_rref(mats):
@@ -152,16 +196,76 @@ def _quotient_maps(nrows, pivots, D):
     return proj, sect, free
 
 
-def _check_invariant(grids, nbasis):
-    """Every grid must map the subspace into itself over the function field."""
-    cols = [list(v) for v in nbasis]
-    for key in sorted(grids):
-        m = grids[key]
-        for v in cols:
-            w = m.mat_vec(v)
-            if _rf_vector_coords_in_span(w, cols) is None:
-                return key
+def _check_invariant(blocks, basis, prows):
+    """The first key, in sorted order, whose block does not map the span of
+    the constant basis into itself over the function field; None if none.
+
+    A block N(u) = sum_t N_t u^t (row-sparse over Poly) preserves the span
+    exactly when proj N_t v = 0 for every power-of-u coefficient N_t and
+    basis vector v, where proj (given by its sparse rows prows) is the
+    quotient projection, whose kernel is the span.  The products run in
+    exact Fraction arithmetic, on all the N_t at once.
+    """
+    for key in sorted(blocks):
+        block = blocks[key]
+        for v in basis:
+            nz = [(c, x) for c, x in enumerate(v) if x]
+            w = []
+            for row in block:
+                acc = []
+                for c, x in nz:
+                    if c in row:
+                        _add_scaled(acc, row[c].coeffs, x)
+                w.append(acc)
+            for prow in prows:
+                out = []
+                for q, x in prow:
+                    _add_scaled(out, w[q], x)
+                if any(out):
+                    return key
     return None
+
+
+def _add_scaled(acc, coeffs, x):
+    """acc += x * coeffs on coefficient lists, acc growing as needed."""
+    if len(acc) < len(coeffs):
+        acc.extend([0] * (len(coeffs) - len(acc)))
+    for t, a in enumerate(coeffs):
+        acc[t] += a * x
+
+
+def _quotient_block(block, prows, free, den, qspace):
+    """P N S / den on the quotient, for the projection P (sparse rows prows)
+    and the section S that keeps the free columns; one reduced RatFun per
+    nonzero entry."""
+    zero = RatFun.zero()
+    col = {f: b for b, f in enumerate(free)}
+    out = []
+    for prow in prows:
+        acc = {}
+        for q, x in prow:
+            for c, p in block[q].items():
+                b = col.get(c)
+                if b is not None:
+                    t = p if x == 1 else p * x
+                    prev = acc.get(b)
+                    acc[b] = t if prev is None else prev + t
+        row = [zero] * len(free)
+        for b, p in acc.items():
+            if p:
+                row[b] = RatFun(p, den)
+        out.append(row)
+    return RFMatrix(out, qspace, qspace)
+
+
+def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
+    """The series entries x_ij of the operator N on carrier x V, row-sparse."""
+    kk = ps.kappa
+    return {
+        (i, j): _aux_entry(N, ps, i, j, carrier.parities)
+        for i in range(1, kk + 1)
+        for j in range(1, kk + 1)
+    }
 
 
 def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
@@ -179,27 +283,28 @@ def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
     return out
 
 
-def _quotient_module(grids, nmats, carrier, letter, family, head) -> DrinfeldModule:
-    """Quotient of the carrier by the images of nmats, with the induced action.
+def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> DrinfeldModule:
+    """Quotient of the carrier by the span of relations = (nrows, pivots),
+    an RREF basis, with the action induced by the series blocks / den (see
+    _series_blocks).
 
-    Raises WellDefinednessFailure when a series grid (named letter_(i, j) in
-    the message) does not preserve the subspace; the induced action is
+    Raises WellDefinednessFailure when a series block (named letter_(i, j)
+    in the message) does not preserve the subspace; the induced action is
     family(head, quotient space, quotient grids, ("drinfeld",)).
     """
-    nrows, pivots = _column_span_rref(nmats)
-    bad = _check_invariant(grids, nrows)
+    nrows, pivots = relations
+    proj, sect, free = _quotient_maps(nrows, pivots, carrier.dim)
+    prows = [[(c, x) for c, x in enumerate(row) if x] for row in proj]
+    bad = _check_invariant(blocks, nrows, prows)
     if bad is not None:
         raise WellDefinednessFailure(
             f"series coefficients do not preserve the quotient subspace at {letter}_{bad}",
             witness=bad,
         )
-    proj, sect, free = _quotient_maps(nrows, pivots, carrier.dim)
     if not free:
         return DrinfeldModule(None, carrier, proj, sect, nrows)
     qspace = SuperSpace([carrier.parities[f] for f in free])
-    P = RFMatrix.from_const(proj, row_space=qspace)
-    S = RFMatrix.from_const(sect, col_space=qspace)
-    qgrids = {key: P @ m @ S for key, m in grids.items()}
+    qgrids = {key: _quotient_block(block, prows, free, den, qspace) for key, block in blocks.items()}
     return DrinfeldModule(family(head, qspace, qgrids, ("drinfeld",)), carrier, proj, sect, nrows)
 
 
@@ -217,31 +322,93 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     l = M.params.l
+    steps = [_cleared_factor(M, ps, k, l, chi, c) for k in range(1, l + 1)]
+    N, den = _cleared_product(steps, M.dim * ps.kappa ** (l + 1))
     carrier = _carrier(M, ps)
-    F = None
-    for k in range(1, l + 1):
-        Tk = _series_factor(M, ps, k, l, chi, c)
-        F = Tk if F is None else F @ Tk
-    grids = extract_grid(F, ps, carrier)
-    nmats = _sign_relations(M, ps, epsilon)
-    return _quotient_module(grids, nmats, carrier, "t", TAction, ps)
+    relations = _column_span_rref(_sign_relations(M, ps, epsilon))
+    return _quotient_module(_series_blocks(N, ps, carrier), den, carrier, relations, "t", TAction, ps)
 
 
-def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None) -> DrinfeldModule:
-    """Reflection-twisted series action on the double sign-quotient.
+class ReflectionProduct:
+    """T_1(u)...T_l(u) (1 x (G + gamma/u)) S_l(-u)...S_1(-u) on M x V^l x V.
 
-    chi defaults to epsilon/theta1 and gamma to (theta2/theta1 - varpi_1)/2;
-    explicit values off the constraint locus surface as
-    WellDefinednessFailure with the offending generator as witness.
+    It is held cleared, for the resolved chi and gamma, as its series
+    entries blocks / den on the carrier M x V^l (see _cleared_product and
+    _series_blocks); ctx carries gamma (unset when it is 0).  relations is
+    the RREF (nrows, pivots) of the sign relations of the double quotient,
+    which do not depend on chi and gamma.
+    """
+
+    __slots__ = ("M", "ps", "epsilon", "chi", "gamma", "ctx", "blocks", "den", "relations")
+
+    def __init__(self, M, ps, epsilon, chi, gamma, ctx, blocks, den, relations):
+        self.M, self.ps, self.epsilon = M, ps, epsilon
+        self.chi, self.gamma, self.ctx = chi, gamma, ctx
+        self.blocks, self.den, self.relations = blocks, den, relations
+
+
+def _bc_parameters(M: DahaModule, ps, eps, epsilon, chi=None, gamma=None):
+    """chi and gamma resolved: chi defaults to epsilon/theta1 and gamma to
+    (theta2/theta1 - varpi_1)/2."""
+    th1, th2 = M.params.theta1, M.params.theta2
+    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
+    gamma = rat(gamma) if gamma is not None else (th2 / th1 - TwistedContext(ps, eps).varpi(1)) / 2
+    return chi, gamma
+
+
+def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None,
+                       relations=None) -> ReflectionProduct:
+    """Build the cleared reflection-twisted series product once.
+
+    relations, the RREF of the sign relations, is computed unless given.
     """
     if M.params.kind != "BC":
         raise ParameterConstraint("need a module carrying the flip generator")
     if epsilon not in (1, -1):
         raise ParameterConstraint("epsilon must be +-1")
-    ctx, grids = drinfeld_module_raw_grids(M, ps, eps, epsilon, chi, gamma)
+    chi, gamma = _bc_parameters(M, ps, eps, epsilon, chi, gamma)
+    ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
     l = M.params.l
-    nmats = _sign_relations(M, ps, epsilon, [(M.varsigma_l, _g_at_slot(ps, ctx, l, l))])
-    return _quotient_module(grids, nmats, _carrier(M, ps), "b", BAction, ctx)
+    jay = ps.jay
+    dim = M.dim * ps.kappa ** (l + 1)
+    steps = [_cleared_factor(M, ps, k, l, chi, -jay) for k in range(1, l + 1)]
+    steps.append(_g_step(ctx, dim))
+    # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
+    steps += [_cleared_factor(M, ps, k, l, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
+    N, den = _cleared_product(steps, dim)
+    if relations is None:
+        g_last = _g_at_slot(ps, ctx, l, l)
+        relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
+    blocks = _series_blocks(N, ps, _carrier(M, ps))
+    return ReflectionProduct(M, ps, epsilon, chi, gamma, ctx, blocks, den, relations)
+
+
+def _product_for(product, M, ps, eps, epsilon, chi=None, gamma=None) -> ReflectionProduct:
+    """product, when it was built from M, ps, eps and epsilon with chi and
+    gamma resolving to its own; otherwise a new product, which keeps the
+    given one's sign relations."""
+    if product is None:
+        return reflection_product(M, ps, eps, epsilon, chi, gamma)
+    if (product.M, product.ps, product.ctx.eps, product.epsilon) != (M, ps, tuple(eps), epsilon):
+        raise ValueError("the shared product was built from other inputs")
+    if (product.chi, product.gamma) == _bc_parameters(M, ps, eps, epsilon, chi, gamma):
+        return product
+    return reflection_product(M, ps, eps, epsilon, chi, gamma, product.relations)
+
+
+def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None,
+                product=None) -> DrinfeldModule:
+    """Reflection-twisted series action on the double sign-quotient.
+
+    chi defaults to epsilon/theta1 and gamma to (theta2/theta1 - varpi_1)/2;
+    explicit values off the constraint locus surface as
+    WellDefinednessFailure with the offending generator as witness.  A
+    reflection_product of the same M, ps, eps and epsilon is reused when
+    chi and gamma resolve to its own.
+    """
+    product = _product_for(product, M, ps, eps, epsilon, chi, gamma)
+    return _quotient_module(product.blocks, product.den, _carrier(M, ps), product.relations,
+                            "b", BAction, product.ctx)
 
 
 def _g_at_slot(ps, ctx, slot, l):
@@ -261,19 +428,43 @@ def _g_at_slot(ps, ctx, slot, l):
 
 
 def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
-    """T_k(u) S_k(u) = 1 for every k; None on pass, else the failing k."""
+    """T_k(u) S_k(u) = 1 for every k, checked cleared as N_T N_S = d_T d_S 1;
+    None on pass, else the failing k."""
     th1 = M.params.theta1
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     jay = ps.jay
-    for k in range(1, M.params.l + 1):
-        Tk = _series_factor(M, ps, k, M.params.l, chi, -jay)
-        Sk = _series_factor(M, ps, k, M.params.l, chi, jay, sign=-1)
-        if not (Tk @ Sk).is_identity():
+    l = M.params.l
+    dim = M.dim * ps.kappa ** (l + 1)
+    for k in range(1, l + 1):
+        steps = [_cleared_factor(M, ps, k, l, chi, -jay), _cleared_factor(M, ps, k, l, chi, jay, sign=-1)]
+        N, den = _cleared_product(steps, dim)
+        if N != [{r: den} for r in range(dim)]:
             return k
     return None
 
 
-def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
+def _expansion(block, den, order):
+    """The coefficients of u^0, ..., u^-order in the expansion at infinity
+    of block / den, as dense Fraction matrices, read off the cleared
+    entries without reducing them.  Raises ValueError when an entry has
+    no expansion (numerator degree above that of den)."""
+    D = den.degree
+    b = [den.coeffs[D - r] if r <= D else Fraction(0) for r in range(order + 1)]
+    zero = Fraction(0)
+    out = [[[zero] * len(block) for _ in block] for _ in range(order + 1)]
+    for q, row in enumerate(block):
+        for c, p in row.items():
+            if p.degree > D:
+                raise ValueError("no expansion at infinity: numerator degree too large")
+            cs = []
+            for r in range(order + 1):
+                a = p.coeffs[D - r] if 0 <= D - r <= p.degree else zero
+                cs.append((a - sum(b[s] * cs[r - s] for s in range(1, r + 1))) / b[0])
+                out[r][q][c] = cs[r]
+    return out
+
+
+def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=None):
     """Compare the first three series coefficients with their closed forms.
 
     Order 0 must be the diagonal sign matrix and order 1 the gamma shift
@@ -281,16 +472,18 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
     form in the transformed commuting family holds modulo the quotient
     subspace (its derivation trades V-side flips for module-side group
     elements, which is exactly the quotient identification), so that order
-    is checked as an equality of induced quotient operators.  Returns None
-    or (order, (i, j)).
+    is checked as an equality of induced quotient operators.  The series
+    is the default-parameter reflection_product, read off cleared; a
+    shared product is reused when its chi and gamma are the defaults.
+    Returns None or (order, (i, j)).
     """
-    th1, th2 = M.params.theta1, M.params.theta2
+    th1 = M.params.theta1
+    _chi, gamma = _bc_parameters(M, ps, eps, epsilon)
     ctx0 = TwistedContext(ps, eps)
-    gamma = (th2 / th1 - ctx0.varpi(1)) / 2
     l = M.params.l
     kk = ps.kappa
 
-    _ctx, dmod = drinfeld_module_raw_grids(M, ps, eps, epsilon)
+    product = _product_for(product, M, ps, eps, epsilon)
     spaces = [SuperSpace([0] * M.dim)] + [ps.space()] * l
     carrier_dim = M.dim * kk**l
 
@@ -298,8 +491,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
     if fail is not None:
         raise ParameterConstraint(f"module fails the transformed relations: {fail}")
 
-    nmats = _sign_relations(M, ps, epsilon, [(M.varsigma_l, _g_at_slot(ps, ctx0, l, l))])
-    nrows, _pivots = _column_span_rref(nmats)
+    nrows = product.relations[0]
 
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
@@ -316,12 +508,10 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
                 spaces,
             )
 
-            m = dmod[(i, j)]
-            coeff0 = [[x.series(0)[0] if x else Fraction(0) for x in row] for row in m.entries]
+            coeff0, coeff1, coeff2 = _expansion(product.blocks[(i, j)], product.den, 2)
             want0 = [[Fraction(ei) if (i == j and r == c) else Fraction(0) for c in range(carrier_dim)] for r in range(carrier_dim)]
             if coeff0 != want0:
                 return (0, (i, j))
-            coeff1 = [[x.series(1)[1] if x else Fraction(0) for x in row] for row in m.entries]
             want1 = [[si * (ei + ej) * x for x in row] for row in box_sum]
             if i == j:
                 for r in range(carrier_dim):
@@ -329,7 +519,6 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1):
             if coeff1 != want1:
                 return (1, (i, j))
             if ei != ej:
-                coeff2 = [[x.series(2)[2] if x else Fraction(0) for x in row] for row in m.entries]
                 scale = Fraction(-2 * ei) / (si * epsilon * th1)
                 for c in range(carrier_dim):
                     col = [coeff2[r][c] - scale * ybox_sum[r][c] for r in range(carrier_dim)]
@@ -344,35 +533,29 @@ def drinfeld_module_raw_grids(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=
     """The unquotiented series grids of the reflection-twisted action.
 
     Returns (ctx, grids): ctx carries gamma, which defaults to
-    (theta2/theta1 - varpi_1)/2, and chi defaults to epsilon/theta1.
+    (theta2/theta1 - varpi_1)/2, and chi defaults to epsilon/theta1.  The
+    grids are the entries of the cleared reflection_product, each reduced.
     """
-    th1, th2 = M.params.theta1, M.params.theta2
-    ctx0 = TwistedContext(ps, eps)
-    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
-    gamma = rat(gamma) if gamma is not None else (th2 / th1 - ctx0.varpi(1)) / 2
-    l = M.params.l
+    product = reflection_product(M, ps, eps, epsilon, chi, gamma)
     carrier = _carrier(M, ps)
-    jay = ps.jay
-    F = None
-    for k in range(1, l + 1):
-        Tk = _series_factor(M, ps, k, l, chi, -jay)
-        F = Tk if F is None else F @ Tk
-    ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
-    gfull = kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [carrier, ps.space()])
-    F = F @ RFMatrix.from_const(gfull)
-    for k in range(l, 0, -1):
-        # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
-        Sk = _series_factor(M, ps, k, l, chi, jay, sign=-1).subs_neg()
-        F = F @ Sk
-    return ctx, extract_grid(F, ps, carrier)
+    zero = RatFun.zero()
+    grids = {}
+    for key, block in product.blocks.items():
+        ents = [[zero] * carrier.dim for _ in range(carrier.dim)]
+        for q, row in enumerate(block):
+            for c, p in row.items():
+                ents[q][c] = RatFun(p, product.den)
+        grids[key] = RFMatrix(ents, carrier, carrier)
+    return product.ctx, grids
 
 
 def appendix_identities(ps: ParitySeq, eps, l: int):
     """Exact operator identities on V^l x V; None on pass, else an id.
 
     Works on integer row-sparse matrices (superlinalg.int_rows): every
-    q_operator, flip and box is converted once, and G and the Gz_k are +-1
-    sign vectors that scale rows or columns.
+    coupling operator (taken as the sparse rows of _q_rows), flip and box is
+    converted once, and G and the Gz_k are +-1 sign vectors that scale rows
+    or columns.
     """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
@@ -386,9 +569,9 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
     eps_sum = lambda i, j: ctx.eps_sign(i) + ctx.eps_sign(j)
     Qs = []
     for k in range(1, l + 1):
-        Qk = int_rows(q_operator(ps, k, l))
-        Qkk = int_rows(q_operator(ps, k, l, same))
-        Qkp = int_rows(q_operator(ps, k, l, mixed))
+        Qk = int_rows(_q_rows(ps, k, l))
+        Qkk = int_rows(_q_rows(ps, k, l, same))
+        Qkp = int_rows(_q_rows(ps, k, l, mixed))
         if sparse_add(Qkk, Qkp) != Qk:
             return f"split Q^({k})"
         kp, pk = sparse_mul(Qkk, Qkp), sparse_mul(Qkp, Qkk)
@@ -398,7 +581,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
         both = sparse_add(sparse_scale(Qk, rows=g), sparse_scale(Qk, cols=g))
-        if both != int_rows(q_operator(ps, k, l, eps_sum)):
+        if both != int_rows(_q_rows(ps, k, l, eps_sum)):
             return f"diagonal sum at k={k}"
         Qs.append(Qk)
     if l >= 2:
@@ -421,6 +604,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
             for b in range(a + 1, l + 1)
         }
         gz = [_signs(_g_at_slot(ps, ctx, slot, l)) for slot in range(1, l + 1)]
+        pars = tensor_space([ps.space()] * l).parities
         for i in range(1, kk + 1):
             for j in range(1, kk + 1):
                 if ctx.eps_sign(i) == ctx.eps_sign(j):
@@ -428,11 +612,11 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
                 si = ps.sign(i)
                 ei = ctx.eps_sign(i)
                 boxes = [int_rows(_box_at(ps, i, j, k, l)) for k in range(1, l + 1)]
-                got1 = _aux_entry(lhs1, ps, i, j, l)
+                got1 = _aux_entry(lhs1, ps, i, j, pars)
                 want1 = _sigma_weighted_sum(flips, boxes)
                 if sparse_scale(want1, si) != sparse_scale(got1, -ei):
                     return f"ordered double sum at (i,j)=({i},{j})"
-                got2 = _aux_entry(lhs2, ps, i, j, l)
+                got2 = _aux_entry(lhs2, ps, i, j, pars)
                 want2 = _flip_pair_sum(flips, gz, varpi1, boxes)
                 if sparse_scale(want2, si) != sparse_scale(got2, ei):
                     return f"sandwiched double sum at (i,j)=({i},{j})"
@@ -447,16 +631,16 @@ def _signs(A):
     return [r.get(i, 0) for i, r in enumerate(rows)]
 
 
-def _aux_entry(F, ps: ParitySeq, i, j, l):
-    """Standard (i, j) entry of a row-sparse operator on V^l x V, as a
-    row-sparse V^l matrix."""
+def _aux_entry(F, ps: ParitySeq, i, j, pars):
+    """Standard (i, j) entry of a row-sparse operator on W x V, as a
+    row-sparse matrix on W, whose basis parities are pars (the inverse of
+    realize_full, with the same block signs as yangian.extract_grid)."""
     kk = ps.kappa
     pi, pj = ps.parity(i), ps.parity(j)
     bs = -1 if (pi * pj + pj) % 2 else 1
     pij = (pi + pj) % 2
-    pars = tensor_space([ps.space()] * l).parities
     out = []
-    for q in range(kk**l):
+    for q in range(len(pars)):
         row = {}
         for c, v in F[q * kk + (i - 1)].items():
             p, jc = divmod(c, kk)
@@ -467,8 +651,9 @@ def _aux_entry(F, ps: ParitySeq, i, j, l):
 
 
 def _box_at(ps, i, j, k, l):
+    """E_ij^(k) on V^l, row-sparse."""
     e = elementary(ps.kappa, i, j)
-    return kron_ops(at_slots(l, {k - 1: (e, (ps.parity(i) + ps.parity(j)) % 2)}), [ps.space()] * l)
+    return _kron_rows(at_slots(l, {k - 1: (e, (ps.parity(i) + ps.parity(j)) % 2)}), [ps.space()] * l)
 
 
 def _sigma_weighted_sum(flips, boxes):

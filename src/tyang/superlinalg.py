@@ -117,12 +117,14 @@ def int_mat_mul(A, B):
 # on two such matrices is equality of the matrices.
 
 def int_rows(A):
-    """A dense matrix of integral Fractions (or ints) as row-sparse Python
-    ints; a non-integral entry raises ValueError, it is never truncated."""
+    """A dense or row-sparse matrix of integral Fractions (or ints) as
+    row-sparse Python ints; a non-integral entry raises ValueError, it is
+    never truncated.  A row-sparse input is read entry by entry, so its
+    zeros are never scanned."""
     out = []
     for row in A:
         r = {}
-        for c, x in enumerate(row):
+        for c, x in row.items() if isinstance(row, dict) else enumerate(row):
             if x:
                 if x.denominator != 1:
                     raise ValueError(f"non-integral entry {x}")
@@ -132,13 +134,15 @@ def int_rows(A):
 
 
 def sparse_mul(A, B):
-    """The product of row-sparse matrices."""
+    """The product of row-sparse matrices.  Entries may be ints, Fractions
+    or Polys: a sum starts from its first term, never from 0."""
     out = []
     for Ai in A:
         row = {}
         for k, a in Ai.items():
             for j, b in B[k].items():
-                row[j] = row.get(j, 0) + a * b
+                prev = row.get(j)
+                row[j] = a * b if prev is None else prev + a * b
         out.append({j: x for j, x in row.items() if x})
     return out
 
@@ -149,7 +153,10 @@ def sparse_add(A, B, c=1):
     for Ai, Bi in zip(A, B):
         row = dict(Ai)
         for j, b in Bi.items():
-            row[j] = row.get(j, 0) + c * b
+            if c != 1:
+                b = c * b
+            prev = row.get(j)
+            row[j] = b if prev is None else prev + b
         out.append({j: x for j, x in row.items() if x})
     return out
 
@@ -191,19 +198,47 @@ def mat_rank(A):
     return len(_kernel.mat_rref(A)[1])
 
 
+def _faddeev_leverrier(A):
+    """(cs, Bs) with det(u*1 - A) = sum_k cs[k] u^(n-k) and
+    adj(u*1 - A) = sum_k Bs[k] u^(n-1-k), by the Faddeev-LeVerrier scheme:
+    B_0 = 1, c_k = -tr(A B_(k-1)) / k, B_k = A B_(k-1) + c_k 1."""
+    n = len(A)
+    cs = [Fraction(1)]
+    Bs = [mat_identity(n)]
+    for k in range(1, n + 1):
+        M = mat_mul(A, Bs[-1])
+        c = -sum(M[i][i] for i in range(n)) / k
+        cs.append(c)
+        if k < n:
+            for i in range(n):
+                M[i][i] += c
+            Bs.append(M)
+    return cs, Bs
+
+
 def charpoly(A) -> Poly:
     """Characteristic polynomial det(u*1 - A) by the Faddeev-LeVerrier scheme."""
+    return Poly(_faddeev_leverrier(A)[0][::-1])
+
+
+def cleared_resolvent(A):
+    """(u*1 - A)^{-1} as (R, d): R a matrix of Poly and d the monic lcm of
+    the denominators of its reduced entries (their common_den), so that the
+    resolvent is R / d.  The adjugate over the characteristic polynomial,
+    with the common factor of all their entries divided out."""
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = mat_identity(n)
-    for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        c = -sum(M[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            M[i][i] += c
-    return Poly(coeffs)
+    cs, Bs = _faddeev_leverrier(A)
+    d = Poly(cs[::-1])
+    R = [[Poly([Bs[n - 1 - t][r][c] for t in range(n)]) for c in range(n)] for r in range(n)]
+    g = d
+    for p in (p for row in R for p in row):
+        if g.degree == 0:
+            break
+        g = g.gcd(p)
+    if g.degree > 0:
+        d = d // g
+        R = [[p // g for p in row] for row in R]
+    return R, d
 
 
 def algebra_closure(gens, dim, include_identity=True, cap=None):
@@ -329,12 +364,8 @@ def elementary(k, i, j, c=1):
     return e
 
 
-def kron_sum(terms, spaces):
-    """The sum of w * kron_ops(ops, spaces) over the (w, ops) pairs in terms.
-
-    The sparse rows of each term are added directly.  Entries that no term
-    touches stay Fraction(0), so RatFun sums go through RFMatrix.from_const.
-    """
+def _kron_sum_rows(terms, spaces):
+    """kron_sum as row-sparse rows, with cancelled entries dropped."""
     dim = 1
     for sp in spaces:
         dim *= sp.dim
@@ -345,8 +376,24 @@ def kron_sum(terms, spaces):
                 if w != 1:
                     x = w * x
                 prev = row.get(c)
-                row[c] = prev + x if prev else x
-    return _dense(total, dim)
+                if prev is not None:
+                    x = prev + x
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return total
+
+
+def kron_sum(terms, spaces):
+    """The sum of w * kron_ops(ops, spaces) over the (w, ops) pairs in terms.
+
+    The sparse rows of each term are added directly (_kron_sum_rows).
+    Entries that no term touches stay Fraction(0), so RatFun sums go
+    through RFMatrix.from_const.
+    """
+    rows = _kron_sum_rows(terms, spaces)
+    return _dense(rows, len(rows))
 
 
 def apply_at_factor(op, k, spaces, op_parity):

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from tyang.cli import InputError, main, run_scenario
+from tyang.cli import InputError, build_daha_module, main, run_scenario
+from tyang.glmn import ParitySeq
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios"
@@ -158,3 +159,120 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "classify" in proc.stdout
+
+
+
+def _run_inputs(tmp_path, pipeline, inputs, max_dim=64):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"name": "case", "pipeline": pipeline, "inputs": inputs}))
+    return run_scenario(str(path), max_dim=max_dim)
+
+
+PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
+CHAR_L2 = {"type": "char", "l": 2, "theta1": "1", "theta2": "2"}
+
+
+class TestDimensionCap:
+    """The cap is read off the spec before the Hecke module is built."""
+
+    @pytest.mark.parametrize(
+        "pipeline, inputs",
+        [
+            ("daha", {"m": dict(PRINCIPAL_L2, l=6, **{"lambda": ["1"] * 6})}),
+            ("drinfeld", {"m": dict(PRINCIPAL_L2, l=6, **{"lambda": ["1"] * 6}), "ps": [1, -1], "eps": [1, -1]}),
+            ("drinfeld", {"m": PRINCIPAL_L2, "ps": [1, 1, -1], "eps": [1, 1, -1]}),
+            ("drinfeld", {"m": dict(CHAR_L2, l=10**12), "ps": [1, -1], "eps": [1, -1]}),
+        ],
+        ids=["daha-principal-l6", "drinfeld-principal-l6", "drinfeld-principal-kappa3", "drinfeld-char-huge-l"],
+    )
+    def test_over_cap_spec_exits_2_before_building(self, monkeypatch, tmp_path, capsys, pipeline, inputs):
+        from tyang import daha
+
+        def refuse(*args):
+            raise AssertionError("module built before the cap was checked")
+
+        monkeypatch.setattr(daha, "principal_series", refuse)
+        monkeypatch.setattr(daha, "char_module", refuse)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "pipeline": pipeline, "inputs": inputs}))
+        assert main(["run", str(path), "--max-dim", "64"]) == 2
+        assert "exceeds the safety cap 64" in capsys.readouterr().err
+
+    def test_cap_is_the_carrier_dimension(self, tmp_path):
+        # principal l = 2 has the 8 signed permutations; with V^3 at kappa = 2
+        # the carrier is 64-dimensional.
+        inputs = {"m": PRINCIPAL_L2, "ps": [1, -1], "eps": [1, -1]}
+        with pytest.raises(InputError, match="module dimension 64 exceeds the safety cap 63"):
+            _run_inputs(tmp_path, "drinfeld", inputs, max_dim=63)
+        assert _run_inputs(tmp_path, "drinfeld", inputs, max_dim=64)[1] == 0
+
+
+ZERO_QUOTIENT = {"type": "char", "l": 1, "theta1": "1", "theta2": "2", "sign_zeta": -1}
+
+
+class TestDrinfeldSharing:
+    """pipe_drinfeld builds one series product for both of its checks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from tyang import drinfeld
+
+        counted, orig = [], drinfeld.reflection_product
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(drinfeld, "reflection_product", counting)
+        return counted
+
+    @staticmethod
+    def _defaults(m, ps, eps):
+        from tyang import drinfeld
+
+        M = build_daha_module(m)
+        return [str(x) for x in drinfeld._bc_parameters(M, ParitySeq(ps), eps, 1)]
+
+    @pytest.mark.parametrize("m, ps, eps", [(PRINCIPAL_L2, [1, -1], [1, 1]), (CHAR_L2, [1, 1, -1], [1, -1, 1])])
+    def test_one_product_per_scenario(self, calls, tmp_path, m, ps, eps):
+        chi, gamma = self._defaults(m, ps, eps)
+        base = {"m": m, "ps": ps, "eps": eps}
+        reports = []
+        for extra in ({}, {"gamma": gamma}, {"chi": chi, "gamma": gamma}):
+            calls.clear()
+            report, code = _run_inputs(tmp_path, "drinfeld", dict(base, **extra))
+            assert code == 0 and len(calls) == 1
+            reports.append(report)
+        # Explicit defaults give the report of the implicit ones.
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert [c["id"] for c in reports[0]["checks"]] == ["expansion", "reduced-relations", "well-defined"]
+
+    def test_off_default_gamma_rebuilds_for_the_expansion(self, calls, tmp_path):
+        # The quotient is zero, so an off-locus gamma still passes well-defined;
+        # the expansion check then needs its own default-parameter product.
+        base = {"m": ZERO_QUOTIENT, "ps": [1, -1], "eps": [1, 1]}
+        implicit, code = _run_inputs(tmp_path, "drinfeld", base)
+        assert code == 0 and len(calls) == 1
+        calls.clear()
+        explicit, code = _run_inputs(tmp_path, "drinfeld", dict(base, gamma="5"))
+        assert code == 0 and len(calls) == 2
+        assert explicit == implicit
+
+    @pytest.mark.parametrize(
+        "m, eps, extra, witness",
+        [
+            (PRINCIPAL_L2, [1, 1], {"chi": "-1"}, "(1, 1)"),
+            (PRINCIPAL_L2, [1, -1], {"gamma": "7"}, "(1, 1)"),
+            (CHAR_L2, [1, -1], {"chi": "2"}, "(1, 2)"),
+            (CHAR_L2, [1, -1], {"gamma": "1/3"}, "(1, 2)"),
+        ],
+        ids=["principal-chi", "principal-gamma", "char-chi", "char-gamma"],
+    )
+    def test_off_locus_parameters_fail_well_defined(self, tmp_path, m, eps, extra, witness):
+        # The witnesses are those of the RFMatrix factor product.
+        report, code = _run_inputs(tmp_path, "drinfeld", dict({"m": m, "ps": [1, -1], "eps": eps}, **extra))
+        assert code == 1
+        assert report["checks"] == [{
+            "id": "well-defined", "anchor": "series coefficients preserve the quotient subspace",
+            "status": "fail", "witness": {"witness": witness},
+        }]

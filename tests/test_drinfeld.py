@@ -5,7 +5,7 @@ import pytest
 
 import tyang.drinfeld as drinfeld
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
-from tyang.exactalg import RatFun
+from tyang.exactalg import Poly, RatFun
 from tyang.glmn import ParitySeq, make_vector_rep
 from tyang.drinfeld import (
     ParameterConstraint,
@@ -18,9 +18,17 @@ from tyang.drinfeld import (
     q_operator,
     tk_sk_identity,
 )
-from tyang.superlinalg import mat_identity, mat_mul
+from tyang.superlinalg import (
+    RFMatrix,
+    SuperSpace,
+    kron_ops,
+    mat_identity,
+    mat_mul,
+    rfmat_inverse,
+    tensor_space,
+)
 from tyang.twisted import TwistedContext, find_highest_space, highest_bweight, verify_b
-from tyang.yangian import evaluation_action, verify_rtt
+from tyang.yangian import evaluation_action, extract_grid, verify_rtt
 
 
 def F(a, b=1):
@@ -56,6 +64,13 @@ class TestFactorInverses:
         ps = ParitySeq([1, 1, -1])
         M = principal_series(DahaParams(2, 1, 2), [F(3), F(1)])
         assert tk_sk_identity(M, ps) is None
+
+    @pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1)])
+    def test_negated_coupling_entry_fails(self, monkeypatch, signs):
+        orig = drinfeld._q_rows
+        monkeypatch.setattr(drinfeld, "_q_rows", lambda *a: _negate_first_entry(orig(*a)))
+        M = char_module(DahaParams(2, 1, 2), 1, 1)
+        assert tk_sk_identity(M, ParitySeq(signs)) == 1
 
 
 class TestTypeA:
@@ -153,6 +168,42 @@ class TestExpansion:
         assert bchi_expansion_check(M, ps, [1, -1]) is None
 
 
+class TestExpansionNegativeControls:
+    """Faults in the series product must show in the expansion orders."""
+
+    CASES = [
+        (ParitySeq([1, -1]), [1, -1], ("principal", 2)),
+        (ParitySeq([1, -1]), [1, 1], ("char", 2)),
+        (ParitySeq([1, 1, -1]), [1, -1, 1], ("char", 1)),
+    ]
+
+    @staticmethod
+    def _module(kind, l):
+        params = DahaParams(l, 1, 2)
+        return char_module(params, 1, 1) if kind == "char" else principal_series(params, [F(3), F(1)][:l])
+
+    @pytest.mark.parametrize("ps, eps, module", CASES)
+    def test_wrong_gamma_fails_order_one_on_the_diagonal(self, monkeypatch, ps, eps, module):
+        M = self._module(*module)
+        assert bchi_expansion_check(M, ps, eps) is None
+        orig = drinfeld.reflection_product
+
+        def shifted_gamma(M, ps, eps, epsilon=1, chi=None, gamma=None, relations=None):
+            gamma = drinfeld._bc_parameters(M, ps, eps, epsilon, chi, gamma)[1] + 1
+            return orig(M, ps, eps, epsilon, chi, gamma, relations)
+
+        monkeypatch.setattr(drinfeld, "reflection_product", shifted_gamma)
+        assert bchi_expansion_check(M, ps, eps) == (1, (1, 1))
+
+    @pytest.mark.parametrize("ps, eps, module", CASES)
+    def test_negated_coupling_entry_fails_order_one(self, monkeypatch, ps, eps, module):
+        M = self._module(*module)
+        orig = drinfeld._q_rows
+        monkeypatch.setattr(drinfeld, "_q_rows", lambda *a: _negate_first_entry(orig(*a)))
+        res = bchi_expansion_check(M, ps, eps)
+        assert res is not None and res[0] == 1
+
+
 class TestAppendixIdentities:
     def test_small_sweep(self):
         for signs, eps in [
@@ -178,9 +229,14 @@ class TestAppendixIdentities:
 
 
 def _negate_first_entry(A):
-    """A copy of a dense matrix with its first nonzero entry negated."""
-    A = [list(row) for row in A]
-    r, c = next((r, c) for r, row in enumerate(A) for c, x in enumerate(row) if x)
+    """A copy of a dense or row-sparse matrix with its first nonzero entry
+    negated."""
+    if isinstance(A[0], dict):
+        A = [dict(row) for row in A]
+        r, c = next((r, min(row)) for r, row in enumerate(A) if row)
+    else:
+        A = [list(row) for row in A]
+        r, c = next((r, c) for r, row in enumerate(A) for c, x in enumerate(row) if x)
     A[r][c] = -A[r][c]
     return A
 
@@ -195,7 +251,7 @@ class TestAppendixNegativeControls:
     @pytest.mark.parametrize(
         "name, want",
         [
-            ("q_operator", "split Q^(1)"),
+            ("_q_rows", "split Q^(1)"),
             ("flip_at", "ordered double sum at (i,j)=(1,2)"),
             ("_g_at_slot", "sandwiched double sum at (i,j)=(1,2)"),
         ],
@@ -208,13 +264,13 @@ class TestAppendixNegativeControls:
     @pytest.mark.parametrize("signs, eps", CASES)
     def test_sign_flipped_diagonal_sum_reference(self, monkeypatch, signs, eps):
         # Only the eps_i + eps_j weighted operator (weight +-2 on (1, 1)) is hit.
-        orig = drinfeld.q_operator
+        orig = drinfeld._q_rows
 
-        def q_operator(ps, k, l, weight=None):
+        def q_rows(ps, k, l, weight=None):
             Q = orig(ps, k, l, weight)
             return _negate_first_entry(Q) if weight is not None and abs(weight(1, 1)) == 2 else Q
 
-        monkeypatch.setattr(drinfeld, "q_operator", q_operator)
+        monkeypatch.setattr(drinfeld, "_q_rows", q_rows)
         assert appendix_identities(ParitySeq(signs), list(eps), 2) == "diagonal sum at k=1"
 
     @pytest.mark.parametrize("signs, eps", CASES)
@@ -288,3 +344,90 @@ class TestSimplePreservation:
                     ss,
                     sz,
                 )
+
+
+def _reference_factor(M, ps, k, l, chi, shift, sign=1):
+    """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) as a dense RFMatrix,
+    built through rfmat_inverse and kron_ops: the factor the series product
+    was assembled from before it was cleared."""
+    y = M.y[k - 1]
+    n = M.dim
+    lin = [
+        [RatFun(Poly([shift - chi * y[r][c], 1]) if r == c else Poly([-chi * y[r][c]])) for c in range(n)]
+        for r in range(n)
+    ]
+    res = rfmat_inverse(RFMatrix(lin))
+    spaces = [SuperSpace([0] * n), tensor_space([ps.space()] * (l + 1))]
+    grid = RFMatrix.from_const(kron_ops([(res.entries, 0), (q_operator(ps, k, l), 0)], spaces)).entries
+    ents = [[x if sign == 1 else -x for x in row] for row in grid]
+    for r, row in enumerate(ents):
+        row[r] = row[r] + RatFun.one()
+    return RFMatrix(ents)
+
+
+def _reference_raw_grids(M, ps, eps, epsilon=1, chi=None, gamma=None):
+    """The reflection-twisted series grids as a product of dense RFMatrix
+    factors, T_1 ... T_l (1 x (G + gamma/u)) S_l(-u) ... S_1(-u)."""
+    th1, th2 = M.params.theta1, M.params.theta2
+    chi = Fraction(chi) if chi is not None else Fraction(epsilon) / th1
+    if gamma is None:
+        gamma = (th2 / th1 - TwistedContext(ps, eps).varpi(1)) / 2
+    gamma = Fraction(gamma)
+    l, jay = M.params.l, ps.jay
+    carrier = tensor_space([SuperSpace([0] * M.dim)] + [ps.space()] * l)
+    F = _reference_factor(M, ps, 1, l, chi, -jay)
+    for k in range(2, l + 1):
+        F = F @ _reference_factor(M, ps, k, l, chi, -jay)
+    ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
+    F = F @ RFMatrix.from_const(kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [carrier, ps.space()]))
+    for k in range(l, 0, -1):
+        F = F @ _reference_factor(M, ps, k, l, chi, jay, sign=-1).subs_neg()
+    return extract_grid(F, ps, carrier)
+
+
+class TestClearedProduct:
+    """The cleared series product N / den equals the product of the dense
+    RFMatrix factors, entry for entry after reduction."""
+
+    @pytest.mark.parametrize(
+        "module, signs, eps, gamma",
+        [
+            (("char", 2), (1, -1), (1, -1), None),
+            (("char", 3), (1, -1), (-1, -1), F(1, 3)),
+            (("char", 2), (1, -1), (1, 1), F(0)),
+            (("principal", 1), (1, -1), (1, -1), None),
+            (("principal", 1), (-1, 1), (-1, 1), F(-2)),
+            (("principal", 2), (1, -1), (1, -1), None),
+            (("char", 1), (1, 1, -1), (1, -1, 1), None),
+            (("char", 2), (1, -1, 1), (-1, 1, 1), F(5, 2)),
+        ],
+        ids=["char-l2", "char-l3-gamma", "char-l2-gamma0", "principal-l1", "principal-l1-gamma",
+             "principal-l2", "kappa3-char-l1", "kappa3-char-l2-gamma"],
+    )
+    def test_matches_rfmatrix_factor_product(self, module, signs, eps, gamma):
+        kind, l = module
+        params = DahaParams(l, 3, 4)
+        if kind == "char":
+            M = char_module(params, -1, 1)
+        else:
+            M = principal_series(params, [F(2), F(-1)][:l])
+        ps = ParitySeq(signs)
+        chi = F(1, 3)
+        ctx, grids = drinfeld.drinfeld_module_raw_grids(M, ps, list(eps), 1, chi, gamma)
+        assert grids == _reference_raw_grids(M, ps, list(eps), 1, chi, gamma)
+        if gamma is not None:
+            assert ctx.gamma == (None if gamma == 0 else gamma)
+
+    def test_type_a_product(self):
+        # drinfeld_A's product T_1 ... T_l with a shift, through the same steps.
+        ps = ParitySeq([1, -1])
+        M = restrict_to_type_a(principal_series(DahaParams(2, 1, 2), [F(3), F(1)]))
+        chi, c = F(1, 2), F(-3)
+        steps = [drinfeld._cleared_factor(M, ps, k, 2, chi, c) for k in (1, 2)]
+        N, den = drinfeld._cleared_product(steps, M.dim * 8)
+        ref = _reference_factor(M, ps, 1, 2, chi, c) @ _reference_factor(M, ps, 2, 2, chi, c)
+        got = [[RatFun.zero()] * len(N) for _ in N]
+        for r, row in enumerate(N):
+            for col, p in row.items():
+                got[r][col] = RatFun(p, den)
+        assert got == ref.entries
