@@ -175,7 +175,7 @@ def _check(cid, anchor, ok, witness=None, data=None):
 
 def pipe_verify_yangian(inputs, max_dim):
     T = _build(build_taction, inputs, "t")
-    _guard_dim([T.dim, T.kappa], max_dim)
+    _guard_dim([T.dim * T.kappa], max_dim)
     checks = []
     w = yangian_mod.verify_rtt(T)
     checks.append(_check("exchange-relation", "series exchange relation on two auxiliary spaces", w is None, _witness_json(w)))
@@ -199,7 +199,7 @@ def pipe_verify_yangian(inputs, max_dim):
 
 def pipe_verify_twisted(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim, B.kappa], max_dim)
+    _guard_dim([B.dim * B.kappa], max_dim)
     checks = []
     rep = twisted_mod.verify_b(B)
     checks.append(_check("reflection-equation", "quartic exchange relation with both spectral arguments",
@@ -225,7 +225,7 @@ def pipe_verify_twisted(inputs, max_dim):
 
 def pipe_classify(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim, B.kappa], max_dim)
+    _guard_dim([B.dim * B.kappa], max_dim)
     eta = _build(_rat_list, inputs, "eta")
     mu = twisted_mod.highest_bweight(B, eta)
     checks = []
@@ -249,7 +249,7 @@ def pipe_classify(inputs, max_dim):
 
 def pipe_reduce(inputs, max_dim):
     B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim, B.kappa], max_dim)
+    _guard_dim([B.dim * B.kappa], max_dim)
     mode = _build(_reduction_mode, inputs, "mode")
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
@@ -303,7 +303,7 @@ def pipe_drinfeld(inputs, max_dim):
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
     kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
-    _guard_dim(chain(factors, repeat(ps.kappa, l + 1)), max_dim)
+    _guard_dim(chain(factors, _power(ps.kappa, l + 1)), max_dim)
     M = _build(build_daha_module, inputs, "m")
     # One series product and one set of sign relations serve both checks;
     # the expansion check rebuilds the product if chi or gamma is off default.
@@ -333,7 +333,7 @@ def pipe_appendix(inputs, max_dim):
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     l = _build(int, inputs, "l")
-    _guard_dim(repeat(ps.kappa, l + 1), max_dim)
+    _guard_dim(_power(ps.kappa, l + 1), max_dim)
     bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",
                    bad is None, None if bad is None else {"identity": bad})]
@@ -350,6 +350,12 @@ PIPELINE_FUNCS = {
 }
 
 PIPELINES = tuple(PIPELINE_FUNCS)
+
+
+def _power(base, n):
+    """base ** n as factors for _guard_dim: n copies of base, or the power
+    itself when base <= 1, whose partial products never pass the cap."""
+    return repeat(base, n) if base > 1 else [base**n]
 
 
 def _guard_dim(factors, max_dim):

@@ -356,12 +356,9 @@ def _bc_parameters(M: DahaModule, ps, eps, epsilon, chi=None, gamma=None):
     return chi, gamma
 
 
-def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None,
-                       relations=None) -> ReflectionProduct:
-    """Build the cleared reflection-twisted series product once.
-
-    relations, the RREF of the sign relations, is computed unless given.
-    """
+def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None) -> ReflectionProduct:
+    """Build the cleared reflection-twisted series product and the RREF of
+    its sign relations once."""
     if M.params.kind != "BC":
         raise ParameterConstraint("need a module carrying the flip generator")
     if epsilon not in (1, -1):
@@ -376,24 +373,22 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
     steps += [_cleared_factor(M, ps, k, l, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
     N, den = _cleared_product(steps, dim)
-    if relations is None:
-        g_last = _g_at_slot(ps, ctx, l, l)
-        relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
+    g_last = _g_at_slot(ps, ctx, l, l)
+    relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
     blocks = _series_blocks(N, ps, _carrier(M, ps))
     return ReflectionProduct(M, ps, epsilon, chi, gamma, ctx, blocks, den, relations)
 
 
 def _product_for(product, M, ps, eps, epsilon, chi=None, gamma=None) -> ReflectionProduct:
     """product, when it was built from M, ps, eps and epsilon with chi and
-    gamma resolving to its own; otherwise a new product, which keeps the
-    given one's sign relations."""
+    gamma resolving to its own; otherwise a new product."""
     if product is None:
         return reflection_product(M, ps, eps, epsilon, chi, gamma)
     if (product.M, product.ps, product.ctx.eps, product.epsilon) != (M, ps, tuple(eps), epsilon):
         raise ValueError("the shared product was built from other inputs")
     if (product.chi, product.gamma) == _bc_parameters(M, ps, eps, epsilon, chi, gamma):
         return product
-    return reflection_product(M, ps, eps, epsilon, chi, gamma, product.relations)
+    return reflection_product(M, ps, eps, epsilon, chi, gamma)
 
 
 def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None,
@@ -527,26 +522,6 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
                     ):
                         return (2, (i, j))
     return None
-
-
-def drinfeld_module_raw_grids(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None):
-    """The unquotiented series grids of the reflection-twisted action.
-
-    Returns (ctx, grids): ctx carries gamma, which defaults to
-    (theta2/theta1 - varpi_1)/2, and chi defaults to epsilon/theta1.  The
-    grids are the entries of the cleared reflection_product, each reduced.
-    """
-    product = reflection_product(M, ps, eps, epsilon, chi, gamma)
-    carrier = _carrier(M, ps)
-    zero = RatFun.zero()
-    grids = {}
-    for key, block in product.blocks.items():
-        ents = [[zero] * carrier.dim for _ in range(carrier.dim)]
-        for q, row in enumerate(block):
-            for c, p in row.items():
-                ents[q][c] = RatFun(p, product.den)
-        grids[key] = RFMatrix(ents, carrier, carrier)
-    return product.ctx, grids
 
 
 def appendix_identities(ps: ParitySeq, eps, l: int):

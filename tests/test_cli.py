@@ -198,6 +198,30 @@ class TestDimensionCap:
         assert main(["run", str(path), "--max-dim", "64"]) == 2
         assert "exceeds the safety cap 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pipeline, inputs, target",
+        [
+            ("drinfeld", {"m": dict(CHAR_L2, l=10**12), "ps": [1], "eps": [1]}, "daha.char_module"),
+            ("appendix", {"ps": [1], "eps": [1], "l": 10**12}, "drinfeld.appendix_identities"),
+        ],
+        ids=["drinfeld-char-kappa1", "appendix-kappa1"],
+    )
+    def test_kappa_one_power_is_not_expanded(self, monkeypatch, tmp_path, pipeline, inputs, target):
+        # kappa = 1 keeps the carrier at the module's dimension for any l; the
+        # guard passes without multiplying l + 1 factors and the build is reached.
+        import importlib
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        module, name = target.split(".")
+        monkeypatch.setattr(importlib.import_module(f"tyang.{module}"), name, reached)
+        with pytest.raises(Reached):
+            _run_inputs(tmp_path, pipeline, inputs)
+
     def test_cap_is_the_carrier_dimension(self, tmp_path):
         # principal l = 2 has the 8 signed permutations; with V^3 at kappa = 2
         # the carrier is 64-dimensional.

@@ -188,9 +188,9 @@ class TestExpansionNegativeControls:
         assert bchi_expansion_check(M, ps, eps) is None
         orig = drinfeld.reflection_product
 
-        def shifted_gamma(M, ps, eps, epsilon=1, chi=None, gamma=None, relations=None):
+        def shifted_gamma(M, ps, eps, epsilon=1, chi=None, gamma=None):
             gamma = drinfeld._bc_parameters(M, ps, eps, epsilon, chi, gamma)[1] + 1
-            return orig(M, ps, eps, epsilon, chi, gamma, relations)
+            return orig(M, ps, eps, epsilon, chi, gamma)
 
         monkeypatch.setattr(drinfeld, "reflection_product", shifted_gamma)
         assert bchi_expansion_check(M, ps, eps) == (1, (1, 1))
@@ -385,6 +385,15 @@ def _reference_raw_grids(M, ps, eps, epsilon=1, chi=None, gamma=None):
     return extract_grid(F, ps, carrier)
 
 
+def _reduce(rows, den):
+    """The row-sparse cleared matrix rows / den as dense reduced RatFuns."""
+    out = [[RatFun.zero()] * len(rows) for _ in rows]
+    for r, row in enumerate(rows):
+        for c, p in row.items():
+            out[r][c] = RatFun(p, den)
+    return out
+
+
 class TestClearedProduct:
     """The cleared series product N / den equals the product of the dense
     RFMatrix factors, entry for entry after reduction."""
@@ -413,10 +422,13 @@ class TestClearedProduct:
             M = principal_series(params, [F(2), F(-1)][:l])
         ps = ParitySeq(signs)
         chi = F(1, 3)
-        ctx, grids = drinfeld.drinfeld_module_raw_grids(M, ps, list(eps), 1, chi, gamma)
-        assert grids == _reference_raw_grids(M, ps, list(eps), 1, chi, gamma)
+        product = drinfeld.reflection_product(M, ps, list(eps), 1, chi, gamma)
+        ref = _reference_raw_grids(M, ps, list(eps), 1, chi, gamma)
+        assert {key: _reduce(block, product.den) for key, block in product.blocks.items()} == {
+            key: grid.entries for key, grid in ref.items()
+        }
         if gamma is not None:
-            assert ctx.gamma == (None if gamma == 0 else gamma)
+            assert product.ctx.gamma == (None if gamma == 0 else gamma)
 
     def test_type_a_product(self):
         # drinfeld_A's product T_1 ... T_l with a shift, through the same steps.
@@ -426,8 +438,4 @@ class TestClearedProduct:
         steps = [drinfeld._cleared_factor(M, ps, k, 2, chi, c) for k in (1, 2)]
         N, den = drinfeld._cleared_product(steps, M.dim * 8)
         ref = _reference_factor(M, ps, 1, 2, chi, c) @ _reference_factor(M, ps, 2, 2, chi, c)
-        got = [[RatFun.zero()] * len(N) for _ in N]
-        for r, row in enumerate(N):
-            for col, p in row.items():
-                got[r][col] = RatFun(p, den)
-        assert got == ref.entries
+        assert _reduce(N, den) == ref.entries
