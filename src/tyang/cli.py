@@ -278,7 +278,8 @@ def pipe_reduce(inputs, max_dim):
 
 
 def pipe_daha(inputs, max_dim):
-    factors, _l = _build(_daha_dim_factors, inputs, "m")
+    factors, l = _build(_daha_dim_factors, inputs, "m")
+    _guard_letters(l, max_dim)
     _guard_dim(factors, max_dim)
     M = _build(build_daha_module, inputs, "m")
     checks = []
@@ -303,7 +304,8 @@ def pipe_drinfeld(inputs, max_dim):
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
     kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
-    _guard_dim(chain(factors, _power(ps.kappa, l + 1)), max_dim)
+    _guard_letters(l, max_dim)
+    _guard_dim(chain(factors, repeat(ps.kappa, l + 1)), max_dim)
     M = _build(build_daha_module, inputs, "m")
     # One series product and one set of sign relations serve both checks;
     # the expansion check rebuilds the product if chi or gamma is off default.
@@ -333,7 +335,8 @@ def pipe_appendix(inputs, max_dim):
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     l = _build(int, inputs, "l")
-    _guard_dim(_power(ps.kappa, l + 1), max_dim)
+    _guard_letters(l, max_dim)
+    _guard_dim(repeat(ps.kappa, l + 1), max_dim)
     bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",
                    bad is None, None if bad is None else {"identity": bad})]
@@ -352,10 +355,12 @@ PIPELINE_FUNCS = {
 PIPELINES = tuple(PIPELINE_FUNCS)
 
 
-def _power(base, n):
-    """base ** n as factors for _guard_dim: n copies of base, or the power
-    itself when base <= 1, whose partial products never pass the cap."""
-    return repeat(base, n) if base > 1 else [base**n]
+def _guard_letters(l, max_dim):
+    """Refuse l > max_dim.  The work of a Hecke or appendix pipeline grows
+    with l even where the carrier dimension does not (kappa = 1, or a
+    one-dimensional module), so l is capped by itself as well."""
+    if l > max_dim:
+        raise InputError(f"l = {l} exceeds the safety cap {max_dim}")
 
 
 def _guard_dim(factors, max_dim):

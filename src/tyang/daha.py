@@ -9,14 +9,18 @@ fixed shortest word of w, one simple generator at a time.
 from fractions import Fraction
 
 from tyang.exactalg import rat
-from tyang.superlinalg import mat_identity, mat_mul, mat_sub, mat_vec
+from tyang.superlinalg import _dense, mat_vec, sparse_add, sparse_mul, sparse_scale
 
 
 class DahaParams:
     __slots__ = ("l", "theta1", "theta2", "kind")
 
     def __init__(self, l, theta1, theta2=None, kind="BC"):
+        if kind not in ("A", "BC"):
+            raise ValueError(f"unknown Hecke algebra kind {kind!r}, expected 'A' or 'BC'")
         self.l = int(l)
+        if self.l < 1:
+            raise ValueError("l must be at least 1")
         self.theta1 = rat(theta1)
         if self.theta1 == 0:
             raise ValueError("theta1 must be nonzero")
@@ -174,28 +178,65 @@ class HeckeNormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Modules.
+# Modules.  Every generator is a row-sparse matrix: one {col: value} dict per
+# row, zeros left out (the format of superlinalg.sparse_mul), so == on two
+# generators is equality of the matrices.
+
+def _as_rows(m, dim, name):
+    """A dense or row-sparse dim x dim matrix as fresh row-sparse rows."""
+    if len(m) != dim:
+        raise ValueError(f"{name} has {len(m)} rows, expected {dim}")
+    out = []
+    for row in m:
+        if not isinstance(row, dict):
+            if len(row) != dim:
+                raise ValueError(f"{name} has a row of length {len(row)}, expected {dim}")
+            row = dict(enumerate(row))
+        out.append({c: x for c, x in row.items() if x})
+    return out
+
+
+def _identity(dim):
+    one = Fraction(1)
+    return [{r: one} for r in range(dim)]
+
 
 class DahaModule:
-    """Matrices for the simple reflections, the last flip, and the y family."""
+    """Matrices for the simple reflections, the last flip, and the y family.
+
+    The constructor takes dense or row-sparse matrices and stores them
+    row-sparse; superlinalg._dense gives a generator back as a dense matrix.
+    The transpositions and flips derived from the generators are memoised,
+    so the generators are not to be changed after construction.
+    """
 
     def __init__(self, params: DahaParams, dim, sigma, varsigma_l, y):
+        l = params.l
+        if len(sigma) != l - 1 or len(y) != l:
+            raise ValueError(f"expected {l - 1} sigma and {l} y matrices for l = {l}")
         self.params = params
         self.dim = dim
-        self.sigma = [list(map(list, m)) for m in sigma]
-        self.varsigma_l = [list(r) for r in varsigma_l] if varsigma_l is not None else None
-        self.y = [list(map(list, m)) for m in y]
+        self.sigma = [_as_rows(m, dim, f"sigma_{k}") for k, m in enumerate(sigma, 1)]
+        self.varsigma_l = _as_rows(varsigma_l, dim, "zeta") if varsigma_l is not None else None
+        self.y = [_as_rows(m, dim, f"y_{i}") for i, m in enumerate(y, 1)]
+        self._transpositions = {}
+        self._flips = {}
 
     def sigma_ij(self, i, j):
-        """The transposition (i j) as a matrix (i < j)."""
+        """The transposition (i j) as a matrix."""
         if i > j:
             i, j = j, i
-        if i == j:
-            return mat_identity(self.dim)
-        # (i j) = s_i s_{i+1} ... s_{j-2} s_{j-1} s_{j-2} ... s_i
-        out = self.sigma[j - 2]
-        for k in range(j - 2, i - 1, -1):
-            out = mat_mul(self.sigma[k - 1], mat_mul(out, self.sigma[k - 1]))
+        out = self._transpositions.get((i, j))
+        if out is None:
+            if i == j:
+                out = _identity(self.dim)
+            elif i == j - 1:
+                out = self.sigma[i - 1]
+            else:
+                # (i j) = s_i (i+1 j) s_i
+                s = self.sigma[i - 1]
+                out = sparse_mul(s, sparse_mul(self.sigma_ij(i + 1, j), s))
+            self._transpositions[i, j] = out
         return out
 
     def varsigma_i(self, i):
@@ -203,8 +244,11 @@ class DahaModule:
         l = self.params.l
         if i == l:
             return self.varsigma_l
-        c = self.sigma_ij(i, l)
-        return mat_mul(c, mat_mul(self.varsigma_l, c))
+        out = self._flips.get(i)
+        if out is None:
+            c = self.sigma_ij(i, l)
+            out = self._flips[i] = sparse_mul(c, sparse_mul(self.varsigma_l, c))
+        return out
 
 
 def char_module(params: DahaParams, sign_sigma=1, sign_zeta=1) -> DahaModule:
@@ -217,6 +261,16 @@ def char_module(params: DahaParams, sign_sigma=1, sign_zeta=1) -> DahaModule:
     return DahaModule(params, 1, sig, zet, ys)
 
 
+def group_rows(G: WGroup, g):
+    """Left multiplication by g on the basis G.elements of the group
+    algebra, row-sparse: a permutation matrix."""
+    one = Fraction(1)
+    out = [None] * len(G.elements)
+    for c, w in enumerate(G.elements):
+        out[G.index[w_compose(g, w)]] = {c: one}
+    return out
+
+
 def principal_series(params: DahaParams, lam) -> DahaModule:
     """The free-over-the-group module induced from a y-character."""
     lam = [rat(x) for x in lam]
@@ -224,18 +278,11 @@ def principal_series(params: DahaParams, lam) -> DahaModule:
     nf = HeckeNormalForm(params)
     G = nf.group
     n = len(G.elements)
-
-    def gen_matrix(gm):
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for c, w in enumerate(G.elements):
-            out[G.index[w_compose(gm, w)]][c] = Fraction(1)
-        return out
-
-    sigma = [gen_matrix(w_sigma(k, l)) for k in range(1, l)]
-    varsig = gen_matrix(w_zeta(l)) if params.kind == "BC" else None
+    sigma = [group_rows(G, w_sigma(k, l)) for k in range(1, l)]
+    varsig = group_rows(G, w_zeta(l)) if params.kind == "BC" else None
     ys = []
     for i in range(1, l + 1):
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [{} for _ in range(n)]
         for c, w in enumerate(G.elements):
             for (w2, mono), coeff in nf.y_times_group(i, w).items():
                 val = coeff
@@ -243,7 +290,8 @@ def principal_series(params: DahaParams, lam) -> DahaModule:
                     if e:
                         val = val * lam[t] ** e
                 if val:
-                    out[G.index[w2]][c] += val
+                    row = out[G.index[w2]]
+                    row[c] = row.get(c, 0) + val
         ys.append(out)
     return DahaModule(params, n, sigma, varsig, ys)
 
@@ -252,52 +300,50 @@ def verify_daha(M: DahaModule):
     """Check every defining relation; None on pass, else a relation id."""
     l = M.params.l
     th1 = M.params.theta1
-    d = M.dim
-    I = mat_identity(d)
+    I = _identity(M.dim)
+    mul = sparse_mul
     for k in range(1, l):
         s = M.sigma[k - 1]
-        if mat_mul(s, s) != I:
+        if mul(s, s) != I:
             return f"sigma_{k}^2"
         for i in range(1, l + 1):
-            lhs = mat_mul(s, M.y[i - 1])
+            lhs = mul(s, M.y[i - 1])
             if i == k:
-                rhs = [[x + (th1 if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(mat_mul(M.y[k], s))]
+                rhs = sparse_add(mul(M.y[k], s), I, th1)
             elif i == k + 1:
-                rhs = [[x - (th1 if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(mat_mul(M.y[k - 1], s))]
+                rhs = sparse_add(mul(M.y[k - 1], s), I, -th1)
             else:
-                rhs = mat_mul(M.y[i - 1], s)
+                rhs = mul(M.y[i - 1], s)
             if lhs != rhs:
                 return f"sigma_{k} y_{i}"
     for k in range(1, l - 1):
         a, b = M.sigma[k - 1], M.sigma[k]
-        if mat_mul(a, mat_mul(b, a)) != mat_mul(b, mat_mul(a, b)):
+        if mul(a, mul(b, a)) != mul(b, mul(a, b)):
             return f"braid sigma_{k} sigma_{k+1}"
     for k in range(1, l):
         for j in range(k + 2, l):
-            if mat_mul(M.sigma[k - 1], M.sigma[j - 1]) != mat_mul(M.sigma[j - 1], M.sigma[k - 1]):
+            if mul(M.sigma[k - 1], M.sigma[j - 1]) != mul(M.sigma[j - 1], M.sigma[k - 1]):
                 return f"sigma_{k} sigma_{j}"
     for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            if mat_mul(M.y[i - 1], M.y[j - 1]) != mat_mul(M.y[j - 1], M.y[i - 1]):
+        for j in range(i + 1, l + 1):
+            if mul(M.y[i - 1], M.y[j - 1]) != mul(M.y[j - 1], M.y[i - 1]):
                 return f"y_{i} y_{j}"
     if M.params.kind == "BC":
         z = M.varsigma_l
-        th2 = M.params.theta2
-        if mat_mul(z, z) != I:
+        if mul(z, z) != I:
             return "zeta^2"
         for k in range(1, l - 1):
-            if mat_mul(z, M.sigma[k - 1]) != mat_mul(M.sigma[k - 1], z):
+            if mul(z, M.sigma[k - 1]) != mul(M.sigma[k - 1], z):
                 return f"zeta sigma_{k}"
         if l >= 2:
             s = M.sigma[l - 2]
-            if mat_mul(s, mat_mul(z, mat_mul(s, z))) != mat_mul(z, mat_mul(s, mat_mul(z, s))):
+            if mul(s, mul(z, mul(s, z))) != mul(z, mul(s, mul(z, s))):
                 return "zeta braid"
         for i in range(1, l):
-            if mat_mul(z, M.y[i - 1]) != mat_mul(M.y[i - 1], z):
+            if mul(z, M.y[i - 1]) != mul(M.y[i - 1], z):
                 return f"zeta y_{i}"
-        anti = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(mat_mul(z, M.y[l - 1]), mat_mul(M.y[l - 1], z))]
-        want = [[th2 if r == c else Fraction(0) for c in range(d)] for r in range(d)]
-        if anti != want:
+        anti = sparse_add(mul(z, M.y[l - 1]), mul(M.y[l - 1], z))
+        if anti != sparse_scale(I, M.params.theta2):
             return "zeta y_l"
     return None
 
@@ -311,71 +357,59 @@ def restrict_to_type_a(M: DahaModule) -> DahaModule:
 def sf_presentation(M: DahaModule):
     """The alternative commuting-family generators and their relation check.
 
-    Returns (ys, failure) where ys are the transformed matrices and failure
-    is None or a relation id.
+    Returns (ys, failure) where ys are the transformed matrices, row-sparse,
+    and failure is None or a relation id.
     """
     l = M.params.l
     th1, th2 = M.params.theta1, M.params.theta2
-    d = M.dim
+    mul = sparse_mul
     ys = []
     for i in range(1, l + 1):
-        acc = [row[:] for row in M.y[i - 1]]
         zi = M.varsigma_i(i)
-        for r in range(d):
-            for c in range(d):
-                acc[r][c] -= th2 / 2 * zi[r][c]
+        acc = sparse_add(M.y[i - 1], zi, -th2 / 2)
         for k in range(1, l + 1):
             if k == i:
                 continue
             sik = M.sigma_ij(i, k)
-            coeff = th1 / 2 if k < i else -th1 / 2
-            zz = mat_mul(sik, mat_mul(zi, M.varsigma_i(k)))
-            for r in range(d):
-                for c in range(d):
-                    acc[r][c] += coeff * sik[r][c] - th1 / 2 * zz[r][c]
+            acc = sparse_add(acc, sik, th1 / 2 if k < i else -th1 / 2)
+            acc = sparse_add(acc, mul(sik, mul(zi, M.varsigma_i(k))), -th1 / 2)
         ys.append(acc)
 
     for k in range(1, l):
         s = M.sigma[k - 1]
-        if mat_mul(s, ys[k - 1]) != mat_mul(ys[k], s):
+        if mul(s, ys[k - 1]) != mul(ys[k], s):
             return ys, f"sigma_{k} yb_{k}"
         for j in range(1, l + 1):
             if j in (k, k + 1):
                 continue
-            if mat_mul(s, ys[j - 1]) != mat_mul(ys[j - 1], s):
+            if mul(s, ys[j - 1]) != mul(ys[j - 1], s):
                 return ys, f"sigma_{k} yb_{j}"
     z = M.varsigma_l
-    anti = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(mat_mul(z, ys[l - 1]), mat_mul(ys[l - 1], z))]
-    if any(any(x for x in row) for row in anti):
+    if any(sparse_add(mul(z, ys[l - 1]), mul(ys[l - 1], z))):
         return ys, "zeta yb_l"
     for i in range(1, l):
-        if mat_mul(z, ys[i - 1]) != mat_mul(ys[i - 1], z):
+        if mul(z, ys[i - 1]) != mul(ys[i - 1], z):
             return ys, f"zeta yb_{i}"
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
+    letters = range(1, l + 1)
+    yy = {(i, j): mul(ys[i - 1], ys[j - 1]) for i in letters for j in letters if i != j}
+    for i in letters:
+        for j in letters:
             if i == j:
                 continue
-            lhs = mat_sub(mat_mul(ys[i - 1], ys[j - 1]), mat_mul(ys[j - 1], ys[i - 1]))
-            sij = M.sigma_ij(i, j)
+            lhs = sparse_add(yy[i, j], yy[j, i], -1)
             zi, zj = M.varsigma_i(i), M.varsigma_i(j)
-            rhs = mat_mul(sij, mat_sub(zj, zi))
-            rhs = [[th1 * th2 / 2 * x for x in row] for row in rhs]
+            rhs = sparse_scale(mul(M.sigma_ij(i, j), sparse_add(zj, zi, -1)), th1 * th2 / 2)
             for k in range(1, l + 1):
                 if k in (i, j):
                     continue
                 sik, sjk = M.sigma_ij(i, k), M.sigma_ij(j, k)
                 zk = M.varsigma_i(k)
-                t1 = mat_sub(mat_mul(sjk, sik), mat_mul(sik, sjk))
-                zizj = mat_mul(zi, zj)
-                zizk = mat_mul(zi, zk)
-                zjzk = mat_mul(zj, zk)
-                m1 = mat_sub([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(zizj, zjzk)], zizk)
-                t2 = mat_mul(mat_mul(sik, sjk), m1)
-                m2 = mat_sub([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(zizj, zizk)], zjzk)
-                t3 = mat_mul(mat_mul(sjk, sik), m2)
-                for r in range(d):
-                    for c in range(d):
-                        rhs[r][c] += th1 * th1 / 4 * (t1[r][c] + t2[r][c] - t3[r][c])
+                ik_jk, jk_ik = mul(sik, sjk), mul(sjk, sik)
+                zizj, zizk, zjzk = mul(zi, zj), mul(zi, zk), mul(zj, zk)
+                t1 = sparse_add(jk_ik, ik_jk, -1)
+                t2 = mul(ik_jk, sparse_add(sparse_add(zizj, zjzk), zizk, -1))
+                t3 = mul(jk_ik, sparse_add(sparse_add(zizj, zizk), zjzk, -1))
+                rhs = sparse_add(rhs, sparse_add(sparse_add(t1, t2), t3, -1), th1 * th1 / 4)
             if lhs != rhs:
                 return ys, f"bracket yb_{i} yb_{j}"
     return ys, None
@@ -387,22 +421,20 @@ def center_check(M: DahaModule, poly):
     poly maps exponent tuples to coefficients.  Returns None when the
     evaluated matrix commutes with every generator, else the generator id.
     """
-    d = M.dim
-    acc = [[Fraction(0)] * d for _ in range(d)]
+    I = _identity(M.dim)
+    acc = [{} for _ in range(M.dim)]
     for mono, coeff in poly.items():
-        term = mat_identity(d)
+        term = I
         for t, e in enumerate(mono):
             for _ in range(e):
-                term = mat_mul(term, M.y[t])
-        for r in range(d):
-            for c in range(d):
-                acc[r][c] += rat(coeff) * term[r][c]
+                term = sparse_mul(term, M.y[t])
+        acc = sparse_add(acc, term, rat(coeff))
     gens = [(f"sigma_{k}", M.sigma[k - 1]) for k in range(1, M.params.l)]
     if M.varsigma_l is not None:
         gens.append(("zeta", M.varsigma_l))
     gens.extend((f"y_{i}", M.y[i - 1]) for i in range(1, M.params.l + 1))
     for name, g in gens:
-        if mat_mul(acc, g) != mat_mul(g, acc):
+        if sparse_mul(acc, g) != sparse_mul(g, acc):
             return name
     return None
 
@@ -426,9 +458,9 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
     d1, d2 = M1.dim, M2.dim
     inner = d1 * d2
     dim = len(reps) * inner
-    Y1 = M1.y[0]
-    Y2 = M2.y[0]
-    Z2 = M2.varsigma_l
+    Y1 = _dense(M1.y[0], d1)
+    Y2 = _dense(M2.y[0], d2)
+    Z2 = _dense(M2.varsigma_l, d2)
     zeta2 = w_zeta(2)
 
     def act_inner(mono, delta, col):
@@ -444,8 +476,8 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
             vec2 = mat_vec(Z2, vec2)
         return vec1, vec2
 
-    def gen_matrix(nf_of_gen_times):
-        out = [[Fraction(0)] * dim for _ in range(dim)]
+    def gen_rows(nf_of_gen_times):
+        out = [{} for _ in range(dim)]
         for cidx, wc in enumerate(reps):
             for (w2, mono), coeff in nf_of_gen_times(wc).items():
                 if w_apply(w2, 2) > 0:
@@ -454,24 +486,30 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
                     wtarget, delta = w_compose(w2, zeta2), 1
                 r0 = rep_index[wtarget] * inner
                 for col in range(inner):
+                    c = cidx * inner + col
                     vec1, vec2 = act_inner(mono, delta, col)
                     for a in range(d1):
                         if not vec1[a]:
                             continue
                         for b in range(d2):
                             if vec2[b]:
-                                out[r0 + a * d2 + b][cidx * inner + col] += coeff * vec1[a] * vec2[b]
+                                row = out[r0 + a * d2 + b]
+                                row[c] = row.get(c, 0) + coeff * vec1[a] * vec2[b]
         return out
 
-    sig1 = gen_matrix(lambda w: {(w_compose(w_sigma(1, 2), w), (0, 0)): Fraction(1)})
-    zet = gen_matrix(lambda w: {(w_compose(zeta2, w), (0, 0)): Fraction(1)})
-    y1 = gen_matrix(lambda w: nf.y_times_group(1, w))
-    y2 = gen_matrix(lambda w: nf.y_times_group(2, w))
+    sig1 = gen_rows(lambda w: {(w_compose(w_sigma(1, 2), w), (0, 0)): Fraction(1)})
+    zet = gen_rows(lambda w: {(w_compose(zeta2, w), (0, 0)): Fraction(1)})
+    y1 = gen_rows(lambda w: nf.y_times_group(1, w))
+    y2 = gen_rows(lambda w: nf.y_times_group(2, w))
     return DahaModule(params, dim, [sig1], zet, [y1, y2])
 
 
 # ---------------------------------------------------------------------------
 # Serialization.
+
+def _str_matrix(m, dim):
+    return [[str(x) for x in row] for row in _dense(m, dim)]
+
 
 def daha_to_json(M: DahaModule) -> dict:
     data = {
@@ -479,12 +517,12 @@ def daha_to_json(M: DahaModule) -> dict:
         "kind": M.params.kind,
         "theta1": str(M.params.theta1),
         "dim": M.dim,
-        "sigma": [[[str(x) for x in row] for row in m] for m in M.sigma],
-        "y": [[[str(x) for x in row] for row in m] for m in M.y],
+        "sigma": [_str_matrix(m, M.dim) for m in M.sigma],
+        "y": [_str_matrix(m, M.dim) for m in M.y],
     }
     if M.params.kind == "BC":
         data["theta2"] = str(M.params.theta2)
-        data["sigmaL"] = [[str(x) for x in row] for row in M.varsigma_l]
+        data["sigmaL"] = _str_matrix(M.varsigma_l, M.dim)
     return data
 
 
@@ -495,4 +533,4 @@ def daha_from_json(data: dict) -> DahaModule:
     varsig = None
     if params.kind == "BC":
         varsig = [[rat(x) for x in row] for row in data["sigmaL"]]
-    return DahaModule(params, data["dim"], sigma, varsig, ys)
+    return DahaModule(params, int(data["dim"]), sigma, varsig, ys)

@@ -119,7 +119,7 @@ def _cleared_factor(M: DahaModule, ps, k, l, chi, shift, sign=1, neg=False):
     the Kronecker product carries no Koszul sign.
     """
     n = M.dim
-    y = M.y[k - 1]
+    y = _dense(M.y[k - 1], n)
     A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
     R, d = cleared_resolvent(A)
     if neg:
@@ -270,13 +270,14 @@ def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
 
 def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
     """The operators g - epsilon on M x V^l whose images span the quotient
-    subspace, for g = sigma_i x P^(i,i+1) and g = m x v for (m, v) in extra."""
+    subspace, for g = sigma_i x P^(i,i+1) and g = m x v for (m, v) in extra,
+    m a row-sparse module operator (as M's generators) and v dense."""
     l = M.params.l
     pairs = [(M.sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
     spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
     out = []
     for m, v in pairs + list(extra):
-        op = kron_ops([(m, 0), (v, 0)], spaces)
+        op = kron_ops([(_dense(m, M.dim), 0), (v, 0)], spaces)
         for r, row in enumerate(op):
             row[r] -= epsilon
         out.append(op)
@@ -485,6 +486,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
     ys, fail = sf_presentation(M)
     if fail is not None:
         raise ParameterConstraint(f"module fails the transformed relations: {fail}")
+    ys_dense = [_dense(y, M.dim) for y in ys]
 
     nrows = product.relations[0]
 
@@ -499,7 +501,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
                 [(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces
             )
             ybox_sum = kron_sum(
-                [(1, at_slots(l + 1, {0: (ys[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
+                [(1, at_slots(l + 1, {0: (ys_dense[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
                 spaces,
             )
 

@@ -224,14 +224,6 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.is_one()
-
-    def constant_value(self) -> Rat:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-
     def __bool__(self):
         return not self.num.is_zero()
 

@@ -203,24 +203,36 @@ class TestDimensionCap:
         [
             ("drinfeld", {"m": dict(CHAR_L2, l=10**12), "ps": [1], "eps": [1]}, "daha.char_module"),
             ("appendix", {"ps": [1], "eps": [1], "l": 10**12}, "drinfeld.appendix_identities"),
+            ("daha", {"m": dict(CHAR_L2, l=10**12)}, "daha.char_module"),
         ],
-        ids=["drinfeld-char-kappa1", "appendix-kappa1"],
+        ids=["drinfeld-char-kappa1", "appendix-kappa1", "daha-char-huge-l"],
     )
-    def test_kappa_one_power_is_not_expanded(self, monkeypatch, tmp_path, pipeline, inputs, target):
-        # kappa = 1 keeps the carrier at the module's dimension for any l; the
-        # guard passes without multiplying l + 1 factors and the build is reached.
+    def test_kappa_one_power_is_not_expanded(self, monkeypatch, tmp_path, capsys, pipeline, inputs, target):
+        # kappa = 1 (or a one-dimensional module) keeps the carrier dimension
+        # at most 1 for any l; l itself is capped, so the builder is never called.
         import importlib
 
-        class Reached(Exception):
-            pass
-
-        def reached(*args):
-            raise Reached
+        def refuse(*args):
+            raise AssertionError("built although l exceeds the cap")
 
         module, name = target.split(".")
-        monkeypatch.setattr(importlib.import_module(f"tyang.{module}"), name, reached)
-        with pytest.raises(Reached):
-            _run_inputs(tmp_path, pipeline, inputs)
+        monkeypatch.setattr(importlib.import_module(f"tyang.{module}"), name, refuse)
+        path = tmp_path / "huge-l.json"
+        path.write_text(json.dumps({"name": "huge-l", "pipeline": pipeline, "inputs": inputs}))
+        assert main(["run", str(path), "--max-dim", "64"]) == 2
+        assert f"l = {10**12} exceeds the safety cap 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline, extra", [("daha", {}), ("drinfeld", {"ps": [1, -1], "eps": [1, -1]})])
+    @pytest.mark.parametrize("m", [dict(CHAR_L2, l=0), dict(PRINCIPAL_L2, l=0, **{"lambda": []})], ids=["char", "principal"])
+    def test_l_below_one_exits_2(self, tmp_path, pipeline, extra, m):
+        with pytest.raises(InputError, match="l must be at least 1"):
+            _run_inputs(tmp_path, pipeline, dict(extra, m=m))
+
+    def test_l_at_the_cap_is_accepted(self, tmp_path):
+        # The cap on l is inclusive: a one-dimensional module at l = max_dim runs.
+        assert _run_inputs(tmp_path, "daha", {"m": dict(CHAR_L2, l=8)}, max_dim=8)[1] == 0
+        with pytest.raises(InputError, match="l = 9 exceeds the safety cap 8"):
+            _run_inputs(tmp_path, "daha", {"m": dict(CHAR_L2, l=9)}, max_dim=8)
 
     def test_cap_is_the_carrier_dimension(self, tmp_path):
         # principal l = 2 has the 8 signed permutations; with V^3 at kappa = 2

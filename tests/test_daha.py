@@ -1,22 +1,30 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tyang.cli import InputError, run_scenario
 from tyang.daha import (
     DahaModule,
     DahaParams,
+    WGroup,
     char_module,
     daha_from_json,
     daha_to_json,
+    group_rows,
     induce_pair,
     principal_series,
     restrict_to_type_a,
     sf_presentation,
     verify_daha,
     center_check,
+    w_compose,
 )
+from tyang.superlinalg import _dense, sparse_mul
 
 
 def F(a, b=1):
@@ -27,13 +35,13 @@ class TestCharModules:
     def test_one_letter_value(self):
         p = DahaParams(1, 1, 2)
         c = char_module(p, 1, 1)
-        assert c.y[0][0][0] == F(1)  # theta2/2
+        assert _dense(c.y[0], 1) == [[F(1)]]  # theta2/2
         assert verify_daha(c) is None
 
     def test_two_letter_values(self):
         p = DahaParams(2, 1, 2)
-        assert [m[0][0] for m in char_module(p, 1, 1).y] == [F(2), F(1)]
-        assert [m[0][0] for m in char_module(p, -1, 1).y] == [F(0), F(1)]
+        assert [_dense(m, 1)[0][0] for m in char_module(p, 1, 1).y] == [F(2), F(1)]
+        assert [_dense(m, 1)[0][0] for m in char_module(p, -1, 1).y] == [F(0), F(1)]
 
     def test_all_sign_pairs_verify(self):
         for l in (1, 2, 3):
@@ -50,8 +58,8 @@ class TestCharModules:
             for ss, sz in itertools.product([1, -1], repeat=2):
                 c = char_module(p, ss, sz)
                 assert verify_daha(c) is None
-                assert c.y[1][0][0] == sz * th2 / 2
-                assert c.y[0][0][0] == sz * th2 / 2 + ss * th1
+                assert _dense(c.y[1], 1)[0][0] == sz * th2 / 2
+                assert _dense(c.y[0], 1)[0][0] == sz * th2 / 2 + ss * th1
 
 
 class TestPrincipalSeries:
@@ -59,7 +67,7 @@ class TestPrincipalSeries:
         p = DahaParams(1, 1, 2)
         M = principal_series(p, [F(3)])
         assert M.dim == 2
-        assert M.y[0] == [[F(3), F(2)], [F(0), F(-3)]]
+        assert _dense(M.y[0], 2) == [[F(3), F(2)], [F(0), F(-3)]]
         assert verify_daha(M) is None
 
     def test_two_letter_dim_and_relations(self):
@@ -77,7 +85,7 @@ class TestPrincipalSeries:
     def test_corrupted_module_detected(self):
         p = DahaParams(2, 1, 2)
         M = principal_series(p, [F(3), F(1)])
-        bad = [[x + (1 if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(M.y[1])]
+        bad = [[x + (1 if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(_dense(M.y[1], M.dim))]
         broken = DahaModule(p, M.dim, M.sigma, M.varsigma_l, [M.y[0], bad])
         assert verify_daha(broken) is not None
 
@@ -95,7 +103,7 @@ class TestSfPresentation:
         c = char_module(p, 1, 1)
         ys, fail = sf_presentation(c)
         assert fail is None
-        assert ys[0] == [[F(0)]]
+        assert _dense(ys[0], 1) == [[F(0)]]
 
     def test_principal_series_relations(self):
         p = DahaParams(2, 1, 2)
@@ -113,9 +121,9 @@ class TestSfPresentation:
             M = build()
             ys, fail = sf_presentation(M)
             assert fail is None
-            z = M.varsigma_l
-            lhs = mat_mul(z, ys[-1])
-            rhs = mat_mul(ys[-1], z)
+            z = _dense(M.varsigma_l, M.dim)
+            lhs = mat_mul(z, _dense(ys[-1], M.dim))
+            rhs = mat_mul(_dense(ys[-1], M.dim), z)
             assert all(
                 a + b == 0 for r1, r2 in zip(lhs, rhs) for a, b in zip(r1, r2)
             )
@@ -166,3 +174,190 @@ class TestSerialization:
         assert back.sigma == M.sigma
         assert back.varsigma_l == M.varsigma_l
         assert back.y == M.y
+
+
+# A daha-json module: the pair induced from y = 5 on a type-A letter and the
+# trivial character of a flip letter, theta1 = 1 and theta2 = 2.
+INDUCED_JSON = {
+    "l": 2, "kind": "BC", "theta1": "1", "theta2": "2", "dim": 4,
+    "sigma": [[["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]]],
+    "sigmaL": [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"]],
+    "y": [
+        [["5", "1", "1", "2"], ["0", "1", "0", "1"], ["0", "0", "1", "1"], ["0", "0", "0", "-5"]],
+        [["1", "-1", "1", "0"], ["0", "5", "2", "1"], ["0", "0", "-5", "-1"], ["0", "0", "0", "1"]],
+    ],
+}
+
+
+def _principal_l3_json():
+    return daha_to_json(principal_series(DahaParams(3, 1, 2), [F(3), F(1), F(-2)]))
+
+
+def _swap_sigma_rows(k, a, b):
+    def perturb(data):
+        s = data["sigma"][k - 1]
+        s[a], s[b] = s[b], s[a]
+    return perturb
+
+
+def _flip_zeta(r):
+    """Negate the one nonzero entry of row r of zeta."""
+    def perturb(data):
+        row = data["sigmaL"][r]
+        c = next(c for c, x in enumerate(row) if Fraction(x))
+        row[c] = str(-Fraction(row[c]))
+    return perturb
+
+
+def _bump_y(i, r, c):
+    def perturb(data):
+        data["y"][i - 1][r][c] = str(Fraction(data["y"][i - 1][r][c]) + 1)
+    return perturb
+
+
+def _shift_y(i):
+    """Add the identity to y_i."""
+    def perturb(data):
+        for r in range(data["dim"]):
+            data["y"][i - 1][r][r] = str(Fraction(data["y"][i - 1][r][r]) + 1)
+    return perturb
+
+
+def _set_theta2(data):
+    data["theta2"] = "3"
+
+
+class TestNegativeControls:
+    """One perturbed generator entry (or parameter) per module.  The pinned
+    (verify_daha, sf_presentation) ids are the ones the dense Fraction
+    implementation returned on the same inputs."""
+
+    @pytest.mark.parametrize(
+        "module, perturb, want",
+        [
+            (_principal_l3_json, _swap_sigma_rows(1, 0, 1), ("sigma_1 y_1", "sigma_1 yb_1")),
+            (_principal_l3_json, _swap_sigma_rows(2, 0, 1), ("sigma_2^2", "sigma_2 yb_2")),
+            (_principal_l3_json, _flip_zeta(0), ("zeta^2", "sigma_1 yb_1")),
+            (_principal_l3_json, _bump_y(3, 0, 0), ("sigma_1 y_3", "sigma_1 yb_3")),
+            (_principal_l3_json, _shift_y(3), ("sigma_2 y_2", "sigma_2 yb_2")),
+            (_principal_l3_json, _set_theta2, ("zeta y_l", "zeta yb_l")),
+            (lambda: INDUCED_JSON, _swap_sigma_rows(1, 0, 1), ("sigma_1 y_1", "sigma_1 yb_1")),
+            (lambda: INDUCED_JSON, _flip_zeta(0), ("zeta braid", "zeta yb_l")),
+            (lambda: INDUCED_JSON, _flip_zeta(1), ("zeta^2", "zeta yb_l")),
+            (lambda: INDUCED_JSON, _bump_y(2, 0, 0), ("sigma_1 y_1", "sigma_1 yb_1")),
+            (lambda: INDUCED_JSON, _set_theta2, ("zeta y_l", "zeta yb_l")),
+        ],
+        ids=[
+            "principal-swap-sigma1", "principal-swap-sigma2", "principal-flip-zeta", "principal-bump-y3",
+            "principal-shift-y3", "principal-theta2", "json-swap-sigma1", "json-flip-zeta-fixed",
+            "json-flip-zeta-moved", "json-bump-y2", "json-theta2",
+        ],
+    )
+    def test_perturbed_module(self, module, perturb, want):
+        data = copy.deepcopy(module())
+        perturb(data)
+        M = daha_from_json(data)
+        assert (verify_daha(M), sf_presentation(M)[1]) == want
+
+    def test_noncommuting_y_family(self):
+        # Type A, l = 2: y_2 = sigma y_1 sigma - theta1 sigma satisfies both
+        # sigma-y relations for any y_1, and this y_1 does not commute with it.
+        data = {"l": 2, "kind": "A", "theta1": "1", "dim": 2,
+                "sigma": [[["0", "1"], ["1", "0"]]],
+                "y": [[["1", "2"], ["0", "3"]], [["3", "-1"], ["1", "1"]]]}
+        assert verify_daha(daha_from_json(data)) == "y_1 y_2"
+
+    def test_unknown_kind_is_refused(self, tmp_path):
+        # A misspelt kind would otherwise pass as type A, skipping every
+        # relation of the flip; here zeta is broken ("zeta braid" as BC).
+        import json
+
+        data = copy.deepcopy(INDUCED_JSON)
+        _flip_zeta(0)(data)
+        data["kind"] = "bc"
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps({"name": "kind", "pipeline": "daha",
+                                    "inputs": {"m": {"type": "daha-json", "data": data}}}))
+        with pytest.raises(InputError, match="unknown Hecke algebra kind 'bc'"):
+            run_scenario(str(path))
+
+    def test_unperturbed_modules_pass(self):
+        for data in (_principal_l3_json(), INDUCED_JSON):
+            M = daha_from_json(copy.deepcopy(data))
+            assert verify_daha(M) is None
+            assert sf_presentation(M)[1] is None
+
+    def test_induced_json_matches_induce_pair(self):
+        m1 = DahaModule(DahaParams(1, 1, kind="A"), 1, [], None, [[[F(5)]]])
+        m2 = char_module(DahaParams(1, 1, 2), 1, 1)
+        assert daha_to_json(induce_pair(m1, m2, DahaParams(2, 1, 2))) == INDUCED_JSON
+
+    def test_report_names_the_relation(self, tmp_path):
+        import json
+
+        data = copy.deepcopy(INDUCED_JSON)
+        _flip_zeta(0)(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "pipeline": "daha",
+                                    "inputs": {"m": {"type": "daha-json", "data": data}}}))
+        report, code = run_scenario(str(path))
+        assert code == 1
+        witnesses = {c["id"]: c.get("witness") for c in report["checks"]}
+        assert witnesses == {"relations": {"relation": "zeta braid"},
+                             "transformed-presentation": {"relation": "zeta yb_l"}}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 3), ("y", [INDUCED_JSON["y"][0]]), ("sigmaL", INDUCED_JSON["sigmaL"][:3])],
+        ids=["dim", "y-count", "zeta-rows"],
+    )
+    def test_malformed_shapes_are_refused(self, field, value):
+        data = copy.deepcopy(INDUCED_JSON)
+        data[field] = value
+        with pytest.raises(ValueError):
+            daha_from_json(data)
+
+
+_GROUPS = {}
+
+
+def _group(l):
+    if l not in _GROUPS:
+        _GROUPS[l] = WGroup(l)
+    return _GROUPS[l]
+
+
+def _signed_perm_rows(w):
+    """The l x l matrix of w, e_i -> sign(w(i)) e_|w(i)|, row-sparse."""
+    out = [None] * len(w)
+    for i, wi in enumerate(w):
+        out[abs(wi) - 1] = {i: F(1 if wi > 0 else -1)}
+    return out
+
+
+class TestSignedPermutationProducts:
+    """Row-sparse products of the matrices of v and w are the matrix of
+    w_compose(v, w), for the natural l x l matrices and for the left
+    regular ones that the principal series is built from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_natural_matrices_compose(self, data):
+        G = _group(data.draw(st.integers(1, 4)))
+        v, w = data.draw(st.sampled_from(G.elements)), data.draw(st.sampled_from(G.elements))
+        assert sparse_mul(_signed_perm_rows(v), _signed_perm_rows(w)) == _signed_perm_rows(w_compose(v, w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_regular_matrices_compose(self, data):
+        G = _group(data.draw(st.integers(1, 4)))
+        v, w = data.draw(st.sampled_from(G.elements)), data.draw(st.sampled_from(G.elements))
+        assert sparse_mul(group_rows(G, v), group_rows(G, w)) == group_rows(G, w_compose(v, w))
+
+    def test_principal_generators_are_regular_matrices(self):
+        from tyang.daha import w_sigma, w_zeta
+
+        M = principal_series(DahaParams(3, 1, 2), [F(3), F(1), F(-2)])
+        G = _group(3)
+        assert M.sigma == [group_rows(G, w_sigma(k, 3)) for k in (1, 2)]
+        assert M.varsigma_l == group_rows(G, w_zeta(3))

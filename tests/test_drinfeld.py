@@ -21,6 +21,7 @@ from tyang.drinfeld import (
 from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
+    _dense,
     kron_ops,
     mat_identity,
     mat_mul,
@@ -350,8 +351,8 @@ def _reference_factor(M, ps, k, l, chi, shift, sign=1):
     """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) as a dense RFMatrix,
     built through rfmat_inverse and kron_ops: the factor the series product
     was assembled from before it was cleared."""
-    y = M.y[k - 1]
     n = M.dim
+    y = _dense(M.y[k - 1], n)
     lin = [
         [RatFun(Poly([shift - chi * y[r][c], 1]) if r == c else Poly([-chi * y[r][c]])) for c in range(n)]
         for r in range(n)
