@@ -9,25 +9,35 @@ of every workload runs once, in this one interpreter, through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
 the tyang package imported from SRC (default: this checkout's src).  The
 record stored under NAME in the output file holds the kernel backend,
-seconds per scenario and per workload, the SHA-256 of every report, and,
-for the daha-principal scenarios, the seconds spent inside verify_daha,
-sf_presentation and center_check, timed by wrappers this script puts
-around them.  Records under other names
+seconds per scenario and per workload, the SHA-256 of every report, and
+the seconds spent inside the layers of LAYERS, timed by wrappers this
+script puts around them: verify_daha, sf_presentation and center_check in
+the daha-principal scenarios, and the series product, the quotient module
+and the expansion in the drinfeld scenarios.  Last, the record holds the
+wall seconds and summary line of the Tier-1 suite of the checkout that
+holds SRC (``python -m pytest -q --continue-on-collection-errors`` in
+SRC's parent, pure backend).  Records under other names
 already in the file are kept, so one file can hold the same benchmark run
 on two checkouts (say, a change and its parent).
 """
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-HECKE_CHECKS = ("verify_daha", "sf_presentation", "center_check")
+# record key -> (scenario-name marker, tyang module, functions timed inside it)
+LAYERS = {
+    "hecke_s": ("daha-principal", "daha", ("verify_daha", "sf_presentation", "center_check")),
+    "drinfeld_s": ("drinfeld", "drinfeld", ("_cleared_product", "_quotient_module", "_expansion")),
+}
 SEED = 101
 
 
@@ -46,25 +56,39 @@ def _timed(module, name, sink):
 
 
 def run_pass(cli, scenarios, workload, work, layers):
-    """One pass over a workload: {name: record}, with the Hecke check
-    seconds in the records of the daha-principal scenarios."""
+    """One pass over a workload: {name: record}, with the seconds of the
+    timed functions of LAYERS in the records of the scenarios they mark."""
     out = {}
     for sc in scenarios.generate(workload, SEED):
         path = os.path.join(work, sc["name"] + ".json")
         report = os.path.join(work, sc["name"] + ".report.json")
         with open(path, "wb") as fh:
             fh.write(scenarios.scenario_bytes(sc))
-        for key in layers:
-            layers[key] = 0.0
+        for sink in layers.values():
+            for name in sink:
+                sink[name] = 0.0
         t0 = time.perf_counter()
         cli.main(["run", path, "--out", report, "--max-dim", str(scenarios.MAX_DIM)])
         rec = {"s": round(time.perf_counter() - t0, 4)}
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        if "daha-principal" in sc["name"]:
-            rec["hecke_s"] = {key: round(s, 4) for key, s in layers.items()}
+        for key, (marker, _module, _names) in LAYERS.items():
+            if marker in sc["name"]:
+                rec[key] = {name: round(s, 4) for name, s in layers[key].items()}
         out[sc["name"]] = rec
     return out
+
+
+def run_tier1(src):
+    """Wall seconds and summary line of the Tier-1 suite of the checkout
+    holding src, on the pure backend."""
+    env = dict(os.environ, PYTHONPATH=src, TYANG_PURE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=os.path.dirname(src), env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"s": round(seconds, 1), "summary": lines[-1] if lines else "", "returncode": proc.returncode}
 
 
 def main():
@@ -74,15 +98,18 @@ def main():
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the tyang package")
     args = ap.parse_args()
 
-    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
+    src = os.path.abspath(args.src)
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import scenarios
     import tyang._kernel
     import tyang.cli
-    import tyang.daha
 
-    layers = dict.fromkeys(HECKE_CHECKS, 0.0)
-    for name in HECKE_CHECKS:
-        _timed(tyang.daha, name, layers)
+    layers = {}
+    for key, (_marker, module, names) in LAYERS.items():
+        mod = importlib.import_module("tyang." + module)
+        layers[key] = dict.fromkeys(names, 0.0)
+        for name in names:
+            _timed(mod, name, layers[key])
 
     workloads = {}
     with tempfile.TemporaryDirectory() as work:
@@ -93,22 +120,25 @@ def main():
                 "scenarios": per_scenario,
             }
 
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    data.setdefault("runs", {})[args.label] = {
+    record = {
         "python": platform.python_version(),
         "backend": tyang._kernel.BACKEND,
         "nproc": os.cpu_count(),
         "seed": SEED,
         "workloads": workloads,
+        "tier1": run_tier1(src),
     }
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    data.setdefault("runs", {})[args.label] = record
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for workload, rec in workloads.items():
         print(f"{args.label} {workload}: {rec['s']:.3f} s")
+    print(f"{args.label} tier1: {record['tier1']['s']:.1f} s, {record['tier1']['summary']}")
 
 
 if __name__ == "__main__":

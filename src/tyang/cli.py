@@ -16,7 +16,7 @@ from tyang import daha as daha_mod
 from tyang import drinfeld as drinfeld_mod
 from tyang import twisted as twisted_mod
 from tyang import yangian as yangian_mod
-from tyang.exactalg import Poly, RatFun, rat
+from tyang.exactalg import Poly, RatFun, RootSearchBound, rat
 from tyang.glmn import ParitySeq, gl_from_json, make_Lab, make_vector_rep
 from tyang.superlinalg import Grid2Witness
 
@@ -393,7 +393,10 @@ def run_scenario(path, only=None, max_dim=64, timings=False):
     if func is None:
         raise InputError(f"unknown pipeline {pipeline!r}")
     t0 = time.monotonic()
-    checks = func(scenario["inputs"], max_dim)
+    try:
+        checks = func(scenario["inputs"], max_dim)
+    except RootSearchBound as e:
+        raise InputError(str(e)) from e
     elapsed = time.monotonic() - t0
     if only is not None:
         checks = [c for c in checks if c["id"] == only]

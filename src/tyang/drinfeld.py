@@ -3,16 +3,20 @@
 The carrier is M x V^l; the series action is a product of resolvent factors
 1 + (u - shift - chi y_k)^{-1} Q^(k), twisted in the reflection case by the
 diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
-is built cleared, as (d_k 1 + K_k) / d_k with K_k row-sparse over Poly and
-d_k a scalar polynomial, and the product is kept as N / den without any
-reduction: the quotient subspace is certified on the power-of-u
-coefficients of N, the series expansion is read off N / den, and only the
-entries of the induced quotient action become reduced RatFuns.  The functor
-output lives on the quotient by the sign-isotypic images of the reflections,
-with explicit projection and section fixed by pivot order.
+is built cleared over Z[u], as (d_k 1 + K_k) / d_k with d_k a scalar
+polynomial and K_k row-sparse, both held as integer coefficient tuples
+(scaled by the lcm of their coefficient denominators), and the product is
+kept as N / den without any reduction: the quotient subspace is certified
+on the power-of-u coefficients of N, the series expansion is read off
+N / den, and only the entries of the induced quotient action become
+reduced RatFuns.  The functor output lives on the quotient by the
+sign-isotypic images of the reflections, with explicit projection and
+section fixed by pivot order.
 """
 
+import operator
 from fractions import Fraction
+from math import lcm
 
 from tyang.exactalg import Poly, RatFun, rat
 from tyang.daha import DahaModule, sf_presentation
@@ -106,62 +110,120 @@ def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
     return tensor_space([SuperSpace([0] * M.dim)] + [ps.space()] * M.params.l)
 
 
-def _neg_u(p: Poly) -> Poly:
-    """p(-u)."""
-    return Poly([-c if t % 2 else c for t, c in enumerate(p.coeffs)])
+def _neg_u(p):
+    """p(-u) on an integer coefficient tuple."""
+    return tuple(-c if t % 2 else c for t, c in enumerate(p))
 
 
-def _cleared_factor(M: DahaModule, ps, k, l, chi, shift, sign=1, neg=False):
+def _zneg(p):
+    """-p on an integer coefficient tuple."""
+    return tuple(-c for c in p)
+
+
+def _zmul(a, b):
+    """The product of two integer coefficient tuples (entry t is the
+    coefficient of u^t, no trailing zeros): their convolution."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _zadd(a, b):
+    """a + b on integer coefficient tuples, trailing zeros trimmed, so a sum
+    that cancels is () and == is equality of polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for t, y in enumerate(b):
+        out[t] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) on M x V^l x V, as a
     step (d, K) of _cleared_product: the factor is (d 1 + K) / d with d the
-    resolvent's common_den and K = sign * (d resolvent) x Q^(k) row-sparse
-    over Poly.  neg substitutes u -> -u.  Both tensor factors are even, so
-    the Kronecker product carries no Koszul sign.
+    resolvent's common_den and K = sign * (d resolvent) x Q^(k), both scaled
+    by the lcm s of their coefficient denominators, which leaves the factor
+    unchanged.  d is an integer coefficient tuple and K is row-sparse over
+    such tuples.  Q is Q^(k) as integer row-sparse rows (_int_q_rows).  neg
+    substitutes u -> -u.  Both tensor factors are even, so the Kronecker
+    product carries no Koszul sign.
     """
     n = M.dim
     y = _dense(M.y[k - 1], n)
     A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
     R, d = cleared_resolvent(A)
-    if neg:
-        R = [[_neg_u(p) for p in row] for row in R]
-        d = _neg_u(d)
-    Q = _q_rows(ps, k, l)
+    s = lcm(*(c.denominator for p in [d, *(p for row in R for p in row)] for c in p.coeffs))
+
+    def ints(p):
+        p = tuple(c.numerator * (s // c.denominator) for c in p.coeffs)
+        return _neg_u(p) if neg else p
+
+    d = ints(d)
+    R = [[ints(p) for p in row] for row in R]
     width = len(Q)
     K = []
     for Ra in R:
-        blocks = [(b * width, x if sign == 1 else -x) for b, x in enumerate(Ra) if x]
+        blocks = [(b * width, x if sign == 1 else _zneg(x)) for b, x in enumerate(Ra) if x]
         for Qr in Q:
-            K.append({base + c: x * q for base, x in blocks for c, q in Qr.items()})
+            K.append({
+                base + c: x if q == 1 else tuple(q * a for a in x)
+                for base, x in blocks for c, q in Qr.items()
+            })
     return d, K
+
+
+def _int_q_rows(ps: ParitySeq, l: int):
+    """Q^(1), ..., Q^(l) as integer row-sparse rows."""
+    return [int_rows(_q_rows(ps, k, l)) for k in range(1, l + 1)]
 
 
 def _g_step(ctx: TwistedContext, dim):
     """1 x (G + gamma/u) on M x V^l x V as a step (d, K) of _cleared_product:
-    (u G + gamma) / u, or G / 1 when ctx carries no gamma."""
+    (u G + gamma) / u scaled by the denominator s of gamma, so d = s u, or
+    G / 1 when ctx carries no gamma; K = d (G - 1) + s gamma is diagonal."""
     kk = ctx.kappa
     if ctx.gamma is None:
-        d = Poly.one()
-        diag = [Poly([ctx.eps_sign(a) - 1]) for a in range(1, kk + 1)]
+        s, d, head = 1, (1,), ()
     else:
-        d = Poly.x()
-        diag = [Poly([ctx.gamma, ctx.eps_sign(a) - 1]) for a in range(1, kk + 1)]
+        g = rat(ctx.gamma)
+        s, d, head = g.denominator, (0, g.denominator), (g.numerator,)
+    signs = [ctx.eps_sign(a) for a in range(1, kk + 1)]
+    diag = [head + ((e - 1) * s,) if e != 1 else head for e in signs]
     return d, [{r: diag[r % kk]} if diag[r % kk] else {} for r in range(dim)]
 
 
 def _cleared_product(steps, dim):
     """The product of the factors (d 1 + K) / d over the steps (d, K), in
-    order, as (N, den): N row-sparse over Poly and den = prod d.
+    order, as (N, den) over Z[u]: N row-sparse over integer coefficient
+    tuples and den = prod d.
 
-    Each step is N <- d N + N K, so no gcd is ever taken; N / den is the
-    product as a matrix over the function field.
+    Each step is N <- d N + N K, so no gcd is taken and every coefficient
+    stays a Python int; N / den is the product as a matrix over the
+    function field.  Entries
+    that cancel are dropped, so == on two results is matrix equality.
     """
-    one = Poly.one()
-    N = [{r: one} for r in range(dim)]
-    den = one
+    N = [{r: (1,)} for r in range(dim)]
+    den = (1,)
     for d, K in steps:
-        NK = sparse_mul(N, K)
-        N = sparse_add(N if d.is_one() else sparse_scale(N, d), NK)
-        den = den * d
+        out = []
+        for Nr in N:
+            row = dict(Nr) if d == (1,) else {c: _zmul(d, x) for c, x in Nr.items()}
+            for k, a in Nr.items():
+                for j, b in K[k].items():
+                    t = _zmul(a, b)
+                    prev = row.get(j)
+                    row[j] = t if prev is None else _zadd(prev, t)
+            out.append({j: x for j, x in row.items() if x})
+        N = out
+        den = _zmul(den, d)
     return N, den
 
 
@@ -200,22 +262,25 @@ def _check_invariant(blocks, basis, prows):
     """The first key, in sorted order, whose block does not map the span of
     the constant basis into itself over the function field; None if none.
 
-    A block N(u) = sum_t N_t u^t (row-sparse over Poly) preserves the span
-    exactly when proj N_t v = 0 for every power-of-u coefficient N_t and
-    basis vector v, where proj (given by its sparse rows prows) is the
-    quotient projection, whose kernel is the span.  The products run in
-    exact Fraction arithmetic, on all the N_t at once.
+    A block N(u) = sum_t N_t u^t (row-sparse over integer coefficient
+    tuples, entry t that of u^t) preserves the span exactly when
+    proj N_t v = 0 for every power-of-u coefficient N_t and basis vector v,
+    where proj (given by its sparse rows prows) is the quotient projection,
+    whose kernel is the span.  Each v and each row of proj is scaled to
+    integers first (a nonzero scale does not change which products
+    vanish), so the products run in Python ints, on all the N_t at once.
     """
+    prows = [_int_pairs(prow) for prow in prows]
+    vecs = [_int_pairs([(c, x) for c, x in enumerate(v) if x]) for v in basis]
     for key in sorted(blocks):
         block = blocks[key]
-        for v in basis:
-            nz = [(c, x) for c, x in enumerate(v) if x]
+        for nz in vecs:
             w = []
             for row in block:
                 acc = []
                 for c, x in nz:
                     if c in row:
-                        _add_scaled(acc, row[c].coeffs, x)
+                        _add_scaled(acc, row[c], x)
                 w.append(acc)
             for prow in prows:
                 out = []
@@ -224,6 +289,12 @@ def _check_invariant(blocks, basis, prows):
                 if any(out):
                     return key
     return None
+
+
+def _int_pairs(pairs):
+    """(index, Fraction) pairs times the lcm of their denominators, as ints."""
+    s = lcm(*(x.denominator for _, x in pairs))
+    return [(c, x.numerator * (s // x.denominator)) for c, x in pairs]
 
 
 def _add_scaled(acc, coeffs, x):
@@ -236,8 +307,9 @@ def _add_scaled(acc, coeffs, x):
 
 def _quotient_block(block, prows, free, den, qspace):
     """P N S / den on the quotient, for the projection P (sparse rows prows)
-    and the section S that keeps the free columns; one reduced RatFun per
-    nonzero entry."""
+    and the section S that keeps the free columns; den is a Poly.  One
+    reduced RatFun per nonzero entry, so the common scale of N and den
+    cancels."""
     zero = RatFun.zero()
     col = {f: b for b, f in enumerate(free)}
     out = []
@@ -247,11 +319,10 @@ def _quotient_block(block, prows, free, den, qspace):
             for c, p in block[q].items():
                 b = col.get(c)
                 if b is not None:
-                    t = p if x == 1 else p * x
-                    prev = acc.get(b)
-                    acc[b] = t if prev is None else prev + t
+                    _add_scaled(acc.setdefault(b, []), p, x)
         row = [zero] * len(free)
-        for b, p in acc.items():
+        for b, cs in acc.items():
+            p = Poly(cs)
             if p:
                 row[b] = RatFun(p, den)
         out.append(row)
@@ -262,7 +333,7 @@ def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
     """The series entries x_ij of the operator N on carrier x V, row-sparse."""
     kk = ps.kappa
     return {
-        (i, j): _aux_entry(N, ps, i, j, carrier.parities)
+        (i, j): _aux_entry(N, ps, i, j, carrier.parities, _zneg)
         for i in range(1, kk + 1)
         for j in range(1, kk + 1)
     }
@@ -305,6 +376,7 @@ def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> D
     if not free:
         return DrinfeldModule(None, carrier, proj, sect, nrows)
     qspace = SuperSpace([carrier.parities[f] for f in free])
+    den = Poly(den)
     qgrids = {key: _quotient_block(block, prows, free, den, qspace) for key, block in blocks.items()}
     return DrinfeldModule(family(head, qspace, qgrids, ("drinfeld",)), carrier, proj, sect, nrows)
 
@@ -323,7 +395,7 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     l = M.params.l
-    steps = [_cleared_factor(M, ps, k, l, chi, c) for k in range(1, l + 1)]
+    steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, l), 1)]
     N, den = _cleared_product(steps, M.dim * ps.kappa ** (l + 1))
     carrier = _carrier(M, ps)
     relations = _column_span_rref(_sign_relations(M, ps, epsilon))
@@ -334,10 +406,11 @@ class ReflectionProduct:
     """T_1(u)...T_l(u) (1 x (G + gamma/u)) S_l(-u)...S_1(-u) on M x V^l x V.
 
     It is held cleared, for the resolved chi and gamma, as its series
-    entries blocks / den on the carrier M x V^l (see _cleared_product and
-    _series_blocks); ctx carries gamma (unset when it is 0).  relations is
-    the RREF (nrows, pivots) of the sign relations of the double quotient,
-    which do not depend on chi and gamma.
+    entries blocks / den on the carrier M x V^l, over integer coefficient
+    tuples (see _cleared_product and _series_blocks); ctx carries gamma
+    (unset when it is 0).  relations is the RREF (nrows, pivots) of the
+    sign relations of the double quotient, which do not depend on chi and
+    gamma.
     """
 
     __slots__ = ("M", "ps", "epsilon", "chi", "gamma", "ctx", "blocks", "den", "relations")
@@ -369,10 +442,11 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     l = M.params.l
     jay = ps.jay
     dim = M.dim * ps.kappa ** (l + 1)
-    steps = [_cleared_factor(M, ps, k, l, chi, -jay) for k in range(1, l + 1)]
+    Qs = _int_q_rows(ps, l)
+    steps = [_cleared_factor(M, Qs[k - 1], k, chi, -jay) for k in range(1, l + 1)]
     steps.append(_g_step(ctx, dim))
     # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
-    steps += [_cleared_factor(M, ps, k, l, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
+    steps += [_cleared_factor(M, Qs[k - 1], k, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
     N, den = _cleared_product(steps, dim)
     g_last = _g_at_slot(ps, ctx, l, l)
     relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
@@ -424,15 +498,16 @@ def _g_at_slot(ps, ctx, slot, l):
 
 
 def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
-    """T_k(u) S_k(u) = 1 for every k, checked cleared as N_T N_S = d_T d_S 1;
+    """T_k(u) S_k(u) = 1 for every k, checked cleared over Z[u] as
+    N_T N_S = d_T d_S 1, both sides over the same scale of the two steps;
     None on pass, else the failing k."""
     th1 = M.params.theta1
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     jay = ps.jay
     l = M.params.l
     dim = M.dim * ps.kappa ** (l + 1)
-    for k in range(1, l + 1):
-        steps = [_cleared_factor(M, ps, k, l, chi, -jay), _cleared_factor(M, ps, k, l, chi, jay, sign=-1)]
+    for k, Q in enumerate(_int_q_rows(ps, l), 1):
+        steps = [_cleared_factor(M, Q, k, chi, -jay), _cleared_factor(M, Q, k, chi, jay, sign=-1)]
         N, den = _cleared_product(steps, dim)
         if N != [{r: den} for r in range(dim)]:
             return k
@@ -442,21 +517,25 @@ def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
 def _expansion(block, den, order):
     """The coefficients of u^0, ..., u^-order in the expansion at infinity
     of block / den, as dense Fraction matrices, read off the cleared
-    entries without reducing them.  Raises ValueError when an entry has
-    no expansion (numerator degree above that of den)."""
-    D = den.degree
-    b = [den.coeffs[D - r] if r <= D else Fraction(0) for r in range(order + 1)]
+    integer entries without reducing them (a common scale of block and den
+    cancels in every coefficient).  Raises ValueError when an entry has no
+    expansion (numerator degree above that of den)."""
+    D = len(den) - 1
+    b = [den[D - r] if r <= D else 0 for r in range(order + 1)]
+    # The coefficient of u^-r is e_r / b_0^(r+1), with e_r an integer:
+    # e_r = a_r b_0^r - sum_{s=1..r} b_s e_(r-s) b_0^(s-1).
+    pw = [b[0] ** r for r in range(order + 2)]
     zero = Fraction(0)
     out = [[[zero] * len(block) for _ in block] for _ in range(order + 1)]
     for q, row in enumerate(block):
         for c, p in row.items():
-            if p.degree > D:
+            if len(p) - 1 > D:
                 raise ValueError("no expansion at infinity: numerator degree too large")
-            cs = []
+            es = []
             for r in range(order + 1):
-                a = p.coeffs[D - r] if 0 <= D - r <= p.degree else zero
-                cs.append((a - sum(b[s] * cs[r - s] for s in range(1, r + 1))) / b[0])
-                out[r][q][c] = cs[r]
+                a = p[D - r] if 0 <= D - r < len(p) else 0
+                es.append(a * pw[r] - sum(b[s] * es[r - s] * pw[s - 1] for s in range(1, r + 1)))
+                out[r][q][c] = Fraction(es[r], pw[r + 1])
     return out
 
 
@@ -608,21 +687,23 @@ def _signs(A):
     return [r.get(i, 0) for i, r in enumerate(rows)]
 
 
-def _aux_entry(F, ps: ParitySeq, i, j, pars):
+def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):
     """Standard (i, j) entry of a row-sparse operator on W x V, as a
     row-sparse matrix on W, whose basis parities are pars (the inverse of
-    realize_full, with the same block signs as yangian.extract_grid)."""
+    realize_full, with the same block signs as yangian.extract_grid).  A
+    sign is applied entrywise through neg, the negation of F's entries."""
     kk = ps.kappa
     pi, pj = ps.parity(i), ps.parity(j)
-    bs = -1 if (pi * pj + pj) % 2 else 1
-    pij = (pi + pj) % 2
+    # Negate by the block sign (-1)^(pi pj + pj), and once more on an odd
+    # basis vector of W when the entry is odd (pi + pj): flip[parity].
+    flip = [(pi * pj + pj) % 2 == 1, (pi * pj + pi) % 2 == 1]
     out = []
     for q in range(len(pars)):
         row = {}
         for c, v in F[q * kk + (i - 1)].items():
             p, jc = divmod(c, kk)
             if jc == j - 1:
-                row[p] = -bs * v if (pij and pars[p]) else bs * v
+                row[p] = neg(v) if flip[pars[p]] else v
         out.append(row)
     return out
 

@@ -334,6 +334,15 @@ def rf_equal(f: RatFun, g: RatFun) -> bool:
     return f.num * g.den == g.num * f.den
 
 
+# rational_roots refuses a trailing or leading integer coefficient above
+# this bound, so its trial division runs at most 10^6 steps per coefficient.
+ROOT_SEARCH_BOUND = 10**12
+
+
+class RootSearchBound(ValueError):
+    """A rational root search would divide past ROOT_SEARCH_BOUND."""
+
+
 def _divisors(n: int):
     n = abs(n)
     small, large = [], []
@@ -351,9 +360,11 @@ def rational_roots(p: Poly):
     """All rational roots with multiplicities, plus the root-free cofactor.
 
     Roots are found by scanning divisors of the trailing and leading integer
-    coefficients and deflating; the returned cofactor has no rational roots
-    and the product of the linear factors times the cofactor equals p up to
-    the (preserved) leading coefficient.
+    coefficients and deflating; a coefficient above ROOT_SEARCH_BOUND in
+    absolute value raises RootSearchBound before any trial division.  The
+    returned cofactor has no rational roots and the product of the linear
+    factors times the cofactor equals p up to the (preserved) leading
+    coefficient.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -372,6 +383,12 @@ def rational_roots(p: Poly):
             den = den * c.denominator // gcd(den, c.denominator)
         ints = [int(c * den) for c in work.coeffs]
         a0, ad = ints[0], ints[-1]
+        for a in (a0, ad):
+            if abs(a) > ROOT_SEARCH_BOUND:
+                raise RootSearchBound(
+                    f"rational root search refuses the integer coefficient {a}: "
+                    f"its absolute value exceeds the bound 10^12"
+                )
         candidates = set()
         for pnum in _divisors(a0):
             for qden in _divisors(ad):

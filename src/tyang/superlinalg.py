@@ -134,8 +134,7 @@ def int_rows(A):
 
 
 def sparse_mul(A, B):
-    """The product of row-sparse matrices.  Entries may be ints, Fractions
-    or Polys: a sum starts from its first term, never from 0."""
+    """The product of row-sparse matrices of ints or Fractions."""
     out = []
     for Ai in A:
         row = {}

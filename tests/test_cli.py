@@ -161,6 +161,28 @@ class TestMainEntry:
         assert "classify" in proc.stdout
 
 
+class TestRootSearchBound:
+    def test_huge_coefficient_exits_2_quickly(self, tmp_path):
+        # a = 10^21 + 1 makes classify_rank1 search the rational roots of a
+        # polynomial with a 22-digit trailing coefficient: about 3 * 10^10
+        # trial divisions without the bound.
+        with open(scenario_path("rank1-L12.json")) as fh:
+            scenario = json.load(fh)
+        scenario["inputs"]["b"]["t"]["module"]["a"] = str(10**21 + 1)
+        del scenario["expectations"]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scenario))
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tyang.cli", "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert "bound 10^12" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def _run_inputs(tmp_path, pipeline, inputs, max_dim=64):
     path = tmp_path / "case.json"

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tyang.drinfeld as drinfeld
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
@@ -72,6 +74,25 @@ class TestFactorInverses:
         monkeypatch.setattr(drinfeld, "_q_rows", lambda *a: _negate_first_entry(orig(*a)))
         M = char_module(DahaParams(2, 1, 2), 1, 1)
         assert tk_sk_identity(M, ParitySeq(signs)) == 1
+
+    def test_tk_sk_on_scaled_principal_l2(self):
+        # lambda = (1/2, 2): the resolvents carry power-of-2 denominators, so
+        # both steps of each k are scaled before their product is compared.
+        M = principal_series(DahaParams(2, 1, 3), [F(1, 2), F(2)])
+        assert tk_sk_identity(M, ParitySeq([1, -1])) is None
+
+    @pytest.mark.parametrize("bad_k", [1, 2])
+    def test_shifted_s_step_fails(self, monkeypatch, bad_k):
+        orig = drinfeld._cleared_factor
+
+        def factor(M, Q, k, chi, shift, sign=1, neg=False):
+            if sign == -1 and k == bad_k:
+                shift += 1
+            return orig(M, Q, k, chi, shift, sign, neg)
+
+        monkeypatch.setattr(drinfeld, "_cleared_factor", factor)
+        M = principal_series(DahaParams(2, 1, 3), [F(1, 2), F(2)])
+        assert tk_sk_identity(M, ParitySeq([1, -1])) == bad_k
 
 
 class TestTypeA:
@@ -387,11 +408,13 @@ def _reference_raw_grids(M, ps, eps, epsilon=1, chi=None, gamma=None):
 
 
 def _reduce(rows, den):
-    """The row-sparse cleared matrix rows / den as dense reduced RatFuns."""
+    """The row-sparse cleared matrix rows / den, over integer coefficient
+    tuples, as dense reduced RatFuns."""
+    den = Poly(den)
     out = [[RatFun.zero()] * len(rows) for _ in rows]
     for r, row in enumerate(rows):
         for c, p in row.items():
-            out[r][c] = RatFun(p, den)
+            out[r][c] = RatFun(Poly(p), den)
     return out
 
 
@@ -431,12 +454,94 @@ class TestClearedProduct:
         if gamma is not None:
             assert product.ctx.gamma == (None if gamma == 0 else gamma)
 
+    def test_scaled_principal_l1(self):
+        # lambda = 1/2 and theta = (2, 3): the resolvent has non-integral
+        # coefficients, so its steps are scaled and den is not monic.
+        M = principal_series(DahaParams(1, 2, 3), [F(1, 2)])
+        ps = ParitySeq([1, -1])
+        product = drinfeld.reflection_product(M, ps, [1, -1])
+        assert product.den[-1] != 1
+        ref = _reference_raw_grids(M, ps, [1, -1])
+        assert {key: _reduce(block, product.den) for key, block in product.blocks.items()} == {
+            key: grid.entries for key, grid in ref.items()
+        }
+
     def test_type_a_product(self):
         # drinfeld_A's product T_1 ... T_l with a shift, through the same steps.
         ps = ParitySeq([1, -1])
         M = restrict_to_type_a(principal_series(DahaParams(2, 1, 2), [F(3), F(1)]))
         chi, c = F(1, 2), F(-3)
-        steps = [drinfeld._cleared_factor(M, ps, k, 2, chi, c) for k in (1, 2)]
+        Qs = drinfeld._int_q_rows(ps, 2)
+        steps = [drinfeld._cleared_factor(M, Qs[k - 1], k, chi, c) for k in (1, 2)]
         N, den = drinfeld._cleared_product(steps, M.dim * 8)
         ref = _reference_factor(M, ps, 1, 2, chi, c) @ _reference_factor(M, ps, 2, 2, chi, c)
         assert _reduce(N, den) == ref.entries
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+class TestCheckInvariant:
+    """The quotient certificate reads every power-of-u coefficient of the
+    cleared product, the top one u^D included."""
+
+    @staticmethod
+    def _product():
+        M = char_module(DahaParams(2, 1, 2), 1, 1)
+        product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
+        nrows, pivots = product.relations
+        proj, _sect, _free = drinfeld._quotient_maps(nrows, pivots, len(nrows[0]))
+        prows = [[(c, x) for c, x in enumerate(row) if x] for row in proj]
+        return product.blocks, nrows, prows
+
+    def test_top_coefficient_violation_is_found(self):
+        blocks, nrows, prows = self._product()
+        assert drinfeld._check_invariant(blocks, nrows, prows) is None
+        D = max(len(p) - 1 for block in blocks.values() for row in block for p in row.values())
+        # e_q leaves the span (proj e_q != 0) and v = nrows[0] has v[c] != 0,
+        # so adding 7 u^D E_qc moves v out of the span in u^D alone.
+        q = next(q for q in range(len(nrows[0])) if any(col == q for prow in prows for col, _ in prow))
+        c = next(c for c, x in enumerate(nrows[0]) if x)
+        key = (1, 2)
+        planted = {k: [dict(row) for row in block] for k, block in blocks.items()}
+        row = planted[key][q]
+        row[c] = drinfeld._zadd(row.get(c, ()), (0,) * D + (7,))
+        assert drinfeld._check_invariant(planted, nrows, prows) == key
+        # Reading only the coefficients 0, ..., D - 1 misses the violation.
+        truncated = {
+            k: [{col: _trimmed(p[:D]) for col, p in r.items() if _trimmed(p[:D])} for r in block]
+            for k, block in planted.items()
+        }
+        assert drinfeld._check_invariant(truncated, nrows, prows) is None
+
+
+INT_COEFFS = st.lists(st.integers(-20, 20), max_size=6).map(_trimmed)
+
+
+def _poly_coeffs(p):
+    return tuple(int(c) for c in p.coeffs)
+
+
+class TestIntegerPolyHelpers:
+    """_zmul and _zadd agree with Poly multiplication and addition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(INT_COEFFS, INT_COEFFS)
+    def test_convolution_is_poly_product(self, a, b):
+        assert drinfeld._zmul(a, b) == _poly_coeffs(Poly(a) * Poly(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(INT_COEFFS, INT_COEFFS, st.integers(0, 2))
+    def test_trimmed_add_is_poly_sum(self, a, b, mode):
+        # mode 1 cancels a completely, mode 2 cancels its top coefficients.
+        if mode == 1:
+            b = drinfeld._zneg(a)
+        elif mode == 2:
+            b = _trimmed(b[: len(a) - 1] + tuple(-x for x in a[len(b[: len(a) - 1]):]))
+        got = drinfeld._zadd(a, b)
+        assert got == _poly_coeffs(Poly(a) + Poly(b))
+        assert not got or got[-1]

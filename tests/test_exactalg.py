@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from tyang.exactalg import (
+    ROOT_SEARCH_BOUND,
     PoleError,
     Poly,
     RatFun,
+    RootSearchBound,
     rat,
     rational_roots,
     rf_equal,
@@ -165,6 +167,20 @@ class TestRationalRoots:
                             m += 1
                         brute[c] = m
             assert dict(found) == brute
+
+    def test_coefficient_at_the_bound_is_searched(self):
+        roots, cof = rational_roots(Poly([-ROOT_SEARCH_BOUND, 1]))
+        assert roots == [(F(ROOT_SEARCH_BOUND), 1)]
+        assert cof.degree == 0
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[-(10**12 + 1), 1], [1, 0, 10**12 + 1], [1, F(1, 10**13)], [0, 10**21 + 1, 1]],
+        ids=["trailing", "leading", "leading-after-clearing", "trailing-after-zero-root"],
+    )
+    def test_coefficient_above_the_bound_is_refused(self, coeffs):
+        with pytest.raises(RootSearchBound, match=r"bound 10\^12"):
+            rational_roots(Poly(coeffs))
 
 
 class TestInvariants:
