@@ -12,9 +12,14 @@ record stored under NAME in the output file holds the kernel backend,
 seconds per scenario and per workload, the SHA-256 of every report, and
 the seconds spent inside the layers of LAYERS, timed by wrappers this
 script puts around them: verify_daha, sf_presentation and center_check in
-the daha-principal scenarios, and the series product, the quotient module
-and the expansion in the drinfeld scenarios.  Last, the record holds the
-wall seconds and summary line of the Tier-1 suite of the checkout that
+the daha-principal scenarios, the series product, the quotient module
+and the expansion in the drinfeld scenarios, and the products of
+generator families (b_from_T, b_tensor, verify_b, inverse_series_action)
+in every scenario.  A timed function is wrapped in every tyang module
+that binds it, and its seconds are inclusive (an inverse series formed
+inside b_from_T counts in both) but a recursive call is not counted
+twice.  Last, the record holds the wall seconds and summary line of the
+Tier-1 suite of the checkout that
 holds SRC (``python -m pytest -q --continue-on-collection-errors`` in
 SRC's parent, pure backend).  Records under other names
 already in the file are kept, so one file can hold the same benchmark run
@@ -33,26 +38,37 @@ import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-# record key -> (scenario-name marker, tyang module, functions timed inside it)
+# record key -> (scenario-name marker, or None for every scenario;
+# "module.function" names, relative to tyang, timed inside it)
 LAYERS = {
-    "hecke_s": ("daha-principal", "daha", ("verify_daha", "sf_presentation", "center_check")),
-    "drinfeld_s": ("drinfeld", "drinfeld", ("_cleared_product", "_quotient_module", "_expansion")),
+    "hecke_s": ("daha-principal", ("daha.verify_daha", "daha.sf_presentation", "daha.center_check")),
+    "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "drinfeld._expansion")),
+    "families_s": (None, (
+        "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
 }
 SEED = 101
 
 
-def _timed(module, name, sink):
-    """Replace module.name by a wrapper adding its seconds to sink[name]."""
-    func = getattr(module, name)
+def _timed(qualname, sink):
+    """Replace tyang.<module>.<name> by a wrapper adding its seconds to
+    sink[name], in every loaded tyang module that binds it."""
+    module, name = qualname.split(".")
+    func = getattr(importlib.import_module("tyang." + module), name)
+    depth = [0]
 
     def wrapper(*args, **kwargs):
+        depth[0] += 1
         t0 = time.perf_counter()
         try:
             return func(*args, **kwargs)
         finally:
-            sink[name] += time.perf_counter() - t0
+            depth[0] -= 1
+            if not depth[0]:
+                sink[name] += time.perf_counter() - t0
 
-    setattr(module, name, wrapper)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("tyang") and getattr(mod, name, None) is func:
+            setattr(mod, name, wrapper)
 
 
 def run_pass(cli, scenarios, workload, work, layers):
@@ -72,8 +88,8 @@ def run_pass(cli, scenarios, workload, work, layers):
         rec = {"s": round(time.perf_counter() - t0, 4)}
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        for key, (marker, _module, _names) in LAYERS.items():
-            if marker in sc["name"]:
+        for key, (marker, _names) in LAYERS.items():
+            if marker is None or marker in sc["name"]:
                 rec[key] = {name: round(s, 4) for name, s in layers[key].items()}
         out[sc["name"]] = rec
     return out
@@ -105,11 +121,10 @@ def main():
     import tyang.cli
 
     layers = {}
-    for key, (_marker, module, names) in LAYERS.items():
-        mod = importlib.import_module("tyang." + module)
-        layers[key] = dict.fromkeys(names, 0.0)
-        for name in names:
-            _timed(mod, name, layers[key])
+    for key, (_marker, names) in LAYERS.items():
+        layers[key] = dict.fromkeys((q.split(".")[1] for q in names), 0.0)
+        for qualname in names:
+            _timed(qualname, layers[key])
 
     workloads = {}
     with tempfile.TemporaryDirectory() as work:

@@ -29,11 +29,12 @@ from tyang.superlinalg import (
     _kron_sum_rows,
     at_slots,
     cleared_resolvent,
-    common_den,
     elementary,
     int_rows,
     kron_ops,
     kron_sum,
+    mat_rank,
+    rfmat_kernel,
     sparse_add,
     sparse_mul,
     sparse_scale,
@@ -579,10 +580,6 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
             box_sum = kron_sum(
                 [(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces
             )
-            ybox_sum = kron_sum(
-                [(1, at_slots(l + 1, {0: (ys_dense[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
-                spaces,
-            )
 
             coeff0, coeff1, coeff2 = _expansion(product.blocks[(i, j)], product.den, 2)
             want0 = [[Fraction(ei) if (i == j and r == c) else Fraction(0) for c in range(carrier_dim)] for r in range(carrier_dim)]
@@ -595,6 +592,10 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
             if coeff1 != want1:
                 return (1, (i, j))
             if ei != ej:
+                ybox_sum = kron_sum(
+                    [(1, at_slots(l + 1, {0: (ys_dense[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
+                    spaces,
+                )
                 scale = Fraction(-2 * ei) / (si * epsilon * th1)
                 for c in range(carrier_dim):
                     col = [coeff2[r][c] - scale * ybox_sum[r][c] for r in range(carrier_dim)]
@@ -690,7 +691,7 @@ def _signs(A):
 def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):
     """Standard (i, j) entry of a row-sparse operator on W x V, as a
     row-sparse matrix on W, whose basis parities are pars (the inverse of
-    realize_full, with the same block signs as yangian.extract_grid).  A
+    the Koszul assembly of yangian.realize_mixed, with its block signs).  A
     sign is applied entrywise through neg, the negation of F's entries."""
     kk = ps.kappa
     pi, pj = ps.parity(i), ps.parity(j)
@@ -819,51 +820,26 @@ def functor_tensor_check(M1: DahaModule, M2: DahaModule, ps: ParitySeq, eps, eps
 
 def _intertwiner(lhs: BAction, rhs: BAction):
     """An invertible X with lhs_ij(u) X = X rhs_ij(u), or None."""
-    from tyang._kernel import mat_rref
-    from tyang.superlinalg import mat_nullspace, mat_rank
-
     n = lhs.dim
-    rows = []
+    ops = []
     for key in sorted(lhs.b):
         A = lhs.b[key]
         Bm = rhs.b[key]
-        den = common_den(e for m in (A, Bm) for row in m.entries for e in row)
-        # Coefficient rows of A X - X B = 0, one per polynomial degree.
-        polys = {}
-        maxdeg = -1
+        # X -> A X - X B on the n^2 entries of X: row r n + c of A X - X B
+        # reads A[r][a] at X[a][c] and -B[b][c] at X[r][b].
+        ent = [[RatFun.zero()] * (n * n) for _ in range(n * n)]
         for r in range(n):
             for c in range(n):
+                row = ent[r * n + c]
                 for a in range(n):
-                    # coefficient of X[a][c] from (A X)[r][c]: A[r][a]
-                    e = A[r, a]
-                    if e:
-                        p = e.num * (den // e.den)
-                        polys.setdefault((r, c, a * n + c), Poly.zero())
-                        polys[(r, c, a * n + c)] = polys[(r, c, a * n + c)] + p
-                        maxdeg = max(maxdeg, p.degree)
+                    row[a * n + c] = A[r, a]
                 for b in range(n):
-                    e = Bm[b, c]
-                    if e:
-                        p = e.num * (den // e.den)
-                        key2 = (r, c, r * n + b)
-                        polys.setdefault(key2, Poly.zero())
-                        polys[key2] = polys[key2] - p
-                        maxdeg = max(maxdeg, p.degree)
-        for r in range(n):
-            for c in range(n):
-                for d in range(maxdeg + 1):
-                    row = [Fraction(0)] * (n * n)
-                    nz = False
-                    for a in range(n * n):
-                        p = polys.get((r, c, a))
-                        if p is not None and d <= p.degree and p.coeffs[d]:
-                            row[a] = p.coeffs[d]
-                            nz = True
-                    if nz:
-                        rows.append(row)
-    if not rows:
+                    if Bm[b, c]:
+                        row[r * n + b] = row[r * n + b] - Bm[b, c]
+        ops.append(RFMatrix(ent))
+    if all(M.is_zero() for M in ops):
         return None
-    basis = mat_nullspace(rows)
+    basis = rfmat_kernel(ops)
     for v in basis:
         X = [[v[r * n + c] for c in range(n)] for r in range(n)]
         if mat_rank(X) == n:

@@ -5,7 +5,9 @@ Every B-action here arises either through the twist embedding
 B(u) = T(u) G T(-u)^{-1}, through the one-dimensional family, or through the
 coideal tensor construction; the abstract algebra is never represented.
 BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
-are shared, and its lifts (1 x G and the flip) come from the same kron_ops
+are shared.  B(u) from T(u) and the unitarity product B(u) B(-u) are block
+products of families (yangian.block_product); the coideal tensor action and
+the flip of the grid checks act on tensor slots and come from the kron_ops
 assembler.
 """
 
@@ -23,7 +25,7 @@ from tyang.superlinalg import (
     check_identity_2var,
     common_den,
     int_mat_mul,
-    kron_ops,
+    kron_sum,
     mat_identity,
     mat_mul,
     mat_nullspace,
@@ -35,11 +37,10 @@ from tyang.yangian import (
     SeriesFamily,
     ScaledR,
     TAction,
+    block_product,
     cleared_evaluator,
-    extract_grid,
     flip_at,
     inverse_series_action,
-    realize_mixed,
     scaled_witness,
 )
 
@@ -84,23 +85,6 @@ class TwistedContext:
             [Fraction(self.eps[i]) if i == j else Fraction(0) for j in range(k)]
             for i in range(k)
         ]
-
-    def g_rf(self) -> RFMatrix:
-        """G + gamma/u as an RFMatrix on V (gamma omitted when unset)."""
-        k = self.kappa
-        u = Poly([0, 1])
-        ents = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                if i != j:
-                    row.append(RatFun.zero())
-                elif self.gamma is None:
-                    row.append(RatFun.const(self.eps[i]))
-                else:
-                    row.append(RatFun(Poly([self.gamma, Fraction(self.eps[i])]), u))
-            ents.append(row)
-        return RFMatrix(ents)
 
     def drop_first(self) -> "TwistedContext":
         return TwistedContext(ParitySeq(self.ps.s[1:]), self.eps[1:])
@@ -147,16 +131,17 @@ class BAction(SeriesFamily):
 
 
 def b_from_T(T: TAction, ctx: TwistedContext) -> BAction:
-    """B(u) = T(u) (G + gamma/u) T(-u)^{-1} realized on T's module."""
+    """B(u) = T(u) (G + gamma/u) T(-u)^{-1} realized on T's module.
+
+    The block product of T(u), the diagonal scalars eps_k + gamma/u of the
+    twist (eps_k when gamma is unset) and T'(-u).
+    """
     if T.ps != ctx.ps:
         raise DimensionMismatch("parity sequences differ")
-    Tf = T.full()
-    Tp = inverse_series_action(T)
-    Tpn = Tp.full().subs_neg()
-    gfull = kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [T.space, ctx.ps.space()])
-    F = Tf @ RFMatrix.from_const(gfull) @ Tpn
-    grids = extract_grid(F, ctx.ps, T.space)
-    return BAction(ctx, T.space, grids, ("embedding", T, ctx.gamma))
+    u = Poly([0, 1])
+    g = [e if ctx.gamma is None else RatFun(Poly([ctx.gamma, Fraction(e)]), u) for e in ctx.eps]
+    Tpn = {key: m.subs_neg() for key, m in inverse_series_action(T).t.items()}
+    return BAction(ctx, T.space, block_product(T.t, Tpn, g), ("embedding", T, ctx.gamma))
 
 
 def c_gamma(ctx: TwistedContext, gamma) -> BAction:
@@ -180,23 +165,33 @@ def c_gamma(ctx: TwistedContext, gamma) -> BAction:
 def b_tensor(L: TAction, W: BAction) -> BAction:
     """The coideal tensor action on L x W.
 
-    Realized as T_L(u) B_W(u) T_L(-u)^{-1} with the T factors acting through
-    L and the auxiliary space, which is the matrix form of the coideal
-    coproduct.
+    The matrix form T_L(u) B_W(u) T_L(-u)^{-1} of the coideal coproduct,
+    with the T factors acting through L and the auxiliary space:
+    b_ij(u) = sum_{k,r} (-1)^(|b_kr| |t'_rj|) t_ik(u) t'_rj(-u) x b_kr(u),
+    the sign coming from moving b_kr(u) past t'_rj(-u).
     """
     if L.ps != W.ps:
         raise DimensionMismatch("parity sequences differ")
     ps = L.ps
-    vsp = ps.space()
-    spaces = [L.space, W.space, vsp]
-    TL = realize_mixed(L.t, ps, spaces, 0, 2)
-    Lp = inverse_series_action(L)
-    TLpn = realize_mixed(Lp.t, ps, spaces, 0, 2).subs_neg()
-    BW = realize_mixed(W.b, ps, spaces, 1, 2)
-    F = TL @ BW @ TLpn
+    kk = ps.kappa
+    par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
+    Lpn = {key: m.subs_neg() for key, m in inverse_series_action(L).t.items()}
+    wb = [(k, r, m) for (k, r), m in sorted(W.b.items()) if not m.is_zero()]
+    spaces = [L.space, W.space]
     carrier = L.space.tensor(W.space)
-    grids = extract_grid(F, ps, carrier)
-    return BAction(W.ctx, carrier, grids, ("tensor", L, W))
+    b = {}
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            terms = []
+            for k, r, bkr in wb:
+                t, tp = L.t[(i, k)], Lpn[(r, j)]
+                if t.is_zero() or tp.is_zero():
+                    continue
+                sign = -1 if par(k, r) * par(r, j) else 1
+                ops = [((t @ tp).entries, (par(i, k) + par(r, j)) % 2), (bkr.entries, par(k, r))]
+                terms.append((sign, ops))
+            b[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), carrier, carrier)
+    return BAction(W.ctx, carrier, b, ("tensor", L, W))
 
 
 @dataclass
@@ -219,7 +214,7 @@ def verify_b(B: BAction) -> BReport:
     The reflection equation is certified on a degree-beating grid, both
     sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
     B2 = N_2 / d_2, p_-+ the numerators of u -+ v); the product B(u)B(-u)
-    is computed exactly and must be an even scalar.
+    is computed exactly, as a block product, and must be an even scalar.
     """
     rep = BReport()
     R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
@@ -247,18 +242,15 @@ def verify_b(B: BAction) -> BReport:
         "reflection",
     )
 
-    F = B.full()
-    prod = F @ F.subs_neg()
-    f = prod[0, 0]
-    n = prod.rows
-    for i in range(n):
-        for j in range(n):
-            e = prod[i, j]
-            if i == j:
-                if e != f:
-                    rep.scalar_ok = False
-            elif e:
-                rep.scalar_ok = False
+    prod = block_product(B.b, {key: m.subs_neg() for key, m in B.b.items()})
+    f = prod[(1, 1)][0, 0]
+    zero = RatFun.zero()
+    rep.scalar_ok = all(
+        e == (f if i == j and r == c else zero)
+        for (i, j), m in prod.items()
+        for r, row in enumerate(m.entries)
+        for c, e in enumerate(row)
+    )
     rep.f = f
     if rep.scalar_ok and f != f.subs_neg():
         rep.even_ok = False

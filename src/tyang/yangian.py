@@ -4,16 +4,19 @@ inverse series, highest-weight extraction, and duals.
 SeriesFamily is the one family type: it stores one rational-function matrix
 per generator pair (i, j), 1-based, and owns evaluation, assembly and the
 degree data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction
-(B(u)) are thin subclasses.  The operator on module x V is assembled with
-the sign (-1)^(|i||j|+|j|) in front of the (i, j) block, which is exactly the
-convention making block products behave like ordinary matrix products.
-Every tensor lift, flip and sum of lifts goes through kron_ops (summed by
-kron_sum), so all Koszul signs come from that single assembler.  The grid
-checks never assemble 1 x R(x): ScaledR applies p R(p/q) = p 1 - q (1 x P)
-to integer matrices as a signed permutation, and cleared_evaluator memoises
-each family evaluation per grid coordinate as an integer matrix over its
-denominator lcm, so both sides of an identity are integer chains over one
-common nonzero scale per point.
+(B(u)) are thin subclasses.  The operator on module x V carries the sign
+(-1)^(|i||j|+|j|) in front of the (i, j) block, which makes block products
+behave like ordinary matrix products: a product of families is formed on
+its kappa x kappa blocks of module operators (block_product), never on the
+assembled operator.  Koszul-signed assembly is for operators that act on a
+tensor slot: the grid evaluations full_at, where R acts on V x V, and the
+coproducts.  Every tensor lift, flip and sum of lifts goes through kron_ops
+(summed by kron_sum), so all Koszul signs come from that single assembler.
+The grid checks never assemble 1 x R(x): ScaledR applies
+p R(p/q) = p 1 - q (1 x P) to integer matrices as a signed permutation, and
+cleared_evaluator memoises each family evaluation per grid coordinate as an
+integer matrix over its denominator lcm, so both sides of an identity are
+integer chains over one common nonzero scale per point.
 """
 
 from fractions import Fraction
@@ -34,7 +37,6 @@ from tyang.superlinalg import (
     kron_sum,
     mat_mul,
     rfmat_inverse,
-    tensor_space,
 )
 
 
@@ -48,52 +50,41 @@ def _block_sign(ps: ParitySeq, i: int, j: int) -> int:
     return -1 if (pi * pj + pj) % 2 else 1
 
 
-def realize_mixed(grids, ps: ParitySeq, spaces, op_slot: int, e_slot: int):
-    """Assemble sum_ij sign * x_ij x E_ij over an arbitrary factor list.
+def realize_mixed(grids, ps: ParitySeq, spaces, e_slot: int):
+    """Assemble sum_ij sign * x_ij x E_ij on the tensor of spaces.
 
-    grids maps (i, j) to a matrix (RFMatrix or plain grid) living on
-    spaces[op_slot]; E_ij is placed at spaces[e_slot] (a copy of V); every
-    other factor carries the identity.  Returns an RFMatrix when any input
-    is one, otherwise a Fraction grid.
+    grids maps (i, j) to a Fraction matrix living on spaces[0]; E_ij is
+    placed at spaces[e_slot] (a copy of V); every other factor carries the
+    identity.  Returns a Fraction grid.
     """
     k = ps.kappa
     terms = []
-    for (i, j), x in grids.items():
-        grid = x.entries if isinstance(x, RFMatrix) else x
+    for (i, j), grid in grids.items():
         par = (ps.parity(i) + ps.parity(j)) % 2
         e = elementary(k, i, j, _block_sign(ps, i, j))
-        terms.append((1, at_slots(len(spaces), {op_slot: (grid, par), e_slot: (e, par)})))
-    total = kron_sum(terms, spaces)
-    if any(isinstance(g, RFMatrix) for g in grids.values()):
-        sp = tensor_space(spaces)
-        return RFMatrix.from_const(total, sp, sp)
-    return total
+        terms.append((1, at_slots(len(spaces), {0: (grid, par), e_slot: (e, par)})))
+    return kron_sum(terms, spaces)
 
 
-def realize_full(grids, ps: ParitySeq, carrier: SuperSpace, slot=1, nslots=1):
-    """Assemble the operator on carrier x V^nslots with E_ij in one V slot."""
-    vsp = ps.space()
-    return realize_mixed(grids, ps, [carrier] + [vsp] * nslots, 0, slot)
+def block_product(A, B, mid=None):
+    """{(i, j): sum_k A_ik mid_k B_kj} over the RFMatrix blocks of two families.
 
-
-def extract_grid(F: RFMatrix, ps: ParitySeq, carrier: SuperSpace):
-    """Invert realize_full for a single auxiliary V in the last slot."""
-    k = ps.kappa
-    d = carrier.dim
+    Under the block sign of _block_sign this is the product of the two
+    assembled operators on module x V, read back block by block.  mid, when
+    given, holds the kappa scalars (numbers or RatFuns) of a middle factor
+    diagonal on V, mid[k - 1] standing between A_ik and B_kj.  Zero blocks
+    are skipped, and a missing key counts as a zero block.
+    """
+    idx = range(1, max(max(key) for key in (*A, *B)) + 1)
+    a, b = next(iter(A.values())), next(iter(B.values()))
+    zero = RFMatrix.zero(a.rows, b.cols, a.row_space, b.col_space)
+    A = {key: m for key, m in A.items() if not m.is_zero()}
+    B = {(k, j): m if mid is None else m.scale(mid[k - 1]) for (k, j), m in B.items() if not m.is_zero()}
     out = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            bs = _block_sign(ps, i, j)
-            pij = (ps.parity(i) + ps.parity(j)) % 2
-            ent = []
-            for q in range(d):
-                row = []
-                for p in range(d):
-                    v = F[q * k + (i - 1), p * k + (j - 1)]
-                    sign = bs * (-1 if (pij and carrier.parities[p]) else 1)
-                    row.append(v if sign == 1 else -v)
-                ent.append(row)
-            out[(i, j)] = RFMatrix(ent, carrier, carrier)
+    for i in idx:
+        for j in idx:
+            terms = [A[(i, k)] @ B[(k, j)] for k in idx if (i, k) in A and (k, j) in B]
+            out[(i, j)] = sum(terms[1:], terms[0]) if terms else zero
     return out
 
 
@@ -202,16 +193,14 @@ class SeriesFamily:
     def _entries(self):
         return (e for m in self.t.values() for row in m.entries for e in row)
 
-    def full(self, slot=1, nslots=1) -> RFMatrix:
-        return realize_full(self.t, self.ps, self.space, slot, nslots)
-
     def full_at(self, x, slot=1, nslots=1, negate=False):
         """Numeric full operator at u = x (or at -x when negate is set)."""
         x = rat(x)
         grids = {
             key: m.eval_mat(-x if negate else x) for key, m in self.t.items()
         }
-        return realize_full(grids, self.ps, self.space, slot, nslots)
+        spaces = [self.space] + [self.ps.space()] * nslots
+        return realize_mixed(grids, self.ps, spaces, slot)
 
     def common_den(self) -> Poly:
         return common_den(self._entries())
@@ -314,7 +303,9 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
     """The family t'_ij(u) with T(u) T'(u) = T'(u) T(u) = 1, exactly.
 
     Tensor provenance is inverted factorwise through the inverse-series
-    coproduct; anything else inverts the assembled operator directly.
+    coproduct.  Anything else inverts the unsigned block layout [[t_ij]]:
+    block products are ordinary matrix products, so its inverse, sliced
+    back into blocks, is the inverse family.
     """
     if T._tprime is not None:
         return T._tprime
@@ -340,8 +331,16 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
                 t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
         T._tprime = TPrimeAction(ps, space, t)
         return T._tprime
-    inv = rfmat_inverse(T.full())
-    T._tprime = TPrimeAction(ps, T.space, extract_grid(inv, ps, T.space))
+    d = T.dim
+    idx = range(1, kk + 1)
+    layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+    inv = rfmat_inverse(RFMatrix(layout)).entries
+    t = {
+        (i, j): RFMatrix([row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]], T.space, T.space)
+        for i in idx
+        for j in idx
+    }
+    T._tprime = TPrimeAction(ps, T.space, t)
     return T._tprime
 
 

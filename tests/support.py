@@ -1,14 +1,63 @@
-"""Shared expected values for the two-dimensional evaluation modules.
+"""Shared expected values for the two-dimensional evaluation modules, and
+the assembled-operator oracle for block products.
 
 The sixteen action rows below are the frozen oracle for L(a, b): they were
 derived once by hand from t_ij(u) = delta_ij + s_i e_ij / u on the basis
 (v+, v-) and from inverting the resulting 2x2 block matrix, and every test
 compares library output against them.
+
+assemble and read_blocks put a generator family on carrier x V as one
+Koszul-signed operator and take it apart again.  Products of those
+operators are the reference that yangian.block_product is checked against.
 """
 
 from fractions import Fraction
 
 from tyang.exactalg import Poly, RatFun
+from tyang.superlinalg import RFMatrix, at_slots, elementary, kron_sum, tensor_space
+
+
+def _block_sign(ps, i, j):
+    pi, pj = ps.parity(i), ps.parity(j)
+    return -1 if (pi * pj + pj) % 2 else 1
+
+
+def assemble(family, spaces=None, slot=0):
+    """sum_ij (-1)^(|i||j|+|j|) x_ij x E_ij as one RFMatrix, for a
+    SeriesFamily {x_ij}, on the tensor of spaces (default: the family's
+    module alone) and V: x_ij acts on spaces[slot], E_ij on V, with the
+    Koszul sign of passing the column parities of the factors before it,
+    and every other factor carries the identity."""
+    ps = family.ps
+    spaces = list(spaces or [family.space]) + [ps.space()]
+    terms = []
+    for (i, j), m in family.t.items():
+        par = (ps.parity(i) + ps.parity(j)) % 2
+        e = elementary(ps.kappa, i, j, _block_sign(ps, i, j))
+        terms.append((1, at_slots(len(spaces), {slot: (m.entries, par), len(spaces) - 1: (e, par)})))
+    sp = tensor_space(spaces)
+    return RFMatrix.from_const(kron_sum(terms, spaces), sp, sp)
+
+
+def read_blocks(F, ps, carrier):
+    """The blocks {(i, j): x_ij} of an operator F on carrier x V, undoing
+    both signs of assemble."""
+    k = ps.kappa
+    out = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            bs = _block_sign(ps, i, j)
+            pij = (ps.parity(i) + ps.parity(j)) % 2
+            ent = []
+            for q in range(carrier.dim):
+                row = []
+                for p in range(carrier.dim):
+                    v = F[q * k + (i - 1), p * k + (j - 1)]
+                    sign = bs * (-1 if (pij and carrier.parities[p]) else 1)
+                    row.append(v if sign == 1 else -v)
+                ent.append(row)
+            out[(i, j)] = RFMatrix(ent, carrier, carrier)
+    return out
 
 
 def _rf(num_coeffs, den_coeffs=(1,)):

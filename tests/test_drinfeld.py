@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import read_blocks
+
 import tyang.drinfeld as drinfeld
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
 from tyang.exactalg import Poly, RatFun
@@ -30,8 +32,8 @@ from tyang.superlinalg import (
     rfmat_inverse,
     tensor_space,
 )
-from tyang.twisted import TwistedContext, find_highest_space, highest_bweight, verify_b
-from tyang.yangian import evaluation_action, extract_grid, verify_rtt
+from tyang.twisted import BAction, TwistedContext, b_from_T, find_highest_space, highest_bweight, verify_b
+from tyang.yangian import evaluation_action, verify_rtt
 
 
 def F(a, b=1):
@@ -326,6 +328,20 @@ class TestFunctorTensor:
         assert drinfeld_BC(m2, ps, [1, 1]).action is None
         assert functor_tensor_check(m1, m2, ps, [1, 1], epsilon=1) is None
 
+    def test_intertwiner_conjugate_and_unconstrained(self):
+        # rhs = P^-1 lhs P is intertwined by an invertible X (_intertwiner
+        # returns only full-rank ones); with every b_ij zero there is no
+        # constraint row, and no X is returned.
+        ps = ParitySeq([1, 1, -1])
+        lhs = b_from_T(evaluation_action(make_vector_rep(ps), 0), TwistedContext(ps, [1, -1, 1]))
+        P = RFMatrix.from_const([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        Pinv = rfmat_inverse(P)
+        rhs = BAction(lhs.ctx, lhs.space, {key: Pinv @ m @ P for key, m in lhs.b.items()})
+        X = RFMatrix.from_const(drinfeld._intertwiner(lhs, rhs))
+        assert all(lhs.b[key] @ X == X @ rhs.b[key] for key in lhs.b)
+        zero = BAction(lhs.ctx, lhs.space, {key: m.scale(0) for key, m in lhs.b.items()})
+        assert drinfeld._intertwiner(zero, zero) is None
+
 
 class TestSerialization:
     def test_quotient_module_serializes(self):
@@ -400,11 +416,15 @@ def _reference_raw_grids(M, ps, eps, epsilon=1, chi=None, gamma=None):
     F = _reference_factor(M, ps, 1, l, chi, -jay)
     for k in range(2, l + 1):
         F = F @ _reference_factor(M, ps, k, l, chi, -jay)
-    ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
-    F = F @ RFMatrix.from_const(kron_ops([(None, 0), (ctx.g_rf().entries, 0)], [carrier, ps.space()]))
+    u = Poly([0, 1])
+    G = [
+        [RatFun(Poly([gamma, Fraction(e)]), u) if r == c else RatFun.zero() for c in range(ps.kappa)]
+        for r, e in enumerate(eps)
+    ]
+    F = F @ RFMatrix.from_const(kron_ops([(None, 0), (G, 0)], [carrier, ps.space()]))
     for k in range(l, 0, -1):
         F = F @ _reference_factor(M, ps, k, l, chi, jay, sign=-1).subs_neg()
-    return extract_grid(F, ps, carrier)
+    return read_blocks(F, ps, carrier)
 
 
 def _reduce(rows, den):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import assemble, read_blocks
+
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, weight_decompose, _coords_in_span
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec
@@ -12,6 +14,7 @@ from tyang.yangian import (
     flip_at,
     r_matrix_at,
     highest_lweight,
+    inverse_series_action,
     lambda_prime_formula,
     tensor_action,
     trivial_action,
@@ -124,8 +127,19 @@ class TestEmbedding:
         ps = ParitySeq([1, 1, -1])
         ctx = TwistedContext(ps, [1, 1, 1])
         B = b_from_T(evaluation_action(make_vector_rep(ps), 0), ctx)
-        Ff = B.full()
+        Ff = assemble(B)
         assert (Ff @ Ff.subs_neg()).is_identity()
+
+    def test_nonscalar_unitarity_reports_first_diagonal_entry(self):
+        # B(u) B(-u) has blocks diag(4, 9) and diag(25, 49): not scalar, and
+        # f is entry (0, 0) of block (1, 1), the first diagonal entry of the
+        # assembled product.
+        ctx = TwistedContext(ParitySeq([1, 1]), [1, 1])
+        space = SuperSpace([0, 0])
+        diag = lambda a, b: RFMatrix.from_const([[a, 0], [0, b]], space, space)
+        B = BAction(ctx, space, {(1, 1): diag(2, 3), (1, 2): diag(0, 0), (2, 1): diag(0, 0), (2, 2): diag(5, 7)})
+        rep = verify_b(B)
+        assert not rep.scalar_ok and rep.f == RatFun.const(4)
 
 
 def lift_r(R, carrier, ps):
@@ -209,6 +223,18 @@ class TestCoidealTensor:
         T = evaluation_action(make_Lab(1, 1, 2), 0)
         rep = verify_b(b_tensor(T, c_gamma(ctx, 1)))
         assert rep.ok and rep.f == RatFun.one()
+
+    def test_matches_assembled_coideal_product(self):
+        # gl(2|1) at kappa = 3, W = B from T with odd off-diagonal blocks:
+        # b_tensor equals the blocks of T_L(u) B_W(u) T'_L(-u) assembled on
+        # L x W x V, which fixes the sign of moving b_kr past t'_rj(-u).
+        ps = ParitySeq([1, 1, -1])
+        L = evaluation_action(make_vector_rep(ps), 1)
+        W = b_from_T(evaluation_action(make_vector_rep(ps), 0), TwistedContext(ps, [1, -1, 1], F(2, 7)))
+        spaces = [L.space, W.space]
+        Lp = inverse_series_action(L)
+        prod = assemble(L, spaces, 0) @ assemble(W, spaces, 1) @ assemble(Lp, spaces, 0).subs_neg()
+        assert b_tensor(L, W).b == read_blocks(prod, ps, L.space.tensor(W.space))
 
     def test_factorization_with_reduced_module(self):
         # xi x eta for W itself a restriction: eigenvalues multiply.

@@ -2,18 +2,21 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import lab_t_table, lab_tprime_table, rows_match_table
+from support import assemble, lab_t_table, lab_tprime_table, read_blocks, rows_match_table
 
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep, weight_decompose
 from tyang import yangian
-from tyang.superlinalg import RFMatrix, at_slots, kron_ops, mat_mul, mat_vec
+from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec
 from tyang.yangian import (
     NotHighest,
     SeriesFamily,
     TAction,
     TPrimeAction,
+    block_product,
     dual_action,
     evaluation_action,
     flip_at,
@@ -68,6 +71,63 @@ class TestEvaluation:
                 assert ok, detail
 
 
+@st.composite
+def _scalars(draw):
+    """A small Fraction, or a RatFun (a + b u)/(c + u)."""
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    if draw(st.booleans()):
+        return Fraction(a, draw(st.integers(1, 3)))
+    return RatFun(Poly([a, b]), Poly([c, 1]))
+
+
+@st.composite
+def _family_blocks(draw, ps, carrier):
+    """kappa x kappa blocks on carrier, block (i, j) of parity |i| + |j|,
+    some of them zero."""
+    blocks = {}
+    for i in range(1, ps.kappa + 1):
+        for j in range(1, ps.kappa + 1):
+            pij = (ps.parity(i) + ps.parity(j)) % 2
+            zero = draw(st.integers(0, 3)) == 0
+            blocks[(i, j)] = RFMatrix.from_const(
+                [
+                    [
+                        Fraction(0) if zero or (pq + pp) % 2 != pij else draw(_scalars())
+                        for pp in carrier.parities
+                    ]
+                    for pq in carrier.parities
+                ],
+                carrier,
+                carrier,
+            )
+    return blocks
+
+
+@st.composite
+def _block_cases(draw):
+    kappa = draw(st.integers(1, 3))
+    ps = ParitySeq(draw(st.lists(st.sampled_from([1, -1]), min_size=kappa, max_size=kappa)))
+    dim = draw(st.integers(1, 3))
+    carrier = SuperSpace(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+    mid = draw(st.none() | st.lists(_scalars(), min_size=kappa, max_size=kappa))
+    return ps, carrier, draw(_family_blocks(ps, carrier)), draw(_family_blocks(ps, carrier)), mid
+
+
+class TestBlockProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(_block_cases())
+    def test_matches_assembled_product(self, case):
+        # The Koszul-assembled operators on carrier x V multiply to the
+        # assembly of the block product, with mid as 1 x diag(mid).
+        ps, carrier, A, B, mid = case
+        FA, FB = assemble(SeriesFamily(ps, carrier, A)), assemble(SeriesFamily(ps, carrier, B))
+        assert read_blocks(FA, ps, carrier) == A
+        if mid is not None:
+            g = [[x if r == c else Fraction(0) for c in range(ps.kappa)] for r, x in enumerate(mid)]
+            FA = FA @ RFMatrix.from_const(kron_ops([(None, 0), (g, 0)], [carrier, ps.space()]))
+        assert block_product(A, B, mid) == read_blocks(FA @ FB, ps, carrier)
+
+
 class TestInverseSeries:
     def test_rank_one_inverse(self):
         ps = ParitySeq([1])
@@ -85,7 +145,7 @@ class TestInverseSeries:
         u = RatFun.x()
         assert Tp.t[(1, 1)][0, 0] == (u - 1) / u
         assert Tp.t[(1, 1)][1, 1] == RatFun.one()
-        assert (T.full() @ Tp.full()).is_identity()
+        assert (assemble(T) @ assemble(Tp)).is_identity()
 
     def test_lab_tprime_table(self):
         for s1 in (1, -1):
@@ -98,16 +158,16 @@ class TestInverseSeries:
     def test_product_is_identity(self):
         T = evaluation_action(make_Lab(1, 1, 2), 0)
         Tp = inverse_series_action(T)
-        assert (T.full() @ Tp.full()).is_identity()
-        assert (Tp.full() @ T.full()).is_identity()
+        assert (assemble(T) @ assemble(Tp)).is_identity()
+        assert (assemble(Tp) @ assemble(T)).is_identity()
 
     def test_tensor_inverse_matches_direct(self):
         A = evaluation_action(make_Lab(1, 1, 2), 0)
         B = evaluation_action(make_Lab(1, 3, 1), 2)
         T = tensor_action(A, B)
         Tp = inverse_series_action(T)
-        assert (T.full() @ Tp.full()).is_identity()
-        assert (Tp.full() @ T.full()).is_identity()
+        assert (assemble(T) @ assemble(Tp)).is_identity()
+        assert (assemble(Tp) @ assemble(T)).is_identity()
 
 
 class TestTensor:
