@@ -16,7 +16,7 @@ from tyang import daha as daha_mod
 from tyang import drinfeld as drinfeld_mod
 from tyang import twisted as twisted_mod
 from tyang import yangian as yangian_mod
-from tyang.exactalg import Poly, RatFun, RootSearchBound, rat
+from tyang.exactalg import Poly, RootSearchBound, rat, rf_to_json
 from tyang.glmn import ParitySeq, gl_from_json, make_Lab, make_vector_rep
 from tyang.superlinalg import Grid2Witness
 
@@ -122,14 +122,62 @@ def _daha_dim_factors(spec):
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
-def _build(constructor, inputs, key, *args):
+def _taction_shape(spec):
+    """(dim, kappa) of the action a build_taction spec describes; read from
+    the spec, nothing is built."""
+    kind = spec.get("type")
+    if kind == "evaluation":
+        m = spec["module"]
+        mkind = m.get("type")
+        if mkind == "vector":
+            return len(m["ps"]), len(m["ps"])
+        if mkind == "Lab":
+            return 2, 2
+        if mkind == "gl-json":
+            return len(m["data"]["parities"]), len(m["data"]["ps"])
+        raise InputError(f"unknown gl module constructor {mkind!r}")
+    if kind == "tensor":
+        (dl, kappa), (dr, _) = _taction_shape(spec["left"]), _taction_shape(spec["right"])
+        return dl * dr, kappa
+    if kind == "trivial":
+        return 1, len(spec["ps"])
+    if kind == "dual":
+        return _taction_shape(spec["of"])
+    raise InputError(f"unknown action constructor {kind!r}")
+
+
+def _baction_shape(spec):
+    """(dim, kappa) of the action a build_baction spec describes; read from
+    the spec, nothing is built."""
+    kind = spec.get("type")
+    if kind == "from-T":
+        return _taction_shape(spec["t"])
+    if kind == "c-gamma":
+        return 1, len(spec["ps"])
+    if kind == "tensor":
+        (dt, kappa), (db, _) = _taction_shape(spec["t"]), _baction_shape(spec["b"])
+        return dt * db, kappa
+    if kind == "b-json":
+        return len(spec["data"]["parities"]), len(spec["data"]["ctx"]["s"])
+    if kind == "corrupt-sign":
+        return _baction_shape(spec["base"])
+    raise InputError(f"unknown twisted constructor {kind!r}")
+
+
+def _build(constructor, inputs, key, *args, cap=None):
     """Run constructor(*args, inputs[key]); a missing or malformed field is an
     InputError naming the constructor and the field.
 
     Every read of a scenario's inputs goes through here, so bad input exits 2
-    while the checks that run afterwards stay unwrapped.
+    while the checks that run afterwards stay unwrapped.  cap = (shape,
+    max_dim) refuses a family whose dim * kappa, read from the spec by
+    shape, exceeds max_dim before the constructor runs.
     """
     try:
+        if cap is not None:
+            shape, max_dim = cap
+            dim, kappa = shape(inputs[key])
+            _guard_dim([dim * kappa], max_dim)
         return constructor(*args, inputs[key])
     except InputError:
         raise
@@ -139,10 +187,6 @@ def _build(constructor, inputs, key, *args):
 
 # ---------------------------------------------------------------------------
 # Serialization helpers for report payloads.
-
-def _rf_json(f: RatFun):
-    return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
-
 
 def _poly_str(p: Poly):
     return [str(c) for c in p.coeffs]
@@ -174,8 +218,7 @@ def _check(cid, anchor, ok, witness=None, data=None):
 
 
 def pipe_verify_yangian(inputs, max_dim):
-    T = _build(build_taction, inputs, "t")
-    _guard_dim([T.dim * T.kappa], max_dim)
+    T = _build(build_taction, inputs, "t", cap=(_taction_shape, max_dim))
     checks = []
     w = yangian_mod.verify_rtt(T)
     checks.append(_check("exchange-relation", "series exchange relation on two auxiliary spaces", w is None, _witness_json(w)))
@@ -188,7 +231,7 @@ def pipe_verify_yangian(inputs, max_dim):
         try:
             lams = yangian_mod.highest_lweight(T, xi)
             checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
-                                 data={"lambda": [_rf_json(l) for l in lams]}))
+                                 data={"lambda": [rf_to_json(l) for l in lams]}))
             res = yangian_mod.lambda_prime_check(T, xi, lams)
             checks.append(_check("inverse-weight-formula", "closed form of the inverse-series eigenvalues", res is None,
                                  None if res is None else {"detail": str(res)}))
@@ -199,8 +242,7 @@ def pipe_verify_yangian(inputs, max_dim):
 
 
 def pipe_verify_twisted(inputs, max_dim):
-    B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim * B.kappa], max_dim)
+    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
     checks = []
     rep = twisted_mod.verify_b(B)
     checks.append(_check("reflection-equation", "quartic exchange relation with both spectral arguments",
@@ -208,13 +250,13 @@ def pipe_verify_twisted(inputs, max_dim):
     checks.append(_check("unitarity-scalar", "product at opposite arguments is an even scalar",
                          rep.scalar_ok and rep.even_ok,
                          None if rep.scalar_ok else {"detail": "non-scalar product"},
-                         data={"f": _rf_json(rep.f)} if rep.f is not None else None))
+                         data={"f": rf_to_json(rep.f)} if rep.f is not None else None))
     if "eta" in inputs:
         eta = _build(_rat_list, inputs, "eta")
         try:
             mu = twisted_mod.highest_bweight(B, eta)
             checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
-                                 data={"mu": [_rf_json(m) for m in mu.mus]}))
+                                 data={"mu": [rf_to_json(m) for m in mu.mus]}))
             bad = twisted_mod.verma_conditions(mu)
             checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                                  None if bad is None else {"index": bad}))
@@ -225,8 +267,7 @@ def pipe_verify_twisted(inputs, max_dim):
 
 
 def pipe_classify(inputs, max_dim):
-    B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim * B.kappa], max_dim)
+    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
     eta = _build(_rat_list, inputs, "eta")
     mu = twisted_mod.highest_bweight(B, eta)
     checks = []
@@ -249,8 +290,7 @@ def pipe_classify(inputs, max_dim):
 
 
 def pipe_reduce(inputs, max_dim):
-    B = _build(build_baction, inputs, "b")
-    _guard_dim([B.dim * B.kappa], max_dim)
+    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
     mode = _build(_reduction_mode, inputs, "mode")
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
@@ -324,7 +364,7 @@ def pipe_drinfeld(inputs, max_dim):
         checks.append(_check("reduced-relations", "reflection and scalar conditions on the functor output",
                              rep.reflection is None and rep.scalar_ok and rep.even_ok,
                              _witness_json(rep.reflection),
-                             data={"f": _rf_json(rep.f)}))
+                             data={"f": rf_to_json(rep.f)}))
     if inputs.get("expansion", True):
         res = drinfeld_mod.bchi_expansion_check(M, ps, eps, epsilon, product=product)
         checks.append(_check("expansion", "first three series coefficients in closed form", res is None,

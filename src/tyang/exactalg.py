@@ -334,6 +334,17 @@ def rf_equal(f: RatFun, g: RatFun) -> bool:
     return f.num * g.den == g.num * f.den
 
 
+def rf_to_json(f: RatFun) -> dict:
+    """f as {"num": [...], "den": [...]}, coefficients of u^0, u^1, ... as
+    "p/q" strings; the one RatFun encoding of scenario data and reports."""
+    return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
+
+
+def rf_from_json(data) -> RatFun:
+    """The inverse of rf_to_json (the function is reduced on the way in)."""
+    return RatFun(Poly([rat(c) for c in data["num"]]), Poly([rat(c) for c in data["den"]]))
+
+
 # rational_roots refuses a trailing or leading integer coefficient above
 # this bound, so its trial division runs at most 10^6 steps per coefficient.
 ROOT_SEARCH_BOUND = 10**12

@@ -419,6 +419,18 @@ def common_den(entries) -> Poly:
     return d
 
 
+def cleared_coefficients(entries):
+    """(den, coeffs) for a list of RatFun entries: den is their common_den,
+    and coeffs[k] is the vector of u^k coefficients of den * entries, for k
+    up to the largest cleared degree.  Every zero entry contributes zeros,
+    and an all-zero list gives no vectors."""
+    den = common_den(entries)
+    cleared = [e.num * (den // e.den) if e else Poly.zero() for e in entries]
+    zero = Fraction(0)
+    top = max((p.degree for p in cleared), default=-1)
+    return den, [[p.coeffs[k] if k <= p.degree else zero for p in cleared] for k in range(top + 1)]
+
+
 class RFMatrix:
     """Dense matrix of RatFun entries, optionally tagged with super spaces."""
 
@@ -513,6 +525,13 @@ class RFMatrix:
 
     def shift(self, c) -> "RFMatrix":
         return self.subs_linear(1, c)
+
+    def numerator_coefficients(self):
+        """The Fraction matrices N_s with self = sum_s N_s u^s / d, d the
+        common denominator of the entries (cleared_coefficients)."""
+        _, coeffs = cleared_coefficients([e for row in self.entries for e in row])
+        c = self.cols
+        return [[vec[r:r + c] for r in range(0, len(vec), c)] for vec in coeffs]
 
     def eval_mat(self, x):
         """Evaluate all entries at a point, returning a Fraction matrix."""
@@ -612,19 +631,7 @@ def rfmat_kernel(Ms) -> list:
         if M.cols != ncols:
             raise DimensionMismatch("kernel of matrices with different column spaces")
         for row in M.entries:
-            den = common_den(row)
-            cleared = []
-            maxdeg = -1
-            for e in row:
-                p = e.num * (den // e.den) if e else Poly.zero()
-                cleared.append(p)
-                maxdeg = max(maxdeg, p.degree)
-            for k in range(maxdeg + 1):
-                coeff_row = [
-                    (p.coeffs[k] if k <= p.degree else Fraction(0)) for p in cleared
-                ]
-                if any(coeff_row):
-                    rows.append(coeff_row)
+            rows.extend(r for r in cleared_coefficients(row)[1] if any(r))
     if not rows:
         return [v for v in mat_identity(ncols)]
     return mat_nullspace(rows)

@@ -14,7 +14,7 @@ assembler.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal
+from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
 from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -23,7 +23,7 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
-    common_den,
+    cleared_coefficients,
     int_mat_mul,
     kron_sum,
     mat_identity,
@@ -33,13 +33,13 @@ from tyang.superlinalg import (
     rfmat_kernel,
 )
 from tyang.yangian import (
-    NotHighest,
     SeriesFamily,
     ScaledR,
     TAction,
     block_product,
     cleared_evaluator,
     flip_at,
+    highest_eigenseries,
     inverse_series_action,
     scaled_witness,
 )
@@ -289,23 +289,7 @@ class BHighestWeight:
 
 def highest_bweight(B: BAction, eta) -> BHighestWeight:
     """Extract the eigen-series tuple of a B-highest vector."""
-    eta = [rat(x) for x in eta]
-    if not any(eta):
-        raise NotHighest("zero vector")
-    kk = B.kappa
-    for i in range(1, kk + 1):
-        for j in range(i + 1, kk + 1):
-            if any(B.b[(i, j)].mat_vec(eta)):
-                raise NotHighest(f"b_{i}{j}(u) does not annihilate the vector")
-    p = next(k for k, x in enumerate(eta) if x)
-    mus = []
-    for i in range(1, kk + 1):
-        w = B.b[(i, i)].mat_vec(eta)
-        mu = w[p] / RatFun.const(eta[p])
-        if any(w[q] - mu * RatFun.const(eta[q]) for q in range(len(eta))):
-            raise NotHighest(f"b_{i}{i}(u) is not scalar on the vector")
-        mus.append(mu)
-    return BHighestWeight(tuple(mus), B.ctx)
+    return BHighestWeight(highest_eigenseries(B, eta, "b"), B.ctx)
 
 
 def _rf_vector_coords_in_span(w, K):
@@ -313,12 +297,9 @@ def _rf_vector_coords_in_span(w, K):
     basis vectors; returns the coefficient list or None when outside."""
     if not K:
         return None if any(w) else []
-    den = common_den(w)
-    cleared = [e.num * (den // e.den) if e else Poly.zero() for e in w]
-    maxdeg = max((p.degree for p in cleared), default=-1)
-    coeff_polys = [[Fraction(0)] * (maxdeg + 1) for _ in K]
-    for r in range(maxdeg + 1):
-        vec = [p.coeffs[r] if r <= p.degree else Fraction(0) for p in cleared]
+    den, coeffs = cleared_coefficients(w)
+    coeff_polys = [[Fraction(0)] * len(coeffs) for _ in K]
+    for r, vec in enumerate(coeffs):
         coords = _coords_in_span(K, [vec])
         if coords is None:
             return None
@@ -343,37 +324,26 @@ def restrict_rf(M: RFMatrix, K):
     return RFMatrix([[cols[c][r] for c in range(k)] for r in range(k)])
 
 
-def find_highest_space(B: BAction, check_pairs=10):
+def find_highest_space(B: BAction):
     """Basis of { eta : b_ij(u) eta = 0 for i < j }.
 
-    Also certifies that the space is invariant under every b_rr(u) and that
-    the restricted diagonal operators commute at sample point pairs.
+    Also certifies that the space is invariant under every b_rr(u) (else
+    restrict_rf raises ValueError) and that the restricted diagonal
+    operators D_a(u) commute for all u and v: with D_a(u) = sum_s A_s u^s /
+    d_a(u) over one common denominator per operator, D_a(u) D_b(v) =
+    D_b(v) D_a(u) holds identically exactly when every A_s commutes with
+    every B_t of D_b, which is checked; a failure raises ValueError.
     """
     kk = B.kappa
     uppers = [B.b[(i, j)] for i in range(1, kk + 1) for j in range(i + 1, kk + 1)]
     K = rfmat_kernel(uppers) if uppers else [list(r) for r in mat_identity(B.dim)]
     if not K:
         return []
-    restricted = []
-    for r in range(1, kk + 1):
-        restricted.append(restrict_rf(B.b[(r, r)], K))
-    dens = common_den(e for m in restricted for row in m.entries for e in row)
-    pairs = []
-    x = 1
-    while len(pairs) < check_pairs:
-        x += 1
-        if dens(x) == 0 or dens(x + 1) == 0:
-            continue
-        pairs.append((Fraction(x), Fraction(x + 1)))
-    for u0, v0 in pairs:
-        mats_u = [m.eval_mat(u0) for m in restricted]
-        mats_v = [m.eval_mat(v0) for m in restricted]
-        for a in range(kk):
-            for b in range(kk):
-                if mat_mul(mats_u[a], mats_v[b]) != mat_mul(mats_v[b], mats_u[a]):
-                    raise ValueError(
-                        f"restricted diagonal operators {a+1},{b+1} fail to commute"
-                    )
+    coeffs = [restrict_rf(B.b[(r, r)], K).numerator_coefficients() for r in range(1, kk + 1)]
+    for a in range(kk):
+        for b in range(kk):
+            if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
+                raise ValueError(f"restricted diagonal operators {a+1},{b+1} fail to commute")
     return K
 
 
@@ -852,13 +822,7 @@ def b_to_json(B: BAction) -> dict:
     if B.ctx.gamma is not None:
         out["ctx"]["gamma"] = str(B.ctx.gamma)
     for (i, j), m in sorted(B.b.items()):
-        out["b"][f"{i},{j}"] = [
-            [
-                {"num": [str(c) for c in e.num.coeffs], "den": [str(c) for c in e.den.coeffs]}
-                for e in row
-            ]
-            for row in m.entries
-        ]
+        out["b"][f"{i},{j}"] = [[rf_to_json(e) for e in row] for row in m.entries]
     return out
 
 
@@ -872,14 +836,7 @@ def b_from_json(data: dict) -> BAction:
     b = {}
     for key, grid in data["b"].items():
         i, j = (int(t) for t in key.split(","))
-        b[(i, j)] = RFMatrix(
-            [
-                [RatFun(Poly([rat(c) for c in e["num"]]), Poly([rat(c) for c in e["den"]])) for e in row]
-                for row in grid
-            ],
-            space,
-            space,
-        )
+        b[(i, j)] = RFMatrix([[rf_from_json(e) for e in row] for row in grid], space, space)
     return BAction(ctx, space, b)
 
 

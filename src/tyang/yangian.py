@@ -21,7 +21,7 @@ integer chains over one common nonzero scale per point.
 
 from fractions import Fraction
 
-from tyang.exactalg import Poly, RatFun, rat, rational_roots, rf_equal
+from tyang.exactalg import Poly, RatFun, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
 from tyang.glmn import GlModule, ParitySeq
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -35,7 +35,7 @@ from tyang.superlinalg import (
     elementary,
     int_mat_mul,
     kron_sum,
-    mat_mul,
+    mat_vec,
     rfmat_inverse,
 )
 
@@ -89,7 +89,10 @@ def block_product(A, B, mid=None):
 
 
 def r_matrix_at(P, x: Fraction):
-    """R(x) = 1 - P/x evaluated at a nonzero rational point."""
+    """R(x) = 1 - P/x evaluated at a nonzero rational point.
+
+    The certifiers apply R through ScaledR instead; this dense Fraction
+    form is the reference that grid witnesses are compared against."""
     n = len(P)
     out = [[-p / x for p in row] for row in P]
     for i in range(n):
@@ -376,30 +379,35 @@ def dual_action(T: TAction) -> TAction:
 # ---------------------------------------------------------------------------
 # Highest weights.
 
-def highest_lweight(T: TAction, xi):
-    """Extract the eigen-series tuple of a highest vector.
+def highest_eigenseries(family: SeriesFamily, xi, letter):
+    """The eigen-series tuple of a highest vector of any series family.
 
-    Verifies t_ij(u) xi = 0 for i < j and exact proportionality on the
-    diagonal; raises NotHighest otherwise.
+    Verifies x_ij(u) xi = 0 for i < j and exact proportionality on the
+    diagonal; raises NotHighest otherwise, naming the generator by letter
+    (x_ij is written letter_ij).
     """
     xi = [rat(x) for x in xi]
     if not any(xi):
         raise NotHighest("zero vector")
-    kk = T.kappa
+    kk = family.kappa
     for i in range(1, kk + 1):
         for j in range(i + 1, kk + 1):
-            w = T.t[(i, j)].mat_vec(xi)
-            if any(w):
-                raise NotHighest(f"t_{i}{j}(u) does not annihilate the vector")
+            if any(family.t[(i, j)].mat_vec(xi)):
+                raise NotHighest(f"{letter}_{i}{j}(u) does not annihilate the vector")
     p = next(k for k, x in enumerate(xi) if x)
     lams = []
     for i in range(1, kk + 1):
-        w = T.t[(i, i)].mat_vec(xi)
+        w = family.t[(i, i)].mat_vec(xi)
         lam = w[p] / RatFun.const(xi[p])
         if any(w[q] - lam * xi[q] for q in range(len(xi))):
-            raise NotHighest(f"t_{i}{i}(u) is not scalar on the vector")
+            raise NotHighest(f"{letter}_{i}{i}(u) is not scalar on the vector")
         lams.append(lam)
     return tuple(lams)
+
+
+def highest_lweight(T: TAction, xi):
+    """Extract the eigen-series tuple of a highest vector of T(u)."""
+    return highest_eigenseries(T, xi, "t")
 
 
 def varpi_weight(lams, ps: ParitySeq):
@@ -420,13 +428,18 @@ def lambda_prime_formula(lams, ps: ParitySeq, i: int) -> RatFun:
     return out
 
 
-def lambda_prime_check(T: TAction, xi, lams=None, npairs=10):
+def lambda_prime_check(T: TAction, xi, lams=None):
     """Verify the inverse-series behaviour on a highest vector.
 
     Clause a: t'_ij(u) xi = 0 for i < j.  Clause b: t'_ii(u) xi equals the
-    closed-form eigenvalue.  Clause c: the two-series killing products vanish
-    at npairs deterministic sample pairs.  Returns None on success, else a
-    (clause, detail) pair.
+    closed-form eigenvalue.  Clause c: the killing products
+    t_ia(u) t'_cj(v) xi vanish identically in u and v, for i < j with
+    c <= a and for i = j with c < a.  With t_ia(u) = sum_s A_s u^s / d(u)
+    and t'_cj(v) = sum_t B_t v^t / d'(v), each cleared over its common
+    denominator, a product vanishes identically exactly when every
+    A_s B_t xi does, so the coefficients certify clause c.  Returns None on
+    success, else a (clause, detail) pair: ("a", (i, j)), ("b", i) or
+    ("c", (i, a, c, j)), the first failure in that order.
     """
     xi = [rat(x) for x in xi]
     if lams is None:
@@ -443,35 +456,14 @@ def lambda_prime_check(T: TAction, xi, lams=None, npairs=10):
         lam_p = lambda_prime_formula(lams, T.ps, i)
         if any(w[q] - lam_p * RatFun.const(xi[q]) for q in range(len(xi))):
             return ("b", i)
-    # Clause c at deterministic points off the poles.
-    dT = T.common_den()
-    dTp = Tp.common_den()
-    pairs = []
-    u0 = 1
-    while len(pairs) < npairs:
-        u0 += 1
-        v0 = u0 + 1
-        if dT(u0) == 0 or dTp(v0) == 0:
-            continue
-        pairs.append((Fraction(u0), Fraction(v0)))
-    for u0, v0 in pairs:
-        tp_at = {key: m.eval_mat(v0) for key, m in Tp.t.items()}
-        t_at = {key: m.eval_mat(u0) for key, m in T.t.items()}
-        for i in range(1, kk + 1):
-            for j in range(i + 1, kk + 1):
-                for a in range(1, kk + 1):
-                    for c in range(1, a + 1):
-                        vec = [sum(r[s] * xi[s] for s in range(len(xi))) for r in tp_at[(c, j)]]
-                        vec = [sum(r[s] * vec[s] for s in range(len(vec))) for r in t_at[(i, a)]]
-                        if any(vec):
-                            return ("c", (i, a, c, j, (u0, v0)))
-        for i in range(1, kk + 1):
-            for a in range(1, kk + 1):
-                for c in range(1, a):
-                    vec = [sum(r[s] * xi[s] for s in range(len(xi))) for r in tp_at[(c, i)]]
-                    vec = [sum(r[s] * vec[s] for s in range(len(vec))) for r in t_at[(i, a)]]
-                    if any(vec):
-                        return ("c", (i, a, c, i, (u0, v0)))
+    idx = range(1, kk + 1)
+    A = {key: m.numerator_coefficients() for key, m in T.t.items()}
+    Bxi = {key: [mat_vec(Bt, xi) for Bt in m.numerator_coefficients()] for key, m in Tp.t.items()}
+    quads = [(i, a, c, j) for i in idx for j in range(i + 1, kk + 1) for a in idx for c in range(1, a + 1)]
+    quads += [(i, a, c, i) for i in idx for a in idx for c in range(1, a)]
+    for i, a, c, j in quads:
+        if any(any(mat_vec(As, w)) for As in A[(i, a)] for w in Bxi[(c, j)]):
+            return ("c", (i, a, c, j))
     return None
 
 
@@ -553,18 +545,22 @@ def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
 
 
 def verify_yang_baxter(ps: ParitySeq):
-    """Certify the braid identity for R(u) = 1 - P/u on V x V x V."""
-    P12 = flip_at(ps, 1, 2, 3)
-    P13 = flip_at(ps, 1, 3, 3)
-    P23 = flip_at(ps, 2, 3, 3)
-    lhs = lambda u, v: mat_mul(
-        r_matrix_at(P12, u - v), mat_mul(r_matrix_at(P13, u), r_matrix_at(P23, v))
-    )
-    rhs = lambda u, v: mat_mul(
-        r_matrix_at(P23, v), mat_mul(r_matrix_at(P13, u), r_matrix_at(P12, u - v))
-    )
-    return check_identity_2var(
-        lhs, rhs, (4, 4), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0
+    """Certify the braid identity R12(u-v) R13(u) R23(v) = R23(v) R13(u)
+    R12(u-v) for R(u) = 1 - P/u on V x V x V.
+
+    Each side applies the three factors, as ScaledR on a one-dimensional
+    carrier, to the integer identity matrix, so both are integer matrices
+    over the scale p(u-v) p(u) p(v) of numerators.  Returns None on pass
+    or the Grid2Witness labelled "yang-baxter".
+    """
+    R12, R13, R23 = (ScaledR(flip_at(ps, a, b, 3), 1) for a, b in ((1, 2), (1, 3), (2, 3)))
+    n = ps.kappa ** 3
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
+    rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
+    w = check_identity_2var(lhs, rhs, (4, 4), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
+    return scaled_witness(
+        w, lambda u0, v0: (u0 - v0).numerator * u0.numerator * v0.numerator, "yang-baxter"
     )
 
 
@@ -580,16 +576,7 @@ def t_to_json(T: TAction) -> dict:
         "t": {},
     }
     for (i, j), m in sorted(T.t.items()):
-        out["t"][f"{i},{j}"] = [
-            [
-                {
-                    "num": [str(c) for c in e.num.coeffs],
-                    "den": [str(c) for c in e.den.coeffs],
-                }
-                for e in row
-            ]
-            for row in m.entries
-        ]
+        out["t"][f"{i},{j}"] = [[rf_to_json(e) for e in row] for row in m.entries]
     return out
 
 
@@ -599,17 +586,7 @@ def t_from_json(data: dict) -> TAction:
     t = {}
     for key, grid in data["t"].items():
         i, j = (int(x) for x in key.split(","))
-        t[(i, j)] = RFMatrix(
-            [
-                [
-                    RatFun(Poly([rat(c) for c in e["num"]]), Poly([rat(c) for c in e["den"]]))
-                    for e in row
-                ]
-                for row in grid
-            ],
-            space,
-            space,
-        )
+        t[(i, j)] = RFMatrix([[rf_from_json(e) for e in row] for row in grid], space, space)
     return TAction(ps, space, t)
 
 

@@ -192,10 +192,15 @@ def _run_inputs(tmp_path, pipeline, inputs, max_dim=64):
 
 PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
 CHAR_L2 = {"type": "char", "l": 2, "theta1": "1", "theta2": "2"}
+# The 6-fold tensor of evaluation L(1, 2) modules: dim 64, so dim * kappa = 128.
+L12_TENSOR6 = {"type": "evaluation", "module": LAB12}
+for _ in range(5):
+    L12_TENSOR6 = {"type": "tensor", "left": L12_TENSOR6, "right": {"type": "evaluation", "module": LAB12}}
+B_TENSOR6 = {"type": "from-T", "t": L12_TENSOR6, "eps": [1, -1]}
 
 
 class TestDimensionCap:
-    """The cap is read off the spec before the Hecke module is built."""
+    """The cap is read off the spec before the module or family is built."""
 
     @pytest.mark.parametrize(
         "pipeline, inputs",
@@ -204,17 +209,26 @@ class TestDimensionCap:
             ("drinfeld", {"m": dict(PRINCIPAL_L2, l=6, **{"lambda": ["1"] * 6}), "ps": [1, -1], "eps": [1, -1]}),
             ("drinfeld", {"m": PRINCIPAL_L2, "ps": [1, 1, -1], "eps": [1, 1, -1]}),
             ("drinfeld", {"m": dict(CHAR_L2, l=10**12), "ps": [1, -1], "eps": [1, -1]}),
+            ("verify-yangian", {"t": L12_TENSOR6, "xi": [1] + [0] * 63}),
+            ("verify-twisted", {"b": B_TENSOR6}),
+            ("classify", {"b": B_TENSOR6, "eta": [1] + [0] * 63}),
+            ("reduce", {"b": {"type": "tensor", "t": L12_TENSOR6, "b": {"type": "c-gamma", "ps": [1, -1],
+                                                                           "eps": [1, 1], "gamma": "2"}},
+                        "mode": "over"}),
         ],
-        ids=["daha-principal-l6", "drinfeld-principal-l6", "drinfeld-principal-kappa3", "drinfeld-char-huge-l"],
+        ids=["daha-principal-l6", "drinfeld-principal-l6", "drinfeld-principal-kappa3", "drinfeld-char-huge-l",
+             "verify-yangian-tensor6", "verify-twisted-from-T-tensor6", "classify-from-T-tensor6",
+             "reduce-coideal-tensor6"],
     )
     def test_over_cap_spec_exits_2_before_building(self, monkeypatch, tmp_path, capsys, pipeline, inputs):
-        from tyang import daha
+        from tyang import daha, twisted, yangian
 
         def refuse(*args):
             raise AssertionError("module built before the cap was checked")
 
-        monkeypatch.setattr(daha, "principal_series", refuse)
-        monkeypatch.setattr(daha, "char_module", refuse)
+        for module, name in ((daha, "principal_series"), (daha, "char_module"), (yangian, "tensor_action"),
+                             (yangian, "evaluation_action"), (twisted, "b_from_T"), (twisted, "b_tensor")):
+            monkeypatch.setattr(module, name, refuse)
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"name": "big", "pipeline": pipeline, "inputs": inputs}))
         assert main(["run", str(path), "--max-dim", "64"]) == 2
@@ -255,6 +269,30 @@ class TestDimensionCap:
         assert _run_inputs(tmp_path, "daha", {"m": dict(CHAR_L2, l=8)}, max_dim=8)[1] == 0
         with pytest.raises(InputError, match="l = 9 exceeds the safety cap 8"):
             _run_inputs(tmp_path, "daha", {"m": dict(CHAR_L2, l=9)}, max_dim=8)
+
+    def test_family_shape_read_from_the_spec_matches_the_build(self):
+        from tyang.cli import _baction_shape, _taction_shape, build_baction, build_taction
+        from tyang.glmn import gl_to_json, make_vector_rep
+        from tyang.twisted import b_to_json
+
+        vector = {"type": "evaluation", "module": {"type": "vector", "ps": [1, -1, 1]}, "z": "2"}
+        gl_json = {"type": "evaluation", "module": {"type": "gl-json",
+                                                     "data": gl_to_json(make_vector_rep(ParitySeq([1, 1, -1])))}}
+        lab = {"type": "evaluation", "module": LAB12}
+        tensor = {"type": "tensor", "left": lab, "right": {"type": "dual", "of": lab}}
+        tspecs = [vector, gl_json, lab, tensor, {"type": "trivial", "ps": [1, -1, -1]},
+                  {"type": "dual", "of": {"type": "tensor", "left": vector, "right": vector}}]
+        for spec in tspecs:
+            T = build_taction(spec)
+            assert _taction_shape(spec) == (T.dim, T.kappa), spec
+        cg = {"type": "c-gamma", "ps": [1, -1], "eps": [1, -1], "gamma": "2"}
+        coideal = {"type": "tensor", "t": tensor, "b": dict(B_L12, t=lab)}
+        bspecs = [B_L12, cg, coideal, {"type": "tensor", "t": lab, "b": cg},
+                  {"type": "b-json", "data": b_to_json(build_baction(coideal))},
+                  {"type": "corrupt-sign", "base": coideal, "i": 1, "j": 2}]
+        for spec in bspecs:
+            B = build_baction(spec)
+            assert _baction_shape(spec) == (B.dim, B.kappa), spec
 
     def test_cap_is_the_carrier_dimension(self, tmp_path):
         # principal l = 2 has the 8 signed permutations; with V^3 at kappa = 2

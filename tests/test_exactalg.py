@@ -13,6 +13,8 @@ from tyang.exactalg import (
     rational_roots,
     rf_equal,
     rf_eval,
+    rf_from_json,
+    rf_to_json,
 )
 
 
@@ -209,3 +211,13 @@ class TestInvariants:
     def test_rat_string_roundtrip(self):
         assert rat("3/4") == F(3, 4)
         assert rat(-2) == F(-2)
+
+    def test_ratfun_json_roundtrip(self):
+        u = RatFun.x()
+        f = (u * u - F(1, 3)) / (2 * u + 5)
+        assert rf_to_json(f) == {"num": ["-1/6", "0", "1/2"], "den": ["5/2", "1"]}
+        assert rf_to_json(RatFun.zero()) == {"num": [], "den": ["1"]}
+        for g in (f, RatFun.zero(), RatFun.one(), 1 / u):
+            assert rf_from_json(rf_to_json(g)) == g
+        # The decoder reduces what it reads.
+        assert rf_from_json({"num": ["0", "2"], "den": ["0", "4"]}) == RatFun.const(F(1, 2))

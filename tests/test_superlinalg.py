@@ -17,6 +17,8 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
+    cleared_coefficients,
+    common_den,
     int_mat_mul,
     int_rows,
     kron_ops,
@@ -338,6 +340,29 @@ class TestKernel:
                     sum(a * b for a, b in zip(row, v)) == 0 for row in numeric
                 )
             count += 1
+
+
+class TestClearedCoefficients:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.just(RatFun.zero()), RATFUNS, RATFUNS.map(lambda f: f * RatFun.x())), max_size=5))
+    def test_rebuilds_the_entries(self, entries):
+        den, coeffs = cleared_coefficients(entries)
+        assert den == common_den(entries)
+        assert all(len(vec) == len(entries) for vec in coeffs)
+        assert not coeffs or any(coeffs[-1])  # no trailing zero power
+        for t, e in enumerate(entries):
+            assert RatFun(Poly([vec[t] for vec in coeffs]), den) == e
+
+    def test_numerator_coefficients(self):
+        u = RatFun.x()
+        M = RFMatrix([[u / (u - 1), RatFun.zero()], [RatFun.one(), (u * u + 2) / (u - 1)]])
+        # M = (N_0 + N_1 u + N_2 u^2) / (u - 1).
+        assert M.numerator_coefficients() == [
+            [[F(0), F(0)], [F(-1), F(2)]],
+            [[F(1), F(0)], [F(1), F(0)]],
+            [[F(0), F(0)], [F(0), F(1)]],
+        ]
+        assert RFMatrix.zero(2, 3).numerator_coefficients() == []
 
 
 class TestCharPoly:

@@ -267,14 +267,39 @@ class TestHighestBWeight:
         assert rf_equal(mu.tilde(1) / mu.tilde(2), (u + 1) * (u + 3) / (u * (u - 2)))
 
     def test_lower_vector_rejected(self, b_l12):
-        with pytest.raises(NotHighest):
+        with pytest.raises(NotHighest, match=r"^b_12\(u\) does not annihilate the vector$"):
             highest_bweight(b_l12, [0, 1])
+        with pytest.raises(NotHighest, match="^zero vector$"):
+            highest_bweight(b_l12, [0, 0])
+
+    def test_non_scalar_diagonal_message(self):
+        B = _diagonal_baction(RFMatrix([[RatFun.one(), RatFun.x()], [RatFun.zero()] * 2]), RFMatrix.identity(2))
+        with pytest.raises(NotHighest, match=r"^b_11\(u\) is not scalar on the vector$"):
+            highest_bweight(B, [0, 1])
+
+
+def _diagonal_baction(b11, b22):
+    """A kappa = 2 BAction on an even 2-dimensional space with b_12 = b_21 = 0."""
+    ctx = TwistedContext(ParitySeq([1, 1]), [1, 1])
+    space = SuperSpace([0, 0])
+    zero = RFMatrix.zero(2, 2, space, space)
+    b = {(1, 1): b11, (1, 2): zero, (2, 1): zero, (2, 2): b22}
+    return BAction(ctx, space, {key: RFMatrix(m.entries, space, space) for key, m in b.items()})
 
 
 class TestHighestSpace:
     def test_irreducible_restriction_one_dim(self, b_l12):
         K = find_highest_space(b_l12)
         assert len(K) == 1
+
+    def test_noncommuting_diagonals_raise(self):
+        # b_11(u) = (u 1 + E_12)/(u - 1) and b_22(u) = E_21 do not commute.
+        u, one, zero = RatFun.x(), RatFun.one(), RatFun.zero()
+        b11 = RFMatrix([[u / (u - 1), one / (u - 1)], [zero, u / (u - 1)]])
+        b22 = RFMatrix([[zero, zero], [one, zero]])
+        with pytest.raises(ValueError, match="restricted diagonal operators 1,2 fail to commute"):
+            find_highest_space(_diagonal_baction(b11, b22))
+        assert len(find_highest_space(_diagonal_baction(b11, RFMatrix.identity(2).scale(u)))) == 2
 
     def test_direct_sum_two_dim(self, b_l12):
         space = SuperSpace(b_l12.space.parities * 2)

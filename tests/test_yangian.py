@@ -206,6 +206,26 @@ class TestYangBaxter:
         for ps in all_parity_seqs(3):
             assert verify_yang_baxter(ps) is None
 
+    def test_unsigned_flip_witness_matches_fraction_path(self, monkeypatch):
+        # P13 without its signs breaks the braid identity for gl(1|1).
+        ps = ParitySeq([1, -1])
+        n = ps.kappa ** 3
+        digits = lambda r: (r // 4, r // 2 % 2, r % 2)
+        unsigned = [[F(int(digits(c) == digits(r)[::-1])) for c in range(n)] for r in range(n)]
+        signed = yangian.flip_at
+        flip = lambda ps, a, b, k: unsigned if (a, b) == (1, 3) else signed(ps, a, b, k)
+        monkeypatch.setattr(yangian, "flip_at", flip)
+        w = verify_yang_baxter(ps)
+        assert w is not None and w.label == "yang-baxter"
+        u0, v0 = w.point
+        R12, R13, R23 = (
+            r_matrix_at(flip(ps, a, b, 3), x) for a, b, x in ((1, 2, u0 - v0), (1, 3, u0), (2, 3, v0))
+        )
+        assert w.lhs == mat_mul(R12, mat_mul(R13, R23))
+        assert w.rhs == mat_mul(R23, mat_mul(R13, R12))
+        assert w.lhs != w.rhs
+        assert all(type(x) is Fraction for m in (w.lhs, w.rhs) for row in m for x in row)
+
 
 class TestRTT:
     def test_evaluation_modules(self):
@@ -303,8 +323,23 @@ class TestHighestWeight:
     def test_not_highest(self):
         ps = ParitySeq([1, -1])
         T = evaluation_action(make_vector_rep(ps), 0)
-        with pytest.raises(NotHighest):
+        with pytest.raises(NotHighest, match=r"^t_12\(u\) does not annihilate the vector$"):
             highest_lweight(T, [0, 1])
+        with pytest.raises(NotHighest, match="^zero vector$"):
+            highest_lweight(T, [0, 0])
+
+    def test_non_scalar_diagonal_message(self):
+        # t_12 = 0 and t_11(u) = 1 + E_12/u: the vector e_2 is killed above
+        # the diagonal, but t_11(u) is not scalar on it.
+        ps = ParitySeq([1, 1])
+        space = SuperSpace([0, 0])
+        u = RatFun.x()
+        one, zero = RatFun.one(), RatFun.zero()
+        t = {key: RFMatrix.identity(2, space) if key[0] == key[1] else RFMatrix.zero(2, 2, space, space)
+             for key in itertools.product((1, 2), repeat=2)}
+        t[(1, 1)] = RFMatrix([[one, 1 / u], [zero, one]], space, space)
+        with pytest.raises(NotHighest, match=r"^t_11\(u\) is not scalar on the vector$"):
+            highest_lweight(TAction(ps, space, t), [0, 1])
 
 
 class TestLambdaPrime:
@@ -330,6 +365,34 @@ class TestLambdaPrime:
             xi = [F(0)] * T.dim
             xi[0] = F(1)
             assert lambda_prime_check(T, xi) is None
+
+    @pytest.mark.parametrize(
+        "t13, tp32",
+        [
+            # t_13(u) t'_32(v) xi = (u - v + 1) e_1 vanishes on the line
+            # v = u + 1 but not identically.
+            ([0, RatFun.x(), -1], [[0, 0, 0], [1, 0, 0], [RatFun.x() - 1, 0, 0]]),
+            # -v e_1: only the u^0 coefficient of t_13 and the top one of
+            # t'_32 meet.
+            ([0, 0, -1], [[0, 0, 0], [0, 0, 0], [RatFun.x(), 0, 0]]),
+        ],
+        ids=["vanishes-on-a-line", "constant-times-top-power"],
+    )
+    def test_killing_product_not_identically_zero_fails(self, t13, tp32):
+        # Every other block is zero or the identity; clauses a and b hold.
+        ps = ParitySeq([1, 1, 1])
+        space = SuperSpace([0, 0, 0])
+        entry = lambda x: x if isinstance(x, RatFun) else RatFun.const(x)
+        ident = RFMatrix.identity(3, space)
+        blank = RFMatrix.zero(3, 3, space, space)
+        t = {key: ident if key[0] == key[1] else blank for key in itertools.product((1, 2, 3), repeat=2)}
+        tp = dict(t)
+        t[(1, 3)] = RFMatrix([[entry(x) for x in t13]] + blank.entries[1:], space, space)
+        tp[(3, 2)] = RFMatrix([[entry(x) for x in row] for row in tp32], space, space)
+        one = RatFun.one()
+        T = TAction(ps, space, t)
+        T._tprime = TPrimeAction(ps, space, tp)
+        assert lambda_prime_check(T, [1, 0, 0], (one, one, one)) == ("c", (1, 3, 3, 2))
 
     def test_three_fold_tensor_kappa_three(self):
         ps = ParitySeq([1, 1, -1])
