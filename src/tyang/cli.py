@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from itertools import chain, repeat
 
 from tyang import daha as daha_mod
@@ -45,144 +46,141 @@ def _star_index(kappa, a):
     return a
 
 
-def _center_poly(terms):
-    return {tuple(int(e) for e in term["mono"]): rat(term["coeff"]) for term in terms}
+def _center_poly(l, max_dim, terms):
+    """A polynomial in y_1..y_l as {exponent tuple: coefficient}; a monomial
+    of total degree above max_dim is refused, as l itself is."""
+    poly = {}
+    for term in terms:
+        mono = tuple(int(e) for e in term["mono"])
+        if len(mono) != l or min(mono) < 0:
+            raise ValueError(f"monomial {list(mono)} is not {l} nonnegative exponents")
+        if sum(mono) > max_dim:
+            raise ValueError(f"monomial degree {sum(mono)} exceeds the safety cap {max_dim}")
+        poly[mono] = rat(term["coeff"])
+    return poly
+
+
+# Readers: each walks one constructor block once and returns (size, build),
+# the size of what the block describes and a function that builds it.  The
+# builders look up the library functions when they run, after the cap.
+
+def _kind(spec):
+    if not isinstance(spec, dict):
+        raise TypeError(f"a constructor block must be a JSON object, got {type(spec).__name__}")
+    return spec.get("type")
 
 
 def build_gl_module(spec):
-    kind = spec.get("type")
+    """((dim, kappa), build) for a gl(m|n) module block."""
+    kind = _kind(spec)
     if kind == "vector":
-        return make_vector_rep(ParitySeq(spec["ps"]))
+        ps = ParitySeq(spec["ps"])
+        return (ps.kappa, ps.kappa), lambda: make_vector_rep(ps)
     if kind == "Lab":
-        return make_Lab(int(spec["s1"]), rat(spec["a"]), rat(spec["b"]))
+        s1, a, b = int(spec["s1"]), rat(spec["a"]), rat(spec["b"])
+        return (2, 2), lambda: make_Lab(s1, a, b)
     if kind == "gl-json":
-        return gl_from_json(spec["data"])
+        data = spec["data"]
+        return (len(data["parities"]), len(data["ps"])), lambda: gl_from_json(data)
     raise InputError(f"unknown gl module constructor {kind!r}")
 
 
 def build_taction(spec):
-    kind = spec.get("type")
+    """((dim, kappa), build) for a T(u) block."""
+    kind = _kind(spec)
     if kind == "evaluation":
-        return yangian_mod.evaluation_action(build_gl_module(spec["module"]), rat(spec.get("z", 0)))
+        shape, module = build_gl_module(spec["module"])
+        z = rat(spec.get("z", 0))
+        return shape, lambda: yangian_mod.evaluation_action(module(), z)
     if kind == "tensor":
-        return yangian_mod.tensor_action(build_taction(spec["left"]), build_taction(spec["right"]))
+        (dl, kappa), left = build_taction(spec["left"])
+        (dr, _), right = build_taction(spec["right"])
+        return (dl * dr, kappa), lambda: yangian_mod.tensor_action(left(), right())
     if kind == "trivial":
-        return yangian_mod.trivial_action(ParitySeq(spec["ps"]))
+        ps = ParitySeq(spec["ps"])
+        return (1, ps.kappa), lambda: yangian_mod.trivial_action(ps)
     if kind == "dual":
-        return yangian_mod.dual_action(build_taction(spec["of"]))
+        shape, of = build_taction(spec["of"])
+        return shape, lambda: yangian_mod.dual_action(of())
     raise InputError(f"unknown action constructor {kind!r}")
 
 
 def build_baction(spec):
-    kind = spec.get("type")
+    """((dim, kappa), build) for a B(u) block."""
+    kind = _kind(spec)
     if kind == "from-T":
-        T = build_taction(spec["t"])
-        ctx = twisted_mod.TwistedContext(T.ps, spec["eps"], spec.get("gamma"))
-        return twisted_mod.b_from_T(T, ctx)
+        shape, t = build_taction(spec["t"])
+        eps, gamma = spec["eps"], spec.get("gamma")
+
+        def from_t():
+            T = t()
+            return twisted_mod.b_from_T(T, twisted_mod.TwistedContext(T.ps, eps, gamma))
+        return shape, from_t
     if kind == "c-gamma":
         ctx = twisted_mod.TwistedContext(ParitySeq(spec["ps"]), spec["eps"])
-        return twisted_mod.c_gamma(ctx, rat(spec["gamma"]))
+        gamma = rat(spec["gamma"])
+        return (1, ctx.kappa), lambda: twisted_mod.c_gamma(ctx, gamma)
     if kind == "tensor":
-        return twisted_mod.b_tensor(build_taction(spec["t"]), build_baction(spec["b"]))
+        (dt, kappa), t = build_taction(spec["t"])
+        (db, _), w = build_baction(spec["b"])
+        return (dt * db, kappa), lambda: twisted_mod.b_tensor(t(), w())
     if kind == "b-json":
-        return twisted_mod.b_from_json(spec["data"])
+        data = spec["data"]
+        return (len(data["parities"]), len(data["ctx"]["s"])), lambda: twisted_mod.b_from_json(data)
     if kind == "corrupt-sign":
-        base = build_baction(spec["base"])
+        shape, base = build_baction(spec["base"])
         i, j = int(spec["i"]), int(spec["j"])
-        b = dict(base.b)
-        b[(i, j)] = b[(i, j)].scale(-1)
-        return twisted_mod.BAction(base.ctx, base.space, b)
+
+        def corrupt():
+            B = base()
+            return twisted_mod.BAction(B.ctx, B.space, {**B.b, (i, j): B.b[(i, j)].scale(-1)})
+        return shape, corrupt
     raise InputError(f"unknown twisted constructor {kind!r}")
+
+
+def _daha_params(spec):
+    return daha_mod.DahaParams(int(spec["l"]), rat(spec["theta1"]), rat(spec["theta2"]))
 
 
 def build_daha_module(spec):
-    kind = spec.get("type")
+    """((dimension factors, l), build) for a Hecke module block."""
+    kind = _kind(spec)
     if kind == "char":
-        params = daha_mod.DahaParams(int(spec["l"]), rat(spec["theta1"]), rat(spec["theta2"]))
-        return daha_mod.char_module(params, int(spec.get("sign_sigma", 1)), int(spec.get("sign_zeta", 1)))
+        params = _daha_params(spec)
+        signs = int(spec.get("sign_sigma", 1)), int(spec.get("sign_zeta", 1))
+        return ([1], params.l), lambda: daha_mod.char_module(params, *signs)
     if kind == "principal":
-        params = daha_mod.DahaParams(int(spec["l"]), rat(spec["theta1"]), rat(spec["theta2"]))
-        return daha_mod.principal_series(params, _rat_list(spec["lambda"]))
+        params, lam = _daha_params(spec), _rat_list(spec["lambda"])
+        if len(lam) != params.l:
+            raise ValueError(f"lambda has {len(lam)} entries, not l = {params.l}")
+        # The signed permutations: 2^l l! basis vectors.
+        return ((2 * i for i in range(1, params.l + 1)), params.l), lambda: daha_mod.principal_series(params, lam)
     if kind == "daha-json":
-        return daha_mod.daha_from_json(spec["data"])
+        data = spec["data"]
+        return ([int(data["dim"])], int(data["l"])), lambda: daha_mod.daha_from_json(data)
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
-def _daha_dim_factors(spec):
-    """The dimension of the Hecke module a build_daha_module spec describes,
-    as factors to multiply, and its l; read from the spec, nothing is built."""
-    kind = spec.get("type")
-    if kind == "char":
-        return [1], int(spec["l"])
-    if kind == "principal":
-        l = int(spec["l"])
-        return (2 * i for i in range(1, l + 1)), l  # the signed permutations, 2^l l!
-    if kind == "daha-json":
-        return [int(spec["data"]["dim"])], int(spec["data"]["l"])
-    raise InputError(f"unknown hecke module constructor {kind!r}")
-
-
-def _taction_shape(spec):
-    """(dim, kappa) of the action a build_taction spec describes; read from
-    the spec, nothing is built."""
-    kind = spec.get("type")
-    if kind == "evaluation":
-        m = spec["module"]
-        mkind = m.get("type")
-        if mkind == "vector":
-            return len(m["ps"]), len(m["ps"])
-        if mkind == "Lab":
-            return 2, 2
-        if mkind == "gl-json":
-            return len(m["data"]["parities"]), len(m["data"]["ps"])
-        raise InputError(f"unknown gl module constructor {mkind!r}")
-    if kind == "tensor":
-        (dl, kappa), (dr, _) = _taction_shape(spec["left"]), _taction_shape(spec["right"])
-        return dl * dr, kappa
-    if kind == "trivial":
-        return 1, len(spec["ps"])
-    if kind == "dual":
-        return _taction_shape(spec["of"])
-    raise InputError(f"unknown action constructor {kind!r}")
-
-
-def _baction_shape(spec):
-    """(dim, kappa) of the action a build_baction spec describes; read from
-    the spec, nothing is built."""
-    kind = spec.get("type")
-    if kind == "from-T":
-        return _taction_shape(spec["t"])
-    if kind == "c-gamma":
-        return 1, len(spec["ps"])
-    if kind == "tensor":
-        (dt, kappa), (db, _) = _taction_shape(spec["t"]), _baction_shape(spec["b"])
-        return dt * db, kappa
-    if kind == "b-json":
-        return len(spec["data"]["parities"]), len(spec["data"]["ctx"]["s"])
-    if kind == "corrupt-sign":
-        return _baction_shape(spec["base"])
-    raise InputError(f"unknown twisted constructor {kind!r}")
-
-
-def _build(constructor, inputs, key, *args, cap=None):
-    """Run constructor(*args, inputs[key]); a missing or malformed field is an
-    InputError naming the constructor and the field.
+def _build(reader, inputs, key, *args, guard=None):
+    """Read inputs[key] with reader(*args, inputs[key]); a missing or
+    malformed field is an InputError naming the reader and the field.
 
     Every read of a scenario's inputs goes through here, so bad input exits 2
-    while the checks that run afterwards stay unwrapped.  cap = (shape,
-    max_dim) refuses a family whose dim * kappa, read from the spec by
-    shape, exceeds max_dim before the constructor runs.
+    while the checks that run afterwards stay unwrapped.  With a guard, the
+    reader returns (size, build): guard(size) may refuse the size, and only
+    then does build() run.
     """
     try:
-        if cap is not None:
-            shape, max_dim = cap
-            dim, kappa = shape(inputs[key])
-            _guard_dim([dim * kappa], max_dim)
-        return constructor(*args, inputs[key])
+        value = reader(*args, inputs[key])
+        if guard is None:
+            return value
+        size, build = value
+        guard(size)
+        return build()
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise InputError(f"{constructor.__name__} on inputs[{key!r}]: {type(e).__name__}: {e}") from e
+    except (KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError(f"{reader.__name__} on inputs[{key!r}]: {type(e).__name__}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +215,22 @@ def _check(cid, anchor, ok, witness=None, data=None):
     return rec
 
 
+HIGHEST_ANCHOR = "upper series annihilate, diagonal series are scalar"
+
+
+def _highest(weight, family, vector):
+    """(weight(family, vector), None) for a highest vector, else (None, the
+    failed highest-weight check); a vector of the wrong length is bad input."""
+    if len(vector) != family.dim:
+        raise InputError(f"the vector has {len(vector)} entries, not dim = {family.dim}")
+    try:
+        return weight(family, vector), None
+    except yangian_mod.NotHighest as e:
+        return None, _check("highest-weight", HIGHEST_ANCHOR, False, {"detail": str(e)})
+
+
 def pipe_verify_yangian(inputs, max_dim):
-    T = _build(build_taction, inputs, "t", cap=(_taction_shape, max_dim))
+    T = _build(build_taction, inputs, "t", guard=partial(_guard_dim, max_dim=max_dim))
     checks = []
     w = yangian_mod.verify_rtt(T)
     checks.append(_check("exchange-relation", "series exchange relation on two auxiliary spaces", w is None, _witness_json(w)))
@@ -228,21 +240,18 @@ def pipe_verify_yangian(inputs, max_dim):
     checks.append(_check("inverse-product", "series times inverse series is the identity", prod_ok))
     if "xi" in inputs:
         xi = _build(_rat_list, inputs, "xi")
-        try:
-            lams = yangian_mod.highest_lweight(T, xi)
-            checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
-                                 data={"lambda": [rf_to_json(l) for l in lams]}))
+        lams, failed = _highest(yangian_mod.highest_lweight, T, xi)
+        checks.append(failed or _check("highest-weight", HIGHEST_ANCHOR, True,
+                                       data={"lambda": [rf_to_json(l) for l in lams]}))
+        if not failed:
             res = yangian_mod.lambda_prime_check(T, xi, lams)
             checks.append(_check("inverse-weight-formula", "closed form of the inverse-series eigenvalues", res is None,
                                  None if res is None else {"detail": str(res)}))
-        except yangian_mod.NotHighest as e:
-            checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", False,
-                                 {"detail": str(e)}))
     return checks
 
 
 def pipe_verify_twisted(inputs, max_dim):
-    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
+    B = _build(build_baction, inputs, "b", guard=partial(_guard_dim, max_dim=max_dim))
     checks = []
     rep = twisted_mod.verify_b(B)
     checks.append(_check("reflection-equation", "quartic exchange relation with both spectral arguments",
@@ -253,23 +262,22 @@ def pipe_verify_twisted(inputs, max_dim):
                          data={"f": rf_to_json(rep.f)} if rep.f is not None else None))
     if "eta" in inputs:
         eta = _build(_rat_list, inputs, "eta")
-        try:
-            mu = twisted_mod.highest_bweight(B, eta)
-            checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", True,
-                                 data={"mu": [rf_to_json(m) for m in mu.mus]}))
+        mu, failed = _highest(twisted_mod.highest_bweight, B, eta)
+        checks.append(failed or _check("highest-weight", HIGHEST_ANCHOR, True,
+                                       data={"mu": [rf_to_json(m) for m in mu.mus]}))
+        if not failed:
             bad = twisted_mod.verma_conditions(mu)
             checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                                  None if bad is None else {"index": bad}))
-        except yangian_mod.NotHighest as e:
-            checks.append(_check("highest-weight", "upper series annihilate, diagonal series are scalar", False,
-                                 {"detail": str(e)}))
     return checks
 
 
 def pipe_classify(inputs, max_dim):
-    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
+    B = _build(build_baction, inputs, "b", guard=partial(_guard_dim, max_dim=max_dim))
     eta = _build(_rat_list, inputs, "eta")
-    mu = twisted_mod.highest_bweight(B, eta)
+    mu, failed = _highest(twisted_mod.highest_bweight, B, eta)
+    if failed:
+        return [failed]
     checks = []
     bad = twisted_mod.verma_conditions(mu)
     checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
@@ -290,7 +298,7 @@ def pipe_classify(inputs, max_dim):
 
 
 def pipe_reduce(inputs, max_dim):
-    B = _build(build_baction, inputs, "b", cap=(_baction_shape, max_dim))
+    B = _build(build_baction, inputs, "b", guard=partial(_guard_dim, max_dim=max_dim))
     mode = _build(_reduction_mode, inputs, "mode")
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
@@ -305,8 +313,7 @@ def pipe_reduce(inputs, max_dim):
                          data={"dim": red.dim}))
     rep = twisted_mod.verify_b(red)
     checks.append(_check("reduced-relations", "relations of the lower-rank family on the subspace",
-                         rep.reflection is None and rep.scalar_ok and rep.even_ok,
-                         _witness_json(rep.reflection)))
+                         rep.ok, _witness_json(rep.reflection)))
     if mode == "star":
         K = red.provenance[3]
         shift = B.ps.rho(a + 2) / 2
@@ -319,10 +326,8 @@ def pipe_reduce(inputs, max_dim):
 
 
 def pipe_daha(inputs, max_dim):
-    factors, l = _build(_daha_dim_factors, inputs, "m")
-    _guard_letters(l, max_dim)
-    _guard_dim(factors, max_dim)
-    M = _build(build_daha_module, inputs, "m")
+    M = _build(build_daha_module, inputs, "m", guard=lambda size: _guard_letters(*size, max_dim))
+    poly = _build(_center_poly, inputs, "center", M.params.l, max_dim) if "center" in inputs else None
     checks = []
     bad = daha_mod.verify_daha(M)
     checks.append(_check("relations", "defining relations of the degenerate Hecke algebra", bad is None,
@@ -331,8 +336,7 @@ def pipe_daha(inputs, max_dim):
         _ys, fail = daha_mod.sf_presentation(M)
         checks.append(_check("transformed-presentation", "anticommuting family and its bracket formula",
                              fail is None, None if fail is None else {"relation": fail}))
-    if "center" in inputs:
-        poly = _build(_center_poly, inputs, "center")
+    if poly is not None:
         bad = daha_mod.center_check(M, poly)
         checks.append(_check("center", "symmetric polynomials in the squares are central", bad is None,
                              None if bad is None else {"generator": bad}))
@@ -340,14 +344,11 @@ def pipe_daha(inputs, max_dim):
 
 
 def pipe_drinfeld(inputs, max_dim):
-    factors, l = _build(_daha_dim_factors, inputs, "m")
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
     kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
-    _guard_letters(l, max_dim)
-    _guard_dim(chain(factors, repeat(ps.kappa, l + 1)), max_dim)
-    M = _build(build_daha_module, inputs, "m")
+    M = _build(build_daha_module, inputs, "m", guard=lambda size: _guard_letters(*size, max_dim, ps.kappa))
     # One series product and one set of sign relations serve both checks;
     # the expansion check rebuilds the product if chi or gamma is off default.
     product = drinfeld_mod.reflection_product(M, ps, eps, epsilon, **kwargs)
@@ -362,9 +363,7 @@ def pipe_drinfeld(inputs, max_dim):
     if D.action is not None:
         rep = twisted_mod.verify_b(D.action)
         checks.append(_check("reduced-relations", "reflection and scalar conditions on the functor output",
-                             rep.reflection is None and rep.scalar_ok and rep.even_ok,
-                             _witness_json(rep.reflection),
-                             data={"f": rf_to_json(rep.f)}))
+                             rep.ok, _witness_json(rep.reflection), data={"f": rf_to_json(rep.f)}))
     if inputs.get("expansion", True):
         res = drinfeld_mod.bchi_expansion_check(M, ps, eps, epsilon, product=product)
         checks.append(_check("expansion", "first three series coefficients in closed form", res is None,
@@ -376,8 +375,7 @@ def pipe_appendix(inputs, max_dim):
     ps = _build(ParitySeq, inputs, "ps")
     eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
     l = _build(int, inputs, "l")
-    _guard_letters(l, max_dim)
-    _guard_dim(repeat(ps.kappa, l + 1), max_dim)
+    _guard_letters((), l, max_dim, ps.kappa)
     bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",
                    bad is None, None if bad is None else {"identity": bad})]
@@ -396,12 +394,15 @@ PIPELINE_FUNCS = {
 PIPELINES = tuple(PIPELINE_FUNCS)
 
 
-def _guard_letters(l, max_dim):
-    """Refuse l > max_dim.  The work of a Hecke or appendix pipeline grows
-    with l even where the carrier dimension does not (kappa = 1, or a
-    one-dimensional module), so l is capped by itself as well."""
+def _guard_letters(factors, l, max_dim, kappa=None):
+    """Refuse l outside 1..max_dim, then a carrier M x V^(l+1), dim M the
+    product of factors and kappa = dim V (M alone if kappa is None), above
+    max_dim.  The work grows with l even where the carrier does not."""
+    if l < 1:
+        raise InputError("l must be at least 1")
     if l > max_dim:
         raise InputError(f"l = {l} exceeds the safety cap {max_dim}")
+    _guard_dim(factors if kappa is None else chain(factors, repeat(kappa, l + 1)), max_dim)
 
 
 def _guard_dim(factors, max_dim):
@@ -422,21 +423,29 @@ def run_scenario(path, only=None, max_dim=64, timings=False):
     try:
         with open(path) as fh:
             scenario = json.load(fh)
-    except OSError as e:
+    except (OSError, RecursionError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    if not isinstance(scenario, dict):
+        raise InputError(f"a scenario must be a JSON object, got {type(scenario).__name__}")
     for field in ("name", "pipeline", "inputs"):
         if field not in scenario:
             raise InputError(f"scenario is missing the {field!r} field")
     pipeline = scenario["pipeline"]
-    func = PIPELINE_FUNCS.get(pipeline)
+    func = PIPELINE_FUNCS.get(pipeline) if isinstance(pipeline, str) else None
     if func is None:
         raise InputError(f"unknown pipeline {pipeline!r}")
+    if not isinstance(scenario["inputs"], dict):
+        raise InputError("the 'inputs' field must be a JSON object")
+    expectations = scenario.get("expectations") or {}
+    expected = expectations.get("checks") or {} if isinstance(expectations, dict) else None
+    if not isinstance(expected, dict) or not all(isinstance(f, dict) for f in expected.values()):
+        raise InputError("'expectations' must be an object whose 'checks' maps check ids to objects")
     t0 = time.monotonic()
     try:
         checks = func(scenario["inputs"], max_dim)
-    except RootSearchBound as e:
+    except (RootSearchBound, drinfeld_mod.ParameterConstraint) as e:
         raise InputError(str(e)) from e
     elapsed = time.monotonic() - t0
     if only is not None:
@@ -451,7 +460,6 @@ def run_scenario(path, only=None, max_dim=64, timings=False):
         "checks": checks,
         "overall": overall,
     }
-    expectations = scenario.get("expectations") or {}
     if expectations:
         mismatches = _expectation_mismatches(expectations, report)
         report["expectations"] = "pass" if not mismatches else mismatches

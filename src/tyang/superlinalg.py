@@ -240,14 +240,13 @@ def cleared_resolvent(A):
     return R, d
 
 
-def algebra_closure(gens, dim, include_identity=True, cap=None):
+def algebra_closure(gens, dim):
     """Span closure of a list of operators under matrix multiplication.
 
     Returns a list of matrices whose span is the unital algebra generated by
     gens inside End of a dim-dimensional space.
     """
-    if cap is None:
-        cap = dim * dim
+    cap = dim * dim
     basis_rows = []   # RREF rows over the flattened dim^2 coordinates
     pivots = []
     basis_mats = []
@@ -269,10 +268,7 @@ def algebra_closure(gens, dim, include_identity=True, cap=None):
         return True
 
     queue = []
-    seeds = list(gens)
-    if include_identity:
-        seeds.append(mat_identity(dim))
-    for g in seeds:
+    for g in list(gens) + [mat_identity(dim)]:
         if reduce_and_add(g):
             queue.append(g)
     head = 0
@@ -648,7 +644,7 @@ class Grid2Witness:
     label: str = ""
 
 
-def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None, bad_pair=None):
+def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
     """Certify a two-variable matrix identity on a degree-beating grid.
 
     lhs_eval and rhs_eval map a rational point (u0, v0) to matrices, and
@@ -679,9 +675,7 @@ def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None, b
         if cand > 20000:
             raise GridExhausted("could not place the v-grid")
         c = Fraction(cand)
-        if (bad_v is None or not bad_v(c)) and (
-            bad_pair is None or not any(bad_pair(u, c) for u in us)
-        ):
+        if bad_v is None or not bad_v(c):
             vs.append(c)
         cand += 2  # even v-values, so u-v and u+v never vanish
     for u0 in us:

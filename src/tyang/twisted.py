@@ -838,6 +838,3 @@ def b_from_json(data: dict) -> BAction:
         i, j = (int(t) for t in key.split(","))
         b[(i, j)] = RFMatrix([[rf_from_json(e) for e in row] for row in grid], space, space)
     return BAction(ctx, space, b)
-
-
-reduce = reduce_rank

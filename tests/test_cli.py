@@ -3,8 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tyang.cli import InputError, build_daha_module, main, run_scenario
 from tyang.glmn import ParitySeq
@@ -97,6 +100,8 @@ LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}
 
 B_L12 = {"type": "from-T", "t": {"type": "evaluation", "module": LAB12}, "eps": [1, 1]}
 CHAR21 = {"type": "char", "l": 1, "theta1": "1", "theta2": "2"}
+APPENDIX = {"name": "appendix", "pipeline": "appendix", "inputs": {"ps": [1, -1], "eps": [1, -1], "l": 2}}
+PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
 
 
 class TestMalformedInputs:
@@ -125,6 +130,60 @@ class TestMalformedInputs:
         assert main(["run", str(path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [5, None, dict(APPENDIX, pipeline=[1]), dict(APPENDIX, inputs=[1]),
+         dict(APPENDIX, expectations=[1]), dict(APPENDIX, expectations=1.5),
+         dict(APPENDIX, expectations={"checks": 5}), dict(APPENDIX, expectations={"checks": {"x": 5}})],
+        ids=["top-level-int", "top-level-null", "pipeline-list", "inputs-list", "expectations-list",
+             "expectations-float", "expectation-checks-int", "expectation-fields-int"],
+    )
+    def test_malformed_envelope_exits_2(self, scenario, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "pipeline, inputs, message",
+        [
+            ("verify-yangian", {"t": 5}, "must be a JSON object, got int"),
+            ("verify-yangian", {"t": [1]}, "must be a JSON object, got list"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": 3}}, "must be a JSON object, got int"),
+            ("daha", {"m": 1.5}, "must be a JSON object, got float"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "epsilon": 0}, "epsilon must be +-1"),
+            ("appendix", {"ps": [1, -1], "eps": [1, -1], "l": 0}, "l must be at least 1"),
+            ("appendix", {"ps": [1, -1], "eps": [1, -1], "l": -5}, "l must be at least 1"),
+            ("daha", {"m": dict(PRINCIPAL_L2, **{"lambda": ["1"]})}, "lambda has 1 entries, not l = 2"),
+            ("daha", {"m": PRINCIPAL_L2, "center": [{"mono": [2], "coeff": "1"}]}, "is not 2 nonnegative exponents"),
+            ("daha", {"m": PRINCIPAL_L2, "center": [{"mono": [-3, 0], "coeff": "1"}]}, "is not 2 nonnegative exponents"),
+            ("daha", {"m": PRINCIPAL_L2, "center": [{"mono": [200000, 0], "coeff": "1"}]},
+             "monomial degree 200000 exceeds the safety cap 64"),
+            ("verify-twisted", {"b": B_L12, "eta": ["1"]}, "the vector has 1 entries, not dim = 2"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": LAB12}, "xi": ["1", "0", "0"]},
+             "the vector has 3 entries, not dim = 2"),
+        ],
+        ids=["t-int", "t-list", "module-int", "m-float", "epsilon-zero", "appendix-l-zero", "appendix-l-negative",
+             "principal-short-lambda", "center-short-monomial", "center-negative-exponent", "center-huge-degree",
+             "eta-short", "xi-long"],
+    )
+    def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "pipeline": pipeline, "inputs": inputs}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
+    def test_classify_on_a_vector_that_is_not_highest_fails_the_check(self, tmp_path):
+        with open(scenario_path("rank1-L12.json")) as fh:
+            scenario = json.load(fh)
+        report, code = _run_inputs(tmp_path, "classify", dict(scenario["inputs"], eta=["1", "1"]))
+        assert code == 1
+        assert report["checks"] == [{
+            "id": "highest-weight", "anchor": "upper series annihilate, diagonal series are scalar",
+            "status": "fail", "witness": {"detail": "b_12(u) does not annihilate the vector"},
+        }]
+
 
 class TestMainEntry:
     def test_list_pipelines(self, capsys):
@@ -136,6 +195,12 @@ class TestMainEntry:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == 2
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["run", str(bad)]) == 2
+        assert "maximum recursion depth" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
         assert main(["run", "/nonexistent/scenario.json"]) == 2
@@ -190,7 +255,6 @@ def _run_inputs(tmp_path, pipeline, inputs, max_dim=64):
     return run_scenario(str(path), max_dim=max_dim)
 
 
-PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
 CHAR_L2 = {"type": "char", "l": 2, "theta1": "1", "theta2": "2"}
 # The 6-fold tensor of evaluation L(1, 2) modules: dim 64, so dim * kappa = 128.
 L12_TENSOR6 = {"type": "evaluation", "module": LAB12}
@@ -271,7 +335,7 @@ class TestDimensionCap:
             _run_inputs(tmp_path, "daha", {"m": dict(CHAR_L2, l=9)}, max_dim=8)
 
     def test_family_shape_read_from_the_spec_matches_the_build(self):
-        from tyang.cli import _baction_shape, _taction_shape, build_baction, build_taction
+        from tyang.cli import build_baction, build_taction
         from tyang.glmn import gl_to_json, make_vector_rep
         from tyang.twisted import b_to_json
 
@@ -283,16 +347,18 @@ class TestDimensionCap:
         tspecs = [vector, gl_json, lab, tensor, {"type": "trivial", "ps": [1, -1, -1]},
                   {"type": "dual", "of": {"type": "tensor", "left": vector, "right": vector}}]
         for spec in tspecs:
-            T = build_taction(spec)
-            assert _taction_shape(spec) == (T.dim, T.kappa), spec
+            shape, build = build_taction(spec)
+            T = build()
+            assert shape == (T.dim, T.kappa), spec
         cg = {"type": "c-gamma", "ps": [1, -1], "eps": [1, -1], "gamma": "2"}
         coideal = {"type": "tensor", "t": tensor, "b": dict(B_L12, t=lab)}
         bspecs = [B_L12, cg, coideal, {"type": "tensor", "t": lab, "b": cg},
-                  {"type": "b-json", "data": b_to_json(build_baction(coideal))},
+                  {"type": "b-json", "data": b_to_json(build_baction(coideal)[1]())},
                   {"type": "corrupt-sign", "base": coideal, "i": 1, "j": 2}]
         for spec in bspecs:
-            B = build_baction(spec)
-            assert _baction_shape(spec) == (B.dim, B.kappa), spec
+            shape, build = build_baction(spec)
+            B = build()
+            assert shape == (B.dim, B.kappa), spec
 
     def test_cap_is_the_carrier_dimension(self, tmp_path):
         # principal l = 2 has the 8 signed permutations; with V^3 at kappa = 2
@@ -326,7 +392,7 @@ class TestDrinfeldSharing:
     def _defaults(m, ps, eps):
         from tyang import drinfeld
 
-        M = build_daha_module(m)
+        M = build_daha_module(m)[1]()
         return [str(x) for x in drinfeld._bc_parameters(M, ParitySeq(ps), eps, 1)]
 
     @pytest.mark.parametrize("m, ps, eps", [(PRINCIPAL_L2, [1, -1], [1, 1]), (CHAR_L2, [1, 1, -1], [1, -1, 1])])
@@ -372,3 +438,45 @@ class TestDrinfeldSharing:
             "id": "well-defined", "anchor": "series coefficients preserve the quotient subspace",
             "status": "fail", "witness": {"witness": witness},
         }]
+
+
+def _subtree_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _subtree_paths(child, path + (key,))
+
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from([0.5, "", "x", "-1", "3/2", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["type", "l", "ps", "t"]), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+
+
+class TestScenarioFuzz:
+    """Every mutant of a shipped scenario keeps the exit-code contract."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=3000)
+    @given(name=st.sampled_from(sorted(os.listdir(SCENARIO_DIR))), data=st.data())
+    def test_mutated_scenarios_exit_0_1_or_2(self, name, data):
+        with open(scenario_path(name)) as fh:
+            scenario = json.load(fh)
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.sampled_from(list(_subtree_paths(scenario))))
+            if not at:
+                scenario = data.draw(SMALL_JSON)
+                continue
+            parent = scenario
+            for key in at[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[at[-1]]
+            else:
+                parent[at[-1]] = data.draw(SMALL_JSON)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.json")
+            with open(path, "w") as fh:
+                json.dump(scenario, fh)
+            assert main(["run", path, "--max-dim", "16"]) in (0, 1, 2)
