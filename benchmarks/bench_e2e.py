@@ -13,17 +13,18 @@ seconds per scenario and per workload, the SHA-256 of every report, and
 the seconds spent inside the layers of LAYERS, timed by wrappers this
 script puts around them: verify_daha, sf_presentation and center_check in
 the daha-principal scenarios, the series product, the quotient module
-and the expansion in the drinfeld scenarios, and the products of
-generator families (b_from_T, b_tensor, verify_b, inverse_series_action)
-in every scenario.  A timed function is wrapped in every tyang module
-that binds it, and its seconds are inclusive (an inverse series formed
-inside b_from_T counts in both) but a recursive call is not counted
-twice.  Last, the record holds the wall seconds and summary line of the
-Tier-1 suite of the checkout that
-holds SRC (``python -m pytest -q --continue-on-collection-errors`` in
-SRC's parent, pure backend).  Records under other names
-already in the file are kept, so one file can hold the same benchmark run
-on two checkouts (say, a change and its parent).
+and the expansion in the drinfeld scenarios, and, in every scenario, the
+products of generator families (b_from_T, b_tensor, verify_b,
+inverse_series_action) and the grid certifier check_identity_2var, whose
+seconds hold the grid evaluation of the families it calls back.  A
+timed function is wrapped in every tyang module that binds it, and its
+seconds are inclusive (an inverse series formed inside b_from_T counts in
+both) but a recursive call is not counted twice.  Last, the record holds
+the wall seconds and summary line of the Tier-1 suite of the checkout
+that holds SRC (``python -m pytest -q --continue-on-collection-errors``
+in SRC's parent, pure backend).  Records under other names already in
+the file are kept, so one file can hold the same benchmark run on two
+checkouts (say, a change and its parent).
 """
 
 import argparse
@@ -45,6 +46,7 @@ LAYERS = {
     "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "drinfeld._expansion")),
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
+    "grid_s": (None, ("superlinalg.check_identity_2var",)),
 }
 SEED = 101
 

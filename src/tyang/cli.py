@@ -272,8 +272,15 @@ def pipe_verify_twisted(inputs, max_dim):
     return checks
 
 
+def _guard_rank_one(size, max_dim):
+    """The rank-one classification reads kappa = 2 only."""
+    if size[1] != 2:
+        raise InputError(f"classify needs kappa = 2, got kappa = {size[1]}")
+    _guard_dim(size, max_dim)
+
+
 def pipe_classify(inputs, max_dim):
-    B = _build(build_baction, inputs, "b", guard=partial(_guard_dim, max_dim=max_dim))
+    B = _build(build_baction, inputs, "b", guard=partial(_guard_rank_one, max_dim=max_dim))
     eta = _build(_rat_list, inputs, "eta")
     mu, failed = _highest(twisted_mod.highest_bweight, B, eta)
     if failed:

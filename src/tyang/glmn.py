@@ -282,6 +282,8 @@ def gl_from_json(data: dict) -> GlModule:
     space = SuperSpace(data["parities"])
     if space.dim != data["dim"]:
         raise ParameterError("parity list does not match dim")
+    if not isinstance(data["e"], dict):
+        raise TypeError(f"'e' must be an object of generator matrices, got {type(data['e']).__name__}")
     action = {}
     for key, grid in data["e"].items():
         i, j = (int(t) for t in key.split(","))

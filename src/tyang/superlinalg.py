@@ -12,7 +12,6 @@ Conventions fixed here and used everywhere else:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from tyang import _kernel
 from tyang.exactalg import Poly, RatFun, rat
@@ -84,13 +83,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
-
-
-def clear_denominators(A):
-    """A Fraction matrix as (N, d): N an integer matrix and d > 0 the lcm of
-    the entry denominators, so that A = N / d."""
-    d = lcm(*{x.denominator for row in A for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
 
 
 def int_mat_mul(A, B):

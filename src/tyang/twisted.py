@@ -833,6 +833,8 @@ def b_from_json(data: dict) -> BAction:
         data["ctx"].get("gamma"),
     )
     space = SuperSpace(data["parities"])
+    if not isinstance(data["b"], dict):
+        raise TypeError(f"'b' must be an object of generator matrices, got {type(data['b']).__name__}")
     b = {}
     for key, grid in data["b"].items():
         i, j = (int(t) for t in key.split(","))

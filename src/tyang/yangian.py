@@ -9,28 +9,38 @@ degree data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction
 behave like ordinary matrix products: a product of families is formed on
 its kappa x kappa blocks of module operators (block_product), never on the
 assembled operator.  Koszul-signed assembly is for operators that act on a
-tensor slot: the grid evaluations full_at, where R acts on V x V, and the
+tensor slot: the grid lifts of a family, where R acts on V x V, and the
 coproducts.  Every tensor lift, flip and sum of lifts goes through kron_ops
-(summed by kron_sum), so all Koszul signs come from that single assembler.
-The grid checks never assemble 1 x R(x): ScaledR applies
-p R(p/q) = p 1 - q (1 x P) to integer matrices as a signed permutation, and
-cleared_evaluator memoises each family evaluation per grid coordinate as an
-integer matrix over its denominator lcm, so both sides of an identity are
-integer chains over one common nonzero scale per point.
+(its row core _kron_rows, summed by kron_sum), so all Koszul signs come
+from that single assembler.
+The grid checks run in integers only.  ScaledR applies
+p R(p/q) = p 1 - q (1 x P) to integer matrices as a signed permutation,
+never assembling 1 x R(x).  Each family clears itself once (cleared: its
+common denominator D, its cleared degree and the integer coefficients of
+c D x_ij(u)), and cleared_evaluator memoises, per grid coordinate, the
+homogeneous integer evaluation of those coefficients at p/q scattered into
+the lift through an index pattern built once per slot (cleared_at), so
+both sides of an identity are integer chains over one common nonzero scale
+per point.  full_at, the RatFun evaluation assembled in Fraction
+arithmetic by realize_mixed, is the reference they agree with.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple
 
-from tyang.exactalg import Poly, RatFun, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
+from tyang.exactalg import Poly, PoleError, RatFun, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
 from tyang.glmn import GlModule, ParitySeq
 from tyang.superlinalg import (
     DimensionMismatch,
     Grid2Witness,
     RFMatrix,
     SuperSpace,
+    _kron_rows,
     at_slots,
     check_identity_2var,
-    clear_denominators,
+    cleared_resolvent,
     common_den,
     elementary,
     int_mat_mul,
@@ -144,7 +154,8 @@ class ScaledR:
 
 
 def cleared_evaluator(family, slot, negate=False):
-    """x -> (N, d) with family.full_at(x, slot, 2, negate) = N / d.
+    """x -> (N, d) with family.full_at(x, slot, 2, negate) = N / d, N an
+    integer matrix and d a nonzero integer (SeriesFamily.cleared_at).
 
     Memoised per grid coordinate and evaluated on first use, so a check
     evaluates each family once per coordinate and a failing one no further
@@ -154,7 +165,7 @@ def cleared_evaluator(family, slot, negate=False):
 
     def at(x):
         if x not in cache:
-            cache[x] = clear_denominators(family.full_at(x, slot=slot, nslots=2, negate=negate))
+            cache[x] = family.cleared_at(x, slot, negate)
         return cache[x]
 
     return at
@@ -171,12 +182,31 @@ def scaled_witness(w, scale, label):
     return Grid2Witness(w.point, lhs, rhs, label=label)
 
 
+class ClearedForm(NamedTuple):
+    """A series family over one denominator (SeriesFamily.cleared).
+
+    den is D, the reduced common denominator of the entries, and degree the
+    cleared degree, the largest degree of D and of the D x_ij(u).  One
+    rational factor c, the same for the whole family, makes the
+    coefficients of c D (den_coeffs) and of every c D x_ij(u) integers with
+    no common divisor; blocks maps (i, j) to rows of the coefficient lists
+    of c D x_ij(u), constant term first, None for a zero entry.
+    """
+
+    den: Poly
+    degree: int
+    den_coeffs: list
+    blocks: dict
+
+
 class SeriesFamily:
     """A generating matrix sum_ij E_ij x x_ij(u) on one module.
 
     t maps each 1-based pair (i, j) to the RFMatrix of x_ij(u) on space.
     T(u), its inverse series T'(u) and the twisted B(u) all share this
-    layout, so evaluation, assembly and degree data live here once.
+    layout, so evaluation, assembly and degree data live here once.  The
+    entries are never changed after construction, so the cleared form and
+    the lift patterns of the grid evaluation are computed once and kept.
     """
 
     def __init__(self, ps: ParitySeq, space: SuperSpace, t, provenance=("direct",)):
@@ -184,6 +214,8 @@ class SeriesFamily:
         self.space = space
         self.t = dict(t)
         self.provenance = provenance
+        self._cleared = None
+        self._lifts = {}
 
     @property
     def dim(self) -> int:
@@ -197,7 +229,9 @@ class SeriesFamily:
         return (e for m in self.t.values() for row in m.entries for e in row)
 
     def full_at(self, x, slot=1, nslots=1, negate=False):
-        """Numeric full operator at u = x (or at -x when negate is set)."""
+        """Numeric full operator at u = x (or at -x when negate is set).
+
+        The Fraction reference for cleared_at, which the grid checks use."""
         x = rat(x)
         grids = {
             key: m.eval_mat(-x if negate else x) for key, m in self.t.items()
@@ -205,17 +239,97 @@ class SeriesFamily:
         spaces = [self.space] + [self.ps.space()] * nslots
         return realize_mixed(grids, self.ps, spaces, slot)
 
+    def cleared(self) -> ClearedForm:
+        """The family over its common denominator, computed on first use."""
+        if self._cleared is None:
+            D = common_den(self._entries())
+            polys = {
+                key: [[e.num * (D // e.den) if e else None for e in row] for row in m.entries]
+                for key, m in self.t.items()
+            }
+            every = [D] + [p for rows in polys.values() for row in rows for p in row if p is not None]
+            scale = lcm(*(c.denominator for p in every for c in p.coeffs))
+            content = gcd(*(c.numerator * (scale // c.denominator) for p in every for c in p.coeffs))
+
+            def ints(p):
+                return [c.numerator * (scale // c.denominator) // content for c in p.coeffs]
+
+            blocks = {
+                key: [[None if p is None else ints(p) for p in row] for row in rows]
+                for key, rows in polys.items()
+            }
+            self._cleared = ClearedForm(D, max(p.degree for p in every), ints(D), blocks)
+        return self._cleared
+
     def common_den(self) -> Poly:
-        return common_den(self._entries())
+        return self.cleared().den
 
     def cleared_degree(self) -> int:
         """Max degree over the entries after clearing the common denominator."""
-        d = self.common_den()
-        best = d.degree
-        for e in self._entries():
-            if e:
-                best = max(best, e.num.degree + d.degree - e.den.degree)
-        return best
+        return self.cleared().degree
+
+    def lift_pattern(self, slot):
+        """(coeffs, pattern) placing the cleared entries in the lift to
+        module x V x V with the V factor of the family at slot (1 or 2).
+
+        coeffs lists the coefficient lists of the nonzero entries, block by
+        block.  pattern is the lifted matrix with +-k for +-(entry k - 1)
+        and 0 for zero, so that with vals the values of the entries,
+        [0, *vals, -vals[-1], ..., -vals[0]] indexed by it is the lift.  It
+        is assembled once per slot by _kron_rows with the entry numbers in
+        place of the module operators, so the Koszul signs are those of
+        realize_mixed.
+        """
+        if slot not in self._lifts:
+            ps = self.ps
+            k = ps.kappa
+            spaces = [self.space, ps.space(), ps.space()]
+            n = self.dim * k * k
+            coeffs, pattern = [], [[0] * n for _ in range(n)]
+            for (i, j), rows in self.cleared().blocks.items():
+                tags = [[0] * len(row) for row in rows]
+                for trow, row in zip(tags, rows):
+                    for c, cs in enumerate(row):
+                        if cs is not None:
+                            coeffs.append(cs)
+                            trow[c] = len(coeffs)
+                if not any(map(any, tags)):
+                    continue
+                par = (ps.parity(i) + ps.parity(j)) % 2
+                e = elementary(k, i, j, _block_sign(ps, i, j))
+                lifted = _kron_rows(at_slots(3, {0: (tags, par), slot: (e, par)}), spaces)
+                for out, row in zip(pattern, lifted):
+                    for c, tag in row.items():
+                        out[c] = int(tag)
+            self._lifts[slot] = coeffs, pattern
+        return self._lifts[slot]
+
+    def cleared_at(self, x, slot, negate):
+        """(N, d) with full_at(x, slot, 2, negate) = N / d in integers.
+
+        At x = p/q (-p/q when negate is set) every cleared entry is the
+        homogeneous sum sum_k c_k p^k q^(deg - k), deg the cleared degree,
+        and d is the same sum over the coefficients of c D; the entries are
+        scattered into the lift by lift_pattern.  Raises PoleError where D
+        vanishes, so d is never zero.
+        """
+        form = self.cleared()
+        coeffs, pattern = self.lift_pattern(slot)
+        p, q = x.numerator, x.denominator
+        if negate:
+            p = -p
+        deg = form.degree
+        pk, qk = [1], [1]
+        for _ in range(deg):
+            pk.append(pk[-1] * p)
+            qk.append(qk[-1] * q)
+        w = [a * b for a, b in zip(pk, reversed(qk))]
+        d = sum(map(mul, form.den_coeffs, w))
+        if not d:
+            raise PoleError(f"the common denominator vanishes at u = {Fraction(p, q)}")
+        vals = [sum(map(mul, cs, w)) for cs in coeffs]
+        values = [0, *vals, *(-v for v in reversed(vals))].__getitem__
+        return [list(map(values, row)) for row in pattern], d
 
     def coefficient_matrix(self, i, j, r):
         """The matrix of the u^-r coefficient of x_ij(u)."""
@@ -305,10 +419,13 @@ def tensor_action(L: TAction, R: TAction) -> TAction:
 def inverse_series_action(T: TAction) -> TPrimeAction:
     """The family t'_ij(u) with T(u) T'(u) = T'(u) T(u) = 1, exactly.
 
-    Tensor provenance is inverted factorwise through the inverse-series
-    coproduct.  Anything else inverts the unsigned block layout [[t_ij]]:
-    block products are ordinary matrix products, so its inverse, sliced
-    back into blocks, is the inverse family.
+    Block products are ordinary matrix products, so the inverse of the
+    unsigned block layout [[t_ij]], sliced back into blocks, is the inverse
+    family.  An evaluation module has the layout 1 + E/(u - z), E the
+    constant layout of s_i e_ij, with inverse (u - z) (u - z + E)^{-1}: a
+    resolvent of -E (cleared_resolvent) at u - z.  Tensor provenance is
+    inverted factorwise through the inverse-series coproduct.  Anything
+    else inverts the layout by Gauss-Jordan over the function field.
     """
     if T._tprime is not None:
         return T._tprime
@@ -336,8 +453,15 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         return T._tprime
     d = T.dim
     idx = range(1, kk + 1)
-    layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
-    inv = rfmat_inverse(RFMatrix(layout)).entries
+    if T.provenance[0] == "evaluation":
+        M, z = T.provenance[1], T.provenance[2]
+        neg_e = [[-ps.sign(i) * x for j in idx for x in M.e(i, j)[q]] for i in idx for q in range(d)]
+        R, den = cleared_resolvent(neg_e)
+        w, den = Poly([-z, 1]), den.shift(-z)
+        inv = [[RatFun(w * p.shift(-z), den) for p in row] for row in R]
+    else:
+        layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+        inv = rfmat_inverse(RFMatrix(layout)).entries
     t = {
         (i, j): RFMatrix([row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]], T.space, T.space)
         for i in idx

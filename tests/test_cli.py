@@ -162,10 +162,16 @@ class TestMalformedInputs:
             ("verify-twisted", {"b": B_L12, "eta": ["1"]}, "the vector has 1 entries, not dim = 2"),
             ("verify-yangian", {"t": {"type": "evaluation", "module": LAB12}, "xi": ["1", "0", "0"]},
              "the vector has 3 entries, not dim = 2"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": {"type": "gl-json", "data": {
+                "ps": [1, -1], "parities": [0, 1], "dim": 2, "e": []}}}}, "'e' must be an object"),
+            ("verify-twisted", {"b": {"type": "b-json", "data": {
+                "ctx": {"s": [1, -1], "eps": [1, 1]}, "parities": [0, 1], "dim": 2, "b": []}}}, "'b' must be an object"),
+            ("classify", {"b": {"type": "from-T", "t": {"type": "evaluation", "module": {"type": "vector", "ps": [1, 1, -1]}},
+                                "eps": [1, 1, 1]}, "eta": ["1", "0", "0"]}, "classify needs kappa = 2, got kappa = 3"),
         ],
         ids=["t-int", "t-list", "module-int", "m-float", "epsilon-zero", "appendix-l-zero", "appendix-l-negative",
              "principal-short-lambda", "center-short-monomial", "center-negative-exponent", "center-huge-degree",
-             "eta-short", "xi-long"],
+             "eta-short", "xi-long", "gl-json-e-list", "b-json-b-list", "classify-kappa-3"],
     )
     def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,21 +2,22 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import assemble, lab_t_table, lab_tprime_table, read_blocks, rows_match_table
 
-from tyang.exactalg import Poly, RatFun, rf_equal
+from tyang.exactalg import Poly, PoleError, RatFun, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep, weight_decompose
-from tyang import yangian
-from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec
+from tyang import twisted, yangian
+from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec, rfmat_inverse
 from tyang.yangian import (
     NotHighest,
     SeriesFamily,
     TAction,
     TPrimeAction,
     block_product,
+    cleared_evaluator,
     dual_action,
     evaluation_action,
     flip_at,
@@ -169,6 +170,24 @@ class TestInverseSeries:
         assert (assemble(T) @ assemble(Tp)).is_identity()
         assert (assemble(Tp) @ assemble(T)).is_identity()
 
+    @pytest.mark.parametrize(
+        "module, z",
+        [(make_vector_rep(ParitySeq([1, -1, 1])), 0), (make_Lab(1, 3, 1), 0), (make_Lab(-1, F(1, 2), 2), 0),
+         (make_Lab(1, 1, 2), F(-5, 3)), (make_vector_rep(ParitySeq([-1, 1])), 4)],
+        ids=["vector", "Lab", "Lab-odd", "Lab-shifted", "vector-shifted"],
+    )
+    def test_evaluation_resolvent_equals_gauss_jordan(self, module, z):
+        # The resolvent route of an evaluation module gives the entries of
+        # the Gauss-Jordan inverse of the block layout, exactly.
+        T = evaluation_action(module, z)
+        d, idx = T.dim, range(1, T.kappa + 1)
+        layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+        inv = rfmat_inverse(RFMatrix(layout)).entries
+        Tp = inverse_series_action(T)
+        for i in idx:
+            for j in idx:
+                assert Tp.t[(i, j)].entries == [row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]]
+
 
 class TestTensor:
     def test_counit_case(self):
@@ -251,11 +270,11 @@ class TestRTT:
         # |us| + |vs| evaluations per identity, not four per grid point.
         T = evaluation_action(make_Lab(1, 1, 2), 0)
         calls, seen = [0], []
-        full_at, check = SeriesFamily.full_at, yangian.check_identity_2var
+        cleared_at, check = SeriesFamily.cleared_at, yangian.check_identity_2var
 
-        def counting_full_at(self, *args, **kwargs):
+        def counting_cleared_at(self, *args, **kwargs):
             calls[0] += 1
-            return full_at(self, *args, **kwargs)
+            return cleared_at(self, *args, **kwargs)
 
         def recording_check(lhs, rhs, deg_bound, **kwargs):
             calls[0] = 0
@@ -263,12 +282,30 @@ class TestRTT:
             seen.append((calls[0], deg_bound))
             return w
 
-        monkeypatch.setattr(SeriesFamily, "full_at", counting_full_at)
+        monkeypatch.setattr(SeriesFamily, "cleared_at", counting_cleared_at)
         monkeypatch.setattr(yangian, "check_identity_2var", recording_check)
         assert verify_rtt(T) is None
         assert len(seen) == 3
         for n, (d_u, d_v) in seen:
             assert 0 < n <= (d_u + 1) + (d_v + 1)
+
+    def test_grid_checks_leave_the_fraction_path(self, monkeypatch):
+        # verify_rtt and verify_b evaluate in integers only: the Fraction
+        # evaluation and assembly behind full_at are never called.
+        L = evaluation_action(make_Lab(1, 1, 2), 0)
+        T = tensor_action(L, evaluation_action(make_vector_rep(ParitySeq([1, -1])), 3))
+        ctx = twisted.TwistedContext(L.ps, [1, -1], 2)
+        Bs = [twisted.b_from_T(L, ctx), twisted.b_tensor(L, twisted.c_gamma(ctx, 1))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction evaluation on the grid")
+
+        monkeypatch.setattr(RFMatrix, "eval_mat", refuse)
+        monkeypatch.setattr(yangian, "realize_mixed", refuse)
+        monkeypatch.setattr(SeriesFamily, "full_at", refuse)
+        assert verify_rtt(T) is None
+        for B in Bs:
+            assert twisted.verify_b(B).ok
 
     @pytest.mark.parametrize("label", ["exchange", "mixed-left"])
     def test_witness_matches_fraction_path(self, label):
@@ -299,6 +336,54 @@ class TestRTT:
             assert w.rhs == mat_mul(B2, mat_mul(R, A1))
         assert w.lhs != w.rhs
         assert all(type(x) is Fraction for m in (w.lhs, w.rhs) for row in m for x in row)
+
+
+def _cleared_cases():
+    """(family, negate) pairs: T, T' read at -u as the mixed relations read
+    it, and B, on modules with shifted poles and odd generators."""
+    L = evaluation_action(make_Lab(1, F(1, 2), 2), F(-3, 2))
+    V = evaluation_action(make_vector_rep(L.ps), 2)
+    T = tensor_action(L, V)
+    ctx = twisted.TwistedContext(L.ps, [1, -1], F(2, 3))
+    return [(L, False), (T, False), (inverse_series_action(T), True), (inverse_series_action(L), True),
+            (twisted.b_from_T(L, ctx), False), (twisted.b_tensor(V, twisted.c_gamma(ctx, 1)), False)]
+
+
+_CLEARED_CASES = []
+
+
+class TestClearedEvaluation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 5), st.sampled_from([1, 2]),
+           st.integers(-40, 40).filter(bool), st.integers(1, 12))
+    def test_matches_full_at(self, case, slot, p, q):
+        if not _CLEARED_CASES:
+            _CLEARED_CASES.extend(_cleared_cases())
+        family, negate = _CLEARED_CASES[case]
+        x = Fraction(p, q)
+        assume(family.common_den()(-x if negate else x) != 0)
+        N, d = cleared_evaluator(family, slot, negate)(x)
+        assert d and all(type(n) is int for row in N for n in row)
+        ref = family.full_at(x, slot=slot, nslots=2, negate=negate)
+        assert [[Fraction(n, d) for n in row] for row in N] == ref
+
+    def test_cleared_form_is_computed_once(self):
+        T = evaluation_action(make_Lab(1, 1, 2), 3)
+        form = T.cleared()
+        assert T.cleared() is form and T.common_den() is form.den
+        assert form.den == Poly([-3, 1]) and T.cleared_degree() == form.degree == 1
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_zero_of_the_denominator_raises(self, slot):
+        T = evaluation_action(make_Lab(1, 1, 2), F(5, 2))
+        at = cleared_evaluator(T, slot)
+        with pytest.raises(PoleError):
+            at(F(5, 2))
+        assert at(F(5, 3))[1] != 0
+        # t'(u) = (u - 5/2)/(u - 3/2) on the rank-one vector module, read at -u.
+        V = evaluation_action(make_vector_rep(ParitySeq([1])), F(5, 2))
+        with pytest.raises(PoleError):
+            cleared_evaluator(inverse_series_action(V), slot, negate=True)(F(-3, 2))
 
 
 class TestHighestWeight:
