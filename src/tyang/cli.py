@@ -17,7 +17,7 @@ from tyang import daha as daha_mod
 from tyang import drinfeld as drinfeld_mod
 from tyang import twisted as twisted_mod
 from tyang import yangian as yangian_mod
-from tyang.exactalg import Poly, RootSearchBound, rat, rf_to_json
+from tyang.exactalg import Poly, RootSearchBound, _zneg, rat, rf_to_json
 from tyang.glmn import ParitySeq, gl_from_json, make_Lab, make_vector_rep
 from tyang.superlinalg import Grid2Witness
 
@@ -132,8 +132,11 @@ def build_baction(spec):
         i, j = int(spec["i"]), int(spec["j"])
 
         def corrupt():
+            # -b_ij on the cleared form keeps it reduced and primitive.
             B = base()
-            return twisted_mod.BAction(B.ctx, B.space, {**B.b, (i, j): B.b[(i, j)].scale(-1)})
+            form = B.cleared()
+            flipped = [[e and _zneg(e) for e in row] for row in form.blocks[(i, j)]]
+            return twisted_mod.BAction(B.ctx, B.space, form._replace(blocks={**form.blocks, (i, j): flipped}))
         return shape, corrupt
     raise InputError(f"unknown twisted constructor {kind!r}")
 
@@ -234,9 +237,14 @@ def pipe_verify_yangian(inputs, max_dim):
     checks = []
     w = yangian_mod.verify_rtt(T)
     checks.append(_check("exchange-relation", "series exchange relation on two auxiliary spaces", w is None, _witness_json(w)))
-    Tp = yangian_mod.inverse_series_action(T)
-    prod = yangian_mod.block_product(T.t, Tp.t)
-    prod_ok = all(m.is_identity() if i == j else m.is_zero() for (i, j), m in prod.items())
+    # N_T N_T' = c_T D_T c_T' D_T' 1 over Z[u], the product of the two cleared forms.
+    den, prod = yangian_mod.block_product(T.cleared(), yangian_mod.inverse_series_action(T).cleared())
+    prod_ok = all(
+        e == (den if i == j and r == c else None)
+        for (i, j), rows in prod.items()
+        for r, row in enumerate(rows)
+        for c, e in enumerate(row)
+    )
     checks.append(_check("inverse-product", "series times inverse series is the identity", prod_ok))
     if "xi" in inputs:
         xi = _build(_rat_list, inputs, "xi")

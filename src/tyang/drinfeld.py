@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from math import lcm
 
-from tyang.exactalg import Poly, RatFun, rat
+from tyang.exactalg import Poly, RatFun, _neg_u, _zadd, _zmul, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
@@ -109,42 +109,6 @@ def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
 def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
     """The super space M x V^l."""
     return tensor_space([SuperSpace([0] * M.dim)] + [ps.space()] * M.params.l)
-
-
-def _neg_u(p):
-    """p(-u) on an integer coefficient tuple."""
-    return tuple(-c if t % 2 else c for t, c in enumerate(p))
-
-
-def _zneg(p):
-    """-p on an integer coefficient tuple."""
-    return tuple(-c for c in p)
-
-
-def _zmul(a, b):
-    """The product of two integer coefficient tuples (entry t is the
-    coefficient of u^t, no trailing zeros): their convolution."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return tuple(out)
-
-
-def _zadd(a, b):
-    """a + b on integer coefficient tuples, trailing zeros trimmed, so a sum
-    that cancels is () and == is equality of polynomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for t, y in enumerate(b):
-        out[t] += y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):

@@ -3,13 +3,16 @@
 The scalar field is the rationals throughout; every value is normalized at
 construction (polynomials carry no trailing zeros, rational functions have a
 monic denominator coprime to the numerator), so structural equality is
-mathematical equality.
+mathematical equality.  Cleared data lives in Z[u], as integer coefficient
+tuples with the one set of helpers below (_zmul, _zadd, _zneg, _neg_u, the
+exact division _zdiv and the primitive gcd _zgcd).
 """
 
 from fractions import Fraction
 from math import gcd
 
 from tyang import _kernel
+from tyang._kernel.pure import _int_prem
 
 Rat = Fraction
 
@@ -343,6 +346,87 @@ def rf_to_json(f: RatFun) -> dict:
 def rf_from_json(data) -> RatFun:
     """The inverse of rf_to_json (the function is reduced on the way in)."""
     return RatFun(Poly([rat(c) for c in data["num"]]), Poly([rat(c) for c in data["den"]]))
+
+
+# ---------------------------------------------------------------------------
+# Z[u] as integer coefficient tuples: entry t is the coefficient of u^t, with
+# no trailing zeros, so () is zero and == is equality of polynomials.
+
+def _neg_u(p):
+    """p(-u) on an integer coefficient tuple."""
+    return tuple(-c if t % 2 else c for t, c in enumerate(p))
+
+
+def _zneg(p):
+    """-p on an integer coefficient tuple."""
+    return tuple(-c for c in p)
+
+
+def _zmul(a, b):
+    """The product of two integer coefficient tuples: their convolution."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _zadd(a, b):
+    """a + b on integer coefficient tuples, trailing zeros trimmed, so a sum
+    that cancels is ()."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for t, y in enumerate(b):
+        out[t] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zdiv(a, b):
+    """The quotient a / b of integer coefficient tuples when b divides a
+    in Z[u]; raises ArithmeticError otherwise.  By Gauss's lemma a
+    primitive b that divides a over the rationals divides it in Z[u]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c, r = divmod(rem[k], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            quo[k - db] = c
+            for j, y in enumerate(b, k - db):
+                rem[j] -= c * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
+
+
+def _zprimitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    if not p:
+        return ()
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return tuple(c // g for c in p) if g != 1 else tuple(p)
+
+
+def _zgcd(a, b):
+    """The primitive gcd of two integer coefficient tuples (positive leading
+    coefficient; () when both are zero), by the primitive remainder
+    sequence of the kernel's integer gcd."""
+    x, y = _zprimitive(a), _zprimitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        x, y = y, _int_prem(x, y)
+    return _zprimitive(x)
 
 
 # rational_roots refuses a trailing or leading integer coefficient above

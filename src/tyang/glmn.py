@@ -277,15 +277,33 @@ def gl_to_json(M: GlModule) -> dict:
     }
 
 
+def json_blocks(data, name, kappa, entry):
+    """The generator matrices data[name] of a JSON payload, {"i,j": rows},
+    as {(i, j): [[entry(x), ...], ...]}.
+
+    Every key must lie in 1..kappa and all kappa^2 must be present, and
+    every block is dim x dim for dim = len(data["parities"]), which must
+    equal data["dim"] where the payload gives it; anything else raises
+    TypeError or ValueError, so a malformed payload is an input error.
+    """
+    blocks, dim = data[name], len(data["parities"])
+    if data.get("dim", dim) != dim:
+        raise ParameterError(f"the parity list has {dim} entries, not dim = {data['dim']}")
+    if not isinstance(blocks, dict):
+        raise TypeError(f"'{name}' must be an object of generator matrices, got {type(blocks).__name__}")
+    out = {}
+    for key, grid in blocks.items():
+        i, j = (int(t) for t in key.split(","))
+        if not (1 <= i <= kappa and 1 <= j <= kappa) or (i, j) in out:
+            raise ParameterError(f"'{name}' block {key!r} is not one pair of indices in 1..{kappa}")
+        if not isinstance(grid, list) or len(grid) != dim or any(not isinstance(r, list) or len(r) != dim for r in grid):
+            raise ParameterError(f"'{name}' block {key!r} is not a {dim} x {dim} matrix")
+        out[(i, j)] = [[entry(x) for x in row] for row in grid]
+    if len(out) != kappa * kappa:
+        raise ParameterError(f"'{name}' has {len(out)} of the {kappa * kappa} blocks")
+    return out
+
+
 def gl_from_json(data: dict) -> GlModule:
     ps = ParitySeq(data["ps"])
-    space = SuperSpace(data["parities"])
-    if space.dim != data["dim"]:
-        raise ParameterError("parity list does not match dim")
-    if not isinstance(data["e"], dict):
-        raise TypeError(f"'e' must be an object of generator matrices, got {type(data['e']).__name__}")
-    action = {}
-    for key, grid in data["e"].items():
-        i, j = (int(t) for t in key.split(","))
-        action[(i, j)] = [[rat(x) for x in row] for row in grid]
-    return GlModule(ps, space, action)
+    return GlModule(ps, SuperSpace(data["parities"]), json_blocks(data, "e", ps.kappa, rat))

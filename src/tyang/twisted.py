@@ -6,16 +6,18 @@ B(u) = T(u) G T(-u)^{-1}, through the one-dimensional family, or through the
 coideal tensor construction; the abstract algebra is never represented.
 BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
 are shared.  B(u) from T(u) and the unitarity product B(u) B(-u) are block
-products of families (yangian.block_product); the coideal tensor action and
-the flip of the grid checks act on tensor slots and come from the kron_ops
-assembler.
+products of cleared families over Z[u] (yangian.block_product): b_from_T
+builds B from the reduced integer product, and B's RatFun entries are
+formed only where highest weights, classification, reductions or the JSON
+codec read them.  The coideal tensor action and the flip of the grid
+checks act on tensor slots and come from the kron_ops assembler.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
-from tyang.glmn import ParitySeq, _coords_in_span
+from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal, rf_from_json
+from tyang.glmn import ParitySeq, _coords_in_span, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
     RFMatrix,
@@ -36,8 +38,10 @@ from tyang.yangian import (
     SeriesFamily,
     ScaledR,
     TAction,
+    _blocks_json,
     block_product,
     cleared_evaluator,
+    cleared_form,
     flip_at,
     highest_eigenseries,
     inverse_series_action,
@@ -133,15 +137,21 @@ class BAction(SeriesFamily):
 def b_from_T(T: TAction, ctx: TwistedContext) -> BAction:
     """B(u) = T(u) (G + gamma/u) T(-u)^{-1} realized on T's module.
 
-    The block product of T(u), the diagonal scalars eps_k + gamma/u of the
-    twist (eps_k when gamma is unset) and T'(-u).
+    The block product over Z[u] of the cleared forms of T(u) and T'(-u),
+    with the twist between them as the diagonal scalars eps_k, or
+    (eps_k q u + p) / (q u) for gamma = p/q; B is built from the reduced
+    product, and its RatFun entries are formed only if something reads
+    them.
     """
     if T.ps != ctx.ps:
         raise DimensionMismatch("parity sequences differ")
-    u = Poly([0, 1])
-    g = [e if ctx.gamma is None else RatFun(Poly([ctx.gamma, Fraction(e)]), u) for e in ctx.eps]
-    Tpn = {key: m.subs_neg() for key, m in inverse_series_action(T).t.items()}
-    return BAction(ctx, T.space, block_product(T.t, Tpn, g), ("embedding", T, ctx.gamma))
+    if ctx.gamma is None:
+        mid = (1,), [(e,) for e in ctx.eps]
+    else:
+        p, q = ctx.gamma.numerator, ctx.gamma.denominator
+        mid = (0, q), [(p, e * q) for e in ctx.eps]
+    prod = block_product(T.cleared(), inverse_series_action(T).cleared().neg_u(), mid)
+    return BAction(ctx, T.space, cleared_form(*prod), ("embedding", T, ctx.gamma))
 
 
 def c_gamma(ctx: TwistedContext, gamma) -> BAction:
@@ -213,8 +223,11 @@ def verify_b(B: BAction) -> BReport:
 
     The reflection equation is certified on a degree-beating grid, both
     sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
-    B2 = N_2 / d_2, p_-+ the numerators of u -+ v); the product B(u)B(-u)
-    is computed exactly, as a block product, and must be an even scalar.
+    B2 = N_2 / d_2, p_-+ the numerators of u -+ v).  The product B(u)B(-u)
+    must be an even scalar f(u): with B = N / c D over Z[u] (cleared),
+    P = N(u) N(-u) is formed in integers (block_product) and is scalar when
+    every diagonal entry equals the first and every other entry is zero;
+    f = P_11 / (c^2 D(u) D(-u)) is formed once, for the report.
     """
     rep = BReport()
     R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
@@ -242,18 +255,18 @@ def verify_b(B: BAction) -> BReport:
         "reflection",
     )
 
-    prod = block_product(B.b, {key: m.subs_neg() for key, m in B.b.items()})
-    f = prod[(1, 1)][0, 0]
-    zero = RatFun.zero()
+    form = B.cleared()
+    den, prod = block_product(form, form.neg_u())
+    f = prod[(1, 1)][0][0]
     rep.scalar_ok = all(
-        e == (f if i == j and r == c else zero)
-        for (i, j), m in prod.items()
-        for r, row in enumerate(m.entries)
+        e == (f if i == j and r == c else None)
+        for (i, j), rows in prod.items()
+        for r, row in enumerate(rows)
         for c, e in enumerate(row)
     )
-    rep.f = f
-    if rep.scalar_ok and f != f.subs_neg():
-        rep.even_ok = False
+    rep.f = RatFun(Poly(f or ()), Poly(den))
+    # den = c^2 D(u) D(-u) is even, so f is even exactly when its numerator is.
+    rep.even_ok = not (rep.scalar_ok and f and any(f[1::2]))
     return rep
 
 
@@ -817,12 +830,10 @@ def b_to_json(B: BAction) -> dict:
         },
         "dim": B.dim,
         "parities": list(B.space.parities),
-        "b": {},
+        "b": _blocks_json(B),
     }
     if B.ctx.gamma is not None:
         out["ctx"]["gamma"] = str(B.ctx.gamma)
-    for (i, j), m in sorted(B.b.items()):
-        out["b"][f"{i},{j}"] = [[rf_to_json(e) for e in row] for row in m.entries]
     return out
 
 
@@ -833,10 +844,5 @@ def b_from_json(data: dict) -> BAction:
         data["ctx"].get("gamma"),
     )
     space = SuperSpace(data["parities"])
-    if not isinstance(data["b"], dict):
-        raise TypeError(f"'b' must be an object of generator matrices, got {type(data['b']).__name__}")
-    b = {}
-    for key, grid in data["b"].items():
-        i, j = (int(t) for t in key.split(","))
-        b[(i, j)] = RFMatrix([[rf_from_json(e) for e in row] for row in grid], space, space)
-    return BAction(ctx, space, b)
+    b = json_blocks(data, "b", ctx.kappa, rf_from_json)
+    return BAction(ctx, space, {key: RFMatrix(rows, space, space) for key, rows in b.items()})

@@ -1,28 +1,36 @@
 """Generating-series actions T(u) on modules: evaluation, shift, tensor,
 inverse series, highest-weight extraction, and duals.
 
-SeriesFamily is the one family type: it stores one rational-function matrix
-per generator pair (i, j), 1-based, and owns evaluation, assembly and the
-degree data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction
-(B(u)) are thin subclasses.  The operator on module x V carries the sign
-(-1)^(|i||j|+|j|) in front of the (i, j) block, which makes block products
-behave like ordinary matrix products: a product of families is formed on
-its kappa x kappa blocks of module operators (block_product), never on the
-assembled operator.  Koszul-signed assembly is for operators that act on a
-tensor slot: the grid lifts of a family, where R acts on V x V, and the
-coproducts.  Every tensor lift, flip and sum of lifts goes through kron_ops
-(its row core _kron_rows, summed by kron_sum), so all Koszul signs come
-from that single assembler.
+SeriesFamily is the one family type: a matrix of series x_ij(u) per
+generator pair (i, j), 1-based, owning evaluation, assembly and the degree
+data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction (B(u))
+are thin subclasses.  A family is held over Z[u] as its ClearedForm: D,
+the common denominator, and the integer coefficients of c D x_ij(u) for
+one rational c, made primitive by cleared_form, the one normaliser.  The
+RatFun blocks t are a view, formed on first read (one reduced RatFun per
+entry) by the boundaries that need them: highest weights, classification,
+the JSON codec, the tensor and dual constructors and coefficient_matrix.
+Evaluation and trivial modules, their inverse series and every product of
+families are built in integers and never form that view themselves.
+
+The operator on module x V carries the sign (-1)^(|i||j|+|j|) in front of
+the (i, j) block, which makes block products behave like ordinary matrix
+products: a product of families (block_product) is formed on its
+kappa x kappa blocks of integer polynomial matrices, with no gcd in the
+loop, never on the assembled operator.  Koszul-signed assembly is for
+operators that act on a tensor slot: the grid lifts of a family, where R
+acts on V x V, and the coproducts.  Every tensor lift, flip and sum of
+lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
+so all Koszul signs come from that single assembler.
 The grid checks run in integers only.  ScaledR applies
 p R(p/q) = p 1 - q (1 x P) to integer matrices as a signed permutation,
-never assembling 1 x R(x).  Each family clears itself once (cleared: its
-common denominator D, its cleared degree and the integer coefficients of
-c D x_ij(u)), and cleared_evaluator memoises, per grid coordinate, the
-homogeneous integer evaluation of those coefficients at p/q scattered into
-the lift through an index pattern built once per slot (cleared_at), so
-both sides of an identity are integer chains over one common nonzero scale
-per point.  full_at, the RatFun evaluation assembled in Fraction
-arithmetic by realize_mixed, is the reference they agree with.
+never assembling 1 x R(x).  cleared_evaluator memoises, per grid
+coordinate, the homogeneous integer evaluation of the cleared
+coefficients at p/q scattered into the lift through an index pattern
+built once per slot (cleared_at), so both sides of an identity are
+integer chains over one common nonzero scale per point.  full_at, the
+RatFun evaluation assembled in Fraction arithmetic by realize_mixed, is
+the reference they agree with.
 """
 
 from fractions import Fraction
@@ -30,8 +38,20 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from tyang.exactalg import Poly, PoleError, RatFun, rat, rational_roots, rf_equal, rf_from_json, rf_to_json
-from tyang.glmn import GlModule, ParitySeq
+from tyang.exactalg import (
+    Poly,
+    PoleError,
+    RatFun,
+    _zdiv,
+    _zgcd,
+    _zmul,
+    rat,
+    rational_roots,
+    rf_equal,
+    rf_from_json,
+    rf_to_json,
+)
+from tyang.glmn import GlModule, ParitySeq, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
     Grid2Witness,
@@ -74,28 +94,6 @@ def realize_mixed(grids, ps: ParitySeq, spaces, e_slot: int):
         e = elementary(k, i, j, _block_sign(ps, i, j))
         terms.append((1, at_slots(len(spaces), {0: (grid, par), e_slot: (e, par)})))
     return kron_sum(terms, spaces)
-
-
-def block_product(A, B, mid=None):
-    """{(i, j): sum_k A_ik mid_k B_kj} over the RFMatrix blocks of two families.
-
-    Under the block sign of _block_sign this is the product of the two
-    assembled operators on module x V, read back block by block.  mid, when
-    given, holds the kappa scalars (numbers or RatFuns) of a middle factor
-    diagonal on V, mid[k - 1] standing between A_ik and B_kj.  Zero blocks
-    are skipped, and a missing key counts as a zero block.
-    """
-    idx = range(1, max(max(key) for key in (*A, *B)) + 1)
-    a, b = next(iter(A.values())), next(iter(B.values()))
-    zero = RFMatrix.zero(a.rows, b.cols, a.row_space, b.col_space)
-    A = {key: m for key, m in A.items() if not m.is_zero()}
-    B = {(k, j): m if mid is None else m.scale(mid[k - 1]) for (k, j), m in B.items() if not m.is_zero()}
-    out = {}
-    for i in idx:
-        for j in idx:
-            terms = [A[(i, k)] @ B[(k, j)] for k in idx if (i, k) in A and (k, j) in B]
-            out[(i, j)] = sum(terms[1:], terms[0]) if terms else zero
-    return out
 
 
 def r_matrix_at(P, x: Fraction):
@@ -183,38 +181,174 @@ def scaled_witness(w, scale, label):
 
 
 class ClearedForm(NamedTuple):
-    """A series family over one denominator (SeriesFamily.cleared).
+    """A series family over one denominator (cleared_form).
 
-    den is D, the reduced common denominator of the entries, and degree the
-    cleared degree, the largest degree of D and of the D x_ij(u).  One
-    rational factor c, the same for the whole family, makes the
-    coefficients of c D (den_coeffs) and of every c D x_ij(u) integers with
-    no common divisor; blocks maps (i, j) to rows of the coefficient lists
-    of c D x_ij(u), constant term first, None for a zero entry.
+    den is D, the reduced common denominator of the entries, monic, and
+    degree the cleared degree, the largest degree of D and of the
+    D x_ij(u).  One rational factor c, the same for the whole family, makes
+    the coefficients of c D (den_coeffs) and of every c D x_ij(u) integers
+    with no common divisor, the leading one of c D positive; blocks maps
+    (i, j) to rows of the coefficient tuples of c D x_ij(u), constant term
+    first, None for a zero entry.
     """
 
     den: Poly
     degree: int
-    den_coeffs: list
+    den_coeffs: tuple
     blocks: dict
+
+    def neg_u(self) -> "ClearedForm":
+        """The form of the family at -u: the odd coefficients change sign,
+        and every coefficient once more when D has odd degree, which keeps
+        the leading coefficient of c D positive."""
+        odd = (len(self.den_coeffs) - 1) % 2
+
+        def flip(p):
+            return tuple(-c if (t + odd) % 2 else c for t, c in enumerate(p))
+
+        den = flip(self.den_coeffs)
+        blocks = {key: [[e and flip(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
+        return ClearedForm(_monic(den), self.degree, den, blocks)
+
+
+def _monic(den) -> Poly:
+    return Poly([Fraction(c, den[-1]) for c in den])
+
+
+def cleared_form(den, blocks) -> ClearedForm:
+    """The ClearedForm of the family blocks / den over Z[u].
+
+    den is an integer coefficient tuple and blocks maps (i, j) to rows of
+    integer coefficient tuples, () or None for a zero entry; the pair need
+    not be reduced.  g, the primitive gcd of den and every entry, is
+    divided out (the gcd stops once it is a constant), then the content of
+    the whole family, with the sign that makes the leading coefficient of
+    den positive.  Every ClearedForm comes from here, whether the family
+    was built in integers or from RatFun entries.
+    """
+    entries = [e for rows in blocks.values() for row in rows for e in row if e]
+    g = den
+    for e in entries:
+        if len(g) == 1:
+            break
+        g = _zgcd(g, e)
+    if len(g) > 1:
+        den = _zdiv(den, g)
+        entries = [_zdiv(e, g) for e in entries]
+    c = gcd(*den, *(x for e in entries for x in e))
+    if den[-1] < 0:
+        c = -c
+    den = tuple(x // c for x in den)
+    it = iter([tuple(x // c for x in e) for e in entries])
+    out = {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
+    degree = max([len(den), *map(len, entries)]) - 1
+    return ClearedForm(_monic(den), degree, den, out)
+
+
+def _integral(den, blocks):
+    """(den, blocks) with Fraction coefficient lists, scaled by the lcm of
+    all their denominators into integer coefficient tuples: the input of
+    cleared_form for a family met over the rationals."""
+    every = [den] + [e for rows in blocks.values() for row in rows for e in row if e]
+    s = lcm(*(c.denominator for p in every for c in p))
+
+    def ints(p):
+        return tuple(c.numerator * (s // c.denominator) for c in p) if p else None
+
+    return ints(den), {key: [[ints(e) for e in row] for row in rows] for key, rows in blocks.items()}
+
+
+def block_product(A: ClearedForm, B: ClearedForm, mid=None):
+    """{(i, j): sum_k A_ik mid_k B_kj} for two families in cleared form, in
+    Z[u], as (den, blocks): den the product of the denominators and blocks
+    the integer product, None for a zero entry.
+
+    Under the block sign of _block_sign this is the product of the two
+    assembled operators on module x V, read back block by block; no gcd is
+    taken, so cleared_form(*block_product(A, B)) is the product as a family.
+    mid, when given, is (d, nums): a middle factor diagonal on V, the
+    scalar nums[k - 1] / d (integer coefficient tuples) standing between
+    A_ik and B_kj.  Zero blocks are skipped, and a missing key counts as a
+    zero block.
+    """
+    den = _zmul(A.den_coeffs, B.den_coeffs)
+    scale = {}
+    if mid is not None:
+        d, nums = mid
+        den = _zmul(den, d)
+        scale = {k: m for k, m in enumerate(nums, 1) if m != (1,)}
+    Ab = {}
+    for (i, k), rows in A.blocks.items():
+        if k in scale:
+            rows = [[(_zmul(e, scale[k]) or None) if e else None for e in row] for row in rows]
+        if any(map(any, rows)):
+            Ab[(i, k)] = rows
+    Bb = {key: rows for key, rows in B.blocks.items() if any(map(any, rows))}
+    idx = range(1, max(max(key) for key in (*A.blocks, *B.blocks)) + 1)
+    nrows = len(next(iter(A.blocks.values())))
+    ncols = len(next(iter(B.blocks.values()))[0])
+    out = {}
+    for i in idx:
+        for j in idx:
+            acc = [[None] * ncols for _ in range(nrows)]
+            for k in idx:
+                if (i, k) in Ab and (k, j) in Bb:
+                    _acc_product(acc, Ab[(i, k)], Bb[(k, j)])
+            out[(i, j)] = [[_trimmed(e) for e in row] for row in acc]
+    return den, out
+
+
+def _acc_product(acc, A, B):
+    """acc += A B for matrices of integer coefficient tuples (None for
+    zero); acc holds growing coefficient lists, None where nothing landed."""
+    for acc_r, A_r in zip(acc, A):
+        for a, B_k in zip(A_r, B):
+            if a is None:
+                continue
+            for c, b in enumerate(B_k):
+                if b is None:
+                    continue
+                cur = acc_r[c]
+                need = len(a) + len(b) - 1
+                if cur is None:
+                    cur = acc_r[c] = [0] * need
+                elif len(cur) < need:
+                    cur.extend([0] * (need - len(cur)))
+                for s, x in enumerate(a):
+                    if x:
+                        for t, y in enumerate(b, s):
+                            cur[t] += x * y
+
+
+def _trimmed(cur):
+    """An accumulated coefficient list as a tuple, None when it cancelled."""
+    if cur is None:
+        return None
+    while cur and not cur[-1]:
+        cur.pop()
+    return tuple(cur) if cur else None
 
 
 class SeriesFamily:
     """A generating matrix sum_ij E_ij x x_ij(u) on one module.
 
-    t maps each 1-based pair (i, j) to the RFMatrix of x_ij(u) on space.
-    T(u), its inverse series T'(u) and the twisted B(u) all share this
-    layout, so evaluation, assembly and degree data live here once.  The
-    entries are never changed after construction, so the cleared form and
-    the lift patterns of the grid evaluation are computed once and kept.
+    A family is built from its RFMatrix blocks, t mapping each 1-based pair
+    (i, j) to the matrix of x_ij(u) on space, or from a ClearedForm.  T(u),
+    its inverse series T'(u) and the twisted B(u) all share this layout, so
+    evaluation, assembly and degree data live here once.  The entries are
+    never changed after construction, so the cleared form, the RatFun
+    blocks t of a family built from a cleared form and the lift patterns of
+    the grid evaluation are each computed once, on first use, and kept.
     """
 
     def __init__(self, ps: ParitySeq, space: SuperSpace, t, provenance=("direct",)):
         self.ps = ps
         self.space = space
-        self.t = dict(t)
         self.provenance = provenance
-        self._cleared = None
+        if isinstance(t, ClearedForm):
+            self._t, self._cleared = None, t
+        else:
+            self._t, self._cleared = dict(t), None
         self._lifts = {}
 
     @property
@@ -225,8 +359,18 @@ class SeriesFamily:
     def kappa(self) -> int:
         return self.ps.kappa
 
-    def _entries(self):
-        return (e for m in self.t.values() for row in m.entries for e in row)
+    @property
+    def t(self):
+        """The RFMatrix blocks; for a family built from a cleared form they
+        are formed on first read, one reduced RatFun per nonzero entry."""
+        if self._t is None:
+            form, sp = self._cleared, self.space
+            den, zero = Poly(form.den_coeffs), RatFun.zero()
+            self._t = {
+                key: RFMatrix([[RatFun(Poly(e), den) if e else zero for e in row] for row in rows], sp, sp)
+                for key, rows in form.blocks.items()
+            }
+        return self._t
 
     def full_at(self, x, slot=1, nslots=1, negate=False):
         """Numeric full operator at u = x (or at -x when negate is set).
@@ -242,23 +386,12 @@ class SeriesFamily:
     def cleared(self) -> ClearedForm:
         """The family over its common denominator, computed on first use."""
         if self._cleared is None:
-            D = common_den(self._entries())
-            polys = {
-                key: [[e.num * (D // e.den) if e else None for e in row] for row in m.entries]
+            D = common_den(e for m in self.t.values() for row in m.entries for e in row)
+            blocks = {
+                key: [[(e.num * (D // e.den)).coeffs if e else None for e in row] for row in m.entries]
                 for key, m in self.t.items()
             }
-            every = [D] + [p for rows in polys.values() for row in rows for p in row if p is not None]
-            scale = lcm(*(c.denominator for p in every for c in p.coeffs))
-            content = gcd(*(c.numerator * (scale // c.denominator) for p in every for c in p.coeffs))
-
-            def ints(p):
-                return [c.numerator * (scale // c.denominator) // content for c in p.coeffs]
-
-            blocks = {
-                key: [[None if p is None else ints(p) for p in row] for row in rows]
-                for key, rows in polys.items()
-            }
-            self._cleared = ClearedForm(D, max(p.degree for p in every), ints(D), blocks)
+            self._cleared = cleared_form(*_integral(D.coeffs, blocks))
         return self._cleared
 
     def common_den(self) -> Poly:
@@ -351,36 +484,28 @@ class TPrimeAction(SeriesFamily):
 
 def trivial_action(ps: ParitySeq) -> TAction:
     """The one-dimensional module with t_ij(u) = delta_ij."""
-    k = ps.kappa
-    space = SuperSpace([0])
-    t = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            t[(i, j)] = RFMatrix([[RatFun.one() if i == j else RatFun.zero()]], space, space)
-    return TAction(ps, space, t, ("trivial",))
+    idx = range(1, ps.kappa + 1)
+    blocks = {(i, j): [[(1,) if i == j else None]] for i in idx for j in idx}
+    return TAction(ps, SuperSpace([0]), cleared_form((1,), blocks), ("trivial",))
 
 
 def evaluation_action(M: GlModule, z=0) -> TAction:
-    """t_ij(u) = delta_ij + s_i e_ij / (u - z) on a gl module."""
+    """t_ij(u) = delta_ij + s_i e_ij / (u - z) on a gl module, built over
+    the denominator u - z."""
     z = rat(z)
-    den = Poly([-z, 1])
-    k = M.ps.kappa
-    t = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            ent = []
-            si = M.ps.sign(i)
+    idx, d = range(1, M.ps.kappa + 1), M.dim
+    blocks = {}
+    for i in idx:
+        si = M.ps.sign(i)
+        for j in idx:
             e = M.e(i, j)
-            for p in range(M.dim):
-                row = []
-                for q in range(M.dim):
-                    f = RatFun(Poly.const(si * e[p][q]), den) if e[p][q] else RatFun.zero()
-                    if i == j and p == q:
-                        f = f + RatFun.one()
-                    row.append(f)
-                ent.append(row)
-            t[(i, j)] = RFMatrix(ent, M.space, M.space)
-    return TAction(M.ps, M.space, t, ("evaluation", M, z))
+            blocks[(i, j)] = [
+                [(si * e[p][q] - z, 1) if i == j and p == q else (si * e[p][q],) if e[p][q] else None
+                 for q in range(d)]
+                for p in range(d)
+            ]
+    form = cleared_form(*_integral((-z, 1), blocks))
+    return TAction(M.ps, M.space, form, ("evaluation", M, z))
 
 
 def shift_action(T: TAction, z) -> TAction:
@@ -423,14 +548,19 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
     unsigned block layout [[t_ij]], sliced back into blocks, is the inverse
     family.  An evaluation module has the layout 1 + E/(u - z), E the
     constant layout of s_i e_ij, with inverse (u - z) (u - z + E)^{-1}: a
-    resolvent of -E (cleared_resolvent) at u - z.  Tensor provenance is
-    inverted factorwise through the inverse-series coproduct.  Anything
-    else inverts the layout by Gauss-Jordan over the function field.
+    resolvent of -E (cleared_resolvent) at u - z, and its cleared form is
+    read off the resolvent's integer coefficients.  T(u) = 1 on the
+    trivial module is its own inverse.  Tensor provenance is inverted
+    factorwise through the inverse-series coproduct.  Anything else
+    inverts the layout by Gauss-Jordan over the function field.
     """
     if T._tprime is not None:
         return T._tprime
     ps = T.ps
     kk = ps.kappa
+    if T.provenance[0] == "trivial":
+        T._tprime = TPrimeAction(ps, T.space, T.cleared())
+        return T._tprime
     if T.provenance[0] == "tensor":
         L, R = T.provenance[1], T.provenance[2]
         Lp = inverse_series_action(L)
@@ -457,11 +587,21 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         M, z = T.provenance[1], T.provenance[2]
         neg_e = [[-ps.sign(i) * x for j in idx for x in M.e(i, j)[q]] for i in idx for q in range(d)]
         R, den = cleared_resolvent(neg_e)
-        w, den = Poly([-z, 1]), den.shift(-z)
-        inv = [[RatFun(w * p.shift(-z), den) for p in row] for row in R]
-    else:
-        layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
-        inv = rfmat_inverse(RFMatrix(layout)).entries
+        if z:
+            R, den = [[p.shift(-z) for p in row] for row in R], den.shift(-z)
+        den, blocks = _integral(den.coeffs, {
+            (i, j): [[p.coeffs for p in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
+            for i in idx
+            for j in idx
+        })
+        # (u - z) R(u - z) / den(u - z), both sides scaled by the
+        # denominator q of z so that q (u - z) is integral.
+        w = (-z.numerator, z.denominator)
+        blocks = {key: [[e and _zmul(w, e) for e in row] for row in rows] for key, rows in blocks.items()}
+        T._tprime = TPrimeAction(ps, T.space, cleared_form(_zmul(den, w[1:]), blocks))
+        return T._tprime
+    layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+    inv = rfmat_inverse(RFMatrix(layout)).entries
     t = {
         (i, j): RFMatrix([row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]], T.space, T.space)
         for i in idx
@@ -692,26 +832,32 @@ def verify_yang_baxter(ps: ParitySeq):
 # JSON serialization; mirrors the gl-module layout with rational-function
 # entries as coefficient arrays.
 
+def _blocks_json(family) -> dict:
+    """All kappa^2 blocks of a family as {"i,j": rows of rf_to_json}."""
+    idx, d = range(1, family.kappa + 1), family.dim
+    zero = [[rf_to_json(RatFun.zero())] * d for _ in range(d)]
+    out = {}
+    for i in idx:
+        for j in idx:
+            m = family.t.get((i, j))
+            out[f"{i},{j}"] = zero if m is None else [[rf_to_json(e) for e in row] for row in m.entries]
+    return out
+
+
 def t_to_json(T: TAction) -> dict:
-    out = {
+    return {
         "ps": list(T.ps.s),
         "dim": T.dim,
         "parities": list(T.space.parities),
-        "t": {},
+        "t": _blocks_json(T),
     }
-    for (i, j), m in sorted(T.t.items()):
-        out["t"][f"{i},{j}"] = [[rf_to_json(e) for e in row] for row in m.entries]
-    return out
 
 
 def t_from_json(data: dict) -> TAction:
     ps = ParitySeq(data["ps"])
     space = SuperSpace(data["parities"])
-    t = {}
-    for key, grid in data["t"].items():
-        i, j = (int(x) for x in key.split(","))
-        t[(i, j)] = RFMatrix([[rf_from_json(e) for e in row] for row in grid], space, space)
-    return TAction(ps, space, t)
+    t = json_blocks(data, "t", ps.kappa, rf_from_json)
+    return TAction(ps, space, {key: RFMatrix(rows, space, space) for key, rows in t.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ compares library output against them.
 
 assemble and read_blocks put a generator family on carrier x V as one
 Koszul-signed operator and take it apart again.  Products of those
-operators are the reference that yangian.block_product is checked against.
+operators, and rf_block_product, the same product formed block by block
+over the function field, are the references that the integer
+yangian.block_product is checked against; rf_cleared_form is the cleared
+form read off RatFun entries, the reference for yangian.cleared_form.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from tyang.exactalg import Poly, RatFun
-from tyang.superlinalg import RFMatrix, at_slots, elementary, kron_sum, tensor_space
+from tyang.superlinalg import RFMatrix, at_slots, common_den, elementary, kron_sum, tensor_space
 
 
 def _block_sign(ps, i, j):
@@ -58,6 +62,59 @@ def read_blocks(F, ps, carrier):
                 ent.append(row)
             out[(i, j)] = RFMatrix(ent, carrier, carrier)
     return out
+
+
+def rf_block_product(A, B, mid=None):
+    """{(i, j): sum_k A_ik mid_k B_kj} over RFMatrix blocks, in RatFun
+    arithmetic; mid holds kappa scalars (numbers or RatFuns) or is None,
+    and a missing key counts as a zero block."""
+    idx = range(1, max(max(key) for key in (*A, *B)) + 1)
+    a, b = next(iter(A.values())), next(iter(B.values()))
+    zero = RFMatrix.zero(a.rows, b.cols, a.row_space, b.col_space)
+    A = {key: m for key, m in A.items() if not m.is_zero()}
+    B = {(k, j): m if mid is None else m.scale(mid[k - 1]) for (k, j), m in B.items() if not m.is_zero()}
+    out = {}
+    for i in idx:
+        for j in idx:
+            terms = [A[(i, k)] @ B[(k, j)] for k in idx if (i, k) in A and (k, j) in B]
+            out[(i, j)] = sum(terms[1:], terms[0]) if terms else zero
+    return out
+
+
+def rf_cleared_form(t):
+    """(den, degree, den_coeffs, blocks) of a ClearedForm read off the
+    RatFun blocks t: D the lcm of the reduced denominators, and one
+    rational factor c making c D and every c D x_ij integral, primitive,
+    with c > 0."""
+    D = common_den(e for m in t.values() for row in m.entries for e in row)
+    polys = {key: [[e.num * (D // e.den) if e else None for e in row] for row in m.entries] for key, m in t.items()}
+    every = [D] + [p for rows in polys.values() for row in rows for p in row if p is not None]
+    scale = lcm(*(c.denominator for p in every for c in p.coeffs))
+    content = gcd(*(c.numerator * (scale // c.denominator) for p in every for c in p.coeffs))
+
+    def ints(p):
+        return tuple(c.numerator * (scale // c.denominator) // content for c in p.coeffs)
+
+    blocks = {key: [[None if p is None else ints(p) for p in row] for row in rows] for key, rows in polys.items()}
+    return D, max(p.degree for p in every), ints(D), blocks
+
+
+def trimmed(coeffs):
+    """An integer coefficient sequence as a tuple without trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def read_product(den, blocks, space=None):
+    """The integer product (den, blocks) of yangian.block_product as RFMatrix
+    blocks of reduced RatFuns."""
+    d = Poly(den)
+    return {
+        key: RFMatrix([[RatFun(Poly(e), d) if e else RatFun.zero() for e in row] for row in rows], space, space)
+        for key, rows in blocks.items()
+    }
 
 
 def _rf(num_coeffs, den_coeffs=(1,)):

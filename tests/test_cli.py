@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tyang.cli import InputError, build_daha_module, main, run_scenario
-from tyang.glmn import ParitySeq
+from tyang.glmn import ParitySeq, gl_to_json, make_Lab
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios"
@@ -81,6 +81,7 @@ GOLDEN_REPORTS = {
     "rank1-L12.json": (0, "d349d7f5e9c5cf426e5eb22ba9ff51f5739754d7030a1757bb0fc39fc7d25bbd"),
     "reduce-over-L12.json": (0, "25cede47cc2091d13c20e238a0a625a41a33d040f008c0d190feda3c8adf2729"),
     "twisted-L12-cgamma.json": (0, "d6a3936f93331abf40083397752f11875e53bb9abe533568f44c7a633e0ea412"),
+    "twisted-json-L12.json": (0, "49685d45b7716d9b2a6cd320208d7265e6638efcce68e0f409fd4297a2026b3b"),
     "twisted-negative-control.json": (1, "b52f5e80d29570423bf79cb52ab973234a7442bf81722b16a2f7caa07cfe3f1c"),
     "yangian-L12-tensor.json": (0, "6dc79dee80cd0525038ec11ca578a43a5d83f8aa733851c36bbf3cd4622f3475"),
 }
@@ -102,6 +103,22 @@ B_L12 = {"type": "from-T", "t": {"type": "evaluation", "module": LAB12}, "eps": 
 CHAR21 = {"type": "char", "l": 1, "theta1": "1", "theta2": "2"}
 APPENDIX = {"name": "appendix", "pipeline": "appendix", "inputs": {"ps": [1, -1], "eps": [1, -1], "l": 2}}
 PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
+
+
+def _payload(kind, edit):
+    """A b-json block (the shipped L(1, 2) payload) or a gl-json block
+    (L(1, 2)), with edit applied to a copy of its data."""
+    if kind == "b-json":
+        with open(scenario_path("twisted-json-L12.json")) as fh:
+            data = json.load(fh)["inputs"]["b"]["data"]
+    else:
+        data = gl_to_json(make_Lab(1, 1, 2))
+    edit(data)
+    return {"type": kind, "data": data}
+
+
+def _lab_gl_json(edit):
+    return {"type": "evaluation", "module": _payload("gl-json", edit)}
 
 
 class TestMalformedInputs:
@@ -168,10 +185,30 @@ class TestMalformedInputs:
                 "ctx": {"s": [1, -1], "eps": [1, 1]}, "parities": [0, 1], "dim": 2, "b": []}}}, "'b' must be an object"),
             ("classify", {"b": {"type": "from-T", "t": {"type": "evaluation", "module": {"type": "vector", "ps": [1, 1, -1]}},
                                 "eps": [1, 1, 1]}, "eta": ["1", "0", "0"]}, "classify needs kappa = 2, got kappa = 3"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d["b"].update({"1,1": d["b"]["1,1"][:1]}))},
+             "'b' block '1,1' is not a 2 x 2 matrix"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d["b"].update(
+                {"2,2": [row[:1] for row in d["b"]["2,2"]]}))}, "'b' block '2,2' is not a 2 x 2 matrix"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: (d.update(parities=[0]), d.pop("dim")))},
+             "'b' block '1,1' is not a 1 x 1 matrix"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d.update(parities=[0]))},
+             "the parity list has 1 entries, not dim = 2"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d["b"].update({"3,1": d["b"]["1,1"]}))},
+             "'b' block '3,1' is not one pair of indices in 1..2"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d.update(b={}))}, "'b' has 0 of the 4 blocks"),
+            ("classify", {"b": _payload("b-json", lambda d: d["b"].pop("1,2")), "eta": ["1", "0"]},
+             "'b' has 3 of the 4 blocks"),
+            ("verify-yangian", {"t": _lab_gl_json(lambda d: d["e"].update({"1,1": [["1"]]}))},
+             "'e' block '1,1' is not a 2 x 2 matrix"),
+            ("verify-yangian", {"t": _lab_gl_json(lambda d: d["e"].update({"3,1": d["e"]["1,1"]}))},
+             "'e' block '3,1' is not one pair of indices in 1..2"),
         ],
         ids=["t-int", "t-list", "module-int", "m-float", "epsilon-zero", "appendix-l-zero", "appendix-l-negative",
              "principal-short-lambda", "center-short-monomial", "center-negative-exponent", "center-huge-degree",
-             "eta-short", "xi-long", "gl-json-e-list", "b-json-b-list", "classify-kappa-3"],
+             "eta-short", "xi-long", "gl-json-e-list", "b-json-b-list", "classify-kappa-3",
+             "b-json-short-block", "b-json-narrow-block", "b-json-short-parities", "b-json-parities-not-dim",
+             "b-json-key-out-of-range", "b-json-no-blocks", "classify-b-json-missing-block",
+             "gl-json-1x1-block", "gl-json-key-out-of-range"],
     )
     def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import read_blocks
+from support import read_blocks, trimmed
 
 import tyang.drinfeld as drinfeld
+from tyang import exactalg
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
 from tyang.exactalg import Poly, RatFun
 from tyang.glmn import ParitySeq, make_vector_rep
@@ -498,13 +499,6 @@ class TestClearedProduct:
         assert _reduce(N, den) == ref.entries
 
 
-def _trimmed(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class TestCheckInvariant:
     """The quotient certificate reads every power-of-u coefficient of the
     cleared product, the top one u^D included."""
@@ -533,13 +527,13 @@ class TestCheckInvariant:
         assert drinfeld._check_invariant(planted, nrows, prows) == key
         # Reading only the coefficients 0, ..., D - 1 misses the violation.
         truncated = {
-            k: [{col: _trimmed(p[:D]) for col, p in r.items() if _trimmed(p[:D])} for r in block]
+            k: [{col: trimmed(p[:D]) for col, p in r.items() if trimmed(p[:D])} for r in block]
             for k, block in planted.items()
         }
         assert drinfeld._check_invariant(truncated, nrows, prows) is None
 
 
-INT_COEFFS = st.lists(st.integers(-20, 20), max_size=6).map(_trimmed)
+INT_COEFFS = st.lists(st.integers(-20, 20), max_size=6).map(trimmed)
 
 
 def _poly_coeffs(p):
@@ -547,21 +541,22 @@ def _poly_coeffs(p):
 
 
 class TestIntegerPolyHelpers:
-    """_zmul and _zadd agree with Poly multiplication and addition."""
+    """The Z[u] helpers the series product uses, _zmul and _zadd (from
+    exactalg), agree with Poly multiplication and addition."""
 
     @settings(max_examples=200, deadline=None)
     @given(INT_COEFFS, INT_COEFFS)
     def test_convolution_is_poly_product(self, a, b):
-        assert drinfeld._zmul(a, b) == _poly_coeffs(Poly(a) * Poly(b))
+        assert exactalg._zmul(a, b) == _poly_coeffs(Poly(a) * Poly(b))
 
     @settings(max_examples=200, deadline=None)
     @given(INT_COEFFS, INT_COEFFS, st.integers(0, 2))
     def test_trimmed_add_is_poly_sum(self, a, b, mode):
         # mode 1 cancels a completely, mode 2 cancels its top coefficients.
         if mode == 1:
-            b = drinfeld._zneg(a)
+            b = exactalg._zneg(a)
         elif mode == 2:
-            b = _trimmed(b[: len(a) - 1] + tuple(-x for x in a[len(b[: len(a) - 1]):]))
-        got = drinfeld._zadd(a, b)
+            b = trimmed(b[: len(a) - 1] + tuple(-x for x in a[len(b[: len(a) - 1]):]))
+        got = exactalg._zadd(a, b)
         assert got == _poly_coeffs(Poly(a) + Poly(b))
         assert not got or got[-1]

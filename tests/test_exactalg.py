@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from support import trimmed
 
 from tyang.exactalg import (
+    _zdiv,
+    _zgcd,
+    _zmul,
     ROOT_SEARCH_BOUND,
     PoleError,
     Poly,
@@ -221,3 +229,43 @@ class TestInvariants:
             assert rf_from_json(rf_to_json(g)) == g
         # The decoder reduces what it reads.
         assert rf_from_json({"num": ["0", "2"], "den": ["0", "4"]}) == RatFun.const(F(1, 2))
+
+
+Z_POLY = st.lists(st.integers(-9, 9), max_size=5).map(trimmed)
+
+
+class TestIntegerPolynomials:
+    """Exact division and the primitive gcd on integer coefficient tuples,
+    against Poly arithmetic over the rationals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(Z_POLY, Z_POLY.filter(bool))
+    def test_exact_division_inverts_the_product(self, a, b):
+        assert _zdiv(_zmul(a, b), b) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(Z_POLY, Z_POLY.filter(bool))
+    def test_inexact_division_is_refused(self, a, b):
+        q, r = divmod(Poly(a), Poly(b))
+        if r or any(c.denominator != 1 for c in q.coeffs):
+            with pytest.raises(ArithmeticError):
+                _zdiv(a, b)
+        else:
+            assert _zdiv(a, b) == tuple(int(c) for c in q.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(Z_POLY, Z_POLY, Z_POLY.filter(bool))
+    def test_primitive_gcd(self, a, b, c):
+        # A planted common factor c; the result is the monic gcd made
+        # primitive with a positive leading coefficient.
+        a, b = _zmul(a, c), _zmul(b, c)
+        assume(a or b)
+        g = _zgcd(a, b)
+        assert Poly(g).monic() == Poly(a).gcd(Poly(b))
+        assert g[-1] > 0 and gcd(*g) == 1
+        assert _zdiv(a, g) is not None and _zdiv(b, g) is not None
+
+    def test_gcd_with_zero_and_with_a_constant(self):
+        assert _zgcd((), ()) == ()
+        assert _zgcd((0, 6, -4), ()) == (0, -3, 2)
+        assert _zgcd((5,), (0, 3)) == (1,)

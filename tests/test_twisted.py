@@ -141,6 +141,16 @@ class TestEmbedding:
         rep = verify_b(B)
         assert not rep.scalar_ok and rep.f == RatFun.const(4)
 
+    def test_off_diagonal_entry_breaks_unitarity(self):
+        # B = 1 + E_12 (constant): B(u) B(-u) = 1 + 2 E_12 has equal diagonal
+        # entries and one nonzero off-diagonal block.
+        ctx = TwistedContext(ParitySeq([1, 1]), [1, 1])
+        space = SuperSpace([0])
+        one = lambda a: RFMatrix.from_const([[a]], space, space)
+        B = BAction(ctx, space, {(1, 1): one(1), (1, 2): one(1), (2, 1): one(0), (2, 2): one(1)})
+        rep = verify_b(B)
+        assert not rep.scalar_ok and rep.f == RatFun.one()
+
 
 def lift_r(R, carrier, ps):
     """1 x R on carrier x V x V, assembled densely."""

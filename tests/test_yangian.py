@@ -5,11 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import assemble, lab_t_table, lab_tprime_table, read_blocks, rows_match_table
+from support import (
+    assemble,
+    lab_t_table,
+    lab_tprime_table,
+    read_blocks,
+    read_product,
+    rf_block_product,
+    rf_cleared_form,
+    rows_match_table,
+    trimmed,
+)
 
-from tyang.exactalg import Poly, PoleError, RatFun, rf_equal
+from tyang.exactalg import Poly, PoleError, RatFun, _zmul, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep, weight_decompose
-from tyang import twisted, yangian
+from tyang import cli, twisted, yangian
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec, rfmat_inverse
 from tyang.yangian import (
     NotHighest,
@@ -18,6 +28,7 @@ from tyang.yangian import (
     TPrimeAction,
     block_product,
     cleared_evaluator,
+    cleared_form,
     dual_action,
     evaluation_action,
     flip_at,
@@ -104,29 +115,128 @@ def _family_blocks(draw, ps, carrier):
     return blocks
 
 
+_Z_POLY = st.lists(st.integers(-3, 3), max_size=3).map(trimmed)
+
+
+@st.composite
+def _mids(draw, kappa):
+    """A middle factor for block_product and its RatFun scalars: None,
+    integers, eps_k + gamma/u as (eps_k q u + p) / (q u), or any integer
+    polynomials over one common denominator."""
+    kind = draw(st.sampled_from(["none", "integers", "gamma", "polynomials"]))
+    if kind == "none":
+        return None, None
+    if kind == "integers":
+        ms = draw(st.lists(st.integers(-3, 3), min_size=kappa, max_size=kappa))
+        return ((1,), [(m,) if m else () for m in ms]), ms
+    if kind == "gamma":
+        eps = draw(st.lists(st.sampled_from([1, -1]), min_size=kappa, max_size=kappa))
+        p, q = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+        u = Poly([0, 1])
+        return ((0, q), [(p, e * q) for e in eps]), [RatFun(Poly([F(p, q), e]), u) for e in eps]
+    d = draw(_Z_POLY.filter(bool))
+    nums = draw(st.lists(_Z_POLY, min_size=kappa, max_size=kappa))
+    return (d, nums), [RatFun(Poly(m), Poly(d)) for m in nums]
+
+
 @st.composite
 def _block_cases(draw):
     kappa = draw(st.integers(1, 3))
     ps = ParitySeq(draw(st.lists(st.sampled_from([1, -1]), min_size=kappa, max_size=kappa)))
     dim = draw(st.integers(1, 3))
     carrier = SuperSpace(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
-    mid = draw(st.none() | st.lists(_scalars(), min_size=kappa, max_size=kappa))
-    return ps, carrier, draw(_family_blocks(ps, carrier)), draw(_family_blocks(ps, carrier)), mid
+    A, B = draw(_family_blocks(ps, carrier)), draw(_family_blocks(ps, carrier))
+    # A zero block may be left out: a missing key counts as zero.
+    for blocks in (A, B):
+        for key in [key for key, m in blocks.items() if m.is_zero() and key != (kappa, kappa)]:
+            if draw(st.booleans()):
+                del blocks[key]
+    return ps, carrier, A, B, draw(_mids(kappa))
 
 
 class TestBlockProduct:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(_block_cases())
     def test_matches_assembled_product(self, case):
-        # The Koszul-assembled operators on carrier x V multiply to the
-        # assembly of the block product, with mid as 1 x diag(mid).
-        ps, carrier, A, B, mid = case
-        FA, FB = assemble(SeriesFamily(ps, carrier, A)), assemble(SeriesFamily(ps, carrier, B))
-        assert read_blocks(FA, ps, carrier) == A
+        # The integer product of the two cleared forms, read back as
+        # RatFuns, is the product of the Koszul-assembled operators on
+        # carrier x V (with mid as 1 x diag(mid)), and the block product
+        # formed in RatFun arithmetic.
+        ps, carrier, A, B, (mid, mid_rf) = case
+        FA, FB = SeriesFamily(ps, carrier, A), SeriesFamily(ps, carrier, B)
+        got = read_product(*block_product(FA.cleared(), FB.cleared(), mid), carrier)
+        assert got == rf_block_product(A, B, mid_rf)
+        OA, OB = assemble(FA), assemble(FB)
+        back = read_blocks(OA, ps, carrier)
+        assert {k: m for k, m in back.items() if k in A or not m.is_zero()} == A
         if mid is not None:
-            g = [[x if r == c else Fraction(0) for c in range(ps.kappa)] for r, x in enumerate(mid)]
-            FA = FA @ RFMatrix.from_const(kron_ops([(None, 0), (g, 0)], [carrier, ps.space()]))
-        assert block_product(A, B, mid) == read_blocks(FA @ FB, ps, carrier)
+            g = [[x if r == c else Fraction(0) for c in range(ps.kappa)] for r, x in enumerate(mid_rf)]
+            OA = OA @ RFMatrix.from_const(kron_ops([(None, 0), (g, 0)], [carrier, ps.space()]))
+        assert got == read_blocks(OA @ OB, ps, carrier)
+
+    def test_negated_form_is_the_family_at_minus_u(self):
+        for T in _normaliser_families():
+            neg = T.cleared().neg_u()
+            ref = {key: m.subs_neg() for key, m in T.t.items()}
+            assert neg == cleared_form(neg.den_coeffs, neg.blocks)
+            assert tuple(neg) == rf_cleared_form(ref)
+
+
+def _normaliser_families():
+    """T(u) on vector, L(a, b), tensor, trivial and dual modules."""
+    ps = ParitySeq([1, -1])
+    lab = evaluation_action(make_Lab(1, 1, 2), F(1, 2))
+    return [
+        evaluation_action(make_vector_rep(ParitySeq([1, -1, 1])), 2),
+        lab,
+        evaluation_action(make_Lab(-1, F(3, 2), -2), -3),
+        tensor_action(lab, evaluation_action(make_vector_rep(ps), 3)),
+        trivial_action(ParitySeq([1, 1, -1])),
+        dual_action(lab),
+    ]
+
+
+class TestClearedFormNormaliser:
+    """cleared_form against the cleared form read off RatFun entries."""
+
+    def test_families_and_inverse_series(self):
+        for T in _normaliser_families():
+            Tp = inverse_series_action(T)
+            assert tuple(T.cleared()) == rf_cleared_form(T.t)
+            assert tuple(Tp.cleared()) == rf_cleared_form(Tp.t)
+            # A family built from RatFuns clears through the same normaliser.
+            assert tuple(SeriesFamily(T.ps, T.space, Tp.t).cleared()) == tuple(Tp.cleared())
+
+    def test_common_factor_content_and_sign_are_divided_out(self):
+        # The same family over -6 (u + 3) D: the normaliser recovers it.
+        form = evaluation_action(make_Lab(1, 1, 2), F(1, 2)).cleared()
+        w = (-18, -6)
+        blocks = {key: [[e and _zmul(w, e) for e in row] for row in rows] for key, rows in form.blocks.items()}
+        assert cleared_form(_zmul(w, form.den_coeffs), blocks) == form
+
+    def test_twisted_families_from_the_integer_product(self):
+        for T in _normaliser_families():
+            kk = T.kappa
+            for eps, gamma in (([1] * kk, None), ([(-1) ** k for k in range(kk)], None),
+                               ([-1] * kk, F(3, 2)), ([(-1) ** (k + 1) for k in range(kk)], -2)):
+                ctx = twisted.TwistedContext(T.ps, eps, gamma)
+                B = twisted.b_from_T(T, ctx)
+                g = list(eps) if gamma is None else [RatFun(Poly([gamma, e]), Poly([0, 1])) for e in eps]
+                Tpn = {key: m.subs_neg() for key, m in inverse_series_action(T).t.items()}
+                oracle = rf_block_product(T.t, Tpn, g)
+                assert tuple(B.cleared()) == rf_cleared_form(oracle)
+                assert B.t == oracle
+
+    def test_positive_degree_gcd_is_divided_out(self):
+        # 04-t-lab of the benchmark: the product denominator has degree 3,
+        # the reduced one degree 2.
+        T = evaluation_action(make_Lab(-1, -5, -5), 0)
+        ctx = twisted.TwistedContext(T.ps, [-1, -1])
+        den, blocks = block_product(T.cleared(), inverse_series_action(T).cleared().neg_u(),
+                                    ((1,), [(-1,), (-1,)]))
+        form = cleared_form(den, blocks)
+        assert len(den) - 1 == 3 and form.den.degree == 2
+        assert tuple(form) == rf_cleared_form(twisted.b_from_T(T, ctx).t)
 
 
 class TestInverseSeries:
@@ -306,6 +416,19 @@ class TestRTT:
         assert verify_rtt(T) is None
         for B in Bs:
             assert twisted.verify_b(B).ok
+        # On evaluation provenance B(u) = T(u) G T(-u)^{-1}, the unitarity
+        # product and the inverse product of verify-yangian are integer
+        # block products: no RatFun product is formed.
+        monkeypatch.setattr(RFMatrix, "__matmul__", refuse)
+        monkeypatch.setattr(RatFun, "__mul__", refuse)
+        monkeypatch.setattr(RatFun, "__rmul__", refuse)
+        for module, gamma in ((make_Lab(-1, 2, F(1, 2)), None), (make_vector_rep(ParitySeq([1, -1, 1])), F(-3, 2))):
+            E = evaluation_action(module, F(1, 3))
+            B = twisted.b_from_T(E, twisted.TwistedContext(E.ps, [1] * (E.kappa - 1) + [-1], gamma))
+            assert twisted.verify_b(B).ok
+        t = {"type": "evaluation", "module": {"type": "Lab", "s1": 1, "a": "3", "b": "-1/2"}, "z": "2"}
+        checks = cli.pipe_verify_yangian({"t": t}, 64)
+        assert [(c["id"], c["status"]) for c in checks] == [("exchange-relation", "pass"), ("inverse-product", "pass")]
 
     @pytest.mark.parametrize("label", ["exchange", "mixed-left"])
     def test_witness_matches_fraction_path(self, label):
