@@ -43,7 +43,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # "module.function" names, relative to tyang, timed inside it)
 LAYERS = {
     "hecke_s": ("daha-principal", ("daha.verify_daha", "daha.sf_presentation", "daha.center_check")),
-    "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "drinfeld._expansion")),
+    "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "yangian.series_expansion")),
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
     "grid_s": (None, ("superlinalg.check_identity_2var",)),

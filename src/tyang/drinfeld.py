@@ -8,17 +8,18 @@ polynomial and K_k row-sparse, both held as integer coefficient tuples
 (scaled by the lcm of their coefficient denominators), and the product is
 kept as N / den without any reduction: the quotient subspace is certified
 on the power-of-u coefficients of N, the series expansion is read off
-N / den, and only the entries of the induced quotient action become
-reduced RatFuns.  The functor output lives on the quotient by the
-sign-isotypic images of the reflections, with explicit projection and
-section fixed by pivot order.
+N / den (yangian.series_expansion), and the induced quotient action is the
+cleared form of s P N S / (s den), with s P the projection scaled to
+integers.  The functor output lives on the quotient by the sign-isotypic
+images of the reflections, with explicit projection and section fixed by
+pivot order.
 """
 
 import operator
 from fractions import Fraction
 from math import lcm
 
-from tyang.exactalg import Poly, RatFun, _neg_u, _zadd, _zmul, _zneg, rat
+from tyang.exactalg import RatFun, _neg_u, _zadd, _zmul, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
@@ -48,7 +49,7 @@ from tyang.twisted import (
     irreducible_burnside,
     b_tensor,
 )
-from tyang.yangian import TAction, flip_at
+from tyang.yangian import TAction, _trimmed, cleared_form, flip_at, series_expansion
 
 
 class ParameterConstraint(ValueError):
@@ -223,6 +224,13 @@ def _quotient_maps(nrows, pivots, D):
     return proj, sect, free
 
 
+def _integer_rows(rows):
+    """(s, out): s the lcm of the denominators of the Fraction matrix rows
+    and out the rows of s rows as sparse (column, int) pairs."""
+    s = lcm(*(x.denominator for row in rows for x in row))
+    return s, [[(c, x.numerator * (s // x.denominator)) for c, x in enumerate(row) if x] for row in rows]
+
+
 def _check_invariant(blocks, basis, prows):
     """The first key, in sorted order, whose block does not map the span of
     the constant basis into itself over the function field; None if none.
@@ -230,13 +238,13 @@ def _check_invariant(blocks, basis, prows):
     A block N(u) = sum_t N_t u^t (row-sparse over integer coefficient
     tuples, entry t that of u^t) preserves the span exactly when
     proj N_t v = 0 for every power-of-u coefficient N_t and basis vector v,
-    where proj (given by its sparse rows prows) is the quotient projection,
-    whose kernel is the span.  Each v and each row of proj is scaled to
-    integers first (a nonzero scale does not change which products
-    vanish), so the products run in Python ints, on all the N_t at once.
+    where proj, the quotient projection whose kernel is the span, is given
+    by the integer rows prows of a nonzero multiple of it (_integer_rows).
+    The basis is scaled to integers too (a nonzero scale does not change
+    which products vanish), so the products run in Python ints, on all the
+    N_t at once.
     """
-    prows = [_int_pairs(prow) for prow in prows]
-    vecs = [_int_pairs([(c, x) for c, x in enumerate(v) if x]) for v in basis]
+    vecs = _integer_rows(basis)[1]
     for key in sorted(blocks):
         block = blocks[key]
         for nz in vecs:
@@ -256,12 +264,6 @@ def _check_invariant(blocks, basis, prows):
     return None
 
 
-def _int_pairs(pairs):
-    """(index, Fraction) pairs times the lcm of their denominators, as ints."""
-    s = lcm(*(x.denominator for _, x in pairs))
-    return [(c, x.numerator * (s // x.denominator)) for c, x in pairs]
-
-
 def _add_scaled(acc, coeffs, x):
     """acc += x * coeffs on coefficient lists, acc growing as needed."""
     if len(acc) < len(coeffs):
@@ -270,28 +272,21 @@ def _add_scaled(acc, coeffs, x):
         acc[t] += a * x
 
 
-def _quotient_block(block, prows, free, den, qspace):
-    """P N S / den on the quotient, for the projection P (sparse rows prows)
-    and the section S that keeps the free columns; den is a Poly.  One
-    reduced RatFun per nonzero entry, so the common scale of N and den
-    cancels."""
-    zero = RatFun.zero()
+def _quotient_block(block, prows, free):
+    """P N S on the quotient, for the integer projection P (sparse rows
+    prows) and the section S that keeps the free columns, as dense rows of
+    integer coefficient tuples, None for a zero entry."""
     col = {f: b for b, f in enumerate(free)}
     out = []
     for prow in prows:
-        acc = {}
+        acc = [[] for _ in free]
         for q, x in prow:
             for c, p in block[q].items():
                 b = col.get(c)
                 if b is not None:
-                    _add_scaled(acc.setdefault(b, []), p, x)
-        row = [zero] * len(free)
-        for b, cs in acc.items():
-            p = Poly(cs)
-            if p:
-                row[b] = RatFun(p, den)
-        out.append(row)
-    return RFMatrix(out, qspace, qspace)
+                    _add_scaled(acc[b], p, x)
+        out.append([_trimmed(e) for e in acc])
+    return out
 
 
 def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
@@ -327,11 +322,12 @@ def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> D
 
     Raises WellDefinednessFailure when a series block (named letter_(i, j)
     in the message) does not preserve the subspace; the induced action is
-    family(head, quotient space, quotient grids, ("drinfeld",)).
+    family(head, quotient space, form, ("drinfeld",)), form the cleared
+    form of s P N S / (s den) for s P the projection scaled to integers.
     """
     nrows, pivots = relations
     proj, sect, free = _quotient_maps(nrows, pivots, carrier.dim)
-    prows = [[(c, x) for c, x in enumerate(row) if x] for row in proj]
+    s, prows = _integer_rows(proj)
     bad = _check_invariant(blocks, nrows, prows)
     if bad is not None:
         raise WellDefinednessFailure(
@@ -341,9 +337,9 @@ def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> D
     if not free:
         return DrinfeldModule(None, carrier, proj, sect, nrows)
     qspace = SuperSpace([carrier.parities[f] for f in free])
-    den = Poly(den)
-    qgrids = {key: _quotient_block(block, prows, free, den, qspace) for key, block in blocks.items()}
-    return DrinfeldModule(family(head, qspace, qgrids, ("drinfeld",)), carrier, proj, sect, nrows)
+    qblocks = {key: _quotient_block(block, prows, free) for key, block in blocks.items()}
+    form = cleared_form(_zmul(den, (s,)), qblocks)
+    return DrinfeldModule(family(head, qspace, form, ("drinfeld",)), carrier, proj, sect, nrows)
 
 
 def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> DrinfeldModule:
@@ -479,31 +475,6 @@ def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
     return None
 
 
-def _expansion(block, den, order):
-    """The coefficients of u^0, ..., u^-order in the expansion at infinity
-    of block / den, as dense Fraction matrices, read off the cleared
-    integer entries without reducing them (a common scale of block and den
-    cancels in every coefficient).  Raises ValueError when an entry has no
-    expansion (numerator degree above that of den)."""
-    D = len(den) - 1
-    b = [den[D - r] if r <= D else 0 for r in range(order + 1)]
-    # The coefficient of u^-r is e_r / b_0^(r+1), with e_r an integer:
-    # e_r = a_r b_0^r - sum_{s=1..r} b_s e_(r-s) b_0^(s-1).
-    pw = [b[0] ** r for r in range(order + 2)]
-    zero = Fraction(0)
-    out = [[[zero] * len(block) for _ in block] for _ in range(order + 1)]
-    for q, row in enumerate(block):
-        for c, p in row.items():
-            if len(p) - 1 > D:
-                raise ValueError("no expansion at infinity: numerator degree too large")
-            es = []
-            for r in range(order + 1):
-                a = p[D - r] if 0 <= D - r < len(p) else 0
-                es.append(a * pw[r] - sum(b[s] * es[r - s] * pw[s - 1] for s in range(1, r + 1)))
-                out[r][q][c] = Fraction(es[r], pw[r + 1])
-    return out
-
-
 def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=None):
     """Compare the first three series coefficients with their closed forms.
 
@@ -545,7 +516,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
                 [(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces
             )
 
-            coeff0, coeff1, coeff2 = _expansion(product.blocks[(i, j)], product.den, 2)
+            coeff0, coeff1, coeff2 = series_expansion(product.blocks[(i, j)], product.den, 2)
             want0 = [[Fraction(ei) if (i == j and r == c) else Fraction(0) for c in range(carrier_dim)] for r in range(carrier_dim)]
             if coeff0 != want0:
                 return (0, (i, j))

@@ -6,11 +6,12 @@ B(u) = T(u) G T(-u)^{-1}, through the one-dimensional family, or through the
 coideal tensor construction; the abstract algebra is never represented.
 BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
 are shared.  B(u) from T(u) and the unitarity product B(u) B(-u) are block
-products of cleared families over Z[u] (yangian.block_product): b_from_T
-builds B from the reduced integer product, and B's RatFun entries are
-formed only where highest weights, classification, reductions or the JSON
-codec read them.  The coideal tensor action and the flip of the grid
-checks act on tensor slots and come from the kron_ops assembler.
+products of cleared families over Z[u] (yangian.block_product), and the
+irreducibility test reads B's coefficients off its cleared form.  B's
+RatFun entries are formed only where highest weights, the tensor and
+reduction constructors or the JSON codec read them.  The coideal tensor
+action and the flip of the grid checks act on tensor slots and come from
+the kron_ops assembler.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +46,9 @@ from tyang.yangian import (
     flip_at,
     highest_eigenseries,
     inverse_series_action,
+    scalar_product,
     scaled_witness,
+    series_expansion,
 )
 
 
@@ -210,12 +213,11 @@ class BReport:
 
     reflection: object = None      # None or Grid2Witness
     scalar_ok: bool = True         # B(u)B(-u) is a scalar matrix
-    even_ok: bool = True           # the scalar is even in u
     f: RatFun = None               # the scalar itself
 
     @property
     def ok(self):
-        return self.reflection is None and self.scalar_ok and self.even_ok
+        return self.reflection is None and self.scalar_ok
 
 
 def verify_b(B: BAction) -> BReport:
@@ -224,17 +226,15 @@ def verify_b(B: BAction) -> BReport:
     The reflection equation is certified on a degree-beating grid, both
     sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
     B2 = N_2 / d_2, p_-+ the numerators of u -+ v).  The product B(u)B(-u)
-    must be an even scalar f(u): with B = N / c D over Z[u] (cleared),
-    P = N(u) N(-u) is formed in integers (block_product) and is scalar when
-    every diagonal entry equals the first and every other entry is zero;
-    f = P_11 / (c^2 D(u) D(-u)) is formed once, for the report.
+    must be a scalar f(u), which is then even (B(-u) B(u) = f(u) 1 is the
+    identity at -u).  With B = N / c D over Z[u], P = N(u) N(-u) is formed
+    in integers (scalar_product); f = P_11 / (c^2 D(u) D(-u)).
     """
     rep = BReport()
     R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
     B1 = cleared_evaluator(B, 1)
     B2 = cleared_evaluator(B, 2)
-    dB = B.common_den()
-    bB = B.cleared_degree()
+    form = B.cleared()
 
     def lhs(u0, v0):  # R(u-v) B1(u) R(u+v) B2(v)
         return R.left(u0 - v0, int_mat_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
@@ -245,9 +245,9 @@ def verify_b(B: BAction) -> BReport:
     w = check_identity_2var(
         lhs,
         rhs,
-        (bB + 3, bB + 3),
-        bad_u=lambda u: dB(u) == 0,
-        bad_v=lambda v: dB(v) == 0,
+        (form.degree + 3, form.degree + 3),
+        bad_u=lambda u: form.den(u) == 0,
+        bad_v=lambda v: form.den(v) == 0,
     )
     rep.reflection = scaled_witness(
         w,
@@ -255,18 +255,8 @@ def verify_b(B: BAction) -> BReport:
         "reflection",
     )
 
-    form = B.cleared()
-    den, prod = block_product(form, form.neg_u())
-    f = prod[(1, 1)][0][0]
-    rep.scalar_ok = all(
-        e == (f if i == j and r == c else None)
-        for (i, j), rows in prod.items()
-        for r, row in enumerate(rows)
-        for c, e in enumerate(row)
-    )
-    rep.f = RatFun(Poly(f or ()), Poly(den))
-    # den = c^2 D(u) D(-u) is even, so f is even exactly when its numerator is.
-    rep.even_ok = not (rep.scalar_ok and f and any(f[1::2]))
+    den, f, rep.scalar_ok = scalar_product(form, form.neg_u())
+    rep.f = RatFun(Poly(f), Poly(den))
     return rep
 
 
@@ -402,7 +392,6 @@ def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> Cla
     ps = ctx.ps
     s1, s2 = ps.sign(1), ps.sign(2)
     e1, e2 = ctx.eps_sign(1), ctx.eps_sign(2)
-    ratio = mu.tilde(1) / mu.tilde(2)
     if s1 == s2 and e1 == e2:
         case = "s-equal-eps-equal"
     elif s1 == s2:
@@ -415,6 +404,11 @@ def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> Cla
 
     def failed(status, detail=""):
         return ClassificationCertificate(case, None, None, status, detail)
+
+    tilde1, tilde2 = mu.tilde(1), mu.tilde(2)
+    if not (tilde1 and tilde2):
+        return failed("search-failed", "a tilde series vanishes: no ratio to certify")
+    ratio = tilde1 / tilde2
 
     if mode == "verify":
         if P is None:
@@ -731,21 +725,20 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     """Span-closure irreducibility test over the rationals.
 
     The module is absolutely irreducible iff the expansion coefficients of
-    all b_ij(u) generate the full matrix algebra; on a sub-maximal closure a
+    all b_ij(u), up to u^-(cleared degree + 2) and read off the cleared
+    form, generate the full matrix algebra; on a sub-maximal closure a
     proper invariant subspace is searched through cyclic spans of
     eigenvectors of algebra elements, and 'inconclusive' is reported when no
     candidate element splits over the rationals.
     """
     d = B.dim
-    orders = B.cleared_degree() + 2
-    gens = []
-    kk = B.kappa
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            for r in range(1, orders + 1):
-                C = B.coefficient_matrix(i, j, r)
-                if any(any(x for x in row) for row in C):
-                    gens.append(C)
+    form = B.cleared()
+    gens = [
+        C
+        for key in sorted(form.blocks)
+        for C in series_expansion(form.blocks[key], form.den_coeffs, form.degree + 2)[1:]
+        if any(map(any, C))
+    ]
     closure = algebra_closure(gens, d)
     if len(closure) == d * d:
         return BurnsideVerdict("irreducible", d * d)
@@ -845,4 +838,9 @@ def b_from_json(data: dict) -> BAction:
     )
     space = SuperSpace(data["parities"])
     b = json_blocks(data, "b", ctx.kappa, rf_from_json)
+    for (i, j), rows in sorted(b.items()):
+        if any(e.num.degree > e.den.degree for row in rows for e in row):
+            raise ValueError(
+                f"b_{i}{j}(u) is not a series in u^-1: an entry has numerator degree above its denominator's"
+            )
     return BAction(ctx, space, {key: RFMatrix(rows, space, space) for key, rows in b.items()})

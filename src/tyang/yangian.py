@@ -7,11 +7,12 @@ data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction (B(u))
 are thin subclasses.  A family is held over Z[u] as its ClearedForm: D,
 the common denominator, and the integer coefficients of c D x_ij(u) for
 one rational c, made primitive by cleared_form, the one normaliser.  The
-RatFun blocks t are a view, formed on first read (one reduced RatFun per
-entry) by the boundaries that need them: highest weights, classification,
-the JSON codec, the tensor and dual constructors and coefficient_matrix.
-Evaluation and trivial modules, their inverse series and every product of
-families are built in integers and never form that view themselves.
+certifiers read only it: grid values, products and series coefficients
+(series_expansion).  The RatFun blocks t are a view, formed on first read
+(one reduced RatFun per entry) by highest weights and vectors, the
+tensor, dual and reduction constructors and the JSON codec.  Evaluation
+and trivial modules, their inverse series, every product of families and
+the functor outputs are built in integers.
 
 The operator on module x V carries the sign (-1)^(|i||j|+|j|) in front of
 the (i, j) block, which makes block products behave like ordinary matrix
@@ -45,6 +46,7 @@ from tyang.exactalg import (
     _zdiv,
     _zgcd,
     _zmul,
+    _zneg,
     rat,
     rational_roots,
     rf_equal,
@@ -210,6 +212,12 @@ class ClearedForm(NamedTuple):
         blocks = {key: [[e and flip(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
         return ClearedForm(_monic(den), self.degree, den, blocks)
 
+    def negate_block(self, key) -> "ClearedForm":
+        """The form with x_key(u) replaced by -x_key(u), still reduced and
+        primitive."""
+        rows = [[e and _zneg(e) for e in row] for row in self.blocks[key]]
+        return self._replace(blocks={**self.blocks, key: rows})
+
 
 def _monic(den) -> Poly:
     return Poly([Fraction(c, den[-1]) for c in den])
@@ -258,6 +266,36 @@ def _integral(den, blocks):
     return ints(den), {key: [[ints(e) for e in row] for row in rows] for key, rows in blocks.items()}
 
 
+def series_expansion(rows, den, order):
+    """The coefficients of u^0, ..., u^-order in the expansion at infinity
+    of rows / den, as dense Fraction matrices: den an integer coefficient
+    tuple, rows a square matrix of such tuples, each row dense (None or ()
+    for zero, as in a ClearedForm) or row-sparse ({column: tuple}).  A
+    common scale of rows and den cancels.  Raises ValueError when an entry
+    has no expansion (numerator degree above that of den).
+    """
+    D = len(den) - 1
+    b = den[::-1]
+    # The coefficient of u^-r is e_r / b_0^(r+1), with e_r an integer:
+    # e_r = a_r b_0^r - sum_{s=1..min(r, D)} b_s e_(r-s) b_0^(s-1).
+    pw = [b[0] ** r for r in range(order + 2)]
+    zero = Fraction(0)
+    n = len(rows)
+    out = [[[zero] * n for _ in range(n)] for _ in range(order + 1)]
+    for q, row in enumerate(rows):
+        for c, p in row.items() if isinstance(row, dict) else enumerate(row):
+            if not p:
+                continue
+            if len(p) - 1 > D:
+                raise ValueError("no expansion at infinity: numerator degree too large")
+            es = []
+            for r in range(order + 1):
+                a = p[D - r] if 0 <= D - r < len(p) else 0
+                es.append(a * pw[r] - sum(b[s] * es[r - s] * pw[s - 1] for s in range(1, min(r, D) + 1)))
+                out[r][q][c] = Fraction(es[r], pw[r + 1])
+    return out
+
+
 def block_product(A: ClearedForm, B: ClearedForm, mid=None):
     """{(i, j): sum_k A_ik mid_k B_kj} for two families in cleared form, in
     Z[u], as (den, blocks): den the product of the denominators and blocks
@@ -296,6 +334,24 @@ def block_product(A: ClearedForm, B: ClearedForm, mid=None):
                     _acc_product(acc, Ab[(i, k)], Bb[(k, j)])
             out[(i, j)] = [[_trimmed(e) for e in row] for row in acc]
     return den, out
+
+
+def scalar_product(A: ClearedForm, B: ClearedForm):
+    """(den, f, scalar) for the block product of A and B: den and f its
+    denominator and the first diagonal entry of its (1, 1) block, as
+    integer coefficient tuples (f is () when that entry is zero), and
+    scalar whether the product is f / den times the identity, with every
+    diagonal entry f and every other entry zero.  A zero product is
+    scalar with f = ()."""
+    den, prod = block_product(A, B)
+    f = prod[(1, 1)][0][0]
+    scalar = all(
+        e == (f if i == j and r == c else None)
+        for (i, j), rows in prod.items()
+        for r, row in enumerate(rows)
+        for c, e in enumerate(row)
+    )
+    return den, f or (), scalar
 
 
 def _acc_product(acc, A, B):
@@ -394,13 +450,6 @@ class SeriesFamily:
             self._cleared = cleared_form(*_integral(D.coeffs, blocks))
         return self._cleared
 
-    def common_den(self) -> Poly:
-        return self.cleared().den
-
-    def cleared_degree(self) -> int:
-        """Max degree over the entries after clearing the common denominator."""
-        return self.cleared().degree
-
     def lift_pattern(self, slot):
         """(coeffs, pattern) placing the cleared entries in the lift to
         module x V x V with the V factor of the family at slot (1 or 2).
@@ -463,13 +512,6 @@ class SeriesFamily:
         vals = [sum(map(mul, cs, w)) for cs in coeffs]
         values = [0, *vals, *(-v for v in reversed(vals))].__getitem__
         return [list(map(values, row)) for row in pattern], d
-
-    def coefficient_matrix(self, i, j, r):
-        """The matrix of the u^-r coefficient of x_ij(u)."""
-        out = []
-        for row in self.t[(i, j)].entries:
-            out.append([e.series(r)[r] if e else Fraction(0) for e in row])
-        return out
 
 
 class TAction(SeriesFamily):
@@ -745,14 +787,10 @@ def verify_rtt(T: TAction):
     R = ScaledR(flip_at(T.ps, 1, 2, 2), T.dim)
     Tp = inverse_series_action(T)
     # (slot-1 and slot-2 evaluators, common denominator, grid bound, evaluated
-    # at minus the point); the three identities share the evaluators' caches.
-    fam = (cleared_evaluator(T, 1), cleared_evaluator(T, 2), T.common_den(), T.cleared_degree() + 2, False)
-    inv = (
-        cleared_evaluator(Tp, 1, True),
-        cleared_evaluator(Tp, 2, True),
-        Tp.common_den(),
-        Tp.cleared_degree() + 2,
-        True,
+    # at minus the point) of T and T'; the three identities share the caches.
+    fam, inv = (
+        (cleared_evaluator(F, 1, neg), cleared_evaluator(F, 2, neg), F.cleared().den, F.cleared().degree + 2, neg)
+        for F, neg in ((T, False), (Tp, True))
     )
     for label, first, second in (
         ("exchange", fam, fam),

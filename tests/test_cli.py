@@ -117,6 +117,13 @@ def _payload(kind, edit):
     return {"type": kind, "data": data}
 
 
+# b_11(u) = u on a one-dimensional module: no series in u^-1.
+B_JSON_U = {"type": "b-json", "data": {
+    "ctx": {"s": [1, -1], "eps": [1, 1]}, "dim": 1, "parities": [0],
+    "b": {"1,1": [[{"num": ["0", "1"], "den": ["1"]}]], "1,2": [[{"num": [], "den": ["1"]}]],
+          "2,1": [[{"num": [], "den": ["1"]}]], "2,2": [[{"num": ["1"], "den": ["1"]}]]}}}
+
+
 def _lab_gl_json(edit):
     return {"type": "evaluation", "module": _payload("gl-json", edit)}
 
@@ -198,6 +205,8 @@ class TestMalformedInputs:
             ("verify-twisted", {"b": _payload("b-json", lambda d: d.update(b={}))}, "'b' has 0 of the 4 blocks"),
             ("classify", {"b": _payload("b-json", lambda d: d["b"].pop("1,2")), "eta": ["1", "0"]},
              "'b' has 3 of the 4 blocks"),
+            ("verify-twisted", {"b": B_JSON_U, "eta": ["1"]}, "b_11(u) is not a series in u^-1"),
+            ("classify", {"b": B_JSON_U, "eta": ["1"]}, "b_11(u) is not a series in u^-1"),
             ("verify-yangian", {"t": _lab_gl_json(lambda d: d["e"].update({"1,1": [["1"]]}))},
              "'e' block '1,1' is not a 2 x 2 matrix"),
             ("verify-yangian", {"t": _lab_gl_json(lambda d: d["e"].update({"3,1": d["e"]["1,1"]}))},
@@ -208,6 +217,7 @@ class TestMalformedInputs:
              "eta-short", "xi-long", "gl-json-e-list", "b-json-b-list", "classify-kappa-3",
              "b-json-short-block", "b-json-narrow-block", "b-json-short-parities", "b-json-parities-not-dim",
              "b-json-key-out-of-range", "b-json-no-blocks", "classify-b-json-missing-block",
+             "b-json-entry-not-a-series", "classify-b-json-entry-not-a-series",
              "gl-json-1x1-block", "gl-json-key-out-of-range"],
     )
     def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
@@ -226,6 +236,14 @@ class TestMalformedInputs:
             "id": "highest-weight", "anchor": "upper series annihilate, diagonal series are scalar",
             "status": "fail", "witness": {"detail": "b_12(u) does not annihilate the vector"},
         }]
+
+    def test_classify_with_a_vanishing_tilde_series_fails_the_certificate(self, tmp_path):
+        # b_22(u) = 0 on the highest vector makes tilde_2 zero: no ratio to certify.
+        b = _payload("b-json", lambda d: d["b"]["2,2"][0][0].update(num=[]))
+        report, code = _run_inputs(tmp_path, "classify", {"b": b, "eta": ["1", "0"]})
+        assert code == 1
+        cert = next(c for c in report["checks"] if c["id"] == "rank1-certificate")
+        assert cert["status"] == "fail" and cert["data"]["status"] == "search-failed"
 
 
 class TestMainEntry:
@@ -490,8 +508,26 @@ def _subtree_paths(node, path=()):
         yield from _subtree_paths(child, path + (key,))
 
 
+def _fuzz_seeds():
+    """The shipped scenarios by file name, and the b-json payload of
+    twisted-json-L12 run through classify as well (without expectations,
+    which name the verify-twisted checks)."""
+    seeds = {}
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(scenario_path(name)) as fh:
+            seeds[name] = json.load(fh)
+    b_json = seeds["twisted-json-L12.json"]
+    seeds["twisted-json-L12.json:classify"] = {"name": "classify-json-L12", "pipeline": "classify",
+                                               "inputs": b_json["inputs"]}
+    return seeds
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+
+# Scalars, and coefficient lists like the "num" and "den" of a payload entry.
 SMALL_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from([0.5, "", "x", "-1", "3/2", "1/0"]),
+    st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from([0.5, "", "x", "-1", "3/2", "1/0"])
+    | st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]), min_size=1, max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["type", "l", "ps", "t"]), inner,
                                                                  max_size=3),
     max_leaves=4,
@@ -501,11 +537,10 @@ SMALL_JSON = st.recursive(
 class TestScenarioFuzz:
     """Every mutant of a shipped scenario keeps the exit-code contract."""
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=3000)
-    @given(name=st.sampled_from(sorted(os.listdir(SCENARIO_DIR))), data=st.data())
+    @settings(max_examples=600, derandomize=True, database=None, deadline=3000)
+    @given(name=st.sampled_from(sorted(FUZZ_SEEDS)), data=st.data())
     def test_mutated_scenarios_exit_0_1_or_2(self, name, data):
-        with open(scenario_path(name)) as fh:
-            scenario = json.load(fh)
+        scenario = json.loads(json.dumps(FUZZ_SEEDS[name]))
         for _ in range(data.draw(st.integers(1, 2))):
             at = data.draw(st.sampled_from(list(_subtree_paths(scenario))))
             if not at:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import read_blocks, trimmed
+from support import read_blocks, rf_cleared_form, rf_quotient_family, trimmed
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
@@ -34,7 +34,7 @@ from tyang.superlinalg import (
     tensor_space,
 )
 from tyang.twisted import BAction, TwistedContext, b_from_T, find_highest_space, highest_bweight, verify_b
-from tyang.yangian import evaluation_action, verify_rtt
+from tyang.yangian import TAction, evaluation_action, verify_rtt
 
 
 def F(a, b=1):
@@ -135,7 +135,7 @@ class TestTypeBC:
         D = drinfeld_BC(M, ps, [1, -1], epsilon=1)
         assert D.dim >= 1
         rep = verify_b(D.action)
-        assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+        assert rep.reflection is None and rep.scalar_ok
         K = find_highest_space(D.action)
         assert K
         highest_bweight(D.action, K[0])
@@ -153,7 +153,7 @@ class TestTypeBC:
         M = char_module(DahaParams(1, 1, 2), 1, 1)
         D = drinfeld_BC(M, ps, [1, 1, -1], epsilon=1)
         rep = verify_b(D.action)
-        assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+        assert rep.reflection is None and rep.scalar_ok
         # gamma = (theta2/theta1 - varpi_1)/2 = 1/2 shows up in the scalar.
         u = RatFun.x()
         assert rep.f == 1 - F(1, 4) / (u * u)
@@ -499,6 +499,45 @@ class TestClearedProduct:
         assert _reduce(N, den) == ref.entries
 
 
+class TestQuotientFamily:
+    """The functor output is built in integers as one cleared form, and it
+    is the family the function-field route forms: each entry of
+    P N S / den reduced to a RatFun, then cleared."""
+
+    @pytest.mark.parametrize(
+        "M",
+        [char_module(DahaParams(l, 1, 2), 1, 1) for l in (2, 3, 4)]
+        + [principal_series(DahaParams(1, 1, 2), [F(3)]), principal_series(DahaParams(2, 1, 2), [F(3), F(1)])],
+        ids=["char-l2", "char-l3", "char-l4", "principal-l1", "principal-l2"],
+    )
+    @pytest.mark.parametrize("eps", [[1, -1], [1, 1]])
+    def test_matches_the_reduced_entries(self, M, eps):
+        product = drinfeld.reflection_product(M, ParitySeq([1, -1]), eps)
+        D = drinfeld_BC(M, ParitySeq([1, -1]), eps, product=product)
+        assert D.dim >= 1
+        t, form = rf_quotient_family(D, product.blocks, product.den)
+        assert D.action._t is None
+        assert D.action.cleared() == form
+        assert tuple(form) == rf_cleared_form(t)
+        assert D.action.t == t
+
+    def test_fractional_projection_is_scaled_back(self):
+        # The span of (1, 1/2): the projection (-1/2, 1) is scaled by s = 2
+        # to integers, and the quotient family carries the 2 back in den.
+        ps = ParitySeq([1, 1])
+        blocks = {(i, j): [{}, {}] for i in (1, 2) for j in (1, 2)}
+        blocks[(1, 1)] = [{0: (1, 1)}, {1: (1, 1)}]  # (u + 1) / u
+        blocks[(2, 2)] = [{0: (0, 1)}, {1: (0, 1)}]  # u / u
+        relations = ([[F(1), F(1, 2)]], [0])
+        D = drinfeld._quotient_module(blocks, (0, 1), SuperSpace([0, 0]), relations, "t", TAction, ps)
+        assert D.projection == [[F(-1, 2), F(1)]]
+        t, form = rf_quotient_family(D, blocks, (0, 1))
+        assert D.action.cleared() == form
+        u = RatFun.x()
+        zero, one = RatFun.zero(), RatFun.one()
+        assert [D.action.t[key][0, 0] for key in sorted(t)] == [(u + 1) / u, zero, zero, one]
+
+
 class TestCheckInvariant:
     """The quotient certificate reads every power-of-u coefficient of the
     cleared product, the top one u^D included."""
@@ -509,7 +548,7 @@ class TestCheckInvariant:
         product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
         nrows, pivots = product.relations
         proj, _sect, _free = drinfeld._quotient_maps(nrows, pivots, len(nrows[0]))
-        prows = [[(c, x) for c, x in enumerate(row) if x] for row in proj]
+        _s, prows = drinfeld._integer_rows(proj)
         return product.blocks, nrows, prows
 
     def test_top_coefficient_violation_is_found(self):

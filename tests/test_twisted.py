@@ -16,6 +16,7 @@ from tyang.yangian import (
     highest_lweight,
     inverse_series_action,
     lambda_prime_formula,
+    series_expansion,
     tensor_action,
     trivial_action,
 )
@@ -105,7 +106,7 @@ class TestEmbedding:
         ctx = TwistedContext(ps, [1, 1], gamma=1)
         B = b_from_T(trivial_action(ps), ctx)
         rep = verify_b(B)
-        assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+        assert rep.reflection is None and rep.scalar_ok
         u = RatFun.x()
         assert rep.f == 1 - 1 / (u * u)
 
@@ -115,13 +116,13 @@ class TestEmbedding:
         M = make_Lab(1, 3, 1)
         for eps in ([1, 1], [1, -1], [-1, 1]):
             ctx = TwistedContext(ps, eps)
-            B = b_from_T(evaluation_action(M, 0), ctx)
+            form = b_from_T(evaluation_action(M, 0), ctx).cleared()
             for i in (1, 2):
                 want = [
                     [2 * ps.sign(i) * ctx.eps_sign(i) * x for x in row]
                     for row in M.e(i, i)
                 ]
-                assert B.coefficient_matrix(i, i, 1) == want
+                assert series_expansion(form.blocks[(i, i)], form.den_coeffs, 1)[1] == want
 
     def test_kappa_three_unitary(self):
         ps = ParitySeq([1, 1, -1])
@@ -549,11 +550,12 @@ class TestWeightShift:
         ctx = TwistedContext(ps, [1, -1])
         M = make_Lab(1, 1, 2)
         B = b_from_T(evaluation_action(M, 0), ctx)
+        form = B.cleared()
         dec = weight_decompose(M)
         eps_v = lambda i: tuple(F(1 if k == i - 1 else 0) for k in range(2))
         for (i, j) in B.b:
-            for r in (1, 2, 3):
-                C = B.coefficient_matrix(i, j, r)
+            # the coefficients of u^-1, u^-2 and u^-3
+            for C in series_expansion(form.blocks[(i, j)], form.den_coeffs, 3)[1:]:
                 for wt, basis in dec.items():
                     target_wt = tuple(
                         w + e1 - e2 for w, e1, e2 in zip(wt, eps_v(i), eps_v(j))
@@ -579,7 +581,7 @@ class TestIsomorphismTwists:
         assert rf_equal(h * h.subs_neg(), RatFun.one())
         scaled = scale_baction(b_l12, h)
         rep = verify_b(scaled)
-        assert rep.reflection is None and rep.scalar_ok and rep.even_ok
+        assert rep.reflection is None and rep.scalar_ok
 
     def test_scaling_preserves_certificate(self, b_l12):
         u = RatFun.x()

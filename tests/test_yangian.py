@@ -37,6 +37,7 @@ from tyang.yangian import (
     lambda_prime_check,
     lambda_prime_formula,
     r_matrix_at,
+    series_expansion,
     shift_action,
     solve_shift_quotient,
     tensor_action,
@@ -174,6 +175,26 @@ class TestBlockProduct:
             OA = OA @ RFMatrix.from_const(kron_ops([(None, 0), (g, 0)], [carrier, ps.space()]))
         assert got == read_blocks(OA @ OB, ps, carrier)
 
+    def test_scalar_product_tells_zero_from_not_scalar(self):
+        idx = [(i, j) for i in (1, 2) for j in (1, 2)]
+
+        def form(*keys):  # 1 x 1 blocks, 1 / (u + 2) at the named keys
+            return cleared_form((2, 1), {key: [[(1,) if key in keys else None]] for key in idx})
+
+        den = (4, 4, 1)
+        assert yangian.scalar_product(form((1, 1), (2, 2)), form((1, 1), (2, 2))) == (den, (1,), True)
+        # E_11 E_22 = 0 is the scalar 0; E_22 E_22 = E_22 is not scalar,
+        # although its first diagonal entry is 0 as well.
+        assert yangian.scalar_product(form((1, 1)), form((2, 2))) == (den, (), True)
+        assert yangian.scalar_product(form((2, 2)), form((2, 2))) == (den, (), False)
+        assert yangian.scalar_product(form((1, 1), (2, 2)), form((1, 1), (2, 2), (1, 2)))[2] is False
+
+    def test_negated_block_is_the_family_with_minus_that_block(self):
+        for T in _normaliser_families():
+            for key in sorted(T.t):
+                ref = {**T.t, key: T.t[key].scale(-1)}
+                assert tuple(T.cleared().negate_block(key)) == rf_cleared_form(ref)
+
     def test_negated_form_is_the_family_at_minus_u(self):
         for T in _normaliser_families():
             neg = T.cleared().neg_u()
@@ -194,6 +215,53 @@ def _normaliser_families():
         trivial_action(ParitySeq([1, 1, -1])),
         dual_action(lab),
     ]
+
+
+@st.composite
+def _expansion_cases(draw):
+    """(rows, den, dense, order): a square matrix of integer coefficient
+    tuples with numerator degrees at most deg den, as dense rows (None or
+    () for zero) or row-sparse rows, and the same matrix dense."""
+    den = tuple(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda c: c[-1])))
+    top = len(den) - 1
+    n = draw(st.integers(1, 3))
+    entry = st.none() | st.just(()) | st.lists(st.integers(-9, 9), max_size=top + 1).map(trimmed)
+    # Numerator degree equal to the denominator's, with a nonzero top coefficient.
+    entry |= st.tuples(st.lists(st.integers(-9, 9), min_size=top, max_size=top),
+                       st.integers(-9, 9).filter(bool)).map(lambda lt: (*lt[0], lt[1]))
+    dense = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows = [{c: e for c, e in enumerate(row) if e} for row in dense] if draw(st.booleans()) else dense
+    return rows, den, dense, draw(st.integers(0, 5))
+
+
+class TestSeriesExpansion:
+    """series_expansion, read off cleared integers, against RatFun.series
+    entry by entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_expansion_cases())
+    def test_matches_ratfun_series(self, case):
+        rows, den, dense, order = case
+        got = series_expansion(rows, den, order)
+        assert len(got) == order + 1
+        for q, row in enumerate(dense):
+            for c, e in enumerate(row):
+                want = RatFun(Poly(e), Poly(den)).series(order) if e else [0] * (order + 1)
+                assert [got[r][q][c] for r in range(order + 1)] == want
+
+    def test_common_scale_cancels(self):
+        # (3u^2 + 1) / (2u^2 - u) and the same over -5 times both.
+        rows, den = [[(1, 0, 3)]], (0, -1, 2)
+        scaled = [[tuple(-5 * x for x in rows[0][0])]], tuple(-5 * x for x in den)
+        want = RatFun(Poly([1, 0, 3]), Poly([0, -1, 2])).series(4)
+        assert [C[0][0] for C in series_expansion(rows, den, 4)] == want
+        assert series_expansion(*scaled, 4) == series_expansion(rows, den, 4)
+
+    @pytest.mark.parametrize("rows", [[[None, (1, 2, 1)], [None, None]], [{}, {0: (0, 0, 1)}]],
+                             ids=["dense", "row-sparse"])
+    def test_numerator_above_denominator_raises(self, rows):
+        with pytest.raises(ValueError, match="no expansion at infinity"):
+            series_expansion(rows, (1, 1), 2)
 
 
 class TestClearedFormNormaliser:
@@ -484,7 +552,7 @@ class TestClearedEvaluation:
             _CLEARED_CASES.extend(_cleared_cases())
         family, negate = _CLEARED_CASES[case]
         x = Fraction(p, q)
-        assume(family.common_den()(-x if negate else x) != 0)
+        assume(family.cleared().den(-x if negate else x) != 0)
         N, d = cleared_evaluator(family, slot, negate)(x)
         assert d and all(type(n) is int for row in N for n in row)
         ref = family.full_at(x, slot=slot, nslots=2, negate=negate)
@@ -493,8 +561,8 @@ class TestClearedEvaluation:
     def test_cleared_form_is_computed_once(self):
         T = evaluation_action(make_Lab(1, 1, 2), 3)
         form = T.cleared()
-        assert T.cleared() is form and T.common_den() is form.den
-        assert form.den == Poly([-3, 1]) and T.cleared_degree() == form.degree == 1
+        assert T.cleared() is form
+        assert form.den == Poly([-3, 1]) and form.degree == 1
 
     @pytest.mark.parametrize("slot", [1, 2])
     def test_zero_of_the_denominator_raises(self, slot):
@@ -653,9 +721,9 @@ class TestWeightShift:
         eps = lambda i: tuple(F(1 if k == i - 1 else 0) for k in range(2))
         from tyang.glmn import _coords_in_span
 
+        form = T.cleared()
         for (i, j) in T.t:
-            for r in (1, 2):
-                C = T.coefficient_matrix(i, j, r)
+            for r, C in enumerate(series_expansion(form.blocks[(i, j)], form.den_coeffs, 2)[1:], 1):
                 for wt, basis in dec.items():
                     target_wt = tuple(
                         w + e1 - e2 for w, e1, e2 in zip(wt, eps(i), eps(j))
