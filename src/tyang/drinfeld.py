@@ -5,7 +5,8 @@ The carrier is M x V^l; the series action is a product of resolvent factors
 diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
 is built cleared over Z[u], as (d_k 1 + K_k) / d_k with d_k a scalar
 polynomial and K_k row-sparse, both held as integer coefficient tuples
-(scaled by the lcm of their coefficient denominators), and the product is
+read off the integer resolvent (superlinalg.cleared_resolvent) and the
+integer coupling operator Q^(k), and the product is
 kept as N / den without any reduction: the quotient subspace is certified
 on the power-of-u coefficients of N, the series expansion is read off
 N / den (yangian.series_expansion), and the induced quotient action is the
@@ -17,9 +18,8 @@ pivot order.
 
 import operator
 from fractions import Fraction
-from math import lcm
 
-from tyang.exactalg import RatFun, _neg_u, _zadd, _zmul, _zneg, rat
+from tyang.exactalg import RatFun, _neg_u, _zadd, _zclear, _zmul, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq, _coords_in_span
 from tyang.superlinalg import (
@@ -31,7 +31,6 @@ from tyang.superlinalg import (
     at_slots,
     cleared_resolvent,
     elementary,
-    int_rows,
     kron_ops,
     kron_sum,
     mat_rank,
@@ -114,26 +113,19 @@ def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
 
 def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) on M x V^l x V, as a
-    step (d, K) of _cleared_product: the factor is (d 1 + K) / d with d the
-    resolvent's common_den and K = sign * (d resolvent) x Q^(k), both scaled
-    by the lcm s of their coefficient denominators, which leaves the factor
-    unchanged.  d is an integer coefficient tuple and K is row-sparse over
-    such tuples.  Q is Q^(k) as integer row-sparse rows (_int_q_rows).  neg
-    substitutes u -> -u.  Both tensor factors are even, so the Kronecker
-    product carries no Koszul sign.
+    step (d, K) of _cleared_product: the factor is (d 1 + K) / d for the
+    resolvent R / d over Z[u] (cleared_resolvent) and K = sign * R x Q^(k).
+    d is an integer coefficient tuple and K is row-sparse over such tuples.
+    Q is Q^(k) as integer row-sparse rows (_int_q_rows).  neg substitutes
+    u -> -u.  Both tensor factors are even, so the Kronecker product
+    carries no Koszul sign.
     """
     n = M.dim
     y = _dense(M.y[k - 1], n)
     A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
     R, d = cleared_resolvent(A)
-    s = lcm(*(c.denominator for p in [d, *(p for row in R for p in row)] for c in p.coeffs))
-
-    def ints(p):
-        p = tuple(c.numerator * (s // c.denominator) for c in p.coeffs)
-        return _neg_u(p) if neg else p
-
-    d = ints(d)
-    R = [[ints(p) for p in row] for row in R]
+    if neg:
+        d, R = _neg_u(d), [[_neg_u(p) for p in row] for row in R]
     width = len(Q)
     K = []
     for Ra in R:
@@ -148,7 +140,7 @@ def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
 
 def _int_q_rows(ps: ParitySeq, l: int):
     """Q^(1), ..., Q^(l) as integer row-sparse rows."""
-    return [int_rows(_q_rows(ps, k, l)) for k in range(1, l + 1)]
+    return [_q_rows(ps, k, l) for k in range(1, l + 1)]
 
 
 def _g_step(ctx: TwistedContext, dim):
@@ -227,8 +219,8 @@ def _quotient_maps(nrows, pivots, D):
 def _integer_rows(rows):
     """(s, out): s the lcm of the denominators of the Fraction matrix rows
     and out the rows of s rows as sparse (column, int) pairs."""
-    s = lcm(*(x.denominator for row in rows for x in row))
-    return s, [[(c, x.numerator * (s // x.denominator)) for c, x in enumerate(row) if x] for row in rows]
+    s, ints = _zclear(rows)
+    return s, [[(c, x) for c, x in enumerate(row) if x] for row in ints]
 
 
 def _check_invariant(blocks, basis, prows):
@@ -302,13 +294,14 @@ def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
 def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
     """The operators g - epsilon on M x V^l whose images span the quotient
     subspace, for g = sigma_i x P^(i,i+1) and g = m x v for (m, v) in extra,
-    m a row-sparse module operator (as M's generators) and v dense."""
+    m a row-sparse module operator (as M's generators) and v row-sparse on
+    V^l (as flip_at)."""
     l = M.params.l
     pairs = [(M.sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
     spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
     out = []
     for m, v in pairs + list(extra):
-        op = kron_ops([(_dense(m, M.dim), 0), (v, 0)], spaces)
+        op = kron_ops([(_dense(m, M.dim), 0), (_dense(v, len(v)), 0)], spaces)
         for r, row in enumerate(op):
             row[r] -= epsilon
         out.append(op)
@@ -409,7 +402,7 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
     steps += [_cleared_factor(M, Qs[k - 1], k, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
     N, den = _cleared_product(steps, dim)
-    g_last = _g_at_slot(ps, ctx, l, l)
+    g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
     relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
     blocks = _series_blocks(N, ps, _carrier(M, ps))
     return ReflectionProduct(M, ps, epsilon, chi, gamma, ctx, blocks, den, relations)
@@ -443,19 +436,10 @@ def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=No
 
 
 def _g_at_slot(ps, ctx, slot, l):
-    """G acting on one V factor of V^l (an even diagonal, no signs)."""
+    """G acting on one V factor of V^l (an even diagonal, no Koszul signs),
+    as the +-1 sign vector of its diagonal."""
     kk = ps.kappa
-    dim = kk**l
-    out = [[Fraction(0)] * dim for _ in range(dim)]
-    for idx in range(dim):
-        digits = []
-        rest = idx
-        for _ in range(l):
-            digits.append(rest % kk)
-            rest //= kk
-        digits.reverse()
-        out[idx][idx] = Fraction(ctx.eps_sign(digits[slot - 1] + 1))
-    return out
+    return [ctx.eps_sign(idx // kk ** (l - slot) % kk + 1) for idx in range(kk**l)]
 
 
 def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
@@ -544,10 +528,10 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
 def appendix_identities(ps: ParitySeq, eps, l: int):
     """Exact operator identities on V^l x V; None on pass, else an id.
 
-    Works on integer row-sparse matrices (superlinalg.int_rows): every
-    coupling operator (taken as the sparse rows of _q_rows), flip and box is
-    converted once, and G and the Gz_k are +-1 sign vectors that scale rows
-    or columns.
+    Works on integer row-sparse matrices as the assembler builds them: every
+    coupling operator (the sparse rows of _q_rows), flip (flip_at) and box
+    (_box_at) comes out in ints, and G and the Gz_k are +-1 sign vectors
+    that scale rows or columns.
     """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
@@ -561,9 +545,9 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
     eps_sum = lambda i, j: ctx.eps_sign(i) + ctx.eps_sign(j)
     Qs = []
     for k in range(1, l + 1):
-        Qk = int_rows(_q_rows(ps, k, l))
-        Qkk = int_rows(_q_rows(ps, k, l, same))
-        Qkp = int_rows(_q_rows(ps, k, l, mixed))
+        Qk = _q_rows(ps, k, l)
+        Qkk = _q_rows(ps, k, l, same)
+        Qkp = _q_rows(ps, k, l, mixed)
         if sparse_add(Qkk, Qkp) != Qk:
             return f"split Q^({k})"
         kp, pk = sparse_mul(Qkk, Qkp), sparse_mul(Qkp, Qkk)
@@ -573,7 +557,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
         both = sparse_add(sparse_scale(Qk, rows=g), sparse_scale(Qk, cols=g))
-        if both != int_rows(_q_rows(ps, k, l, eps_sum)):
+        if both != _q_rows(ps, k, l, eps_sum):
             return f"diagonal sum at k={k}"
         Qs.append(Qk)
     if l >= 2:
@@ -590,12 +574,8 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
                     above = sparse_add(above, sparse_mul(Qs[k - 1], Qs[r - 1]))
         lhs1 = sparse_add(sparse_scale(above, cols=g), sparse_scale(below, rows=g))
         lhs2 = sparse_mul(sparse_scale(qsum, cols=g), qsum)
-        flips = {
-            (a, b): int_rows(flip_at(ps, a, b, l))
-            for a in range(1, l + 1)
-            for b in range(a + 1, l + 1)
-        }
-        gz = [_signs(_g_at_slot(ps, ctx, slot, l)) for slot in range(1, l + 1)]
+        flips = {(a, b): flip_at(ps, a, b, l) for a in range(1, l + 1) for b in range(a + 1, l + 1)}
+        gz = [_g_at_slot(ps, ctx, slot, l) for slot in range(1, l + 1)]
         pars = tensor_space([ps.space()] * l).parities
         for i in range(1, kk + 1):
             for j in range(1, kk + 1):
@@ -603,7 +583,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
                     continue
                 si = ps.sign(i)
                 ei = ctx.eps_sign(i)
-                boxes = [int_rows(_box_at(ps, i, j, k, l)) for k in range(1, l + 1)]
+                boxes = [_box_at(ps, i, j, k, l) for k in range(1, l + 1)]
                 got1 = _aux_entry(lhs1, ps, i, j, pars)
                 want1 = _sigma_weighted_sum(flips, boxes)
                 if sparse_scale(want1, si) != sparse_scale(got1, -ei):
@@ -613,14 +593,6 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
                 if sparse_scale(want2, si) != sparse_scale(got2, ei):
                     return f"sandwiched double sum at (i,j)=({i},{j})"
     return None
-
-
-def _signs(A):
-    """The diagonal of a diagonal integer matrix, as a list of ints."""
-    rows = int_rows(A)
-    if any(r.keys() - {i} for i, r in enumerate(rows)):
-        raise ValueError("expected a diagonal matrix")
-    return [r.get(i, 0) for i, r in enumerate(rows)]
 
 
 def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):

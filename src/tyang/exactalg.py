@@ -5,11 +5,12 @@ construction (polynomials carry no trailing zeros, rational functions have a
 monic denominator coprime to the numerator), so structural equality is
 mathematical equality.  Cleared data lives in Z[u], as integer coefficient
 tuples with the one set of helpers below (_zmul, _zadd, _zneg, _neg_u, the
-exact division _zdiv and the primitive gcd _zgcd).
+exact division _zdiv, the primitive gcd _zgcd and the normaliser _zreduce);
+_zclear brings rational data there, over one common scale.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from tyang import _kernel
 from tyang._kernel.pure import _int_prem
@@ -362,6 +363,14 @@ def _zneg(p):
     return tuple(-c for c in p)
 
 
+def _zclear(seqs):
+    """(s, out) for a list of sequences of rationals: s the lcm of all their
+    denominators and out the sequences s x as integer tuples, in order.
+    This is the one place rational data is cleared to integers."""
+    s = lcm(*(x.denominator for q in seqs for x in q))
+    return s, [tuple(x.numerator * (s // x.denominator) for x in q) for q in seqs]
+
+
 def _zmul(a, b):
     """The product of two integer coefficient tuples: their convolution."""
     if not a or not b:
@@ -429,6 +438,25 @@ def _zgcd(a, b):
     return _zprimitive(x)
 
 
+def _zreduce(den, entries):
+    """(den, entries) for the fractions entries / den over Z[u], entries
+    nonzero: g, the primitive gcd of den and every entry, is divided out
+    (the gcd stops once it is a constant), then the content of them all,
+    with the sign that makes the leading coefficient of den positive."""
+    g = den
+    for e in entries:
+        if len(g) == 1:
+            break
+        g = _zgcd(g, e)
+    if len(g) > 1:
+        den = _zdiv(den, g)
+        entries = [_zdiv(e, g) for e in entries]
+    c = gcd(*den, *(x for e in entries for x in e))
+    if den[-1] < 0:
+        c = -c
+    return tuple(x // c for x in den), [tuple(x // c for x in e) for e in entries]
+
+
 # rational_roots refuses a trailing or leading integer coefficient above
 # this bound, so its trial division runs at most 10^6 steps per coefficient.
 ROOT_SEARCH_BOUND = 10**12
@@ -473,10 +501,7 @@ def rational_roots(p: Poly):
     if mult0:
         roots.append((Fraction(0), mult0))
     if work.degree >= 1:
-        den = 1
-        for c in work.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in work.coeffs]
+        _s, [ints] = _zclear([work.coeffs])
         a0, ad = ints[0], ints[-1]
         for a in (a0, ad):
             if abs(a) > ROOT_SEARCH_BOUND:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tyang import _kernel
-from tyang.exactalg import Poly, RatFun, rat
+from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
 
 
 class DimensionMismatch(ValueError):
@@ -62,7 +62,10 @@ def tensor_space(spaces) -> SuperSpace:
 
 
 # ---------------------------------------------------------------------------
-# Constant (Fraction) matrix helpers.  Matrices are lists of rows.
+# Constant matrix helpers.  Matrices are lists of rows: of Fractions for
+# the kernel's mat_mul and mat_rref, of Python ints for int_mat_mul.  The
+# characteristic polynomial and the resolvent clear a rational matrix once
+# (exactalg._zclear) and run in ints from there.
 
 def mat_identity(n):
     one, zero = Fraction(1), Fraction(0)
@@ -107,23 +110,6 @@ def int_mat_mul(A, B):
 # Row-sparse matrices: one {col: value} dict per row, zeros left out, the
 # row format of _kron_rows.  Every helper drops entries that cancel, so ==
 # on two such matrices is equality of the matrices.
-
-def int_rows(A):
-    """A dense or row-sparse matrix of integral Fractions (or ints) as
-    row-sparse Python ints; a non-integral entry raises ValueError, it is
-    never truncated.  A row-sparse input is read entry by entry, so its
-    zeros are never scanned."""
-    out = []
-    for row in A:
-        r = {}
-        for c, x in row.items() if isinstance(row, dict) else enumerate(row):
-            if x:
-                if x.denominator != 1:
-                    raise ValueError(f"non-integral entry {x}")
-                r[c] = x.numerator
-        out.append(r)
-    return out
-
 
 def sparse_mul(A, B):
     """The product of row-sparse matrices of ints or Fractions."""
@@ -190,46 +176,55 @@ def mat_rank(A):
 
 
 def _faddeev_leverrier(A):
-    """(cs, Bs) with det(u*1 - A) = sum_k cs[k] u^(n-k) and
-    adj(u*1 - A) = sum_k Bs[k] u^(n-1-k), by the Faddeev-LeVerrier scheme:
-    B_0 = 1, c_k = -tr(A B_(k-1)) / k, B_k = A B_(k-1) + c_k 1."""
+    """(s, cs, Bs) for a rational matrix A, with s the lcm of its
+    denominators, so that B = s A is integral (exactalg._zclear): then
+    det(u*1 - B) = sum_k cs[k] u^(n-k) and adj(u*1 - B) = sum_k Bs[k]
+    u^(n-1-k), by the Faddeev-LeVerrier scheme B_0 = 1, c_k = -tr(B B_(k-1))
+    / k, B_k = B B_(k-1) + c_k 1, in Python ints: c_k is a coefficient of
+    det(u*1 - B) in Z[u], so the division by k is exact."""
     n = len(A)
-    cs = [Fraction(1)]
-    Bs = [mat_identity(n)]
+    s, B = _zclear(A)
+    cs = [1]
+    Bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for k in range(1, n + 1):
-        M = mat_mul(A, Bs[-1])
-        c = -sum(M[i][i] for i in range(n)) / k
+        M = int_mat_mul(B, Bs[-1])
+        c = -sum(M[i][i] for i in range(n)) // k
         cs.append(c)
         if k < n:
             for i in range(n):
                 M[i][i] += c
             Bs.append(M)
-    return cs, Bs
+    return s, cs, Bs
 
 
 def charpoly(A) -> Poly:
-    """Characteristic polynomial det(u*1 - A) by the Faddeev-LeVerrier scheme."""
-    return Poly(_faddeev_leverrier(A)[0][::-1])
+    """Characteristic polynomial det(u*1 - A) = sum_k c_k / s^k u^(n-k), the
+    c_k those of s A (_faddeev_leverrier)."""
+    s, cs, _Bs = _faddeev_leverrier(A)
+    return Poly([Fraction(c, s**k) for k, c in enumerate(cs)][::-1])
 
 
 def cleared_resolvent(A):
-    """(u*1 - A)^{-1} as (R, d): R a matrix of Poly and d the monic lcm of
-    the denominators of its reduced entries (their common_den), so that the
-    resolvent is R / d.  The adjugate over the characteristic polynomial,
-    with the common factor of all their entries divided out."""
+    """(u*1 - A)^{-1} = R / d over Z[u]: R a matrix of integer coefficient
+    tuples (() for zero) and d one such tuple.  With B = s A integral, the
+    resolvent is s adj(s u - B) / det(s u - B), read off the integer
+    Faddeev-LeVerrier data, and reduced by exactalg._zreduce, so d is the
+    lcm of the reduced denominators up to a constant."""
     n = len(A)
-    cs, Bs = _faddeev_leverrier(A)
-    d = Poly(cs[::-1])
-    R = [[Poly([Bs[n - 1 - t][r][c] for t in range(n)]) for c in range(n)] for r in range(n)]
-    g = d
-    for p in (p for row in R for p in row):
-        if g.degree == 0:
-            break
-        g = g.gcd(p)
-    if g.degree > 0:
-        d = d // g
-        R = [[p // g for p in row] for row in R]
-    return R, d
+    s, cs, Bs = _faddeev_leverrier(A)
+    pw = [s**t for t in range(n + 1)]
+    d = tuple(cs[n - t] * pw[t] for t in range(n + 1))
+    R = []
+    for r in range(n):
+        for c in range(n):
+            p = [Bs[n - 1 - t][r][c] * pw[t + 1] for t in range(n)]
+            while p and not p[-1]:
+                p.pop()
+            R.append(tuple(p))
+    d, entries = _zreduce(d, [p for p in R if p])
+    it = iter(entries)
+    R = [next(it) if p else () for p in R]
+    return [R[r * n:(r + 1) * n] for r in range(n)], d
 
 
 def algebra_closure(gens, dim):
@@ -289,7 +284,7 @@ def _kron_rows(ops, spaces):
     only the nonzero entries.  This is the one place Koszul signs are read."""
     if len(ops) != len(spaces):
         raise DimensionMismatch("one operator slot per tensor factor required")
-    rows = [{0: Fraction(1)}]
+    rows = [{0: 1}]
     col_par = [0]
     for (m, par), sp in zip(ops, spaces):
         d = sp.dim
@@ -345,9 +340,10 @@ def at_slots(nslots, placed):
 
 
 def elementary(k, i, j, c=1):
-    """c * E_ij on a k-dimensional space, 1-based indices."""
-    e = [[Fraction(0)] * k for _ in range(k)]
-    e[i - 1][j - 1] = Fraction(c)
+    """c * E_ij on a k-dimensional space, 1-based indices; c is kept as
+    given, so an integer c gives an integer matrix."""
+    e = [[0] * k for _ in range(k)]
+    e[i - 1][j - 1] = c
     return e
 
 

@@ -17,7 +17,7 @@ the kron_ops assembler.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tyang.exactalg import Poly, RatFun, divides, rat, rational_roots, rf_equal, rf_from_json
+from tyang.exactalg import Poly, RatFun, RootSearchBound, divides, rat, rational_roots, rf_equal, rf_from_json
 from tyang.glmn import ParitySeq, _coords_in_span, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -265,20 +265,24 @@ def verify_b(B: BAction) -> BReport:
 
 @dataclass
 class BHighestWeight:
-    """Diagonal eigen-series of a highest vector, with derived data."""
+    """Diagonal eigen-series of a highest vector, with derived data; each
+    tilde series is formed once and kept."""
 
     mus: tuple
     ctx: TwistedContext
+    _tildes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def mu(self, i: int) -> RatFun:
         return self.mus[i - 1]
 
     def tilde(self, i: int) -> RatFun:
-        ps = self.ctx.ps
-        out = RatFun(Poly([-ps.rho(i + 1), 2])) * self.mus[i - 1]
-        for a in range(i + 1, self.ctx.kappa + 1):
-            out = out + RatFun.const(ps.sign(a)) * self.mus[a - 1]
-        return out
+        if i not in self._tildes:
+            ps = self.ctx.ps
+            out = RatFun(Poly([-ps.rho(i + 1), 2])) * self.mus[i - 1]
+            for a in range(i + 1, self.ctx.kappa + 1):
+                out = out + RatFun.const(ps.sign(a)) * self.mus[a - 1]
+            self._tildes[i] = out
+        return self._tildes[i]
 
     def varpi_weight(self):
         out = []
@@ -743,8 +747,8 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     if len(closure) == d * d:
         return BurnsideVerdict("irreducible", d * d)
     # Candidate elements whose eigenvectors may expose a submodule: single
-    # coefficients first, then a few small combinations.  Oversized
-    # characteristic coefficients are skipped so root enumeration stays cheap.
+    # coefficients first, then a few small combinations.  A candidate whose
+    # root search refuses its coefficients (RootSearchBound) is skipped.
     candidates = list(gens)
     for npick in (2, 3):
         combo = [[Fraction(0)] * d for _ in range(d)]
@@ -753,13 +757,11 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
                 for c in range(d):
                     combo[r][c] += t * g[r][c]
         candidates.append(combo)
-    bound = 10**12
     for A in candidates:
-        chi = charpoly(A)
-        ints = [abs(c.numerator) for c in chi.coeffs] + [c.denominator for c in chi.coeffs]
-        if any(x > bound for x in ints):
+        try:
+            roots, _cof = rational_roots(charpoly(A))
+        except RootSearchBound:
             continue
-        roots, _cof = rational_roots(chi)
         for lam, _mult in roots:
             shifted = [row[:] for row in A]
             for r in range(d):

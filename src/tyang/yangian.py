@@ -35,7 +35,6 @@ the reference they agree with.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -43,10 +42,10 @@ from tyang.exactalg import (
     Poly,
     PoleError,
     RatFun,
-    _zdiv,
-    _zgcd,
+    _zclear,
     _zmul,
     _zneg,
+    _zreduce,
     rat,
     rational_roots,
     rf_equal,
@@ -60,6 +59,7 @@ from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
     _kron_rows,
+    _kron_sum_rows,
     at_slots,
     check_identity_2var,
     cleared_resolvent,
@@ -99,14 +99,16 @@ def realize_mixed(grids, ps: ParitySeq, spaces, e_slot: int):
 
 
 def r_matrix_at(P, x: Fraction):
-    """R(x) = 1 - P/x evaluated at a nonzero rational point.
+    """R(x) = 1 - P/x evaluated at a nonzero rational point, for P
+    row-sparse (flip_at).
 
     The certifiers apply R through ScaledR instead; this dense Fraction
     form is the reference that grid witnesses are compared against."""
     n = len(P)
-    out = [[-p / x for p in row] for row in P]
-    for i in range(n):
-        out[i][i] += 1
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(P):
+        for c, p in row.items():
+            out[i][c] -= p / x
     return out
 
 
@@ -120,11 +122,8 @@ class ScaledR:
 
     def __init__(self, P, carrier_dim):
         n = len(P)
-        flip = []  # (column, sign) of the one nonzero entry in each row of P
-        for row in P:
-            [(c, s)] = [(c, int(e)) for c, e in enumerate(row) if e]
-            flip.append((c, s))
-        self.rows = [(m * n + c, s) for m in range(carrier_dim) for c, s in flip]
+        # P row-sparse (flip_at): one (column, sign) entry in each row.
+        self.rows = [(m * n + c, s) for m in range(carrier_dim) for row in P for c, s in row.items()]
         self.col_src = [0] * len(self.rows)
         self.col_sign = [0] * len(self.rows)
         for i, (j, s) in enumerate(self.rows):
@@ -228,42 +227,26 @@ def cleared_form(den, blocks) -> ClearedForm:
 
     den is an integer coefficient tuple and blocks maps (i, j) to rows of
     integer coefficient tuples, () or None for a zero entry; the pair need
-    not be reduced.  g, the primitive gcd of den and every entry, is
-    divided out (the gcd stops once it is a constant), then the content of
-    the whole family, with the sign that makes the leading coefficient of
-    den positive.  Every ClearedForm comes from here, whether the family
-    was built in integers or from RatFun entries.
+    not be reduced.  exactalg._zreduce divides out the primitive gcd of den
+    and every entry, then the content of the whole family, with the sign
+    that makes the leading coefficient of den positive.  Every ClearedForm
+    comes from here, whether the family was built in integers or from
+    RatFun entries.
     """
-    entries = [e for rows in blocks.values() for row in rows for e in row if e]
-    g = den
-    for e in entries:
-        if len(g) == 1:
-            break
-        g = _zgcd(g, e)
-    if len(g) > 1:
-        den = _zdiv(den, g)
-        entries = [_zdiv(e, g) for e in entries]
-    c = gcd(*den, *(x for e in entries for x in e))
-    if den[-1] < 0:
-        c = -c
-    den = tuple(x // c for x in den)
-    it = iter([tuple(x // c for x in e) for e in entries])
+    den, entries = _zreduce(den, [e for rows in blocks.values() for row in rows for e in row if e])
+    it = iter(entries)
     out = {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
     degree = max([len(den), *map(len, entries)]) - 1
     return ClearedForm(_monic(den), degree, den, out)
 
 
 def _integral(den, blocks):
-    """(den, blocks) with Fraction coefficient lists, scaled by the lcm of
-    all their denominators into integer coefficient tuples: the input of
+    """(den, blocks) with rational coefficient lists cleared over one scale
+    to integer coefficient tuples (exactalg._zclear): the input of
     cleared_form for a family met over the rationals."""
-    every = [den] + [e for rows in blocks.values() for row in rows for e in row if e]
-    s = lcm(*(c.denominator for p in every for c in p))
-
-    def ints(p):
-        return tuple(c.numerator * (s // c.denominator) for c in p) if p else None
-
-    return ints(den), {key: [[ints(e) for e in row] for row in rows] for key, rows in blocks.items()}
+    _s, (den, *entries) = _zclear([den, *(e for rows in blocks.values() for row in rows for e in row if e)])
+    it = iter(entries)
+    return den, {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
 
 
 def series_expansion(rows, den, order):
@@ -482,7 +465,7 @@ class SeriesFamily:
                 lifted = _kron_rows(at_slots(3, {0: (tags, par), slot: (e, par)}), spaces)
                 for out, row in zip(pattern, lifted):
                     for c, tag in row.items():
-                        out[c] = int(tag)
+                        out[c] = tag
             self._lifts[slot] = coeffs, pattern
         return self._lifts[slot]
 
@@ -589,9 +572,9 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
     Block products are ordinary matrix products, so the inverse of the
     unsigned block layout [[t_ij]], sliced back into blocks, is the inverse
     family.  An evaluation module has the layout 1 + E/(u - z), E the
-    constant layout of s_i e_ij, with inverse (u - z) (u - z + E)^{-1}: a
-    resolvent of -E (cleared_resolvent) at u - z, and its cleared form is
-    read off the resolvent's integer coefficients.  T(u) = 1 on the
+    constant layout of s_i e_ij, with inverse (u - z) (u - z + E)^{-1}: the
+    resolvent of z 1 - E (cleared_resolvent, over Z[u]) times u - z, and
+    its cleared form is read off those integer coefficients.  T(u) = 1 on the
     trivial module is its own inverse.  Tensor provenance is inverted
     factorwise through the inverse-series coproduct.  Anything else
     inverts the layout by Gauss-Jordan over the function field.
@@ -627,19 +610,18 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
     idx = range(1, kk + 1)
     if T.provenance[0] == "evaluation":
         M, z = T.provenance[1], T.provenance[2]
-        neg_e = [[-ps.sign(i) * x for j in idx for x in M.e(i, j)[q]] for i in idx for q in range(d)]
-        R, den = cleared_resolvent(neg_e)
-        if z:
-            R, den = [[p.shift(-z) for p in row] for row in R], den.shift(-z)
-        den, blocks = _integral(den.coeffs, {
-            (i, j): [[p.coeffs for p in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
+        A = [[-ps.sign(i) * x for j in idx for x in M.e(i, j)[q]] for i in idx for q in range(d)]
+        for r, row in enumerate(A):
+            row[r] += z
+        R, den = cleared_resolvent(A)
+        # (u - z) R / den, both sides scaled by the denominator q of z so
+        # that q (u - z) is integral.
+        w = (-z.numerator, z.denominator)
+        blocks = {
+            (i, j): [[_zmul(w, e) for e in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
             for i in idx
             for j in idx
-        })
-        # (u - z) R(u - z) / den(u - z), both sides scaled by the
-        # denominator q of z so that q (u - z) is integral.
-        w = (-z.numerator, z.denominator)
-        blocks = {key: [[e and _zmul(w, e) for e in row] for row in rows] for key, rows in blocks.items()}
+        }
         T._tprime = TPrimeAction(ps, T.space, cleared_form(_zmul(den, w[1:]), blocks))
         return T._tprime
     layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
@@ -832,7 +814,7 @@ def _rtt_check(R, label, first, second):
 
 def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
     """The graded flip sum s_b E_ab x E_ba acting on factors (slot_a, slot_b)
-    of V^nfactors."""
+    of V^nfactors: a signed permutation, as integer row-sparse rows."""
     k = ps.kappa
     terms = []
     for a in range(1, k + 1):
@@ -843,7 +825,7 @@ def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
                 slot_b - 1: (elementary(k, b, a), par),
             }
             terms.append((1, at_slots(nfactors, ops)))
-    return kron_sum(terms, [ps.space()] * nfactors)
+    return _kron_sum_rows(terms, [ps.space()] * nfactors)
 
 
 def verify_yang_baxter(ps: ParitySeq):

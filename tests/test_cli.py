@@ -309,6 +309,26 @@ class TestRootSearchBound:
         assert "bound 10^12" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_refused_burnside_candidate_is_skipped(self, tmp_path):
+        # b_11(u) = 1 + C/u with C's last column (0, -1/1000033, -1/1000003):
+        # the cleared characteristic coefficients of a candidate exceed the
+        # bound (the lcm of the denominators does, although each numerator
+        # and denominator is below it).  The candidate is skipped, and the
+        # check ends inconclusive instead of the scenario exiting 2.
+        C = [["0", "0", "0"], ["0", "0", "-1/1000033"], ["0", "1", "-1/1000003"]]
+
+        def block(c_of):
+            return [[{"num": [c_of(r, c), "1" if r == c else "0"], "den": ["0", "1"]} for c in range(3)]
+                    for r in range(3)]
+
+        zero = [[{"num": [], "den": ["1"]}] * 3] * 3
+        b = {"1,1": block(lambda r, c: C[r][c]), "1,2": zero, "2,1": zero, "2,2": block(lambda r, c: "0")}
+        data = {"ctx": {"s": [1, -1], "eps": [1, -1]}, "dim": 3, "parities": [0, 0, 0], "b": b}
+        report, code = _run_inputs(tmp_path, "classify", {"b": {"type": "b-json", "data": data}, "eta": ["1", "0", "0"]})
+        assert code == 1
+        check = next(c for c in report["checks"] if c["id"] == "irreducibility")
+        assert check["data"] == {"verdict": "inconclusive", "closure": 3}
+
 
 def _run_inputs(tmp_path, pipeline, inputs, max_dim=64):
     path = tmp_path / "case.json"

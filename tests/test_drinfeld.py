@@ -254,8 +254,12 @@ class TestAppendixIdentities:
 
 
 def _negate_first_entry(A):
-    """A copy of a dense or row-sparse matrix with its first nonzero entry
-    negated."""
+    """A copy of a dense or row-sparse matrix, or of a sign vector, with its
+    first nonzero entry negated."""
+    if isinstance(A[0], int):
+        A = list(A)
+        A[next(c for c, x in enumerate(A) if x)] *= -1
+        return A
     if isinstance(A[0], dict):
         A = [dict(row) for row in A]
         r, c = next((r, min(row)) for r, row in enumerate(A) if row)

@@ -1,0 +1,145 @@
+"""Property tests of the exact arithmetic against sympy as an independent
+oracle: the characteristic polynomial and the integer resolvent of rational
+matrices, polynomial gcd and division, and the rational root search.
+sympy is used here only, never by the package."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tyang.exactalg import Poly, _zadd, _zmul, rational_roots
+from tyang.superlinalg import charpoly, cleared_resolvent
+
+U = sympy.Symbol("u")
+FRACS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def to_fraction(c):
+    c = sympy.Rational(c)
+    return Fraction(int(c.p), int(c.q))
+
+
+def sym_poly(coeffs):
+    """A coefficient sequence, constant term first, as a sympy Poly over QQ."""
+    return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in coeffs])) or [0], U,
+                      domain="QQ")
+
+
+def from_sym(p):
+    return Poly([to_fraction(c) for c in reversed(p.all_coeffs())])
+
+
+@st.composite
+def rational_matrices(draw):
+    """n x n rational matrices, n <= 5, with mixed denominators: random,
+    singular (a row a combination of others, or zero), nilpotent (strictly
+    triangular, permuted), scalar, and triangular with repeated eigenvalues."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "singular", "nilpotent", "scalar", "repeated"]))
+    entry = lambda: draw(FRACS)
+    zero = Fraction(0)
+    if kind == "scalar":
+        c = entry()
+        return [[c if r == k else zero for k in range(n)] for r in range(n)]
+    if kind in ("nilpotent", "repeated"):
+        eig = [entry() for _ in range(draw(st.integers(1, 2)))]
+        diag = [zero] * n if kind == "nilpotent" else [draw(st.sampled_from(eig)) for _ in range(n)]
+        A = [[diag[r] if r == k else entry() if k > r else zero for k in range(n)] for r in range(n)]
+        perm = draw(st.permutations(range(n)))
+        return [[A[perm[r]][perm[k]] for k in range(n)] for r in range(n)]
+    A = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        a, b = entry(), entry()
+        A[-1] = [a * x + (b * y if n > 2 else 0) for x, y in zip(A[0], A[min(1, n - 1)])] if n > 1 else [zero]
+    return A
+
+
+def _scale(A):
+    return lcm(*(x.denominator for row in A for x in row))
+
+
+class TestCharpolyAndResolvent:
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_charpoly_matches_sympy(self, A):
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A]).charpoly(U)
+        assert charpoly(A) == from_sym(want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_resolvent_inverts_s_u_minus_s_a(self, A):
+        # R (s u - s A) = s d 1 in Z[u], s A integral.
+        n, s = len(A), _scale(A)
+        R, d = cleared_resolvent(A)
+        M = [[_zadd((-int(s * A[k][c]),), (0, s) if k == c else ()) for c in range(n)] for k in range(n)]
+        for r in range(n):
+            for c in range(n):
+                acc = ()
+                for k in range(n):
+                    acc = _zadd(acc, _zmul(R[r][k], M[k][c]))
+                assert acc == (_zmul((s,), d) if r == c else ())
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_resolvent_is_reduced(self, A):
+        # d has a positive leading coefficient, d and R share no integer
+        # content and no polynomial factor: d is the lcm of the reduced
+        # denominators up to a constant.
+        R, d = cleared_resolvent(A)
+        entries = [p for row in R for p in row if p]
+        assert d[-1] > 0
+        assert gcd(*d, *(x for p in entries for x in p)) == 1
+        g = sym_poly(d)
+        for p in entries:
+            g = sympy.gcd(g, sym_poly(p))
+        assert g.degree() == 0
+        assert all(type(x) is int for p in [d, *entries] for x in p)
+
+
+POLYS = st.lists(FRACS, min_size=0, max_size=6).map(Poly)
+
+
+class TestPolyAgainstSympy:
+    @settings(max_examples=50, deadline=None)
+    @given(POLYS, POLYS, POLYS)
+    def test_gcd(self, a, b, c):
+        # A common factor c makes the gcd nontrivial often.
+        a, b = a * c, b * c
+        want = sympy.gcd(sym_poly(a.coeffs), sym_poly(b.coeffs))
+        want = want.monic() if not want.is_zero else want
+        assert a.gcd(b) == from_sym(want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(POLYS, POLYS)
+    def test_divmod(self, a, b):
+        if b.is_zero():
+            return
+        q, r = divmod(a, b)
+        wq, wr = sympy.div(sym_poly(a.coeffs), sym_poly(b.coeffs))
+        assert (q, r) == (from_sym(wq), from_sym(wr))
+
+
+@st.composite
+def polys_with_rational_roots(draw):
+    """Products of linear factors with small rational roots (some repeated)
+    and a random cofactor of small integer coefficients."""
+    roots = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    cof = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda cs: cs[-1]))
+    lead = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    return Poly.from_roots(roots) * Poly(cof) * lead
+
+
+class TestRationalRootsAgainstSympy:
+    @settings(max_examples=50, deadline=None)
+    @given(polys_with_rational_roots())
+    def test_roots_with_multiplicities(self, p):
+        roots, cof = rational_roots(p)
+        want = sympy.roots(sym_poly(p.coeffs), filter="Q")
+        assert roots == sorted((to_fraction(r), m) for r, m in want.items())
+        assert Poly.from_roots([r for r, m in roots for _ in range(m)]) * cof == p
+        if cof.degree >= 1:
+            assert not sympy.roots(sym_poly(cof.coeffs), filter="Q")

@@ -408,7 +408,7 @@ class TestYangBaxter:
         ps = ParitySeq([1, -1])
         n = ps.kappa ** 3
         digits = lambda r: (r // 4, r // 2 % 2, r % 2)
-        unsigned = [[F(int(digits(c) == digits(r)[::-1])) for c in range(n)] for r in range(n)]
+        unsigned = [{c: 1 for c in range(n) if digits(c) == digits(r)[::-1]} for r in range(n)]
         signed = yangian.flip_at
         flip = lambda ps, a, b, k: unsigned if (a, b) == (1, 3) else signed(ps, a, b, k)
         monkeypatch.setattr(yangian, "flip_at", flip)
