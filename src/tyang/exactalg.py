@@ -179,7 +179,10 @@ def divides(p: Poly, q: Poly) -> bool:
 
 
 class RatFun:
-    """Reduced rational function num/den with den monic and coprime to num."""
+    """Reduced rational function num/den with den monic and coprime to num.
+
+    With _reduced=True the caller vouches that num/den is already in this
+    form, and it is taken as given."""
 
     __slots__ = ("num", "den")
 
@@ -197,15 +200,13 @@ class RatFun:
             self.den = Poly.one()
             return
         if not _reduced:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
+            # Clear to Z[u], divide out the gcd and the content, then make
+            # the denominator monic: the one normal form of num/den.
+            _s, (n, d) = _zclear([num.coeffs, den.coeffs])
+            d, (n,) = _zreduce(d, [n])
+            lead = d[-1]
+            num = Poly([Fraction(x, lead) for x in n])
+            den = Poly([Fraction(x, lead) for x in d])
         self.num = num
         self.den = den
 

@@ -359,17 +359,25 @@ def find_highest_space(B: BAction):
 
 def verma_conditions(mu: BHighestWeight):
     """Check the highest-weight symmetry constraints; None on pass, else the
-    1-based index of the first failing condition (kappa for the unitary one)."""
+    1-based index of the first failing condition (kappa for the unitary one).
+
+    Each condition f(u) f(r - u) = g(u) g(r - u) is compared by cross
+    multiplication, as rf_equal does: with f = N/D the left side is
+    N(u) N(r - u) / D(u) D(r - u), so no reduced product is formed."""
     kk = mu.ctx.kappa
     ps = mu.ctx.ps
-    last = mu.mu(kk)
-    if last * last.subs_neg() != RatFun.one():
+
+    def reflected(f, r):
+        return f.num * f.num.compose_linear(-1, r), f.den * f.den.compose_linear(-1, r)
+
+    n, d = reflected(mu.mu(kk), 0)
+    if n != d:
         return kk
     for i in range(1, kk):
-        ti = mu.tilde(i)
-        tn = mu.tilde(i + 1)
         r = ps.rho(i + 1)
-        if ti * ti.subs_linear(-1, r) != tn * tn.subs_linear(-1, r):
+        ni, di = reflected(mu.tilde(i), r)
+        nn, dn = reflected(mu.tilde(i + 1), r)
+        if ni * dn != nn * di:
             return i
     return None
 
