@@ -8,8 +8,8 @@ perfbench/scenarios.py (imported, not changed) at seed 101; every scenario
 of every workload runs once, in this one interpreter, through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
 the tyang package imported from SRC (default: this checkout's src).  The
-record stored under NAME in the output file holds the kernel backend,
-seconds per scenario and per workload, the SHA-256 of every report, and
+record stored under NAME in the output file holds the seconds per
+scenario and per workload, the SHA-256 of every report, and
 the seconds spent inside the layers of LAYERS, timed by wrappers this
 script puts around them: verify_daha, sf_presentation and center_check in
 the daha-principal scenarios, the series product, the quotient module
@@ -22,7 +22,7 @@ seconds are inclusive (an inverse series formed inside b_from_T counts in
 both) but a recursive call is not counted twice.  Last, the record holds
 the wall seconds and summary line of the Tier-1 suite of the checkout
 that holds SRC (``python -m pytest -q --continue-on-collection-errors``
-in SRC's parent, pure backend).  Records under other names already in
+in SRC's parent).  Records under other names already in
 the file are kept, so one file can hold the same benchmark run on two
 checkouts (say, a change and its parent).
 """
@@ -99,8 +99,8 @@ def run_pass(cli, scenarios, workload, work, layers):
 
 def run_tier1(src):
     """Wall seconds and summary line of the Tier-1 suite of the checkout
-    holding src, on the pure backend."""
-    env = dict(os.environ, PYTHONPATH=src, TYANG_PURE="1")
+    holding src."""
+    env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=os.path.dirname(src), env=env, capture_output=True, text=True)
@@ -119,7 +119,6 @@ def main():
     src = os.path.abspath(args.src)
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import scenarios
-    import tyang._kernel
     import tyang.cli
 
     layers = {}
@@ -139,7 +138,6 @@ def main():
 
     record = {
         "python": platform.python_version(),
-        "backend": tyang._kernel.BACKEND,
         "nproc": os.cpu_count(),
         "seed": SEED,
         "workloads": workloads,

@@ -1,14 +1,17 @@
-"""Pure-Python arithmetic kernels.
+"""Arithmetic kernels on Fraction coefficient lists and matrices, in pure
+Python.
 
 Polynomials are dense coefficient lists of Fraction, index = degree, no
 trailing zeros.  Matrices are lists of rows of Fraction.  Every function
-returns fully normalized values so the compiled backend can be swapped in
-without observable differences.
+returns fully normalized values.  _int_prem, the primitive pseudo-remainder
+of integer polynomials, is the step of both poly_gcd and exactalg's Z[u]
+gcd.
 """
 
 from fractions import Fraction
 from math import gcd
 
+# The one implementation there is; environment stamps record it.
 BACKEND = "pure"
 
 _ZERO = Fraction(0)

@@ -6,14 +6,17 @@ monic denominator coprime to the numerator), so structural equality is
 mathematical equality.  Cleared data lives in Z[u], as integer coefficient
 tuples with the one set of helpers below (_zmul, _zadd, _zneg, _neg_u, the
 exact division _zdiv, the primitive gcd _zgcd and the normaliser _zreduce);
-_zclear brings rational data there, over one common scale.
+_zclear brings rational data there, over one common scale.  A RatFun is
+normalized the same way: cleared, reduced by _zreduce, then divided by the
+leading coefficient of its denominator.  Poly arithmetic over the rationals
+runs through tyang._kernel.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from tyang import _kernel
-from tyang._kernel.pure import _int_prem
+from tyang._kernel import _int_prem
 
 Rat = Fraction
 
