@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat
 
 from tyang import daha as daha_mod
@@ -493,7 +493,11 @@ def _expectation_mismatches(expect, report):
     return out
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command-line parser, built on the first call and kept for the
+    process, so a caller that runs many scenarios in one process builds it
+    once."""
     parser = argparse.ArgumentParser(prog="tyang", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="run one scenario file")
@@ -503,6 +507,11 @@ def main(argv=None):
     runp.add_argument("--max-dim", type=int, default=64, help="safety cap on carrier dimensions")
     runp.add_argument("--timings", action="store_true", help="include wall-clock timing (non-reproducible)")
     sub.add_parser("list", help="list the available pipelines")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "list":

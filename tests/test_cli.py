@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tyang.cli import InputError, build_daha_module, main, run_scenario
+from tyang.cli import InputError, _parser, build_daha_module, main, run_scenario
 from tyang.glmn import ParitySeq, gl_to_json, make_Lab
 
 SCENARIO_DIR = os.path.join(
@@ -271,6 +271,16 @@ class TestMainEntry:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["overall"] == "pass"
+
+    def test_repeated_calls_reuse_one_parser_without_carrying_options(self, capsys):
+        path = scenario_path("daha-principal-l2.json")
+        assert main(["run", path, "--only", "relations"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["run", path]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert [c["id"] for c in first["checks"]] == ["relations"]
+        assert len(second["checks"]) > 1
+        assert _parser() is _parser()
 
     def test_installed_entrypoint_if_present(self):
         # Exercise the module as a script, mirroring console usage.
