@@ -1,7 +1,9 @@
 """Property tests of the exact arithmetic against sympy as an independent
 oracle: the characteristic polynomial and the integer resolvent of rational
-matrices, polynomial gcd and division, and the rational root search.
-sympy is used here only, never by the package."""
+matrices, polynomial gcd and division, the normal form of rational
+functions and of cleared Z[u] data, expansions at infinity, echelon forms
+and nullspaces, and the rational root search.  sympy is used here only,
+never by the package."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,10 +12,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tyang.exactalg import Poly, _zadd, _zmul, rational_roots
-from tyang.superlinalg import charpoly, cleared_resolvent
+from tyang._kernel import mat_rref
+from tyang.exactalg import Poly, RatFun, _zadd, _zmul, _zreduce, rational_roots
+from tyang.superlinalg import charpoly, cleared_resolvent, mat_nullspace
 
 U = sympy.Symbol("u")
+T = sympy.Symbol("t")
 FRACS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -120,6 +124,95 @@ class TestPolyAgainstSympy:
         q, r = divmod(a, b)
         wq, wr = sympy.div(sym_poly(a.coeffs), sym_poly(b.coeffs))
         assert (q, r) == (from_sym(wq), from_sym(wr))
+
+
+NONZERO_POLYS = POLYS.filter(bool)
+
+
+def sym_expr(p):
+    return sym_poly(p.coeffs).as_expr()
+
+
+class TestNormalFormAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(POLYS, NONZERO_POLYS, NONZERO_POLYS)
+    def test_ratfun_is_sympy_cancel_with_a_monic_denominator(self, a, b, c):
+        # A common factor c makes the reduction nontrivial often.
+        f = RatFun(a * c, b * c)
+        assert f.den.leading() == 1
+        assert sympy.gcd(sym_poly(f.num.coeffs), sym_poly(f.den.coeffs)).degree() <= 0
+        n, d = sympy.fraction(sympy.cancel(sym_expr(a * c) / sym_expr(b * c)))
+        n, d = sympy.Poly(n, U, domain="QQ"), sympy.Poly(d, U, domain="QQ")
+        lead = d.LC()
+        assert (f.num, f.den) == (from_sym(n.quo_ground(lead)), from_sym(d.monic()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda p: p[-1]),
+           st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda p: p[-1]),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(lambda p: p[-1]))
+    def test_zreduce_is_coprime_primitive_and_equal(self, den, entries, common):
+        # Every fraction e / den keeps its value; den gets a positive
+        # leading coefficient and shares no content and no factor with
+        # the entries.
+        den, entries = _zmul(tuple(den), tuple(common)), [_zmul(tuple(e), tuple(common)) for e in entries]
+        d, es = _zreduce(den, entries)
+        assert d[-1] > 0
+        assert gcd(*d, *(x for e in es for x in e)) == 1
+        g = sym_poly(d)
+        for e in es:
+            g = sympy.gcd(g, sym_poly(e))
+        assert g.degree() == 0
+        assert all(_zmul(e, den) == _zmul(e0, d) for e, e0 in zip(es, entries))
+
+
+class TestSeriesAgainstSympy:
+    @settings(max_examples=40, deadline=None)
+    @given(POLYS, NONZERO_POLYS, st.integers(0, 5))
+    def test_expansion_at_infinity(self, a, b, order):
+        if a.degree > b.degree:
+            a, b = b, a
+        # f(1/t) = A(t) / B(t) with B(0) != 0; its Taylor coefficients up
+        # to t^order are those of A B^-1 mod t^(order + 1).
+        f = RatFun(a, b)
+        A, B = sympy.fraction(sympy.together((sym_expr(a) / sym_expr(b)).subs(U, 1 / T)))
+        trunc = T ** (order + 1)
+        want = sympy.Poly(sympy.rem(sympy.expand(A * sympy.invert(B, trunc)), trunc, T), T, domain="QQ")
+        assert f.series(order) == [to_fraction(want.coeff_monomial(T**r)) for r in range(order + 1)]
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Rational matrices, up to 5 x 5 before padding, with a zero row, a
+    repeated row, a scaled row and a combination of two rows, shuffled."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    A = [[draw(FRACS) for _ in range(m)] for _ in range(n)]
+    a, b = draw(FRACS), draw(FRACS)
+    extra = [[Fraction(0)] * m, list(A[0]), [a * x for x in A[-1]],
+             [a * x + b * y for x, y in zip(A[0], A[-1])]]
+    rows = A + draw(st.lists(st.sampled_from(extra), min_size=1, max_size=4))
+    return draw(st.permutations(rows))
+
+
+def sym_matrix(A):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
+
+
+class TestEchelonAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(rank_deficient_matrices())
+    def test_rref_and_pivots(self, A):
+        R, pivots = mat_rref([list(r) for r in A])
+        want, want_pivots = sym_matrix(A).rref()
+        assert pivots == list(want_pivots)
+        assert R == [[to_fraction(x) for x in want.row(i)] for i in range(want.rows)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_deficient_matrices())
+    def test_nullspace(self, A):
+        basis = mat_nullspace(A)
+        want = sym_matrix(A).nullspace()
+        assert basis == [[to_fraction(x) for x in v] for v in want]
 
 
 @st.composite
