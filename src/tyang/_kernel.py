@@ -15,7 +15,6 @@ from math import gcd
 BACKEND = "pure"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def poly_mul(a, b):

@@ -36,6 +36,10 @@ def from_sym(p):
     return Poly([to_fraction(c) for c in reversed(p.all_coeffs())])
 
 
+def sym_matrix(A):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
+
+
 @st.composite
 def rational_matrices(draw):
     """n x n rational matrices, n <= 5, with mixed denominators: random,
@@ -69,7 +73,7 @@ class TestCharpolyAndResolvent:
     @settings(max_examples=50, deadline=None)
     @given(rational_matrices())
     def test_charpoly_matches_sympy(self, A):
-        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A]).charpoly(U)
+        want = sym_matrix(A).charpoly(U)
         assert charpoly(A) == from_sym(want)
 
     @settings(max_examples=50, deadline=None)
@@ -183,19 +187,17 @@ class TestSeriesAgainstSympy:
 
 @st.composite
 def rank_deficient_matrices(draw):
-    """Rational matrices, up to 5 x 5 before padding, with a zero row, a
-    repeated row, a scaled row and a combination of two rows, shuffled."""
+    """Rational matrices of up to 4 x 5, plus up to four rows drawn from a
+    zero row, a repeated row, a scaled row and a combination of two rows,
+    shuffled."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     A = [[draw(FRACS) for _ in range(m)] for _ in range(n)]
     a, b = draw(FRACS), draw(FRACS)
     extra = [[Fraction(0)] * m, list(A[0]), [a * x for x in A[-1]],
              [a * x + b * y for x, y in zip(A[0], A[-1])]]
-    rows = A + draw(st.lists(st.sampled_from(extra), min_size=1, max_size=4))
+    rows = A + draw(st.lists(st.sampled_from(extra), max_size=4))
     return draw(st.permutations(rows))
 
-
-def sym_matrix(A):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
 
 
 class TestEchelonAgainstSympy:
