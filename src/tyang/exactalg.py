@@ -462,7 +462,7 @@ def _zreduce(den, entries):
 
 
 # rational_roots refuses a trailing or leading integer coefficient above
-# this bound, so its trial division runs at most 10^6 steps per coefficient.
+# this bound, so listing the divisors of each takes at most 10^6 steps.
 ROOT_SEARCH_BOUND = 10**12
 
 
@@ -483,15 +483,49 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _may_vanish(f, a, b):
+    """The tests a root a/b of the integer coefficient list f passes: a
+    divides f_0, b - a divides f(1) and b + a divides f(-1)."""
+    if f[0] % a:
+        return False
+    f1, fm1 = sum(f), sum(f[::2]) - sum(f[1::2])
+    return (f1 % (b - a) == 0 if b != a else f1 == 0) and (fm1 % (b + a) == 0 if b != -a else fm1 == 0)
+
+
+def _is_root(f, a, b):
+    """Whether a/b is a root of the integer coefficient list f: the
+    homogeneous sum sum_k f_k a^k b^(n - k), n the degree, is zero."""
+    acc, bk = f[-1], 1
+    for c in reversed(f[:-1]):
+        bk *= b
+        acc = acc * a + c * bk
+    return acc == 0
+
+
+def _deflate(f, a, b):
+    """f / (b u - a) for a root a/b of f, exactly, in integers."""
+    g = [0] * (len(f) - 1)
+    g[-1] = f[-1] // b
+    for k in range(len(f) - 2, 0, -1):
+        g[k - 1] = (f[k] + a * g[k]) // b
+    return g
+
+
 def rational_roots(p: Poly):
     """All rational roots with multiplicities, plus the root-free cofactor.
 
-    Roots are found by scanning divisors of the trailing and leading integer
-    coefficients and deflating; a coefficient above ROOT_SEARCH_BOUND in
-    absolute value raises RootSearchBound before any trial division.  The
-    returned cofactor has no rational roots and the product of the linear
-    factors times the cofactor equals p up to the (preserved) leading
-    coefficient.
+    A root a/b in lowest terms of the integer form f of p has a dividing
+    the trailing and b the leading coefficient, and b u - a divides f in
+    Z[u] (Gauss's lemma: b u - a is primitive), so b - a divides f(1) and
+    b + a divides f(-1).  The coprime pairs (a, b) are scanned lazily,
+    with no candidate set; +-a/b is evaluated, as a homogeneous integer
+    sum, only when it passes those tests (_may_vanish), and each root found
+    is divided out of f in integers before the scan goes on, so the
+    deflated f tests the rest.  A coefficient above ROOT_SEARCH_BOUND in
+    absolute value raises RootSearchBound before any divisor is listed.
+    The returned cofactor has no rational roots and the product of the
+    linear factors times the cofactor equals p up to the (preserved)
+    leading coefficient.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -505,27 +539,32 @@ def rational_roots(p: Poly):
     if mult0:
         roots.append((Fraction(0), mult0))
     if work.degree >= 1:
-        _s, [ints] = _zclear([work.coeffs])
-        a0, ad = ints[0], ints[-1]
-        for a in (a0, ad):
-            if abs(a) > ROOT_SEARCH_BOUND:
+        _s, [f] = _zclear([work.coeffs])
+        for c in (f[0], f[-1]):
+            if abs(c) > ROOT_SEARCH_BOUND:
                 raise RootSearchBound(
-                    f"rational root search refuses the integer coefficient {a}: "
+                    f"rational root search refuses the integer coefficient {c}: "
                     f"its absolute value exceeds the bound 10^12"
                 )
-        candidates = set()
-        for pnum in _divisors(a0):
-            for qden in _divisors(ad):
-                candidates.add(Fraction(pnum, qden))
-                candidates.add(Fraction(-pnum, qden))
-        for c in sorted(candidates):
-            if work.degree < 1:
-                break
-            mult = 0
-            while work.degree >= 1 and work(c) == 0:
+        found = []
+        f = list(f)
+        tails = _divisors(f[0])
+        for b in _divisors(f[-1]):
+            for a in tails:
+                if len(f) < 2:
+                    break
+                if f[-1] % b or gcd(a, b) != 1:
+                    continue
+                for num in (a, -a):
+                    mult = 0
+                    while len(f) > 1 and _may_vanish(f, num, b) and _is_root(f, num, b):
+                        f = _deflate(f, num, b)
+                        mult += 1
+                    if mult:
+                        found.append((Fraction(num, b), mult))
+        for c, mult in found:
+            for _ in range(mult):
                 work = work // Poly([-c, 1])
-                mult += 1
-            if mult:
-                roots.append((c, mult))
+        roots += found
     roots.sort(key=lambda rm: rm[0])
     return roots, work

@@ -225,7 +225,14 @@ def verify_b(B: BAction) -> BReport:
 
     The reflection equation is certified on a degree-beating grid, both
     sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
-    B2 = N_2 / d_2, p_-+ the numerators of u -+ v).  The product B(u)B(-u)
+    B2 = N_2 / d_2, p_-+ the numerators of u -+ v).  The grid points are
+    integers, so each side is the polynomial matrix
+    p(u-v) p(u+v) N_1(u) N_2(v), in the order of the identity, with
+    p(x) R(x) = x 1 - (1 x P).  With d the cleared degree of B every entry
+    of N has degree at most d, and each of the two R factors adds 1 in each
+    variable: the sides have bidegree at most (d + 2, d + 2), and a
+    (d + 3) x (d + 3) grid certifies the identity (Combinatorial
+    Nullstellensatz).  The product B(u)B(-u)
     must be a scalar f(u), which is then even (B(-u) B(u) = f(u) 1 is the
     identity at -u).  With B = N / c D over Z[u], P = N(u) N(-u) is formed
     in integers (scalar_product); f = P_11 / (c^2 D(u) D(-u)).
@@ -245,7 +252,7 @@ def verify_b(B: BAction) -> BReport:
     w = check_identity_2var(
         lhs,
         rhs,
-        (form.degree + 3, form.degree + 3),
+        (form.degree + 2, form.degree + 2),
         bad_u=lambda u: form.den(u) == 0,
         bad_v=lambda v: form.den(v) == 0,
     )

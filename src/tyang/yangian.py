@@ -768,10 +768,11 @@ def verify_rtt(T: TAction):
     """
     R = ScaledR(flip_at(T.ps, 1, 2, 2), T.dim)
     Tp = inverse_series_action(T)
-    # (slot-1 and slot-2 evaluators, common denominator, grid bound, evaluated
-    # at minus the point) of T and T'; the three identities share the caches.
+    # (slot-1 and slot-2 evaluators, common denominator, cleared degree,
+    # evaluated at minus the point) of T and T'; the three identities share
+    # the caches.
     fam, inv = (
-        (cleared_evaluator(F, 1, neg), cleared_evaluator(F, 2, neg), F.cleared().den, F.cleared().degree + 2, neg)
+        (cleared_evaluator(F, 1, neg), cleared_evaluator(F, 2, neg), F.cleared().den, F.cleared().degree, neg)
         for F, neg in ((T, False), (Tp, True))
     )
     for label, first, second in (
@@ -792,8 +793,16 @@ def _rtt_check(R, label, first, second):
     (A1(u), R(u+v), B2(v)) for the mixed ones.  Both sides are integer
     chains over the scale d_A d_B p, with A1 = N_A / d_A, B2 = N_B / d_B
     and p R(x) applied by ScaledR.
+
+    The grid points are integers, so each side is the polynomial matrix
+    p(u -+ v) N_A(u) N_B(v), in the order of the identity, with
+    p(x) R(x) = x 1 - (1 x P).  Every entry of N_A has degree at most
+    deg_A, the cleared degree of A, and the one R factor adds 1 in each
+    variable: the sides have bidegree at most (deg_A + 1, deg_B + 1), and a
+    (deg_A + 2) x (deg_B + 2) grid certifies the identity (Combinatorial
+    Nullstellensatz).
     """
-    (A1, _, dA, bound_a, neg_a), (_, B2, dB, bound_b, neg_b) = first, second
+    (A1, _, dA, deg_a, neg_a), (_, B2, dB, deg_b, neg_b) = first, second
     if label == "exchange":
         x = lambda u0, v0: u0 - v0
         lhs = lambda u0, v0: R.left(x(u0, v0), int_mat_mul(A1(u0)[0], B2(v0)[0]))
@@ -805,7 +814,7 @@ def _rtt_check(R, label, first, second):
     w = check_identity_2var(
         lhs,
         rhs,
-        (bound_a, bound_b),
+        (deg_a + 1, deg_b + 1),
         bad_u=lambda u: dA(-u if neg_a else u) == 0,
         bad_v=lambda v: dB(-v if neg_b else v) == 0,
     )
@@ -834,7 +843,10 @@ def verify_yang_baxter(ps: ParitySeq):
 
     Each side applies the three factors, as ScaledR on a one-dimensional
     carrier, to the integer identity matrix, so both are integer matrices
-    over the scale p(u-v) p(u) p(v) of numerators.  Returns None on pass
+    over the scale p(u-v) p(u) p(v) of numerators.  At the integer grid
+    points they are the polynomial matrices (u - v - P12)(u - P13)(v - P23)
+    and its reverse, of bidegree at most (2, 2): two R factors in each
+    variable, so a 3 x 3 grid certifies the identity.  Returns None on pass
     or the Grid2Witness labelled "yang-baxter".
     """
     R12, R13, R23 = (ScaledR(flip_at(ps, a, b, 3), 1) for a, b in ((1, 2), (1, 3), (2, 3)))
@@ -842,7 +854,7 @@ def verify_yang_baxter(ps: ParitySeq):
     one = [[int(i == j) for j in range(n)] for i in range(n)]
     lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
     rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
-    w = check_identity_2var(lhs, rhs, (4, 4), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
+    w = check_identity_2var(lhs, rhs, (2, 2), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
     return scaled_witness(
         w, lambda u0, v0: (u0 - v0).numerator * u0.numerator * v0.numerator, "yang-baxter"
     )

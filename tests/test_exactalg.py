@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from support import trimmed
 
+from tyang import exactalg
 from tyang.exactalg import (
     _zdiv,
     _zgcd,
@@ -177,6 +178,21 @@ class TestRationalRoots:
                             m += 1
                         brute[c] = m
             assert dict(found) == brute
+
+    def test_many_divisors_without_a_candidate_set(self, monkeypatch):
+        # 7207200 has 432 divisors, so the pairs +-a/b number about 3.7e5;
+        # the divisibility tests leave a few hundred to evaluate.
+        evaluated, is_root = [0], exactalg._is_root
+
+        def counting(*args):
+            evaluated[0] += 1
+            return is_root(*args)
+
+        monkeypatch.setattr(exactalg, "_is_root", counting)
+        roots, cof = rational_roots(Poly([7207200, 0, 0, 7207200]))
+        assert roots == [(F(-1), 1)]
+        assert cof == Poly([7207200, -7207200, 7207200])
+        assert 0 < evaluated[0] < 1000
 
     def test_coefficient_at_the_bound_is_searched(self):
         roots, cof = rational_roots(Poly([-ROOT_SEARCH_BOUND, 1]))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tyang._kernel import mat_rref
@@ -228,9 +228,29 @@ def polys_with_rational_roots(draw):
     return Poly.from_roots(roots) * Poly(cof) * lead
 
 
+@st.composite
+def polys_with_many_divisors(draw):
+    """Integer polynomials lead * prod (b u - a) * cof with roots a/b among
+    +-1 and fractions of small smooth numbers, some repeated, and a highly
+    composite lead, so the trailing and leading coefficients have many
+    divisors and the divisibility tests of the root search are stressed.
+    Both stay below 10^10, well inside the search bound."""
+    pool = [(1, 1), (-1, 1), (6, 1), (-10, 1), (1, 2), (-2, 3), (5, 4), (-7, 6), (9, 10), (-1, 12)]
+    roots = draw(st.lists(st.sampled_from(pool), max_size=3))
+    roots += [r for r in roots if draw(st.booleans())]
+    cof = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=3).filter(lambda cs: cs[-1] and cs[0]))
+    lead = draw(st.sampled_from([1, 720, 5040, 55440, 720720, 7207200, -360360]))
+    f = (lead,)
+    for a, b in roots:
+        f = _zmul(f, (-a, b))
+    f = _zmul(f, tuple(cof))
+    assume(abs(f[0]) < 10**10 and abs(f[-1]) < 10**10)
+    return Poly(f)
+
+
 class TestRationalRootsAgainstSympy:
-    @settings(max_examples=50, deadline=None)
-    @given(polys_with_rational_roots())
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(polys_with_rational_roots(), polys_with_many_divisors()))
     def test_roots_with_multiplicities(self, p):
         roots, cof = rational_roots(p)
         want = sympy.roots(sym_poly(p.coeffs), filter="Q")
