@@ -1,15 +1,16 @@
 """Hyperoctahedral degenerate Hecke algebras as modules-by-matrices.
 
 Group elements are signed permutations stored as tuples w with w[i-1] the
-image of i (negative = sign flip).  Algebra elements are normal forms
-sum w * y^mono; straightening moves y generators left-to-right across a
-fixed shortest word of w, one simple generator at a time.
+image of i (negative = sign flip).  Induced modules (the principal series,
+induce_pair) are free over the group or a coset space; their y family is
+filled in along the breadth-first order of the group, each column from an
+earlier one by a cross relation y_i g = s g y_j + c.
 """
 
 from fractions import Fraction
 
 from tyang.exactalg import rat
-from tyang.superlinalg import _dense, mat_vec, sparse_add, sparse_mul, sparse_scale
+from tyang.superlinalg import _dense, sparse_add, sparse_mul, sparse_scale
 
 
 class DahaParams:
@@ -64,8 +65,17 @@ def w_compose(v, w):
     return tuple(w_apply(v, w[i]) for i in range(len(w)))
 
 
+def w_gen(g, l):
+    """The signed permutation of a simple generator ("s", k) or ("z",)."""
+    return w_sigma(g[1], l) if g[0] == "s" else w_zeta(l)
+
+
 class WGroup:
-    """The signed-permutation group with shortest words from a BFS."""
+    """The signed-permutation group in breadth-first order from the identity.
+
+    Every later element w is g o w0 for a simple generator g and an earlier
+    element w0; step[w] records (g, w0).
+    """
 
     def __init__(self, l, with_flip=True):
         self.l = l
@@ -74,107 +84,20 @@ class WGroup:
             gens.append(("z",))
         self.gens = gens
         e = w_identity(l)
-        words = {e: ()}
+        step = {e: None}
         order = [e]
         head = 0
         while head < len(order):
             w = order[head]
             head += 1
             for g in gens:
-                gm = w_sigma(g[1], l) if g[0] == "s" else w_zeta(l)
-                nxt = w_compose(gm, w)
-                if nxt not in words:
-                    words[nxt] = (g,) + words[w]
+                nxt = w_compose(w_gen(g, l), w)
+                if nxt not in step:
+                    step[nxt] = (g, w)
                     order.append(nxt)
         self.elements = order
         self.index = {w: i for i, w in enumerate(order)}
-        self.words = words
-
-    def word(self, w):
-        """A shortest word (g1, ..., gr) with w = g1 ... gr."""
-        return self.words[w]
-
-
-# ---------------------------------------------------------------------------
-# Normal forms: dict {(w, ymono): coeff}.
-
-def _merge(into, key, coeff):
-    cur = into.get(key)
-    if cur is None:
-        into[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            into[key] = cur
-        else:
-            del into[key]
-
-
-class HeckeNormalForm:
-    """Straightening calculator for one parameter pair."""
-
-    def __init__(self, params: DahaParams):
-        self.params = params
-        self.group = WGroup(params.l, with_flip=(params.kind == "BC"))
-        self._ycache = {}
-
-    def y_times_group(self, i, w):
-        """Normal form of y_i * w as {(w', mono): coeff}."""
-        key = (i, w)
-        cached = self._ycache.get(key)
-        if cached is not None:
-            return cached
-        out = self._y_times_word(i, self.group.word(w))
-        self._ycache[key] = out
-        return out
-
-    def _y_times_word(self, i, word):
-        l = self.params.l
-        if not word:
-            mono = tuple(1 if t == i - 1 else 0 for t in range(l))
-            return {(w_identity(l), mono): Fraction(1)}
-        g, rest = word[0], word[1:]
-        th1 = self.params.theta1
-        out = {}
-        if g[0] == "s":
-            k = g[1]
-            gm = w_sigma(k, l)
-            if i == k:
-                head = self._y_times_word(k + 1, rest)
-                corr_coeff = th1
-            elif i == k + 1:
-                head = self._y_times_word(k, rest)
-                corr_coeff = -th1
-            else:
-                head = self._y_times_word(i, rest)
-                corr_coeff = None
-            for (w2, mono), c in head.items():
-                _merge(out, (w_compose(gm, w2), mono), c)
-            if corr_coeff is not None:
-                for (w2, mono), c in self._word_only(rest).items():
-                    _merge(out, (w2, mono), corr_coeff * c)
-        else:
-            gm = w_zeta(l)
-            if i == l:
-                head = self._y_times_word(l, rest)
-                for (w2, mono), c in head.items():
-                    _merge(out, (w_compose(gm, w2), mono), -c)
-                for (w2, mono), c in self._word_only(rest).items():
-                    _merge(out, (w2, mono), self.params.theta2 * c)
-            else:
-                head = self._y_times_word(i, rest)
-                for (w2, mono), c in head.items():
-                    _merge(out, (w_compose(gm, w2), mono), c)
-        return out
-
-    def _word_only(self, word):
-        l = self.params.l
-        w = w_identity(l)
-        for g in reversed(word):
-            gm = w_sigma(g[1], l) if g[0] == "s" else w_zeta(l)
-            w = w_compose(gm, w)
-        zero = tuple(0 for _ in range(l))
-        return {(w, zero): Fraction(1)}
+        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +194,71 @@ def group_rows(G: WGroup, g):
     return out
 
 
+def _transpose(rows, dim):
+    """The transpose of a row-sparse matrix with dim columns, row-sparse."""
+    out = [{} for _ in range(dim)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def _cross(params: DahaParams, g, i):
+    """(j, s, c) with y_i g = s g y_j + c, the cross relations that
+    verify_daha checks, read from the right:
+    y_k sigma_k = sigma_k y_{k+1} + theta1, y_{k+1} sigma_k = sigma_k y_k - theta1,
+    y_l zeta = -zeta y_l + theta2, and y_i g = g y_i otherwise."""
+    if g[0] == "s":
+        k = g[1]
+        if i == k:
+            return k + 1, 1, params.theta1
+        if i == k + 1:
+            return k, 1, -params.theta1
+    elif i == params.l:
+        return i, -1, params.theta2
+    return i, 1, 0
+
+
+def _induced_y(params: DahaParams, basis, step, gens, base_y):
+    """The y family of a module induced along the group, row-sparse.
+
+    The module has one block of inner = len(base_y[0]) basis vectors per
+    group element of basis, the identity first; gens maps each simple
+    generator to its row-sparse matrix on the module, and base_y[i - 1] is
+    y_i on the identity block.  Every other element w of basis is g o w0
+    with (g, w0) = step[w] and w0 earlier in basis, so column (w, v) of
+    y_i is s g (column (w0, v) of y_j) + c e_(w0, v) by _cross.
+    """
+    inner = len(base_y[0])
+    dim = len(basis) * inner
+    pos = {w: b for b, w in enumerate(basis)}
+    gcols = {g: _transpose(m, dim) for g, m in gens.items()}
+    cols = [_transpose(y, inner) + [None] * (dim - inner) for y in base_y]
+    for b in range(1, len(basis)):
+        g, w0 = step[basis[b]]
+        b0 = pos[w0] * inner
+        for i in range(1, params.l + 1):
+            j, s, c = _cross(params, g, i)
+            for v in range(inner):
+                out = {}
+                for r, x in cols[j - 1][b0 + v].items():
+                    for r2, gx in gcols[g][r].items():
+                        out[r2] = out.get(r2, 0) + s * gx * x
+                if c:
+                    out[b0 + v] = out.get(b0 + v, 0) + c
+                cols[i - 1][b * inner + v] = {r: x for r, x in out.items() if x}
+    return [_transpose(col, dim) for col in cols]
+
+
 def principal_series(params: DahaParams, lam) -> DahaModule:
     """The free-over-the-group module induced from a y-character."""
     lam = [rat(x) for x in lam]
     l = params.l
-    nf = HeckeNormalForm(params)
-    G = nf.group
-    n = len(G.elements)
-    sigma = [group_rows(G, w_sigma(k, l)) for k in range(1, l)]
-    varsig = group_rows(G, w_zeta(l)) if params.kind == "BC" else None
-    ys = []
-    for i in range(1, l + 1):
-        out = [{} for _ in range(n)]
-        for c, w in enumerate(G.elements):
-            for (w2, mono), coeff in nf.y_times_group(i, w).items():
-                val = coeff
-                for t, e in enumerate(mono):
-                    if e:
-                        val = val * lam[t] ** e
-                if val:
-                    row = out[G.index[w2]]
-                    row[c] = row.get(c, 0) + val
-        ys.append(out)
-    return DahaModule(params, n, sigma, varsig, ys)
+    G = WGroup(l, with_flip=(params.kind == "BC"))
+    gens = {g: group_rows(G, w_gen(g, l)) for g in G.gens}
+    ys = _induced_y(params, G.elements, G.step, gens, [[{0: lam[t]} if lam[t] else {}] for t in range(l)])
+    sigma = [gens[("s", k)] for k in range(1, l)]
+    return DahaModule(params, len(G.elements), sigma, gens.get(("z",)), ys)
 
 
 def verify_daha(M: DahaModule):
@@ -451,57 +416,35 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
     """
     if params.l != 2 or M1.params.l != 1 or M2.params.l != 1:
         raise ValueError("only the one-letter-by-one-letter induction is supported")
-    nf = HeckeNormalForm(params)
-    G = nf.group
+    G = WGroup(2)
     reps = [w for w in G.elements if w_apply(w, 2) > 0]
     rep_index = {w: i for i, w in enumerate(reps)}
     d1, d2 = M1.dim, M2.dim
     inner = d1 * d2
     dim = len(reps) * inner
-    Y1 = _dense(M1.y[0], d1)
-    Y2 = _dense(M2.y[0], d2)
-    Z2 = _dense(M2.varsigma_l, d2)
     zeta2 = w_zeta(2)
+    z2cols = _transpose(M2.varsigma_l, d2)
+    one = Fraction(1)
 
-    def act_inner(mono, delta, col):
-        """Apply zeta_2^delta y^mono to the col-th basis vector of M1 x M2."""
-        p, q = divmod(col, d2)
-        vec1 = [Fraction(1 if t == p else 0) for t in range(d1)]
-        vec2 = [Fraction(1 if t == q else 0) for t in range(d2)]
-        for _ in range(mono[0]):
-            vec1 = mat_vec(Y1, vec1)
-        for _ in range(mono[1]):
-            vec2 = mat_vec(Y2, vec2)
-        if delta:
-            vec2 = mat_vec(Z2, vec2)
-        return vec1, vec2
-
-    def gen_rows(nf_of_gen_times):
+    def coset_rows(g):
+        """g on the coset basis: g o w is a representative w' or w' o zeta_2,
+        and in the second case zeta_2 acts on the M2 factor."""
         out = [{} for _ in range(dim)]
-        for cidx, wc in enumerate(reps):
-            for (w2, mono), coeff in nf_of_gen_times(wc).items():
-                if w_apply(w2, 2) > 0:
-                    wtarget, delta = w2, 0
-                else:
-                    wtarget, delta = w_compose(w2, zeta2), 1
-                r0 = rep_index[wtarget] * inner
-                for col in range(inner):
-                    c = cidx * inner + col
-                    vec1, vec2 = act_inner(mono, delta, col)
-                    for a in range(d1):
-                        if not vec1[a]:
-                            continue
-                        for b in range(d2):
-                            if vec2[b]:
-                                row = out[r0 + a * d2 + b]
-                                row[c] = row.get(c, 0) + coeff * vec1[a] * vec2[b]
+        for r, w in enumerate(reps):
+            w2 = w_compose(w_gen(g, 2), w)
+            flip = w2 not in rep_index
+            r0 = rep_index[w_compose(w2, zeta2) if flip else w2] * inner
+            for p in range(d1):
+                for q in range(d2):
+                    for b, x in (z2cols[q].items() if flip else ((q, one),)):
+                        out[r0 + p * d2 + b][r * inner + p * d2 + q] = x
         return out
 
-    sig1 = gen_rows(lambda w: {(w_compose(w_sigma(1, 2), w), (0, 0)): Fraction(1)})
-    zet = gen_rows(lambda w: {(w_compose(zeta2, w), (0, 0)): Fraction(1)})
-    y1 = gen_rows(lambda w: nf.y_times_group(1, w))
-    y2 = gen_rows(lambda w: nf.y_times_group(2, w))
-    return DahaModule(params, dim, [sig1], zet, [y1, y2])
+    gens = {g: coset_rows(g) for g in G.gens}
+    y1 = [{p * d2 + b: x for p, x in M1.y[0][a].items()} for a in range(d1) for b in range(d2)]
+    y2 = [{a * d2 + q: x for q, x in M2.y[0][b].items()} for a in range(d1) for b in range(d2)]
+    ys = _induced_y(params, reps, G.step, gens, [y1, y2])
+    return DahaModule(params, dim, [gens[("s", 1)]], gens[("z",)], ys)
 
 
 # ---------------------------------------------------------------------------

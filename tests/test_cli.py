@@ -52,6 +52,29 @@ class TestRunScenario:
         assert [c["id"] for c in report["checks"]] == ["relations"]
         assert code == 0
 
+    def test_only_compares_the_expectations_of_the_check_it_ran(self, capsys):
+        # rank1-L12 pins rank1-certificate and irreducibility, which did not run.
+        assert main(["run", scenario_path("rank1-L12.json"), "--only", "weight-symmetry"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["id"] for c in report["checks"]] == ["weight-symmetry"]
+        assert report["expectations"] == "pass"
+
+    def test_only_still_compares_the_selected_check(self, tmp_path):
+        with open(scenario_path("rank1-L12.json")) as fh:
+            scenario = json.load(fh)
+        scenario["expectations"]["checks"]["rank1-certificate"]["P"] = ["3", "4", "2"]
+        path = tmp_path / "mispinned.json"
+        path.write_text(json.dumps(scenario))
+        report, code = run_scenario(str(path), only="rank1-certificate")
+        assert code == 1
+        assert report["expectations"] == [{"field": "rank1-certificate.P", "expected": ["3", "4", "2"],
+                                           "got": ["3", "4", "1"]}]
+
+    def test_only_on_a_failing_check_exits_1(self):
+        report, code = run_scenario(scenario_path("twisted-negative-control.json"), only="reflection-equation")
+        assert code == 1
+        assert [c["status"] for c in report["checks"]] == ["fail"]
+
     def test_only_unknown_check(self):
         with pytest.raises(InputError):
             run_scenario(scenario_path("daha-principal-l2.json"), only="nope")
@@ -78,6 +101,7 @@ GOLDEN_REPORTS = {
     "appendix-k2-l2.json": (0, "fd48bff2ba03ab7d78c7545e556721f9f88188e044f36666c730ffd098930c16"),
     "daha-principal-l2.json": (0, "111845454c1fc3e4bc2a22bd6c730de0ce8874a2fe8b3e5b02bf5b25e353145d"),
     "drinfeld-char-21.json": (0, "f04049bdf541e78ff4208fb385026d481acfcc3c0327cd1900f119709f1dc22a"),
+    "drinfeld-principal-l2.json": (0, "2d21645abba2b9eea638b81eb1845952a550c64f48a61e8ce68715c384a9074b"),
     "rank1-L12.json": (0, "d349d7f5e9c5cf426e5eb22ba9ff51f5739754d7030a1757bb0fc39fc7d25bbd"),
     "reduce-over-L12.json": (0, "25cede47cc2091d13c20e238a0a625a41a33d040f008c0d190feda3c8adf2729"),
     "twisted-L12-cgamma.json": (0, "d6a3936f93331abf40083397752f11875e53bb9abe533568f44c7a633e0ea412"),
@@ -143,10 +167,14 @@ class TestMalformedInputs:
             ("drinfeld", {"m": CHAR21, "ps": [1, -1]}, "inputs['eps']"),
             ("reduce", {"b": B_L12, "mode": "star"}, "inputs['a']"),
             ("reduce", {"b": B_L12, "mode": "star", "a": 2}, "inputs['a']"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": "false"}, "inputs['expansion']"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": {"a": 1}}, "inputs['expansion']"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": []}, "inputs['expansion']"),
         ],
         ids=["missing-t", "zero-denominator", "float-z", "eps-value", "appendix-missing-l",
              "classify-missing-eta", "reduce-missing-mode", "drinfeld-missing-ps", "drinfeld-missing-eps",
-             "reduce-star-missing-a", "reduce-star-a-out-of-range"],
+             "reduce-star-missing-a", "reduce-star-a-out-of-range", "expansion-string", "expansion-object",
+             "expansion-list"],
     )
     def test_constructor_errors_exit_2(self, pipeline, inputs, named, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -510,6 +538,15 @@ class TestDrinfeldSharing:
         explicit, code = _run_inputs(tmp_path, "drinfeld", dict(base, gamma="5"))
         assert code == 0 and len(calls) == 2
         assert explicit == implicit
+
+    @pytest.mark.parametrize("extra, ids", [({}, ["expansion", "reduced-relations", "well-defined"]),
+                                            ({"expansion": True}, ["expansion", "reduced-relations", "well-defined"]),
+                                            ({"expansion": False}, ["reduced-relations", "well-defined"])],
+                             ids=["absent", "true", "false"])
+    def test_expansion_is_a_json_boolean(self, tmp_path, extra, ids):
+        report, code = _run_inputs(tmp_path, "drinfeld", dict({"m": CHAR21, "ps": [1, -1], "eps": [1, -1]}, **extra))
+        assert code == 0
+        assert [c["id"] for c in report["checks"]] == ids
 
     @pytest.mark.parametrize(
         "m, eps, extra, witness",

@@ -23,6 +23,8 @@ from tyang.daha import (
     verify_daha,
     center_check,
     w_compose,
+    w_sigma,
+    w_zeta,
 )
 from tyang.superlinalg import _dense, sparse_mul
 
@@ -189,6 +191,91 @@ INDUCED_JSON = {
 }
 
 
+# The pair induced from two-dimensional factors, theta1 = 1 and theta2 = 2:
+# y_1 = [[2, 1], [0, -1]] on a type-A letter and the one-letter principal
+# series at lambda = 1/2.  The daha_to_json rows were frozen from a PBW
+# straightening construction, independent of the recursion along the group.
+INDUCED_2X2_ROWS = {
+    "sigma": [[
+        "   0    0    0    0    1    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    1    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    1    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    1    0    0    0    0    0    0    0    0",
+        "   1    0    0    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    1    0    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    1    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    1    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    1    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    1    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    1    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    0    1",
+        "   0    0    0    0    0    0    0    0    1    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    1    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    1    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    1    0    0    0    0",
+    ]],
+    "sigmaL": [
+        "   0    1    0    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   1    0    0    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    1    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    1    0    0    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    1    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    1    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    1    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    1    0    0    0    0",
+        "   0    0    0    0    1    0    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    1    0    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    1    0    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    1    0    0    0    0    0    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    1    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    1    0    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    0    1",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    1    0",
+    ],
+    "y": [[
+        "   2    0    1    0    1    0    0    0    0    1    0    0    2    0    0    0",
+        "   0    2    0    1    0    1    0    0    1    0    0    0    0    2    0    0",
+        "   0    0   -1    0    0    0    1    0    0    0    0    1    0    0    2    0",
+        "   0    0    0   -1    0    0    0    1    0    0    1    0    0    0    0    2",
+        "   0    0    0    0  1/2    2    0    0    0    0    0    0    0    1    0    0",
+        "   0    0    0    0    0 -1/2    0    0    0    0    0    0    1    0    0    0",
+        "   0    0    0    0    0    0  1/2    2    0    0    0    0    0    0    0    1",
+        "   0    0    0    0    0    0    0 -1/2    0    0    0    0    0    0    1    0",
+        "   0    0    0    0    0    0    0    0  1/2    2    0    0    1    0    0    0",
+        "   0    0    0    0    0    0    0    0    0 -1/2    0    0    0    1    0    0",
+        "   0    0    0    0    0    0    0    0    0    0  1/2    2    0    0    1    0",
+        "   0    0    0    0    0    0    0    0    0    0    0 -1/2    0    0    0    1",
+        "   0    0    0    0    0    0    0    0    0    0    0    0   -2    0   -1    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0   -2    0   -1",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    1    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    0    1",
+    ], [
+        " 1/2    2    0    0   -1    0    0    0    0    1    0    0    0    0    0    0",
+        "   0 -1/2    0    0    0   -1    0    0    1    0    0    0    0    0    0    0",
+        "   0    0  1/2    2    0    0   -1    0    0    0    0    1    0    0    0    0",
+        "   0    0    0 -1/2    0    0    0   -1    0    0    1    0    0    0    0    0",
+        "   0    0    0    0    2    0    1    0    2    0    0    0    0    1    0    0",
+        "   0    0    0    0    0    2    0    1    0    2    0    0    1    0    0    0",
+        "   0    0    0    0    0    0   -1    0    0    0    2    0    0    0    0    1",
+        "   0    0    0    0    0    0    0   -1    0    0    0    2    0    0    1    0",
+        "   0    0    0    0    0    0    0    0   -2    0   -1    0   -1    0    0    0",
+        "   0    0    0    0    0    0    0    0    0   -2    0   -1    0   -1    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    1    0    0    0   -1    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    1    0    0    0   -1",
+        "   0    0    0    0    0    0    0    0    0    0    0    0  1/2    2    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0 -1/2    0    0",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0  1/2    2",
+        "   0    0    0    0    0    0    0    0    0    0    0    0    0    0    0 -1/2",
+    ]],
+}
+INDUCED_2X2_JSON = {
+    "l": 2, "kind": "BC", "theta1": "1", "theta2": "2", "dim": 16,
+    "sigma": [[row.split() for row in m] for m in INDUCED_2X2_ROWS["sigma"]],
+    "sigmaL": [row.split() for row in INDUCED_2X2_ROWS["sigmaL"]],
+    "y": [[row.split() for row in m] for m in INDUCED_2X2_ROWS["y"]],
+}
+
+
 def _principal_l3_json():
     return daha_to_json(principal_series(DahaParams(3, 1, 2), [F(3), F(1), F(-2)]))
 
@@ -292,6 +379,13 @@ class TestNegativeControls:
         m2 = char_module(DahaParams(1, 1, 2), 1, 1)
         assert daha_to_json(induce_pair(m1, m2, DahaParams(2, 1, 2))) == INDUCED_JSON
 
+    def test_two_dimensional_factors_match_frozen_json(self):
+        m1 = DahaModule(DahaParams(1, 1, kind="A"), 2, [], None, [[[F(2), F(1)], [F(0), F(-1)]]])
+        m2 = principal_series(DahaParams(1, 1, 2), [F(1, 2)])
+        ind = induce_pair(m1, m2, DahaParams(2, 1, 2))
+        assert verify_daha(ind) is None
+        assert daha_to_json(ind) == INDUCED_2X2_JSON
+
     def test_report_names_the_relation(self, tmp_path):
         import json
 
@@ -355,9 +449,35 @@ class TestSignedPermutationProducts:
         assert sparse_mul(group_rows(G, v), group_rows(G, w)) == group_rows(G, w_compose(v, w))
 
     def test_principal_generators_are_regular_matrices(self):
-        from tyang.daha import w_sigma, w_zeta
-
         M = principal_series(DahaParams(3, 1, 2), [F(3), F(1), F(-2)])
         G = _group(3)
         assert M.sigma == [group_rows(G, w_sigma(k, 3)) for k in (1, 2)]
         assert M.varsigma_l == group_rows(G, w_zeta(3))
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+class TestInductionAlongTheGroup:
+    """Three facts that fix a principal series: it satisfies every relation,
+    the reflections act by left multiplication on the group, and y_i sends
+    the identity to lambda_i times itself.  Along each breadth-first step
+    w = g o w0 the relation y_i g = s g y_j + c then gives every column of
+    y_i from an earlier one, so these checks leave no other module."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_principal_series_is_fixed_by_its_relations(self, data):
+        l = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["A", "BC"]))
+        p = DahaParams(l, data.draw(_NONZERO), data.draw(_NONZERO) if kind == "BC" else None, kind)
+        lam = data.draw(st.lists(_RATIONALS, min_size=l, max_size=l))
+        M = principal_series(p, lam)
+        assert verify_daha(M) is None
+        G = WGroup(l, with_flip=(kind == "BC"))
+        assert M.sigma == [group_rows(G, w_sigma(k, l)) for k in range(1, l)]
+        assert M.varsigma_l == (group_rows(G, w_zeta(l)) if kind == "BC" else None)
+        for i in range(l):
+            assert [row.get(0, 0) for row in M.y[i]] == [lam[i]] + [0] * (M.dim - 1)
+
