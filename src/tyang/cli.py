@@ -39,6 +39,28 @@ def _json_bool(value):
     return value
 
 
+def _json_int(value, field=None):
+    """A JSON integer; a float, a bool or a numeric string is refused, never
+    truncated or converted.  field names the value in the message."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        head = f"{field} must be" if field else "expected"
+        raise TypeError(f"{head} a JSON integer, got {value!r}")
+    return value
+
+
+def _json_signs(values, field):
+    """A ps or eps list, every entry a JSON integer."""
+    return [_json_int(x, f"each {field} entry") for x in values]
+
+
+def _parity_seq(values):
+    return ParitySeq(_json_signs(values, "ps"))
+
+
+def _eps(ps, values):
+    return twisted_mod.TwistedContext(ps, _json_signs(values, "eps")).eps
+
+
 def _reduction_mode(mode):
     if mode not in ("over", "under", "star"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -46,7 +68,7 @@ def _reduction_mode(mode):
 
 
 def _star_index(kappa, a):
-    a = int(a)
+    a = _json_int(a, "a")
     if not 1 <= a < kappa:
         raise ValueError(f"star reduction needs 1 <= a < kappa = {kappa}, got {a}")
     return a
@@ -57,7 +79,7 @@ def _center_poly(l, max_dim, terms):
     of total degree above max_dim is refused, as l itself is."""
     poly = {}
     for term in terms:
-        mono = tuple(int(e) for e in term["mono"])
+        mono = tuple(_json_int(e, "each exponent") for e in term["mono"])
         if len(mono) != l or min(mono) < 0:
             raise ValueError(f"monomial {list(mono)} is not {l} nonnegative exponents")
         if sum(mono) > max_dim:
@@ -80,10 +102,10 @@ def build_gl_module(spec):
     """((dim, kappa), build) for a gl(m|n) module block."""
     kind = _kind(spec)
     if kind == "vector":
-        ps = ParitySeq(spec["ps"])
+        ps = _parity_seq(spec["ps"])
         return (ps.kappa, ps.kappa), lambda: make_vector_rep(ps)
     if kind == "Lab":
-        s1, a, b = int(spec["s1"]), rat(spec["a"]), rat(spec["b"])
+        s1, a, b = _json_int(spec["s1"], "s1"), rat(spec["a"]), rat(spec["b"])
         return (2, 2), lambda: make_Lab(s1, a, b)
     if kind == "gl-json":
         data = spec["data"]
@@ -103,7 +125,7 @@ def build_taction(spec):
         (dr, _), right = build_taction(spec["right"])
         return (dl * dr, kappa), lambda: yangian_mod.tensor_action(left(), right())
     if kind == "trivial":
-        ps = ParitySeq(spec["ps"])
+        ps = _parity_seq(spec["ps"])
         return (1, ps.kappa), lambda: yangian_mod.trivial_action(ps)
     if kind == "dual":
         shape, of = build_taction(spec["of"])
@@ -116,14 +138,14 @@ def build_baction(spec):
     kind = _kind(spec)
     if kind == "from-T":
         shape, t = build_taction(spec["t"])
-        eps, gamma = spec["eps"], spec.get("gamma")
+        eps, gamma = _json_signs(spec["eps"], "eps"), spec.get("gamma")
 
         def from_t():
             T = t()
             return twisted_mod.b_from_T(T, twisted_mod.TwistedContext(T.ps, eps, gamma))
         return shape, from_t
     if kind == "c-gamma":
-        ctx = twisted_mod.TwistedContext(ParitySeq(spec["ps"]), spec["eps"])
+        ctx = twisted_mod.TwistedContext(_parity_seq(spec["ps"]), _json_signs(spec["eps"], "eps"))
         gamma = rat(spec["gamma"])
         return (1, ctx.kappa), lambda: twisted_mod.c_gamma(ctx, gamma)
     if kind == "tensor":
@@ -135,7 +157,7 @@ def build_baction(spec):
         return (len(data["parities"]), len(data["ctx"]["s"])), lambda: twisted_mod.b_from_json(data)
     if kind == "corrupt-sign":
         shape, base = build_baction(spec["base"])
-        i, j = int(spec["i"]), int(spec["j"])
+        i, j = _json_int(spec["i"], "i"), _json_int(spec["j"], "j")
 
         def corrupt():
             B = base()
@@ -145,7 +167,7 @@ def build_baction(spec):
 
 
 def _daha_params(spec):
-    return daha_mod.DahaParams(int(spec["l"]), rat(spec["theta1"]), rat(spec["theta2"]))
+    return daha_mod.DahaParams(_json_int(spec["l"], "l"), rat(spec["theta1"]), rat(spec["theta2"]))
 
 
 def build_daha_module(spec):
@@ -153,7 +175,7 @@ def build_daha_module(spec):
     kind = _kind(spec)
     if kind == "char":
         params = _daha_params(spec)
-        signs = int(spec.get("sign_sigma", 1)), int(spec.get("sign_zeta", 1))
+        signs = [_json_int(spec.get(key, 1), key) for key in ("sign_sigma", "sign_zeta")]
         return ([1], params.l), lambda: daha_mod.char_module(params, *signs)
     if kind == "principal":
         params, lam = _daha_params(spec), _rat_list(spec["lambda"])
@@ -163,7 +185,8 @@ def build_daha_module(spec):
         return ((2 * i for i in range(1, params.l + 1)), params.l), lambda: daha_mod.principal_series(params, lam)
     if kind == "daha-json":
         data = spec["data"]
-        return ([int(data["dim"])], int(data["l"])), lambda: daha_mod.daha_from_json(data)
+        dim, l = _json_int(data["dim"], "dim"), _json_int(data["l"], "l")
+        return ([dim], l), lambda: daha_mod.daha_from_json(data)
     raise InputError(f"unknown hecke module constructor {kind!r}")
 
 
@@ -315,7 +338,7 @@ def pipe_reduce(inputs, max_dim):
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
     else:
-        a = _build(int, inputs, "a") if "a" in inputs else None
+        a = _build(_json_int, inputs, "a") if "a" in inputs else None
     checks = []
     try:
         red = twisted_mod.reduce_rank(B, mode, a)
@@ -356,9 +379,9 @@ def pipe_daha(inputs, max_dim):
 
 
 def pipe_drinfeld(inputs, max_dim):
-    ps = _build(ParitySeq, inputs, "ps")
-    eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
-    epsilon = _build(int, inputs, "epsilon") if "epsilon" in inputs else 1
+    ps = _build(_parity_seq, inputs, "ps")
+    eps = _build(_eps, inputs, "eps", ps)
+    epsilon = _build(_json_int, inputs, "epsilon") if "epsilon" in inputs else 1
     kwargs = {key: _build(rat, inputs, key) for key in ("chi", "gamma") if key in inputs}
     expansion = _build(_json_bool, inputs, "expansion") if "expansion" in inputs else True
     M = _build(build_daha_module, inputs, "m", guard=lambda size: _guard_letters(*size, max_dim, ps.kappa))
@@ -385,9 +408,9 @@ def pipe_drinfeld(inputs, max_dim):
 
 
 def pipe_appendix(inputs, max_dim):
-    ps = _build(ParitySeq, inputs, "ps")
-    eps = _build(twisted_mod.TwistedContext, inputs, "eps", ps).eps
-    l = _build(int, inputs, "l")
+    ps = _build(_parity_seq, inputs, "ps")
+    eps = _build(_eps, inputs, "eps", ps)
+    l = _build(_json_int, inputs, "l")
     _guard_letters((), l, max_dim, ps.kappa)
     bad = drinfeld_mod.appendix_identities(ps, eps, l)
     return [_check("operator-identities", "coupling-operator identities on the tensor power",

@@ -4,10 +4,22 @@ Group elements are signed permutations stored as tuples w with w[i-1] the
 image of i (negative = sign flip).  Induced modules (the principal series,
 induce_pair) are free over the group or a coset space; their y family is
 filled in along the breadth-first order of the group, each column from an
-earlier one by a cross relation y_i g = s g y_j + c.
+earlier one by a cross relation y_i g = +-g y_j + c.
+
+A module holds each generator g as the integer row-sparse matrix s g, for
+one integer scale s per module: the lcm of the denominators of theta1/2,
+theta2/2 and of every generator entry.  The relation checks (verify_daha,
+sf_presentation, center_check) run on these integer rows: a product of e
+generators is held as s^e times the product, and each relation is
+multiplied through by the power of s of its highest degree, a term of
+degree e padded by s^(D - e).  So sigma_k y_k = y_(k+1) sigma_k + theta1
+is checked as (s sigma_k)(s y_k) = (s y_(k+1))(s sigma_k) + s (s theta1) 1.
+The generators over Q are read back, divided by s, only where they leave
+the module: serialization and the functors of drinfeld.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from tyang.exactalg import rat
 from tyang.superlinalg import _dense, sparse_add, sparse_mul, sparse_scale
@@ -120,57 +132,131 @@ def _as_rows(m, dim, name):
 
 
 def _identity(dim):
-    one = Fraction(1)
-    return [{r: one} for r in range(dim)]
+    return [{r: 1} for r in range(dim)]
+
+
+def _scaled(rows, s):
+    """The integer rows of s m, for rows of a rational matrix m whose
+    denominators divide s."""
+    return [{c: x.numerator * (s // x.denominator) for c, x in row.items()} for row in rows]
+
+
+def _unscaled(rows, s):
+    """The rows of m over Q, from the integer rows of s m."""
+    return [{c: Fraction(x, s) for c, x in row.items()} for row in rows]
+
+
+# Graded integer matrices: (e, A) stands for A / s^e, s the scale of the
+# module, so a product of e generators is e paired with the product of
+# their integer rows.  Sums and comparisons run at the larger degree, the
+# other side padded by a power of s.
+
+def _gmul(a, b):
+    """The product of graded matrices a and b: the degrees add."""
+    return a[0] + b[0], sparse_mul(a[1], b[1])
+
+
+def _pad(s, a, e):
+    """The integer rows of the graded matrix a at degree e >= its own."""
+    return a[1] if e == a[0] else sparse_scale(a[1], s ** (e - a[0]))
+
+
+def _gadd(s, a, b, c=(0, 1)):
+    """a + c b for graded matrices a, b and a graded scalar c = (e, n),
+    which stands for n / s^e."""
+    eb = b[0] + c[0]
+    e = max(a[0], eb)
+    return e, sparse_add(_pad(s, a, e), b[1], c[1] * s ** (e - eb))
+
+
+def _gscale(a, c):
+    """c a for a graded matrix a and a graded scalar c."""
+    return a[0] + c[0], sparse_scale(a[1], c[1])
+
+
+def _geq(s, a, b):
+    """Whether the graded matrices a and b stand for one matrix."""
+    e = max(a[0], b[0])
+    return _pad(s, a, e) == _pad(s, b, e)
 
 
 class DahaModule:
     """Matrices for the simple reflections, the last flip, and the y family.
 
-    The constructor takes dense or row-sparse matrices and stores them
-    row-sparse; superlinalg._dense gives a generator back as a dense matrix.
-    The transpositions and flips derived from the generators are memoised,
-    so the generators are not to be changed after construction.
+    The constructor takes dense or row-sparse matrices over Q and keeps
+    each generator g only as the integer row-sparse matrix s g, for the one
+    scale s of the module (see the module docstring): int_sigma, int_zeta
+    (None without a flip) and int_y.  sigma, varsigma_l and y read the
+    generators back over Q, divided by s on every read;
+    superlinalg._dense gives one as a dense matrix.  The transpositions and
+    flips derived from the generators are memoised, so the generators are
+    not to be changed after construction.
     """
 
     def __init__(self, params: DahaParams, dim, sigma, varsigma_l, y):
         l = params.l
         if len(sigma) != l - 1 or len(y) != l:
             raise ValueError(f"expected {l - 1} sigma and {l} y matrices for l = {l}")
+        sigma = [_as_rows(m, dim, f"sigma_{k}") for k, m in enumerate(sigma, 1)]
+        zeta = _as_rows(varsigma_l, dim, "zeta") if varsigma_l is not None else None
+        y = [_as_rows(m, dim, f"y_{i}") for i, m in enumerate(y, 1)]
+        thetas = [params.theta1] + ([params.theta2] if params.kind == "BC" else [])
+        dens = {(th / 2).denominator for th in thetas}
+        for m in sigma + y + ([zeta] if zeta is not None else []):
+            dens.update(x.denominator for row in m for x in row.values())
         self.params = params
         self.dim = dim
-        self.sigma = [_as_rows(m, dim, f"sigma_{k}") for k, m in enumerate(sigma, 1)]
-        self.varsigma_l = _as_rows(varsigma_l, dim, "zeta") if varsigma_l is not None else None
-        self.y = [_as_rows(m, dim, f"y_{i}") for i, m in enumerate(y, 1)]
+        self.scale = s = lcm(*dens)
+        self.int_sigma = [_scaled(m, s) for m in sigma]
+        self.int_zeta = _scaled(zeta, s) if zeta is not None else None
+        self.int_y = [_scaled(m, s) for m in y]
         self._transpositions = {}
         self._flips = {}
 
+    @property
+    def sigma(self):
+        return [_unscaled(m, self.scale) for m in self.int_sigma]
+
+    @property
+    def varsigma_l(self):
+        return None if self.int_zeta is None else _unscaled(self.int_zeta, self.scale)
+
+    @property
+    def y(self):
+        return [_unscaled(m, self.scale) for m in self.int_y]
+
+    def scaled(self, x):
+        """s x as an int, for a rational x whose denominator divides s (say
+        theta1, theta1/2 or theta2/2)."""
+        return x.numerator * (self.scale // x.denominator)
+
     def sigma_ij(self, i, j):
-        """The transposition (i j) as a matrix."""
+        """The transposition (i j) as a graded matrix."""
         if i > j:
             i, j = j, i
         out = self._transpositions.get((i, j))
         if out is None:
             if i == j:
-                out = _identity(self.dim)
+                out = (0, _identity(self.dim))
             elif i == j - 1:
-                out = self.sigma[i - 1]
+                out = (1, self.int_sigma[i - 1])
             else:
                 # (i j) = s_i (i+1 j) s_i
-                s = self.sigma[i - 1]
-                out = sparse_mul(s, sparse_mul(self.sigma_ij(i + 1, j), s))
+                g = (1, self.int_sigma[i - 1])
+                out = _gmul(g, _gmul(self.sigma_ij(i + 1, j), g))
             self._transpositions[i, j] = out
         return out
 
     def varsigma_i(self, i):
-        """The sign flip at letter i, conjugated from the last one."""
+        """The sign flip at letter i, conjugated from the last one, as a
+        graded matrix."""
         l = self.params.l
         if i == l:
-            return self.varsigma_l
+            return (1, self.int_zeta)
         out = self._flips.get(i)
         if out is None:
             c = self.sigma_ij(i, l)
-            out = self._flips[i] = sparse_mul(c, sparse_mul(self.varsigma_l, c))
+            out = self._flips[i] = _gmul(c, _gmul((1, self.int_zeta), c))
         return out
 
 
@@ -204,7 +290,7 @@ def _transpose(rows, dim):
 
 
 def _cross(params: DahaParams, g, i):
-    """(j, s, c) with y_i g = s g y_j + c, the cross relations that
+    """(j, sgn, c) with y_i g = sgn g y_j + c, the cross relations that
     verify_daha checks, read from the right:
     y_k sigma_k = sigma_k y_{k+1} + theta1, y_{k+1} sigma_k = sigma_k y_k - theta1,
     y_l zeta = -zeta y_l + theta2, and y_i g = g y_i otherwise."""
@@ -227,7 +313,7 @@ def _induced_y(params: DahaParams, basis, step, gens, base_y):
     generator to its row-sparse matrix on the module, and base_y[i - 1] is
     y_i on the identity block.  Every other element w of basis is g o w0
     with (g, w0) = step[w] and w0 earlier in basis, so column (w, v) of
-    y_i is s g (column (w0, v) of y_j) + c e_(w0, v) by _cross.
+    y_i is sgn g (column (w0, v) of y_j) + c e_(w0, v) by _cross.
     """
     inner = len(base_y[0])
     dim = len(basis) * inner
@@ -238,12 +324,12 @@ def _induced_y(params: DahaParams, basis, step, gens, base_y):
         g, w0 = step[basis[b]]
         b0 = pos[w0] * inner
         for i in range(1, params.l + 1):
-            j, s, c = _cross(params, g, i)
+            j, sgn, c = _cross(params, g, i)
             for v in range(inner):
                 out = {}
                 for r, x in cols[j - 1][b0 + v].items():
                     for r2, gx in gcols[g][r].items():
-                        out[r2] = out.get(r2, 0) + s * gx * x
+                        out[r2] = out.get(r2, 0) + sgn * gx * x
                 if c:
                     out[b0 + v] = out.get(b0 + v, 0) + c
                 cols[i - 1][b * inner + v] = {r: x for r, x in out.items() if x}
@@ -262,53 +348,59 @@ def principal_series(params: DahaParams, lam) -> DahaModule:
 
 
 def verify_daha(M: DahaModule):
-    """Check every defining relation; None on pass, else a relation id."""
+    """Check every defining relation; None on pass, else a relation id.
+
+    Each relation runs on the graded integer rows of the generators (see
+    the module docstring)."""
     l = M.params.l
-    th1 = M.params.theta1
-    I = _identity(M.dim)
-    mul = sparse_mul
+    s = M.scale
+    I = (0, _identity(M.dim))
+    th1 = M.scaled(M.params.theta1)
+    sig = [(1, m) for m in M.int_sigma]
+    ys = [(1, m) for m in M.int_y]
+    mul = _gmul
     for k in range(1, l):
-        s = M.sigma[k - 1]
-        if mul(s, s) != I:
+        a = sig[k - 1]
+        if not _geq(s, mul(a, a), I):
             return f"sigma_{k}^2"
         for i in range(1, l + 1):
-            lhs = mul(s, M.y[i - 1])
+            lhs = mul(a, ys[i - 1])
             if i == k:
-                rhs = sparse_add(mul(M.y[k], s), I, th1)
+                rhs = _gadd(s, mul(ys[k], a), I, (1, th1))
             elif i == k + 1:
-                rhs = sparse_add(mul(M.y[k - 1], s), I, -th1)
+                rhs = _gadd(s, mul(ys[k - 1], a), I, (1, -th1))
             else:
-                rhs = mul(M.y[i - 1], s)
-            if lhs != rhs:
+                rhs = mul(ys[i - 1], a)
+            if not _geq(s, lhs, rhs):
                 return f"sigma_{k} y_{i}"
     for k in range(1, l - 1):
-        a, b = M.sigma[k - 1], M.sigma[k]
+        a, b = sig[k - 1], sig[k]
         if mul(a, mul(b, a)) != mul(b, mul(a, b)):
             return f"braid sigma_{k} sigma_{k+1}"
     for k in range(1, l):
         for j in range(k + 2, l):
-            if mul(M.sigma[k - 1], M.sigma[j - 1]) != mul(M.sigma[j - 1], M.sigma[k - 1]):
+            if mul(sig[k - 1], sig[j - 1]) != mul(sig[j - 1], sig[k - 1]):
                 return f"sigma_{k} sigma_{j}"
     for i in range(1, l + 1):
         for j in range(i + 1, l + 1):
-            if mul(M.y[i - 1], M.y[j - 1]) != mul(M.y[j - 1], M.y[i - 1]):
+            if mul(ys[i - 1], ys[j - 1]) != mul(ys[j - 1], ys[i - 1]):
                 return f"y_{i} y_{j}"
     if M.params.kind == "BC":
-        z = M.varsigma_l
-        if mul(z, z) != I:
+        z = (1, M.int_zeta)
+        if not _geq(s, mul(z, z), I):
             return "zeta^2"
         for k in range(1, l - 1):
-            if mul(z, M.sigma[k - 1]) != mul(M.sigma[k - 1], z):
+            if mul(z, sig[k - 1]) != mul(sig[k - 1], z):
                 return f"zeta sigma_{k}"
         if l >= 2:
-            s = M.sigma[l - 2]
-            if mul(s, mul(z, mul(s, z))) != mul(z, mul(s, mul(z, s))):
+            a = sig[l - 2]
+            if mul(a, mul(z, mul(a, z))) != mul(z, mul(a, mul(z, a))):
                 return "zeta braid"
         for i in range(1, l):
-            if mul(z, M.y[i - 1]) != mul(M.y[i - 1], z):
+            if mul(z, ys[i - 1]) != mul(ys[i - 1], z):
                 return f"zeta y_{i}"
-        anti = sparse_add(mul(z, M.y[l - 1]), mul(M.y[l - 1], z))
-        if anti != sparse_scale(I, M.params.theta2):
+        anti = _gadd(s, mul(z, ys[l - 1]), mul(ys[l - 1], z))
+        if not _geq(s, anti, _gscale(I, (1, M.scaled(M.params.theta2)))):
             return "zeta y_l"
     return None
 
@@ -322,62 +414,77 @@ def restrict_to_type_a(M: DahaModule) -> DahaModule:
 def sf_presentation(M: DahaModule):
     """The alternative commuting-family generators and their relation check.
 
-    Returns (ys, failure) where ys are the transformed matrices, row-sparse,
-    and failure is None or a relation id.
+    Returns (ys, failure) where ys are the transformed matrices over Q,
+    row-sparse, and failure is None or a relation id.  The ys are formed
+    and checked as graded integer matrices of one degree D, and divided by
+    s^D only on return.
     """
     l = M.params.l
-    th1, th2 = M.params.theta1, M.params.theta2
-    mul = sparse_mul
+    s = M.scale
+    h1, h2 = M.scaled(M.params.theta1 / 2), M.scaled(M.params.theta2 / 2)
     ys = []
     for i in range(1, l + 1):
         zi = M.varsigma_i(i)
-        acc = sparse_add(M.y[i - 1], zi, -th2 / 2)
+        acc = _gadd(s, (1, M.int_y[i - 1]), zi, (1, -h2))
         for k in range(1, l + 1):
             if k == i:
                 continue
             sik = M.sigma_ij(i, k)
-            acc = sparse_add(acc, sik, th1 / 2 if k < i else -th1 / 2)
-            acc = sparse_add(acc, mul(sik, mul(zi, M.varsigma_i(k))), -th1 / 2)
+            acc = _gadd(s, acc, sik, (1, h1 if k < i else -h1))
+            acc = _gadd(s, acc, _gmul(sik, _gmul(zi, M.varsigma_i(k))), (1, -h1))
         ys.append(acc)
+    D = max(e for e, _ in ys)
+    ys = [(D, _pad(s, y, D)) for y in ys]
+    return [_unscaled(y, s**D) for _, y in ys], _sf_failure(M, ys, h1, h2)
 
+
+def _sf_failure(M: DahaModule, ys, h1, h2):
+    """The first relation of the transformed family that the graded ys of
+    one degree break, or None; h1 and h2 are s theta1/2 and s theta2/2."""
+    l = M.params.l
+    s = M.scale
+    mul = _gmul
     for k in range(1, l):
-        s = M.sigma[k - 1]
-        if mul(s, ys[k - 1]) != mul(ys[k], s):
-            return ys, f"sigma_{k} yb_{k}"
+        a = (1, M.int_sigma[k - 1])
+        if mul(a, ys[k - 1]) != mul(ys[k], a):
+            return f"sigma_{k} yb_{k}"
         for j in range(1, l + 1):
             if j in (k, k + 1):
                 continue
-            if mul(s, ys[j - 1]) != mul(ys[j - 1], s):
-                return ys, f"sigma_{k} yb_{j}"
-    z = M.varsigma_l
-    if any(sparse_add(mul(z, ys[l - 1]), mul(ys[l - 1], z))):
-        return ys, "zeta yb_l"
+            if mul(a, ys[j - 1]) != mul(ys[j - 1], a):
+                return f"sigma_{k} yb_{j}"
+    z = (1, M.int_zeta)
+    if any(_gadd(s, mul(z, ys[l - 1]), mul(ys[l - 1], z))[1]):
+        return "zeta yb_l"
     for i in range(1, l):
         if mul(z, ys[i - 1]) != mul(ys[i - 1], z):
-            return ys, f"zeta yb_{i}"
+            return f"zeta yb_{i}"
+    minus = (0, -1)
+    # theta1 theta2 / 2 and theta1^2 / 4 as graded scalars.
+    c12, c11 = (2, 2 * h1 * h2), (2, h1 * h1)
     letters = range(1, l + 1)
     yy = {(i, j): mul(ys[i - 1], ys[j - 1]) for i in letters for j in letters if i != j}
     for i in letters:
         for j in letters:
             if i == j:
                 continue
-            lhs = sparse_add(yy[i, j], yy[j, i], -1)
+            lhs = _gadd(s, yy[i, j], yy[j, i], minus)
             zi, zj = M.varsigma_i(i), M.varsigma_i(j)
-            rhs = sparse_scale(mul(M.sigma_ij(i, j), sparse_add(zj, zi, -1)), th1 * th2 / 2)
-            for k in range(1, l + 1):
+            rhs = _gscale(mul(M.sigma_ij(i, j), _gadd(s, zj, zi, minus)), c12)
+            for k in letters:
                 if k in (i, j):
                     continue
                 sik, sjk = M.sigma_ij(i, k), M.sigma_ij(j, k)
                 zk = M.varsigma_i(k)
                 ik_jk, jk_ik = mul(sik, sjk), mul(sjk, sik)
                 zizj, zizk, zjzk = mul(zi, zj), mul(zi, zk), mul(zj, zk)
-                t1 = sparse_add(jk_ik, ik_jk, -1)
-                t2 = mul(ik_jk, sparse_add(sparse_add(zizj, zjzk), zizk, -1))
-                t3 = mul(jk_ik, sparse_add(sparse_add(zizj, zizk), zjzk, -1))
-                rhs = sparse_add(rhs, sparse_add(sparse_add(t1, t2), t3, -1), th1 * th1 / 4)
-            if lhs != rhs:
-                return ys, f"bracket yb_{i} yb_{j}"
-    return ys, None
+                t1 = _gadd(s, jk_ik, ik_jk, minus)
+                t2 = mul(ik_jk, _gadd(s, _gadd(s, zizj, zjzk), zizk, minus))
+                t3 = mul(jk_ik, _gadd(s, _gadd(s, zizj, zizk), zjzk, minus))
+                rhs = _gadd(s, rhs, _gadd(s, _gadd(s, t1, t2), t3, minus), c11)
+            if not _geq(s, lhs, rhs):
+                return f"bracket yb_{i} yb_{j}"
+    return None
 
 
 def center_check(M: DahaModule, poly):
@@ -385,19 +492,25 @@ def center_check(M: DahaModule, poly):
 
     poly maps exponent tuples to coefficients.  Returns None when the
     evaluated matrix commutes with every generator, else the generator id.
+    The polynomial is cleared of its coefficient denominators (a nonzero
+    multiple commutes with the same generators) and evaluated as a graded
+    integer matrix, each monomial of degree e padded by s^(D - e).
     """
-    I = _identity(M.dim)
-    acc = [{} for _ in range(M.dim)]
-    for mono, coeff in poly.items():
-        term = I
+    coeffs = {mono: rat(c) for mono, c in poly.items()}
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    s = M.scale
+    acc = (0, [{} for _ in range(M.dim)])
+    for mono, coeff in coeffs.items():
+        term = (0, _identity(M.dim))
         for t, e in enumerate(mono):
             for _ in range(e):
-                term = sparse_mul(term, M.y[t])
-        acc = sparse_add(acc, term, rat(coeff))
-    gens = [(f"sigma_{k}", M.sigma[k - 1]) for k in range(1, M.params.l)]
-    if M.varsigma_l is not None:
-        gens.append(("zeta", M.varsigma_l))
-    gens.extend((f"y_{i}", M.y[i - 1]) for i in range(1, M.params.l + 1))
+                term = _gmul(term, (1, M.int_y[t]))
+        acc = _gadd(s, acc, term, (0, coeff.numerator * (d // coeff.denominator)))
+    acc = acc[1]
+    gens = [(f"sigma_{k}", M.int_sigma[k - 1]) for k in range(1, M.params.l)]
+    if M.int_zeta is not None:
+        gens.append(("zeta", M.int_zeta))
+    gens.extend((f"y_{i}", M.int_y[i - 1]) for i in range(1, M.params.l + 1))
     for name, g in gens:
         if sparse_mul(acc, g) != sparse_mul(g, acc):
             return name

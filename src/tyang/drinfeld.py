@@ -13,7 +13,17 @@ N / den (yangian.series_expansion), and the induced quotient action is the
 cleared form of s P N S / (s den), with s P the projection scaled to
 integers.  The functor output lives on the quotient by the sign-isotypic
 images of the reflections, with explicit projection and section fixed by
-pivot order.
+pivot order.  The module enters only through its generators over Q (the
+Hecke module holds them as integer rows over its own scale and divides on
+the read).
+
+The coupling operator Q^(k) = sum_ij sgn_ij E_ij^(k) x E_ij^(aux) is
+assembled once per slot k as a tagged integer pattern (_q_pattern): its
+entries are +-t, t the number of the term (i, j) that puts them there,
+with the Koszul signs of the assembler.  Every weighting that a caller
+needs is read off that one pattern (_q_rows): the factors of the series
+product take it unweighted, and the appendix identities
+(appendix_identities) take four weightings of it, all in Python ints.
 """
 
 import operator
@@ -79,21 +89,36 @@ class DrinfeldModule:
         return self.action.space.dim if self.action is not None else 0
 
 
-def _q_rows(ps: ParitySeq, k: int, l: int, weight=None):
-    """q_operator as row-sparse rows ({col: value} per row, zeros left out)."""
+def _q_pattern(ps: ParitySeq, k: int, l: int):
+    """Q^(k) as a tagged pattern (terms, rows): terms lists the pairs (i, j)
+    of its terms sgn_ij E_ij^(k) x E_ij^(aux), and rows, row-sparse, holds
+    +-t where the term terms[t - 1] puts +-1.  The terms touch disjoint
+    entries.  Each term is assembled by _kron_rows with sgn_ij t in place of
+    sgn_ij at slot k, so the signs of the pattern are those of the operator.
+    """
     kk = ps.kappa
-    terms = []
+    terms, placed = [], []
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
-            w = 1 if weight is None else weight(i, j)
-            if not w:
-                continue
             pi, pj = ps.parity(i), ps.parity(j)
             sgn = -1 if (pi * pj + pi + pj) % 2 else 1
             par = (pi + pj) % 2
-            ops = {k - 1: (elementary(kk, i, j, sgn), par), l: (elementary(kk, i, j), par)}
-            terms.append((w, at_slots(l + 1, ops)))
-    return _kron_sum_rows(terms, [ps.space()] * (l + 1))
+            terms.append((i, j))
+            ops = {k - 1: (elementary(kk, i, j, sgn * len(terms)), par), l: (elementary(kk, i, j), par)}
+            placed.append((1, at_slots(l + 1, ops)))
+    return terms, _kron_sum_rows(placed, [ps.space()] * (l + 1))
+
+
+def _q_rows(pattern, weight=None):
+    """The operator sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux) as integer
+    row-sparse rows, read off the pattern of Q^(k) (_q_pattern): an entry
+    +-t is +-w(i, j) for (i, j) = terms[t - 1], and w = 1 unless a weight
+    function of the 1-based pair is given.  Entries of weight 0 are left
+    out."""
+    terms, rows = pattern
+    w = [1] * len(terms) if weight is None else [weight(i, j) for i, j in terms]
+    values = [0, *w, *(-x for x in reversed(w))]
+    return [{c: values[t] for c, t in row.items() if values[t]} for row in rows]
 
 
 def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
@@ -102,7 +127,7 @@ def q_operator(ps: ParitySeq, k: int, l: int, weight=None):
     It is sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux), with w(i, j) = 1 unless
     a weight function of the 1-based pair (i, j) is given.
     """
-    rows = _q_rows(ps, k, l, weight)
+    rows = _q_rows(_q_pattern(ps, k, l), weight)
     return _dense(rows, len(rows))
 
 
@@ -140,7 +165,7 @@ def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
 
 def _int_q_rows(ps: ParitySeq, l: int):
     """Q^(1), ..., Q^(l) as integer row-sparse rows."""
-    return [_q_rows(ps, k, l) for k in range(1, l + 1)]
+    return [_q_rows(_q_pattern(ps, k, l)) for k in range(1, l + 1)]
 
 
 def _g_step(ctx: TwistedContext, dim):
@@ -297,7 +322,8 @@ def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
     m a row-sparse module operator (as M's generators) and v row-sparse on
     V^l (as flip_at)."""
     l = M.params.l
-    pairs = [(M.sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
+    sigma = M.sigma
+    pairs = [(sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
     spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
     out = []
     for m, v in pairs + list(extra):
@@ -528,26 +554,30 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
 def appendix_identities(ps: ParitySeq, eps, l: int):
     """Exact operator identities on V^l x V; None on pass, else an id.
 
-    Works on integer row-sparse matrices as the assembler builds them: every
-    coupling operator (the sparse rows of _q_rows), flip (flip_at) and box
-    (_box_at) comes out in ints, and G and the Gz_k are +-1 sign vectors
-    that scale rows or columns.
+    Works on integer row-sparse matrices.  Each Q^(k) is assembled once, as
+    a tagged pattern (_q_pattern), and its four weightings (all ones, the
+    equal-sign and the mixed-sign pairs, and the sign sum eps_i + eps_j)
+    are read off it by _q_rows; the split Q = Q_same + Q_mixed is checked
+    on the weightings, so it fails when a weight is wrong.  Every flip
+    (flip_at) and box (_box_at) comes out of the assembler in ints, and G
+    and the Gz_k are +-1 sign vectors that scale rows or columns.
     """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
     jay2 = ps.m - ps.n  # 2 * jay
-    varpi1 = ctx.varpi(1)
+    varpi1 = int(ctx.varpi(1))  # a signed sum of signs
     dim = kk ** (l + 1)
     g = [ctx.eps_sign(idx % kk + 1) for idx in range(dim)]
 
-    same = lambda i, j: ctx.eps_sign(i) == ctx.eps_sign(j)
-    mixed = lambda i, j: ctx.eps_sign(i) != ctx.eps_sign(j)
+    same = lambda i, j: int(ctx.eps_sign(i) == ctx.eps_sign(j))
+    mixed = lambda i, j: int(ctx.eps_sign(i) != ctx.eps_sign(j))
     eps_sum = lambda i, j: ctx.eps_sign(i) + ctx.eps_sign(j)
     Qs = []
     for k in range(1, l + 1):
-        Qk = _q_rows(ps, k, l)
-        Qkk = _q_rows(ps, k, l, same)
-        Qkp = _q_rows(ps, k, l, mixed)
+        pattern = _q_pattern(ps, k, l)
+        Qk = _q_rows(pattern)
+        Qkk = _q_rows(pattern, same)
+        Qkp = _q_rows(pattern, mixed)
         if sparse_add(Qkk, Qkp) != Qk:
             return f"split Q^({k})"
         kp, pk = sparse_mul(Qkk, Qkp), sparse_mul(Qkp, Qkk)
@@ -557,7 +587,7 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
         both = sparse_add(sparse_scale(Qk, rows=g), sparse_scale(Qk, cols=g))
-        if both != _q_rows(ps, k, l, eps_sum):
+        if both != _q_rows(pattern, eps_sum):
             return f"diagonal sum at k={k}"
         Qs.append(Qk)
     if l >= 2:

@@ -21,6 +21,13 @@ grid-certified identities exactly over Z[u, v] with sympy, from the
 cleared forms: the references that the grid bounds and grid verdicts of
 yangian.verify_rtt, twisted.verify_b and yangian.verify_yang_baxter are
 checked against.
+
+q_rows_by_terms is the coupling operator Q^(k) assembled term by term, the
+reference for the tagged pattern of drinfeld._q_pattern and its
+weightings.  ref_verify_daha, ref_sf_presentation and ref_center_check are
+the Hecke relation checks over Q, in Fraction arithmetic on the generators
+as DahaModule reads them back: the references for the checks of
+tyang.daha, which run on integer rows over one scale.
 """
 
 from fractions import Fraction
@@ -30,7 +37,18 @@ from math import gcd, lcm
 import sympy
 
 from tyang.exactalg import Poly, RatFun
-from tyang.superlinalg import RFMatrix, at_slots, common_den, elementary, kron_sum, tensor_space
+from tyang.superlinalg import (
+    RFMatrix,
+    _kron_sum_rows,
+    at_slots,
+    common_den,
+    elementary,
+    kron_sum,
+    sparse_add,
+    sparse_mul,
+    sparse_scale,
+    tensor_space,
+)
 from tyang.yangian import SeriesFamily
 
 
@@ -367,3 +385,190 @@ def sym_at(M, n, u0, v0):
     for (r, c), p in M.items():
         out[r][c] = int(p.eval({U: u0, V: v0}))
     return out
+
+
+def q_rows_by_terms(ps, k, l, weight=None):
+    """sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux) on V^l x V as row-sparse
+    rows, one Koszul-signed assembly per term, with w = 1 unless a weight
+    function of the 1-based pair (i, j) is given."""
+    kk = ps.kappa
+    terms = []
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            w = 1 if weight is None else weight(i, j)
+            if not w:
+                continue
+            pi, pj = ps.parity(i), ps.parity(j)
+            sgn = -1 if (pi * pj + pi + pj) % 2 else 1
+            par = (pi + pj) % 2
+            ops = {k - 1: (elementary(kk, i, j, sgn), par), l: (elementary(kk, i, j), par)}
+            terms.append((w, at_slots(l + 1, ops)))
+    return _kron_sum_rows(terms, [ps.space()] * (l + 1))
+
+
+def _ref_identity(dim):
+    return [{r: Fraction(1)} for r in range(dim)]
+
+
+class _RefGenerators:
+    """The generators of a DahaModule over Q, with the transpositions
+    (i j) = s_i (i+1 j) s_i and the flips zeta_i = (i l) zeta_l (i l)."""
+
+    def __init__(self, M):
+        self.dim, self.l = M.dim, M.params.l
+        self.sigma, self.zeta, self.y = M.sigma, M.varsigma_l, M.y
+        self._sij, self._zi = {}, {}
+
+    def sigma_ij(self, i, j):
+        i, j = min(i, j), max(i, j)
+        if (i, j) not in self._sij:
+            if i == j:
+                out = _ref_identity(self.dim)
+            elif i == j - 1:
+                out = self.sigma[i - 1]
+            else:
+                s = self.sigma[i - 1]
+                out = sparse_mul(s, sparse_mul(self.sigma_ij(i + 1, j), s))
+            self._sij[i, j] = out
+        return self._sij[i, j]
+
+    def zeta_i(self, i):
+        if i == self.l:
+            return self.zeta
+        if i not in self._zi:
+            c = self.sigma_ij(i, self.l)
+            self._zi[i] = sparse_mul(c, sparse_mul(self.zeta, c))
+        return self._zi[i]
+
+
+def ref_verify_daha(M):
+    """daha.verify_daha over Q: None or the first relation id."""
+    g = _RefGenerators(M)
+    l = M.params.l
+    th1 = M.params.theta1
+    I = _ref_identity(M.dim)
+    mul = sparse_mul
+    for k in range(1, l):
+        s = g.sigma[k - 1]
+        if mul(s, s) != I:
+            return f"sigma_{k}^2"
+        for i in range(1, l + 1):
+            lhs = mul(s, g.y[i - 1])
+            if i == k:
+                rhs = sparse_add(mul(g.y[k], s), I, th1)
+            elif i == k + 1:
+                rhs = sparse_add(mul(g.y[k - 1], s), I, -th1)
+            else:
+                rhs = mul(g.y[i - 1], s)
+            if lhs != rhs:
+                return f"sigma_{k} y_{i}"
+    for k in range(1, l - 1):
+        a, b = g.sigma[k - 1], g.sigma[k]
+        if mul(a, mul(b, a)) != mul(b, mul(a, b)):
+            return f"braid sigma_{k} sigma_{k+1}"
+    for k in range(1, l):
+        for j in range(k + 2, l):
+            if mul(g.sigma[k - 1], g.sigma[j - 1]) != mul(g.sigma[j - 1], g.sigma[k - 1]):
+                return f"sigma_{k} sigma_{j}"
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 1):
+            if mul(g.y[i - 1], g.y[j - 1]) != mul(g.y[j - 1], g.y[i - 1]):
+                return f"y_{i} y_{j}"
+    if M.params.kind == "BC":
+        z = g.zeta
+        if mul(z, z) != I:
+            return "zeta^2"
+        for k in range(1, l - 1):
+            if mul(z, g.sigma[k - 1]) != mul(g.sigma[k - 1], z):
+                return f"zeta sigma_{k}"
+        if l >= 2:
+            s = g.sigma[l - 2]
+            if mul(s, mul(z, mul(s, z))) != mul(z, mul(s, mul(z, s))):
+                return "zeta braid"
+        for i in range(1, l):
+            if mul(z, g.y[i - 1]) != mul(g.y[i - 1], z):
+                return f"zeta y_{i}"
+        anti = sparse_add(mul(z, g.y[l - 1]), mul(g.y[l - 1], z))
+        if anti != sparse_scale(I, M.params.theta2):
+            return "zeta y_l"
+    return None
+
+
+def ref_sf_presentation(M):
+    """daha.sf_presentation over Q: (ys, None or the first relation id)."""
+    g = _RefGenerators(M)
+    l = M.params.l
+    th1, th2 = M.params.theta1, M.params.theta2
+    mul = sparse_mul
+    ys = []
+    for i in range(1, l + 1):
+        zi = g.zeta_i(i)
+        acc = sparse_add(g.y[i - 1], zi, -th2 / 2)
+        for k in range(1, l + 1):
+            if k == i:
+                continue
+            sik = g.sigma_ij(i, k)
+            acc = sparse_add(acc, sik, th1 / 2 if k < i else -th1 / 2)
+            acc = sparse_add(acc, mul(sik, mul(zi, g.zeta_i(k))), -th1 / 2)
+        ys.append(acc)
+
+    for k in range(1, l):
+        s = g.sigma[k - 1]
+        if mul(s, ys[k - 1]) != mul(ys[k], s):
+            return ys, f"sigma_{k} yb_{k}"
+        for j in range(1, l + 1):
+            if j in (k, k + 1):
+                continue
+            if mul(s, ys[j - 1]) != mul(ys[j - 1], s):
+                return ys, f"sigma_{k} yb_{j}"
+    z = g.zeta
+    if any(sparse_add(mul(z, ys[l - 1]), mul(ys[l - 1], z))):
+        return ys, "zeta yb_l"
+    for i in range(1, l):
+        if mul(z, ys[i - 1]) != mul(ys[i - 1], z):
+            return ys, f"zeta yb_{i}"
+    letters = range(1, l + 1)
+    yy = {(i, j): mul(ys[i - 1], ys[j - 1]) for i in letters for j in letters if i != j}
+    for i in letters:
+        for j in letters:
+            if i == j:
+                continue
+            lhs = sparse_add(yy[i, j], yy[j, i], -1)
+            zi, zj = g.zeta_i(i), g.zeta_i(j)
+            rhs = sparse_scale(mul(g.sigma_ij(i, j), sparse_add(zj, zi, -1)), th1 * th2 / 2)
+            for k in letters:
+                if k in (i, j):
+                    continue
+                sik, sjk = g.sigma_ij(i, k), g.sigma_ij(j, k)
+                zk = g.zeta_i(k)
+                ik_jk, jk_ik = mul(sik, sjk), mul(sjk, sik)
+                zizj, zizk, zjzk = mul(zi, zj), mul(zi, zk), mul(zj, zk)
+                t1 = sparse_add(jk_ik, ik_jk, -1)
+                t2 = mul(ik_jk, sparse_add(sparse_add(zizj, zjzk), zizk, -1))
+                t3 = mul(jk_ik, sparse_add(sparse_add(zizj, zizk), zjzk, -1))
+                rhs = sparse_add(rhs, sparse_add(sparse_add(t1, t2), t3, -1), th1 * th1 / 4)
+            if lhs != rhs:
+                return ys, f"bracket yb_{i} yb_{j}"
+    return ys, None
+
+
+def ref_center_check(M, poly):
+    """daha.center_check over Q: None or the first generator the evaluated
+    polynomial does not commute with."""
+    g = _RefGenerators(M)
+    I = _ref_identity(M.dim)
+    acc = [{} for _ in range(M.dim)]
+    for mono, coeff in poly.items():
+        term = I
+        for t, e in enumerate(mono):
+            for _ in range(e):
+                term = sparse_mul(term, g.y[t])
+        acc = sparse_add(acc, term, Fraction(coeff))
+    gens = [(f"sigma_{k}", g.sigma[k - 1]) for k in range(1, M.params.l)]
+    if g.zeta is not None:
+        gens.append(("zeta", g.zeta))
+    gens.extend((f"y_{i}", g.y[i - 1]) for i in range(1, M.params.l + 1))
+    for name, m in gens:
+        if sparse_mul(acc, m) != sparse_mul(m, acc):
+            return name
+    return None

@@ -127,6 +127,7 @@ B_L12 = {"type": "from-T", "t": {"type": "evaluation", "module": LAB12}, "eps": 
 CHAR21 = {"type": "char", "l": 1, "theta1": "1", "theta2": "2"}
 APPENDIX = {"name": "appendix", "pipeline": "appendix", "inputs": {"ps": [1, -1], "eps": [1, -1], "l": 2}}
 PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
+DAHA_JSON_A1 = {"l": 1, "kind": "A", "theta1": "1", "dim": 1, "sigma": [], "y": [[["2"]]]}
 
 
 def _payload(kind, edit):
@@ -239,6 +240,39 @@ class TestMalformedInputs:
              "'e' block '1,1' is not a 2 x 2 matrix"),
             ("verify-yangian", {"t": _lab_gl_json(lambda d: d["e"].update({"3,1": d["e"]["1,1"]}))},
              "'e' block '3,1' is not one pair of indices in 1..2"),
+            # Integer fields take JSON integers only: no truncation, no bools, no strings.
+            ("appendix", {"ps": [1, -1], "eps": [1, -1], "l": 2.9},
+             "inputs['l']: TypeError: expected a JSON integer, got 2.9"),
+            ("appendix", {"ps": [1, -1], "eps": [1, -1], "l": True},
+             "inputs['l']: TypeError: expected a JSON integer, got True"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "epsilon": "1"},
+             "inputs['epsilon']: TypeError: expected a JSON integer, got '1'"),
+            ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "epsilon": 1.0},
+             "inputs['epsilon']: TypeError: expected a JSON integer, got 1.0"),
+            ("daha", {"m": dict(CHAR21, l=2.5)}, "l must be a JSON integer, got 2.5"),
+            ("daha", {"m": dict(PRINCIPAL_L2, l="2")}, "l must be a JSON integer, got '2'"),
+            ("daha", {"m": dict(CHAR21, sign_sigma=True)}, "sign_sigma must be a JSON integer, got True"),
+            ("daha", {"m": dict(CHAR21, sign_zeta=-1.0)}, "sign_zeta must be a JSON integer, got -1.0"),
+            ("daha", {"m": {"type": "daha-json", "data": dict(DAHA_JSON_A1, dim=1.0)}},
+             "dim must be a JSON integer, got 1.0"),
+            ("daha", {"m": {"type": "daha-json", "data": dict(DAHA_JSON_A1, l=True)}},
+             "l must be a JSON integer, got True"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": dict(LAB12, s1=1.0)}},
+             "s1 must be a JSON integer, got 1.0"),
+            ("verify-twisted", {"b": {"type": "corrupt-sign", "base": B_L12, "i": "1", "j": 2}},
+             "i must be a JSON integer, got '1'"),
+            ("verify-twisted", {"b": {"type": "corrupt-sign", "base": B_L12, "i": 1, "j": 2.0}},
+             "j must be a JSON integer, got 2.0"),
+            ("reduce", {"b": B_L12, "mode": "star", "a": 1.0}, "a must be a JSON integer, got 1.0"),
+            ("reduce", {"b": B_L12, "mode": "over", "a": "1"},
+             "inputs['a']: TypeError: expected a JSON integer, got '1'"),
+            ("daha", {"m": PRINCIPAL_L2, "center": [{"mono": [2.0, 0], "coeff": "1"}]},
+             "each exponent must be a JSON integer, got 2.0"),
+            ("appendix", {"ps": [True, -1], "eps": [1, -1], "l": 2}, "each ps entry must be a JSON integer, got True"),
+            ("appendix", {"ps": [1, -1], "eps": ["1", -1], "l": 2}, "each eps entry must be a JSON integer, got '1'"),
+            ("verify-twisted", {"b": dict(B_L12, eps=[1.0, 1])}, "each eps entry must be a JSON integer, got 1.0"),
+            ("verify-yangian", {"t": {"type": "trivial", "ps": [1, 0.5]}},
+             "each ps entry must be a JSON integer, got 0.5"),
         ],
         ids=["t-int", "t-list", "module-int", "m-float", "epsilon-zero", "appendix-l-zero", "appendix-l-negative",
              "principal-short-lambda", "center-short-monomial", "center-negative-exponent", "center-huge-degree",
@@ -246,7 +280,12 @@ class TestMalformedInputs:
              "b-json-short-block", "b-json-narrow-block", "b-json-short-parities", "b-json-parities-not-dim",
              "b-json-key-out-of-range", "b-json-no-blocks", "classify-b-json-missing-block",
              "b-json-entry-not-a-series", "classify-b-json-entry-not-a-series",
-             "gl-json-1x1-block", "gl-json-key-out-of-range"],
+             "gl-json-1x1-block", "gl-json-key-out-of-range",
+             "appendix-l-float", "appendix-l-bool", "epsilon-string", "epsilon-float", "char-l-float",
+             "principal-l-string", "char-sign-sigma-bool", "char-sign-zeta-float", "daha-json-dim-float",
+             "daha-json-l-bool", "lab-s1-float", "corrupt-sign-i-string", "corrupt-sign-j-float",
+             "reduce-star-a-float", "reduce-over-a-string", "center-exponent-float", "ps-entry-bool",
+             "eps-entry-string", "from-t-eps-entry-float", "trivial-ps-entry-float"],
     )
     def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

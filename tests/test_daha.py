@@ -26,7 +26,9 @@ from tyang.daha import (
     w_sigma,
     w_zeta,
 )
-from tyang.superlinalg import _dense, sparse_mul
+from tyang.superlinalg import _dense, mat_mul, sparse_mul
+
+from support import ref_center_check, ref_sf_presentation, ref_verify_daha
 
 
 def F(a, b=1):
@@ -481,3 +483,83 @@ class TestInductionAlongTheGroup:
         for i in range(l):
             assert [row.get(0, 0) for row in M.y[i]] == [lam[i]] + [0] * (M.dim - 1)
 
+
+
+# Rationals whose numerators are prime to 6 over 3, 4 or 6: theta/2 then has
+# denominator 6, 8 or 12, so the scale of the module is neither 1 nor 2.
+_THIRDS_QUARTERS = st.builds(Fraction, st.sampled_from([-7, -5, -1, 1, 5, 7]), st.sampled_from([3, 4, 6]))
+
+
+def _hecke_verdicts(M, poly):
+    """verify_daha, sf_presentation (kind BC) and center_check of M, next to
+    the same checks over Q."""
+    got = [verify_daha(M), center_check(M, poly)]
+    want = [ref_verify_daha(M), ref_center_check(M, poly)]
+    if M.params.kind == "BC":
+        got.append(sf_presentation(M))
+        want.append(ref_sf_presentation(M))
+    return got, want
+
+
+def _conjugated_json(M, P, Pinv):
+    """daha_to_json of P g P^-1 for every generator g of M, dense."""
+    data = daha_to_json(M)
+    conj = lambda m: [[str(x) for x in row] for row in mat_mul(P, mat_mul(_dense(m, M.dim), Pinv))]
+    data["sigma"] = [conj(m) for m in M.sigma]
+    data["y"] = [conj(m) for m in M.y]
+    if M.varsigma_l is not None:
+        data["sigmaL"] = conj(M.varsigma_l)
+    return data
+
+
+class TestIntegerChecksMatchTheFractionOracle:
+    """verify_daha, sf_presentation and center_check run on integer rows
+    over one scale per module; over Q they give the same verdicts, the same
+    transformed family and the same central verdicts."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_principal_series(self, data):
+        l = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["A", "BC"]))
+        th2 = data.draw(_THIRDS_QUARTERS) if kind == "BC" else None
+        p = DahaParams(l, data.draw(_THIRDS_QUARTERS), th2, kind)
+        lam = data.draw(st.lists(_THIRDS_QUARTERS, min_size=l, max_size=l))
+        M = principal_series(p, lam)
+        if data.draw(st.booleans(), label="perturb"):
+            # One y entry moved by a third: some relation breaks.
+            ys = M.y
+            i = data.draw(st.integers(0, l - 1))
+            r, c = data.draw(st.integers(0, M.dim - 1)), data.draw(st.integers(0, M.dim - 1))
+            ys[i][r][c] = ys[i][r].get(c, 0) + Fraction(1, 3)
+            M = DahaModule(p, M.dim, M.sigma, M.varsigma_l, ys)
+        assert M.scale not in (1, 2)
+        poly = {}
+        for _ in range(data.draw(st.integers(1, 3))):
+            mono = tuple(data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l)))
+            poly[mono] = data.draw(_THIRDS_QUARTERS)
+        got, want = _hecke_verdicts(M, poly)
+        assert got == want
+
+    def test_daha_json_with_a_non_integer_involution(self):
+        # The principal series conjugated by P = 1 + E_12 / 3 - 3 E_23 / 4:
+        # sigma_1 and zeta have entries with denominators 3 and 4.
+        M0 = principal_series(DahaParams(2, F(1, 3), F(5, 4)), [F(1, 6), F(-7, 4)])
+        n = M0.dim
+        one = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+        P, Pinv = [row[:] for row in one], [row[:] for row in one]
+        P[0][1], P[1][2] = F(1, 3), F(-3, 4)
+        Pinv[0][1], Pinv[1][2], Pinv[0][2] = F(-1, 3), F(3, 4), F(-1, 4)
+        assert mat_mul(P, Pinv) == one
+        data = _conjugated_json(M0, P, Pinv)
+        assert any(Fraction(x).denominator > 1 for row in data["sigma"][0] for x in row)
+        M = daha_from_json(data)
+        assert M.scale not in (1, 2)
+        poly = {(2, 0): F(1, 3), (0, 2): F(1, 3), (1, 0): F(0)}
+        got, want = _hecke_verdicts(M, poly)
+        assert got == want
+        assert got[0] is None and got[1] is None and got[2][1] is None
+        # One entry of y_2 moved: the first broken relation agrees too.
+        data["y"][1][0][0] = str(Fraction(data["y"][1][0][0]) + F(1, 4))
+        got, want = _hecke_verdicts(daha_from_json(data), poly)
+        assert got == want and got[0] is not None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import read_blocks, rf_cleared_form, rf_quotient_family, trimmed
+from support import q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
@@ -229,6 +229,34 @@ class TestExpansionNegativeControls:
         assert res is not None and res[0] == 1
 
 
+class TestCouplingPattern:
+    """The tagged pattern of Q^(k), read with the four weightings that
+    appendix_identities uses, is the operator assembled term by term."""
+
+    def test_weightings_match_the_term_by_term_assembly(self):
+        for kk in (1, 2, 3):
+            for signs in itertools.product((1, -1), repeat=kk):
+                ps = ParitySeq(signs)
+                for l in (1, 2, 3):
+                    for k in range(1, l + 1):
+                        pattern = drinfeld._q_pattern(ps, k, l)
+                        for eps in itertools.product((1, -1), repeat=kk):
+                            weights = [
+                                None,
+                                lambda i, j: int(eps[i - 1] == eps[j - 1]),
+                                lambda i, j: int(eps[i - 1] != eps[j - 1]),
+                                lambda i, j: eps[i - 1] + eps[j - 1],
+                            ]
+                            for w in weights:
+                                want = q_rows_by_terms(ps, k, l, w)
+                                assert drinfeld._q_rows(pattern, w) == want, (signs, eps, l, k)
+
+    def test_q_operator_reads_the_pattern(self):
+        ps = ParitySeq([1, -1, 1])
+        for k in (1, 2):
+            assert q_operator(ps, k, 2) == _dense(q_rows_by_terms(ps, k, 2), 27)
+
+
 class TestAppendixIdentities:
     def test_small_sweep(self):
         for signs, eps in [
@@ -292,11 +320,12 @@ class TestAppendixNegativeControls:
 
     @pytest.mark.parametrize("signs, eps", CASES)
     def test_sign_flipped_diagonal_sum_reference(self, monkeypatch, signs, eps):
-        # Only the eps_i + eps_j weighted operator (weight +-2 on (1, 1)) is hit.
+        # Only the eps_i + eps_j weighting of the pattern (weight +-2 on
+        # (1, 1)) is hit.
         orig = drinfeld._q_rows
 
-        def q_rows(ps, k, l, weight=None):
-            Q = orig(ps, k, l, weight)
+        def q_rows(pattern, weight=None):
+            Q = orig(pattern, weight)
             return _negate_first_entry(Q) if weight is not None and abs(weight(1, 1)) == 2 else Q
 
         monkeypatch.setattr(drinfeld, "_q_rows", q_rows)
