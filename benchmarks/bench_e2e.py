@@ -7,13 +7,20 @@ Run from the root of a checkout.  The scenario lists come from
 perfbench/scenarios.py (imported, not changed) at seed 101; every scenario
 of every workload runs once, in this one interpreter, through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
-the tyang package imported from SRC (default: this checkout's src).  The
-record stored under NAME in the output file holds the seconds per
-scenario and per workload, the SHA-256 of every report, and
+the tyang package imported from SRC (default: this checkout's src).
+Before each scenario the fixed reference loop of perfbench/one_pass.py
+(``one_pass.reference``, imported, not changed) runs once, and the
+scenario's seconds are also recorded in units of that loop's seconds
+(``ref``), which a shared host's speed swings move far less than the
+seconds themselves.  The record stored under NAME in the output file
+holds the seconds and reference units per scenario and per workload, the
+SHA-256 of every report, and
 the seconds spent inside the layers of LAYERS, timed by wrappers this
 script puts around them: verify_daha, sf_presentation and center_check in
 the daha-principal scenarios, the series product, the quotient module
-and the expansion in the drinfeld scenarios, and, in every scenario, the
+and the expansion in the drinfeld scenarios, the highest weight, the
+Verma conditions and the rank-one certificate in the classify scenarios,
+and, in every scenario, the
 products of generator families (b_from_T, b_tensor, verify_b,
 inverse_series_action) and the grid certifier check_identity_2var, whose
 seconds hold the grid evaluation of the families it calls back.  A
@@ -44,6 +51,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 LAYERS = {
     "hecke_s": ("daha-principal", ("daha.verify_daha", "daha.sf_presentation", "daha.center_check")),
     "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "yangian.series_expansion")),
+    "classify_s": ("classify", ("twisted.highest_bweight", "twisted.verma_conditions", "twisted.classify_rank1")),
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
     "grid_s": (None, ("superlinalg.check_identity_2var",)),
@@ -73,9 +81,11 @@ def _timed(qualname, sink):
             setattr(mod, name, wrapper)
 
 
-def run_pass(cli, scenarios, workload, work, layers):
+def run_pass(cli, scenarios, reference, workload, work, layers):
     """One pass over a workload: {name: record}, with the seconds of the
-    timed functions of LAYERS in the records of the scenarios they mark."""
+    timed functions of LAYERS in the records of the scenarios they mark,
+    and each scenario's seconds over those of one run of reference, the
+    loop run just before it."""
     out = {}
     for sc in scenarios.generate(workload, SEED):
         path = os.path.join(work, sc["name"] + ".json")
@@ -85,9 +95,11 @@ def run_pass(cli, scenarios, workload, work, layers):
         for sink in layers.values():
             for name in sink:
                 sink[name] = 0.0
+        ref = reference()
         t0 = time.perf_counter()
         cli.main(["run", path, "--out", report, "--max-dim", str(scenarios.MAX_DIM)])
-        rec = {"s": round(time.perf_counter() - t0, 4)}
+        seconds = time.perf_counter() - t0
+        rec = {"s": round(seconds, 4), "ref": round(seconds / ref, 4)}
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
         for key, (marker, _names) in LAYERS.items():
@@ -118,6 +130,7 @@ def main():
 
     src = os.path.abspath(args.src)
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import one_pass
     import scenarios
     import tyang.cli
 
@@ -130,9 +143,10 @@ def main():
     workloads = {}
     with tempfile.TemporaryDirectory() as work:
         for workload in scenarios.WORKLOADS:
-            per_scenario = run_pass(tyang.cli, scenarios, workload, work, layers)
+            per_scenario = run_pass(tyang.cli, scenarios, one_pass.reference, workload, work, layers)
             workloads[workload] = {
                 "s": round(sum(r["s"] for r in per_scenario.values()), 3),
+                "ref": round(sum(r["ref"] for r in per_scenario.values()), 2),
                 "scenarios": per_scenario,
             }
 
@@ -152,7 +166,7 @@ def main():
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for workload, rec in workloads.items():
-        print(f"{args.label} {workload}: {rec['s']:.3f} s")
+        print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['ref']:.2f} ref")
     print(f"{args.label} tier1: {record['tier1']['s']:.1f} s, {record['tier1']['summary']}")
 
 

@@ -19,7 +19,7 @@ the module: serialization and the functors of drinfeld.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from tyang.exactalg import rat
 from tyang.superlinalg import _dense, sparse_add, sparse_mul, sparse_scale
@@ -141,6 +141,16 @@ def _scaled(rows, s):
     return [{c: x.numerator * (s // x.denominator) for c, x in row.items()} for row in rows]
 
 
+def _divided(rows, g):
+    """Integer rows divided by a common factor g of their entries."""
+    return [{c: x // g for c, x in row.items()} for row in rows]
+
+
+def _thetas(params):
+    """theta1, and theta2 for kind BC: the constants of the relations."""
+    return [params.theta1] + ([params.theta2] if params.kind == "BC" else [])
+
+
 def _unscaled(rows, s):
     """The rows of m over Q, from the integer rows of s m."""
     return [{c: Fraction(x, s) for c, x in row.items()} for row in rows]
@@ -200,16 +210,43 @@ class DahaModule:
         sigma = [_as_rows(m, dim, f"sigma_{k}") for k, m in enumerate(sigma, 1)]
         zeta = _as_rows(varsigma_l, dim, "zeta") if varsigma_l is not None else None
         y = [_as_rows(m, dim, f"y_{i}") for i, m in enumerate(y, 1)]
-        thetas = [params.theta1] + ([params.theta2] if params.kind == "BC" else [])
-        dens = {(th / 2).denominator for th in thetas}
+        dens = {(th / 2).denominator for th in _thetas(params)}
         for m in sigma + y + ([zeta] if zeta is not None else []):
             dens.update(x.denominator for row in m for x in row.values())
+        s = lcm(*dens)
+        self._set_rows(params, dim, s, [_scaled(m, s) for m in sigma],
+                       _scaled(zeta, s) if zeta is not None else None, [_scaled(m, s) for m in y])
+
+    @classmethod
+    def from_int_rows(cls, params: DahaParams, dim, s, int_sigma, int_zeta, int_y):
+        """The module whose generators are the integer row-sparse matrices
+        int_sigma, int_zeta (None without a flip) and int_y divided by s,
+        for any positive integer s with s theta1/2 (and s theta2/2)
+        integers.  s is reduced to the scale of the module, so the module
+        is the one __init__ builds from the same generators over Q."""
+        M = object.__new__(cls)
+        M._set_rows(params, dim, s, int_sigma, int_zeta, int_y)
+        return M
+
+    def _set_rows(self, params, dim, s, int_sigma, int_zeta, int_y):
+        """Keep the integer rows over s, divided through by the largest
+        common factor g of s, of every entry and of s theta/2: the scale
+        s / g is then the lcm of the denominators of theta/2 and of the
+        entries over Q."""
+        mats = int_sigma + int_y + ([int_zeta] if int_zeta is not None else [])
+        g = gcd(s, *(x.numerator * (s // x.denominator) for x in (th / 2 for th in _thetas(params))),
+                *(x for m in mats for row in m for x in row.values()))
+        if g > 1:
+            s //= g
+            int_sigma = [_divided(m, g) for m in int_sigma]
+            int_zeta = _divided(int_zeta, g) if int_zeta is not None else None
+            int_y = [_divided(m, g) for m in int_y]
         self.params = params
         self.dim = dim
-        self.scale = s = lcm(*dens)
-        self.int_sigma = [_scaled(m, s) for m in sigma]
-        self.int_zeta = _scaled(zeta, s) if zeta is not None else None
-        self.int_y = [_scaled(m, s) for m in y]
+        self.scale = s
+        self.int_sigma = int_sigma
+        self.int_zeta = int_zeta
+        self.int_y = int_y
         self._transpositions = {}
         self._flips = {}
 
@@ -272,11 +309,10 @@ def char_module(params: DahaParams, sign_sigma=1, sign_zeta=1) -> DahaModule:
 
 def group_rows(G: WGroup, g):
     """Left multiplication by g on the basis G.elements of the group
-    algebra, row-sparse: a permutation matrix."""
-    one = Fraction(1)
+    algebra, row-sparse: a permutation matrix, with integer entries."""
     out = [None] * len(G.elements)
     for c, w in enumerate(G.elements):
-        out[G.index[w_compose(g, w)]] = {c: one}
+        out[G.index[w_compose(g, w)]] = {c: 1}
     return out
 
 
@@ -305,21 +341,29 @@ def _cross(params: DahaParams, g, i):
     return i, 1, 0
 
 
-def _induced_y(params: DahaParams, basis, step, gens, base_y):
-    """The y family of a module induced along the group, row-sparse.
+def _induced_y(params: DahaParams, basis, step, gens, t, base_y, s):
+    """(S, ys): the y family of a module induced along the group, as the
+    integer row-sparse matrices S y_i, with S = s t^(len(basis) - 1).
 
     The module has one block of inner = len(base_y[0]) basis vectors per
     group element of basis, the identity first; gens maps each simple
-    generator to its row-sparse matrix on the module, and base_y[i - 1] is
-    y_i on the identity block.  Every other element w of basis is g o w0
-    with (g, w0) = step[w] and w0 earlier in basis, so column (w, v) of
-    y_i is sgn g (column (w0, v) of y_j) + c e_(w0, v) by _cross.
+    generator g to the integer rows of t g on the module, and base_y[i - 1]
+    is the integer rows of s y_i on the identity block, with s theta1/2
+    (and s theta2/2) integers.  Every other element w of basis is g o w0
+    with (g, w0) = step[w] and w0 earlier in basis, so column (w, v) of y_i
+    is sgn g (column (w0, v) of y_j) + c e_(w0, v) by _cross; on the
+    integer rows that is sgn (t g)(column of S y_j) / t + S c e_(w0, v).
+    A block k steps from the identity has denominators dividing s t^k, and
+    k < len(basis), so the division by t is exact.
     """
     inner = len(base_y[0])
     dim = len(basis) * inner
+    S = s * t ** (len(basis) - 1)
     pos = {w: b for b, w in enumerate(basis)}
     gcols = {g: _transpose(m, dim) for g, m in gens.items()}
-    cols = [_transpose(y, inner) + [None] * (dim - inner) for y in base_y]
+    pad = S // s
+    cols = [[{r: x * pad for r, x in col.items()} for col in _transpose(y, inner)] + [None] * (dim - inner)
+            for y in base_y]
     for b in range(1, len(basis)):
         g, w0 = step[basis[b]]
         b0 = pos[w0] * inner
@@ -329,22 +373,31 @@ def _induced_y(params: DahaParams, basis, step, gens, base_y):
                 out = {}
                 for r, x in cols[j - 1][b0 + v].items():
                     for r2, gx in gcols[g][r].items():
-                        out[r2] = out.get(r2, 0) + sgn * gx * x
+                        out[r2] = out.get(r2, 0) + gx * x
+                if t != 1:
+                    out = {r: x // t for r, x in out.items()}
+                if sgn != 1:
+                    out = {r: -x for r, x in out.items()}
                 if c:
-                    out[b0 + v] = out.get(b0 + v, 0) + c
+                    out[b0 + v] = out.get(b0 + v, 0) + c.numerator * (S // c.denominator)
                 cols[i - 1][b * inner + v] = {r: x for r, x in out.items() if x}
-    return [_transpose(col, dim) for col in cols]
+    return S, [_transpose(col, dim) for col in cols]
 
 
 def principal_series(params: DahaParams, lam) -> DahaModule:
-    """The free-over-the-group module induced from a y-character."""
+    """The free-over-the-group module induced from a y-character, built on
+    integer rows over s, the lcm of the denominators of theta/2 and
+    lambda."""
     lam = [rat(x) for x in lam]
     l = params.l
     G = WGroup(l, with_flip=(params.kind == "BC"))
     gens = {g: group_rows(G, w_gen(g, l)) for g in G.gens}
-    ys = _induced_y(params, G.elements, G.step, gens, [[{0: lam[t]} if lam[t] else {}] for t in range(l)])
-    sigma = [gens[("s", k)] for k in range(1, l)]
-    return DahaModule(params, len(G.elements), sigma, gens.get(("z",)), ys)
+    s = lcm(*((th / 2).denominator for th in _thetas(params)), *(x.denominator for x in lam))
+    base = [[{0: lam[t].numerator * (s // lam[t].denominator)} if lam[t] else {}] for t in range(l)]
+    S, ys = _induced_y(params, G.elements, G.step, gens, 1, base, s)
+    sigma = [sparse_scale(gens[("s", k)], S) for k in range(1, l)]
+    zeta = sparse_scale(gens[("z",)], S) if ("z",) in gens else None
+    return DahaModule.from_int_rows(params, len(G.elements), S, sigma, zeta, ys)
 
 
 def verify_daha(M: DahaModule):
@@ -536,12 +589,16 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
     inner = d1 * d2
     dim = len(reps) * inner
     zeta2 = w_zeta(2)
-    z2cols = _transpose(M2.varsigma_l, d2)
-    one = Fraction(1)
+    # Integer rows: the generators at t, the scale of M2, whose zeta enters
+    # the coset action, and the y family at s, a common scale of both
+    # factors and of theta/2.
+    t = M2.scale
+    z2cols = _transpose(M2.int_zeta, d2)
+    s = lcm(M1.scale, t, *((th / 2).denominator for th in _thetas(params)))
 
     def coset_rows(g):
-        """g on the coset basis: g o w is a representative w' or w' o zeta_2,
-        and in the second case zeta_2 acts on the M2 factor."""
+        """t g on the coset basis: g o w is a representative w' or w' o
+        zeta_2, and in the second case zeta_2 acts on the M2 factor."""
         out = [{} for _ in range(dim)]
         for r, w in enumerate(reps):
             w2 = w_compose(w_gen(g, 2), w)
@@ -549,15 +606,17 @@ def induce_pair(M1: DahaModule, M2: DahaModule, params: DahaParams) -> DahaModul
             r0 = rep_index[w_compose(w2, zeta2) if flip else w2] * inner
             for p in range(d1):
                 for q in range(d2):
-                    for b, x in (z2cols[q].items() if flip else ((q, one),)):
+                    for b, x in (z2cols[q].items() if flip else ((q, t),)):
                         out[r0 + p * d2 + b][r * inner + p * d2 + q] = x
         return out
 
     gens = {g: coset_rows(g) for g in G.gens}
-    y1 = [{p * d2 + b: x for p, x in M1.y[0][a].items()} for a in range(d1) for b in range(d2)]
-    y2 = [{a * d2 + q: x for q, x in M2.y[0][b].items()} for a in range(d1) for b in range(d2)]
-    ys = _induced_y(params, reps, G.step, gens, [y1, y2])
-    return DahaModule(params, dim, [gens[("s", 1)]], gens[("z",)], ys)
+    k1, k2 = s // M1.scale, s // t
+    y1 = [{p * d2 + b: k1 * x for p, x in M1.int_y[0][a].items()} for a in range(d1) for b in range(d2)]
+    y2 = [{a * d2 + q: k2 * x for q, x in M2.int_y[0][b].items()} for a in range(d1) for b in range(d2)]
+    S, ys = _induced_y(params, reps, G.step, gens, t, [y1, y2], s)
+    gens = {g: sparse_scale(m, S // t) for g, m in gens.items()}
+    return DahaModule.from_int_rows(params, dim, S, [gens[("s", 1)]], gens[("z",)], ys)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ construction (polynomials carry no trailing zeros, rational functions have a
 monic denominator coprime to the numerator), so structural equality is
 mathematical equality.  Cleared data lives in Z[u], as integer coefficient
 tuples with the one set of helpers below (_zmul, _zadd, _zneg, _neg_u, the
-exact division _zdiv, the primitive gcd _zgcd and the normaliser _zreduce);
-_zclear brings rational data there, over one common scale.  A RatFun is
-normalized the same way: cleared, reduced by _zreduce, then divided by the
-leading coefficient of its denominator.  Poly arithmetic over the rationals
+reflection p(r - u) _zreflect, the exact division _zdiv, the primitive gcd
+_zgcd and the normaliser _zreduce); _zclear brings rational data there,
+over one common scale.  A RatFun is normalized the same way: cleared,
+reduced by _zreduce, then divided by the leading coefficient of its
+denominator.  Poly arithmetic over the rationals
 runs through tyang._kernel.
 """
 
@@ -385,6 +386,16 @@ def _zmul(a, b):
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return tuple(out)
+
+
+def _zreflect(p, r):
+    """p(r - u) on an integer coefficient tuple, for an integer r: the
+    Taylor shift of p(-u) by -r, in place on its coefficients."""
+    a = list(_neg_u(p))
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] -= r * a[j + 1]
+    return tuple(a)
 
 
 def _zadd(a, b):

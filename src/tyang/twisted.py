@@ -7,17 +7,35 @@ coideal tensor construction; the abstract algebra is never represented.
 BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
 are shared.  B(u) from T(u) and the unitarity product B(u) B(-u) are block
 products of cleared families over Z[u] (yangian.block_product), and the
-irreducibility test reads B's coefficients off its cleared form.  B's
-RatFun entries are formed only where highest weights, the tensor and
-reduction constructors or the JSON codec read them.  The coideal tensor
+irreducibility test reads B's coefficients off its cleared form.  Highest
+weights are read off it too, over one common denominator, and the Verma
+conditions and the rank-one classification run on those integer
+numerators (BHighestWeight).  B's RatFun entries are formed only where
+the search for highest vectors, the tensor and reduction constructors or
+the JSON codec read them.  The coideal tensor
 action and the flip of the grid checks act on tensor slots and come from
 the kron_ops assembler.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from tyang.exactalg import Poly, RatFun, RootSearchBound, divides, rat, rational_roots, rf_equal, rf_from_json
+from tyang.exactalg import (
+    Poly,
+    RatFun,
+    RootSearchBound,
+    _neg_u,
+    _zadd,
+    _zmul,
+    _zneg,
+    _zreflect,
+    divides,
+    rat,
+    rational_roots,
+    rf_equal,
+    rf_from_json,
+)
 from tyang.glmn import ParitySeq, _coords_in_span, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -270,25 +288,53 @@ def verify_b(B: BAction) -> BReport:
 # ---------------------------------------------------------------------------
 # Highest weights.
 
-@dataclass
 class BHighestWeight:
-    """Diagonal eigen-series of a highest vector, with derived data; each
-    tilde series is formed once and kept."""
+    """The highest weight of a B-highest vector over one common denominator.
 
-    mus: tuple
-    ctx: TwistedContext
-    _tildes: dict = field(default_factory=dict, compare=False, repr=False)
+    nums and den are integer coefficient tuples with mu_i(u) = nums[i - 1]
+    / den, as yangian.highest_eigenseries reads them; the tilde series
+    mu~_i(u) = (2u - rho_(i+1)) mu_i(u) + sum_(a > i) s_a mu_a(u) share den,
+    with numerators tilde_nums.  The certifiers (verma_conditions,
+    classify_rank1) read only these integers; mus, mu(i) and tilde(i) are
+    reduced RatFun views, formed on first read.  Two weights are equal when
+    their reduced series are.
+    """
+
+    def __init__(self, nums, den, ctx: TwistedContext):
+        self.nums = tuple(nums)
+        self.den = tuple(den)
+        self.ctx = ctx
+        self._tildes = {}
+
+    def __eq__(self, other):
+        if isinstance(other, BHighestWeight):
+            return self.ctx is other.ctx and self.mus == other.mus
+        return NotImplemented
+
+    __hash__ = None
+
+    @cached_property
+    def tilde_nums(self):
+        ps, n = self.ctx.ps, self.nums
+        out = []
+        for i in range(1, len(n) + 1):
+            t = _zmul((-int(ps.rho(i + 1)), 2), n[i - 1])
+            for a in range(i + 1, len(n) + 1):
+                t = _zadd(t, n[a - 1] if ps.sign(a) == 1 else _zneg(n[a - 1]))
+            out.append(t)
+        return tuple(out)
+
+    @cached_property
+    def mus(self):
+        den = Poly(self.den)
+        return tuple(RatFun(Poly(n), den) for n in self.nums)
 
     def mu(self, i: int) -> RatFun:
         return self.mus[i - 1]
 
     def tilde(self, i: int) -> RatFun:
         if i not in self._tildes:
-            ps = self.ctx.ps
-            out = RatFun(Poly([-ps.rho(i + 1), 2])) * self.mus[i - 1]
-            for a in range(i + 1, self.ctx.kappa + 1):
-                out = out + RatFun.const(ps.sign(a)) * self.mus[a - 1]
-            self._tildes[i] = out
+            self._tildes[i] = RatFun(Poly(self.tilde_nums[i - 1]), Poly(self.den))
         return self._tildes[i]
 
     def varpi_weight(self):
@@ -302,8 +348,8 @@ class BHighestWeight:
 
 
 def highest_bweight(B: BAction, eta) -> BHighestWeight:
-    """Extract the eigen-series tuple of a B-highest vector."""
-    return BHighestWeight(highest_eigenseries(B, eta, "b"), B.ctx)
+    """Extract the highest weight of a B-highest vector."""
+    return BHighestWeight(*highest_eigenseries(B, eta, "b"), B.ctx)
 
 
 def _rf_vector_coords_in_span(w, K):
@@ -368,23 +414,21 @@ def verma_conditions(mu: BHighestWeight):
     """Check the highest-weight symmetry constraints; None on pass, else the
     1-based index of the first failing condition (kappa for the unitary one).
 
-    Each condition f(u) f(r - u) = g(u) g(r - u) is compared by cross
-    multiplication, as rf_equal does: with f = N/D the left side is
-    N(u) N(r - u) / D(u) D(r - u), so no reduced product is formed."""
+    Every series of mu has the one denominator den, so each condition is a
+    denominator-free identity in Z[u]: mu_kappa(u) mu_kappa(-u) = 1 is
+    n_kappa(u) n_kappa(-u) = den(u) den(-u), and
+    mu~_i(u) mu~_i(r - u) = mu~_(i+1)(u) mu~_(i+1)(r - u), r = rho_(i+1),
+    is T_i(u) T_i(r - u) = T_(i+1)(u) T_(i+1)(r - u) on the tilde
+    numerators."""
     kk = mu.ctx.kappa
     ps = mu.ctx.ps
-
-    def reflected(f, r):
-        return f.num * f.num.compose_linear(-1, r), f.den * f.den.compose_linear(-1, r)
-
-    n, d = reflected(mu.mu(kk), 0)
-    if n != d:
+    n, d = mu.nums[kk - 1], mu.den
+    if _zmul(n, _neg_u(n)) != _zmul(d, _neg_u(d)):
         return kk
+    T = mu.tilde_nums
     for i in range(1, kk):
-        r = ps.rho(i + 1)
-        ni, di = reflected(mu.tilde(i), r)
-        nn, dn = reflected(mu.tilde(i + 1), r)
-        if ni * dn != nn * di:
+        r = int(ps.rho(i + 1))
+        if _zmul(T[i - 1], _zreflect(T[i - 1], r)) != _zmul(T[i], _zreflect(T[i], r)):
             return i
     return None
 
@@ -424,10 +468,11 @@ def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> Cla
     def failed(status, detail=""):
         return ClassificationCertificate(case, None, None, status, detail)
 
-    tilde1, tilde2 = mu.tilde(1), mu.tilde(2)
-    if not (tilde1 and tilde2):
+    T1, T2 = mu.tilde_nums
+    if not (T1 and T2):
         return failed("search-failed", "a tilde series vanishes: no ratio to certify")
-    ratio = tilde1 / tilde2
+    # The tilde series share den, which cancels in their ratio.
+    ratio = RatFun(Poly(T1), Poly(T2))
 
     if mode == "verify":
         if P is None:

@@ -8,9 +8,11 @@ are thin subclasses.  A family is held over Z[u] as its ClearedForm: D,
 the common denominator, and the integer coefficients of c D x_ij(u) for
 one rational c, made primitive by cleared_form, the one normaliser.  The
 certifiers read only it: grid values, products and series coefficients
-(series_expansion).  The RatFun blocks t are a view, formed on first read
-(one reduced RatFun per entry) by highest weights and vectors, the
-tensor, dual and reduction constructors and the JSON codec.  Evaluation
+(series_expansion), and the eigen-series of a highest vector
+(highest_eigenseries), over one common denominator.  The RatFun blocks t
+are a view, formed on first read (one reduced RatFun per entry) by the
+search for highest vectors, the tensor, dual and reduction constructors
+and the JSON codec.  Evaluation
 and trivial modules, their inverse series, every product of families and
 the functor outputs are built in integers.
 
@@ -42,6 +44,7 @@ from tyang.exactalg import (
     Poly,
     PoleError,
     RatFun,
+    _zadd,
     _zclear,
     _zmul,
     _zneg,
@@ -667,35 +670,59 @@ def dual_action(T: TAction) -> TAction:
 # ---------------------------------------------------------------------------
 # Highest weights.
 
-def highest_eigenseries(family: SeriesFamily, xi, letter):
-    """The eigen-series tuple of a highest vector of any series family.
+def _apply_rows(rows, z):
+    """The integer coefficient tuples of M z, for M given as rows of
+    coefficient tuples (None for zero) and z an integer vector."""
+    out = []
+    for row in rows:
+        acc = ()
+        for e, x in zip(row, z):
+            if e and x:
+                acc = _zadd(acc, _zmul(e, (x,)))
+        out.append(acc)
+    return out
 
-    Verifies x_ij(u) xi = 0 for i < j and exact proportionality on the
-    diagonal; raises NotHighest otherwise, naming the generator by letter
-    (x_ij is written letter_ij).
+
+def highest_eigenseries(family: SeriesFamily, xi, letter):
+    """(nums, den): the eigen-series of a highest vector xi of any series
+    family over one common denominator, x_ii(u) xi = nums[i - 1] / den xi,
+    as integer coefficient tuples (nums[i - 1] is () for a zero series).
+
+    Read off the cleared form (c D, the rows of c D x_ij(u)) applied to
+    z = s xi, xi scaled to an integer vector: x_ij(u) xi = w / (s c D) with
+    w = (c D x_ij(u)) z in Z[u].  Verifies x_ij(u) xi = 0 for i < j (every
+    w_q is zero) and proportionality on the diagonal by cross
+    multiplication, w_q z_p = w_p z_q for p the first nonzero coordinate,
+    so that nums[i - 1] = w_p and den = z_p c D; raises NotHighest
+    otherwise, naming the generator by letter (x_ij is written letter_ij).
     """
     xi = [rat(x) for x in xi]
     if not any(xi):
         raise NotHighest("zero vector")
+    form = family.cleared()
+    _s, (z,) = _zclear([xi])
     kk = family.kappa
     for i in range(1, kk + 1):
         for j in range(i + 1, kk + 1):
-            if any(family.t[(i, j)].mat_vec(xi)):
+            if any(_apply_rows(form.blocks[(i, j)], z)):
                 raise NotHighest(f"{letter}_{i}{j}(u) does not annihilate the vector")
-    p = next(k for k, x in enumerate(xi) if x)
-    lams = []
+    p = next(k for k, x in enumerate(z) if x)
+    zp = (z[p],)
+    nums = []
     for i in range(1, kk + 1):
-        w = family.t[(i, i)].mat_vec(xi)
-        lam = w[p] / RatFun.const(xi[p])
-        if any(w[q] - lam * xi[q] for q in range(len(xi))):
+        w = _apply_rows(form.blocks[(i, i)], z)
+        if any(_zmul(wq, zp) != _zmul(w[p], (zq,) if zq else ()) for wq, zq in zip(w, z)):
             raise NotHighest(f"{letter}_{i}{i}(u) is not scalar on the vector")
-        lams.append(lam)
-    return tuple(lams)
+        nums.append(w[p])
+    return tuple(nums), _zmul(form.den_coeffs, zp)
 
 
 def highest_lweight(T: TAction, xi):
-    """Extract the eigen-series tuple of a highest vector of T(u)."""
-    return highest_eigenseries(T, xi, "t")
+    """Extract the eigen-series tuple of a highest vector of T(u), as
+    reduced RatFun."""
+    nums, den = highest_eigenseries(T, xi, "t")
+    den = Poly(den)
+    return tuple(RatFun(Poly(n), den) for n in nums)
 
 
 def varpi_weight(lams, ps: ParitySeq):

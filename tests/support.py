@@ -27,7 +27,17 @@ reference for the tagged pattern of drinfeld._q_pattern and its
 weightings.  ref_verify_daha, ref_sf_presentation and ref_center_check are
 the Hecke relation checks over Q, in Fraction arithmetic on the generators
 as DahaModule reads them back: the references for the checks of
-tyang.daha, which run on integer rows over one scale.
+tyang.daha, which run on integer rows over one scale.  ref_induced_y is
+the y family of an induced module filled in over Q, the reference for the
+integer recursion of daha._induced_y.
+
+ref_highest_eigenseries, ref_tilde, ref_verma_conditions and
+ref_tilde_ratio are the highest-weight route over the function field: the
+eigen-series read off the RatFun blocks t, the tilde series and the
+symmetry conditions formed from reduced RatFun, the references for the
+Z[u] reader yangian.highest_eigenseries and for twisted.verma_conditions
+and classify_rank1.  bweight_from_series clears RatFun series over their
+common denominator into a BHighestWeight.
 """
 
 from fractions import Fraction
@@ -36,7 +46,8 @@ from math import gcd, lcm
 
 import sympy
 
-from tyang.exactalg import Poly, RatFun
+from tyang.daha import _cross, _transpose
+from tyang.exactalg import Poly, RatFun, _zclear
 from tyang.superlinalg import (
     RFMatrix,
     _kron_sum_rows,
@@ -49,7 +60,8 @@ from tyang.superlinalg import (
     sparse_scale,
     tensor_space,
 )
-from tyang.yangian import SeriesFamily
+from tyang.twisted import BHighestWeight
+from tyang.yangian import NotHighest, SeriesFamily
 
 
 def _block_sign(ps, i, j):
@@ -572,3 +584,101 @@ def ref_center_check(M, poly):
         if sparse_mul(acc, m) != sparse_mul(m, acc):
             return name
     return None
+
+
+# ---------------------------------------------------------------------------
+# Highest weights over the function field.
+
+def ref_highest_eigenseries(family, xi, letter):
+    """The eigen-series of a highest vector as reduced RatFun, read off the
+    RatFun blocks t: x_ij(u) xi = 0 for i < j, and x_ii(u) xi = lam xi
+    checked entry by entry."""
+    xi = [Fraction(x) for x in xi]
+    if not any(xi):
+        raise NotHighest("zero vector")
+    kk = family.kappa
+    for i in range(1, kk + 1):
+        for j in range(i + 1, kk + 1):
+            if any(family.t[(i, j)].mat_vec(xi)):
+                raise NotHighest(f"{letter}_{i}{j}(u) does not annihilate the vector")
+    p = next(k for k, x in enumerate(xi) if x)
+    lams = []
+    for i in range(1, kk + 1):
+        w = family.t[(i, i)].mat_vec(xi)
+        lam = w[p] / RatFun.const(xi[p])
+        if any(w[q] - lam * xi[q] for q in range(len(xi))):
+            raise NotHighest(f"{letter}_{i}{i}(u) is not scalar on the vector")
+        lams.append(lam)
+    return tuple(lams)
+
+
+def ref_tilde(mus, ps, i):
+    """(2u - rho_(i+1)) mu_i + sum_(a > i) s_a mu_a in RatFun arithmetic."""
+    out = RatFun(Poly([-ps.rho(i + 1), 2])) * mus[i - 1]
+    for a in range(i + 1, len(mus) + 1):
+        out = out + RatFun.const(ps.sign(a)) * mus[a - 1]
+    return out
+
+
+def ref_verma_conditions(mus, ps):
+    """The symmetry conditions on reduced RatFun series, each compared by
+    cross multiplication of f(u) f(r - u) with g(u) g(r - u)."""
+    kk = len(mus)
+
+    def reflected(f, r):
+        return f.num * f.num.compose_linear(-1, r), f.den * f.den.compose_linear(-1, r)
+
+    n, d = reflected(mus[kk - 1], 0)
+    if n != d:
+        return kk
+    for i in range(1, kk):
+        r = ps.rho(i + 1)
+        ni, di = reflected(ref_tilde(mus, ps, i), r)
+        nn, dn = reflected(ref_tilde(mus, ps, i + 1), r)
+        if ni * dn != nn * di:
+            return i
+    return None
+
+
+def ref_tilde_ratio(mus, ps):
+    """mu~_1 / mu~_2 as a reduced RatFun, None when either vanishes."""
+    t1, t2 = ref_tilde(mus, ps, 1), ref_tilde(mus, ps, 2)
+    return t1 / t2 if t1 and t2 else None
+
+
+def bweight_from_series(mus, ctx):
+    """The BHighestWeight of the RatFun series mus, cleared over their
+    common denominator D to integer numerators."""
+    D = common_den(mus)
+    _s, (den, *nums) = _zclear([D.coeffs, *((m.num * (D // m.den)).coeffs for m in mus)])
+    return BHighestWeight(nums, den, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Induced Hecke modules over Q.
+
+def ref_induced_y(params, basis, step, gens, base_y):
+    """The y family of a module induced along the group, filled in over Q
+    column by column: gens maps each simple generator to its row-sparse
+    matrix on the module, base_y[i - 1] is y_i on the identity block, and
+    column (w, v) of y_i is sgn g (column (w0, v) of y_j) + c e_(w0, v)
+    along the step w = g o w0 (daha._cross)."""
+    inner = len(base_y[0])
+    dim = len(basis) * inner
+    pos = {w: b for b, w in enumerate(basis)}
+    gcols = {g: _transpose(m, dim) for g, m in gens.items()}
+    cols = [_transpose(y, inner) + [None] * (dim - inner) for y in base_y]
+    for b in range(1, len(basis)):
+        g, w0 = step[basis[b]]
+        b0 = pos[w0] * inner
+        for i in range(1, params.l + 1):
+            j, sgn, c = _cross(params, g, i)
+            for v in range(inner):
+                out = {}
+                for r, x in cols[j - 1][b0 + v].items():
+                    for r2, gx in gcols[g][r].items():
+                        out[r2] = out.get(r2, 0) + sgn * gx * x
+                if c:
+                    out[b0 + v] = out.get(b0 + v, 0) + c
+                cols[i - 1][b * inner + v] = {r: x for r, x in out.items() if x}
+    return [_transpose(col, dim) for col in cols]

@@ -33,7 +33,6 @@ from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep
 from tyang.superlinalg import SuperSpace
 from tyang.twisted import (
-    BHighestWeight,
     TwistedContext,
     b_from_T,
     b_tensor,
@@ -59,7 +58,7 @@ from tyang.yangian import (
     verify_yang_baxter,
 )
 
-from support import lab_t_table, lab_tprime_table, rows_match_table
+from support import bweight_from_series, lab_t_table, lab_tprime_table, rows_match_table
 
 
 def F(a, b=1):
@@ -234,7 +233,7 @@ class TestCriterion4WeightSymmetry:
         B = b_from_T(evaluation_action(make_Lab(1, 1, 2), 0), ctx)
         mu = highest_bweight(B, [1, 0])
         u = RatFun.x()
-        bad = BHighestWeight((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
+        bad = bweight_from_series((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
         assert verma_conditions(bad) == 2
         _ok("criterion 4b: corrupted weight detected at the last index")
 

@@ -99,6 +99,8 @@ class TestDeterminism:
 # refactors are held to byte-identical output across commits.
 GOLDEN_REPORTS = {
     "appendix-k2-l2.json": (0, "fd48bff2ba03ab7d78c7545e556721f9f88188e044f36666c730ffd098930c16"),
+    "classify-vector-eps-diff.json": (0, "65a691c5f4f67f7570935ae763805cc37b6645c3704713736460aa2d5bdb5e16"),
+    "classify-vector-eps-equal.json": (0, "ea126f6fe71cb8cf14cd5a664177fcf761b980891aea443edabaacde310fba45"),
     "daha-principal-l2.json": (0, "111845454c1fc3e4bc2a22bd6c730de0ce8874a2fe8b3e5b02bf5b25e353145d"),
     "drinfeld-char-21.json": (0, "f04049bdf541e78ff4208fb385026d481acfcc3c0327cd1900f119709f1dc22a"),
     "drinfeld-principal-l2.json": (0, "2d21645abba2b9eea638b81eb1845952a550c64f48a61e8ce68715c384a9074b"),

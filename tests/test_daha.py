@@ -22,13 +22,15 @@ from tyang.daha import (
     sf_presentation,
     verify_daha,
     center_check,
+    w_apply,
     w_compose,
+    w_gen,
     w_sigma,
     w_zeta,
 )
 from tyang.superlinalg import _dense, mat_mul, sparse_mul
 
-from support import ref_center_check, ref_sf_presentation, ref_verify_daha
+from support import ref_center_check, ref_induced_y, ref_sf_presentation, ref_verify_daha
 
 
 def F(a, b=1):
@@ -563,3 +565,51 @@ class TestIntegerChecksMatchTheFractionOracle:
         data["y"][1][0][0] = str(Fraction(data["y"][1][0][0]) + F(1, 4))
         got, want = _hecke_verdicts(daha_from_json(data), poly)
         assert got == want and got[0] is not None
+
+
+def _same_module(M, R):
+    """M and R hold the same integer rows over the same scale."""
+    assert (M.scale, M.int_sigma, M.int_zeta, M.int_y) == (R.scale, R.int_sigma, R.int_zeta, R.int_y)
+    assert daha_to_json(M) == daha_to_json(R)
+
+
+class TestIntegerInductionMatchesTheFractionOracle:
+    """principal_series and induce_pair fill the y family in on integer
+    rows over one scale; the recursion over Q (support.ref_induced_y) gives
+    the same module, down to the scale and its integer rows."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_principal_series(self, data):
+        l = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["A", "BC"]))
+        p = DahaParams(l, data.draw(_THIRDS_QUARTERS), data.draw(_THIRDS_QUARTERS) if kind == "BC" else None, kind)
+        lam = data.draw(st.lists(st.one_of(_THIRDS_QUARTERS, _RATIONALS), min_size=l, max_size=l))
+        M = principal_series(p, lam)
+        G = WGroup(l, with_flip=(kind == "BC"))
+        gens = {g: group_rows(G, w_gen(g, l)) for g in G.gens}
+        ys = ref_induced_y(p, G.elements, G.step, gens, [[{0: x} if x else {}] for x in lam])
+        R = DahaModule(p, M.dim, [gens[("s", k)] for k in range(1, l)], gens.get(("z",)), ys)
+        _same_module(M, R)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_induce_pair(self, conjugate):
+        m1 = DahaModule(DahaParams(1, F(1, 3), kind="A"), 2, [], None, [[[F(2), F(1, 5)], [F(0), F(-1)]]])
+        m2 = principal_series(DahaParams(1, F(1, 3), F(5, 4)), [F(1, 6)])
+        if conjugate:
+            # zeta of m2 with denominator 3: the coset generators are not
+            # integral, and the recursion divides by the scale of m2.
+            P, Pinv = [[F(1), F(1, 3)], [F(0), F(1)]], [[F(1), F(-1, 3)], [F(0), F(1)]]
+            m2 = daha_from_json(_conjugated_json(m2, P, Pinv))
+            assert any(x.denominator == 3 for row in m2.varsigma_l for x in row.values())
+        p = DahaParams(2, F(1, 3), F(5, 4))
+        ind = induce_pair(m1, m2, p)
+        assert verify_daha(ind) is None
+        G = WGroup(2)
+        reps = [w for w in G.elements if w_apply(w, 2) > 0]
+        d2 = m2.dim
+        y1 = [{a * d2 + b: x for a, x in m1.y[0][r].items()} for r in range(m1.dim) for b in range(d2)]
+        y2 = [{r * d2 + q: x for q, x in m2.y[0][b].items()} for r in range(m1.dim) for b in range(d2)]
+        gens = {("s", 1): ind.sigma[0], ("z",): ind.varsigma_l}
+        ys = ref_induced_y(p, reps, G.step, gens, [y1, y2])
+        _same_module(ind, DahaModule(p, ind.dim, ind.sigma, ind.varsigma_l, ys))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import assemble, read_blocks
+from support import assemble, bweight_from_series, read_blocks
 
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, weight_decompose, _coords_in_span
@@ -343,11 +343,9 @@ class TestVerma:
         assert verma_conditions(mu) is None
 
     def test_corrupted_weight_fails_at_last_index(self, b_l12):
-        from tyang.twisted import BHighestWeight
-
         mu = highest_bweight(b_l12, [1, 0])
         u = RatFun.x()
-        bad = BHighestWeight((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
+        bad = bweight_from_series((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
         assert verma_conditions(bad) == 2
 
 
