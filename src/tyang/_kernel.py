@@ -1,11 +1,14 @@
-"""Arithmetic kernels on Fraction coefficient lists and matrices, in pure
-Python.
+"""Exact arithmetic kernels in pure Python, one implementation per job.
 
-Polynomials are dense coefficient lists of Fraction, index = degree, no
-trailing zeros.  Matrices are lists of rows of Fraction.  Every function
-returns fully normalized values.  _int_prem, the primitive pseudo-remainder
-of integer polynomials, is the step of both poly_gcd and exactalg's Z[u]
-gcd.
+Polynomials are dense coefficient sequences, index = degree, no trailing
+zeros; matrices are lists of rows.  The jobs are the matrix product and
+echelon form, and the polynomial product, division, gcd and evaluation.
+The product and evaluation kernels serve Python ints and Fractions alike:
+their sums start from the int 0, so integer data stays in ints and
+Fraction data in Fractions (an entry nothing lands on is the int 0, equal
+to Fraction(0)).  The echelon form and the division divide, so they take
+Fractions.  The gcd is the primitive remainder sequence over Z[u];
+rational data is cleared to integers before it.
 """
 
 from fractions import Fraction
@@ -18,19 +21,17 @@ _ZERO = Fraction(0)
 
 
 def poly_mul(a, b):
-    """Product of two coefficient lists."""
+    """The product of two coefficient sequences, their convolution, as a
+    tuple.  Nothing is trimmed: over Z and Q the product of two nonzero
+    leading coefficients is nonzero."""
     if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    while out and not out[-1]:
-        out.pop()
-    return out
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
 def poly_divmod(a, b):
@@ -58,18 +59,13 @@ def poly_divmod(a, b):
     return quo, rem
 
 
-def _to_primitive_int(a):
-    # Clear denominators and content; returns integer coefficient list.
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def _primitive(p):
+    """An integer coefficient sequence over its content, with a positive
+    leading coefficient, as a tuple."""
+    if not p:
+        return ()
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return tuple(c // g for c in p)
 
 
 def _int_prem(a, b):
@@ -85,31 +81,24 @@ def _int_prem(a, b):
         rem.pop()
         while rem and not rem[-1]:
             rem.pop()
-    g = 0
-    for c in rem:
-        g = gcd(g, c)
-    if g > 1:
-        rem = [c // g for c in rem]
-    return rem
+    return _primitive(rem)
 
 
 def poly_gcd(a, b):
-    """Monic gcd via a primitive remainder sequence over the integers."""
-    if not a and not b:
-        return []
-    x = _to_primitive_int(a) if a else []
-    y = _to_primitive_int(b) if b else []
+    """The primitive gcd of two integer coefficient sequences (positive
+    leading coefficient; () when both are zero), by the primitive remainder
+    sequence."""
+    x, y = _primitive(a), _primitive(b)
     if len(x) < len(y):
         x, y = y, x
     while y:
         x, y = y, _int_prem(x, y)
-    lead = x[-1]
-    return [Fraction(c, lead) for c in x]
+    return x
 
 
 def poly_eval(a, x):
-    """Horner evaluation at a Fraction point."""
-    acc = _ZERO
+    """The value of a coefficient sequence at x, by Horner's rule."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -117,28 +106,22 @@ def poly_eval(a, x):
 
 def mat_mul(A, B):
     """Matrix product with zero skipping."""
-    n = len(A)
-    m = len(B)
-    p = len(B[0]) if m else 0
+    p = len(B[0]) if B else 0
     out = []
-    for i in range(n):
-        row = [_ZERO] * p
-        Ai = A[i]
-        for k in range(m):
-            a = Ai[k]
-            if not a:
-                continue
-            Bk = B[k]
-            for j in range(p):
-                b = Bk[j]
-                if b:
-                    row[j] += a * b
+    for Ai in A:
+        row = [0] * p
+        for a, Bk in zip(Ai, B):
+            if a:
+                for j, b in enumerate(Bk):
+                    if b:
+                        row[j] += a * b
         out.append(row)
     return out
 
 
 def mat_rref(A):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form of a Fraction matrix; returns (rows, pivot
+    column indices)."""
     rows = [list(r) for r in A]
     if not rows:
         return [], []

@@ -29,9 +29,10 @@ product take it unweighted, and the appendix identities
 import operator
 from fractions import Fraction
 
-from tyang.exactalg import RatFun, _neg_u, _zadd, _zclear, _zmul, _zneg, rat
+from tyang._kernel import mat_mul, mat_rref, poly_mul
+from tyang.exactalg import RatFun, _neg_u, _zadd, _zclear, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
-from tyang.glmn import ParitySeq, _coords_in_span
+from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
@@ -198,22 +199,20 @@ def _cleared_product(steps, dim):
     for d, K in steps:
         out = []
         for Nr in N:
-            row = dict(Nr) if d == (1,) else {c: _zmul(d, x) for c, x in Nr.items()}
+            row = dict(Nr) if d == (1,) else {c: poly_mul(d, x) for c, x in Nr.items()}
             for k, a in Nr.items():
                 for j, b in K[k].items():
-                    t = _zmul(a, b)
+                    t = poly_mul(a, b)
                     prev = row.get(j)
                     row[j] = t if prev is None else _zadd(prev, t)
             out.append({j: x for j, x in row.items() if x})
         N = out
-        den = _zmul(den, d)
+        den = poly_mul(den, d)
     return N, den
 
 
 def _column_span_rref(mats):
     """RREF basis of the combined column space of the given matrices."""
-    from tyang._kernel import mat_rref
-
     rows = []
     for m in mats:
         for c in range(len(m[0])):
@@ -357,7 +356,7 @@ def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> D
         return DrinfeldModule(None, carrier, proj, sect, nrows)
     qspace = SuperSpace([carrier.parities[f] for f in free])
     qblocks = {key: _quotient_block(block, prows, free) for key, block in blocks.items()}
-    form = cleared_form(_zmul(den, (s,)), qblocks)
+    form = cleared_form(poly_mul(den, (s,)), qblocks)
     return DrinfeldModule(family(head, qspace, form, ("drinfeld",)), carrier, proj, sect, nrows)
 
 
@@ -513,7 +512,8 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
         raise ParameterConstraint(f"module fails the transformed relations: {fail}")
     ys_dense = [_dense(y, M.dim) for y in ys]
 
-    nrows = product.relations[0]
+    # The quotient projection, whose kernel is the span of the relations.
+    proj = _quotient_maps(*product.relations, carrier_dim)[0]
 
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
@@ -542,12 +542,9 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
                     spaces,
                 )
                 scale = Fraction(-2 * ei) / (si * epsilon * th1)
-                for c in range(carrier_dim):
-                    col = [coeff2[r][c] - scale * ybox_sum[r][c] for r in range(carrier_dim)]
-                    if any(col) and (
-                        not nrows or _coords_in_span(nrows, [col]) is None
-                    ):
-                        return (2, (i, j))
+                diff = [[a - scale * b for a, b in zip(ra, rb)] for ra, rb in zip(coeff2, ybox_sum)]
+                if any(map(any, mat_mul(proj, diff))):
+                    return (2, (i, j))
     return None
 
 

@@ -4,20 +4,20 @@ The scalar field is the rationals throughout; every value is normalized at
 construction (polynomials carry no trailing zeros, rational functions have a
 monic denominator coprime to the numerator), so structural equality is
 mathematical equality.  Cleared data lives in Z[u], as integer coefficient
-tuples with the one set of helpers below (_zmul, _zadd, _zneg, _neg_u, the
-reflection p(r - u) _zreflect, the exact division _zdiv, the primitive gcd
-_zgcd and the normaliser _zreduce); _zclear brings rational data there,
-over one common scale.  A RatFun is normalized the same way: cleared,
-reduced by _zreduce, then divided by the leading coefficient of its
-denominator.  Poly arithmetic over the rationals
-runs through tyang._kernel.
+tuples: tyang._kernel multiplies, evaluates and takes primitive gcds of
+them, and the helpers below add, negate and reflect them (_zadd, _zneg,
+_neg_u, the reflection p(r - u) _zreflect), divide exactly (_zdiv) and
+normalise (_zreduce); _zclear brings rational data there, over one common
+scale.  A RatFun is normalized the same way: cleared, reduced by
+_zreduce, then divided by the leading coefficient of its denominator.
+Poly arithmetic over the rationals runs through the same kernels, and its
+gcd through Z[u].
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from tyang import _kernel
-from tyang._kernel import _int_prem
 
 Rat = Fraction
 
@@ -121,7 +121,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(_kernel.poly_mul(list(self.coeffs), list(other.coeffs)))
+            return Poly(_kernel.poly_mul(self.coeffs, other.coeffs))
         return Poly([c * rat(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -147,10 +147,13 @@ class Poly:
         return out
 
     def gcd(self, other) -> "Poly":
-        return Poly(_kernel.poly_gcd(list(self.coeffs), list(other.coeffs)))
+        """The monic gcd, taken in Z[u] on the cleared coefficients."""
+        _s, (a, b) = _zclear([self.coeffs, other.coeffs])
+        g = _kernel.poly_gcd(a, b)
+        return Poly([Fraction(c, g[-1]) for c in g])
 
     def __call__(self, x) -> Rat:
-        return _kernel.poly_eval(list(self.coeffs), rat(x))
+        return _kernel.poly_eval(self.coeffs, rat(x))
 
     def compose_linear(self, a, b) -> "Poly":
         """The polynomial p(a*u + b)."""
@@ -371,21 +374,10 @@ def _zneg(p):
 def _zclear(seqs):
     """(s, out) for a list of sequences of rationals: s the lcm of all their
     denominators and out the sequences s x as integer tuples, in order.
-    This is the one place rational data is cleared to integers."""
+    Sequences and matrices of rationals are cleared here; daha._scaled
+    clears the row-sparse Hecke generators over the module's own scale."""
     s = lcm(*(x.denominator for q in seqs for x in q))
     return s, [tuple(x.numerator * (s // x.denominator) for x in q) for q in seqs]
-
-
-def _zmul(a, b):
-    """The product of two integer coefficient tuples: their convolution."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return tuple(out)
 
 
 def _zreflect(p, r):
@@ -433,26 +425,6 @@ def _zdiv(a, b):
     return tuple(quo)
 
 
-def _zprimitive(p):
-    """p divided by its content, with a positive leading coefficient."""
-    if not p:
-        return ()
-    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
-    return tuple(c // g for c in p) if g != 1 else tuple(p)
-
-
-def _zgcd(a, b):
-    """The primitive gcd of two integer coefficient tuples (positive leading
-    coefficient; () when both are zero), by the primitive remainder
-    sequence of the kernel's integer gcd."""
-    x, y = _zprimitive(a), _zprimitive(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        x, y = y, _int_prem(x, y)
-    return _zprimitive(x)
-
-
 def _zreduce(den, entries):
     """(den, entries) for the fractions entries / den over Z[u], entries
     nonzero: g, the primitive gcd of den and every entry, is divided out
@@ -462,7 +434,7 @@ def _zreduce(den, entries):
     for e in entries:
         if len(g) == 1:
             break
-        g = _zgcd(g, e)
+        g = _kernel.poly_gcd(g, e)
     if len(g) > 1:
         den = _zdiv(den, g)
         entries = [_zdiv(e, g) for e in entries]

@@ -8,14 +8,13 @@ off the parity sequence.
 
 from fractions import Fraction
 
-from tyang import _kernel
+from tyang._kernel import mat_mul, mat_rref
 from tyang.exactalg import Poly, Rat, rat, rational_roots
 from tyang.superlinalg import (
     SuperSpace,
     charpoly,
     kron_ops,
     mat_identity,
-    mat_mul,
     mat_nullspace,
     mat_scale,
     mat_sub,
@@ -202,7 +201,7 @@ def _coords_in_span(basis, vectors):
     cols = len(basis)
     # Augmented system [B | targets] with basis vectors as the B columns.
     rows = [[basis[k][r] for k in range(cols)] + [v[r] for v in vectors] for r in range(dim)]
-    rref, pivots = _kernel.mat_rref(rows)
+    rref, pivots = mat_rref(rows)
     if any(p >= cols for p in pivots):
         return None
     out = []

@@ -8,12 +8,16 @@ Conventions fixed here and used everywhere else:
   * an operator of parity pi acting on tensor factor k multiplies the basis
     vector v_{i_1} x ... x v_{i_l} by (-1)^(pi * (|i_1| + ... + |i_{k-1}|)),
     the sign being read off the source (column) indices.
+
+Constant matrices are lists of rows of Python ints or Fractions, with
+their products and echelon forms from tyang._kernel; the grid certifier
+check_identity_2var samples integer points.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tyang import _kernel
+from tyang._kernel import mat_mul, mat_rref
 from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
 
 
@@ -62,8 +66,8 @@ def tensor_space(spaces) -> SuperSpace:
 
 
 # ---------------------------------------------------------------------------
-# Constant matrix helpers.  Matrices are lists of rows: of Fractions for
-# the kernel's mat_mul and mat_rref, of Python ints for int_mat_mul.  The
+# Constant matrix helpers.  Matrices are lists of rows, of Python ints or
+# Fractions; products and echelon forms come from tyang._kernel.  The
 # characteristic polynomial and the resolvent clear a rational matrix once
 # (exactalg._zclear) and run in ints from there.
 
@@ -80,31 +84,8 @@ def mat_scale(A, c):
     return [[a * c for a in row] for row in A]
 
 
-def mat_mul(A, B):
-    return _kernel.mat_mul(A, B)
-
-
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
-
-
-def int_mat_mul(A, B):
-    """Product of integer matrices with zero skipping, kept in Python ints.
-
-    Fraction-free chains stay on this helper end to end; converting to and
-    from Fraction inside mat_mul on each call costs more than it saves.
-    """
-    p = len(B[0]) if B else 0
-    out = []
-    for Ai in A:
-        row = [0] * p
-        for a, Bk in zip(Ai, B):
-            if a:
-                for j, b in enumerate(Bk):
-                    if b:
-                        row[j] += a * b
-        out.append(row)
-    return out
 
 
 # Row-sparse matrices: one {col: value} dict per row, zeros left out, the
@@ -157,7 +138,7 @@ def mat_nullspace(A):
     if not A:
         return []
     ncols = len(A[0])
-    rref, pivots = _kernel.mat_rref(A)
+    rref, pivots = mat_rref(A)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:
@@ -172,7 +153,7 @@ def mat_nullspace(A):
 def mat_rank(A):
     if not A:
         return 0
-    return len(_kernel.mat_rref(A)[1])
+    return len(mat_rref(A)[1])
 
 
 def _faddeev_leverrier(A):
@@ -187,7 +168,7 @@ def _faddeev_leverrier(A):
     cs = [1]
     Bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for k in range(1, n + 1):
-        M = int_mat_mul(B, Bs[-1])
+        M = mat_mul(B, Bs[-1])
         c = -sum(M[i][i] for i in range(n)) // k
         cs.append(c)
         if k < n:
@@ -635,16 +616,19 @@ class Grid2Witness:
 def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
     """Certify a two-variable matrix identity on a degree-beating grid.
 
-    lhs_eval and rhs_eval map a rational point (u0, v0) to matrices, and
-    lhs_eval is called exactly once per grid point visited, before rhs_eval.
+    lhs_eval and rhs_eval map an integer point (u0, v0), given as Python
+    ints, to matrices, and lhs_eval is called exactly once per grid point
+    visited, before rhs_eval; bad_u and bad_v are called on ints as well.
     Both sides may carry a common nonzero scale s(u0, v0) (say, integer
     matrices over the product of the factors' denominators): equality of
     s * lhs and s * rhs is equality of the sides, so the verdict is that of
     the unscaled identity.  deg_bound = (d_u, d_v) must dominate the degrees
     of both sides after clearing denominators; equality on a
     (d_u+1) x (d_v+1) product grid of admissible points then certifies the
-    identity.  Returns None on pass and a Grid2Witness on the first failing
-    point, holding the sides as the callbacks returned them (scaled, if
+    identity (Combinatorial Nullstellensatz: any grid of that size does,
+    so integer points carry the whole certificate).  Returns None on pass
+    and a Grid2Witness on the first failing point, holding the point as
+    Fractions and the sides as the callbacks returned them (scaled, if
     they were).
     """
     d_u, d_v = deg_bound
@@ -653,23 +637,21 @@ def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
     while len(us) < d_u + 1:
         if cand > 20000:
             raise GridExhausted("could not place the u-grid")
-        c = Fraction(cand)
-        if bad_u is None or not bad_u(c):
-            us.append(c)
+        if bad_u is None or not bad_u(cand):
+            us.append(cand)
         cand += 2  # odd u-values
     vs = []
     cand = 2
     while len(vs) < d_v + 1:
         if cand > 20000:
             raise GridExhausted("could not place the v-grid")
-        c = Fraction(cand)
-        if bad_v is None or not bad_v(c):
-            vs.append(c)
+        if bad_v is None or not bad_v(cand):
+            vs.append(cand)
         cand += 2  # even v-values, so u-v and u+v never vanish
     for u0 in us:
         for v0 in vs:
             lhs = lhs_eval(u0, v0)
             rhs = rhs_eval(u0, v0)
             if lhs != rhs:
-                return Grid2Witness((u0, v0), lhs, rhs)
+                return Grid2Witness((Fraction(u0), Fraction(v0)), lhs, rhs)
     return None

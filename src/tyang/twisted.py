@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from tyang._kernel import mat_mul, poly_eval, poly_mul
 from tyang.exactalg import (
     Poly,
     RatFun,
     RootSearchBound,
     _neg_u,
     _zadd,
-    _zmul,
     _zneg,
     _zreflect,
     divides,
@@ -45,10 +45,8 @@ from tyang.superlinalg import (
     charpoly,
     check_identity_2var,
     cleared_coefficients,
-    int_mat_mul,
     kron_sum,
     mat_identity,
-    mat_mul,
     mat_nullspace,
     mat_vec,
     rfmat_kernel,
@@ -242,15 +240,14 @@ def verify_b(B: BAction) -> BReport:
     """Certify the reflection equation and the unitarity scalar.
 
     The reflection equation is certified on a degree-beating grid, both
-    sides as integer chains over the scale d_1 d_2 p_- p_+ (B1 = N_1 / d_1,
-    B2 = N_2 / d_2, p_-+ the numerators of u -+ v).  The grid points are
-    integers, so each side is the polynomial matrix
-    p(u-v) p(u+v) N_1(u) N_2(v), in the order of the identity, with
-    p(x) R(x) = x 1 - (1 x P).  With d the cleared degree of B every entry
-    of N has degree at most d, and each of the two R factors adds 1 in each
-    variable: the sides have bidegree at most (d + 2, d + 2), and a
-    (d + 3) x (d + 3) grid certifies the identity (Combinatorial
-    Nullstellensatz).  The product B(u)B(-u)
+    sides as integer chains over the scale d_1 d_2 (u - v) (u + v)
+    (B1 = N_1 / d_1, B2 = N_2 / d_2).  The grid points are integers, so
+    each side is the polynomial matrix (u-v) (u+v) N_1(u) N_2(v), in the
+    order of the identity, with x R(x) = x 1 - (1 x P).  With d the
+    cleared degree of B every entry of N has degree at most d, and each of
+    the two R factors adds 1 in each variable: the sides have bidegree at
+    most (d + 2, d + 2), and a (d + 3) x (d + 3) grid certifies the
+    identity (Combinatorial Nullstellensatz).  The product B(u)B(-u)
     must be a scalar f(u), which is then even (B(-u) B(u) = f(u) 1 is the
     identity at -u).  With B = N / c D over Z[u], P = N(u) N(-u) is formed
     in integers (scalar_product); f = P_11 / (c^2 D(u) D(-u)).
@@ -262,22 +259,20 @@ def verify_b(B: BAction) -> BReport:
     form = B.cleared()
 
     def lhs(u0, v0):  # R(u-v) B1(u) R(u+v) B2(v)
-        return R.left(u0 - v0, int_mat_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
+        return R.left(u0 - v0, mat_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
 
     def rhs(u0, v0):  # B2(v) R(u+v) B1(u) R(u-v)
-        return int_mat_mul(B2(v0)[0], R.left(u0 + v0, R.right(B1(u0)[0], u0 - v0)))
+        return mat_mul(B2(v0)[0], R.left(u0 + v0, R.right(B1(u0)[0], u0 - v0)))
 
     w = check_identity_2var(
         lhs,
         rhs,
         (form.degree + 2, form.degree + 2),
-        bad_u=lambda u: form.den(u) == 0,
-        bad_v=lambda v: form.den(v) == 0,
+        bad_u=lambda u: poly_eval(form.den_coeffs, u) == 0,
+        bad_v=lambda v: poly_eval(form.den_coeffs, v) == 0,
     )
     rep.reflection = scaled_witness(
-        w,
-        lambda u0, v0: B1(u0)[1] * B2(v0)[1] * (u0 - v0).numerator * (u0 + v0).numerator,
-        "reflection",
+        w, lambda u0, v0: B1(u0)[1] * B2(v0)[1] * (u0 - v0) * (u0 + v0), "reflection"
     )
 
     den, f, rep.scalar_ok = scalar_product(form, form.neg_u())
@@ -318,7 +313,7 @@ class BHighestWeight:
         ps, n = self.ctx.ps, self.nums
         out = []
         for i in range(1, len(n) + 1):
-            t = _zmul((-int(ps.rho(i + 1)), 2), n[i - 1])
+            t = poly_mul((-int(ps.rho(i + 1)), 2), n[i - 1])
             for a in range(i + 1, len(n) + 1):
                 t = _zadd(t, n[a - 1] if ps.sign(a) == 1 else _zneg(n[a - 1]))
             out.append(t)
@@ -423,12 +418,12 @@ def verma_conditions(mu: BHighestWeight):
     kk = mu.ctx.kappa
     ps = mu.ctx.ps
     n, d = mu.nums[kk - 1], mu.den
-    if _zmul(n, _neg_u(n)) != _zmul(d, _neg_u(d)):
+    if poly_mul(n, _neg_u(n)) != poly_mul(d, _neg_u(d)):
         return kk
     T = mu.tilde_nums
     for i in range(1, kk):
         r = int(ps.rho(i + 1))
-        if _zmul(T[i - 1], _zreflect(T[i - 1], r)) != _zmul(T[i], _zreflect(T[i], r)):
+        if poly_mul(T[i - 1], _zreflect(T[i - 1], r)) != poly_mul(T[i], _zreflect(T[i], r)):
             return i
     return None
 
@@ -691,12 +686,20 @@ def verify_sufficiency(mu: BHighestWeight, gamma, lams):
 # ---------------------------------------------------------------------------
 # Rank reductions.
 
+def _graded(space: SuperSpace, K) -> SuperSpace:
+    """The grading of the span of K, the RREF basis of a graded subspace of
+    space: each vector of it is homogeneous, of the parity of its nonzero
+    coordinates."""
+    return SuperSpace([space.parity(next(c for c, x in enumerate(v) if x)) for v in K])
+
+
 def reduce_rank(B: BAction, mode, a=None) -> BAction:
     """Induced lower-rank action on the appropriate singular subspace.
 
     mode 'over' drops the first index, 'under' the last (with the shifted
     diagonal correction), 'star' cuts down to the neighbouring pair
-    (a, a+1) with the spectral shift rho_{a+2}/2.
+    (a, a+1) with the spectral shift rho_{a+2}/2.  The reduced family acts
+    on the subspace with its own grading (_graded).
     """
     kk = B.kappa
     ps = B.ps
@@ -710,7 +713,7 @@ def reduce_rank(B: BAction, mode, a=None) -> BAction:
         for i in range(1, kk):
             for j in range(1, kk):
                 b[(i, j)] = restrict_rf(B.b[(i + 1, j + 1)], K)
-        return BAction(ctx, SuperSpace([0] * len(K)), b, ("reduce-over", B, K))
+        return BAction(ctx, _graded(B.space, K), b, ("reduce-over", B, K))
     if mode == "under":
         constraints = [B.b[(i, kk)] for i in range(1, kk)]
         K = rfmat_kernel(constraints)
@@ -726,7 +729,7 @@ def reduce_rank(B: BAction, mode, a=None) -> BAction:
                 if i == j:
                     m = m + B.b[(kk, kk)].shift(half).scale(corr)
                 b[(i, j)] = restrict_rf(m, K)
-        return BAction(ctx, SuperSpace([0] * len(K)), b, ("reduce-under", B, K))
+        return BAction(ctx, _graded(B.space, K), b, ("reduce-under", B, K))
     if mode == "star":
         if a is None or not 1 <= a < kk:
             raise ValueError("star reduction needs 1 <= a < kappa")
@@ -755,7 +758,7 @@ def reduce_rank(B: BAction, mode, a=None) -> BAction:
                     if extra is not None:
                         m = m + extra.scale(corr)
                 b[(i, j)] = restrict_rf(m, K)
-        return BAction(ctx, SuperSpace([0] * len(K)), b, ("reduce-star", B, a, K))
+        return BAction(ctx, _graded(B.space, K), b, ("reduce-star", B, a, K))
     raise ValueError(f"unknown reduction mode {mode!r}")
 
 

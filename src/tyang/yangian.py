@@ -25,28 +25,28 @@ operators that act on a tensor slot: the grid lifts of a family, where R
 acts on V x V, and the coproducts.  Every tensor lift, flip and sum of
 lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
 so all Koszul signs come from that single assembler.
-The grid checks run in integers only.  ScaledR applies
-p R(p/q) = p 1 - q (1 x P) to integer matrices as a signed permutation,
-never assembling 1 x R(x).  cleared_evaluator memoises, per grid
-coordinate, the homogeneous integer evaluation of the cleared
-coefficients at p/q scattered into the lift through an index pattern
+The grid checks run in integers only, at integer points.  ScaledR
+applies x R(x) = x 1 - (1 x P) to integer matrices as a signed
+permutation, never assembling 1 x R(x).  cleared_evaluator memoises, per
+grid coordinate, the values at x of the cleared coefficients
+(_kernel.poly_eval) scattered into the lift through an index pattern
 built once per slot (cleared_at), so both sides of an identity are
-integer chains over one common nonzero scale per point.  full_at, the
-RatFun evaluation assembled in Fraction arithmetic by realize_mixed, is
-the reference they agree with.
+integer chains over one common nonzero scale per point; a family read at
+-u is the family of its form's neg_u.  full_at, the RatFun evaluation
+assembled in Fraction arithmetic by realize_mixed, is the reference they
+agree with.
 """
 
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
+from tyang._kernel import mat_mul, poly_eval, poly_mul
 from tyang.exactalg import (
     Poly,
     PoleError,
     RatFun,
     _zadd,
     _zclear,
-    _zmul,
     _zneg,
     _zreduce,
     rat,
@@ -68,7 +68,6 @@ from tyang.superlinalg import (
     cleared_resolvent,
     common_den,
     elementary,
-    int_mat_mul,
     kron_sum,
     mat_vec,
     rfmat_inverse,
@@ -116,11 +115,12 @@ def r_matrix_at(P, x: Fraction):
 
 
 class ScaledR:
-    """p R(x) = p 1 - q (1 x P) on carrier x V x V at x = p/q, in O(n^2).
+    """x R(x) = x 1 - (1 x P) on carrier x V x V at an integer x, in O(n^2).
 
     P is the graded flip on V x V, a signed permutation, so 1 x P moves
     whole rows (from the left) or columns (from the right) of a matrix up
-    to sign; no R-matrix is assembled.  Both products carry the scale p.
+    to sign; no R-matrix is assembled.  Both products carry the scale x,
+    so x = 0, where the scale would make both sides vanish, is refused.
     """
 
     def __init__(self, P, carrier_dim):
@@ -132,32 +132,22 @@ class ScaledR:
         for i, (j, s) in enumerate(self.rows):
             self.col_src[j], self.col_sign[j] = i, s
 
-    @staticmethod
-    def _pq(x):
-        # A zero scale would make both sides vanish: refuse the pole of R.
+    def left(self, x, M):
+        """x R(x) M."""
         if not x:
             raise ZeroDivisionError("R(x) has a pole at x = 0")
-        return x.numerator, x.denominator
-
-    def left(self, x, M):
-        """p R(x) M."""
-        p, q = self._pq(x)
-        out = []
-        for Mi, (j, s) in zip(M, self.rows):
-            c = q * s
-            out.append([p * a - c * b for a, b in zip(Mi, M[j])])
-        return out
+        return [[x * a - s * b for a, b in zip(Mi, M[j])] for Mi, (j, s) in zip(M, self.rows)]
 
     def right(self, M, x):
-        """M p R(x)."""
-        p, q = self._pq(x)
-        cs = [q * s for s in self.col_sign]
-        return [[p * a - c * Mi[i] for a, i, c in zip(Mi, self.col_src, cs)] for Mi in M]
+        """M x R(x)."""
+        if not x:
+            raise ZeroDivisionError("R(x) has a pole at x = 0")
+        return [[x * a - s * Mi[i] for a, i, s in zip(Mi, self.col_src, self.col_sign)] for Mi in M]
 
 
-def cleared_evaluator(family, slot, negate=False):
-    """x -> (N, d) with family.full_at(x, slot, 2, negate) = N / d, N an
-    integer matrix and d a nonzero integer (SeriesFamily.cleared_at).
+def cleared_evaluator(family, slot):
+    """x -> (N, d) with family.full_at(x, slot, 2) = N / d at an integer x,
+    N an integer matrix and d a nonzero integer (SeriesFamily.cleared_at).
 
     Memoised per grid coordinate and evaluated on first use, so a check
     evaluates each family once per coordinate and a failing one no further
@@ -167,7 +157,7 @@ def cleared_evaluator(family, slot, negate=False):
 
     def at(x):
         if x not in cache:
-            cache[x] = family.cleared_at(x, slot, negate)
+            cache[x] = family.cleared_at(x, slot)
         return cache[x]
 
     return at
@@ -187,16 +177,15 @@ def scaled_witness(w, scale, label):
 class ClearedForm(NamedTuple):
     """A series family over one denominator (cleared_form).
 
-    den is D, the reduced common denominator of the entries, monic, and
-    degree the cleared degree, the largest degree of D and of the
-    D x_ij(u).  One rational factor c, the same for the whole family, makes
-    the coefficients of c D (den_coeffs) and of every c D x_ij(u) integers
+    D is the reduced common denominator of the entries, and degree the
+    cleared degree, the largest degree of D and of the D x_ij(u).  One
+    rational factor c, the same for the whole family, makes the
+    coefficients of c D (den_coeffs) and of every c D x_ij(u) integers
     with no common divisor, the leading one of c D positive; blocks maps
     (i, j) to rows of the coefficient tuples of c D x_ij(u), constant term
     first, None for a zero entry.
     """
 
-    den: Poly
     degree: int
     den_coeffs: tuple
     blocks: dict
@@ -212,17 +201,13 @@ class ClearedForm(NamedTuple):
 
         den = flip(self.den_coeffs)
         blocks = {key: [[e and flip(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
-        return ClearedForm(_monic(den), self.degree, den, blocks)
+        return ClearedForm(self.degree, den, blocks)
 
     def negate_block(self, key) -> "ClearedForm":
         """The form with x_key(u) replaced by -x_key(u), still reduced and
         primitive."""
         rows = [[e and _zneg(e) for e in row] for row in self.blocks[key]]
         return self._replace(blocks={**self.blocks, key: rows})
-
-
-def _monic(den) -> Poly:
-    return Poly([Fraction(c, den[-1]) for c in den])
 
 
 def cleared_form(den, blocks) -> ClearedForm:
@@ -240,7 +225,7 @@ def cleared_form(den, blocks) -> ClearedForm:
     it = iter(entries)
     out = {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
     degree = max([len(den), *map(len, entries)]) - 1
-    return ClearedForm(_monic(den), degree, den, out)
+    return ClearedForm(degree, den, out)
 
 
 def _integral(den, blocks):
@@ -295,16 +280,16 @@ def block_product(A: ClearedForm, B: ClearedForm, mid=None):
     A_ik and B_kj.  Zero blocks are skipped, and a missing key counts as a
     zero block.
     """
-    den = _zmul(A.den_coeffs, B.den_coeffs)
+    den = poly_mul(A.den_coeffs, B.den_coeffs)
     scale = {}
     if mid is not None:
         d, nums = mid
-        den = _zmul(den, d)
+        den = poly_mul(den, d)
         scale = {k: m for k, m in enumerate(nums, 1) if m != (1,)}
     Ab = {}
     for (i, k), rows in A.blocks.items():
         if k in scale:
-            rows = [[(_zmul(e, scale[k]) or None) if e else None for e in row] for row in rows]
+            rows = [[(poly_mul(e, scale[k]) or None) if e else None for e in row] for row in rows]
         if any(map(any, rows)):
             Ab[(i, k)] = rows
     Bb = {key: rows for key, rows in B.blocks.items() if any(map(any, rows))}
@@ -414,14 +399,12 @@ class SeriesFamily:
             }
         return self._t
 
-    def full_at(self, x, slot=1, nslots=1, negate=False):
-        """Numeric full operator at u = x (or at -x when negate is set).
+    def full_at(self, x, slot=1, nslots=1):
+        """Numeric full operator at u = x.
 
         The Fraction reference for cleared_at, which the grid checks use."""
         x = rat(x)
-        grids = {
-            key: m.eval_mat(-x if negate else x) for key, m in self.t.items()
-        }
+        grids = {key: m.eval_mat(x) for key, m in self.t.items()}
         spaces = [self.space] + [self.ps.space()] * nslots
         return realize_mixed(grids, self.ps, spaces, slot)
 
@@ -472,30 +455,21 @@ class SeriesFamily:
             self._lifts[slot] = coeffs, pattern
         return self._lifts[slot]
 
-    def cleared_at(self, x, slot, negate):
-        """(N, d) with full_at(x, slot, 2, negate) = N / d in integers.
+    def cleared_at(self, x, slot):
+        """(N, d) with full_at(x, slot, 2) = N / d in integers, at an
+        integer x.
 
-        At x = p/q (-p/q when negate is set) every cleared entry is the
-        homogeneous sum sum_k c_k p^k q^(deg - k), deg the cleared degree,
-        and d is the same sum over the coefficients of c D; the entries are
-        scattered into the lift by lift_pattern.  Raises PoleError where D
-        vanishes, so d is never zero.
+        Every cleared entry c D x_ij(u) and d = c D(u) are evaluated at x
+        (_kernel.poly_eval), and the entries are scattered into the lift by
+        lift_pattern.  Raises PoleError where D vanishes, so d is never
+        zero.
         """
         form = self.cleared()
         coeffs, pattern = self.lift_pattern(slot)
-        p, q = x.numerator, x.denominator
-        if negate:
-            p = -p
-        deg = form.degree
-        pk, qk = [1], [1]
-        for _ in range(deg):
-            pk.append(pk[-1] * p)
-            qk.append(qk[-1] * q)
-        w = [a * b for a, b in zip(pk, reversed(qk))]
-        d = sum(map(mul, form.den_coeffs, w))
+        d = poly_eval(form.den_coeffs, x)
         if not d:
-            raise PoleError(f"the common denominator vanishes at u = {Fraction(p, q)}")
-        vals = [sum(map(mul, cs, w)) for cs in coeffs]
+            raise PoleError(f"the common denominator vanishes at u = {x}")
+        vals = [poly_eval(cs, x) for cs in coeffs]
         values = [0, *vals, *(-v for v in reversed(vals))].__getitem__
         return [list(map(values, row)) for row in pattern], d
 
@@ -621,11 +595,11 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         # that q (u - z) is integral.
         w = (-z.numerator, z.denominator)
         blocks = {
-            (i, j): [[_zmul(w, e) for e in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
+            (i, j): [[poly_mul(w, e) for e in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
             for i in idx
             for j in idx
         }
-        T._tprime = TPrimeAction(ps, T.space, cleared_form(_zmul(den, w[1:]), blocks))
+        T._tprime = TPrimeAction(ps, T.space, cleared_form(poly_mul(den, w[1:]), blocks))
         return T._tprime
     layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
     inv = rfmat_inverse(RFMatrix(layout)).entries
@@ -678,7 +652,7 @@ def _apply_rows(rows, z):
         acc = ()
         for e, x in zip(row, z):
             if e and x:
-                acc = _zadd(acc, _zmul(e, (x,)))
+                acc = _zadd(acc, poly_mul(e, (x,)))
         out.append(acc)
     return out
 
@@ -711,10 +685,10 @@ def highest_eigenseries(family: SeriesFamily, xi, letter):
     nums = []
     for i in range(1, kk + 1):
         w = _apply_rows(form.blocks[(i, i)], z)
-        if any(_zmul(wq, zp) != _zmul(w[p], (zq,) if zq else ()) for wq, zq in zip(w, z)):
+        if any(poly_mul(wq, zp) != poly_mul(w[p], (zq,) if zq else ()) for wq, zq in zip(w, z)):
             raise NotHighest(f"{letter}_{i}{i}(u) is not scalar on the vector")
         nums.append(w[p])
-    return tuple(nums), _zmul(form.den_coeffs, zp)
+    return tuple(nums), poly_mul(form.den_coeffs, zp)
 
 
 def highest_lweight(T: TAction, xi):
@@ -794,14 +768,10 @@ def verify_rtt(T: TAction):
     or the first Grid2Witness, labelled with which identity failed.
     """
     R = ScaledR(flip_at(T.ps, 1, 2, 2), T.dim)
-    Tp = inverse_series_action(T)
-    # (slot-1 and slot-2 evaluators, common denominator, cleared degree,
-    # evaluated at minus the point) of T and T'; the three identities share
-    # the caches.
-    fam, inv = (
-        (cleared_evaluator(F, 1, neg), cleared_evaluator(F, 2, neg), F.cleared().den, F.cleared().degree, neg)
-        for F, neg in ((T, False), (Tp, True))
-    )
+    Tpn = TPrimeAction(T.ps, T.space, inverse_series_action(T).cleared().neg_u())
+    # (slot-1 and slot-2 evaluators, cleared form) of T(u) and T'(-u); the
+    # three identities share the caches.
+    fam, inv = ((cleared_evaluator(F, 1), cleared_evaluator(F, 2), F.cleared()) for F in (T, Tpn))
     for label, first, second in (
         ("exchange", fam, fam),
         ("mixed-left", inv, fam),
@@ -818,34 +788,34 @@ def _rtt_check(R, label, first, second):
 
     (X, Y, Z) is (R(u-v), A1(u), B2(v)) for the exchange relation and
     (A1(u), R(u+v), B2(v)) for the mixed ones.  Both sides are integer
-    chains over the scale d_A d_B p, with A1 = N_A / d_A, B2 = N_B / d_B
-    and p R(x) applied by ScaledR.
+    chains over the scale d_A d_B x, with A1 = N_A / d_A, B2 = N_B / d_B
+    and x R(x) applied by ScaledR.
 
     The grid points are integers, so each side is the polynomial matrix
-    p(u -+ v) N_A(u) N_B(v), in the order of the identity, with
-    p(x) R(x) = x 1 - (1 x P).  Every entry of N_A has degree at most
+    (u -+ v) N_A(u) N_B(v), in the order of the identity, with
+    x R(x) = x 1 - (1 x P).  Every entry of N_A has degree at most
     deg_A, the cleared degree of A, and the one R factor adds 1 in each
     variable: the sides have bidegree at most (deg_A + 1, deg_B + 1), and a
     (deg_A + 2) x (deg_B + 2) grid certifies the identity (Combinatorial
     Nullstellensatz).
     """
-    (A1, _, dA, deg_a, neg_a), (_, B2, dB, deg_b, neg_b) = first, second
+    (A1, _, form_a), (_, B2, form_b) = first, second
     if label == "exchange":
         x = lambda u0, v0: u0 - v0
-        lhs = lambda u0, v0: R.left(x(u0, v0), int_mat_mul(A1(u0)[0], B2(v0)[0]))
-        rhs = lambda u0, v0: R.right(int_mat_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
+        lhs = lambda u0, v0: R.left(x(u0, v0), mat_mul(A1(u0)[0], B2(v0)[0]))
+        rhs = lambda u0, v0: R.right(mat_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
     else:
         x = lambda u0, v0: u0 + v0
-        lhs = lambda u0, v0: int_mat_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
-        rhs = lambda u0, v0: int_mat_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
+        lhs = lambda u0, v0: mat_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
+        rhs = lambda u0, v0: mat_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
     w = check_identity_2var(
         lhs,
         rhs,
-        (deg_a + 1, deg_b + 1),
-        bad_u=lambda u: dA(-u if neg_a else u) == 0,
-        bad_v=lambda v: dB(-v if neg_b else v) == 0,
+        (form_a.degree + 1, form_b.degree + 1),
+        bad_u=lambda u: poly_eval(form_a.den_coeffs, u) == 0,
+        bad_v=lambda v: poly_eval(form_b.den_coeffs, v) == 0,
     )
-    return scaled_witness(w, lambda u0, v0: A1(u0)[1] * B2(v0)[1] * x(u0, v0).numerator, label)
+    return scaled_witness(w, lambda u0, v0: A1(u0)[1] * B2(v0)[1] * x(u0, v0), label)
 
 
 def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
@@ -870,8 +840,7 @@ def verify_yang_baxter(ps: ParitySeq):
 
     Each side applies the three factors, as ScaledR on a one-dimensional
     carrier, to the integer identity matrix, so both are integer matrices
-    over the scale p(u-v) p(u) p(v) of numerators.  At the integer grid
-    points they are the polynomial matrices (u - v - P12)(u - P13)(v - P23)
+    over the scale (u-v) u v.  At the integer grid points they are the polynomial matrices (u - v - P12)(u - P13)(v - P23)
     and its reverse, of bidegree at most (2, 2): two R factors in each
     variable, so a 3 x 3 grid certifies the identity.  Returns None on pass
     or the Grid2Witness labelled "yang-baxter".
@@ -882,9 +851,7 @@ def verify_yang_baxter(ps: ParitySeq):
     lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
     rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
     w = check_identity_2var(lhs, rhs, (2, 2), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
-    return scaled_witness(
-        w, lambda u0, v0: (u0 - v0).numerator * u0.numerator * v0.numerator, "yang-baxter"
-    )
+    return scaled_witness(w, lambda u0, v0: (u0 - v0) * u0 * v0, "yang-baxter")
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,10 @@ def rf_block_product(A, B, mid=None):
 
 
 def rf_cleared_form(t):
-    """(den, degree, den_coeffs, blocks) of a ClearedForm read off the
-    RatFun blocks t: D the lcm of the reduced denominators, and one
-    rational factor c making c D and every c D x_ij integral, primitive,
-    with c > 0."""
+    """(degree, den_coeffs, blocks) of a ClearedForm read off the RatFun
+    blocks t: D the lcm of the reduced denominators, and one rational
+    factor c making c D and every c D x_ij integral, primitive, with
+    c > 0."""
     D = common_den(e for m in t.values() for row in m.entries for e in row)
     polys = {key: [[e.num * (D // e.den) if e else None for e in row] for row in m.entries] for key, m in t.items()}
     every = [D] + [p for rows in polys.values() for row in rows for p in row if p is not None]
@@ -139,7 +139,7 @@ def rf_cleared_form(t):
         return tuple(c.numerator * (scale // c.denominator) // content for c in p.coeffs)
 
     blocks = {key: [[None if p is None else ints(p) for p in row] for row in rows] for key, rows in polys.items()}
-    return D, max(p.degree for p in every), ints(D), blocks
+    return max(p.degree for p in every), ints(D), blocks
 
 
 def trimmed(coeffs):
@@ -268,17 +268,17 @@ def _zpoly(monoms):
     return sympy.Poly.from_dict(monoms, U, V, domain="ZZ")
 
 
-def _x_poly(coeffs, var, negate=False):
+def _x_poly(coeffs, var):
     """The integer coefficient tuple coeffs (constant term first) as a
-    polynomial in var (U or V), at -var when negate is set."""
+    polynomial in var (U or V)."""
     at = (lambda k: (k, 0)) if var is U else (lambda k: (0, k))
-    return _zpoly({at(k): -c if negate and k % 2 else c for k, c in enumerate(coeffs) if c})
+    return _zpoly({at(k): c for k, c in enumerate(coeffs) if c})
 
 
-def sym_lift(family, slot, var, negate=False):
+def sym_lift(family, slot, var):
     """The cleared numerator N of the family's lift to carrier x V x V, the
-    V factor of the family at slot (1 or 2), as a polynomial matrix in var
-    (at -var when negate is set): sum_ij (-1)^(|i||j|+|j|) N_ij x E_ij,
+    V factor of the family at slot (1 or 2), as a polynomial matrix in var:
+    sum_ij (-1)^(|i||j|+|j|) N_ij x E_ij,
     E_ij carrying the Koszul sign of passing the column parities of the
     factors before it.  Basis (m, a, b) is row (m kappa + a) kappa + b."""
     ps, form = family.ps, family.cleared()
@@ -290,7 +290,7 @@ def sym_lift(family, slot, var, negate=False):
             for m2, e in enumerate(row):
                 if not e:
                     continue
-                x = _x_poly(e, var, negate) * _block_sign(ps, i, j)
+                x = _x_poly(e, var) * _block_sign(ps, i, j)
                 for a in range(k):
                     if slot == 1:
                         r, c, passed = (m, i - 1, a), (m2, j - 1, a), cp[m2]
@@ -318,7 +318,7 @@ def sym_flip(ps, a, b, n):
 
 
 def _numerator_r(x, flip, carrier_dim, size):
-    """p(x) R(x) = x 1 - (1 x P) on carrier x V^n, x a polynomial."""
+    """x R(x) = x 1 - (1 x P) on carrier x V^n, x a polynomial."""
     out = {(r, r): x for r in range(carrier_dim * size)}
     for m in range(carrier_dim):
         for (r, c), s in flip.items():
@@ -342,16 +342,14 @@ def sym_mul(*factors):
     return out
 
 
-def sym_rtt_sides(label, first, second):
+def sym_rtt_sides(label, A, B):
     """(lhs, rhs) of one identity of yangian.verify_rtt with the grid's
-    scale, p(u -+ v) N_A(u) N_B(v): the exchange relation
+    scale, (u -+ v) N_A(u) N_B(v): the exchange relation
     R(u-v) A1(u) B2(v) = B2(v) A1(u) R(u-v) or a mixed one
-    A1(u) R(u+v) B2(v) = B2(v) R(u+v) A1(u).  first and second are
-    (family, negate) pairs: A evaluated at u (at -u when negate is set) on
-    slot 1, B at v on slot 2."""
-    (A, neg_a), (B, neg_b) = first, second
+    A1(u) R(u+v) B2(v) = B2(v) R(u+v) A1(u), for the families A on slot 1
+    and B on slot 2 (T'(-u) is the family of its form's neg_u)."""
     ps = A.ps
-    A1, B2 = sym_lift(A, 1, U, neg_a), sym_lift(B, 2, V, neg_b)
+    A1, B2 = sym_lift(A, 1, U), sym_lift(B, 2, V)
     flip = sym_flip(ps, 1, 2, 2)
     if label == "exchange":
         R = _numerator_r(_zpoly({(1, 0): 1, (0, 1): -1}), flip, A.dim, ps.kappa ** 2)
@@ -362,7 +360,7 @@ def sym_rtt_sides(label, first, second):
 
 def sym_reflection_sides(B):
     """(lhs, rhs) of the reflection equation with the grid's scale,
-    p(u-v) p(u+v) N_1(u) N_2(v): R(u-v) B1(u) R(u+v) B2(v) and
+    (u-v) (u+v) N_1(u) N_2(v): R(u-v) B1(u) R(u+v) B2(v) and
     B2(v) R(u+v) B1(u) R(u-v)."""
     ps = B.ps
     flip = sym_flip(ps, 1, 2, 2)
@@ -374,7 +372,7 @@ def sym_reflection_sides(B):
 
 def sym_yang_baxter_sides(ps, flips=None):
     """(lhs, rhs) of the braid identity with the grid's scale
-    p(u-v) p(u) p(v): R12(u-v) R13(u) R23(v) and R23(v) R13(u) R12(u-v) on
+    (u-v) u v: R12(u-v) R13(u) R23(v) and R23(v) R13(u) R12(u-v) on
     V x V x V.  flips maps (a, b) to the flip of factors a, b as
     {(row, col): sign}; sym_flip by default."""
     flips = flips or {ab: sym_flip(ps, *ab, 3) for ab in ((1, 2), (1, 3), (2, 3))}

@@ -106,6 +106,7 @@ GOLDEN_REPORTS = {
     "drinfeld-principal-l2.json": (0, "2d21645abba2b9eea638b81eb1845952a550c64f48a61e8ce68715c384a9074b"),
     "rank1-L12.json": (0, "d349d7f5e9c5cf426e5eb22ba9ff51f5739754d7030a1757bb0fc39fc7d25bbd"),
     "reduce-over-L12.json": (0, "25cede47cc2091d13c20e238a0a625a41a33d040f008c0d190feda3c8adf2729"),
+    "reduce-under-vector-odd.json": (0, "24ec85e0d03f96deb9f0ba10919a2b31239ed9f5b5c1ce2bba37b2a255384b93"),
     "twisted-L12-cgamma.json": (0, "d6a3936f93331abf40083397752f11875e53bb9abe533568f44c7a633e0ea412"),
     "twisted-json-L12.json": (0, "49685d45b7716d9b2a6cd320208d7265e6638efcce68e0f409fd4297a2026b3b"),
     "twisted-negative-control.json": (1, "b52f5e80d29570423bf79cb52ab973234a7442bf81722b16a2f7caa07cfe3f1c"),

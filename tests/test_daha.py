@@ -28,7 +28,8 @@ from tyang.daha import (
     w_sigma,
     w_zeta,
 )
-from tyang.superlinalg import _dense, mat_mul, sparse_mul
+from tyang._kernel import mat_mul
+from tyang.superlinalg import _dense, sparse_mul
 
 from support import ref_center_check, ref_induced_y, ref_sf_presentation, ref_verify_daha
 
@@ -118,8 +119,6 @@ class TestSfPresentation:
         assert fail is None
 
     def test_last_flip_anticommutes_everywhere(self):
-        from tyang.superlinalg import mat_mul
-
         for build in (
             lambda: char_module(DahaParams(2, 1, 2), -1, 1),
             lambda: principal_series(DahaParams(2, 1, 2), [F(3), F(1)]),

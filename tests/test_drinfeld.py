@@ -9,6 +9,7 @@ from support import q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_f
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
+from tyang._kernel import mat_mul, poly_mul
 from tyang.daha import DahaModule, DahaParams, char_module, principal_series, restrict_to_type_a
 from tyang.exactalg import Poly, RatFun
 from tyang.glmn import ParitySeq, make_vector_rep
@@ -29,8 +30,8 @@ from tyang.superlinalg import (
     _dense,
     kron_ops,
     mat_identity,
-    mat_mul,
     rfmat_inverse,
+    sparse_add,
     tensor_space,
 )
 from tyang.twisted import BAction, TwistedContext, b_from_T, find_highest_space, highest_bweight, verify_b
@@ -228,6 +229,22 @@ class TestExpansionNegativeControls:
         res = bchi_expansion_check(M, ps, eps)
         assert res is not None and res[0] == 1
 
+    @pytest.mark.parametrize("ps, eps, module", [case for case in CASES if len(set(case[1])) == 2])
+    def test_perturbed_transformed_family_fails_order_two(self, monkeypatch, ps, eps, module):
+        # Order 2 alone reads the transformed family ybar_k; ybar_1 + 1 in
+        # place of ybar_1 moves that coefficient off the quotient subspace
+        # at the first pair (i, j) with eps_i != eps_j.
+        M = self._module(*module)
+        orig = drinfeld.sf_presentation
+
+        def perturbed(M):
+            ys, fail = orig(M)
+            return [sparse_add(ys[0], [{r: 1} for r in range(M.dim)])] + ys[1:], fail
+
+        monkeypatch.setattr(drinfeld, "sf_presentation", perturbed)
+        i, j = next((i, j) for i in range(1, ps.kappa + 1) for j in range(1, ps.kappa + 1) if eps[i - 1] != eps[j - 1])
+        assert bchi_expansion_check(M, ps, eps) == (2, (i, j))
+
 
 class TestCouplingPattern:
     """The tagged pattern of Q^(k), read with the four weightings that
@@ -389,7 +406,7 @@ class TestSerialization:
         data = drinfeld_to_json(D)
         assert data["action"]["kind"] == "twisted"
         json.dumps(data)  # stays JSON-serializable
-        from tyang.superlinalg import mat_mul, mat_identity
+        from tyang.superlinalg import mat_identity
 
         assert mat_mul(D.projection, D.section) == mat_identity(D.dim)
 
@@ -613,13 +630,13 @@ def _poly_coeffs(p):
 
 
 class TestIntegerPolyHelpers:
-    """The Z[u] helpers the series product uses, _zmul and _zadd (from
-    exactalg), agree with Poly multiplication and addition."""
+    """The Z[u] helpers the series product uses, _kernel.poly_mul and
+    exactalg._zadd, agree with Poly multiplication and addition."""
 
     @settings(max_examples=200, deadline=None)
     @given(INT_COEFFS, INT_COEFFS)
     def test_convolution_is_poly_product(self, a, b):
-        assert exactalg._zmul(a, b) == _poly_coeffs(Poly(a) * Poly(b))
+        assert poly_mul(a, b) == _poly_coeffs(Poly(a) * Poly(b))
 
     @settings(max_examples=200, deadline=None)
     @given(INT_COEFFS, INT_COEFFS, st.integers(0, 2))

@@ -127,12 +127,12 @@ def test_rtt_bounds_and_verdicts(grid_calls, name):
     assert (w is None) == passes
     # verify_rtt stops at the first failing identity.
     assert len(grid_calls) == (3 if passes else RTT_ORDER.index(w.label) + 1)
-    Tp = inverse_series_action(T)
-    pairs = {"exchange": ((T, False), (T, False)), "mixed-left": ((Tp, True), (T, False)),
-             "mixed-right": ((T, False), (Tp, True))}
+    # T'(-u), as verify_rtt evaluates it: the family of its form's neg_u.
+    Tpn = TPrimeAction(T.ps, T.space, inverse_series_action(T).cleared().neg_u())
+    pairs = {"exchange": (T, T), "mixed-left": (Tpn, T), "mixed-right": (T, Tpn)}
     for label, call in zip(RTT_ORDER, grid_calls):
         first, second = pairs[label]
-        assert call[0] == (first[0].cleared().degree + 1, second[0].cleared().degree + 1)
+        assert call[0] == (first.cleared().degree + 1, second.cleared().degree + 1)
         assert_matches_oracle(call, sym_rtt_sides(label, first, second), tight=passes)
 
 

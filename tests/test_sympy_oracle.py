@@ -12,8 +12,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tyang._kernel import mat_rref
-from tyang.exactalg import Poly, RatFun, _zadd, _zmul, _zreduce, rational_roots
+from tyang._kernel import mat_rref, poly_mul
+from tyang.exactalg import Poly, RatFun, _zadd, _zreduce, rational_roots
 from tyang.superlinalg import charpoly, cleared_resolvent, mat_nullspace
 
 U = sympy.Symbol("u")
@@ -87,8 +87,8 @@ class TestCharpolyAndResolvent:
             for c in range(n):
                 acc = ()
                 for k in range(n):
-                    acc = _zadd(acc, _zmul(R[r][k], M[k][c]))
-                assert acc == (_zmul((s,), d) if r == c else ())
+                    acc = _zadd(acc, poly_mul(R[r][k], M[k][c]))
+                assert acc == (poly_mul((s,), d) if r == c else ())
 
     @settings(max_examples=50, deadline=None)
     @given(rational_matrices())
@@ -159,7 +159,7 @@ class TestNormalFormAgainstSympy:
         # Every fraction e / den keeps its value; den gets a positive
         # leading coefficient and shares no content and no factor with
         # the entries.
-        den, entries = _zmul(tuple(den), tuple(common)), [_zmul(tuple(e), tuple(common)) for e in entries]
+        den, entries = poly_mul(tuple(den), tuple(common)), [poly_mul(tuple(e), tuple(common)) for e in entries]
         d, es = _zreduce(den, entries)
         assert d[-1] > 0
         assert gcd(*d, *(x for e in es for x in e)) == 1
@@ -167,7 +167,7 @@ class TestNormalFormAgainstSympy:
         for e in es:
             g = sympy.gcd(g, sym_poly(e))
         assert g.degree() == 0
-        assert all(_zmul(e, den) == _zmul(e0, d) for e, e0 in zip(es, entries))
+        assert all(poly_mul(e, den) == poly_mul(e0, d) for e, e0 in zip(es, entries))
 
 
 class TestSeriesAgainstSympy:
@@ -242,8 +242,8 @@ def polys_with_many_divisors(draw):
     lead = draw(st.sampled_from([1, 720, 5040, 55440, 720720, 7207200, -360360]))
     f = (lead,)
     for a, b in roots:
-        f = _zmul(f, (-a, b))
-    f = _zmul(f, tuple(cof))
+        f = poly_mul(f, (-a, b))
+    f = poly_mul(f, tuple(cof))
     assume(abs(f[0]) < 10**10 and abs(f[-1]) < 10**10)
     return Poly(f)
 

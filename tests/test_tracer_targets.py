@@ -6,6 +6,8 @@ nothing is written under perfbench/.
 
 import importlib
 import os
+import subprocess
+import sys
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracer.py")
 
@@ -27,3 +29,20 @@ def test_every_span_and_counter_target_resolves():
     found = tracer["originals"]()
     assert len(found) == len(targets) + 1
     assert all(callable(f) for f in found)
+
+
+def test_install_patches_every_slot():
+    # install() refuses a traced function bound as a default argument or a
+    # closure cell, which would stop every traced benchmark pass.  It
+    # patches tyang's modules in place, so it runs in a child interpreter.
+    src = os.path.join(os.path.dirname(TRACER), "..", "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        f"ns = {{'__name__': 'perfbench_tracer'}}\n"
+        f"exec(compile(open({TRACER!r}).read(), {TRACER!r}, 'exec'), ns)\n"
+        "print(ns['Tracer']().install().patched)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 0

@@ -5,9 +5,10 @@ import pytest
 
 from support import assemble, bweight_from_series, read_blocks
 
+from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, weight_decompose, _coords_in_span
-from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_mul, mat_vec
+from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec
 from tyang.yangian import (
     NotHighest,
     evaluation_action,
@@ -487,6 +488,31 @@ class TestReductions:
         for i in (1, 2):
             want = restrict_rf(B.tilde_operator(i).shift(shift), K)
             assert St.tilde_operator(i) == want
+
+    @pytest.mark.parametrize("ps", list(itertools.product((1, -1), repeat=3)))
+    def test_reduced_space_carries_the_grading(self, ps):
+        # Every kappa = 3 vector module at z = 1/3, each eps, each mode: the
+        # reduced family satisfies the relations on its graded subspace.  A
+        # singular subspace with an odd vector labelled even fails them.
+        T = evaluation_action(make_vector_rep(ParitySeq(ps)), Fraction(1, 3))
+        for eps in itertools.product((1, -1), repeat=3):
+            B = b_from_T(T, TwistedContext(T.ps, eps))
+            for mode, a in (("over", None), ("under", None), ("star", 1), ("star", 2)):
+                red = reduce_rank(B, mode, a)
+                K = red.provenance[-1]
+                for v, p in zip(K, red.space.parities):
+                    assert {B.space.parity(c) for c, x in enumerate(v) if x} == {p}
+                assert verify_b(red).ok, (eps, mode, a)
+
+    def test_star_on_kappa_two_keeps_the_odd_vector(self):
+        # The star reduction at a = 1 on kappa = 2 cuts nothing: the reduced
+        # family is B itself, on its own graded space.
+        ps = ParitySeq([1, -1])
+        B = b_from_T(evaluation_action(make_vector_rep(ps), Fraction(1, 3)), TwistedContext(ps, [1, -1]))
+        red = reduce_rank(B, "star", 1)
+        assert red.space == B.space == SuperSpace([0, 1])
+        assert red.b == B.b
+        assert verify_b(red).ok
 
     def test_empty_subspace_raises(self, b_l12):
         # A family whose off-diagonal series has trivial kernel.
