@@ -294,7 +294,7 @@ def pipe_verify_twisted(inputs, max_dim):
         checks.append(failed or _check("highest-weight", HIGHEST_ANCHOR, True,
                                        data={"mu": [rf_to_json(m) for m in mu.mus]}))
         if not failed:
-            bad = twisted_mod.verma_conditions(mu)
+            bad = twisted_mod.verma_conditions(mu, rep.f)
             checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                                  None if bad is None else {"index": bad}))
     return checks
@@ -314,7 +314,8 @@ def pipe_classify(inputs, max_dim):
     if failed:
         return [failed]
     checks = []
-    bad = twisted_mod.verma_conditions(mu)
+    f, _scalar = twisted_mod.unitarity_scalar(B)
+    bad = twisted_mod.verma_conditions(mu, f)
     checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                          None if bad is None else {"index": bad}))
     cert = twisted_mod.classify_rank1(mu)
@@ -350,13 +351,8 @@ def pipe_reduce(inputs, max_dim):
     checks.append(_check("reduced-relations", "relations of the lower-rank family on the subspace",
                          rep.ok, _witness_json(rep.reflection)))
     if mode == "star":
-        K = red.provenance[3]
-        shift = B.ps.rho(a + 2) / 2
-        ok = all(
-            red.tilde_operator(i) == twisted_mod.restrict_rf(B.tilde_operator(a + i - 1).shift(shift), K)
-            for i in (1, 2)
-        )
-        checks.append(_check("tilde-shift", "spectral shift of the diagonal combinations", ok))
+        checks.append(_check("tilde-shift", "spectral shift of the diagonal combinations",
+                             twisted_mod.star_tilde_shift(B, red, a)))
     return checks
 
 

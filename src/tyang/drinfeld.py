@@ -30,11 +30,10 @@ import operator
 from fractions import Fraction
 
 from tyang._kernel import mat_mul, mat_rref, poly_mul
-from tyang.exactalg import RatFun, _neg_u, _zadd, _zclear, _zneg, rat
+from tyang.exactalg import _neg_u, _zadd, _zclear, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
-    RFMatrix,
     SuperSpace,
     _dense,
     _kron_rows,
@@ -45,7 +44,7 @@ from tyang.superlinalg import (
     kron_ops,
     kron_sum,
     mat_rank,
-    rfmat_kernel,
+    poly_kernel,
     sparse_add,
     sparse_mul,
     sparse_scale,
@@ -753,27 +752,32 @@ def functor_tensor_check(M1: DahaModule, M2: DahaModule, ps: ParitySeq, eps, eps
 
 
 def _intertwiner(lhs: BAction, rhs: BAction):
-    """An invertible X with lhs_ij(u) X = X rhs_ij(u), or None."""
+    """An invertible X with lhs_ij(u) X = X rhs_ij(u), or None.
+
+    With lhs = N / d and rhs = M / e over Z[u], X intertwines exactly when
+    e N_ij X - d X M_ij = 0 identically for every block: integer rows on
+    the n^2 entries of X (row r n + c reads e N[r][a] at X[a][c] and
+    -d M[b][c] at X[r][b]), whose common constant kernel (poly_kernel) is
+    the space of intertwiners.
+    """
     n = lhs.dim
-    ops = []
-    for key in sorted(lhs.b):
-        A = lhs.b[key]
-        Bm = rhs.b[key]
-        # X -> A X - X B on the n^2 entries of X: row r n + c of A X - X B
-        # reads A[r][a] at X[a][c] and -B[b][c] at X[r][b].
-        ent = [[RatFun.zero()] * (n * n) for _ in range(n * n)]
+    A, B = lhs.cleared(), rhs.cleared()
+    rows = []
+    for key in sorted(A.blocks):
+        NA, NB = A.blocks[key], B.blocks[key]
         for r in range(n):
             for c in range(n):
-                row = ent[r * n + c]
+                row = [()] * (n * n)
                 for a in range(n):
-                    row[a * n + c] = A[r, a]
+                    if NA[r][a]:
+                        row[a * n + c] = poly_mul(B.den_coeffs, NA[r][a])
                 for b in range(n):
-                    if Bm[b, c]:
-                        row[r * n + b] = row[r * n + b] - Bm[b, c]
-        ops.append(RFMatrix(ent))
-    if all(M.is_zero() for M in ops):
+                    if NB[b][c]:
+                        row[r * n + b] = _zadd(row[r * n + b], _zneg(poly_mul(A.den_coeffs, NB[b][c])))
+                rows.append(row)
+    if not any(map(any, rows)):
         return None
-    basis = rfmat_kernel(ops)
+    basis = poly_kernel(rows, n * n)
     for v in basis:
         X = [[v[r * n + c] for c in range(n)] for r in range(n)]
         if mat_rank(X) == n:

@@ -5,10 +5,10 @@ construction (polynomials carry no trailing zeros, rational functions have a
 monic denominator coprime to the numerator), so structural equality is
 mathematical equality.  Cleared data lives in Z[u], as integer coefficient
 tuples: tyang._kernel multiplies, evaluates and takes primitive gcds of
-them, and the helpers below add, negate and reflect them (_zadd, _zneg,
-_neg_u, the reflection p(r - u) _zreflect), divide exactly (_zdiv) and
-normalise (_zreduce); _zclear brings rational data there, over one common
-scale.  A RatFun is normalized the same way: cleared, reduced by
+them, and the helpers below add, negate and substitute into them (_zadd,
+_zneg, _neg_u, and _zcompose for a linear argument, say p(r - u)),
+divide exactly (_zdiv) and normalise (_zreduce); _zclear brings rational
+data there, over one common scale.  A RatFun is normalized the same way: cleared, reduced by
 _zreduce, then divided by the leading coefficient of its denominator.
 Poly arithmetic over the rationals runs through the same kernels, and its
 gcd through Z[u].
@@ -380,14 +380,17 @@ def _zclear(seqs):
     return s, [tuple(x.numerator * (s // x.denominator) for x in q) for q in seqs]
 
 
-def _zreflect(p, r):
-    """p(r - u) on an integer coefficient tuple, for an integer r: the
-    Taylor shift of p(-u) by -r, in place on its coefficients."""
-    a = list(_neg_u(p))
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] -= r * a[j + 1]
-    return tuple(a)
+def _zcompose(p, a, b, q=1, n=None):
+    """q^n p((a u + b) / q) on an integer coefficient tuple p, for integers
+    a, b and q and n at least the degree of p (its degree by default):
+    sum_k p_k (a u + b)^k q^(n - k), by Horner's rule.  p(r - u) is
+    _zcompose(p, -1, r), and q^n p(u + b/q) the Taylor shift of a cleared
+    family (yangian.ClearedForm.shift)."""
+    n = len(p) - 1 if n is None else n
+    acc = ()
+    for k in range(n, -1, -1):
+        acc = _zadd(_kernel.poly_mul(acc, (b, a)), (p[k] * q ** (n - k),) if k < len(p) else ())
+    return acc
 
 
 def _zadd(a, b):
@@ -497,15 +500,18 @@ def _deflate(f, a, b):
 def rational_roots(p: Poly):
     """All rational roots with multiplicities, plus the root-free cofactor.
 
-    A root a/b in lowest terms of the integer form f of p has a dividing
+    A root a/b in lowest terms of the primitive integer form f of p (p
+    cleared of denominators, then divided by its content) has a dividing
     the trailing and b the leading coefficient, and b u - a divides f in
     Z[u] (Gauss's lemma: b u - a is primitive), so b - a divides f(1) and
     b + a divides f(-1).  The coprime pairs (a, b) are scanned lazily,
     with no candidate set; +-a/b is evaluated, as a homogeneous integer
     sum, only when it passes those tests (_may_vanish), and each root found
     is divided out of f in integers before the scan goes on, so the
-    deflated f tests the rest.  A coefficient above ROOT_SEARCH_BOUND in
-    absolute value raises RootSearchBound before any divisor is listed.
+    deflated f tests the rest.  A trailing or leading coefficient of f
+    above ROOT_SEARCH_BOUND in absolute value raises RootSearchBound before
+    any divisor is listed; dividing out the content first lets c (1 + u^3)
+    through at any c.
     The returned cofactor has no rational roots and the product of the
     linear factors times the cofactor equals p up to the (preserved)
     leading coefficient.
@@ -523,6 +529,8 @@ def rational_roots(p: Poly):
         roots.append((Fraction(0), mult0))
     if work.degree >= 1:
         _s, [f] = _zclear([work.coeffs])
+        g = gcd(*f)
+        f = [x // g for x in f]
         for c in (f[0], f[-1]):
             if abs(c) > ROOT_SEARCH_BOUND:
                 raise RootSearchBound(

@@ -9,7 +9,7 @@ off the parity sequence.
 from fractions import Fraction
 
 from tyang._kernel import mat_mul, mat_rref
-from tyang.exactalg import Poly, Rat, rat, rational_roots
+from tyang.exactalg import rat, rational_roots
 from tyang.superlinalg import (
     SuperSpace,
     charpoly,

@@ -150,6 +150,24 @@ def mat_nullspace(A):
     return basis
 
 
+def poly_kernel(rows, ncols):
+    """Basis of the constant vectors x with r(u) . x = 0 for every row r of
+    integer coefficient tuples (None or () for zero): the nullspace
+    (mat_nullspace) of the u^k coefficient vectors of the rows, or the
+    identity when every row is zero.  Scaling a row by a nonzero
+    polynomial keeps its kernel, and mat_nullspace reads the basis off the
+    reduced echelon form, which depends only on the row space, so the basis
+    does not depend on how the rows were cleared."""
+    zero = Fraction(0)
+    vecs = []
+    for row in rows:
+        for k in range(max((len(e) for e in row if e), default=0)):
+            v = [Fraction(e[k]) if e and k < len(e) else zero for e in row]
+            if any(v):
+                vecs.append(v)
+    return mat_nullspace(vecs) if vecs else mat_identity(ncols)
+
+
 def mat_rank(A):
     if not A:
         return 0

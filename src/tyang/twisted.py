@@ -5,16 +5,19 @@ Every B-action here arises either through the twist embedding
 B(u) = T(u) G T(-u)^{-1}, through the one-dimensional family, or through the
 coideal tensor construction; the abstract algebra is never represented.
 BAction is a SeriesFamily like T(u), so evaluation, assembly and degree data
-are shared.  B(u) from T(u) and the unitarity product B(u) B(-u) are block
-products of cleared families over Z[u] (yangian.block_product), and the
-irreducibility test reads B's coefficients off its cleared form.  Highest
-weights are read off it too, over one common denominator, and the Verma
-conditions and the rank-one classification run on those integer
-numerators (BHighestWeight).  B's RatFun entries are formed only where
-the search for highest vectors, the tensor and reduction constructors or
-the JSON codec read them.  The coideal tensor
-action and the flip of the grid checks act on tensor slots and come from
-the kron_ops assembler.
+are shared, and every BAction is born a ClearedForm over Z[u]: B(u) from
+T(u) and the unitarity product B(u) B(-u) are block products of cleared
+families (yangian.block_product), the coideal tensor is the Kronecker
+assembly of the cleared forms of T(u) T'(-u) and of B (yangian._kron_blocks,
+signed by the kron_ops core), and the rank reductions shift, combine and
+restrict the cleared rows to a constant subspace in integers (_restrict),
+with that subspace the kernel of the cleared rows (superlinalg.poly_kernel).
+The irreducibility test reads B's coefficients off its cleared form.
+Highest weights are read off it too, over one common denominator, and the
+Verma conditions and the rank-one classification run on those integer
+numerators (BHighestWeight).  B's RatFun entries are a view, formed only
+for the JSON writer and full_at; b_from_json reads RatFun input through
+yangian.cleared_form_rf.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +31,9 @@ from tyang.exactalg import (
     RootSearchBound,
     _neg_u,
     _zadd,
+    _zclear,
+    _zcompose,
     _zneg,
-    _zreflect,
     divides,
     rat,
     rational_roots,
@@ -39,26 +43,28 @@ from tyang.exactalg import (
 from tyang.glmn import ParitySeq, _coords_in_span, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
-    RFMatrix,
     SuperSpace,
     algebra_closure,
     charpoly,
     check_identity_2var,
-    cleared_coefficients,
-    kron_sum,
-    mat_identity,
     mat_nullspace,
     mat_vec,
-    rfmat_kernel,
+    poly_kernel,
 )
 from tyang.yangian import (
+    ClearedForm,
     SeriesFamily,
     ScaledR,
     TAction,
+    _apply_rows,
     _blocks_json,
+    _kron_blocks,
+    _nonzero,
+    _poly_matmul,
     block_product,
     cleared_evaluator,
     cleared_form,
+    cleared_form_rf,
     flip_at,
     highest_eigenseries,
     inverse_series_action,
@@ -133,24 +139,16 @@ class TwistedContext:
 
 
 class BAction(SeriesFamily):
-    """The family { b_ij(u) } of B(u) on one module; b aliases the entries."""
+    """The family { b_ij(u) } of B(u) on one module; b aliases the RatFun
+    view t."""
 
-    def __init__(self, ctx: TwistedContext, space: SuperSpace, b, provenance=("direct",)):
-        super().__init__(ctx.ps, space, b, provenance)
+    def __init__(self, ctx: TwistedContext, space: SuperSpace, form: ClearedForm, provenance=("direct",)):
+        super().__init__(ctx.ps, space, form, provenance)
         self.ctx = ctx
 
     @property
     def b(self):
         return self.t
-
-    def tilde_operator(self, i: int) -> RFMatrix:
-        """(2u - rho_{i+1}) b_ii(u) + sum_{a>i} s_a b_aa(u)."""
-        ps = self.ps
-        lin = RatFun(Poly([-ps.rho(i + 1), 2]))
-        out = self.b[(i, i)].scale(lin)
-        for a in range(i + 1, self.kappa + 1):
-            out = out + self.b[(a, a)].scale(ps.sign(a))
-        return out
 
 
 def b_from_T(T: TAction, ctx: TwistedContext) -> BAction:
@@ -174,21 +172,13 @@ def b_from_T(T: TAction, ctx: TwistedContext) -> BAction:
 
 
 def c_gamma(ctx: TwistedContext, gamma) -> BAction:
-    """The one-dimensional module with b_ii(u) = (eps_i u + gamma)/(u - gamma)."""
+    """The one-dimensional module with b_ii(u) = (eps_i u + gamma)/(u - gamma),
+    over the denominator q u - p for gamma = p/q."""
     gamma = rat(gamma)
-    k = ctx.kappa
-    space = SuperSpace([0])
-    den = Poly([-gamma, 1])
-    b = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                b[(i, j)] = RFMatrix(
-                    [[RatFun(Poly([gamma, Fraction(ctx.eps_sign(i))]), den)]], space, space
-                )
-            else:
-                b[(i, j)] = RFMatrix([[RatFun.zero()]], space, space)
-    return BAction(ctx, space, b, ("c_gamma", gamma))
+    p, q = gamma.numerator, gamma.denominator
+    idx = range(1, ctx.kappa + 1)
+    blocks = {(i, j): [[(p, ctx.eps_sign(i) * q) if i == j else None]] for i in idx for j in idx}
+    return BAction(ctx, SuperSpace([0]), cleared_form((-p, q), blocks), ("c_gamma", gamma))
 
 
 def b_tensor(L: TAction, W: BAction) -> BAction:
@@ -197,30 +187,30 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
     The matrix form T_L(u) B_W(u) T_L(-u)^{-1} of the coideal coproduct,
     with the T factors acting through L and the auxiliary space:
     b_ij(u) = sum_{k,r} (-1)^(|b_kr| |t'_rj|) t_ik(u) t'_rj(-u) x b_kr(u),
-    the sign coming from moving b_kr(u) past t'_rj(-u).
+    the sign coming from moving b_kr(u) past t'_rj(-u).  Formed over the
+    product of the three denominators: the integer products of the cleared
+    blocks of T(u) and T'(-u), assembled with those of B by _kron_blocks.
     """
     if L.ps != W.ps:
         raise DimensionMismatch("parity sequences differ")
     ps = L.ps
-    kk = ps.kappa
+    idx = range(1, ps.kappa + 1)
     par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
-    Lpn = {key: m.subs_neg() for key, m in inverse_series_action(L).t.items()}
-    wb = [(k, r, m) for (k, r), m in sorted(W.b.items()) if not m.is_zero()]
-    spaces = [L.space, W.space]
-    carrier = L.space.tensor(W.space)
-    b = {}
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            terms = []
-            for k, r, bkr in wb:
-                t, tp = L.t[(i, k)], Lpn[(r, j)]
-                if t.is_zero() or tp.is_zero():
-                    continue
-                sign = -1 if par(k, r) * par(r, j) else 1
-                ops = [((t @ tp).entries, (par(i, k) + par(r, j)) % 2), (bkr.entries, par(k, r))]
-                terms.append((sign, ops))
-            b[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), carrier, carrier)
-    return BAction(W.ctx, carrier, b, ("tensor", L, W))
+    A, P, C = L.cleared(), inverse_series_action(L).cleared().neg_u(), W.cleared()
+    wb = [key for key, rows in sorted(C.blocks.items()) if _nonzero(rows)]
+    blocks = {}
+    for i in idx:
+        for j in idx:
+            terms = [
+                (-1 if par(k, r) * par(r, j) else 1,
+                 [(_poly_matmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
+                  (C.blocks[(k, r)], par(k, r))])
+                for k, r in wb
+                if _nonzero(A.blocks[(i, k)]) and _nonzero(P.blocks[(r, j)])
+            ]
+            blocks[(i, j)] = _kron_blocks(terms, [L.space, W.space])
+    den = poly_mul(poly_mul(A.den_coeffs, P.den_coeffs), C.den_coeffs)
+    return BAction(W.ctx, L.space.tensor(W.space), cleared_form(den, blocks), ("tensor", L, W))
 
 
 @dataclass
@@ -249,8 +239,7 @@ def verify_b(B: BAction) -> BReport:
     most (d + 2, d + 2), and a (d + 3) x (d + 3) grid certifies the
     identity (Combinatorial Nullstellensatz).  The product B(u)B(-u)
     must be a scalar f(u), which is then even (B(-u) B(u) = f(u) 1 is the
-    identity at -u).  With B = N / c D over Z[u], P = N(u) N(-u) is formed
-    in integers (scalar_product); f = P_11 / (c^2 D(u) D(-u)).
+    identity at -u); unitarity_scalar forms it.
     """
     rep = BReport()
     R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
@@ -275,9 +264,18 @@ def verify_b(B: BAction) -> BReport:
         w, lambda u0, v0: B1(u0)[1] * B2(v0)[1] * (u0 - v0) * (u0 + v0), "reflection"
     )
 
-    den, f, rep.scalar_ok = scalar_product(form, form.neg_u())
-    rep.f = RatFun(Poly(f), Poly(den))
+    rep.f, rep.scalar_ok = unitarity_scalar(B)
     return rep
+
+
+def unitarity_scalar(B: BAction):
+    """(f, scalar): f(u) the first diagonal entry of B(u) B(-u), a reduced
+    RatFun, and whether the product is f(u) times the identity.  With
+    B = N / c D over Z[u], P = N(u) N(-u) is formed in integers
+    (scalar_product), and f = P_11 / (c^2 D(u) D(-u))."""
+    form = B.cleared()
+    den, f, scalar = scalar_product(form, form.neg_u())
+    return RatFun(Poly(f), Poly(den)), scalar
 
 
 # ---------------------------------------------------------------------------
@@ -347,54 +345,75 @@ def highest_bweight(B: BAction, eta) -> BHighestWeight:
     return BHighestWeight(*highest_eigenseries(B, eta, "b"), B.ctx)
 
 
-def _rf_vector_coords_in_span(w, K):
-    """Write a RatFun vector as a rational-function combination of constant
-    basis vectors; returns the coefficient list or None when outside."""
-    if not K:
-        return None if any(w) else []
-    den, coeffs = cleared_coefficients(w)
-    coeff_polys = [[Fraction(0)] * len(coeffs) for _ in K]
-    for r, vec in enumerate(coeffs):
-        coords = _coords_in_span(K, [vec])
-        if coords is None:
-            return None
-        for t, c in enumerate(coords[0]):
-            coeff_polys[t][r] = c
-    return [RatFun(Poly(cs), den) for cs in coeff_polys]
+def _combine(terms):
+    """sum_t m_t M_t entrywise in Z[u], for terms (m, M) with m an integer
+    coefficient tuple and M a matrix of such tuples (None for zero); None
+    where the sum vanishes."""
+    M0 = terms[0][1]
+    out = [[()] * len(M0[0]) for _ in M0]
+    for m, M in terms:
+        for orow, row in zip(out, M):
+            for c, e in enumerate(row):
+                if e:
+                    orow[c] = _zadd(orow[c], poly_mul(m, e))
+    return [[e or None for e in row] for row in out]
 
 
-def restrict_rf(M: RFMatrix, K):
-    """Restriction of M to the span of constant vectors K, as an RFMatrix.
+def _restrict(den, blocks, K):
+    """(den', blocks') for the family blocks / den restricted to the span of
+    the constant vectors K, a basis as superlinalg.poly_kernel returns it:
+    each vector is 1 at its last nonzero coordinate (its free column), where
+    every other vector is 0, so the coordinates of a vector in the span are
+    its values at the free columns.
 
-    Raises ValueError when the span is not invariant.
+    With s K = Kz integral, the coordinates of w = N Kz_c, N the rows of a
+    block, are w at the free columns over s, so the restricted entries are
+    those values over s den; s w = sum_t w(f_t) Kz_t is the invariance
+    check, in Z[u].  Raises ValueError when the span is not invariant.
     """
-    cols = []
-    for v in K:
-        w = M.mat_vec(v)
-        coords = _rf_vector_coords_in_span(w, K)
-        if coords is None:
-            raise ValueError("subspace is not invariant")
-        cols.append(coords)
-    k = len(K)
-    return RFMatrix([[cols[c][r] for c in range(k)] for r in range(k)])
+    s, Kz = _zclear(K)
+    free = [max(c for c, x in enumerate(v) if x) for v in Kz]
+    out = {}
+    for key, rows in blocks.items():
+        cols = []
+        for v in Kz:
+            w = _apply_rows(rows, v)
+            coords = [w[f] for f in free]
+            for q, wq in enumerate(w):
+                back = ()
+                for x, kv in zip(coords, Kz):
+                    if kv[q]:
+                        back = _zadd(back, poly_mul(x, (kv[q],)))
+                if poly_mul(wq, (s,)) != back:
+                    raise ValueError("subspace is not invariant")
+            cols.append(coords)
+        out[key] = [[col[r] or None for col in cols] for r in range(len(Kz))]
+    return poly_mul(den, (s,)), out
+
+
+def _coefficient_matrices(rows):
+    """The integer matrices M_k with rows = sum_k M_k u^k."""
+    top = max((len(e) for row in rows for e in row if e), default=0)
+    return [[[e[k] if e and k < len(e) else 0 for e in row] for row in rows] for k in range(top)]
 
 
 def find_highest_space(B: BAction):
     """Basis of { eta : b_ij(u) eta = 0 for i < j }.
 
     Also certifies that the space is invariant under every b_rr(u) (else
-    restrict_rf raises ValueError) and that the restricted diagonal
+    _restrict raises ValueError) and that the restricted diagonal
     operators D_a(u) commute for all u and v: with D_a(u) = sum_s A_s u^s /
-    d_a(u) over one common denominator per operator, D_a(u) D_b(v) =
-    D_b(v) D_a(u) holds identically exactly when every A_s commutes with
-    every B_t of D_b, which is checked; a failure raises ValueError.
+    d(u) over the common denominator, D_a(u) D_b(v) = D_b(v) D_a(u) holds
+    identically exactly when every A_s commutes with every B_t of D_b,
+    which is checked; a failure raises ValueError.
     """
-    kk = B.kappa
-    uppers = [B.b[(i, j)] for i in range(1, kk + 1) for j in range(i + 1, kk + 1)]
-    K = rfmat_kernel(uppers) if uppers else [list(r) for r in mat_identity(B.dim)]
+    kk, form = B.kappa, B.cleared()
+    idx = range(1, kk + 1)
+    K = poly_kernel([row for i in idx for j in range(i + 1, kk + 1) for row in form.blocks[(i, j)]], B.dim)
     if not K:
         return []
-    coeffs = [restrict_rf(B.b[(r, r)], K).numerator_coefficients() for r in range(1, kk + 1)]
+    _den, diag = _restrict(form.den_coeffs, {r: form.blocks[(r, r)] for r in idx}, K)
+    coeffs = [_coefficient_matrices(diag[r]) for r in idx]
     for a in range(kk):
         for b in range(kk):
             if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
@@ -405,25 +424,32 @@ def find_highest_space(B: BAction):
 # ---------------------------------------------------------------------------
 # Verma-type symmetry conditions and classification.
 
-def verma_conditions(mu: BHighestWeight):
+def verma_conditions(mu: BHighestWeight, f: RatFun):
     """Check the highest-weight symmetry constraints; None on pass, else the
     1-based index of the first failing condition (kappa for the unitary one).
 
-    Every series of mu has the one denominator den, so each condition is a
-    denominator-free identity in Z[u]: mu_kappa(u) mu_kappa(-u) = 1 is
-    n_kappa(u) n_kappa(-u) = den(u) den(-u), and
+    f is the unitarity scalar of the family, B(u) B(-u) = f(u) 1, as
+    verify_b reports it (1 - gamma^2/u^2 for a twist with gamma, from the
+    twist (G + gamma/u)).  Every series of mu has the one denominator den,
+    so each condition is a denominator-free identity in Z[u]:
+    mu_kappa(u) mu_kappa(-u) = f(u) is
+    n_kappa(u) n_kappa(-u) f_d(u) = f_n(u) den(u) den(-u) for f = f_n / f_d
+    cleared to integers, and
     mu~_i(u) mu~_i(r - u) = mu~_(i+1)(u) mu~_(i+1)(r - u), r = rho_(i+1),
     is T_i(u) T_i(r - u) = T_(i+1)(u) T_(i+1)(r - u) on the tilde
-    numerators."""
+    numerators.  The tilde conditions are homogeneous in mu, so this is
+    the check on the family normalised to unitarity scalar 1, by u/(u - gamma)
+    for a twist with gamma."""
     kk = mu.ctx.kappa
     ps = mu.ctx.ps
     n, d = mu.nums[kk - 1], mu.den
-    if poly_mul(n, _neg_u(n)) != poly_mul(d, _neg_u(d)):
+    _s, (fn, fd) = _zclear([f.num.coeffs, f.den.coeffs])
+    if poly_mul(poly_mul(n, _neg_u(n)), fd) != poly_mul(fn, poly_mul(d, _neg_u(d))):
         return kk
     T = mu.tilde_nums
     for i in range(1, kk):
         r = int(ps.rho(i + 1))
-        if poly_mul(T[i - 1], _zreflect(T[i - 1], r)) != poly_mul(T[i], _zreflect(T[i], r)):
+        if poly_mul(T[i - 1], _zcompose(T[i - 1], -1, r)) != poly_mul(T[i], _zcompose(T[i], -1, r)):
             return i
     return None
 
@@ -693,73 +719,84 @@ def _graded(space: SuperSpace, K) -> SuperSpace:
     return SuperSpace([space.parity(next(c for c, x in enumerate(v) if x)) for v in K])
 
 
+def _corrected(form: ClearedForm, keep, extra):
+    """(den, blocks) of x_ij(u) + delta_ij (1/(2u)) sum_k w_k x_kk(u) for i, j
+    in keep, relabelled 1, 2, ..., with extra mapping k to w_k: over
+    2 u D, the entries 2u N_ij + delta_ij sum_k w_k N_kk."""
+    diag = [((w,), form.blocks[(k, k)]) for k, w in extra.items()]
+    blocks = {
+        (i, j): _combine([((0, 2), form.blocks[(a, b)])] + (diag if a == b else []))
+        for i, a in enumerate(keep, 1)
+        for j, b in enumerate(keep, 1)
+    }
+    return poly_mul(form.den_coeffs, (0, 2)), blocks
+
+
 def reduce_rank(B: BAction, mode, a=None) -> BAction:
     """Induced lower-rank action on the appropriate singular subspace.
 
     mode 'over' drops the first index, 'under' the last (with the shifted
     diagonal correction), 'star' cuts down to the neighbouring pair
-    (a, a+1) with the spectral shift rho_{a+2}/2.  The reduced family acts
-    on the subspace with its own grading (_graded).
+    (a, a+1) with the spectral shift rho_{a+2}/2.  The singular subspace is
+    the common kernel of the cleared rows of the constraint blocks
+    (superlinalg.poly_kernel), and the reduced family, shifted and
+    corrected over Z[u] (ClearedForm.shift, _corrected), is restricted to it
+    in integers (_restrict) and acts on it with its own grading (_graded).
     """
     kk = B.kappa
     ps = B.ps
+    form = B.cleared()
     if mode == "over":
-        constraints = [B.b[(1, j)] for j in range(2, kk + 1)]
-        K = rfmat_kernel(constraints)
-        if not K:
-            raise EmptySubspace("no vectors killed by the first row")
-        ctx = B.ctx.drop_first()
-        b = {}
-        for i in range(1, kk):
-            for j in range(1, kk):
-                b[(i, j)] = restrict_rf(B.b[(i + 1, j + 1)], K)
-        return BAction(ctx, _graded(B.space, K), b, ("reduce-over", B, K))
-    if mode == "under":
-        constraints = [B.b[(i, kk)] for i in range(1, kk)]
-        K = rfmat_kernel(constraints)
-        if not K:
-            raise EmptySubspace("no vectors killed by the last column")
-        ctx = B.ctx.drop_last()
-        half = Fraction(ps.sign(kk), 2)
-        corr = RatFun(Poly([half]), Poly([0, 1]))
-        b = {}
-        for i in range(1, kk):
-            for j in range(1, kk):
-                m = B.b[(i, j)].shift(half)
-                if i == j:
-                    m = m + B.b[(kk, kk)].shift(half).scale(corr)
-                b[(i, j)] = restrict_rf(m, K)
-        return BAction(ctx, _graded(B.space, K), b, ("reduce-under", B, K))
-    if mode == "star":
+        constraints = [(1, j) for j in range(2, kk + 1)]
+        empty = "no vectors killed by the first row"
+    elif mode == "under":
+        constraints = [(i, kk) for i in range(1, kk)]
+        empty = "no vectors killed by the last column"
+    elif mode == "star":
         if a is None or not 1 <= a < kk:
             raise ValueError("star reduction needs 1 <= a < kappa")
-        constraints = []
-        for i in range(1, a):
-            for j in range(i + 1, kk + 1):
-                constraints.append(B.b[(i, j)])
-        for l in range(a + 2, kk + 1):
-            for k2 in range(1, l):
-                constraints.append(B.b[(k2, l)])
-        K = rfmat_kernel(constraints) if constraints else [list(r) for r in mat_identity(B.dim)]
-        if not K:
-            raise EmptySubspace("star subspace is trivial")
-        ctx = B.ctx.star(a)
-        shift = ps.rho(a + 2) / 2
-        corr = RatFun(Poly([Fraction(1, 2)]), Poly([0, 1]))
-        b = {}
-        for i in (1, 2):
-            for j in (1, 2):
-                m = B.b[(a + i - 1, a + j - 1)].shift(shift)
-                if i == j:
-                    extra = None
-                    for k2 in range(a + 2, kk + 1):
-                        term = B.b[(k2, k2)].shift(shift).scale(ps.sign(k2))
-                        extra = term if extra is None else extra + term
-                    if extra is not None:
-                        m = m + extra.scale(corr)
-                b[(i, j)] = restrict_rf(m, K)
-        return BAction(ctx, _graded(B.space, K), b, ("reduce-star", B, a, K))
-    raise ValueError(f"unknown reduction mode {mode!r}")
+        constraints = [(i, j) for i in range(1, a) for j in range(i + 1, kk + 1)]
+        constraints += [(k2, l) for l in range(a + 2, kk + 1) for k2 in range(1, l)]
+        empty = "star subspace is trivial"
+    else:
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    K = poly_kernel([row for key in constraints for row in form.blocks[key]], B.dim)
+    if not K:
+        raise EmptySubspace(empty)
+    if mode == "over":
+        ctx, prov = B.ctx.drop_first(), ("reduce-over", B, K)
+        idx = range(1, kk)
+        den, blocks = form.den_coeffs, {(i, j): form.blocks[(i + 1, j + 1)] for i in idx for j in idx}
+    elif mode == "under":
+        ctx, prov = B.ctx.drop_last(), ("reduce-under", B, K)
+        den, blocks = _corrected(form.shift(Fraction(ps.sign(kk), 2)), range(1, kk), {kk: ps.sign(kk)})
+    else:
+        ctx, prov = B.ctx.star(a), ("reduce-star", B, a, K)
+        extra = {k2: ps.sign(k2) for k2 in range(a + 2, kk + 1)}
+        den, blocks = _corrected(form.shift(ps.rho(a + 2) / 2), (a, a + 1), extra)
+    return BAction(ctx, _graded(B.space, K), cleared_form(*_restrict(den, blocks, K)), prov)
+
+
+def tilde_form(B: BAction, i: int) -> ClearedForm:
+    """The operator (2u - rho_(i+1)) b_ii(u) + sum_(a > i) s_a b_aa(u) of B,
+    as a one-block form (key (1, 1))."""
+    form, ps = B.cleared(), B.ps
+    terms = [((-int(ps.rho(i + 1)), 2), form.blocks[(i, i)])]
+    terms += [((ps.sign(a),), form.blocks[(a, a)]) for a in range(i + 1, B.kappa + 1)]
+    return cleared_form(form.den_coeffs, {(1, 1): _combine(terms)})
+
+
+def star_tilde_shift(B: BAction, red: BAction, a: int) -> bool:
+    """Whether the tilde operators of red = reduce_rank(B, "star", a) are
+    those of B at a and a + 1, shifted by rho_(a+2)/2 and restricted to
+    the reduced space; compared as cleared forms, which are unique."""
+    K = red.provenance[3]
+    shift = B.ps.rho(a + 2) / 2
+    for i in (1, 2):
+        moved = tilde_form(B, a + i - 1).shift(shift)
+        if tilde_form(red, i) != cleared_form(*_restrict(moved.den_coeffs, moved.blocks, K)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -841,22 +878,25 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
 
 def scale_baction(B: BAction, h: RatFun) -> BAction:
     """Pull back through B(u) -> h(u) B(u); caller ensures h(u) h(-u) = 1."""
-    b = {key: m.scale(h) for key, m in B.b.items()}
-    return BAction(B.ctx, B.space, b, ("scaled", B, h))
+    form = B.cleared()
+    _s, (hn, hd) = _zclear([h.num.coeffs, h.den.coeffs])
+    blocks = {key: _combine([(hn, rows)]) for key, rows in form.blocks.items()}
+    return BAction(B.ctx, B.space, cleared_form(poly_mul(form.den_coeffs, hd), blocks), ("scaled", B, h))
 
 
 def flip_s(B: BAction) -> BAction:
     """Pull back through u -> -u, landing in the context (-s, eps)."""
     ctx = TwistedContext(ParitySeq([-x for x in B.ps.s]), B.ctx.eps)
-    b = {key: m.subs_neg() for key, m in B.b.items()}
-    return BAction(ctx, B.space, b, ("flip-s", B))
+    form = B.cleared().neg_u()
+    return BAction(ctx, B.space, cleared_form(form.den_coeffs, form.blocks), ("flip-s", B))
 
 
 def flip_eps(B: BAction) -> BAction:
     """Pull back through b -> -b, landing in the context (s, -eps)."""
     ctx = TwistedContext(B.ps, [-x for x in B.ctx.eps])
-    b = {key: m.scale(-1) for key, m in B.b.items()}
-    return BAction(ctx, B.space, b, ("flip-eps", B))
+    form = B.cleared()
+    blocks = {key: _combine([((-1,), rows)]) for key, rows in form.blocks.items()}
+    return BAction(ctx, B.space, cleared_form(form.den_coeffs, blocks), ("flip-eps", B))
 
 
 def permute_baction(B: BAction, sigma) -> BAction:
@@ -870,11 +910,10 @@ def permute_baction(B: BAction, sigma) -> BAction:
         ParitySeq([B.ps.sign(inv[i]) for i in range(kk)]),
         [B.ctx.eps_sign(inv[i]) for i in range(kk)],
     )
-    b = {}
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            b[(i, j)] = B.b[(inv[i - 1], inv[j - 1])]
-    return BAction(ctx, B.space, b, ("permuted", B, sigma))
+    form = B.cleared()
+    idx = range(1, kk + 1)
+    blocks = {(i, j): form.blocks[(inv[i - 1], inv[j - 1])] for i in idx for j in idx}
+    return BAction(ctx, B.space, cleared_form(form.den_coeffs, blocks), ("permuted", B, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -908,4 +947,4 @@ def b_from_json(data: dict) -> BAction:
             raise ValueError(
                 f"b_{i}{j}(u) is not a series in u^-1: an entry has numerator degree above its denominator's"
             )
-    return BAction(ctx, space, {key: RFMatrix(rows, space, space) for key, rows in b.items()})
+    return BAction(ctx, space, cleared_form_rf(b))

@@ -6,15 +6,21 @@ generator pair (i, j), 1-based, owning evaluation, assembly and the degree
 data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction (B(u))
 are thin subclasses.  A family is held over Z[u] as its ClearedForm: D,
 the common denominator, and the integer coefficients of c D x_ij(u) for
-one rational c, made primitive by cleared_form, the one normaliser.  The
-certifiers read only it: grid values, products and series coefficients
+one rational c, made primitive by cleared_form, the one normaliser.  Every
+family is born a ClearedForm: evaluation and trivial modules, shifts (an
+integer Taylor shift, ClearedForm.shift), tensor products and their
+inverse series (Kronecker products of two cleared forms, _kron_blocks),
+duals and their inverse series (a signed supertranspose of a form read at
+-u, _supertranspose), the inverse series of an evaluation module and
+every product of families.  RatFun entries enter through one reader,
+cleared_form_rf: the JSON reader t_from_json (and twisted.b_from_json),
+and the inverse series of a family with no rule for it, inverted by
+Gauss-Jordan over the function field (rfmat_inverse).  The certifiers read
+only the cleared form: grid values, products and series coefficients
 (series_expansion), and the eigen-series of a highest vector
 (highest_eigenseries), over one common denominator.  The RatFun blocks t
-are a view, formed on first read (one reduced RatFun per entry) by the
-search for highest vectors, the tensor, dual and reduction constructors
-and the JSON codec.  Evaluation
-and trivial modules, their inverse series, every product of families and
-the functor outputs are built in integers.
+are a view, formed on first read (one reduced RatFun per entry) for the
+JSON writers, full_at and that inverse.
 
 The operator on module x V carries the sign (-1)^(|i||j|+|j|) in front of
 the (i, j) block, which makes block products behave like ordinary matrix
@@ -47,6 +53,7 @@ from tyang.exactalg import (
     RatFun,
     _zadd,
     _zclear,
+    _zcompose,
     _zneg,
     _zreduce,
     rat,
@@ -69,7 +76,6 @@ from tyang.superlinalg import (
     common_den,
     elementary,
     kron_sum,
-    mat_vec,
     rfmat_inverse,
 )
 
@@ -209,6 +215,19 @@ class ClearedForm(NamedTuple):
         rows = [[e and _zneg(e) for e in row] for row in self.blocks[key]]
         return self._replace(blocks={**self.blocks, key: rows})
 
+    def shift(self, c) -> "ClearedForm":
+        """The form of the family at u + c, c = p/q rational: D and every
+        entry become q^n f(u + p/q) in Z[u] (exactalg._zcompose), with n the
+        cleared degree, so the common factor q^n cancels."""
+        c = rat(c)
+        p, q, n = c.numerator, c.denominator, self.degree
+
+        def move(e):
+            return _zcompose(e, q, p, q, n)
+
+        blocks = {key: [[e and move(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
+        return cleared_form(move(self.den_coeffs), blocks)
+
 
 def cleared_form(den, blocks) -> ClearedForm:
     """The ClearedForm of the family blocks / den over Z[u].
@@ -226,6 +245,17 @@ def cleared_form(den, blocks) -> ClearedForm:
     out = {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
     degree = max([len(den), *map(len, entries)]) - 1
     return ClearedForm(degree, den, out)
+
+
+def cleared_form_rf(blocks) -> ClearedForm:
+    """The ClearedForm of a family given by RatFun entries, blocks mapping
+    (i, j) to rows of RatFun: D is the lcm of the reduced denominators
+    (common_den), cleared with every D x_ij(u) to integers.  The one door
+    for RatFun input: the JSON readers and the inverse series by
+    Gauss-Jordan over the function field."""
+    D = common_den(e for rows in blocks.values() for row in rows for e in row)
+    num = {key: [[(e.num * (D // e.den)).coeffs if e else None for e in row] for row in rows] for key, rows in blocks.items()}
+    return cleared_form(*_integral(D.coeffs, num))
 
 
 def _integral(den, blocks):
@@ -347,6 +377,14 @@ def _acc_product(acc, A, B):
                             cur[t] += x * y
 
 
+def _poly_matmul(A, B):
+    """The product of two matrices of integer coefficient tuples (None for
+    zero), None where an entry vanishes."""
+    acc = [[None] * len(B[0]) for _ in A]
+    _acc_product(acc, A, B)
+    return [[_trimmed(e) for e in row] for row in acc]
+
+
 def _trimmed(cur):
     """An accumulated coefficient list as a tuple, None when it cancelled."""
     if cur is None:
@@ -357,25 +395,22 @@ def _trimmed(cur):
 
 
 class SeriesFamily:
-    """A generating matrix sum_ij E_ij x x_ij(u) on one module.
+    """A generating matrix sum_ij E_ij x x_ij(u) on one module, given by its
+    ClearedForm.
 
-    A family is built from its RFMatrix blocks, t mapping each 1-based pair
-    (i, j) to the matrix of x_ij(u) on space, or from a ClearedForm.  T(u),
-    its inverse series T'(u) and the twisted B(u) all share this layout, so
-    evaluation, assembly and degree data live here once.  The entries are
-    never changed after construction, so the cleared form, the RatFun
-    blocks t of a family built from a cleared form and the lift patterns of
-    the grid evaluation are each computed once, on first use, and kept.
+    T(u), its inverse series T'(u) and the twisted B(u) all share this
+    layout, so evaluation, assembly and degree data live here once.  The
+    entries are never changed after construction, so the RatFun blocks t
+    and the lift patterns of the grid evaluation are each computed once,
+    on first use, and kept.
     """
 
-    def __init__(self, ps: ParitySeq, space: SuperSpace, t, provenance=("direct",)):
+    def __init__(self, ps: ParitySeq, space: SuperSpace, form: ClearedForm, provenance=("direct",)):
         self.ps = ps
         self.space = space
         self.provenance = provenance
-        if isinstance(t, ClearedForm):
-            self._t, self._cleared = None, t
-        else:
-            self._t, self._cleared = dict(t), None
+        self._cleared = form
+        self._t = None
         self._lifts = {}
 
     @property
@@ -388,8 +423,9 @@ class SeriesFamily:
 
     @property
     def t(self):
-        """The RFMatrix blocks; for a family built from a cleared form they
-        are formed on first read, one reduced RatFun per nonzero entry."""
+        """The RFMatrix blocks, formed on first read, one reduced RatFun per
+        nonzero entry: the view of the JSON writers, full_at and the
+        Gauss-Jordan inverse."""
         if self._t is None:
             form, sp = self._cleared, self.space
             den, zero = Poly(form.den_coeffs), RatFun.zero()
@@ -409,14 +445,7 @@ class SeriesFamily:
         return realize_mixed(grids, self.ps, spaces, slot)
 
     def cleared(self) -> ClearedForm:
-        """The family over its common denominator, computed on first use."""
-        if self._cleared is None:
-            D = common_den(e for m in self.t.values() for row in m.entries for e in row)
-            blocks = {
-                key: [[(e.num * (D // e.den)).coeffs if e else None for e in row] for row in m.entries]
-                for key, m in self.t.items()
-            }
-            self._cleared = cleared_form(*_integral(D.coeffs, blocks))
+        """The family over its common denominator."""
         return self._cleared
 
     def lift_pattern(self, slot):
@@ -513,34 +542,79 @@ def evaluation_action(M: GlModule, z=0) -> TAction:
 def shift_action(T: TAction, z) -> TAction:
     """Pull back through u -> u - z in every entry."""
     z = rat(z)
-    t = {key: m.subs_linear(1, -z) for key, m in T.t.items()}
     prov = ("shift", T, z)
     if T.provenance[0] == "evaluation":
         prov = ("evaluation", T.provenance[1], T.provenance[2] + z)
-    return TAction(T.ps, T.space, t, prov)
+    return TAction(T.ps, T.space, T.cleared().shift(-z), prov)
+
+
+def _kron_blocks(terms, spaces):
+    """sum_t w_t A_t x B_t on the tensor of two spaces, for terms (w, [(A,
+    par_A), (B, par_B)]) with w = +-1 and A and B matrices of integer
+    coefficient tuples (None for zero), as rows of such tuples.
+
+    _kron_rows assembles the supports of A and B, so the Koszul sign of
+    each entry comes from the one assembler; the entry at
+    ((r1, r2), (c1, c2)) is that sign times A[r1][c1] B[r2][c2].
+    """
+    d2 = spaces[1].dim
+    n = spaces[0].dim * d2
+    acc = [[()] * n for _ in range(n)]
+    for w, ops in terms:
+        (A, _), (B, _) = ops
+        support = [([[1 if e else 0 for e in row] for row in m], par) for m, par in ops]
+        for r, row in enumerate(_kron_rows(support, spaces)):
+            r1, r2 = divmod(r, d2)
+            for c, sign in row.items():
+                c1, c2 = divmod(c, d2)
+                p = poly_mul(A[r1][c1], B[r2][c2])
+                acc[r][c] = _zadd(acc[r][c], p if sign * w == 1 else _zneg(p))
+    return [[e or None for e in row] for row in acc]
+
+
+def _nonzero(rows):
+    return any(map(any, rows))
 
 
 def tensor_action(L: TAction, R: TAction) -> TAction:
-    """Coproduct action t_ij = sum_k t_ik x t_kj on L x R."""
+    """Coproduct action t_ij = sum_k t_ik x t_kj on L x R, over the product
+    of the two denominators."""
     if L.ps != R.ps:
         raise DimensionMismatch("tensor factors over different parity sequences")
     ps = L.ps
-    kk = ps.kappa
-    spaces = [L.space, R.space]
-    space = L.space.tensor(R.space)
-    t = {}
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            terms = (
-                (1, [
-                    (L.t[(i, k)].entries, (ps.parity(i) + ps.parity(k)) % 2),
-                    (R.t[(k, j)].entries, (ps.parity(k) + ps.parity(j)) % 2),
-                ])
-                for k in range(1, kk + 1)
-                if not (L.t[(i, k)].is_zero() or R.t[(k, j)].is_zero())
-            )
-            t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
-    return TAction(ps, space, t, ("tensor", L, R))
+    idx = range(1, ps.kappa + 1)
+    A, B = L.cleared(), R.cleared()
+    par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
+    blocks = {
+        (i, j): _kron_blocks(
+            [(1, [(A.blocks[(i, k)], par(i, k)), (B.blocks[(k, j)], par(k, j))])
+             for k in idx if _nonzero(A.blocks[(i, k)]) and _nonzero(B.blocks[(k, j)])],
+            [L.space, R.space],
+        )
+        for i in idx
+        for j in idx
+    }
+    form = cleared_form(poly_mul(A.den_coeffs, B.den_coeffs), blocks)
+    return TAction(ps, L.space.tensor(R.space), form, ("tensor", L, R))
+
+
+def _supertranspose(ps: ParitySeq, space: SuperSpace, form: ClearedForm) -> ClearedForm:
+    """The signed supertranspose of dual_action: block (i, j) holds at
+    (q, p) the entry (p, q) of block (j, i), times the block sign of (i, j)
+    and (-1)^((|i| + |j|) |p|)."""
+    idx, pars = range(1, ps.kappa + 1), space.parities
+    blocks = {}
+    for i in idx:
+        for j in idx:
+            pij = (ps.parity(i) + ps.parity(j)) % 2
+            bs = _block_sign(ps, i, j)
+            src = form.blocks[(j, i)]
+            signs = [bs * (-1 if pij and pars[p] else 1) for p in range(len(src))]
+            blocks[(i, j)] = [
+                [e if e is None or sign == 1 else _zneg(e) for e, sign in zip((row[q] for row in src), signs)]
+                for q in range(len(src))
+            ]
+    return cleared_form(form.den_coeffs, blocks)
 
 
 def inverse_series_action(T: TAction) -> TPrimeAction:
@@ -553,39 +627,40 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
     resolvent of z 1 - E (cleared_resolvent, over Z[u]) times u - z, and
     its cleared form is read off those integer coefficients.  T(u) = 1 on the
     trivial module is its own inverse.  Tensor provenance is inverted
-    factorwise through the inverse-series coproduct.  Anything else
+    factorwise through the inverse-series coproduct, a shift is the shift
+    of the inverse, and the dual of T has inverse series the signed
+    supertranspose of T(-u), the rule dual_action applies to T'(-u).
+    Anything else (a family with no provenance, or a functor output)
     inverts the layout by Gauss-Jordan over the function field.
     """
     if T._tprime is not None:
         return T._tprime
     ps = T.ps
     kk = ps.kappa
-    if T.provenance[0] == "trivial":
-        T._tprime = TPrimeAction(ps, T.space, T.cleared())
-        return T._tprime
-    if T.provenance[0] == "tensor":
-        L, R = T.provenance[1], T.provenance[2]
-        Lp = inverse_series_action(L)
-        Rp = inverse_series_action(R)
-        spaces = [L.space, R.space]
-        space = T.space
-        t = {}
-        for i in range(1, kk + 1):
-            for j in range(1, kk + 1):
-                terms = []
-                for a in range(1, kk + 1):
-                    la, ra = Lp.t[(a, j)], Rp.t[(i, a)]
-                    if la.is_zero() or ra.is_zero():
-                        continue
-                    paj = (ps.parity(a) + ps.parity(j)) % 2
-                    pia = (ps.parity(i) + ps.parity(a)) % 2
-                    terms.append((-1 if paj * pia else 1, [(la.entries, paj), (ra.entries, pia)]))
-                t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
-        T._tprime = TPrimeAction(ps, space, t)
-        return T._tprime
-    d = T.dim
     idx = range(1, kk + 1)
-    if T.provenance[0] == "evaluation":
+    kind = T.provenance[0]
+    if kind == "trivial":
+        form = T.cleared()
+    elif kind == "tensor":
+        L, R = T.provenance[1], T.provenance[2]
+        Lp, Rp = inverse_series_action(L).cleared(), inverse_series_action(R).cleared()
+        par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
+        blocks = {
+            (i, j): _kron_blocks(
+                [(-1 if par(a, j) * par(i, a) else 1, [(Lp.blocks[(a, j)], par(a, j)), (Rp.blocks[(i, a)], par(i, a))])
+                 for a in idx if _nonzero(Lp.blocks[(a, j)]) and _nonzero(Rp.blocks[(i, a)])],
+                [L.space, R.space],
+            )
+            for i in idx
+            for j in idx
+        }
+        form = cleared_form(poly_mul(Lp.den_coeffs, Rp.den_coeffs), blocks)
+    elif kind == "shift":
+        form = inverse_series_action(T.provenance[1]).cleared().shift(-T.provenance[2])
+    elif kind == "dual":
+        form = _supertranspose(ps, T.space, T.provenance[1].cleared().neg_u())
+    elif kind == "evaluation":
+        d = T.dim
         M, z = T.provenance[1], T.provenance[2]
         A = [[-ps.sign(i) * x for j in idx for x in M.e(i, j)[q]] for i in idx for q in range(d)]
         for r, row in enumerate(A):
@@ -599,46 +674,27 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
             for i in idx
             for j in idx
         }
-        T._tprime = TPrimeAction(ps, T.space, cleared_form(poly_mul(den, w[1:]), blocks))
-        return T._tprime
-    layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
-    inv = rfmat_inverse(RFMatrix(layout)).entries
-    t = {
-        (i, j): RFMatrix([row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]], T.space, T.space)
-        for i in idx
-        for j in idx
-    }
-    T._tprime = TPrimeAction(ps, T.space, t)
+        form = cleared_form(poly_mul(den, w[1:]), blocks)
+    else:
+        d = T.dim
+        layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+        inv = rfmat_inverse(RFMatrix(layout)).entries
+        form = cleared_form_rf({
+            (i, j): [row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]] for i in idx for j in idx
+        })
+    T._tprime = TPrimeAction(ps, T.space, form)
     return T._tprime
 
 
 def dual_action(T: TAction) -> TAction:
     """Action on the dual space through the inverse-transpose twist.
 
-    t*_ij(u) is the sign-adjusted supertranspose of t'_ji(-u); highest
-    vectors dualize to highest vectors with the predictable weight.
+    t*_ij(u) is the sign-adjusted supertranspose of t'_ji(-u)
+    (_supertranspose); highest vectors dualize to highest vectors with the
+    predictable weight.
     """
-    ps = T.ps
-    kk = ps.kappa
-    Tp = inverse_series_action(T)
-    d = T.dim
-    pars = T.space.parities
-    t = {}
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            pij = (ps.parity(i) + ps.parity(j)) % 2
-            bs = _block_sign(ps, i, j)
-            src = Tp.t[(j, i)].subs_neg()
-            ent = []
-            for q in range(d):
-                row = []
-                for p in range(d):
-                    sign = bs * (-1 if (pij and pars[p]) else 1)
-                    v = src[p, q]
-                    row.append(v if sign == 1 else -v)
-                ent.append(row)
-            t[(i, j)] = RFMatrix(ent, T.space, T.space)
-    return TAction(ps, SuperSpace(pars), t, ("dual", T))
+    form = _supertranspose(T.ps, T.space, inverse_series_action(T).cleared().neg_u())
+    return TAction(T.ps, SuperSpace(T.space.parities), form, ("dual", T))
 
 
 # ---------------------------------------------------------------------------
@@ -723,35 +779,41 @@ def lambda_prime_check(T: TAction, xi, lams=None):
     Clause a: t'_ij(u) xi = 0 for i < j.  Clause b: t'_ii(u) xi equals the
     closed-form eigenvalue.  Clause c: the killing products
     t_ia(u) t'_cj(v) xi vanish identically in u and v, for i < j with
-    c <= a and for i = j with c < a.  With t_ia(u) = sum_s A_s u^s / d(u)
-    and t'_cj(v) = sum_t B_t v^t / d'(v), each cleared over its common
-    denominator, a product vanishes identically exactly when every
-    A_s B_t xi does, so the coefficients certify clause c.  Returns None on
-    success, else a (clause, detail) pair: ("a", (i, j)), ("b", i) or
-    ("c", (i, a, c, j)), the first failure in that order.
+    c <= a and for i = j with c < a.  All three are read off the cleared
+    forms T = N / d and T' = N' / d', with xi scaled to an integer vector
+    z: clause a is N'_ij(u) z = 0, clause b is l_d N'_ii(u) z = l_n d' z_q
+    entrywise for the closed form l_n / l_d, and a product of clause c
+    vanishes identically exactly when N_ia(u) kills every u-coefficient
+    vector of N'_cj(v) z.  Returns None on success, else a (clause, detail)
+    pair: ("a", (i, j)), ("b", i) or ("c", (i, a, c, j)), the first
+    failure in that order.
     """
     xi = [rat(x) for x in xi]
     if lams is None:
         lams = highest_lweight(T, xi)
-    Tp = inverse_series_action(T)
+    form, inv = T.cleared(), inverse_series_action(T).cleared()
+    _s, (z,) = _zclear([xi])
     kk = T.kappa
-    for i in range(1, kk + 1):
-        for j in range(i + 1, kk + 1):
-            if any(Tp.t[(i, j)].mat_vec(xi)):
-                return ("a", (i, j))
-    p = next(k for k, x in enumerate(xi) if x)
-    for i in range(1, kk + 1):
-        w = Tp.t[(i, i)].mat_vec(xi)
-        lam_p = lambda_prime_formula(lams, T.ps, i)
-        if any(w[q] - lam_p * RatFun.const(xi[q]) for q in range(len(xi))):
-            return ("b", i)
     idx = range(1, kk + 1)
-    A = {key: m.numerator_coefficients() for key, m in T.t.items()}
-    Bxi = {key: [mat_vec(Bt, xi) for Bt in m.numerator_coefficients()] for key, m in Tp.t.items()}
+    w = {key: _apply_rows(rows, z) for key, rows in inv.blocks.items()}
+    for i in idx:
+        for j in range(i + 1, kk + 1):
+            if any(w[(i, j)]):
+                return ("a", (i, j))
+    for i in idx:
+        lam = lambda_prime_formula(lams, T.ps, i)
+        _s, (ln, ld) = _zclear([lam.num.coeffs, lam.den.coeffs])
+        rhs = poly_mul(ln, inv.den_coeffs)
+        if any(poly_mul(wq, ld) != poly_mul(rhs, (zq,) if zq else ()) for wq, zq in zip(w[(i, i)], z)):
+            return ("b", i)
+    vecs = {
+        key: [[p[k] if k < len(p) else 0 for p in wk] for k in range(max(map(len, wk), default=0))]
+        for key, wk in w.items()
+    }
     quads = [(i, a, c, j) for i in idx for j in range(i + 1, kk + 1) for a in idx for c in range(1, a + 1)]
     quads += [(i, a, c, i) for i in idx for a in idx for c in range(1, a)]
     for i, a, c, j in quads:
-        if any(any(mat_vec(As, w)) for As in A[(i, a)] for w in Bxi[(c, j)]):
+        if any(any(_apply_rows(form.blocks[(i, a)], v)) for v in vecs[(c, j)]):
             return ("c", (i, a, c, j))
     return None
 
@@ -882,8 +944,7 @@ def t_to_json(T: TAction) -> dict:
 def t_from_json(data: dict) -> TAction:
     ps = ParitySeq(data["ps"])
     space = SuperSpace(data["parities"])
-    t = json_blocks(data, "t", ps.kappa, rf_from_json)
-    return TAction(ps, space, {key: RFMatrix(rows, space, space) for key, rows in t.items()})
+    return TAction(ps, space, cleared_form_rf(json_blocks(data, "t", ps.kappa, rf_from_json)))
 
 
 # ---------------------------------------------------------------------------

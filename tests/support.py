@@ -36,8 +36,18 @@ ref_tilde_ratio are the highest-weight route over the function field: the
 eigen-series read off the RatFun blocks t, the tilde series and the
 symmetry conditions formed from reduced RatFun, the references for the
 Z[u] reader yangian.highest_eigenseries and for twisted.verma_conditions
-and classify_rank1.  bweight_from_series clears RatFun series over their
-common denominator into a BHighestWeight.
+and classify_rank1; ref_unitarity_scalar is the scalar of B(u) B(-u) that
+the last condition reads.  bweight_from_series clears RatFun series over
+their common denominator into a BHighestWeight.
+
+The rf_* constructors (rf_shift, rf_tensor, rf_dual, rf_c_gamma,
+rf_b_tensor, rf_reduce_rank with restrict_rf, rf_tilde_operator and
+rf_find_highest_space) build the families over the function field, as
+RFMatrix blocks, with inverse series by Gauss-Jordan (ref_inverse): the
+oracles that the integer constructors of tyang.yangian and tyang.twisted,
+which build every family as a ClearedForm, are compared with through
+family_form.  ref_lambda_prime_check is the inverse-weight check read off
+those RatFun blocks.
 """
 
 from fractions import Fraction
@@ -46,22 +56,29 @@ from math import gcd, lcm
 
 import sympy
 
+from tyang._kernel import mat_mul
 from tyang.daha import _cross, _transpose
 from tyang.exactalg import Poly, RatFun, _zclear
+from tyang.glmn import _coords_in_span
 from tyang.superlinalg import (
     RFMatrix,
     _kron_sum_rows,
     at_slots,
+    cleared_coefficients,
     common_den,
     elementary,
     kron_sum,
+    mat_identity,
+    mat_vec,
+    rfmat_inverse,
+    rfmat_kernel,
     sparse_add,
     sparse_mul,
     sparse_scale,
     tensor_space,
 )
 from tyang.twisted import BHighestWeight
-from tyang.yangian import NotHighest, SeriesFamily
+from tyang.yangian import NotHighest, cleared_form_rf, lambda_prime_formula
 
 
 def _block_sign(ps, i, j):
@@ -186,7 +203,7 @@ def rf_quotient_family(D, blocks, den):
                 row.append(RatFun(Poly(acc), d))
             ent.append(row)
         t[key] = RFMatrix(ent, D.action.space, D.action.space)
-    return t, SeriesFamily(D.action.ps, D.action.space, t).cleared()
+    return t, family_form(t)
 
 
 def _rf(num_coeffs, den_coeffs=(1,)):
@@ -618,16 +635,17 @@ def ref_tilde(mus, ps, i):
     return out
 
 
-def ref_verma_conditions(mus, ps):
+def ref_verma_conditions(mus, ps, f):
     """The symmetry conditions on reduced RatFun series, each compared by
-    cross multiplication of f(u) f(r - u) with g(u) g(r - u)."""
+    cross multiplication of g(u) g(r - u) with h(u) h(r - u), and
+    mu_kappa(u) mu_kappa(-u) with the unitarity scalar f (a RatFun)."""
     kk = len(mus)
 
-    def reflected(f, r):
-        return f.num * f.num.compose_linear(-1, r), f.den * f.den.compose_linear(-1, r)
+    def reflected(g, r):
+        return g.num * g.num.compose_linear(-1, r), g.den * g.den.compose_linear(-1, r)
 
     n, d = reflected(mus[kk - 1], 0)
-    if n != d:
+    if n * f.den != f.num * d:
         return kk
     for i in range(1, kk):
         r = ps.rho(i + 1)
@@ -680,3 +698,230 @@ def ref_induced_y(params, basis, step, gens, base_y):
                     out[b0 + v] = out.get(b0 + v, 0) + c
                 cols[i - 1][b * inner + v] = {r: x for r, x in out.items() if x}
     return [_transpose(col, dim) for col in cols]
+
+
+# ---------------------------------------------------------------------------
+# The family constructors over the function field: the RatFun blocks
+# {(i, j): RFMatrix} that the integer constructors of tyang.yangian and
+# tyang.twisted are checked against.  Inverse series come from Gauss-Jordan
+# on the block layout (ref_inverse), never from a constructor's own rule.
+
+def family_form(t):
+    """The ClearedForm of RFMatrix blocks t, through yangian.cleared_form_rf."""
+    return cleared_form_rf({key: m.entries for key, m in t.items()})
+
+
+def _par(ps, a, b):
+    return (ps.parity(a) + ps.parity(b)) % 2
+
+
+def ref_inverse(family):
+    """The inverse series of a family: the Gauss-Jordan inverse of its
+    unsigned block layout [[x_ij]], sliced back into blocks."""
+    d, idx = family.dim, range(1, family.kappa + 1)
+    layout = [[x for j in idx for x in family.t[(i, j)].entries[q]] for i in idx for q in range(d)]
+    inv = rfmat_inverse(RFMatrix(layout)).entries
+    sp = family.space
+    return {
+        (i, j): RFMatrix([row[(j - 1) * d:j * d] for row in inv[(i - 1) * d:i * d]], sp, sp)
+        for i in idx
+        for j in idx
+    }
+
+
+def rf_shift(T, z):
+    """T(u - z) entry by entry."""
+    return {key: m.subs_linear(1, -z) for key, m in T.t.items()}
+
+
+def rf_tensor(L, R):
+    """t_ij = sum_k t_ik x t_kj on L x R, Koszul-assembled by kron_sum."""
+    ps, kk = L.ps, L.kappa
+    spaces, space = [L.space, R.space], L.space.tensor(R.space)
+    t = {}
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            terms = [
+                (1, [(L.t[(i, k)].entries, _par(ps, i, k)), (R.t[(k, j)].entries, _par(ps, k, j))])
+                for k in range(1, kk + 1)
+                if not (L.t[(i, k)].is_zero() or R.t[(k, j)].is_zero())
+            ]
+            t[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), space, space)
+    return t
+
+
+def rf_dual(T):
+    """t*_ij(u), the sign-adjusted supertranspose of t'_ji(-u), with T' the
+    Gauss-Jordan inverse."""
+    ps, kk, d, pars = T.ps, T.kappa, T.dim, T.space.parities
+    Tp = ref_inverse(T)
+    t = {}
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            bs = _block_sign(ps, i, j)
+            src = Tp[(j, i)].subs_neg()
+            ent = [
+                [src[p, q] if bs * (-1 if _par(ps, i, j) and pars[p] else 1) == 1 else -src[p, q] for p in range(d)]
+                for q in range(d)
+            ]
+            t[(i, j)] = RFMatrix(ent, T.space, T.space)
+    return t
+
+
+def rf_c_gamma(ctx, gamma):
+    """b_ii(u) = (eps_i u + gamma)/(u - gamma) on a one-dimensional space."""
+    den = Poly([-gamma, 1])
+    k = ctx.kappa
+    return {
+        (i, j): RFMatrix([[RatFun(Poly([gamma, Fraction(ctx.eps_sign(i))]), den) if i == j else RatFun.zero()]])
+        for i in range(1, k + 1)
+        for j in range(1, k + 1)
+    }
+
+
+def rf_b_tensor(L, W):
+    """b_ij(u) = sum_{k,r} (-1)^(|b_kr| |t'_rj|) t_ik(u) t'_rj(-u) x b_kr(u) on
+    L x W, kron_sum-assembled."""
+    ps, kk = L.ps, L.kappa
+    Lpn = {key: m.subs_neg() for key, m in ref_inverse(L).items()}
+    wb = [(k, r, m) for (k, r), m in sorted(W.b.items()) if not m.is_zero()]
+    spaces, carrier = [L.space, W.space], L.space.tensor(W.space)
+    b = {}
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            terms = []
+            for k, r, bkr in wb:
+                t, tp = L.t[(i, k)], Lpn[(r, j)]
+                if t.is_zero() or tp.is_zero():
+                    continue
+                sign = -1 if _par(ps, k, r) * _par(ps, r, j) else 1
+                ops = [((t @ tp).entries, (_par(ps, i, k) + _par(ps, r, j)) % 2), (bkr.entries, _par(ps, k, r))]
+                terms.append((sign, ops))
+            b[(i, j)] = RFMatrix.from_const(kron_sum(terms, spaces), carrier, carrier)
+    return b
+
+
+def _rf_vector_coords_in_span(w, K):
+    """A RatFun vector as a rational-function combination of the constant
+    vectors K; None when outside their span."""
+    if not K:
+        return None if any(w) else []
+    den, coeffs = cleared_coefficients(w)
+    coeff_polys = [[Fraction(0)] * len(coeffs) for _ in K]
+    for r, vec in enumerate(coeffs):
+        coords = _coords_in_span(K, [vec])
+        if coords is None:
+            return None
+        for t, c in enumerate(coords[0]):
+            coeff_polys[t][r] = c
+    return [RatFun(Poly(cs), den) for cs in coeff_polys]
+
+
+def restrict_rf(M, K):
+    """The restriction of the RFMatrix M to the span of the constant vectors
+    K; raises ValueError when the span is not invariant."""
+    cols = []
+    for v in K:
+        coords = _rf_vector_coords_in_span(M.mat_vec(v), K)
+        if coords is None:
+            raise ValueError("subspace is not invariant")
+        cols.append(coords)
+    k = len(K)
+    return RFMatrix([[cols[c][r] for c in range(k)] for r in range(k)])
+
+
+def rf_tilde_operator(B, i):
+    """(2u - rho_{i+1}) b_ii(u) + sum_{a>i} s_a b_aa(u) as an RFMatrix."""
+    ps = B.ps
+    out = B.b[(i, i)].scale(RatFun(Poly([-ps.rho(i + 1), 2])))
+    for a in range(i + 1, B.kappa + 1):
+        out = out + B.b[(a, a)].scale(ps.sign(a))
+    return out
+
+
+def rf_reduce_rank(B, mode, a=None):
+    """(b, K) of twisted.reduce_rank over the function field: K the common
+    kernel (rfmat_kernel) and b the shifted, corrected blocks restricted
+    to it (restrict_rf)."""
+    kk, ps, idx = B.kappa, B.ps, range(1, B.kappa)
+    if mode == "over":
+        K = rfmat_kernel([B.b[(1, j)] for j in range(2, kk + 1)])
+        return {(i, j): restrict_rf(B.b[(i + 1, j + 1)], K) for i in idx for j in idx}, K
+    if mode == "under":
+        K = rfmat_kernel([B.b[(i, kk)] for i in range(1, kk)])
+        half = Fraction(ps.sign(kk), 2)
+        corr = RatFun(Poly([half]), Poly([0, 1]))
+        b = {}
+        for i in idx:
+            for j in idx:
+                m = B.b[(i, j)].shift(half)
+                if i == j:
+                    m = m + B.b[(kk, kk)].shift(half).scale(corr)
+                b[(i, j)] = restrict_rf(m, K)
+        return b, K
+    constraints = [B.b[(i, j)] for i in range(1, a) for j in range(i + 1, kk + 1)]
+    constraints += [B.b[(k2, l)] for l in range(a + 2, kk + 1) for k2 in range(1, l)]
+    K = rfmat_kernel(constraints) if constraints else [list(r) for r in mat_identity(B.dim)]
+    shift = ps.rho(a + 2) / 2
+    corr = RatFun(Poly([Fraction(1, 2)]), Poly([0, 1]))
+    b = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            m = B.b[(a + i - 1, a + j - 1)].shift(shift)
+            if i == j and a + 2 <= kk:
+                extra = B.b[(a + 2, a + 2)].shift(shift).scale(ps.sign(a + 2))
+                for k2 in range(a + 3, kk + 1):
+                    extra = extra + B.b[(k2, k2)].shift(shift).scale(ps.sign(k2))
+                m = m + extra.scale(corr)
+            b[(i, j)] = restrict_rf(m, K)
+    return b, K
+
+
+def rf_find_highest_space(B):
+    """twisted.find_highest_space over the function field: the kernel of
+    the upper blocks, with the commutation of the restricted diagonal
+    blocks checked on their numerator coefficients."""
+    kk = B.kappa
+    uppers = [B.b[(i, j)] for i in range(1, kk + 1) for j in range(i + 1, kk + 1)]
+    K = rfmat_kernel(uppers) if uppers else [list(r) for r in mat_identity(B.dim)]
+    if not K:
+        return []
+    coeffs = [restrict_rf(B.b[(r, r)], K).numerator_coefficients() for r in range(1, kk + 1)]
+    for a in range(kk):
+        for b in range(kk):
+            if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
+                raise ValueError(f"restricted diagonal operators {a+1},{b+1} fail to commute")
+    return K
+
+
+def ref_lambda_prime_check(T, xi, lams):
+    """yangian.lambda_prime_check over the function field, on the RatFun
+    blocks of T and of its Gauss-Jordan inverse."""
+    xi = [Fraction(x) for x in xi]
+    Tp = ref_inverse(T)
+    kk = T.kappa
+    for i in range(1, kk + 1):
+        for j in range(i + 1, kk + 1):
+            if any(Tp[(i, j)].mat_vec(xi)):
+                return ("a", (i, j))
+    for i in range(1, kk + 1):
+        w = Tp[(i, i)].mat_vec(xi)
+        lam_p = lambda_prime_formula(lams, T.ps, i)
+        if any(w[q] - lam_p * RatFun.const(xi[q]) for q in range(len(xi))):
+            return ("b", i)
+    idx = range(1, kk + 1)
+    A = {key: m.numerator_coefficients() for key, m in T.t.items()}
+    Bxi = {key: [mat_vec(Bt, xi) for Bt in m.numerator_coefficients()] for key, m in Tp.items()}
+    quads = [(i, a, c, j) for i in idx for j in range(i + 1, kk + 1) for a in idx for c in range(1, a + 1)]
+    quads += [(i, a, c, i) for i in idx for a in idx for c in range(1, a)]
+    for i, a, c, j in quads:
+        if any(any(mat_vec(As, w)) for As in A[(i, a)] for w in Bxi[(c, j)]):
+            return ("c", (i, a, c, j))
+    return None
+
+
+def ref_unitarity_scalar(B):
+    """The (1, 1) entry of B(u) B(-u), formed block by block over the
+    function field: the scalar f(u) of a family that passes unitarity."""
+    neg = {key: m.subs_neg() for key, m in B.t.items()}
+    return rf_block_product(B.t, neg)[(1, 1)][0, 0]

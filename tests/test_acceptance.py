@@ -31,18 +31,16 @@ from tyang.drinfeld import (
 )
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep
-from tyang.superlinalg import SuperSpace
 from tyang.twisted import (
     TwistedContext,
     b_from_T,
     b_tensor,
     c_gamma,
     classify_rank1,
-    find_highest_space,
     highest_bweight,
     irreducible_burnside,
     reduce_rank,
-    restrict_rf,
+    unitarity_scalar,
     verify_b,
     verma_conditions,
 )
@@ -58,7 +56,14 @@ from tyang.yangian import (
     verify_yang_baxter,
 )
 
-from support import bweight_from_series, lab_t_table, lab_tprime_table, rows_match_table
+from support import (
+    bweight_from_series,
+    lab_t_table,
+    lab_tprime_table,
+    restrict_rf,
+    rf_tilde_operator,
+    rows_match_table,
+)
 
 
 def F(a, b=1):
@@ -224,7 +229,7 @@ class TestCriterion4WeightSymmetry:
                 T = evaluation_action(make_Lab(1, a, b), 0)
                 BT = b_tensor(T, c_gamma(ctx, gamma))
                 mu = highest_bweight(BT, [1, 0])
-                assert verma_conditions(mu) is None, (eps, a, b, gamma)
+                assert verma_conditions(mu, unitarity_scalar(BT)[0]) is None, (eps, a, b, gamma)
         _ok("criterion 4a: weight symmetry constraints on five tensor families")
 
     def test_negative_control_fails_at_predicted_index(self):
@@ -234,7 +239,7 @@ class TestCriterion4WeightSymmetry:
         mu = highest_bweight(B, [1, 0])
         u = RatFun.x()
         bad = bweight_from_series((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
-        assert verma_conditions(bad) == 2
+        assert verma_conditions(bad, unitarity_scalar(B)[0]) == 2
         _ok("criterion 4b: corrupted weight detected at the last index")
 
 
@@ -340,9 +345,7 @@ class TestCriterion7Reductions:
             assert rep.reflection is None and rep.scalar_ok
             K = under.provenance[2]
             half = Fraction(ps.sign(2), 2)
-            assert under.tilde_operator(1) == restrict_rf(
-                B.tilde_operator(1).shift(half), K
-            )
+            assert rf_tilde_operator(under, 1) == restrict_rf(rf_tilde_operator(B, 1).shift(half), K)
         _ok("criterion 7a: first and last index reductions with the shifted diagonal")
 
     def test_star_reduction_with_exact_shift(self):
@@ -355,9 +358,7 @@ class TestCriterion7Reductions:
         K = St.provenance[3]
         shift = ps.rho(3) / 2
         for i in (1, 2):
-            assert St.tilde_operator(i) == restrict_rf(
-                B.tilde_operator(i).shift(shift), K
-            )
+            assert rf_tilde_operator(St, i) == restrict_rf(rf_tilde_operator(B, i).shift(shift), K)
         _ok("criterion 7b: neighbouring-pair reduction with the exact spectral shift")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
+from support import family_form, q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
@@ -387,10 +387,10 @@ class TestFunctorTensor:
         lhs = b_from_T(evaluation_action(make_vector_rep(ps), 0), TwistedContext(ps, [1, -1, 1]))
         P = RFMatrix.from_const([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
         Pinv = rfmat_inverse(P)
-        rhs = BAction(lhs.ctx, lhs.space, {key: Pinv @ m @ P for key, m in lhs.b.items()})
+        rhs = BAction(lhs.ctx, lhs.space, family_form({key: Pinv @ m @ P for key, m in lhs.b.items()}))
         X = RFMatrix.from_const(drinfeld._intertwiner(lhs, rhs))
         assert all(lhs.b[key] @ X == X @ rhs.b[key] for key in lhs.b)
-        zero = BAction(lhs.ctx, lhs.space, {key: m.scale(0) for key, m in lhs.b.items()})
+        zero = BAction(lhs.ctx, lhs.space, family_form({key: m.scale(0) for key, m in lhs.b.items()}))
         assert drinfeld._intertwiner(zero, zero) is None
 
 

@@ -207,6 +207,20 @@ class TestRationalRoots:
         with pytest.raises(RootSearchBound, match=r"bound 10\^12"):
             rational_roots(Poly(coeffs))
 
+    def test_content_is_divided_out_before_the_bound(self):
+        # c (1 + u^3) at c = 10^13: the primitive form 1 + u^3 is searched.
+        c = 10**13
+        roots, cof = rational_roots(Poly([c, 0, 0, c]))
+        assert roots == [(F(-1), 1)]
+        assert cof == Poly([c, -c, c])
+
+    @pytest.mark.parametrize("content", [1, 2])
+    def test_primitive_coefficient_above_the_bound_still_raises(self, content):
+        # 10^12 + 1 is odd, so 2 (10^12 + 1) + 2 u^3 has the primitive form
+        # (10^12 + 1) + u^3, whose trailing coefficient is above the bound.
+        with pytest.raises(RootSearchBound, match=r"bound 10\^12"):
+            rational_roots(Poly([content * (10**12 + 1), 0, 0, content]))
+
 
 class TestInvariants:
     def test_denominator_cleared_evaluation(self):

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from support import (
     bweight_from_series,
+    family_form,
     ref_highest_eigenseries,
     ref_tilde,
     ref_tilde_ratio,
+    ref_unitarity_scalar,
     ref_verma_conditions,
 )
 
@@ -78,7 +80,7 @@ def b_families(draw):
         W1, W2 = c_gamma(ctx, draw(_RAT)), c_gamma(ctx, draw(_RAT))
         zero = RatFun.zero()
         b = {key: RFMatrix([[m[0, 0], zero], [zero, W2.b[key][0, 0]]]) for key, m in W1.b.items()}
-        return kind, BAction(ctx, SuperSpace([0, 0]), b)
+        return kind, BAction(ctx, SuperSpace([0, 0]), family_form(b))
     T = _module(draw, kappa)
     if kind == "tensor":
         return kind, b_tensor(T, c_gamma(_context(draw, T.ps, gamma=False), draw(_RAT)))
@@ -131,7 +133,8 @@ class TestZuReaderMatchesTheRatFunRoute:
         assert mu.mus == ref
         assert mu == bweight_from_series(ref, B.ctx)
         assert [mu.tilde(i) for i in range(1, B.kappa + 1)] == [ref_tilde(ref, ps, i) for i in range(1, B.kappa + 1)]
-        assert verma_conditions(mu) == ref_verma_conditions(ref, ps)
+        f = ref_unitarity_scalar(B)
+        assert verma_conditions(mu, f) == ref_verma_conditions(ref, ps, f)
         if B.kappa == 2:
             ratio = ref_tilde_ratio(ref, ps)
             assert (ratio is None) == (not all(mu.tilde_nums))
@@ -160,8 +163,8 @@ class TestZuReaderMatchesTheRatFunRoute:
         ctx = TwistedContext(ParitySeq([1, -1]), [1, -1])
         W1, W2 = c_gamma(ctx, 1), c_gamma(ctx, 2)
         zero = RatFun.zero()
-        S = BAction(ctx, SuperSpace([0, 0]), {
-            key: RFMatrix([[m[0, 0], zero], [zero, W2.b[key][0, 0]]]) for key, m in W1.b.items()})
+        S = BAction(ctx, SuperSpace([0, 0]), family_form({
+            key: RFMatrix([[m[0, 0], zero], [zero, W2.b[key][0, 0]]]) for key, m in W1.b.items()}))
         cases = [
             (B, [0, 0, 0], "zero vector"),
             (B, [1, 1, 0], "b_12(u) does not annihilate the vector"),
@@ -175,5 +178,6 @@ class TestZuReaderMatchesTheRatFunRoute:
             assert err == ref_err == want
             if want is None:
                 assert mu.mus == ref
-                assert verma_conditions(mu) == ref_verma_conditions(ref, F.ps)
+                f = ref_unitarity_scalar(F)
+                assert verma_conditions(mu, f) == ref_verma_conditions(ref, F.ps, f)
         assert highest_bweight(S, [0, Fraction(-3, 2)]).mus == (W2.b[(1, 1)][0, 0], W2.b[(2, 2)][0, 0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import assemble, bweight_from_series, read_blocks
+from support import assemble, bweight_from_series, family_form, read_blocks, restrict_rf, rf_tilde_operator
 
 from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun, rf_equal
@@ -41,8 +41,8 @@ from tyang.twisted import (
     irreducible_burnside,
     permute_baction,
     reduce_rank,
-    restrict_rf,
     scale_baction,
+    unitarity_scalar,
     verify_b,
     verify_sufficiency,
     verma_conditions,
@@ -139,7 +139,7 @@ class TestEmbedding:
         ctx = TwistedContext(ParitySeq([1, 1]), [1, 1])
         space = SuperSpace([0, 0])
         diag = lambda a, b: RFMatrix.from_const([[a, 0], [0, b]], space, space)
-        B = BAction(ctx, space, {(1, 1): diag(2, 3), (1, 2): diag(0, 0), (2, 1): diag(0, 0), (2, 2): diag(5, 7)})
+        B = BAction(ctx, space, family_form({(1, 1): diag(2, 3), (1, 2): diag(0, 0), (2, 1): diag(0, 0), (2, 2): diag(5, 7)}))
         rep = verify_b(B)
         assert not rep.scalar_ok and rep.f == RatFun.const(4)
 
@@ -149,7 +149,7 @@ class TestEmbedding:
         ctx = TwistedContext(ParitySeq([1, 1]), [1, 1])
         space = SuperSpace([0])
         one = lambda a: RFMatrix.from_const([[a]], space, space)
-        B = BAction(ctx, space, {(1, 1): one(1), (1, 2): one(1), (2, 1): one(0), (2, 2): one(1)})
+        B = BAction(ctx, space, family_form({(1, 1): one(1), (1, 2): one(1), (2, 1): one(0), (2, 2): one(1)}))
         rep = verify_b(B)
         assert not rep.scalar_ok and rep.f == RatFun.one()
 
@@ -164,7 +164,7 @@ class TestReflectionWitness:
         # Flipping b_12 alone on L(a, b) with eps_1 = eps_2 breaks the reflection equation.
         b = dict(b_l12.b)
         b[(1, 2)] = b[(1, 2)].scale(-1)
-        bad = BAction(b_l12.ctx, b_l12.space, b)
+        bad = BAction(b_l12.ctx, b_l12.space, family_form(b))
         w = verify_b(bad).reflection
         assert w is not None and w.label == "reflection"
         u0, v0 = w.point
@@ -296,7 +296,7 @@ def _diagonal_baction(b11, b22):
     space = SuperSpace([0, 0])
     zero = RFMatrix.zero(2, 2, space, space)
     b = {(1, 1): b11, (1, 2): zero, (2, 1): zero, (2, 2): b22}
-    return BAction(ctx, space, {key: RFMatrix(m.entries, space, space) for key, m in b.items()})
+    return BAction(ctx, space, family_form(b))
 
 
 class TestHighestSpace:
@@ -325,7 +325,7 @@ class TestHighestSpace:
                     ents[r][c] = m[r, c]
                     ents[d + r][d + c] = m[r, c]
             b[key] = RFMatrix(ents, space, space)
-        BB = BAction(b_l12.ctx, space, b)
+        BB = BAction(b_l12.ctx, space, family_form(b))
         assert len(find_highest_space(BB)) == 2
 
 
@@ -333,21 +333,58 @@ class TestVerma:
     def test_c_gamma_passes(self):
         for eps in ([1, 1], [1, -1]):
             ctx = TwistedContext(ParitySeq([1, -1]), eps)
-            mu = highest_bweight(c_gamma(ctx, 2), [1])
-            assert verma_conditions(mu) is None
+            W = c_gamma(ctx, 2)
+            assert verma_conditions(highest_bweight(W, [1]), unitarity_scalar(W)[0]) is None
 
     def test_tensor_weights_pass(self):
         ps = ParitySeq([1, -1])
         ctx = TwistedContext(ps, [1, -1])
         T = evaluation_action(make_Lab(1, 1, 2), 0)
-        mu = highest_bweight(b_tensor(T, c_gamma(ctx, 2)), [1, 0])
-        assert verma_conditions(mu) is None
+        B = b_tensor(T, c_gamma(ctx, 2))
+        assert verma_conditions(highest_bweight(B, [1, 0]), unitarity_scalar(B)[0]) is None
 
     def test_corrupted_weight_fails_at_last_index(self, b_l12):
         mu = highest_bweight(b_l12, [1, 0])
         u = RatFun.x()
         bad = bweight_from_series((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
-        assert verma_conditions(bad) == 2
+        assert verma_conditions(bad, unitarity_scalar(b_l12)[0]) == 2
+
+
+_SIGN_PAIRS = [[1, -1], [1, 1], [-1, 1]]
+
+
+class TestWeightSymmetryWithGamma:
+    """B(u) = T(u) (G + gamma/u) T(-u)^{-1} has unitarity scalar
+    f(u) = 1 - gamma^2/u^2, and the last weight condition reads
+    mu_kappa(u) mu_kappa(-u) = f(u)."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("eps", _SIGN_PAIRS)
+    @pytest.mark.parametrize("ps", _SIGN_PAIRS)
+    def test_vector_modules_and_their_squares(self, ps, eps, power):
+        # 3 ps x 3 eps x 2 powers here, x 3 gammas below: 54 families.
+        u = RatFun.x()
+        T = evaluation_action(make_vector_rep(ParitySeq(ps)), 0)
+        if power == 2:
+            T = tensor_action(T, T)
+        for gamma in (F(1, 2), F(3), F(-2)):
+            B = b_from_T(T, TwistedContext(T.ps, eps, gamma))
+            f, scalar = unitarity_scalar(B)
+            assert scalar and f == 1 - gamma * gamma / (u * u)
+            mu = highest_bweight(B, [1] + [0] * (T.dim - 1))
+            assert verma_conditions(mu, f) is None
+            # The condition with f = 1 fails at kappa on every one of them.
+            assert verma_conditions(mu, RatFun.one()) == 2
+
+    def test_corrupted_weight_still_fails_at_kappa(self):
+        u = RatFun.x()
+        T = evaluation_action(make_vector_rep(ParitySeq([1, -1])), 0)
+        B = b_from_T(T, TwistedContext(T.ps, [1, -1], F(1, 2)))
+        f = unitarity_scalar(B)[0]
+        mu = highest_bweight(B, [1, 0])
+        assert verma_conditions(mu, f) is None
+        bad = bweight_from_series((mu.mus[0], mu.mus[1] * (u + 1) / (u + 2)), mu.ctx)
+        assert verma_conditions(bad, f) == 2
 
 
 class TestClassifyRank1:
@@ -471,8 +508,8 @@ class TestReductions:
         K = under.provenance[2]
         ps = b_l12.ps
         half = Fraction(ps.sign(2), 2)
-        want = restrict_rf(b_l12.tilde_operator(1).shift(half), K)
-        got = under.tilde_operator(1)
+        want = restrict_rf(rf_tilde_operator(b_l12, 1).shift(half), K)
+        got = rf_tilde_operator(under, 1)
         assert got == want
 
     def test_star_on_kappa_three(self):
@@ -486,8 +523,8 @@ class TestReductions:
         K = St.provenance[3]
         shift = ps.rho(3) / 2
         for i in (1, 2):
-            want = restrict_rf(B.tilde_operator(i).shift(shift), K)
-            assert St.tilde_operator(i) == want
+            want = restrict_rf(rf_tilde_operator(B, i).shift(shift), K)
+            assert rf_tilde_operator(St, i) == want
 
     @pytest.mark.parametrize("ps", list(itertools.product((1, -1), repeat=3)))
     def test_reduced_space_carries_the_grading(self, ps):
@@ -518,7 +555,7 @@ class TestReductions:
         # A family whose off-diagonal series has trivial kernel.
         ctx = b_l12.ctx
         sub = {key: RFMatrix([[RatFun.one()]]) for key in b_l12.b}
-        Bb = BAction(ctx, SuperSpace([0]), sub)
+        Bb = BAction(ctx, SuperSpace([0]), family_form(sub))
         with pytest.raises(EmptySubspace):
             reduce_rank(Bb, "over")
 
@@ -564,7 +601,7 @@ class TestBurnside:
                 space,
                 space,
             )
-        v = irreducible_burnside(BAction(ctx, space, b))
+        v = irreducible_burnside(BAction(ctx, space, family_form(b)))
         assert v.status == "reducible"
 
 

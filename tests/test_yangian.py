@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from support import (
     assemble,
+    family_form,
     lab_t_table,
     lab_tprime_table,
     read_blocks,
@@ -165,7 +166,7 @@ class TestBlockProduct:
         # carrier x V (with mid as 1 x diag(mid)), and the block product
         # formed in RatFun arithmetic.
         ps, carrier, A, B, (mid, mid_rf) = case
-        FA, FB = SeriesFamily(ps, carrier, A), SeriesFamily(ps, carrier, B)
+        FA, FB = SeriesFamily(ps, carrier, family_form(A)), SeriesFamily(ps, carrier, family_form(B))
         got = read_product(*block_product(FA.cleared(), FB.cleared(), mid), carrier)
         assert got == rf_block_product(A, B, mid_rf)
         OA, OB = assemble(FA), assemble(FB)
@@ -274,7 +275,7 @@ class TestClearedFormNormaliser:
             assert tuple(T.cleared()) == rf_cleared_form(T.t)
             assert tuple(Tp.cleared()) == rf_cleared_form(Tp.t)
             # A family built from RatFuns clears through the same normaliser.
-            assert tuple(SeriesFamily(T.ps, T.space, Tp.t).cleared()) == tuple(Tp.cleared())
+            assert tuple(family_form(Tp.t)) == tuple(Tp.cleared())
 
     def test_common_factor_content_and_sign_are_divided_out(self):
         # The same family over -6 (u + 3) D: the normaliser recovers it.
@@ -441,7 +442,7 @@ class TestRTT:
         T = evaluation_action(make_vector_rep(ps), 0)
         bad = dict(T.t)
         bad[(2, 1)] = bad[(2, 1)].scale(-1)
-        broken = TAction(ps, T.space, bad)
+        broken = TAction(ps, T.space, family_form(bad))
         w = verify_rtt(broken)
         assert w is not None and w.status == "fail"
 
@@ -506,12 +507,12 @@ class TestRTT:
         if label == "exchange":
             bad = dict(T.t)
             bad[(1, 2)] = bad[(1, 2)].scale(-1)
-            T = TAction(ps, T.space, bad)
+            T = TAction(ps, T.space, family_form(bad))
         else:
             # A wrong inverse series leaves the exchange relation intact.
             Tp = dict(inverse_series_action(T).t)
             Tp[(1, 2)] = Tp[(1, 2)].scale(-1)
-            T._tprime = TPrimeAction(ps, T.space, Tp)
+            T._tprime = TPrimeAction(ps, T.space, family_form(Tp))
         w = verify_rtt(T)
         assert w is not None and w.label == label
         u0, v0 = w.point
@@ -622,7 +623,7 @@ class TestHighestWeight:
              for key in itertools.product((1, 2), repeat=2)}
         t[(1, 1)] = RFMatrix([[one, 1 / u], [zero, one]], space, space)
         with pytest.raises(NotHighest, match=r"^t_11\(u\) is not scalar on the vector$"):
-            highest_lweight(TAction(ps, space, t), [0, 1])
+            highest_lweight(TAction(ps, space, family_form(t)), [0, 1])
 
 
 class TestLambdaPrime:
@@ -673,8 +674,8 @@ class TestLambdaPrime:
         t[(1, 3)] = RFMatrix([[entry(x) for x in t13]] + blank.entries[1:], space, space)
         tp[(3, 2)] = RFMatrix([[entry(x) for x in row] for row in tp32], space, space)
         one = RatFun.one()
-        T = TAction(ps, space, t)
-        T._tprime = TPrimeAction(ps, space, tp)
+        T = TAction(ps, space, family_form(t))
+        T._tprime = TPrimeAction(ps, space, family_form(tp))
         assert lambda_prime_check(T, [1, 0, 0], (one, one, one)) == ("c", (1, 3, 3, 2))
 
     def test_three_fold_tensor_kappa_three(self):
