@@ -8,26 +8,13 @@ off the parity sequence.
 
 from fractions import Fraction
 
-from tyang._kernel import mat_mul, mat_rref
-from tyang.exactalg import rat, rational_roots
-from tyang.superlinalg import (
-    SuperSpace,
-    charpoly,
-    kron_ops,
-    mat_identity,
-    mat_nullspace,
-    mat_scale,
-    mat_sub,
-    mat_vec,
-)
+from tyang._kernel import mat_rref
+from tyang.exactalg import rat
+from tyang.superlinalg import SuperSpace, mat_vec
 
 
 class ParameterError(ValueError):
     pass
-
-
-class IrrationalSpectrum(ArithmeticError):
-    """The commuting diagonal family is not split over the rationals."""
 
 
 class ParitySeq:
@@ -71,9 +58,6 @@ class ParitySeq:
 
     def space(self) -> SuperSpace:
         return SuperSpace(self.parities)
-
-    def reversed(self) -> "ParitySeq":
-        return ParitySeq(self.s[::-1])
 
     def __eq__(self, other):
         return isinstance(other, ParitySeq) and self.s == other.s
@@ -150,49 +134,6 @@ def make_Lab(s1: int, a, b) -> GlModule:
     return GlModule(ps, space, action)
 
 
-def _add_scaled(A, B, c):
-    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def verify_gl_module(M: GlModule):
-    """Check every supercommutator relation; None on pass, else (i,j,k,l)."""
-    ps = M.ps
-    d = M.dim
-    kk = ps.kappa
-    for i in range(1, kk + 1):
-        for j in range(1, kk + 1):
-            pij = (ps.parity(i) + ps.parity(j)) % 2
-            eij = M.e(i, j)
-            for k in range(1, kk + 1):
-                for l in range(1, kk + 1):
-                    pkl = (ps.parity(k) + ps.parity(l)) % 2
-                    ekl = M.e(k, l)
-                    sign = -1 if (pij and pkl) else 1
-                    lhs = mat_sub(mat_mul(eij, ekl), mat_scale(mat_mul(ekl, eij), sign))
-                    rhs = [[Fraction(0)] * d for _ in range(d)]
-                    if j == k:
-                        rhs = _add_scaled(rhs, M.e(i, l), 1)
-                    if i == l:
-                        rhs = _add_scaled(rhs, M.e(k, j), -sign)
-                    if lhs != rhs:
-                        return (i, j, k, l)
-    return None
-
-
-def gl_tensor(M: GlModule, N: GlModule) -> GlModule:
-    """Tensor product along x -> 1 x x + x x 1, with Koszul signs."""
-    if M.ps != N.ps:
-        raise ParameterError("tensor factors over different parity sequences")
-    spaces = [M.space, N.space]
-    action = {}
-    for (i, j) in M.action:
-        pi = (M.ps.parity(i) + M.ps.parity(j)) % 2
-        left = kron_ops([(M.e(i, j), pi), (None, 0)], spaces)
-        right = kron_ops([(None, 0), (N.e(i, j), pi)], spaces)
-        action[(i, j)] = _add_scaled(left, right, 1)
-    return GlModule(M.ps, M.space.tensor(N.space), action)
-
-
 def _coords_in_span(basis, vectors):
     """Coordinates of each vector in the span of basis; None if outside."""
     if not basis:
@@ -213,68 +154,8 @@ def _coords_in_span(basis, vectors):
     return out
 
 
-def weight_decompose(M: GlModule):
-    """Simultaneous eigenspace decomposition of the commuting e_ii family.
-
-    Returns a dict mapping weight tuples to lists of basis vectors.  Raises
-    IrrationalSpectrum when some e_ii has a non-rational eigenvalue or fails
-    to be diagonalizable on M.
-    """
-    d = M.dim
-    blocks = [((), [row[:] for row in mat_identity(d)])]
-    for i in range(1, M.ps.kappa + 1):
-        A = M.e(i, i)
-        new_blocks = []
-        for prefix, basis in blocks:
-            coords = _coords_in_span(basis, [mat_vec(A, v) for v in basis])
-            if coords is None:
-                raise IrrationalSpectrum(f"e_{i}{i} does not preserve a weight block")
-            sub = [[coords[c][r] for c in range(len(basis))] for r in range(len(basis))]
-            chi = charpoly(sub)
-            roots, cof = rational_roots(chi)
-            if cof.degree > 0:
-                raise IrrationalSpectrum(f"e_{i}{i} has irrational eigenvalues")
-            found = 0
-            for lam, _mult in roots:
-                shifted = [row[:] for row in sub]
-                for r in range(len(shifted)):
-                    shifted[r][r] -= lam
-                null = mat_nullspace(shifted)
-                if null:
-                    lifted = []
-                    for nv in null:
-                        vec = [Fraction(0)] * d
-                        for c, coeff in enumerate(nv):
-                            if coeff:
-                                for r in range(d):
-                                    vec[r] += coeff * basis[c][r]
-                        lifted.append(vec)
-                    new_blocks.append((prefix + (lam,), lifted))
-                    found += len(null)
-            if found != len(basis):
-                raise IrrationalSpectrum(f"e_{i}{i} is not diagonalizable on the module")
-        blocks = new_blocks
-    return {prefix: basis for prefix, basis in blocks}
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization; Rat values travel as "p/q" strings.
-
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
-def gl_to_json(M: GlModule) -> dict:
-    return {
-        "ps": list(M.ps.s),
-        "dim": M.dim,
-        "parities": list(M.space.parities),
-        "e": {
-            f"{i},{j}": [[_rat_str(x) for x in row] for row in M.e(i, j)]
-            for (i, j) in sorted(M.action)
-        },
-    }
-
 
 def json_blocks(data, name, kappa, entry):
     """The generator matrices data[name] of a JSON payload, {"i,j": rows},

@@ -76,14 +76,6 @@ def mat_identity(n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
 
@@ -150,21 +142,22 @@ def mat_nullspace(A):
     return basis
 
 
+def coefficient_vectors(v):
+    """The integer vectors c_k with v = sum_k c_k u^k, for v a vector of
+    integer coefficient tuples (None or () for zero)."""
+    top = max((len(e) for e in v if e), default=0)
+    return [[e[k] if e and k < len(e) else 0 for e in v] for k in range(top)]
+
+
 def poly_kernel(rows, ncols):
     """Basis of the constant vectors x with r(u) . x = 0 for every row r of
-    integer coefficient tuples (None or () for zero): the nullspace
-    (mat_nullspace) of the u^k coefficient vectors of the rows, or the
-    identity when every row is zero.  Scaling a row by a nonzero
-    polynomial keeps its kernel, and mat_nullspace reads the basis off the
-    reduced echelon form, which depends only on the row space, so the basis
-    does not depend on how the rows were cleared."""
-    zero = Fraction(0)
-    vecs = []
-    for row in rows:
-        for k in range(max((len(e) for e in row if e), default=0)):
-            v = [Fraction(e[k]) if e and k < len(e) else zero for e in row]
-            if any(v):
-                vecs.append(v)
+    integer coefficient tuples: the nullspace (mat_nullspace) of the
+    coefficient vectors of the rows, or the identity when every row is
+    zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
+    mat_nullspace reads the basis off the reduced echelon form, which
+    depends only on the row space, so the basis does not depend on how the
+    rows were cleared."""
+    vecs = [[Fraction(x) for x in c] for row in rows for c in coefficient_vectors(row) if any(c)]
     return mat_nullspace(vecs) if vecs else mat_identity(ncols)
 
 
@@ -376,18 +369,6 @@ def kron_sum(terms, spaces):
     """
     rows = _kron_sum_rows(terms, spaces)
     return _dense(rows, len(rows))
-
-
-def apply_at_factor(op, k, spaces, op_parity):
-    """Lift op on the k-th factor (1-based) to the full tensor space.
-
-    Returned as a constant RFMatrix on the tensor of spaces.
-    """
-    if not 1 <= k <= len(spaces):
-        raise DimensionMismatch(f"factor index {k} out of range")
-    grid = kron_ops(at_slots(len(spaces), {k - 1: (op, op_parity)}), spaces)
-    sp = tensor_space(spaces)
-    return RFMatrix.from_const(grid, row_space=sp, col_space=sp)
 
 
 # ---------------------------------------------------------------------------

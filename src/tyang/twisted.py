@@ -47,6 +47,7 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
+    coefficient_vectors,
     mat_nullspace,
     mat_vec,
     poly_kernel,
@@ -59,7 +60,6 @@ from tyang.yangian import (
     _apply_rows,
     _blocks_json,
     _kron_blocks,
-    _nonzero,
     _poly_matmul,
     block_product,
     cleared_evaluator,
@@ -197,18 +197,17 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
     idx = range(1, ps.kappa + 1)
     par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
     A, P, C = L.cleared(), inverse_series_action(L).cleared().neg_u(), W.cleared()
-    wb = [key for key, rows in sorted(C.blocks.items()) if _nonzero(rows)]
-    blocks = {}
-    for i in idx:
-        for j in idx:
-            terms = [
-                (-1 if par(k, r) * par(r, j) else 1,
-                 [(_poly_matmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
-                  (C.blocks[(k, r)], par(k, r))])
-                for k, r in wb
-                if _nonzero(A.blocks[(i, k)]) and _nonzero(P.blocks[(r, j)])
-            ]
-            blocks[(i, j)] = _kron_blocks(terms, [L.space, W.space])
+    blocks = {
+        (i, j): _kron_blocks(
+            [(-1 if par(k, r) * par(r, j) else 1,
+              [(_poly_matmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
+               (C.blocks[(k, r)], par(k, r))])
+             for k in idx for r in idx],
+            [L.space, W.space],
+        )
+        for i in idx
+        for j in idx
+    }
     den = poly_mul(poly_mul(A.den_coeffs, P.den_coeffs), C.den_coeffs)
     return BAction(W.ctx, L.space.tensor(W.space), cleared_form(den, blocks), ("tensor", L, W))
 
@@ -330,15 +329,6 @@ class BHighestWeight:
             self._tildes[i] = RatFun(Poly(self.tilde_nums[i - 1]), Poly(self.den))
         return self._tildes[i]
 
-    def varpi_weight(self):
-        out = []
-        for i, mu in enumerate(self.mus, start=1):
-            c1 = mu.series(1)[1]
-            out.append(
-                Fraction(self.ctx.ps.sign(i) * self.ctx.eps_sign(i), 2) * c1
-            )
-        return tuple(out)
-
 
 def highest_bweight(B: BAction, eta) -> BHighestWeight:
     """Extract the highest weight of a B-highest vector."""
@@ -391,12 +381,6 @@ def _restrict(den, blocks, K):
     return poly_mul(den, (s,)), out
 
 
-def _coefficient_matrices(rows):
-    """The integer matrices M_k with rows = sum_k M_k u^k."""
-    top = max((len(e) for row in rows for e in row if e), default=0)
-    return [[[e[k] if e and k < len(e) else 0 for e in row] for row in rows] for k in range(top)]
-
-
 def find_highest_space(B: BAction):
     """Basis of { eta : b_ij(u) eta = 0 for i < j }.
 
@@ -412,8 +396,10 @@ def find_highest_space(B: BAction):
     K = poly_kernel([row for i in idx for j in range(i + 1, kk + 1) for row in form.blocks[(i, j)]], B.dim)
     if not K:
         return []
+    n = len(K)
     _den, diag = _restrict(form.den_coeffs, {r: form.blocks[(r, r)] for r in idx}, K)
-    coeffs = [_coefficient_matrices(diag[r]) for r in idx]
+    flat = [coefficient_vectors([e for row in diag[r] for e in row]) for r in idx]
+    coeffs = [[[c[q:q + n] for q in range(0, n * n, n)] for c in cs] for cs in flat]
     for a in range(kk):
         for b in range(kk):
             if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):

@@ -73,6 +73,7 @@ from tyang.superlinalg import (
     at_slots,
     check_identity_2var,
     cleared_resolvent,
+    coefficient_vectors,
     common_den,
     elementary,
     kron_sum,
@@ -216,15 +217,10 @@ class ClearedForm(NamedTuple):
         return self._replace(blocks={**self.blocks, key: rows})
 
     def shift(self, c) -> "ClearedForm":
-        """The form of the family at u + c, c = p/q rational: D and every
-        entry become q^n f(u + p/q) in Z[u] (exactalg._zcompose), with n the
-        cleared degree, so the common factor q^n cancels."""
+        """The form of the family at u + c: for c = p/q, D and every entry
+        become q^n f(u + p/q) in Z[u], n the cleared degree."""
         c = rat(c)
-        p, q, n = c.numerator, c.denominator, self.degree
-
-        def move(e):
-            return _zcompose(e, q, p, q, n)
-
+        move = lambda e: _zcompose(e, c.denominator, c.numerator, c.denominator, self.degree)
         blocks = {key: [[e and move(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
         return cleared_form(move(self.den_coeffs), blocks)
 
@@ -248,11 +244,9 @@ def cleared_form(den, blocks) -> ClearedForm:
 
 
 def cleared_form_rf(blocks) -> ClearedForm:
-    """The ClearedForm of a family given by RatFun entries, blocks mapping
-    (i, j) to rows of RatFun: D is the lcm of the reduced denominators
-    (common_den), cleared with every D x_ij(u) to integers.  The one door
-    for RatFun input: the JSON readers and the inverse series by
-    Gauss-Jordan over the function field."""
+    """The ClearedForm of RatFun blocks {(i, j): rows of RatFun}, over the
+    lcm of their reduced denominators: the one reader of RatFun input (the
+    JSON readers and the Gauss-Jordan inverse series)."""
     D = common_den(e for rows in blocks.values() for row in rows for e in row)
     num = {key: [[(e.num * (D // e.den)).coeffs if e else None for e in row] for row in rows] for key, rows in blocks.items()}
     return cleared_form(*_integral(D.coeffs, num))
@@ -551,7 +545,8 @@ def shift_action(T: TAction, z) -> TAction:
 def _kron_blocks(terms, spaces):
     """sum_t w_t A_t x B_t on the tensor of two spaces, for terms (w, [(A,
     par_A), (B, par_B)]) with w = +-1 and A and B matrices of integer
-    coefficient tuples (None for zero), as rows of such tuples.
+    coefficient tuples (None for zero), as rows of such tuples.  A term
+    with a zero factor is skipped.
 
     _kron_rows assembles the supports of A and B, so the Koszul sign of
     each entry comes from the one assembler; the entry at
@@ -562,6 +557,8 @@ def _kron_blocks(terms, spaces):
     acc = [[()] * n for _ in range(n)]
     for w, ops in terms:
         (A, _), (B, _) = ops
+        if not (any(map(any, A)) and any(map(any, B))):
+            continue
         support = [([[1 if e else 0 for e in row] for row in m], par) for m, par in ops]
         for r, row in enumerate(_kron_rows(support, spaces)):
             r1, r2 = divmod(r, d2)
@@ -570,10 +567,6 @@ def _kron_blocks(terms, spaces):
                 p = poly_mul(A[r1][c1], B[r2][c2])
                 acc[r][c] = _zadd(acc[r][c], p if sign * w == 1 else _zneg(p))
     return [[e or None for e in row] for row in acc]
-
-
-def _nonzero(rows):
-    return any(map(any, rows))
 
 
 def tensor_action(L: TAction, R: TAction) -> TAction:
@@ -587,8 +580,7 @@ def tensor_action(L: TAction, R: TAction) -> TAction:
     par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
     blocks = {
         (i, j): _kron_blocks(
-            [(1, [(A.blocks[(i, k)], par(i, k)), (B.blocks[(k, j)], par(k, j))])
-             for k in idx if _nonzero(A.blocks[(i, k)]) and _nonzero(B.blocks[(k, j)])],
+            [(1, [(A.blocks[(i, k)], par(i, k)), (B.blocks[(k, j)], par(k, j))]) for k in idx],
             [L.space, R.space],
         )
         for i in idx
@@ -648,7 +640,7 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         blocks = {
             (i, j): _kron_blocks(
                 [(-1 if par(a, j) * par(i, a) else 1, [(Lp.blocks[(a, j)], par(a, j)), (Rp.blocks[(i, a)], par(i, a))])
-                 for a in idx if _nonzero(Lp.blocks[(a, j)]) and _nonzero(Rp.blocks[(i, a)])],
+                 for a in idx],
                 [L.space, R.space],
             )
             for i in idx
@@ -806,10 +798,7 @@ def lambda_prime_check(T: TAction, xi, lams=None):
         rhs = poly_mul(ln, inv.den_coeffs)
         if any(poly_mul(wq, ld) != poly_mul(rhs, (zq,) if zq else ()) for wq, zq in zip(w[(i, i)], z)):
             return ("b", i)
-    vecs = {
-        key: [[p[k] if k < len(p) else 0 for p in wk] for k in range(max(map(len, wk), default=0))]
-        for key, wk in w.items()
-    }
+    vecs = {key: coefficient_vectors(wk) for key, wk in w.items()}
     quads = [(i, a, c, j) for i in idx for j in range(i + 1, kk + 1) for a in idx for c in range(1, a + 1)]
     quads += [(i, a, c, i) for i in idx for a in idx for c in range(1, a)]
     for i, a, c, j in quads:

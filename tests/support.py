@@ -58,17 +58,21 @@ import sympy
 
 from tyang._kernel import mat_mul
 from tyang.daha import _cross, _transpose
-from tyang.exactalg import Poly, RatFun, _zclear
-from tyang.glmn import _coords_in_span
+from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
+from tyang.glmn import GlModule, ParameterError, _coords_in_span
 from tyang.superlinalg import (
+    DimensionMismatch,
     RFMatrix,
     _kron_sum_rows,
     at_slots,
+    charpoly,
     cleared_coefficients,
     common_den,
     elementary,
+    kron_ops,
     kron_sum,
     mat_identity,
+    mat_nullspace,
     mat_vec,
     rfmat_inverse,
     rfmat_kernel,
@@ -925,3 +929,118 @@ def ref_unitarity_scalar(B):
     function field: the scalar f(u) of a family that passes unitarity."""
     neg = {key: m.subs_neg() for key, m in B.t.items()}
     return rf_block_product(B.t, neg)[(1, 1)][0, 0]
+
+
+# ---------------------------------------------------------------------------
+# gl(m|n) module helpers that only the tests use: the supercommutator
+# relations of a module, its tensor product, its weight decomposition, its
+# JSON writer, and the constant lift of an operator to one tensor factor.
+
+class IrrationalSpectrum(ArithmeticError):
+    """The commuting diagonal family is not split over the rationals."""
+
+
+def _add_scaled(A, B, c):
+    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def verify_gl_module(M):
+    """Check every supercommutator relation; None on pass, else (i,j,k,l)."""
+    ps = M.ps
+    d = M.dim
+    kk = ps.kappa
+    for i in range(1, kk + 1):
+        for j in range(1, kk + 1):
+            pij = (ps.parity(i) + ps.parity(j)) % 2
+            eij = M.e(i, j)
+            for k in range(1, kk + 1):
+                for l in range(1, kk + 1):
+                    pkl = (ps.parity(k) + ps.parity(l)) % 2
+                    ekl = M.e(k, l)
+                    sign = -1 if (pij and pkl) else 1
+                    lhs = _add_scaled(mat_mul(eij, ekl), mat_mul(ekl, eij), -sign)
+                    rhs = [[Fraction(0)] * d for _ in range(d)]
+                    if j == k:
+                        rhs = _add_scaled(rhs, M.e(i, l), 1)
+                    if i == l:
+                        rhs = _add_scaled(rhs, M.e(k, j), -sign)
+                    if lhs != rhs:
+                        return (i, j, k, l)
+    return None
+
+
+def gl_tensor(M, N):
+    """Tensor product along x -> 1 x x + x x 1, with Koszul signs."""
+    if M.ps != N.ps:
+        raise ParameterError("tensor factors over different parity sequences")
+    spaces = [M.space, N.space]
+    action = {}
+    for (i, j) in M.action:
+        pi = (M.ps.parity(i) + M.ps.parity(j)) % 2
+        left = kron_ops([(M.e(i, j), pi), (None, 0)], spaces)
+        right = kron_ops([(None, 0), (N.e(i, j), pi)], spaces)
+        action[(i, j)] = _add_scaled(left, right, 1)
+    return GlModule(M.ps, M.space.tensor(N.space), action)
+
+
+def weight_decompose(M):
+    """Simultaneous eigenspace decomposition of the commuting e_ii family.
+
+    Returns a dict mapping weight tuples to lists of basis vectors.  Raises
+    IrrationalSpectrum when some e_ii has a non-rational eigenvalue or fails
+    to be diagonalizable on M.
+    """
+    d = M.dim
+    blocks = [((), [row[:] for row in mat_identity(d)])]
+    for i in range(1, M.ps.kappa + 1):
+        A = M.e(i, i)
+        new_blocks = []
+        for prefix, basis in blocks:
+            coords = _coords_in_span(basis, [mat_vec(A, v) for v in basis])
+            if coords is None:
+                raise IrrationalSpectrum(f"e_{i}{i} does not preserve a weight block")
+            sub = [[coords[c][r] for c in range(len(basis))] for r in range(len(basis))]
+            roots, cof = rational_roots(charpoly(sub))
+            if cof.degree > 0:
+                raise IrrationalSpectrum(f"e_{i}{i} has irrational eigenvalues")
+            found = 0
+            for lam, _mult in roots:
+                shifted = [row[:] for row in sub]
+                for r in range(len(shifted)):
+                    shifted[r][r] -= lam
+                null = mat_nullspace(shifted)
+                if null:
+                    lifted = []
+                    for nv in null:
+                        vec = [Fraction(0)] * d
+                        for c, coeff in enumerate(nv):
+                            if coeff:
+                                for r in range(d):
+                                    vec[r] += coeff * basis[c][r]
+                        lifted.append(vec)
+                    new_blocks.append((prefix + (lam,), lifted))
+                    found += len(null)
+            if found != len(basis):
+                raise IrrationalSpectrum(f"e_{i}{i} is not diagonalizable on the module")
+        blocks = new_blocks
+    return {prefix: basis for prefix, basis in blocks}
+
+
+def gl_to_json(M):
+    """The payload that glmn.gl_from_json reads."""
+    return {
+        "ps": list(M.ps.s),
+        "dim": M.dim,
+        "parities": list(M.space.parities),
+        "e": {f"{i},{j}": [[str(x) for x in row] for row in M.e(i, j)] for (i, j) in sorted(M.action)},
+    }
+
+
+def apply_at_factor(op, k, spaces, op_parity):
+    """Lift op on the k-th factor (1-based) to the full tensor space, as a
+    constant RFMatrix on the tensor of spaces."""
+    if not 1 <= k <= len(spaces):
+        raise DimensionMismatch(f"factor index {k} out of range")
+    grid = kron_ops(at_slots(len(spaces), {k - 1: (op, op_parity)}), spaces)
+    sp = tensor_space(spaces)
+    return RFMatrix.from_const(grid, row_space=sp, col_space=sp)

@@ -30,7 +30,7 @@ from tyang.drinfeld import (
     functor_tensor_check,
 )
 from tyang.exactalg import Poly, RatFun, rf_equal
-from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep
+from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang.twisted import (
     TwistedContext,
     b_from_T,
@@ -58,6 +58,7 @@ from tyang.yangian import (
 
 from support import (
     bweight_from_series,
+    gl_tensor,
     lab_t_table,
     lab_tprime_table,
     restrict_rf,

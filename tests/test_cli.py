@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import gl_to_json
+
 from tyang.cli import InputError, _parser, build_daha_module, main, run_scenario
-from tyang.glmn import ParitySeq, gl_to_json, make_Lab
+from tyang.glmn import ParitySeq, make_Lab
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios"
@@ -501,7 +503,7 @@ class TestDimensionCap:
 
     def test_family_shape_read_from_the_spec_matches_the_build(self):
         from tyang.cli import build_baction, build_taction
-        from tyang.glmn import gl_to_json, make_vector_rep
+        from tyang.glmn import make_vector_rep
         from tyang.twisted import b_to_json
 
         vector = {"type": "evaluation", "module": {"type": "vector", "ps": [1, -1, 1]}, "z": "2"}

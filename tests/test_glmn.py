@@ -4,18 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from support import IrrationalSpectrum, gl_tensor, gl_to_json, verify_gl_module, weight_decompose
+
 from tyang.glmn import (
     GlModule,
-    IrrationalSpectrum,
     ParameterError,
     ParitySeq,
     gl_from_json,
-    gl_tensor,
-    gl_to_json,
     make_Lab,
     make_vector_rep,
-    verify_gl_module,
-    weight_decompose,
 )
 
 

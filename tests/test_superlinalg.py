@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import apply_at_factor
+
 from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import (
@@ -14,7 +16,6 @@ from tyang.superlinalg import (
     RFMatrix,
     SingularMatrix,
     SuperSpace,
-    apply_at_factor,
     algebra_closure,
     charpoly,
     check_identity_2var,

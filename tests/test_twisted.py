@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from support import assemble, bweight_from_series, family_form, read_blocks, restrict_rf, rf_tilde_operator
+from support import (
+    assemble,
+    bweight_from_series,
+    family_form,
+    read_blocks,
+    restrict_rf,
+    rf_tilde_operator,
+    weight_decompose,
+)
 
 from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun, rf_equal
-from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, weight_decompose, _coords_in_span
+from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, _coords_in_span
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec
 from tyang.yangian import (
     NotHighest,

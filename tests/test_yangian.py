@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from support import (
     assemble,
     family_form,
+    gl_tensor,
     lab_t_table,
     lab_tprime_table,
     read_blocks,
@@ -16,11 +17,12 @@ from support import (
     rf_cleared_form,
     rows_match_table,
     trimmed,
+    weight_decompose,
 )
 
 from tyang._kernel import mat_mul, poly_eval, poly_mul
 from tyang.exactalg import Poly, PoleError, RatFun, rf_equal
-from tyang.glmn import ParitySeq, gl_tensor, make_Lab, make_vector_rep, weight_decompose
+from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang import cli, twisted, yangian
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec, rfmat_inverse
 from tyang.yangian import (
