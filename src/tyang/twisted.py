@@ -197,12 +197,13 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
     idx = range(1, ps.kappa + 1)
     par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
     A, P, C = L.cleared(), inverse_series_action(L).cleared().neg_u(), W.cleared()
+    wb = [key for key, rows in C.blocks.items() if any(map(any, rows))]
     blocks = {
         (i, j): _kron_blocks(
             [(-1 if par(k, r) * par(r, j) else 1,
               [(_poly_matmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
                (C.blocks[(k, r)], par(k, r))])
-             for k in idx for r in idx],
+             for k, r in wb],
             [L.space, W.space],
         )
         for i in idx

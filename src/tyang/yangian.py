@@ -248,7 +248,7 @@ def cleared_form_rf(blocks) -> ClearedForm:
     lcm of their reduced denominators: the one reader of RatFun input (the
     JSON readers and the Gauss-Jordan inverse series)."""
     D = common_den(e for rows in blocks.values() for row in rows for e in row)
-    num = {key: [[(e.num * (D // e.den)).coeffs if e else None for e in row] for row in rows] for key, rows in blocks.items()}
+    num = {key: [[e and (e.num * (D // e.den)).coeffs for e in row] for row in rows] for key, rows in blocks.items()}
     return cleared_form(*_integral(D.coeffs, num))
 
 
@@ -536,10 +536,7 @@ def evaluation_action(M: GlModule, z=0) -> TAction:
 def shift_action(T: TAction, z) -> TAction:
     """Pull back through u -> u - z in every entry."""
     z = rat(z)
-    prov = ("shift", T, z)
-    if T.provenance[0] == "evaluation":
-        prov = ("evaluation", T.provenance[1], T.provenance[2] + z)
-    return TAction(T.ps, T.space, T.cleared().shift(-z), prov)
+    return TAction(T.ps, T.space, T.cleared().shift(-z), ("shift", T, z))
 
 
 def _kron_blocks(terms, spaces):

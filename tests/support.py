@@ -48,6 +48,9 @@ oracles that the integer constructors of tyang.yangian and tyang.twisted,
 which build every family as a ClearedForm, are compared with through
 family_form.  ref_lambda_prime_check is the inverse-weight check read off
 those RatFun blocks.
+
+verify_gl_module, gl_tensor, weight_decompose, gl_to_json and
+apply_at_factor are gl(m|n) module helpers that only the tests use.
 """
 
 from fractions import Fraction

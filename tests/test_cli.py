@@ -13,6 +13,7 @@ from support import gl_to_json
 
 from tyang.cli import InputError, _parser, build_daha_module, main, run_scenario
 from tyang.glmn import ParitySeq, make_Lab
+from tyang.superlinalg import RFMatrix
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios"
@@ -127,6 +128,19 @@ class TestGoldenReports:
         out = tmp_path / "report.json"
         assert main(["run", scenario_path(name), "--out", str(out)]) == want_code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
+
+    def test_no_pipeline_builds_a_ratfun_matrix(self, tmp_path, monkeypatch):
+        # Every family is a cleared form: the shipped scenarios give their
+        # pinned reports with the RatFun matrix type unusable.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an RFMatrix was built")
+
+        monkeypatch.setattr(RFMatrix, "__init__", refuse)
+        for name in sorted(os.listdir(SCENARIO_DIR)):
+            want_code, want_digest = GOLDEN_REPORTS[name]
+            out = tmp_path / name
+            assert main(["run", scenario_path(name), "--out", str(out)]) == want_code
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
 
 
 LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}

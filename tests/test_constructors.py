@@ -30,6 +30,7 @@ from support import (
 )
 
 from tyang.exactalg import RatFun
+from tyang.superlinalg import RFMatrix, rfmat_inverse
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang.twisted import (
     BAction,
@@ -120,13 +121,31 @@ class TestYangianConstructors:
                 assert lambda_prime_check(T, xi, lams) == ref_lambda_prime_check(T, xi, lams)
 
 
+def _conjugated(B):
+    """P^-1 B(u) P for an even constant P, unipotent and lower bidiagonal
+    on the basis vectors of each parity, so that singular subspaces are not
+    spanned by basis vectors."""
+    pars = B.space.parities
+    P = [[int(r == c) for c in range(B.dim)] for r in range(B.dim)]
+    for p in (0, 1):
+        same = [r for r in range(B.dim) if pars[r] == p]
+        for k in range(len(same) - 1):
+            P[same[k + 1]][same[k]] = k + 2
+    P = RFMatrix.from_const(P)
+    Pinv = rfmat_inverse(P)
+    return BAction(B.ctx, B.space, family_form({key: Pinv @ m @ P for key, m in B.b.items()}))
+
+
 def _twists(ps):
-    """B(u) on kappa = len(ps): from T(u) without and with gamma, and the
-    coideal tensor of T(u) with c_gamma."""
+    """B(u) on kappa = len(ps): from T(u) without and with gamma, the
+    coideal tensor of T(u) with c_gamma, and a constant conjugate of the
+    twist of a tensor product."""
     eps = [(-1) ** k for k in range(len(ps))]
     T = _vector(ps, F(1, 3))
     out = [b_from_T(T, TwistedContext(T.ps, eps)), b_from_T(T, TwistedContext(T.ps, eps[::-1], F(-3, 2)))]
     out.append(b_tensor(T, c_gamma(TwistedContext(T.ps, eps), 2)))
+    TT = tensor_action(T, _vector(ps, 2))
+    out.append(_conjugated(b_from_T(TT, TwistedContext(T.ps, eps))))
     return out
 
 

@@ -680,6 +680,20 @@ class TestLambdaPrime:
         T._tprime = TPrimeAction(ps, space, family_form(tp))
         assert lambda_prime_check(T, [1, 0, 0], (one, one, one)) == ("c", (1, 3, 3, 2))
 
+    def test_inverse_diagonal_off_the_vector_fails_clause_b(self):
+        # t'_11(u) e_1 = e_1 + e_2 / u: clause a holds and the e_1 coordinate
+        # matches the weight 1, but the image leaves the line of e_1.
+        ps = ParitySeq([1, 1])
+        space = SuperSpace([0, 0])
+        one, zero, u = RatFun.one(), RatFun.zero(), RatFun.x()
+        t = {key: RFMatrix.identity(2, space) if key[0] == key[1] else RFMatrix.zero(2, 2, space, space)
+             for key in itertools.product((1, 2), repeat=2)}
+        tp = dict(t)
+        tp[(1, 1)] = RFMatrix([[one, zero], [1 / u, one]], space, space)
+        T = TAction(ps, space, family_form(t))
+        T._tprime = TPrimeAction(ps, space, family_form(tp))
+        assert lambda_prime_check(T, [1, 0], (one, one)) == ("b", 1)
+
     def test_three_fold_tensor_kappa_three(self):
         ps = ParitySeq([1, 1, -1])
         A = evaluation_action(make_vector_rep(ps), 0)
