@@ -294,7 +294,7 @@ def pipe_verify_twisted(inputs, max_dim):
         checks.append(failed or _check("highest-weight", HIGHEST_ANCHOR, True,
                                        data={"mu": [rf_to_json(m) for m in mu.mus]}))
         if not failed:
-            bad = twisted_mod.verma_conditions(mu, rep.f)
+            bad = twisted_mod.verma_conditions(mu, rep.unitarity)
             checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                                  None if bad is None else {"index": bad}))
     return checks

@@ -219,7 +219,12 @@ class BReport:
 
     reflection: object = None      # None or Grid2Witness
     scalar_ok: bool = True         # B(u)B(-u) is a scalar matrix
-    f: RatFun = None               # the scalar itself
+    unitarity: tuple = ((1,), (1,))  # the scalar as (num, den) over Z[u]
+
+    @cached_property
+    def f(self) -> RatFun:
+        """The scalar num / den as a reduced RatFun, for the report."""
+        return RatFun(Poly(self.unitarity[0]), Poly(self.unitarity[1]))
 
     @property
     def ok(self):
@@ -264,18 +269,19 @@ def verify_b(B: BAction) -> BReport:
         w, lambda u0, v0: B1(u0)[1] * B2(v0)[1] * (u0 - v0) * (u0 + v0), "reflection"
     )
 
-    rep.f, rep.scalar_ok = unitarity_scalar(B)
+    rep.unitarity, rep.scalar_ok = unitarity_scalar(B)
     return rep
 
 
 def unitarity_scalar(B: BAction):
-    """(f, scalar): f(u) the first diagonal entry of B(u) B(-u), a reduced
-    RatFun, and whether the product is f(u) times the identity.  With
-    B = N / c D over Z[u], P = N(u) N(-u) is formed in integers
-    (scalar_product), and f = P_11 / (c^2 D(u) D(-u))."""
+    """((num, den), scalar): num / den the first diagonal entry f(u) of
+    B(u) B(-u), as integer coefficient tuples (num is () when f vanishes),
+    and whether the product is f(u) times the identity.  With B = N / c D
+    over Z[u], P = N(u) N(-u) is formed in integers (scalar_product), and
+    f = P_11 / (c^2 D(u) D(-u))."""
     form = B.cleared()
-    den, f, scalar = scalar_product(form, form.neg_u())
-    return RatFun(Poly(f), Poly(den)), scalar
+    den, num, scalar = scalar_product(form, form.neg_u())
+    return (num, den), scalar
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +417,16 @@ def find_highest_space(B: BAction):
 # ---------------------------------------------------------------------------
 # Verma-type symmetry conditions and classification.
 
-def verma_conditions(mu: BHighestWeight, f: RatFun):
+def verma_conditions(mu: BHighestWeight, f):
     """Check the highest-weight symmetry constraints; None on pass, else the
     1-based index of the first failing condition (kappa for the unitary one).
 
-    f is the unitarity scalar of the family, B(u) B(-u) = f(u) 1, as
-    verify_b reports it (1 - gamma^2/u^2 for a twist with gamma, from the
-    twist (G + gamma/u)).  Every series of mu has the one denominator den,
-    so each condition is a denominator-free identity in Z[u]:
-    mu_kappa(u) mu_kappa(-u) = f(u) is
-    n_kappa(u) n_kappa(-u) f_d(u) = f_n(u) den(u) den(-u) for f = f_n / f_d
-    cleared to integers, and
+    f = (f_n, f_d) is the unitarity scalar f_n / f_d of the family,
+    B(u) B(-u) = f(u) 1, over Z[u] as unitarity_scalar returns it
+    (1 - gamma^2/u^2 for a twist with gamma, from the twist (G + gamma/u)).
+    Every series of mu has the one denominator den, so each condition is a
+    denominator-free identity in Z[u]: mu_kappa(u) mu_kappa(-u) = f(u) is
+    n_kappa(u) n_kappa(-u) f_d(u) = f_n(u) den(u) den(-u), and
     mu~_i(u) mu~_i(r - u) = mu~_(i+1)(u) mu~_(i+1)(r - u), r = rho_(i+1),
     is T_i(u) T_i(r - u) = T_(i+1)(u) T_(i+1)(r - u) on the tilde
     numerators.  The tilde conditions are homogeneous in mu, so this is
@@ -430,7 +435,7 @@ def verma_conditions(mu: BHighestWeight, f: RatFun):
     kk = mu.ctx.kappa
     ps = mu.ctx.ps
     n, d = mu.nums[kk - 1], mu.den
-    _s, (fn, fd) = _zclear([f.num.coeffs, f.den.coeffs])
+    fn, fd = f
     if poly_mul(poly_mul(n, _neg_u(n)), fd) != poly_mul(fn, poly_mul(d, _neg_u(d))):
         return kk
     T = mu.tilde_nums
