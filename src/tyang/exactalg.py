@@ -8,8 +8,9 @@ tuples: tyang._kernel multiplies, evaluates and takes primitive gcds of
 them, and the helpers below add, negate and substitute into them (_zadd,
 _zneg, _neg_u, and _zcompose for a linear argument, say p(r - u)),
 divide exactly (_zdiv) and normalise (_zreduce); _zclear brings rational
-data there, over one common scale.  A RatFun is normalized the same way: cleared, reduced by
-_zreduce, then divided by the leading coefficient of its denominator.
+data there, over one common scale.  A RatFun is normalized the same way:
+cleared, reduced by _zreduce, then divided by the leading coefficient of
+its denominator.
 Poly arithmetic over the rationals runs through the same kernels, and its
 gcd through Z[u].
 """

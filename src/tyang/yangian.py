@@ -600,7 +600,7 @@ def _supertranspose(ps: ParitySeq, space: SuperSpace, form: ClearedForm) -> Clea
             src = form.blocks[(j, i)]
             signs = [bs * (-1 if pij and pars[p] else 1) for p in range(len(src))]
             blocks[(i, j)] = [
-                [e if e is None or sign == 1 else _zneg(e) for e, sign in zip((row[q] for row in src), signs)]
+                [row[q] if sign == 1 else row[q] and _zneg(row[q]) for row, sign in zip(src, signs)]
                 for q in range(len(src))
             ]
     return cleared_form(form.den_coeffs, blocks)
