@@ -314,8 +314,7 @@ def pipe_classify(inputs, max_dim):
     if failed:
         return [failed]
     checks = []
-    f, _scalar = twisted_mod.unitarity_scalar(B)
-    bad = twisted_mod.verma_conditions(mu, f)
+    bad = twisted_mod.verma_conditions(mu, twisted_mod.unitarity_entry(B))
     checks.append(_check("weight-symmetry", "highest-weight symmetry constraints", bad is None,
                          None if bad is None else {"index": bad}))
     cert = twisted_mod.classify_rank1(mu)

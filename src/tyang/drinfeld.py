@@ -6,16 +6,22 @@ diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
 is built cleared over Z[u], as (d_k 1 + K_k) / d_k with d_k a scalar
 polynomial and K_k row-sparse, both held as integer coefficient tuples
 read off the integer resolvent (superlinalg.cleared_resolvent) and the
-integer coupling operator Q^(k), and the product is
-kept as N / den without any reduction: the quotient subspace is certified
-on the power-of-u coefficients of N, the series expansion is read off
-N / den (yangian.series_expansion), and the induced quotient action is the
-cleared form of s P N S / (s den), with s P the projection scaled to
-integers.  The functor output lives on the quotient by the sign-isotypic
-images of the reflections, with explicit projection and section fixed by
-pivot order.  The module enters only through its generators over Q (the
-Hecke module holds them as integer rows over its own scale and divides on
-the read).
+integer coupling operator Q^(k).  The functor output lives on the quotient
+of the carrier by the sign-isotypic images of the reflections, with
+explicit projection P and section fixed by pivot order, so the product is
+formed at quotient size: the sign relations and s P, the projection scaled
+to integers, come first, and the product is multiplied from the left
+starting at s P x 1_V, q kappa rows for a quotient of dimension q, kept as
+N / den without any reduction (_cleared_product).  Its series entries are
+then s P x_ij(u), on which the quotient is certified (s P x_ij(u) W = 0 on
+every power-of-u coefficient, W a basis of the relation span), and whose
+free columns are the induced action, the cleared form of s P N S /
+(s den).  An empty quotient multiplies nothing.  The expansion check reads
+orders 0 and 1 on the full carrier off the top two coefficients of the
+same factors (_top_two), and order 2 modulo the quotient off the projected
+entries (yangian.series_expansion).  The module enters only through its
+generators over Q (the Hecke module holds them as integer rows over its
+own scale and divides on the read).
 
 The coupling operator Q^(k) = sum_ij sgn_ij E_ij^(k) x E_ij^(aux) is
 assembled once per slot k as a tagged integer pattern (_q_pattern): its
@@ -28,8 +34,9 @@ product take it unweighted, and the appendix identities
 
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
-from tyang._kernel import mat_mul, mat_rref, poly_mul
+from tyang._kernel import mat_rref, poly_mul
 from tyang.exactalg import _neg_u, _zadd, _zclear, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq
@@ -42,7 +49,6 @@ from tyang.superlinalg import (
     cleared_resolvent,
     elementary,
     kron_ops,
-    kron_sum,
     mat_rank,
     poly_kernel,
     sparse_add,
@@ -58,7 +64,7 @@ from tyang.twisted import (
     irreducible_burnside,
     b_tensor,
 )
-from tyang.yangian import TAction, _trimmed, cleared_form, flip_at, series_expansion
+from tyang.yangian import TAction, cleared_form, flip_at, series_expansion
 
 
 class ParameterConstraint(ValueError):
@@ -183,17 +189,20 @@ def _g_step(ctx: TwistedContext, dim):
     return d, [{r: diag[r % kk]} if diag[r % kk] else {} for r in range(dim)]
 
 
-def _cleared_product(steps, dim):
-    """The product of the factors (d 1 + K) / d over the steps (d, K), in
-    order, as (N, den) over Z[u]: N row-sparse over integer coefficient
-    tuples and den = prod d.
+def _cleared_product(steps, start):
+    """start times the product of the factors (d 1 + K) / d over the steps
+    (d, K), in order, as (N, den) over Z[u]: start and N row-sparse over
+    integer coefficient tuples and den = prod d.
 
     Each step is N <- d N + N K, so no gcd is taken and every coefficient
     stays a Python int; N / den is the product as a matrix over the
-    function field.  Entries
-    that cancel are dropped, so == on two results is matrix equality.
+    function field, with as many rows as start.  Entries that cancel are
+    dropped, so == on two results is matrix equality.  A start with no
+    rows gives the empty matrix, over den = (1,), with no step taken.
     """
-    N = [{r: (1,)} for r in range(dim)]
+    if not start:
+        return [], (1,)
+    N = start
     den = (1,)
     for d, K in steps:
         out = []
@@ -210,6 +219,45 @@ def _cleared_product(steps, dim):
     return N, den
 
 
+def _top(p, e):
+    """The coefficients of u^e and u^(e - 1) of the integer coefficient
+    tuple p, which must have degree at most e."""
+    if len(p) - 1 > e:
+        raise ValueError("no expansion at infinity: numerator degree too large")
+    return (p[e] if len(p) > e else 0), (p[e - 1] if 0 < e <= len(p) else 0)
+
+
+def _top_two(steps, dim):
+    """The top two coefficients of the product of the steps (d, K) of
+    _cleared_product started at the identity on dim rows: (T, (b0, b1)),
+    T row-sparse over pairs (n0, n1), the coefficients of u^D and u^(D - 1)
+    in N for D = deg den, and b0, b1 those of den.
+
+    Every entry of a step has degree at most e = deg d, so the product is
+    read at the nominal degree D = sum e, and its length-2 truncation is
+    the same step N <- d N + N K on pairs: the top two coefficients of a
+    product x p are (x0 p0, x0 p1 + x1 p0).  N / den expands at infinity
+    as n0 / b0 + (n1 b0 - b1 n0) / (b0^2 u) + O(u^-2).
+    """
+    T = [{r: (1, 0)} for r in range(dim)]
+    b0, b1 = 1, 0
+    for d, K in steps:
+        e = len(d) - 1
+        d0, d1 = _top(d, e)
+        Kt = [{c: t for c, x in row.items() if (t := _top(x, e)) != (0, 0)} for row in K]
+        out = []
+        for Tr in T:
+            row = {c: (d0 * x0, d0 * x1 + d1 * x0) for c, (x0, x1) in Tr.items()}
+            for k, (x0, x1) in Tr.items():
+                for j, (p0, p1) in Kt[k].items():
+                    y0, y1 = row.get(j, (0, 0))
+                    row[j] = (y0 + x0 * p0, y1 + x0 * p1 + x1 * p0)
+            out.append({j: y for j, y in row.items() if y != (0, 0)})
+        T = out
+        b0, b1 = b0 * d0, b0 * d1 + b1 * d0
+    return T, (b0, b1)
+
+
 def _column_span_rref(mats):
     """RREF basis of the combined column space of the given matrices."""
     rows = []
@@ -224,7 +272,24 @@ def _column_span_rref(mats):
     return [rref[i] for i in range(len(pivots))], pivots
 
 
-def _quotient_maps(nrows, pivots, D):
+class Quotient(NamedTuple):
+    """The quotient of a space by the span of the RREF rows subspace: proj,
+    the Fraction projection onto the free (non-pivot) coordinates free,
+    whose kernel is the span; sect, the section that puts them back; and
+    s proj, proj scaled to integers by the lcm s of its denominators, as
+    the sparse (column, int) rows prows (_integer_rows)."""
+
+    subspace: list
+    proj: list
+    sect: list
+    free: list
+    s: int
+    prows: list
+
+
+def _quotient_maps(nrows, pivots, D) -> Quotient:
+    """The Quotient of a space of dimension D by the span of the RREF rows
+    nrows with the given pivots."""
     free = [j for j in range(D) if j not in set(pivots)]
     q = len(free)
     proj = [[Fraction(0)] * D for _ in range(q)]
@@ -236,7 +301,7 @@ def _quotient_maps(nrows, pivots, D):
     sect = [[Fraction(0)] * q for _ in range(D)]
     for qi, f in enumerate(free):
         sect[f][qi] = Fraction(1)
-    return proj, sect, free
+    return Quotient(nrows, proj, sect, free, *_integer_rows(proj))
 
 
 def _integer_rows(rows):
@@ -246,35 +311,28 @@ def _integer_rows(rows):
     return s, [[(c, x) for c, x in enumerate(row) if x] for row in ints]
 
 
-def _check_invariant(blocks, basis, prows):
-    """The first key, in sorted order, whose block does not map the span of
-    the constant basis into itself over the function field; None if none.
+def _check_invariant(blocks, basis):
+    """The first key, in sorted order, whose series entry does not map the
+    span of the constant basis into itself over the function field; None
+    if none.
 
-    A block N(u) = sum_t N_t u^t (row-sparse over integer coefficient
-    tuples, entry t that of u^t) preserves the span exactly when
-    proj N_t v = 0 for every power-of-u coefficient N_t and basis vector v,
-    where proj, the quotient projection whose kernel is the span, is given
-    by the integer rows prows of a nonzero multiple of it (_integer_rows).
-    The basis is scaled to integers too (a nonzero scale does not change
-    which products vanish), so the products run in Python ints, on all the
-    N_t at once.
+    The blocks hold s P N(u), the entries N(u) = sum_t N_t u^t projected by
+    a nonzero multiple s P of the quotient projection, whose kernel is the
+    span (row-sparse over integer coefficient tuples, entry t that of u^t).
+    N(u) preserves the span exactly when P N_t v = 0 for every power-of-u
+    coefficient N_t and basis vector v.  The basis is scaled to integers
+    too (a nonzero scale does not change which products vanish), so the
+    products run in Python ints, on all the N_t at once.
     """
     vecs = _integer_rows(basis)[1]
     for key in sorted(blocks):
-        block = blocks[key]
-        for nz in vecs:
-            w = []
-            for row in block:
+        for row in blocks[key]:
+            for nz in vecs:
                 acc = []
                 for c, x in nz:
                     if c in row:
                         _add_scaled(acc, row[c], x)
-                w.append(acc)
-            for prow in prows:
-                out = []
-                for q, x in prow:
-                    _add_scaled(out, w[q], x)
-                if any(out):
+                if any(acc):
                     return key
     return None
 
@@ -285,23 +343,6 @@ def _add_scaled(acc, coeffs, x):
         acc.extend([0] * (len(coeffs) - len(acc)))
     for t, a in enumerate(coeffs):
         acc[t] += a * x
-
-
-def _quotient_block(block, prows, free):
-    """P N S on the quotient, for the integer projection P (sparse rows
-    prows) and the section S that keeps the free columns, as dense rows of
-    integer coefficient tuples, None for a zero entry."""
-    col = {f: b for b, f in enumerate(free)}
-    out = []
-    for prow in prows:
-        acc = [[] for _ in free]
-        for q, x in prow:
-            for c, p in block[q].items():
-                b = col.get(c)
-                if b is not None:
-                    _add_scaled(acc[b], p, x)
-        out.append([_trimmed(e) for e in acc])
-    return out
 
 
 def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
@@ -332,31 +373,39 @@ def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
     return out
 
 
-def _quotient_module(blocks, den, carrier, relations, letter, family, head) -> DrinfeldModule:
-    """Quotient of the carrier by the span of relations = (nrows, pivots),
-    an RREF basis, with the action induced by the series blocks / den (see
-    _series_blocks).
+def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> DrinfeldModule:
+    """Quotient of the carrier by the span of quotient.subspace, with the
+    action induced by the series entries, given as the projected blocks
+    s P N / den (see _projected_product).
 
     Raises WellDefinednessFailure when a series block (named letter_(i, j)
     in the message) does not preserve the subspace; the induced action is
     family(head, quotient space, form, ("drinfeld",)), form the cleared
-    form of s P N S / (s den) for s P the projection scaled to integers.
+    form of s P N S / (s den), the free columns of the blocks.
     """
-    nrows, pivots = relations
-    proj, sect, free = _quotient_maps(nrows, pivots, carrier.dim)
-    s, prows = _integer_rows(proj)
-    bad = _check_invariant(blocks, nrows, prows)
+    bad = _check_invariant(blocks, quotient.subspace)
     if bad is not None:
         raise WellDefinednessFailure(
             f"series coefficients do not preserve the quotient subspace at {letter}_{bad}",
             witness=bad,
         )
-    if not free:
-        return DrinfeldModule(None, carrier, proj, sect, nrows)
-    qspace = SuperSpace([carrier.parities[f] for f in free])
-    qblocks = {key: _quotient_block(block, prows, free) for key, block in blocks.items()}
-    form = cleared_form(poly_mul(den, (s,)), qblocks)
-    return DrinfeldModule(family(head, qspace, form, ("drinfeld",)), carrier, proj, sect, nrows)
+    action = None
+    if quotient.free:
+        qspace = SuperSpace([carrier.parities[f] for f in quotient.free])
+        qblocks = {key: [[row.get(f) for f in quotient.free] for row in block] for key, block in blocks.items()}
+        action = family(head, qspace, cleared_form(poly_mul(den, (quotient.s,)), qblocks), ("drinfeld",))
+    return DrinfeldModule(action, carrier, quotient.proj, quotient.sect, quotient.subspace)
+
+
+def _projected_product(steps, quotient, ps, carrier):
+    """(blocks, den): the series entries (_series_blocks) of (s P x 1_V) Pi,
+    for Pi the product N / den of the steps (_cleared_product) on the
+    carrier x V and s P the integer projection of the quotient, so each
+    block holds q rows of s P N_ij, q the dimension of the quotient."""
+    kk = ps.kappa
+    start = [{p * kk + a: (x,) for p, x in prow} for prow in quotient.prows for a in range(kk)]
+    N, den = _cleared_product(steps, start)
+    return _series_blocks(N, ps, carrier), den
 
 
 def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> DrinfeldModule:
@@ -372,31 +421,34 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     th1 = M.params.theta1
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
-    l = M.params.l
-    steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, l), 1)]
-    N, den = _cleared_product(steps, M.dim * ps.kappa ** (l + 1))
     carrier = _carrier(M, ps)
-    relations = _column_span_rref(_sign_relations(M, ps, epsilon))
-    return _quotient_module(_series_blocks(N, ps, carrier), den, carrier, relations, "t", TAction, ps)
+    quotient = _quotient_maps(*_column_span_rref(_sign_relations(M, ps, epsilon)), carrier.dim)
+    steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, M.params.l), 1)]
+    blocks, den = _projected_product(steps, quotient, ps, carrier)
+    return _quotient_module(blocks, den, carrier, quotient, "t", TAction, ps)
 
 
 class ReflectionProduct:
-    """T_1(u)...T_l(u) (1 x (G + gamma/u)) S_l(-u)...S_1(-u) on M x V^l x V.
+    """T_1(u)...T_l(u) (1 x (G + gamma/u)) S_l(-u)...S_1(-u) on M x V^l x V,
+    at the size of its double sign-quotient.
 
-    It is held cleared, for the resolved chi and gamma, as its series
-    entries blocks / den on the carrier M x V^l, over integer coefficient
-    tuples (see _cleared_product and _series_blocks); ctx carries gamma
-    (unset when it is 0).  relations is the RREF (nrows, pivots) of the
-    sign relations of the double quotient, which do not depend on chi and
-    gamma.
+    steps are its 2l + 1 cleared factors (d, K) (_cleared_product), for the
+    resolved chi and gamma; ctx carries gamma (unset when it is 0).
+    quotient is the Quotient of the carrier M x V^l by the sign relations
+    of the double quotient, which do not depend on chi and gamma, and
+    blocks / den are the series entries of (s P x 1_V) times the product
+    (_projected_product), q rows of s P x_ij(u) each over integer
+    coefficient tuples, q the dimension of the quotient.  The product on
+    the whole carrier is never formed: bchi_expansion_check reads its
+    orders 0 and 1 off the top two coefficients of the steps (_top_two).
     """
 
-    __slots__ = ("M", "ps", "epsilon", "chi", "gamma", "ctx", "blocks", "den", "relations")
+    __slots__ = ("M", "ps", "epsilon", "chi", "gamma", "ctx", "steps", "quotient", "blocks", "den")
 
-    def __init__(self, M, ps, epsilon, chi, gamma, ctx, blocks, den, relations):
+    def __init__(self, M, ps, epsilon, chi, gamma, ctx, steps, quotient, blocks, den):
         self.M, self.ps, self.epsilon = M, ps, epsilon
         self.chi, self.gamma, self.ctx = chi, gamma, ctx
-        self.blocks, self.den, self.relations = blocks, den, relations
+        self.steps, self.quotient, self.blocks, self.den = steps, quotient, blocks, den
 
 
 def _bc_parameters(M: DahaModule, ps, eps, epsilon, chi=None, gamma=None):
@@ -409,8 +461,8 @@ def _bc_parameters(M: DahaModule, ps, eps, epsilon, chi=None, gamma=None):
 
 
 def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=None) -> ReflectionProduct:
-    """Build the cleared reflection-twisted series product and the RREF of
-    its sign relations once."""
+    """Build the quotient of the sign relations, then the cleared
+    reflection-twisted series product projected onto it, once."""
     if M.params.kind != "BC":
         raise ParameterConstraint("need a module carrying the flip generator")
     if epsilon not in (1, -1):
@@ -419,17 +471,17 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     ctx = TwistedContext(ps, eps, gamma if gamma != 0 else None)
     l = M.params.l
     jay = ps.jay
-    dim = M.dim * ps.kappa ** (l + 1)
+    carrier = _carrier(M, ps)
+    g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
+    relations = _sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)])
+    quotient = _quotient_maps(*_column_span_rref(relations), carrier.dim)
     Qs = _int_q_rows(ps, l)
     steps = [_cleared_factor(M, Qs[k - 1], k, chi, -jay) for k in range(1, l + 1)]
-    steps.append(_g_step(ctx, dim))
+    steps.append(_g_step(ctx, carrier.dim * ps.kappa))
     # S_k(-u) = 1 - ((-u + jay) 1 - chi y_k)^{-1} Q^(k).
     steps += [_cleared_factor(M, Qs[k - 1], k, chi, jay, sign=-1, neg=True) for k in range(l, 0, -1)]
-    N, den = _cleared_product(steps, dim)
-    g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
-    relations = _column_span_rref(_sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)]))
-    blocks = _series_blocks(N, ps, _carrier(M, ps))
-    return ReflectionProduct(M, ps, epsilon, chi, gamma, ctx, blocks, den, relations)
+    blocks, den = _projected_product(steps, quotient, ps, carrier)
+    return ReflectionProduct(M, ps, epsilon, chi, gamma, ctx, steps, quotient, blocks, den)
 
 
 def _product_for(product, M, ps, eps, epsilon, chi=None, gamma=None) -> ReflectionProduct:
@@ -455,7 +507,7 @@ def drinfeld_BC(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, gamma=No
     chi and gamma resolve to its own.
     """
     product = _product_for(product, M, ps, eps, epsilon, chi, gamma)
-    return _quotient_module(product.blocks, product.den, _carrier(M, ps), product.relations,
+    return _quotient_module(product.blocks, product.den, _carrier(M, ps), product.quotient,
                             "b", BAction, product.ctx)
 
 
@@ -477,7 +529,7 @@ def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
     dim = M.dim * ps.kappa ** (l + 1)
     for k, Q in enumerate(_int_q_rows(ps, l), 1):
         steps = [_cleared_factor(M, Q, k, chi, -jay), _cleared_factor(M, Q, k, chi, jay, sign=-1)]
-        N, den = _cleared_product(steps, dim)
+        N, den = _cleared_product(steps, [{r: (1,)} for r in range(dim)])
         if N != [{r: den} for r in range(dim)]:
             return k
     return None
@@ -487,14 +539,17 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
     """Compare the first three series coefficients with their closed forms.
 
     Order 0 must be the diagonal sign matrix and order 1 the gamma shift
-    plus the sign-weighted single-box sum, both on the nose.  The order-2
-    form in the transformed commuting family holds modulo the quotient
-    subspace (its derivation trades V-side flips for module-side group
-    elements, which is exactly the quotient identification), so that order
-    is checked as an equality of induced quotient operators.  The series
-    is the default-parameter reflection_product, read off cleared; a
-    shared product is reused when its chi and gamma are the defaults.
-    Returns None or (order, (i, j)).
+    plus the sign-weighted single-box sum, both on the nose, on the whole
+    carrier: they are read off the top two coefficients of the product
+    (_top_two) and compared as integers, N_0 = eps_i b_0 delta_ij and
+    N_1 b_0 - b_1 N_0 = (s_i (eps_i + eps_j) box + gamma delta_ij) b_0^2.
+    The order-2 form in the transformed commuting family holds modulo the
+    quotient subspace (its derivation trades V-side flips for module-side
+    group elements, which is exactly the quotient identification), so that
+    order is checked as an equality of induced quotient operators, s P
+    times each side, on the projected blocks.  The series is the
+    default-parameter reflection_product; a shared product is reused when
+    its chi and gamma are the defaults.  Returns None or (order, (i, j)).
     """
     th1 = M.params.theta1
     _chi, gamma = _bc_parameters(M, ps, eps, epsilon)
@@ -504,46 +559,52 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
 
     product = _product_for(product, M, ps, eps, epsilon)
     spaces = [SuperSpace([0] * M.dim)] + [ps.space()] * l
-    carrier_dim = M.dim * kk**l
+    carrier = _carrier(M, ps)
+    prows = product.quotient.prows
 
     ys, fail = sf_presentation(M)
     if fail is not None:
         raise ParameterConstraint(f"module fails the transformed relations: {fail}")
     ys_dense = [_dense(y, M.dim) for y in ys]
 
-    # The quotient projection, whose kernel is the span of the relations.
-    proj = _quotient_maps(*product.relations, carrier_dim)[0]
-
+    top, (b0, b1) = _top_two(product.steps, carrier.dim * kk)
+    g = gamma * b0 * b0
     for i in range(1, kk + 1):
         for j in range(1, kk + 1):
             ei, ej = ctx0.eps_sign(i), ctx0.eps_sign(j)
             si = ps.sign(i)
             pij = (ps.parity(i) + ps.parity(j)) % 2
             e = elementary(kk, i, j)
-            # sum_k E_ij^(k) on V^l, Koszul-signed, tensored with 1_M or y_k.
-            box_sum = kron_sum(
-                [(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces
-            )
+            entry = _aux_entry(top, ps, i, j, carrier.parities, lambda x: (-x[0], -x[1]))
 
-            coeff0, coeff1, coeff2 = series_expansion(product.blocks[(i, j)], product.den, 2)
-            want0 = [[Fraction(ei) if (i == j and r == c) else Fraction(0) for c in range(carrier_dim)] for r in range(carrier_dim)]
-            if coeff0 != want0:
-                return (0, (i, j))
-            want1 = [[si * (ei + ej) * x for x in row] for row in box_sum]
-            if i == j:
-                for r in range(carrier_dim):
-                    want1[r][r] += gamma
-            if coeff1 != want1:
-                return (1, (i, j))
+            for q, row in enumerate(entry):
+                if {c: x0 for c, (x0, _x1) in row.items() if x0} != ({q: ei * b0} if i == j else {}):
+                    return (0, (i, j))
+            # sum_k E_ij^(k) on V^l, Koszul-signed, tensored with 1_M.
+            box = _kron_sum_rows([(1, at_slots(l + 1, {k: (e, pij)})) for k in range(1, l + 1)], spaces)
+            w = si * (ei + ej) * b0 * b0
+            for q, row in enumerate(entry):
+                want = {c: w * x for c, x in box[q].items()}
+                if i == j:
+                    want[q] = want.get(q, 0) + g
+                got = {c: x1 * b0 - b1 * x0 for c, (x0, x1) in row.items()}
+                if {c: x for c, x in got.items() if x} != {c: x for c, x in want.items() if x}:
+                    return (1, (i, j))
+
             if ei != ej:
-                ybox_sum = kron_sum(
+                ybox = _kron_sum_rows(
                     [(1, at_slots(l + 1, {0: (ys_dense[k - 1], 0), k: (e, pij)})) for k in range(1, l + 1)],
                     spaces,
                 )
                 scale = Fraction(-2 * ei) / (si * epsilon * th1)
-                diff = [[a - scale * b for a, b in zip(ra, rb)] for ra, rb in zip(coeff2, ybox_sum)]
-                if any(map(any, mat_mul(proj, diff))):
-                    return (2, (i, j))
+                coeff2 = series_expansion(product.blocks[(i, j)], product.den, 2, carrier.dim)[2]
+                for got, prow in zip(coeff2, prows):
+                    want = [0] * carrier.dim
+                    for p, x in prow:
+                        for c, y in ybox[p].items():
+                            want[c] += x * y
+                    if any(a != scale * b for a, b in zip(got, want)):
+                        return (2, (i, j))
     return None
 
 
@@ -622,9 +683,11 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
 
 
 def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):
-    """Standard (i, j) entry of a row-sparse operator on W x V, as a
-    row-sparse matrix on W, whose basis parities are pars (the inverse of
-    the Koszul assembly of yangian.realize_mixed, with its block signs).  A
+    """Standard (i, j) entry of a row-sparse operator F from W x V to U x V,
+    as a row-sparse matrix from W to U, whose basis parities on W are pars
+    (the inverse of the Koszul assembly of yangian.realize_mixed, with its
+    block signs; U = W for a square F, and F from W x V to U x V is G x 1_V
+    times a square one exactly when the entry is G times its entry).  A
     sign is applied entrywise through neg, the negation of F's entries."""
     kk = ps.kappa
     pi, pj = ps.parity(i), ps.parity(j)
@@ -632,7 +695,7 @@ def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):
     # basis vector of W when the entry is odd (pi + pj): flip[parity].
     flip = [(pi * pj + pj) % 2 == 1, (pi * pj + pi) % 2 == 1]
     out = []
-    for q in range(len(pars)):
+    for q in range(len(F) // kk):
         row = {}
         for c, v in F[q * kk + (i - 1)].items():
             p, jc = divmod(c, kk)

@@ -68,6 +68,7 @@ from tyang.yangian import (
     flip_at,
     highest_eigenseries,
     inverse_series_action,
+    scalar_entry,
     scalar_product,
     scaled_witness,
     series_expansion,
@@ -282,6 +283,15 @@ def unitarity_scalar(B: BAction):
     form = B.cleared()
     den, num, scalar = scalar_product(form, form.neg_u())
     return (num, den), scalar
+
+
+def unitarity_entry(B: BAction):
+    """(num, den) of unitarity_scalar, f(u) alone: the one entry of
+    B(u) B(-u) is formed (scalar_entry), and whether the product is scalar
+    is not read."""
+    form = B.cleared()
+    den, num = scalar_entry(form, form.neg_u())
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -261,13 +261,14 @@ def _integral(den, blocks):
     return den, {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
 
 
-def series_expansion(rows, den, order):
+def series_expansion(rows, den, order, ncols=None):
     """The coefficients of u^0, ..., u^-order in the expansion at infinity
     of rows / den, as dense Fraction matrices: den an integer coefficient
-    tuple, rows a square matrix of such tuples, each row dense (None or ()
-    for zero, as in a ClearedForm) or row-sparse ({column: tuple}).  A
-    common scale of rows and den cancels.  Raises ValueError when an entry
-    has no expansion (numerator degree above that of den).
+    tuple, rows a matrix of such tuples, each row dense (None or () for
+    zero, as in a ClearedForm) or row-sparse ({column: tuple}), with ncols
+    columns (square by default).  A common scale of rows and den cancels.
+    Raises ValueError when an entry has no expansion (numerator degree
+    above that of den).
     """
     D = len(den) - 1
     b = den[::-1]
@@ -275,8 +276,8 @@ def series_expansion(rows, den, order):
     # e_r = a_r b_0^r - sum_{s=1..min(r, D)} b_s e_(r-s) b_0^(s-1).
     pw = [b[0] ** r for r in range(order + 2)]
     zero = Fraction(0)
-    n = len(rows)
-    out = [[[zero] * n for _ in range(n)] for _ in range(order + 1)]
+    n = len(rows) if ncols is None else ncols
+    out = [[[zero] * n for _ in rows] for _ in range(order + 1)]
     for q, row in enumerate(rows):
         for c, p in row.items() if isinstance(row, dict) else enumerate(row):
             if not p:
@@ -347,6 +348,17 @@ def scalar_product(A: ClearedForm, B: ClearedForm):
         for c, e in enumerate(row)
     )
     return den, f or (), scalar
+
+
+def scalar_entry(A: ClearedForm, B: ClearedForm):
+    """(den, f) as scalar_product returns them, with the first diagonal
+    entry f of the (1, 1) block formed alone: row 0 of each block A_1k
+    against column 0 of B_k1.  A missing key counts as a zero block."""
+    acc = [[None]]
+    for (i, k), rows in A.blocks.items():
+        if i == 1 and (k, 1) in B.blocks:
+            _acc_product(acc, rows[:1], [row[:1] for row in B.blocks[(k, 1)]])
+    return poly_mul(A.den_coeffs, B.den_coeffs), _trimmed(acc[0][0]) or ()
 
 
 def _acc_product(acc, A, B):

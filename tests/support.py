@@ -186,8 +186,9 @@ def read_product(den, blocks, space=None):
 
 def rf_quotient_family(D, blocks, den):
     """(t, form) for the functor output D (a drinfeld.DrinfeldModule) of the
-    series blocks / den (row-sparse over integer coefficient tuples, as
-    drinfeld.reflection_product holds them): t the RatFun blocks of
+    series blocks / den on the whole carrier (row-sparse over integer
+    coefficient tuples, as drinfeld._series_blocks reads them off the
+    product of the steps from the identity): t the RatFun blocks of
     P N S / den, one reduced RatFun per entry, with P the Fraction
     projection D.projection and S the section D.section, which keeps the
     free columns, and form the cleared form of the family of t."""

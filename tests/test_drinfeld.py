@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,9 @@ from tyang.superlinalg import (
     tensor_space,
 )
 from tyang.twisted import BAction, TwistedContext, b_from_T, find_highest_space, highest_bweight, verify_b
-from tyang.yangian import TAction, evaluation_action, verify_rtt
+from tyang.yangian import TAction, evaluation_action, series_expansion, verify_rtt
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios")
 
 
 def F(a, b=1):
@@ -478,37 +482,69 @@ def _reference_raw_grids(M, ps, eps, epsilon=1, chi=None, gamma=None):
     return read_blocks(F, ps, carrier)
 
 
-def _reduce(rows, den):
+def _reduce(rows, den, ncols=None):
     """The row-sparse cleared matrix rows / den, over integer coefficient
-    tuples, as dense reduced RatFuns."""
+    tuples, as dense reduced RatFuns, with ncols columns (square by
+    default)."""
     den = Poly(den)
-    out = [[RatFun.zero()] * len(rows) for _ in rows]
+    out = [[RatFun.zero()] * (len(rows) if ncols is None else ncols) for _ in rows]
     for r, row in enumerate(rows):
         for c, p in row.items():
             out[r][c] = RatFun(Poly(p), den)
     return out
 
 
+def _identity_start(dim):
+    return [{r: (1,)} for r in range(dim)]
+
+
+def _full_blocks(product):
+    """(blocks, den): the series blocks of the product on the whole carrier
+    M x V^l, its steps multiplied from the identity."""
+    carrier = drinfeld._carrier(product.M, product.ps)
+    N, den = drinfeld._cleared_product(product.steps, _identity_start(carrier.dim * product.ps.kappa))
+    return drinfeld._series_blocks(N, product.ps, carrier), den
+
+
+def _project(prows, rows):
+    """s P times a matrix, for the sparse integer rows prows of s P and the
+    rows of a dense RatFun matrix or of a row-sparse one over integer
+    coefficient tuples."""
+    out = []
+    for prow in prows:
+        if isinstance(rows[0], dict):
+            acc = {}
+            for p, x in prow:
+                for c, e in rows[p].items():
+                    acc[c] = exactalg._zadd(acc.get(c, ()), tuple(x * a for a in e))
+            out.append({c: e for c, e in acc.items() if e})
+        else:
+            out.append([sum((x * rows[p][c] for p, x in prow), RatFun.zero()) for c in range(len(rows[0]))])
+    return out
+
+
 class TestClearedProduct:
-    """The cleared series product N / den equals the product of the dense
-    RFMatrix factors, entry for entry after reduction."""
+    """The series product equals the product of the dense RFMatrix factors:
+    its steps multiplied from the identity entry for entry after
+    reduction, and the projected blocks of reflection_product, s P times
+    each series entry, those of s P times the dense product."""
 
     @pytest.mark.parametrize(
-        "module, signs, eps, gamma",
+        "module, signs, eps, gamma, q",
         [
-            (("char", 2), (1, -1), (1, -1), None),
-            (("char", 3), (1, -1), (-1, -1), F(1, 3)),
-            (("char", 2), (1, -1), (1, 1), F(0)),
-            (("principal", 1), (1, -1), (1, -1), None),
-            (("principal", 1), (-1, 1), (-1, 1), F(-2)),
-            (("principal", 2), (1, -1), (1, -1), None),
-            (("char", 1), (1, 1, -1), (1, -1, 1), None),
-            (("char", 2), (1, -1, 1), (-1, 1, 1), F(5, 2)),
+            (("char", 2), (1, -1), (1, -1), None, 0),
+            (("char", 3), (1, -1), (-1, -1), F(1, 3), 0),
+            (("char", 2), (1, -1), (1, 1), F(0), 2),
+            (("principal", 1), (1, -1), (1, -1), None, 2),
+            (("principal", 1), (-1, 1), (-1, 1), F(-2), 2),
+            (("principal", 2), (1, -1), (1, -1), None, 4),
+            (("char", 1), (1, 1, -1), (1, -1, 1), None, 2),
+            (("char", 2), (1, -1, 1), (-1, 1, 1), F(5, 2), 2),
         ],
         ids=["char-l2", "char-l3-gamma", "char-l2-gamma0", "principal-l1", "principal-l1-gamma",
              "principal-l2", "kappa3-char-l1", "kappa3-char-l2-gamma"],
     )
-    def test_matches_rfmatrix_factor_product(self, module, signs, eps, gamma):
+    def test_matches_rfmatrix_factor_product(self, module, signs, eps, gamma, q):
         kind, l = module
         params = DahaParams(l, 3, 4)
         if kind == "char":
@@ -519,8 +555,15 @@ class TestClearedProduct:
         chi = F(1, 3)
         product = drinfeld.reflection_product(M, ps, list(eps), 1, chi, gamma)
         ref = _reference_raw_grids(M, ps, list(eps), 1, chi, gamma)
-        assert {key: _reduce(block, product.den) for key, block in product.blocks.items()} == {
+        full, den = _full_blocks(product)
+        assert {key: _reduce(block, den) for key, block in full.items()} == {
             key: grid.entries for key, grid in ref.items()
+        }
+        assert len(product.quotient.free) == q
+        ncols = drinfeld._carrier(M, ps).dim
+        prows = product.quotient.prows
+        assert {key: _reduce(block, product.den, ncols) for key, block in product.blocks.items()} == {
+            key: _project(prows, grid.entries) for key, grid in ref.items()
         }
         if gamma is not None:
             assert product.ctx.gamma == (None if gamma == 0 else gamma)
@@ -531,20 +574,23 @@ class TestClearedProduct:
         M = principal_series(DahaParams(1, 2, 3), [F(1, 2)])
         ps = ParitySeq([1, -1])
         product = drinfeld.reflection_product(M, ps, [1, -1])
-        assert product.den[-1] != 1
+        full, den = _full_blocks(product)
+        assert den[-1] != 1 and product.den == den
         ref = _reference_raw_grids(M, ps, [1, -1])
-        assert {key: _reduce(block, product.den) for key, block in product.blocks.items()} == {
+        assert {key: _reduce(block, den) for key, block in full.items()} == {
             key: grid.entries for key, grid in ref.items()
         }
+        assert product.blocks == {key: _project(product.quotient.prows, block) for key, block in full.items()}
 
     def test_type_a_product(self):
-        # drinfeld_A's product T_1 ... T_l with a shift, through the same steps.
+        # drinfeld_A's product T_1 ... T_l with a shift, through the same
+        # steps, from the identity.
         ps = ParitySeq([1, -1])
         M = restrict_to_type_a(principal_series(DahaParams(2, 1, 2), [F(3), F(1)]))
         chi, c = F(1, 2), F(-3)
         Qs = drinfeld._int_q_rows(ps, 2)
         steps = [drinfeld._cleared_factor(M, Qs[k - 1], k, chi, c) for k in (1, 2)]
-        N, den = drinfeld._cleared_product(steps, M.dim * 8)
+        N, den = drinfeld._cleared_product(steps, _identity_start(M.dim * 8))
         ref = _reference_factor(M, ps, 1, 2, chi, c) @ _reference_factor(M, ps, 2, 2, chi, c)
         assert _reduce(N, den) == ref.entries
 
@@ -552,7 +598,8 @@ class TestClearedProduct:
 class TestQuotientFamily:
     """The functor output is built in integers as one cleared form, and it
     is the family the function-field route forms: each entry of
-    P N S / den reduced to a RatFun, then cleared."""
+    P N S / den reduced to a RatFun, then cleared, with N the product on
+    the whole carrier."""
 
     @pytest.mark.parametrize(
         "M",
@@ -565,7 +612,7 @@ class TestQuotientFamily:
         product = drinfeld.reflection_product(M, ParitySeq([1, -1]), eps)
         D = drinfeld_BC(M, ParitySeq([1, -1]), eps, product=product)
         assert D.dim >= 1
-        t, form = rf_quotient_family(D, product.blocks, product.den)
+        t, form = rf_quotient_family(D, *_full_blocks(product))
         assert D.action._t is None
         assert D.action.cleared() == form
         assert tuple(form) == rf_cleared_form(t)
@@ -578,8 +625,10 @@ class TestQuotientFamily:
         blocks = {(i, j): [{}, {}] for i in (1, 2) for j in (1, 2)}
         blocks[(1, 1)] = [{0: (1, 1)}, {1: (1, 1)}]  # (u + 1) / u
         blocks[(2, 2)] = [{0: (0, 1)}, {1: (0, 1)}]  # u / u
-        relations = ([[F(1), F(1, 2)]], [0])
-        D = drinfeld._quotient_module(blocks, (0, 1), SuperSpace([0, 0]), relations, "t", TAction, ps)
+        quotient = drinfeld._quotient_maps([[F(1), F(1, 2)]], [0], 2)
+        assert quotient.s == 2 and quotient.prows == [[(0, -1), (1, 2)]]
+        projected = {key: _project(quotient.prows, block) for key, block in blocks.items()}
+        D = drinfeld._quotient_module(projected, (0, 1), SuperSpace([0, 0]), quotient, "t", TAction, ps)
         assert D.projection == [[F(-1, 2), F(1)]]
         t, form = rf_quotient_family(D, blocks, (0, 1))
         assert D.action.cleared() == form
@@ -590,36 +639,96 @@ class TestQuotientFamily:
 
 class TestCheckInvariant:
     """The quotient certificate reads every power-of-u coefficient of the
-    cleared product, the top one u^D included."""
-
-    @staticmethod
-    def _product():
-        M = char_module(DahaParams(2, 1, 2), 1, 1)
-        product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
-        nrows, pivots = product.relations
-        proj, _sect, _free = drinfeld._quotient_maps(nrows, pivots, len(nrows[0]))
-        _s, prows = drinfeld._integer_rows(proj)
-        return product.blocks, nrows, prows
+    projected product s P N, the top one u^D included."""
 
     def test_top_coefficient_violation_is_found(self):
-        blocks, nrows, prows = self._product()
-        assert drinfeld._check_invariant(blocks, nrows, prows) is None
+        M = char_module(DahaParams(2, 1, 2), 1, 1)
+        product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
+        blocks, basis = product.blocks, product.quotient.subspace
+        assert blocks[(1, 2)] and drinfeld._check_invariant(blocks, basis) is None
         D = max(len(p) - 1 for block in blocks.values() for row in block for p in row.values())
-        # e_q leaves the span (proj e_q != 0) and v = nrows[0] has v[c] != 0,
-        # so adding 7 u^D E_qc moves v out of the span in u^D alone.
-        q = next(q for q in range(len(nrows[0])) if any(col == q for prow in prows for col, _ in prow))
-        c = next(c for c, x in enumerate(nrows[0]) if x)
+        # v = basis[0] has v[c] != 0, so adding 7 u^D at column c of the
+        # first row of s P N_12 moves s P N_12 v off zero in u^D alone.
+        c = next(c for c, x in enumerate(basis[0]) if x)
         key = (1, 2)
         planted = {k: [dict(row) for row in block] for k, block in blocks.items()}
-        row = planted[key][q]
+        row = planted[key][0]
         row[c] = drinfeld._zadd(row.get(c, ()), (0,) * D + (7,))
-        assert drinfeld._check_invariant(planted, nrows, prows) == key
+        assert drinfeld._check_invariant(planted, basis) == key
         # Reading only the coefficients 0, ..., D - 1 misses the violation.
         truncated = {
             k: [{col: trimmed(p[:D]) for col, p in r.items() if trimmed(p[:D])} for r in block]
             for k, block in planted.items()
         }
-        assert drinfeld._check_invariant(truncated, nrows, prows) is None
+        assert drinfeld._check_invariant(truncated, basis) is None
+
+
+def _shipped_drinfeld_cases():
+    """(M, ps, eps, epsilon) of every shipped drinfeld scenario."""
+    from tyang.cli import build_daha_module
+
+    cases = []
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        if name.startswith("drinfeld-"):
+            with open(os.path.join(SCENARIO_DIR, name)) as fh:
+                inputs = json.load(fh)["inputs"]
+            M = build_daha_module(inputs["m"])[1]()
+            cases.append(pytest.param(M, ParitySeq(inputs["ps"]), inputs["eps"], inputs.get("epsilon", 1), id=name))
+    return cases
+
+
+def _control_cases():
+    return [pytest.param(TestExpansionNegativeControls._module(*module), ps, eps, 1, id=f"{module[0]}-l{module[1]}")
+            for ps, eps, module in TestExpansionNegativeControls.CASES]
+
+
+class TestTopTwo:
+    """Orders 0 and 1 of the series product, read off the length-2
+    truncation of its steps, against the expansion of the product on the
+    whole carrier."""
+
+    @pytest.mark.parametrize("M, ps, eps, epsilon", _control_cases() + _shipped_drinfeld_cases())
+    def test_matches_the_expansion_of_the_full_product(self, M, ps, eps, epsilon):
+        product = drinfeld.reflection_product(M, ps, eps, epsilon)
+        dim = drinfeld._carrier(M, ps).dim * ps.kappa
+        top, (b0, b1) = drinfeld._top_two(product.steps, dim)
+        N, den = drinfeld._cleared_product(product.steps, _identity_start(dim))
+        assert (b0, b1) == (den[-1], den[-2])
+        got = [[[F(0)] * dim for _ in range(dim)] for _ in range(2)]
+        for r, row in enumerate(top):
+            for c, (x0, x1) in row.items():
+                got[0][r][c] = F(x0, b0)
+                got[1][r][c] = F(x1 * b0 - b1 * x0, b0 * b0)
+        assert got == series_expansion(N, den, 1)
+        assert any(x1 for row in top for _x0, x1 in row.values())
+
+    def test_zero_quotient_multiplies_nothing(self, monkeypatch):
+        # An empty double quotient: one echelon form, and no polynomial
+        # product inside the series product.  A nonzero one is the control.
+        inside, muls, rrefs = [False], [], []
+        orig_mul, orig_product, orig_rref = drinfeld.poly_mul, drinfeld._cleared_product, drinfeld.mat_rref
+
+        def poly_mul(a, b):
+            if inside[0]:
+                muls.append(1)
+            return orig_mul(a, b)
+
+        def cleared_product(steps, start):
+            inside[0] = True
+            try:
+                return orig_product(steps, start)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(drinfeld, "poly_mul", poly_mul)
+        monkeypatch.setattr(drinfeld, "_cleared_product", cleared_product)
+        monkeypatch.setattr(drinfeld, "mat_rref", lambda rows: rrefs.append(1) or orig_rref(rows))
+        ps = ParitySeq([1, -1])
+        M = char_module(DahaParams(1, 1, 2), 1, -1)
+        assert drinfeld_BC(M, ps, [1, 1]).action is None
+        assert muls == [] and rrefs == [1]
+        assert drinfeld_BC(M, ps, [1, -1]).action is not None
+        assert muls
 
 
 INT_COEFFS = st.lists(st.integers(-20, 20), max_size=6).map(trimmed)

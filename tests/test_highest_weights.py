@@ -10,8 +10,11 @@ message, the same reduced series, the same Verma index and the same
 rank-one certificate.
 """
 
+import json
+import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,8 @@ from support import (
     ref_verma_conditions,
 )
 
-from tyang.exactalg import RatFun, RootSearchBound
+from tyang.cli import build_baction
+from tyang.exactalg import Poly, RatFun, RootSearchBound
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang.superlinalg import RFMatrix, SuperSpace
 from tyang.twisted import (
@@ -38,6 +42,7 @@ from tyang.twisted import (
     c_gamma,
     classify_rank1,
     highest_bweight,
+    unitarity_entry,
     unitarity_scalar,
     verma_conditions,
 )
@@ -136,6 +141,7 @@ class TestZuReaderMatchesTheRatFunRoute:
         assert [mu.tilde(i) for i in range(1, B.kappa + 1)] == [ref_tilde(ref, ps, i) for i in range(1, B.kappa + 1)]
         want = ref_verma_conditions(ref, ps, ref_unitarity_scalar(B))
         assert verma_conditions(mu, unitarity_scalar(B)[0]) == want
+        assert unitarity_entry(B) == unitarity_scalar(B)[0]
         if B.kappa == 2:
             ratio = ref_tilde_ratio(ref, ps)
             assert (ratio is None) == (not all(mu.tilde_nums))
@@ -182,3 +188,36 @@ class TestZuReaderMatchesTheRatFunRoute:
                 want = ref_verma_conditions(ref, F.ps, ref_unitarity_scalar(F))
                 assert verma_conditions(mu, unitarity_scalar(F)[0]) == want
         assert highest_bweight(S, [0, Fraction(-3, 2)]).mus == (W2.b[(1, 1)][0, 0], W2.b[(2, 2)][0, 0])
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios")
+
+
+def _classify_specs():
+    """The B(u) spec of every shipped classify scenario, and the same spec
+    twisted by gamma = 1/2 and gamma = -3."""
+    out = []
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, name)) as fh:
+            scenario = json.load(fh)
+        if scenario["pipeline"] == "classify":
+            spec = scenario["inputs"]["b"]
+            out.append(pytest.param(spec, id=name))
+            out += [pytest.param(dict(spec, gamma=g), id=f"{name}-gamma{g}") for g in ("1/2", "-3")]
+    return out
+
+
+class TestUnitarityEntry:
+    """The unitarity scalar f(u) that the classify pipeline hands to
+    verma_conditions, formed as the one entry of B(u) B(-u), is the scalar
+    of the product formed block by block over the function field."""
+
+    @pytest.mark.parametrize("spec", _classify_specs())
+    def test_matches_the_function_field_scalar(self, spec):
+        B = build_baction(spec)[1]()
+        num, den = unitarity_entry(B)
+        assert RatFun(Poly(num), Poly(den)) == ref_unitarity_scalar(B)
+        assert (num, den) == unitarity_scalar(B)[0]
+        if "gamma" in spec:
+            u, g = RatFun.x(), Fraction(spec["gamma"])
+            assert RatFun(Poly(num), Poly(den)) == 1 - g * g / (u * u)

@@ -253,6 +253,15 @@ class TestSeriesExpansion:
                 want = RatFun(Poly(e), Poly(den)).series(order) if e else [0] * (order + 1)
                 assert [got[r][q][c] for r in range(order + 1)] == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(_expansion_cases(), st.integers(0, 3))
+    def test_rectangular_rows_are_the_first_rows_of_the_square_call(self, case, q):
+        # q of the n rows, with the column count n given.
+        rows, den, _dense, order = case
+        q = min(q, len(rows))
+        square = series_expansion(rows, den, order)
+        assert series_expansion(rows[:q], den, order, len(rows)) == [C[:q] for C in square]
+
     def test_common_scale_cancels(self):
         # (3u^2 + 1) / (2u^2 - u) and the same over -5 times both.
         rows, den = [[(1, 0, 3)]], (0, -1, 2)
