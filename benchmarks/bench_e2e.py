@@ -20,13 +20,17 @@ script puts around them: verify_daha, sf_presentation and center_check in
 the daha-principal scenarios, the series product, the quotient module
 and the expansion in the drinfeld scenarios, the highest weight, the
 Verma conditions and the rank-one certificate in the classify scenarios,
-and, in every scenario, the
+appendix_identities in the appendix scenarios, and, in every scenario, the
 products of generator families (b_from_T, b_tensor, verify_b,
-inverse_series_action) and the grid certifier check_identity_2var, whose
-seconds hold the grid evaluation of the families it calls back.  A
+inverse_series_action), the grid certifier check_identity_2var, whose
+seconds hold the grid evaluation of the families it calls back, and the
+Koszul assembly (_kron_rows and _kron_sum_rows).  A
 timed function is wrapped in every tyang module that binds it, and its
 seconds are inclusive (an inverse series formed inside b_from_T counts in
-both) but a recursive call is not counted twice.  Last, the record holds
+both) but a recursive call is not counted twice; each layer's "all"
+holds the seconds spent inside any of its functions, a call nested in
+another of them counted once, so it compares across checkouts whose
+functions call each other differently.  Last, the record holds
 the wall seconds and summary line of the Tier-1 suite of the checkout
 that holds SRC (``python -m pytest -q --continue-on-collection-errors``
 in SRC's parent).  Records under other names already in
@@ -55,26 +59,35 @@ LAYERS = {
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
     "grid_s": (None, ("superlinalg.check_identity_2var",)),
+    "assembly_s": (None, ("superlinalg._kron_rows", "superlinalg._kron_sum_rows")),
+    "appendix_s": ("appendix", ("drinfeld.appendix_identities",)),
 }
 SEED = 101
 
 
-def _timed(qualname, sink):
+def _timed(qualname, sink, layer_depth):
     """Replace tyang.<module>.<name> by a wrapper adding its seconds to
-    sink[name], in every loaded tyang module that binds it."""
+    sink[name], in every loaded tyang module that binds it, and to
+    sink["all"] when no other function of the layer, whose shared call
+    depth is layer_depth, is running."""
     module, name = qualname.split(".")
     func = getattr(importlib.import_module("tyang." + module), name)
     depth = [0]
 
     def wrapper(*args, **kwargs):
         depth[0] += 1
+        layer_depth[0] += 1
         t0 = time.perf_counter()
         try:
             return func(*args, **kwargs)
         finally:
             depth[0] -= 1
+            layer_depth[0] -= 1
+            seconds = time.perf_counter() - t0
             if not depth[0]:
-                sink[name] += time.perf_counter() - t0
+                sink[name] += seconds
+            if not layer_depth[0]:
+                sink["all"] += seconds
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("tyang") and getattr(mod, name, None) is func:
@@ -136,9 +149,10 @@ def main():
 
     layers = {}
     for key, (_marker, names) in LAYERS.items():
-        layers[key] = dict.fromkeys((q.split(".")[1] for q in names), 0.0)
+        layers[key] = dict.fromkeys([q.split(".")[1] for q in names] + ["all"], 0.0)
+        layer_depth = [0]
         for qualname in names:
-            _timed(qualname, layers[key])
+            _timed(qualname, layers[key], layer_depth)
 
     workloads = {}
     with tempfile.TemporaryDirectory() as work:

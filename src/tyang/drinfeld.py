@@ -30,6 +30,9 @@ with the Koszul signs of the assembler.  Every weighting that a caller
 needs is read off that one pattern (_q_rows): the factors of the series
 product take it unweighted, and the appendix identities
 (appendix_identities) take four weightings of it, all in Python ints.
+The assembler's cost follows the entries it emits, and the appendix
+accumulates its double sums in place, c A B at a time, into one
+row-sparse matrix each (superlinalg.sparse_addmul).
 """
 
 import operator
@@ -52,6 +55,7 @@ from tyang.superlinalg import (
     mat_rank,
     poly_kernel,
     sparse_add,
+    sparse_addmul,
     sparse_mul,
     sparse_scale,
     tensor_space,
@@ -99,8 +103,9 @@ def _q_pattern(ps: ParitySeq, k: int, l: int):
     """Q^(k) as a tagged pattern (terms, rows): terms lists the pairs (i, j)
     of its terms sgn_ij E_ij^(k) x E_ij^(aux), and rows, row-sparse, holds
     +-t where the term terms[t - 1] puts +-1.  The terms touch disjoint
-    entries.  Each term is assembled by _kron_rows with sgn_ij t in place of
-    sgn_ij at slot k, so the signs of the pattern are those of the operator.
+    entries.  The terms are assembled by _kron_sum_rows with sgn_ij t in
+    place of sgn_ij at slot k, so the signs of the pattern are those of the
+    operator.
     """
     kk = ps.kappa
     terms, placed = [], []
@@ -617,7 +622,12 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
     are read off it by _q_rows; the split Q = Q_same + Q_mixed is checked
     on the weightings, so it fails when a weight is wrong.  Every flip
     (flip_at) and box (_box_at) comes out of the assembler in ints, and G
-    and the Gz_k are +-1 sign vectors that scale rows or columns.
+    and the Gz_k are +-1 sign vectors that scale rows or columns.  The
+    double sums are accumulated in place, one product c A B at a time,
+    into one row-sparse matrix each (sparse_addmul); the flip weights of
+    the boxes in them do not depend on (i, j) and are summed once
+    (_sigma_weights, _flip_pair_weights); and as G, s_i and eps_i are
+    signs, each comparison scales one side only.
     """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
@@ -640,44 +650,45 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
         kp, pk = sparse_mul(Qkk, Qkp), sparse_mul(Qkp, Qkk)
         if sparse_add(kp, pk) != sparse_scale(Qkp, jay2):
             return f"anticommutator Q^k Q^p at k={k}"
-        if sparse_scale(sparse_add(kp, pk, -1), rows=g) != sparse_scale(Qkp, varpi1):
+        # G (Q^k Q^p - Q^p Q^k) = varpi_1 Q^p, with G = G^-1 moved across.
+        if sparse_add(kp, pk, -1) != sparse_scale(Qkp, varpi1, rows=g):
             return f"twisted commutator at k={k}"
         # G Q + Q G carries the sign sum entrywise.
-        both = sparse_add(sparse_scale(Qk, rows=g), sparse_scale(Qk, cols=g))
+        both = [{c: y for c, x in row.items() if (y := (gr + g[c]) * x)} for gr, row in zip(g, Qk)]
         if both != _q_rows(pattern, eps_sum):
             return f"diagonal sum at k={k}"
         Qs.append(Qk)
     if l >= 2:
-        # sum_{k != r} (Q_k Q_r G if k < r else G Q_k Q_r), and
+        # lhs1 = sum_{k != r} (Q_k Q_r G if k < r else G Q_k Q_r), that is
+        # sum_{r < k} (Q_r Q_k G + G Q_k Q_r), and
         # sum_{k, r} Q_k G Q_r = (sum_k Q_k) G (sum_r Q_r).
-        zero = [{} for _ in range(dim)]
-        below, above, qsum = zero, zero, zero
-        for k in range(1, l + 1):
-            qsum = sparse_add(qsum, Qs[k - 1])
-            for r in range(1, l + 1):
-                if r < k:
-                    below = sparse_add(below, sparse_mul(Qs[k - 1], Qs[r - 1]))
-                elif r > k:
-                    above = sparse_add(above, sparse_mul(Qs[k - 1], Qs[r - 1]))
-        lhs1 = sparse_add(sparse_scale(above, cols=g), sparse_scale(below, rows=g))
+        lhs1, qsum = [{} for _ in range(dim)], [{} for _ in range(dim)]
+        for k, Qk in enumerate(Qs):
+            sparse_addmul(qsum, Qk)
+            if k:
+                QkG, GQk = sparse_scale(Qk, cols=g), sparse_scale(Qk, rows=g)
+                for Qr in Qs[:k]:
+                    sparse_addmul(lhs1, Qr, QkG)
+                    sparse_addmul(lhs1, GQk, Qr)
         lhs2 = sparse_mul(sparse_scale(qsum, cols=g), qsum)
         flips = {(a, b): flip_at(ps, a, b, l) for a in range(1, l + 1) for b in range(a + 1, l + 1)}
         gz = [_g_at_slot(ps, ctx, slot, l) for slot in range(1, l + 1)]
         pars = tensor_space([ps.space()] * l).parities
+        sigma, pair = _sigma_weights(flips, l), _flip_pair_weights(flips, gz, varpi1)
         for i in range(1, kk + 1):
             for j in range(1, kk + 1):
                 if ctx.eps_sign(i) == ctx.eps_sign(j):
                     continue
+                # s_i want = -e_i got (ordered) and e_i got (sandwiched),
+                # and s_i = +-1, so want = -+e_i s_i got.
                 si = ps.sign(i)
                 ei = ctx.eps_sign(i)
                 boxes = [_box_at(ps, i, j, k, l) for k in range(1, l + 1)]
                 got1 = _aux_entry(lhs1, ps, i, j, pars)
-                want1 = _sigma_weighted_sum(flips, boxes)
-                if sparse_scale(want1, si) != sparse_scale(got1, -ei):
+                if _box_sum(sigma, boxes) != sparse_scale(got1, -ei * si):
                     return f"ordered double sum at (i,j)=({i},{j})"
                 got2 = _aux_entry(lhs2, ps, i, j, pars)
-                want2 = _flip_pair_sum(flips, gz, varpi1, boxes)
-                if sparse_scale(want2, si) != sparse_scale(got2, ei):
+                if _box_sum(pair, boxes) != sparse_scale(got2, ei * si):
                     return f"sandwiched double sum at (i,j)=({i},{j})"
     return None
 
@@ -711,39 +722,49 @@ def _box_at(ps, i, j, k, l):
     return _kron_rows(at_slots(l, {k - 1: (e, (ps.parity(i) + ps.parity(j)) % 2)}), [ps.space()] * l)
 
 
-def _sigma_weighted_sum(flips, boxes):
-    """sum_k (sum_{r<k} P^(r,k) - sum_{r>k} P^(r,k)) E_ij^(k) on V^l.
+def _sigma_weights(flips, l):
+    """The weights sum_{r<k} P^(r,k) - sum_{r>k} P^(r,k) of the boxes
+    E_ij^(k) in the ordered double sum, for k = 1 .. l >= 2, on V^l.
 
-    Row-sparse throughout: flips[(a, b)] is P^(a,b) for a < b and
-    boxes[k - 1] is E_ij^(k).
+    Row-sparse throughout: flips[(a, b)] is P^(a,b) for a < b, and each
+    +-P^(r,k) is added in place.
     """
-    l = len(boxes)
-    out = [{} for _ in boxes[0]]
+    out = []
     for k in range(1, l + 1):
-        acc = [{} for _ in boxes[0]]
+        acc = [{} for _ in flips[1, 2]]
         for r in range(1, l + 1):
             if r != k:
-                acc = sparse_add(acc, flips[min(r, k), max(r, k)], 1 if r < k else -1)
-        out = sparse_add(out, sparse_mul(acc, boxes[k - 1]))
+                sparse_addmul(acc, flips[min(r, k), max(r, k)], None, 1 if r < k else -1)
+        out.append(acc)
     return out
 
 
-def _flip_pair_sum(flips, gz, varpi1, boxes):
-    """sum_k (sum_{r != k} P^(k,r) Gz_r Gz_k + varpi_1 Gz_k) E_ij^(k) on V^l.
+def _flip_pair_weights(flips, gz, varpi1):
+    """The weights sum_{r != k} P^(k,r) Gz_r Gz_k + varpi_1 Gz_k of the boxes
+    E_ij^(k) in the sandwiched double sum, for k = 1 .. l, on V^l.
 
-    Row-sparse throughout, as in _sigma_weighted_sum; gz[k - 1] is the
-    sign vector of Gz_k.
+    Row-sparse throughout, as in _sigma_weights; gz[k - 1] is the sign
+    vector of Gz_k.
     """
-    l = len(boxes)
-    out = [{} for _ in boxes[0]]
+    l = len(gz)
+    out = []
     for k in range(1, l + 1):
         gk = gz[k - 1]
         acc = [{c: varpi1 * s} if varpi1 else {} for c, s in enumerate(gk)]
         for r in range(1, l + 1):
             if r != k:
                 signs = [a * b for a, b in zip(gz[r - 1], gk)]
-                acc = sparse_add(acc, sparse_scale(flips[min(r, k), max(r, k)], cols=signs))
-        out = sparse_add(out, sparse_mul(acc, boxes[k - 1]))
+                sparse_addmul(acc, sparse_scale(flips[min(r, k), max(r, k)], cols=signs))
+        out.append(acc)
+    return out
+
+
+def _box_sum(weights, boxes):
+    """sum_k weights[k - 1] E_ij^(k) on V^l, boxes[k - 1] being E_ij^(k),
+    accumulated in place."""
+    out = [{} for _ in boxes[0]]
+    for w, box in zip(weights, boxes):
+        sparse_addmul(out, w, box)
     return out
 
 

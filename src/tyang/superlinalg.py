@@ -111,6 +111,24 @@ def sparse_add(A, B, c=1):
     return out
 
 
+def sparse_addmul(acc, A, B=None, c=1):
+    """acc += c * A * B in place, for row-sparse matrices of ints or
+    Fractions, B = None standing for the identity; returns acc.  Entries
+    that cancel are deleted, so == on the accumulator stays equality of
+    the matrices, and no row of acc is copied."""
+    for row, Ai in zip(acc, A):
+        for k, a in Ai.items():
+            if c != 1:
+                a = c * a
+            for j, b in ((k, 1),) if B is None else B[k].items():
+                x = row.get(j, 0) + a * b
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return acc
+
+
 def sparse_scale(A, c=1, rows=None, cols=None):
     """c * diag(rows) * A * diag(cols) for a row-sparse A; rows and cols
     are vectors (say, of signs) and None stands for all ones."""
@@ -271,33 +289,61 @@ def algebra_closure(gens, dim):
 # ---------------------------------------------------------------------------
 # Koszul-signed tensor assembly.
 
-def _kron_rows(ops, spaces):
-    """kron_ops as row-sparse rows: one {col: value} dict per row holding
-    only the nonzero entries.  This is the one place Koszul signs are read."""
+def _tensor_dim(spaces):
+    dim = 1
+    for sp in spaces:
+        dim *= sp.dim
+    return dim
+
+
+def _col_parities(spaces):
+    """The parities of the column indices of the first k factors, for k = 0
+    up to the last factor: the prefixes that drive the Koszul signs."""
+    out = [[0]]
+    for sp in spaces[:-1]:
+        out.append([(cp + q) % 2 for cp in out[-1] for q in sp.parities])
+    return out
+
+
+def _kron_nonzero_rows(ops, spaces, col_par):
+    """kron_ops as its nonzero rows only, a list of (row, {col: value})
+    pairs in row order; col_par is _col_parities(spaces).  This is the one
+    place Koszul signs are read.
+
+    Only the nonzero rows of the partial products are carried from factor
+    to factor, and each factor matrix is read once into its nonzero rows,
+    so the cost follows the entries emitted, not the dimension."""
     if len(ops) != len(spaces):
         raise DimensionMismatch("one operator slot per tensor factor required")
-    rows = [{0: 1}]
-    col_par = [0]
-    for (m, par), sp in zip(ops, spaces):
+    rows = [(0, {0: 1})]
+    for (m, par), sp, cp in zip(ops, spaces, col_par):
         d = sp.dim
-        if m is not None and (len(m) != d or (m and len(m[0]) != d)):
-            raise DimensionMismatch("operator does not match its factor")
         if m is not None:
-            m = [[(c2, x) for c2, x in enumerate(mr) if x] for mr in m]
+            if len(m) != d or any(len(mr) != d for mr in m):
+                raise DimensionMismatch("operator does not match its factor")
+            m = [(r2, nz) for r2, mr in enumerate(m) if (nz := [(c2, x) for c2, x in enumerate(mr) if x])]
         new = []
-        for row1 in rows:
-            signed = [
-                (c1 * d, -v if par and col_par[c1] else v) for c1, v in row1.items()
-            ]
-            for r2 in range(d):
-                if m is None:
-                    new.append({base + r2: vs for base, vs in signed})
-                else:
-                    mr = m[r2]
-                    new.append({base + c2: vs * x for base, vs in signed for c2, x in mr})
+        for r1, row1 in rows:
+            signed = [(c1 * d, -v if par and cp[c1] else v) for c1, v in row1.items()]
+            base1 = r1 * d
+            if m is None:
+                for r2 in range(d):
+                    new.append((base1 + r2, {base + r2: vs for base, vs in signed}))
+            else:
+                for r2, mr in m:
+                    new.append((base1 + r2, {base + c2: vs * x for base, vs in signed for c2, x in mr}))
         rows = new
-        col_par = [(cp + q) % 2 for cp in col_par for q in sp.parities]
     return rows
+
+
+def _kron_rows(ops, spaces):
+    """kron_ops as row-sparse rows: one {col: value} dict per row holding
+    only the nonzero entries, assembled by _kron_nonzero_rows, whose cost
+    follows the entries emitted; the rows no entry reaches stay empty."""
+    out = [{} for _ in range(_tensor_dim(spaces))]
+    for r, row in _kron_nonzero_rows(ops, spaces, _col_parities(spaces)):
+        out[r] = row
+    return out
 
 
 def _dense(rows, ncols):
@@ -340,13 +386,14 @@ def elementary(k, i, j, c=1):
 
 
 def _kron_sum_rows(terms, spaces):
-    """kron_sum as row-sparse rows, with cancelled entries dropped."""
-    dim = 1
-    for sp in spaces:
-        dim *= sp.dim
-    total = [{} for _ in range(dim)]
+    """kron_sum as row-sparse rows, with cancelled entries dropped: the
+    nonzero rows of each term (_kron_nonzero_rows, on column parities
+    computed once for all terms) are added in place."""
+    col_par = _col_parities(spaces)
+    total = [{} for _ in range(_tensor_dim(spaces))]
     for w, ops in terms:
-        for row, trow in zip(total, _kron_rows(ops, spaces)):
+        for r, trow in _kron_nonzero_rows(ops, spaces, col_par):
+            row = total[r]
             for c, x in trow.items():
                 if w != 1:
                     x = w * x

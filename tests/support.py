@@ -22,9 +22,12 @@ cleared forms: the references that the grid bounds and grid verdicts of
 yangian.verify_rtt, twisted.verify_b and yangian.verify_yang_baxter are
 checked against.
 
-q_rows_by_terms is the coupling operator Q^(k) assembled term by term, the
-reference for the tagged pattern of drinfeld._q_pattern and its
-weightings.  ref_verify_daha, ref_sf_presentation and ref_center_check are
+kron_rows_by_terms forms a sum of Koszul-signed tensor products entry by
+entry from the sign rule, without the assembler; q_rows_by_terms,
+flip_by_terms and box_by_terms are the coupling operator Q^(k), the flip
+and the box E_ij^(k) formed with it, the references for the tagged
+pattern of drinfeld._q_pattern and its weightings, yangian.flip_at and
+drinfeld._box_at.  ref_verify_daha, ref_sf_presentation and ref_center_check are
 the Hecke relation checks over Q, in Fraction arithmetic on the generators
 as DahaModule reads them back: the references for the checks of
 tyang.daha, which run on integer rows over one scale.  ref_induced_y is
@@ -66,7 +69,6 @@ from tyang.glmn import GlModule, ParameterError, _coords_in_span
 from tyang.superlinalg import (
     DimensionMismatch,
     RFMatrix,
-    _kron_sum_rows,
     at_slots,
     charpoly,
     cleared_coefficients,
@@ -422,9 +424,36 @@ def sym_at(M, n, u0, v0):
     return out
 
 
+def kron_rows_by_terms(terms, spaces):
+    """sum_t w_t x_t as row-sparse rows, for terms (w, ops) of kron_ops
+    operator lists, formed entry by entry from the sign rule, with no call
+    to the assembler: a product of one nonzero entry (r_k, c_k, x_k) per
+    factor (the diagonal of 1 for an identity slot) lands at the tensor
+    indices (r, c) with the value w prod_k x_k, negated once for every odd
+    factor k whose earlier column indices c_1 ... c_(k-1) have odd total
+    parity.  Entries that cancel are dropped."""
+    dims = [sp.dim for sp in spaces]
+    out = [{} for _ in range(tensor_space(spaces).dim)]
+    for w, ops in terms:
+        per_slot = [
+            [(r, r, 1) for r in range(sp.dim)] if m is None
+            else [(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x]
+            for (m, _par), sp in zip(ops, spaces)
+        ]
+        for picks in product(*per_slot):
+            r = c = 0
+            x, seen = w, 0
+            for (rk, ck, xk), (_m, par), sp, d in zip(picks, ops, spaces, dims):
+                r, c = r * d + rk, c * d + ck
+                x = -x * xk if par and seen % 2 else x * xk
+                seen += sp.parity(ck)
+            out[r][c] = out[r].get(c, 0) + x
+    return [{c: x for c, x in row.items() if x} for row in out]
+
+
 def q_rows_by_terms(ps, k, l, weight=None):
     """sum_ij w(i, j) sgn_ij E_ij^(k) x E_ij^(aux) on V^l x V as row-sparse
-    rows, one Koszul-signed assembly per term, with w = 1 unless a weight
+    rows, term by term (kron_rows_by_terms), with w = 1 unless a weight
     function of the 1-based pair (i, j) is given."""
     kk = ps.kappa
     terms = []
@@ -438,7 +467,29 @@ def q_rows_by_terms(ps, k, l, weight=None):
             par = (pi + pj) % 2
             ops = {k - 1: (elementary(kk, i, j, sgn), par), l: (elementary(kk, i, j), par)}
             terms.append((w, at_slots(l + 1, ops)))
-    return _kron_sum_rows(terms, [ps.space()] * (l + 1))
+    return kron_rows_by_terms(terms, [ps.space()] * (l + 1))
+
+
+def flip_by_terms(ps, slot_a, slot_b, nfactors):
+    """The graded flip sum_ab s_b E_ab x E_ba on factors (slot_a, slot_b) of
+    V^nfactors, term by term (kron_rows_by_terms): the reference for
+    yangian.flip_at."""
+    k = ps.kappa
+    terms = []
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            par = (ps.parity(a) + ps.parity(b)) % 2
+            ops = {slot_a - 1: (elementary(k, a, b, ps.sign(b)), par), slot_b - 1: (elementary(k, b, a), par)}
+            terms.append((1, at_slots(nfactors, ops)))
+    return kron_rows_by_terms(terms, [ps.space()] * nfactors)
+
+
+def box_by_terms(ps, i, j, k, l):
+    """E_ij^(k) on V^l (kron_rows_by_terms): the reference for
+    drinfeld._box_at."""
+    par = (ps.parity(i) + ps.parity(j)) % 2
+    ops = at_slots(l, {k - 1: (elementary(ps.kappa, i, j), par)})
+    return kron_rows_by_terms([(1, ops)], [ps.space()] * l)
 
 
 def _ref_identity(dim):

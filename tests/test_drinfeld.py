@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import family_form, q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
+from support import box_by_terms, family_form, flip_by_terms, q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
@@ -250,27 +250,45 @@ class TestExpansionNegativeControls:
         assert bchi_expansion_check(M, ps, eps) == (2, (i, j))
 
 
+# (kappa, l) for the coupling-pattern sweeps: every sign pattern up to
+# kappa = 3 and l = 3, and kappa = 4 with l <= 2, as dense-operator's
+# appendix-k4-l2 scenarios run it.
+PATTERN_SIZES = [(kk, l) for kk in (1, 2, 3) for l in (1, 2, 3)] + [(4, 1), (4, 2)]
+
+
 class TestCouplingPattern:
     """The tagged pattern of Q^(k), read with the four weightings that
-    appendix_identities uses, is the operator assembled term by term."""
+    appendix_identities uses, and the flips and boxes the appendix builds,
+    are the operators formed term by term from the sign rule."""
 
     def test_weightings_match_the_term_by_term_assembly(self):
-        for kk in (1, 2, 3):
+        for kk, l in PATTERN_SIZES:
             for signs in itertools.product((1, -1), repeat=kk):
                 ps = ParitySeq(signs)
-                for l in (1, 2, 3):
-                    for k in range(1, l + 1):
-                        pattern = drinfeld._q_pattern(ps, k, l)
-                        for eps in itertools.product((1, -1), repeat=kk):
-                            weights = [
-                                None,
-                                lambda i, j: int(eps[i - 1] == eps[j - 1]),
-                                lambda i, j: int(eps[i - 1] != eps[j - 1]),
-                                lambda i, j: eps[i - 1] + eps[j - 1],
-                            ]
-                            for w in weights:
-                                want = q_rows_by_terms(ps, k, l, w)
-                                assert drinfeld._q_rows(pattern, w) == want, (signs, eps, l, k)
+                for k in range(1, l + 1):
+                    pattern = drinfeld._q_pattern(ps, k, l)
+                    for eps in itertools.product((1, -1), repeat=kk):
+                        weights = [
+                            None,
+                            lambda i, j: int(eps[i - 1] == eps[j - 1]),
+                            lambda i, j: int(eps[i - 1] != eps[j - 1]),
+                            lambda i, j: eps[i - 1] + eps[j - 1],
+                        ]
+                        for w in weights:
+                            want = q_rows_by_terms(ps, k, l, w)
+                            assert drinfeld._q_rows(pattern, w) == want, (signs, eps, l, k)
+
+    @pytest.mark.parametrize("kk, l", PATTERN_SIZES)
+    def test_flips_and_boxes_match_the_term_by_term_assembly(self, kk, l):
+        for signs in itertools.product((1, -1), repeat=kk):
+            ps = ParitySeq(signs)
+            for a in range(1, l + 1):
+                for b in range(a + 1, l + 1):
+                    assert drinfeld.flip_at(ps, a, b, l) == flip_by_terms(ps, a, b, l), (signs, a, b)
+            for k in range(1, l + 1):
+                for i in range(1, kk + 1):
+                    for j in range(1, kk + 1):
+                        assert drinfeld._box_at(ps, i, j, k, l) == box_by_terms(ps, i, j, k, l), (signs, i, j, k)
 
     def test_q_operator_reads_the_pattern(self):
         ps = ParitySeq([1, -1, 1])

@@ -16,6 +16,7 @@ from tyang.superlinalg import (
     RFMatrix,
     SingularMatrix,
     SuperSpace,
+    _kron_rows,
     algebra_closure,
     charpoly,
     check_identity_2var,
@@ -28,6 +29,7 @@ from tyang.superlinalg import (
     rfmat_inverse,
     rfmat_kernel,
     sparse_add,
+    sparse_addmul,
     sparse_mul,
     sparse_scale,
     tensor_space,
@@ -189,19 +191,26 @@ class TestKronSum:
                     total[r][c] = total[r][c] + w * x
         return total, touched
 
-    @settings(max_examples=80, deadline=None)
-    @given(kron_terms(FRACTIONS))
-    def test_fraction_terms(self, case):
-        terms, spaces = case
+    @staticmethod
+    def check_fraction_terms(terms, spaces):
+        """Each term's rows and kron_ops are kron_reference, and kron_sum is
+        the entrywise sum, with Fraction(0) where no term reaches."""
         for _w, ops in terms:
-            assert kron_ops(ops, spaces) == kron_reference(ops, spaces)
+            ref = kron_reference(ops, spaces)
+            assert _kron_rows(ops, spaces) == [{c: x for c, x in enumerate(row) if x} for row in ref]
+            assert kron_ops(ops, spaces) == ref
         got = kron_sum(terms, spaces)
-        want, touched = self.entrywise(terms, spaces)
+        want, touched = TestKronSum.entrywise(terms, spaces)
         assert got == want
         for r, row in enumerate(got):
             for c, x in enumerate(row):
                 if (r, c) not in touched:
                     assert type(x) is Fraction and x == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(kron_terms(FRACTIONS))
+    def test_fraction_terms(self, case):
+        self.check_fraction_terms(*case)
 
     @settings(max_examples=30, deadline=None)
     @given(kron_terms(RATFUNS))
@@ -221,6 +230,62 @@ def sparse(A):
     return [{c: x for c, x in enumerate(row) if x} for row in A]
 
 
+@st.composite
+def sparse_kron_terms(draw):
+    """(terms, spaces) for the nonzero-row path of the assembler: 2-4
+    factors of dim 1-3 (at most 36 in all), each of dim 2 or more with both
+    parities, whose slots are identities, matrix units, all-zero matrices
+    or matrices with empty rows, of odd or even parity, and weights of
+    which some cancel."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda ds: math.prod(ds) <= 36))
+    mixed = lambda d: st.lists(st.integers(0, 1), min_size=d, max_size=d).filter(lambda p: d == 1 or len(set(p)) == 2)
+    spaces = [SuperSpace(draw(mixed(d))) for d in dims]
+
+    def slot(sp):
+        d = sp.dim
+        kind = draw(st.sampled_from(["identity", "unit", "zero", "empty-rows"]))
+        if kind == "identity":
+            return (None, 0)
+        m = [[F(0)] * d for _ in range(d)]
+        if kind == "unit":
+            m[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(FRACTIONS.filter(bool))
+        elif kind == "empty-rows":
+            for r in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
+                m[r] = [draw(FRACTIONS) for _ in range(d)]
+        return (m, draw(st.integers(0, 1)))
+
+    terms = [
+        (draw(st.sampled_from([1, -1, 2, F(1, 3)])), [slot(sp) for sp in spaces])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        w, ops = terms[draw(st.integers(0, len(terms) - 1))]
+        terms.append((-w, ops))
+    return terms, spaces
+
+
+class TestKronNonzeroRows:
+    """The assembler carries only nonzero rows from factor to factor; on
+    sparse factors its rows, kron_ops and kron_sum must still be the
+    entry-by-entry reference and the entrywise sum."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_kron_terms())
+    def test_sparse_factors(self, case):
+        TestKronSum.check_fraction_terms(*case)
+
+    @pytest.mark.parametrize("m", [[[1, 0], [0, 0, 1]], [[1, 0], [0]], [[1, 0]], [[1, 0], [0, 1], [0, 0]]])
+    def test_every_row_is_checked_against_its_factor(self, m):
+        # A ragged factor used to reach an out-of-range column (a long
+        # row) or be zero-padded (a short one) when only m[0] was checked.
+        spaces = [SuperSpace([0, 1]), SuperSpace([0, 1])]
+        for ops in ([(m, 0), (None, 0)], [(None, 0), (m, 1)]):
+            with pytest.raises(DimensionMismatch):
+                kron_ops(ops, spaces)
+            with pytest.raises(DimensionMismatch):
+                kron_sum([(1, ops)], spaces)
+
+
 class TestSparseRows:
     A = [[2, 0, -1], [0, 0, 0], [1, 3, 0]]
     B = [[1, 1, 0], [0, 2, 0], [2, 2, -4]]
@@ -238,6 +303,19 @@ class TestSparseRows:
             [[3 * signs[i] * x * signs[j] for j, x in enumerate(row)] for i, row in enumerate(self.A)]
         )
         assert sparse_scale(A, 0) == [{}, {}, {}]
+
+    def test_in_place_accumulator_drops_cancellations(self):
+        A, B = sparse(self.A), sparse(self.B)
+        acc = [{} for _ in A]
+        assert sparse_addmul(acc, A, B, 2) is acc
+        assert acc == sparse_scale(sparse_mul(A, B), 2)
+        sparse_addmul(acc, A)
+        assert acc == sparse_add(sparse_scale(sparse_mul(A, B), 2), A)
+        # A term and its negative leave every row empty, holding no zeros.
+        sparse_addmul(acc, A, B, -2)
+        sparse_addmul(acc, A, None, -1)
+        assert acc == [{}, {}, {}]
+        assert A == sparse(self.A) and B == sparse(self.B)
 
 
 class TestApplyAtFactor:
