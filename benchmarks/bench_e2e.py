@@ -24,8 +24,13 @@ appendix_identities in the appendix scenarios, and, in every scenario, the
 products of generator families (b_from_T, b_tensor, verify_b,
 inverse_series_action), the grid certifier check_identity_2var, whose
 seconds hold the grid evaluation of the families it calls back, and the
-Koszul assembly (_kron_rows and _kron_sum_rows).  A
-timed function is wrapped in every tyang module that binds it, and its
+Koszul assembly (_kron_rows and _kron_sum_rows).  Each layer's seconds
+are recorded twice, as {"s": seconds, "ref": reference units} per
+function, the units those of the loop run before the scenario, so a
+layer compares across records as the scenario totals do; each workload
+also holds the sum of the "all" of every layer it runs over its
+scenarios, in both.  A timed function is wrapped in every tyang module
+that binds it, and its
 seconds are inclusive (an inverse series formed inside b_from_T counts in
 both) but a recursive call is not counted twice; each layer's "all"
 holds the seconds spent inside any of its functions, a call nested in
@@ -117,7 +122,7 @@ def run_pass(cli, scenarios, reference, workload, work, layers):
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
         for key, (marker, _names) in LAYERS.items():
             if marker is None or marker in sc["name"]:
-                rec[key] = {name: round(s, 4) for name, s in layers[key].items()}
+                rec[key] = {name: {"s": round(s, 4), "ref": round(s / ref, 4)} for name, s in layers[key].items()}
         out[sc["name"]] = rec
     return out
 
@@ -158,9 +163,15 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         for workload in scenarios.WORKLOADS:
             per_scenario = run_pass(tyang.cli, scenarios, one_pass.reference, workload, work, layers)
+            recs = per_scenario.values()
             workloads[workload] = {
-                "s": round(sum(r["s"] for r in per_scenario.values()), 3),
-                "ref": round(sum(r["ref"] for r in per_scenario.values()), 2),
+                "s": round(sum(r["s"] for r in recs), 3),
+                "ref": round(sum(r["ref"] for r in recs), 2),
+                "layers": {
+                    key: {unit: round(sum(r[key]["all"][unit] for r in recs if key in r), 4) for unit in ("s", "ref")}
+                    for key in LAYERS
+                    if any(key in r for r in recs)
+                },
                 "scenarios": per_scenario,
             }
 
@@ -180,7 +191,8 @@ def main():
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for workload, rec in workloads.items():
-        print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['ref']:.2f} ref")
+        layers = ", ".join(f"{key} {v['ref']:.2f}" for key, v in rec["layers"].items())
+        print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['ref']:.2f} ref; layers in ref: {layers}")
     print(f"{args.label} tier1: {record['tier1']['s']:.1f} s, {record['tier1']['summary']}")
 
 

@@ -332,9 +332,16 @@ def pipe_classify(inputs, max_dim):
     return checks
 
 
+def _guard_reduce(size, mode, max_dim):
+    """An over or under reduction drops one index, so it needs kappa >= 2."""
+    if mode != "star" and size[1] < 2:
+        raise ValueError(f"{mode} reduction needs kappa >= 2, got kappa = {size[1]}")
+    _guard_dim(size, max_dim)
+
+
 def pipe_reduce(inputs, max_dim):
-    B = _build(build_baction, inputs, "b", guard=partial(_guard_dim, max_dim=max_dim))
     mode = _build(_reduction_mode, inputs, "mode")
+    B = _build(build_baction, inputs, "b", guard=partial(_guard_reduce, mode=mode, max_dim=max_dim))
     if mode == "star":
         a = _build(_star_index, inputs, "a", B.kappa)
     else:

@@ -3,10 +3,11 @@
 The carrier is M x V^l; the series action is a product of resolvent factors
 1 + (u - shift - chi y_k)^{-1} Q^(k), twisted in the reflection case by the
 diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
-is built cleared over Z[u], as (d_k 1 + K_k) / d_k with d_k a scalar
-polynomial and K_k row-sparse, both held as integer coefficient tuples
-read off the integer resolvent (superlinalg.cleared_resolvent) and the
-integer coupling operator Q^(k).  The functor output lives on the quotient
+is built cleared over Z[u], as F_k / d_k with d_k a scalar polynomial and
+F_k = d_k 1 + K_k a matrix over Z[u] in the one row-sparse layout of
+exactalg, read off the integer resolvent (superlinalg.cleared_resolvent)
+and the integer coupling operator Q^(k); the product of the factors is
+the one product exactalg._zmatmul.  The functor output lives on the quotient
 of the carrier by the sign-isotypic images of the reflections, with
 explicit projection P and section fixed by pivot order, so the product is
 formed at quotient size: the sign relations and s P, the projection scaled
@@ -40,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from tyang._kernel import mat_rref, poly_mul
-from tyang.exactalg import _neg_u, _zadd, _zclear, _zneg, rat
+from tyang.exactalg import _neg_u, _zadd, _zclear, _zcolumns, _zmatmul, _zneg, rat
 from tyang.daha import DahaModule, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
@@ -149,29 +150,30 @@ def _carrier(M: DahaModule, ps: ParitySeq) -> SuperSpace:
 
 def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     """1 + sign * ((u + shift) 1 - chi y_k)^{-1} x Q^(k) on M x V^l x V, as a
-    step (d, K) of _cleared_product: the factor is (d 1 + K) / d for the
-    resolvent R / d over Z[u] (cleared_resolvent) and K = sign * R x Q^(k).
-    d is an integer coefficient tuple and K is row-sparse over such tuples.
-    Q is Q^(k) as integer row-sparse rows (_int_q_rows).  neg substitutes
-    u -> -u.  Both tensor factors are even, so the Kronecker product
-    carries no Koszul sign.
+    step (d, F) of _cleared_product: the factor is F / d with F = d 1 + K,
+    for the resolvent R / d over Z[u] (cleared_resolvent) and K = sign *
+    R x Q^(k).  d is an integer coefficient tuple and F a row-sparse
+    matrix over Z[u]; every entry of K has degree below that of d, so no
+    diagonal entry of F cancels.  Q is Q^(k) as integer row-sparse rows
+    (_int_q_rows).  neg substitutes u -> -u.  Both tensor factors are
+    even, so the Kronecker product carries no Koszul sign.
     """
     n = M.dim
     y = _dense(M.y[k - 1], n)
     A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
     R, d = cleared_resolvent(A)
     if neg:
-        d, R = _neg_u(d), [[_neg_u(p) for p in row] for row in R]
+        d, R = _neg_u(d), [{c: _neg_u(p) for c, p in row.items()} for row in R]
     width = len(Q)
-    K = []
+    F = []
     for Ra in R:
-        blocks = [(b * width, x if sign == 1 else _zneg(x)) for b, x in enumerate(Ra) if x]
+        blocks = [(b * width, x if sign == 1 else _zneg(x)) for b, x in Ra.items()]
         for Qr in Q:
-            K.append({
-                base + c: x if q == 1 else tuple(q * a for a in x)
-                for base, x in blocks for c, q in Qr.items()
-            })
-    return d, K
+            row = {base + c: x if q == 1 else tuple(q * a for a in x) for base, x in blocks for c, q in Qr.items()}
+            r = len(F)
+            row[r] = _zadd(row[r], d) if r in row else d
+            F.append(row)
+    return d, F
 
 
 def _int_q_rows(ps: ParitySeq, l: int):
@@ -180,46 +182,35 @@ def _int_q_rows(ps: ParitySeq, l: int):
 
 
 def _g_step(ctx: TwistedContext, dim):
-    """1 x (G + gamma/u) on M x V^l x V as a step (d, K) of _cleared_product:
-    (u G + gamma) / u scaled by the denominator s of gamma, so d = s u, or
-    G / 1 when ctx carries no gamma; K = d (G - 1) + s gamma is diagonal."""
+    """1 x (G + gamma/u) on M x V^l x V as a step (d, F) of _cleared_product:
+    (u G + gamma) / u scaled by the denominator s of gamma, so d = s u and
+    F = s u G + s gamma, or G / 1 when ctx carries no gamma; F is diagonal."""
     kk = ctx.kappa
     if ctx.gamma is None:
         s, d, head = 1, (1,), ()
     else:
         g = rat(ctx.gamma)
         s, d, head = g.denominator, (0, g.denominator), (g.numerator,)
-    signs = [ctx.eps_sign(a) for a in range(1, kk + 1)]
-    diag = [head + ((e - 1) * s,) if e != 1 else head for e in signs]
-    return d, [{r: diag[r % kk]} if diag[r % kk] else {} for r in range(dim)]
+    return d, [{r: head + (ctx.eps_sign(r % kk + 1) * s,)} for r in range(dim)]
 
 
 def _cleared_product(steps, start):
-    """start times the product of the factors (d 1 + K) / d over the steps
-    (d, K), in order, as (N, den) over Z[u]: start and N row-sparse over
-    integer coefficient tuples and den = prod d.
+    """start times the product of the factors F / d over the steps (d, F),
+    in order, as (N, den) over Z[u]: start and N row-sparse matrices over
+    Z[u] and den = prod d.
 
-    Each step is N <- d N + N K, so no gcd is taken and every coefficient
-    stays a Python int; N / den is the product as a matrix over the
-    function field, with as many rows as start.  Entries that cancel are
-    dropped, so == on two results is matrix equality.  A start with no
-    rows gives the empty matrix, over den = (1,), with no step taken.
+    Each step is N <- N F, the one product exactalg._zmatmul, so no gcd is
+    taken and every coefficient stays a Python int; N / den is the product
+    as a matrix over the function field, with as many rows as start.  A
+    start with no rows gives the empty matrix, over den = (1,), with no
+    step taken.
     """
     if not start:
         return [], (1,)
     N = start
     den = (1,)
-    for d, K in steps:
-        out = []
-        for Nr in N:
-            row = dict(Nr) if d == (1,) else {c: poly_mul(d, x) for c, x in Nr.items()}
-            for k, a in Nr.items():
-                for j, b in K[k].items():
-                    t = poly_mul(a, b)
-                    prev = row.get(j)
-                    row[j] = t if prev is None else _zadd(prev, t)
-            out.append({j: x for j, x in row.items() if x})
-        N = out
+    for d, F in steps:
+        N = _zmatmul(N, F)
         den = poly_mul(den, d)
     return N, den
 
@@ -233,28 +224,28 @@ def _top(p, e):
 
 
 def _top_two(steps, dim):
-    """The top two coefficients of the product of the steps (d, K) of
+    """The top two coefficients of the product of the steps (d, F) of
     _cleared_product started at the identity on dim rows: (T, (b0, b1)),
     T row-sparse over pairs (n0, n1), the coefficients of u^D and u^(D - 1)
     in N for D = deg den, and b0, b1 those of den.
 
     Every entry of a step has degree at most e = deg d, so the product is
     read at the nominal degree D = sum e, and its length-2 truncation is
-    the same step N <- d N + N K on pairs: the top two coefficients of a
+    the same step N <- N F on pairs: the top two coefficients of a
     product x p are (x0 p0, x0 p1 + x1 p0).  N / den expands at infinity
     as n0 / b0 + (n1 b0 - b1 n0) / (b0^2 u) + O(u^-2).
     """
     T = [{r: (1, 0)} for r in range(dim)]
     b0, b1 = 1, 0
-    for d, K in steps:
+    for d, F in steps:
         e = len(d) - 1
         d0, d1 = _top(d, e)
-        Kt = [{c: t for c, x in row.items() if (t := _top(x, e)) != (0, 0)} for row in K]
+        Ft = [{c: t for c, x in row.items() if (t := _top(x, e)) != (0, 0)} for row in F]
         out = []
         for Tr in T:
-            row = {c: (d0 * x0, d0 * x1 + d1 * x0) for c, (x0, x1) in Tr.items()}
+            row = {}
             for k, (x0, x1) in Tr.items():
-                for j, (p0, p1) in Kt[k].items():
+                for j, (p0, p1) in Ft[k].items():
                     y0, y1 = row.get(j, (0, 0))
                     row[j] = (y0 + x0 * p0, y1 + x0 * p1 + x1 * p0)
             out.append({j: y for j, y in row.items() if y != (0, 0)})
@@ -323,31 +314,17 @@ def _check_invariant(blocks, basis):
 
     The blocks hold s P N(u), the entries N(u) = sum_t N_t u^t projected by
     a nonzero multiple s P of the quotient projection, whose kernel is the
-    span (row-sparse over integer coefficient tuples, entry t that of u^t).
-    N(u) preserves the span exactly when P N_t v = 0 for every power-of-u
-    coefficient N_t and basis vector v.  The basis is scaled to integers
-    too (a nonzero scale does not change which products vanish), so the
-    products run in Python ints, on all the N_t at once.
+    span (row-sparse matrices over Z[u]).  N(u) preserves the span exactly
+    when P N_t v = 0 for every power-of-u coefficient N_t and basis vector
+    v, that is when s P N(u) times the basis, as the columns of one matrix,
+    is zero.  The basis is scaled to integers too (a nonzero scale does not
+    change which products vanish), so the product runs in Python ints, on
+    all the N_t at once.
     """
-    vecs = _integer_rows(basis)[1]
-    for key in sorted(blocks):
-        for row in blocks[key]:
-            for nz in vecs:
-                acc = []
-                for c, x in nz:
-                    if c in row:
-                        _add_scaled(acc, row[c], x)
-                if any(acc):
-                    return key
-    return None
-
-
-def _add_scaled(acc, coeffs, x):
-    """acc += x * coeffs on coefficient lists, acc growing as needed."""
-    if len(acc) < len(coeffs):
-        acc.extend([0] * (len(coeffs) - len(acc)))
-    for t, a in enumerate(coeffs):
-        acc[t] += a * x
+    if not basis:
+        return None
+    cols = _zcolumns(_zclear(basis)[1], len(basis[0]))
+    return next((key for key in sorted(blocks) if any(_zmatmul(blocks[key], cols))), None)
 
 
 def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
@@ -397,7 +374,9 @@ def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> Dr
     action = None
     if quotient.free:
         qspace = SuperSpace([carrier.parities[f] for f in quotient.free])
-        qblocks = {key: [[row.get(f) for f in quotient.free] for row in block] for key, block in blocks.items()}
+        where = {f: q for q, f in enumerate(quotient.free)}
+        qblocks = {key: [{where[c]: e for c, e in row.items() if c in where} for row in block]
+                   for key, block in blocks.items()}
         action = family(head, qspace, cleared_form(poly_mul(den, (quotient.s,)), qblocks), ("drinfeld",))
     return DrinfeldModule(action, carrier, quotient.proj, quotient.sect, quotient.subspace)
 
@@ -437,7 +416,7 @@ class ReflectionProduct:
     """T_1(u)...T_l(u) (1 x (G + gamma/u)) S_l(-u)...S_1(-u) on M x V^l x V,
     at the size of its double sign-quotient.
 
-    steps are its 2l + 1 cleared factors (d, K) (_cleared_product), for the
+    steps are its 2l + 1 cleared factors (d, F) (_cleared_product), for the
     resolved chi and gamma; ctx carries gamma (unset when it is 0).
     quotient is the Quotient of the carrier M x V^l by the sign relations
     of the double quotient, which do not depend on chi and gamma, and
@@ -839,27 +818,27 @@ def _intertwiner(lhs: BAction, rhs: BAction):
     """An invertible X with lhs_ij(u) X = X rhs_ij(u), or None.
 
     With lhs = N / d and rhs = M / e over Z[u], X intertwines exactly when
-    e N_ij X - d X M_ij = 0 identically for every block: integer rows on
-    the n^2 entries of X (row r n + c reads e N[r][a] at X[a][c] and
-    -d M[b][c] at X[r][b]), whose common constant kernel (poly_kernel) is
-    the space of intertwiners.
+    e N_ij X - d X M_ij = 0 identically for every block: row-sparse rows
+    over Z[u] on the n^2 entries of X (row r n + c reads e N[r][a] at
+    X[a][c] and -d M[b][c] at X[r][b]), whose common constant kernel
+    (poly_kernel) is the space of intertwiners.
     """
     n = lhs.dim
     A, B = lhs.cleared(), rhs.cleared()
     rows = []
     for key in sorted(A.blocks):
         NA, NB = A.blocks[key], B.blocks[key]
+        cols = [{} for _ in range(n)]  # the columns of M_ij, row-sparse
+        for b, row in enumerate(NB):
+            for c, x in row.items():
+                cols[c][b] = _zneg(poly_mul(A.den_coeffs, x))
         for r in range(n):
             for c in range(n):
-                row = [()] * (n * n)
-                for a in range(n):
-                    if NA[r][a]:
-                        row[a * n + c] = poly_mul(B.den_coeffs, NA[r][a])
-                for b in range(n):
-                    if NB[b][c]:
-                        row[r * n + b] = _zadd(row[r * n + b], _zneg(poly_mul(A.den_coeffs, NB[b][c])))
-                rows.append(row)
-    if not any(map(any, rows)):
+                row = {a * n + c: poly_mul(B.den_coeffs, x) for a, x in NA[r].items()}
+                for b, x in cols[c].items():
+                    row[r * n + b] = _zadd(row[r * n + b], x) if r * n + b in row else x
+                rows.append({k: x for k, x in row.items() if x})
+    if not any(rows):
         return None
     basis = poly_kernel(rows, n * n)
     for v in basis:

@@ -8,7 +8,10 @@ tuples: tyang._kernel multiplies, evaluates and takes primitive gcds of
 them, and the helpers below add, negate and substitute into them (_zadd,
 _zneg, _neg_u, and _zcompose for a linear argument, say p(r - u)),
 divide exactly (_zdiv) and normalise (_zreduce); _zclear brings rational
-data there, over one common scale.  A RatFun is normalized the same way:
+data there, over one common scale.  Every matrix over Z[u] has one layout:
+a list of row-sparse rows {column: coefficient tuple}, where an absent
+column is the only zero, and one product, _zmatmul; _zcolumns puts
+integer vectors in it as columns.  A RatFun is normalized the same way:
 cleared, reduced by _zreduce, then divided by the leading coefficient of
 its denominator.
 Poly arithmetic over the rationals runs through the same kernels, and its
@@ -405,6 +408,29 @@ def _zadd(a, b):
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def _zmatmul(A, B):
+    """The product A B of two matrices over Z[u] in the row-sparse layout:
+    each row a dict {column: integer coefficient tuple} with no zero entry.
+    Row i of the product adds A[i][k] B[k] over the columns k of row i of
+    A, so A may be rectangular and a row may be empty; entries that cancel
+    are left out, so == on two products is equality of the matrices."""
+    out = []
+    for Ai in A:
+        acc = {}
+        for k, a in Ai.items():
+            for j, b in B[k].items():
+                t = _kernel.poly_mul(a, b)
+                acc[j] = _zadd(acc[j], t) if j in acc else t
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _zcolumns(vectors, n):
+    """The n x m matrix over Z[u], in the layout of _zmatmul, whose columns
+    are the m integer vectors of length n, as constant entries."""
+    return [{t: (v[q],) for t, v in enumerate(vectors) if v[q]} for q in range(n)]
 
 
 def _zdiv(a, b):

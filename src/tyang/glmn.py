@@ -18,12 +18,14 @@ class ParameterError(ValueError):
 
 
 class ParitySeq:
-    """A sign sequence with m entries +1 and n entries -1."""
+    """A nonempty sign sequence with m entries +1 and n entries -1."""
 
     __slots__ = ("s", "kappa", "m", "n")
 
     def __init__(self, s):
         self.s = tuple(int(x) for x in s)
+        if not self.s:
+            raise ParameterError("a parity sequence needs at least one entry")
         if any(x not in (1, -1) for x in self.s):
             raise ParameterError("parity sequence entries must be +-1")
         self.kappa = len(self.s)

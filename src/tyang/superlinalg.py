@@ -11,7 +11,10 @@ Conventions fixed here and used everywhere else:
 
 Constant matrices are lists of rows of Python ints or Fractions, with
 their products and echelon forms from tyang._kernel; the grid certifier
-check_identity_2var samples integer points.
+check_identity_2var samples integer points.  Matrices over Z[u] (the
+resolvent cleared_resolvent returns, the rows poly_kernel and
+coefficient_matrices read) have the one layout of exactalg: row-sparse
+rows {column: integer coefficient tuple}, an absent column the only zero.
 """
 
 from dataclasses import dataclass
@@ -160,22 +163,27 @@ def mat_nullspace(A):
     return basis
 
 
-def coefficient_vectors(v):
-    """The integer vectors c_k with v = sum_k c_k u^k, for v a vector of
-    integer coefficient tuples (None or () for zero)."""
-    top = max((len(e) for e in v if e), default=0)
-    return [[e[k] if e and k < len(e) else 0 for e in v] for k in range(top)]
+def coefficient_matrices(rows, ncols):
+    """The dense integer matrices C_k with rows = sum_k C_k u^k, for rows a
+    row-sparse matrix over Z[u] with ncols columns, up to its degree."""
+    top = max((len(e) for row in rows for e in row.values()), default=0)
+    out = [[[0] * ncols for _ in rows] for _ in range(top)]
+    for q, row in enumerate(rows):
+        for c, e in row.items():
+            for k, x in enumerate(e):
+                out[k][q][c] = x
+    return out
 
 
 def poly_kernel(rows, ncols):
     """Basis of the constant vectors x with r(u) . x = 0 for every row r of
-    integer coefficient tuples: the nullspace (mat_nullspace) of the
-    coefficient vectors of the rows, or the identity when every row is
-    zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
+    the row-sparse matrix rows over Z[u], with ncols columns: the
+    nullspace (mat_nullspace) of the rows of its coefficient matrices
+    (coefficient_matrices), or the identity when every row is zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
     mat_nullspace reads the basis off the reduced echelon form, which
     depends only on the row space, so the basis does not depend on how the
     rows were cleared."""
-    vecs = [[Fraction(x) for x in c] for row in rows for c in coefficient_vectors(row) if any(c)]
+    vecs = [[Fraction(x) for x in r] for C in coefficient_matrices(rows, ncols) for r in C if any(r)]
     return mat_nullspace(vecs) if vecs else mat_identity(ncols)
 
 
@@ -215,8 +223,8 @@ def charpoly(A) -> Poly:
 
 
 def cleared_resolvent(A):
-    """(u*1 - A)^{-1} = R / d over Z[u]: R a matrix of integer coefficient
-    tuples (() for zero) and d one such tuple.  With B = s A integral, the
+    """(u*1 - A)^{-1} = R / d over Z[u]: R a row-sparse matrix over Z[u]
+    and d an integer coefficient tuple.  With B = s A integral, the
     resolvent is s adj(s u - B) / det(s u - B), read off the integer
     Faddeev-LeVerrier data, and reduced by exactalg._zreduce, so d is the
     lcm of the reduced denominators up to a constant."""
@@ -224,17 +232,17 @@ def cleared_resolvent(A):
     s, cs, Bs = _faddeev_leverrier(A)
     pw = [s**t for t in range(n + 1)]
     d = tuple(cs[n - t] * pw[t] for t in range(n + 1))
-    R = []
-    for r in range(n):
+    R = [{} for _ in range(n)]
+    for r, row in enumerate(R):
         for c in range(n):
             p = [Bs[n - 1 - t][r][c] * pw[t + 1] for t in range(n)]
             while p and not p[-1]:
                 p.pop()
-            R.append(tuple(p))
-    d, entries = _zreduce(d, [p for p in R if p])
+            if p:
+                row[c] = tuple(p)
+    d, entries = _zreduce(d, [p for row in R for p in row.values()])
     it = iter(entries)
-    R = [next(it) if p else () for p in R]
-    return [R[r * n:(r + 1) * n] for r in range(n)], d
+    return [{c: next(it) for c in row} for row in R], d
 
 
 def algebra_closure(gens, dim):

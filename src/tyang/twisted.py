@@ -12,6 +12,10 @@ assembly of the cleared forms of T(u) T'(-u) and of B (yangian._kron_blocks,
 signed by the kron_ops core), and the rank reductions shift, combine and
 restrict the cleared rows to a constant subspace in integers (_restrict),
 with that subspace the kernel of the cleared rows (superlinalg.poly_kernel).
+Every cleared block is a row-sparse matrix over Z[u], an absent column
+its only zero, and every product of them, the combinations of diagonal
+blocks (_diagonal_sum) and the restrictions included, is the one product
+exactalg._zmatmul.
 The irreducibility test reads B's coefficients off its cleared form.
 Highest weights are read off it too, over one common denominator, and the
 Verma conditions and the rank-one classification run on those integer
@@ -32,7 +36,9 @@ from tyang.exactalg import (
     _neg_u,
     _zadd,
     _zclear,
+    _zcolumns,
     _zcompose,
+    _zmatmul,
     _zneg,
     divides,
     rat,
@@ -47,7 +53,7 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
-    coefficient_vectors,
+    coefficient_matrices,
     mat_nullspace,
     mat_vec,
     poly_kernel,
@@ -57,10 +63,8 @@ from tyang.yangian import (
     SeriesFamily,
     ScaledR,
     TAction,
-    _apply_rows,
     _blocks_json,
     _kron_blocks,
-    _poly_matmul,
     block_product,
     cleared_evaluator,
     cleared_form,
@@ -178,7 +182,7 @@ def c_gamma(ctx: TwistedContext, gamma) -> BAction:
     gamma = rat(gamma)
     p, q = gamma.numerator, gamma.denominator
     idx = range(1, ctx.kappa + 1)
-    blocks = {(i, j): [[(p, ctx.eps_sign(i) * q) if i == j else None]] for i in idx for j in idx}
+    blocks = {(i, j): [{0: (p, ctx.eps_sign(i) * q)} if i == j else {}] for i in idx for j in idx}
     return BAction(ctx, SuperSpace([0]), cleared_form((-p, q), blocks), ("c_gamma", gamma))
 
 
@@ -198,11 +202,11 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
     idx = range(1, ps.kappa + 1)
     par = lambda a, b: (ps.parity(a) + ps.parity(b)) % 2
     A, P, C = L.cleared(), inverse_series_action(L).cleared().neg_u(), W.cleared()
-    wb = [key for key, rows in C.blocks.items() if any(map(any, rows))]
+    wb = [key for key, rows in C.blocks.items() if any(rows)]
     blocks = {
         (i, j): _kron_blocks(
             [(-1 if par(k, r) * par(r, j) else 1,
-              [(_poly_matmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
+              [(_zmatmul(A.blocks[(i, k)], P.blocks[(r, j)]), (par(i, k) + par(r, j)) % 2),
                (C.blocks[(k, r)], par(k, r))])
              for k, r in wb],
             [L.space, W.space],
@@ -352,18 +356,16 @@ def highest_bweight(B: BAction, eta) -> BHighestWeight:
     return BHighestWeight(*highest_eigenseries(B, eta, "b"), B.ctx)
 
 
-def _combine(terms):
-    """sum_t m_t M_t entrywise in Z[u], for terms (m, M) with m an integer
-    coefficient tuple and M a matrix of such tuples (None for zero); None
-    where the sum vanishes."""
-    M0 = terms[0][1]
-    out = [[()] * len(M0[0]) for _ in M0]
-    for m, M in terms:
-        for orow, row in zip(out, M):
-            for c, e in enumerate(row):
-                if e:
-                    orow[c] = _zadd(orow[c], poly_mul(m, e))
-    return [[e or None for e in row] for row in out]
+def _diagonal_sum(form: ClearedForm, weights):
+    """sum_k w_k x_kk(u) over Z[u], for weights mapping k to an integer
+    coefficient tuple w_k: the diagonal blocks side by side times the
+    scalars w_k 1 stacked below one another, in one product."""
+    n = len(form.blocks[(1, 1)])
+    side = [{} for _ in range(n)]
+    for t, k in enumerate(weights):
+        for row, block_row in zip(side, form.blocks[(k, k)]):
+            row.update({t * n + c: e for c, e in block_row.items()})
+    return _zmatmul(side, [{c: w} for w in weights.values() for c in range(n)])
 
 
 def _restrict(den, blocks, K):
@@ -373,28 +375,22 @@ def _restrict(den, blocks, K):
     every other vector is 0, so the coordinates of a vector in the span are
     its values at the free columns.
 
-    With s K = Kz integral, the coordinates of w = N Kz_c, N the rows of a
-    block, are w at the free columns over s, so the restricted entries are
-    those values over s den; s w = sum_t w(f_t) Kz_t is the invariance
-    check, in Z[u].  Raises ValueError when the span is not invariant.
+    With s K = Kz integral, a block N applied to the columns of Kz is
+    W = N Kz, whose rows at the free columns are the coordinates of its
+    columns over s, so the restricted entries are those rows over s den;
+    Kz W_free = s W is the invariance check, in Z[u].  Raises ValueError
+    when the span is not invariant.
     """
     s, Kz = _zclear(K)
+    n, m = len(Kz[0]), len(Kz)
+    cols, scale = _zcolumns(Kz, n), [{t: (s,)} for t in range(m)]
     free = [max(c for c, x in enumerate(v) if x) for v in Kz]
     out = {}
     for key, rows in blocks.items():
-        cols = []
-        for v in Kz:
-            w = _apply_rows(rows, v)
-            coords = [w[f] for f in free]
-            for q, wq in enumerate(w):
-                back = ()
-                for x, kv in zip(coords, Kz):
-                    if kv[q]:
-                        back = _zadd(back, poly_mul(x, (kv[q],)))
-                if poly_mul(wq, (s,)) != back:
-                    raise ValueError("subspace is not invariant")
-            cols.append(coords)
-        out[key] = [[col[r] or None for col in cols] for r in range(len(Kz))]
+        W = _zmatmul(rows, cols)
+        out[key] = [W[f] for f in free]
+        if _zmatmul(cols, out[key]) != _zmatmul(W, scale):
+            raise ValueError("subspace is not invariant")
     return poly_mul(den, (s,)), out
 
 
@@ -415,8 +411,7 @@ def find_highest_space(B: BAction):
         return []
     n = len(K)
     _den, diag = _restrict(form.den_coeffs, {r: form.blocks[(r, r)] for r in idx}, K)
-    flat = [coefficient_vectors([e for row in diag[r] for e in row]) for r in idx]
-    coeffs = [[[c[q:q + n] for q in range(0, n * n, n)] for c in cs] for cs in flat]
+    coeffs = [coefficient_matrices(diag[r], n) for r in idx]
     for a in range(kk):
         for b in range(kk):
             if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
@@ -725,9 +720,10 @@ def _corrected(form: ClearedForm, keep, extra):
     """(den, blocks) of x_ij(u) + delta_ij (1/(2u)) sum_k w_k x_kk(u) for i, j
     in keep, relabelled 1, 2, ..., with extra mapping k to w_k: over
     2 u D, the entries 2u N_ij + delta_ij sum_k w_k N_kk."""
-    diag = [((w,), form.blocks[(k, k)]) for k, w in extra.items()]
+    two_u = [{c: (0, 2)} for c in range(len(form.blocks[(1, 1)]))]
+    weights = {k: (w,) for k, w in extra.items()}
     blocks = {
-        (i, j): _combine([((0, 2), form.blocks[(a, b)])] + (diag if a == b else []))
+        (i, j): _diagonal_sum(form, {a: (0, 2), **weights}) if a == b else _zmatmul(form.blocks[(a, b)], two_u)
         for i, a in enumerate(keep, 1)
         for j, b in enumerate(keep, 1)
     }
@@ -783,9 +779,8 @@ def tilde_form(B: BAction, i: int) -> ClearedForm:
     """The operator (2u - rho_(i+1)) b_ii(u) + sum_(a > i) s_a b_aa(u) of B,
     as a one-block form (key (1, 1))."""
     form, ps = B.cleared(), B.ps
-    terms = [((-int(ps.rho(i + 1)), 2), form.blocks[(i, i)])]
-    terms += [((ps.sign(a),), form.blocks[(a, a)]) for a in range(i + 1, B.kappa + 1)]
-    return cleared_form(form.den_coeffs, {(1, 1): _combine(terms)})
+    weights = {i: (-int(ps.rho(i + 1)), 2), **{a: (ps.sign(a),) for a in range(i + 1, B.kappa + 1)}}
+    return cleared_form(form.den_coeffs, {(1, 1): _diagonal_sum(form, weights)})
 
 
 def star_tilde_shift(B: BAction, red: BAction, a: int) -> bool:
@@ -882,7 +877,8 @@ def scale_baction(B: BAction, h: RatFun) -> BAction:
     """Pull back through B(u) -> h(u) B(u); caller ensures h(u) h(-u) = 1."""
     form = B.cleared()
     _s, (hn, hd) = _zclear([h.num.coeffs, h.den.coeffs])
-    blocks = {key: _combine([(hn, rows)]) for key, rows in form.blocks.items()}
+    scale = [{c: hn} for c in range(B.dim)]
+    blocks = {key: _zmatmul(rows, scale) for key, rows in form.blocks.items()}
     return BAction(B.ctx, B.space, cleared_form(poly_mul(form.den_coeffs, hd), blocks), ("scaled", B, h))
 
 
@@ -897,7 +893,7 @@ def flip_eps(B: BAction) -> BAction:
     """Pull back through b -> -b, landing in the context (s, -eps)."""
     ctx = TwistedContext(B.ps, [-x for x in B.ctx.eps])
     form = B.cleared()
-    blocks = {key: _combine([((-1,), rows)]) for key, rows in form.blocks.items()}
+    blocks = {key: [{c: _zneg(e) for c, e in row.items()} for row in rows] for key, rows in form.blocks.items()}
     return BAction(ctx, B.space, cleared_form(form.den_coeffs, blocks), ("flip-eps", B))
 
 

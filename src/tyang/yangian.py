@@ -6,7 +6,10 @@ generator pair (i, j), 1-based, owning evaluation, assembly and the degree
 data.  TAction (T(u)), TPrimeAction (T'(u)) and the twisted BAction (B(u))
 are thin subclasses.  A family is held over Z[u] as its ClearedForm: D,
 the common denominator, and the integer coefficients of c D x_ij(u) for
-one rational c, made primitive by cleared_form, the one normaliser.  Every
+one rational c, made primitive by cleared_form, the one normaliser.  Each
+block is a matrix over Z[u] in the one layout of exactalg: row-sparse
+rows {column: coefficient tuple}, an absent column the only zero, and
+every product of such matrices is exactalg._zmatmul.  Every
 family is born a ClearedForm: evaluation and trivial modules, shifts (an
 integer Taylor shift, ClearedForm.shift), tensor products and their
 inverse series (Kronecker products of two cleared forms, _kron_blocks),
@@ -24,9 +27,10 @@ JSON writers, full_at and that inverse.
 
 The operator on module x V carries the sign (-1)^(|i||j|+|j|) in front of
 the (i, j) block, which makes block products behave like ordinary matrix
-products: a product of families (block_product) is formed on its
-kappa x kappa blocks of integer polynomial matrices, with no gcd in the
-loop, never on the assembled operator.  Koszul-signed assembly is for
+products: a product of families (block_product) is the one product of
+the unsigned block layouts of the two cleared forms (_layouts), sliced
+back into kappa x kappa blocks (_blocks), with no gcd in the loop, never
+formed on the assembled operator.  Koszul-signed assembly is for
 operators that act on a tensor slot: the grid lifts of a family, where R
 acts on V x V, and the coproducts.  Every tensor lift, flip and sum of
 lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
@@ -53,7 +57,9 @@ from tyang.exactalg import (
     RatFun,
     _zadd,
     _zclear,
+    _zcolumns,
     _zcompose,
+    _zmatmul,
     _zneg,
     _zreduce,
     rat,
@@ -73,7 +79,6 @@ from tyang.superlinalg import (
     at_slots,
     check_identity_2var,
     cleared_resolvent,
-    coefficient_vectors,
     common_den,
     elementary,
     kron_sum,
@@ -189,8 +194,8 @@ class ClearedForm(NamedTuple):
     rational factor c, the same for the whole family, makes the
     coefficients of c D (den_coeffs) and of every c D x_ij(u) integers
     with no common divisor, the leading one of c D positive; blocks maps
-    (i, j) to rows of the coefficient tuples of c D x_ij(u), constant term
-    first, None for a zero entry.
+    (i, j) to the rows of c D x_ij(u) over Z[u], row-sparse: {column:
+    coefficient tuple, constant term first}, with no zero entry stored.
     """
 
     degree: int
@@ -207,13 +212,13 @@ class ClearedForm(NamedTuple):
             return tuple(-c if (t + odd) % 2 else c for t, c in enumerate(p))
 
         den = flip(self.den_coeffs)
-        blocks = {key: [[e and flip(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
+        blocks = {key: [{c: flip(e) for c, e in row.items()} for row in rows] for key, rows in self.blocks.items()}
         return ClearedForm(self.degree, den, blocks)
 
     def negate_block(self, key) -> "ClearedForm":
         """The form with x_key(u) replaced by -x_key(u), still reduced and
         primitive."""
-        rows = [[e and _zneg(e) for e in row] for row in self.blocks[key]]
+        rows = [{c: _zneg(e) for c, e in row.items()} for row in self.blocks[key]]
         return self._replace(blocks={**self.blocks, key: rows})
 
     def shift(self, c) -> "ClearedForm":
@@ -221,24 +226,24 @@ class ClearedForm(NamedTuple):
         become q^n f(u + p/q) in Z[u], n the cleared degree."""
         c = rat(c)
         move = lambda e: _zcompose(e, c.denominator, c.numerator, c.denominator, self.degree)
-        blocks = {key: [[e and move(e) for e in row] for row in rows] for key, rows in self.blocks.items()}
+        blocks = {key: [{c: move(e) for c, e in row.items()} for row in rows] for key, rows in self.blocks.items()}
         return cleared_form(move(self.den_coeffs), blocks)
 
 
 def cleared_form(den, blocks) -> ClearedForm:
     """The ClearedForm of the family blocks / den over Z[u].
 
-    den is an integer coefficient tuple and blocks maps (i, j) to rows of
-    integer coefficient tuples, () or None for a zero entry; the pair need
+    den is an integer coefficient tuple and blocks maps (i, j) to
+    row-sparse rows of nonzero integer coefficient tuples; the pair need
     not be reduced.  exactalg._zreduce divides out the primitive gcd of den
     and every entry, then the content of the whole family, with the sign
     that makes the leading coefficient of den positive.  Every ClearedForm
     comes from here, whether the family was built in integers or from
     RatFun entries.
     """
-    den, entries = _zreduce(den, [e for rows in blocks.values() for row in rows for e in row if e])
+    den, entries = _zreduce(den, [e for rows in blocks.values() for row in rows for e in row.values()])
     it = iter(entries)
-    out = {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
+    out = {key: [{c: next(it) for c in row} for row in rows] for key, rows in blocks.items()}
     degree = max([len(den), *map(len, entries)]) - 1
     return ClearedForm(degree, den, out)
 
@@ -248,7 +253,10 @@ def cleared_form_rf(blocks) -> ClearedForm:
     lcm of their reduced denominators: the one reader of RatFun input (the
     JSON readers and the Gauss-Jordan inverse series)."""
     D = common_den(e for rows in blocks.values() for row in rows for e in row)
-    num = {key: [[e and (e.num * (D // e.den)).coeffs for e in row] for row in rows] for key, rows in blocks.items()}
+    num = {
+        key: [{c: (e.num * (D // e.den)).coeffs for c, e in enumerate(row) if e} for row in rows]
+        for key, rows in blocks.items()
+    }
     return cleared_form(*_integral(D.coeffs, num))
 
 
@@ -256,18 +264,17 @@ def _integral(den, blocks):
     """(den, blocks) with rational coefficient lists cleared over one scale
     to integer coefficient tuples (exactalg._zclear): the input of
     cleared_form for a family met over the rationals."""
-    _s, (den, *entries) = _zclear([den, *(e for rows in blocks.values() for row in rows for e in row if e)])
+    _s, (den, *entries) = _zclear([den, *(e for rows in blocks.values() for row in rows for e in row.values())])
     it = iter(entries)
-    return den, {key: [[next(it) if e else None for e in row] for row in rows] for key, rows in blocks.items()}
+    return den, {key: [{c: next(it) for c in row} for row in rows] for key, rows in blocks.items()}
 
 
 def series_expansion(rows, den, order, ncols=None):
     """The coefficients of u^0, ..., u^-order in the expansion at infinity
     of rows / den, as dense Fraction matrices: den an integer coefficient
-    tuple, rows a matrix of such tuples, each row dense (None or () for
-    zero, as in a ClearedForm) or row-sparse ({column: tuple}), with ncols
-    columns (square by default).  A common scale of rows and den cancels.
-    Raises ValueError when an entry has no expansion (numerator degree
+    tuple and rows a row-sparse matrix over Z[u] (as a ClearedForm block),
+    with ncols columns (square by default).  A common scale of rows and den
+    cancels.  Raises ValueError when an entry has no expansion (numerator degree
     above that of den).
     """
     D = len(den) - 1
@@ -279,9 +286,7 @@ def series_expansion(rows, den, order, ncols=None):
     n = len(rows) if ncols is None else ncols
     out = [[[zero] * n for _ in rows] for _ in range(order + 1)]
     for q, row in enumerate(rows):
-        for c, p in row.items() if isinstance(row, dict) else enumerate(row):
-            if not p:
-                continue
+        for c, p in row.items():
             if len(p) - 1 > D:
                 raise ValueError("no expansion at infinity: numerator degree too large")
             es = []
@@ -292,44 +297,59 @@ def series_expansion(rows, den, order, ncols=None):
     return out
 
 
+def _layouts(A: ClearedForm, B: ClearedForm):
+    """(kappa, LA, LB): LA and LB the unsigned block layouts [[x_ij]] of A
+    and B, each one row-sparse matrix over Z[u] whose row (i - 1) d + q and
+    column (j - 1) d + p hold entry (q, p) of block (i, j), d the dimension
+    of the module, and kappa the largest index of a key of either.  A
+    missing key counts as a zero block."""
+    kk = max(max(key) for key in (*A.blocks, *B.blocks))
+    d = len(next(iter(A.blocks.values())))
+    out = []
+    for form in (A, B):
+        rows = [{} for _ in range(kk * d)]
+        for (i, j), block in form.blocks.items():
+            base = (j - 1) * d
+            for r, row in enumerate(block, (i - 1) * d):
+                rows[r].update({base + c: e for c, e in row.items()})
+        out.append(rows)
+    return kk, *out
+
+
+def _blocks(rows, kk):
+    """The kappa x kappa blocks {(i, j): rows} of a block layout."""
+    d = len(rows) // kk
+    out = {(i, j): [] for i in range(1, kk + 1) for j in range(1, kk + 1)}
+    for r, row in enumerate(rows):
+        parts = [{} for _ in range(kk)]
+        for c, e in row.items():
+            parts[c // d][c % d] = e
+        for j, part in enumerate(parts, 1):
+            out[(r // d + 1, j)].append(part)
+    return out
+
+
 def block_product(A: ClearedForm, B: ClearedForm, mid=None):
     """{(i, j): sum_k A_ik mid_k B_kj} for two families in cleared form, in
     Z[u], as (den, blocks): den the product of the denominators and blocks
-    the integer product, None for a zero entry.
+    the integer product.
 
     Under the block sign of _block_sign this is the product of the two
-    assembled operators on module x V, read back block by block; no gcd is
-    taken, so cleared_form(*block_product(A, B)) is the product as a family.
-    mid, when given, is (d, nums): a middle factor diagonal on V, the
-    scalar nums[k - 1] / d (integer coefficient tuples) standing between
-    A_ik and B_kj.  Zero blocks are skipped, and a missing key counts as a
-    zero block.
+    assembled operators on module x V, read back block by block; it is
+    formed as the one product of the block layouts (_layouts), and no gcd
+    is taken, so cleared_form(*block_product(A, B)) is the product as a
+    family.  mid, when given, is (d, nums): a middle factor diagonal on V,
+    the scalar nums[k - 1] / d (integer coefficient tuples) standing
+    between A_ik and B_kj.  A missing key counts as a zero block.
     """
+    kk, left, right = _layouts(A, B)
     den = poly_mul(A.den_coeffs, B.den_coeffs)
-    scale = {}
     if mid is not None:
         d, nums = mid
         den = poly_mul(den, d)
-        scale = {k: m for k, m in enumerate(nums, 1) if m != (1,)}
-    Ab = {}
-    for (i, k), rows in A.blocks.items():
-        if k in scale:
-            rows = [[(poly_mul(e, scale[k]) or None) if e else None for e in row] for row in rows]
-        if any(map(any, rows)):
-            Ab[(i, k)] = rows
-    Bb = {key: rows for key, rows in B.blocks.items() if any(map(any, rows))}
-    idx = range(1, max(max(key) for key in (*A.blocks, *B.blocks)) + 1)
-    nrows = len(next(iter(A.blocks.values())))
-    ncols = len(next(iter(B.blocks.values()))[0])
-    out = {}
-    for i in idx:
-        for j in idx:
-            acc = [[None] * ncols for _ in range(nrows)]
-            for k in idx:
-                if (i, k) in Ab and (k, j) in Bb:
-                    _acc_product(acc, Ab[(i, k)], Bb[(k, j)])
-            out[(i, j)] = [[_trimmed(e) for e in row] for row in acc]
-    return den, out
+        n = len(left) // kk
+        left = _zmatmul(left, [{c: nums[c // n]} for c in range(len(left))])
+    return den, _blocks(_zmatmul(left, right), kk)
 
 
 def scalar_product(A: ClearedForm, B: ClearedForm):
@@ -339,65 +359,23 @@ def scalar_product(A: ClearedForm, B: ClearedForm):
     scalar whether the product is f / den times the identity, with every
     diagonal entry f and every other entry zero.  A zero product is
     scalar with f = ()."""
-    den, prod = block_product(A, B)
-    f = prod[(1, 1)][0][0]
-    scalar = all(
-        e == (f if i == j and r == c else None)
-        for (i, j), rows in prod.items()
-        for r, row in enumerate(rows)
-        for c, e in enumerate(row)
-    )
-    return den, f or (), scalar
+    _kk, left, right = _layouts(A, B)
+    P = _zmatmul(left, right)
+    f = P[0].get(0, ())
+    scalar = P == [{r: f} for r in range(len(P))] if f else not any(P)
+    return poly_mul(A.den_coeffs, B.den_coeffs), f, scalar
 
 
 def scalar_entry(A: ClearedForm, B: ClearedForm):
-    """(den, f) as scalar_product returns them, with the first diagonal
-    entry f of the (1, 1) block formed alone: row 0 of each block A_1k
-    against column 0 of B_k1.  A missing key counts as a zero block."""
-    acc = [[None]]
-    for (i, k), rows in A.blocks.items():
-        if i == 1 and (k, 1) in B.blocks:
-            _acc_product(acc, rows[:1], [row[:1] for row in B.blocks[(k, 1)]])
-    return poly_mul(A.den_coeffs, B.den_coeffs), _trimmed(acc[0][0]) or ()
-
-
-def _acc_product(acc, A, B):
-    """acc += A B for matrices of integer coefficient tuples (None for
-    zero); acc holds growing coefficient lists, None where nothing landed."""
-    for acc_r, A_r in zip(acc, A):
-        for a, B_k in zip(A_r, B):
-            if a is None:
-                continue
-            for c, b in enumerate(B_k):
-                if b is None:
-                    continue
-                cur = acc_r[c]
-                need = len(a) + len(b) - 1
-                if cur is None:
-                    cur = acc_r[c] = [0] * need
-                elif len(cur) < need:
-                    cur.extend([0] * (need - len(cur)))
-                for s, x in enumerate(a):
-                    if x:
-                        for t, y in enumerate(b, s):
-                            cur[t] += x * y
-
-
-def _poly_matmul(A, B):
-    """The product of two matrices of integer coefficient tuples (None for
-    zero), None where an entry vanishes."""
-    acc = [[None] * len(B[0]) for _ in A]
-    _acc_product(acc, A, B)
-    return [[_trimmed(e) for e in row] for row in acc]
-
-
-def _trimmed(cur):
-    """An accumulated coefficient list as a tuple, None when it cancelled."""
-    if cur is None:
-        return None
-    while cur and not cur[-1]:
-        cur.pop()
-    return tuple(cur) if cur else None
+    """(den, f) as scalar_product returns them, with the entry f formed
+    alone: the first rows of the blocks A_1k side by side times the blocks
+    B_k1 stacked below one another, in one product.  A missing key counts
+    as a zero block."""
+    keys = [k for i, k in A.blocks if i == 1 and (k, 1) in B.blocks]
+    d = len(B.blocks[(1, 1)])
+    left = [{t * d + c: e for t, k in enumerate(keys) for c, e in A.blocks[(1, k)][0].items()}]
+    row = _zmatmul(left, [row for k in keys for row in B.blocks[(k, 1)]])[0]
+    return poly_mul(A.den_coeffs, B.den_coeffs), row.get(0, ())
 
 
 class SeriesFamily:
@@ -434,9 +412,9 @@ class SeriesFamily:
         Gauss-Jordan inverse."""
         if self._t is None:
             form, sp = self._cleared, self.space
-            den, zero = Poly(form.den_coeffs), RatFun.zero()
+            den, zero, cols = Poly(form.den_coeffs), RatFun.zero(), range(sp.dim)
             self._t = {
-                key: RFMatrix([[RatFun(Poly(e), den) if e else zero for e in row] for row in rows], sp, sp)
+                key: RFMatrix([[RatFun(Poly(row[c]), den) if c in row else zero for c in cols] for row in rows], sp, sp)
                 for key, rows in form.blocks.items()
             }
         return self._t
@@ -473,14 +451,13 @@ class SeriesFamily:
             n = self.dim * k * k
             coeffs, pattern = [], [[0] * n for _ in range(n)]
             for (i, j), rows in self.cleared().blocks.items():
-                tags = [[0] * len(row) for row in rows]
-                for trow, row in zip(tags, rows):
-                    for c, cs in enumerate(row):
-                        if cs is not None:
-                            coeffs.append(cs)
-                            trow[c] = len(coeffs)
-                if not any(map(any, tags)):
+                if not any(rows):
                     continue
+                tags = [[0] * self.dim for _ in rows]
+                for trow, row in zip(tags, rows):
+                    for c, cs in row.items():
+                        coeffs.append(cs)
+                        trow[c] = len(coeffs)
                 par = (ps.parity(i) + ps.parity(j)) % 2
                 e = elementary(k, i, j, _block_sign(ps, i, j))
                 lifted = _kron_rows(at_slots(3, {0: (tags, par), slot: (e, par)}), spaces)
@@ -522,7 +499,7 @@ class TPrimeAction(SeriesFamily):
 def trivial_action(ps: ParitySeq) -> TAction:
     """The one-dimensional module with t_ij(u) = delta_ij."""
     idx = range(1, ps.kappa + 1)
-    blocks = {(i, j): [[(1,) if i == j else None]] for i in idx for j in idx}
+    blocks = {(i, j): [{0: (1,)} if i == j else {}] for i in idx for j in idx}
     return TAction(ps, SuperSpace([0]), cleared_form((1,), blocks), ("trivial",))
 
 
@@ -536,11 +513,11 @@ def evaluation_action(M: GlModule, z=0) -> TAction:
         si = M.ps.sign(i)
         for j in idx:
             e = M.e(i, j)
-            blocks[(i, j)] = [
-                [(si * e[p][q] - z, 1) if i == j and p == q else (si * e[p][q],) if e[p][q] else None
-                 for q in range(d)]
-                for p in range(d)
-            ]
+            rows = [{q: (si * x,) for q, x in enumerate(e[p]) if x} for p in range(d)]
+            if i == j:
+                for p, row in enumerate(rows):
+                    row[p] = (si * e[p][p] - z, 1)
+            blocks[(i, j)] = rows
     form = cleared_form(*_integral((-z, 1), blocks))
     return TAction(M.ps, M.space, form, ("evaluation", M, z))
 
@@ -553,29 +530,26 @@ def shift_action(T: TAction, z) -> TAction:
 
 def _kron_blocks(terms, spaces):
     """sum_t w_t A_t x B_t on the tensor of two spaces, for terms (w, [(A,
-    par_A), (B, par_B)]) with w = +-1 and A and B matrices of integer
-    coefficient tuples (None for zero), as rows of such tuples.  A term
-    with a zero factor is skipped.
+    par_A), (B, par_B)]) with w = +-1 and A and B row-sparse matrices over
+    Z[u], as such a matrix.
 
     _kron_rows assembles the supports of A and B, so the Koszul sign of
     each entry comes from the one assembler; the entry at
     ((r1, r2), (c1, c2)) is that sign times A[r1][c1] B[r2][c2].
     """
     d2 = spaces[1].dim
-    n = spaces[0].dim * d2
-    acc = [[()] * n for _ in range(n)]
+    acc = [{} for _ in range(spaces[0].dim * d2)]
     for w, ops in terms:
         (A, _), (B, _) = ops
-        if not (any(map(any, A)) and any(map(any, B))):
-            continue
-        support = [([[1 if e else 0 for e in row] for row in m], par) for m, par in ops]
+        support = [([[int(c in row) for c in range(sp.dim)] for row in m], par) for (m, par), sp in zip(ops, spaces)]
         for r, row in enumerate(_kron_rows(support, spaces)):
             r1, r2 = divmod(r, d2)
             for c, sign in row.items():
                 c1, c2 = divmod(c, d2)
                 p = poly_mul(A[r1][c1], B[r2][c2])
-                acc[r][c] = _zadd(acc[r][c], p if sign * w == 1 else _zneg(p))
-    return [[e or None for e in row] for row in acc]
+                p = p if sign * w == 1 else _zneg(p)
+                acc[r][c] = _zadd(acc[r][c], p) if c in acc[r] else p
+    return [{c: e for c, e in row.items() if e} for row in acc]
 
 
 def tensor_action(L: TAction, R: TAction) -> TAction:
@@ -609,12 +583,11 @@ def _supertranspose(ps: ParitySeq, space: SuperSpace, form: ClearedForm) -> Clea
         for j in idx:
             pij = (ps.parity(i) + ps.parity(j)) % 2
             bs = _block_sign(ps, i, j)
-            src = form.blocks[(j, i)]
-            signs = [bs * (-1 if pij and pars[p] else 1) for p in range(len(src))]
-            blocks[(i, j)] = [
-                [row[q] if sign == 1 else row[q] and _zneg(row[q]) for row, sign in zip(src, signs)]
-                for q in range(len(src))
-            ]
+            out = blocks[(i, j)] = [{} for _ in pars]
+            for p, row in enumerate(form.blocks[(j, i)]):
+                sign = bs * (-1 if pij and pars[p] else 1)
+                for q, e in row.items():
+                    out[q][p] = e if sign == 1 else _zneg(e)
     return cleared_form(form.den_coeffs, blocks)
 
 
@@ -670,12 +643,7 @@ def inverse_series_action(T: TAction) -> TPrimeAction:
         # (u - z) R / den, both sides scaled by the denominator q of z so
         # that q (u - z) is integral.
         w = (-z.numerator, z.denominator)
-        blocks = {
-            (i, j): [[poly_mul(w, e) for e in row[(j - 1) * d:j * d]] for row in R[(i - 1) * d:i * d]]
-            for i in idx
-            for j in idx
-        }
-        form = cleared_form(poly_mul(den, w[1:]), blocks)
+        form = cleared_form(poly_mul(den, w[1:]), _blocks(_zmatmul(R, [{c: w} for c in range(len(R))]), kk))
     else:
         d = T.dim
         layout = [[x for j in idx for x in T.t[(i, j)].entries[q]] for i in idx for q in range(d)]
@@ -701,50 +669,39 @@ def dual_action(T: TAction) -> TAction:
 # ---------------------------------------------------------------------------
 # Highest weights.
 
-def _apply_rows(rows, z):
-    """The integer coefficient tuples of M z, for M given as rows of
-    coefficient tuples (None for zero) and z an integer vector."""
-    out = []
-    for row in rows:
-        acc = ()
-        for e, x in zip(row, z):
-            if e and x:
-                acc = _zadd(acc, poly_mul(e, (x,)))
-        out.append(acc)
-    return out
-
-
 def highest_eigenseries(family: SeriesFamily, xi, letter):
     """(nums, den): the eigen-series of a highest vector xi of any series
     family over one common denominator, x_ii(u) xi = nums[i - 1] / den xi,
     as integer coefficient tuples (nums[i - 1] is () for a zero series).
 
     Read off the cleared form (c D, the rows of c D x_ij(u)) applied to
-    z = s xi, xi scaled to an integer vector: x_ij(u) xi = w / (s c D) with
-    w = (c D x_ij(u)) z in Z[u].  Verifies x_ij(u) xi = 0 for i < j (every
-    w_q is zero) and proportionality on the diagonal by cross
-    multiplication, w_q z_p = w_p z_q for p the first nonzero coordinate,
-    so that nums[i - 1] = w_p and den = z_p c D; raises NotHighest
-    otherwise, naming the generator by letter (x_ij is written letter_ij).
+    z = s xi, xi scaled to an integer vector and taken as a one-column
+    matrix Z: x_ij(u) xi = w / (s c D) with w = (c D x_ij(u)) Z in Z[u].
+    Verifies x_ij(u) xi = 0 for i < j (w is zero) and proportionality on
+    the diagonal by cross multiplication, w z_p = Z w_p for p the first
+    nonzero coordinate, so that nums[i - 1] = w_p and den = z_p c D; raises
+    NotHighest otherwise, naming the generator by letter (x_ij is written
+    letter_ij).
     """
     xi = [rat(x) for x in xi]
     if not any(xi):
         raise NotHighest("zero vector")
     form = family.cleared()
     _s, (z,) = _zclear([xi])
+    Z = _zcolumns([z], len(z))
     kk = family.kappa
     for i in range(1, kk + 1):
         for j in range(i + 1, kk + 1):
-            if any(_apply_rows(form.blocks[(i, j)], z)):
+            if any(_zmatmul(form.blocks[(i, j)], Z)):
                 raise NotHighest(f"{letter}_{i}{j}(u) does not annihilate the vector")
     p = next(k for k, x in enumerate(z) if x)
     zp = (z[p],)
     nums = []
     for i in range(1, kk + 1):
-        w = _apply_rows(form.blocks[(i, i)], z)
-        if any(poly_mul(wq, zp) != poly_mul(w[p], (zq,) if zq else ()) for wq, zq in zip(w, z)):
+        w = _zmatmul(form.blocks[(i, i)], Z)
+        if _zmatmul(w, [{0: zp}]) != _zmatmul(Z, w[p:p + 1]):
             raise NotHighest(f"{letter}_{i}{i}(u) is not scalar on the vector")
-        nums.append(w[p])
+        nums.append(w[p].get(0, ()))
     return tuple(nums), poly_mul(form.den_coeffs, zp)
 
 
@@ -782,10 +739,11 @@ def lambda_prime_check(T: TAction, xi, lams=None):
     t_ia(u) t'_cj(v) xi vanish identically in u and v, for i < j with
     c <= a and for i = j with c < a.  All three are read off the cleared
     forms T = N / d and T' = N' / d', with xi scaled to an integer vector
-    z: clause a is N'_ij(u) z = 0, clause b is l_d N'_ii(u) z = l_n d' z_q
-    entrywise for the closed form l_n / l_d, and a product of clause c
-    vanishes identically exactly when N_ia(u) kills every u-coefficient
-    vector of N'_cj(v) z.  Returns None on success, else a (clause, detail)
+    z, a one-column matrix Z: clause a is N'_ij(u) Z = 0, clause b is
+    l_d N'_ii(u) Z = l_n d' Z for the closed form l_n / l_d, and a product
+    of clause c vanishes identically exactly when N_ia(u) kills every
+    u-coefficient vector of N'_cj(v) Z, the columns of one constant
+    matrix.  Returns None on success, else a (clause, detail)
     pair: ("a", (i, j)), ("b", i) or ("c", (i, a, c, j)), the first
     failure in that order.
     """
@@ -794,9 +752,10 @@ def lambda_prime_check(T: TAction, xi, lams=None):
         lams = highest_lweight(T, xi)
     form, inv = T.cleared(), inverse_series_action(T).cleared()
     _s, (z,) = _zclear([xi])
+    Z = _zcolumns([z], len(z))
     kk = T.kappa
     idx = range(1, kk + 1)
-    w = {key: _apply_rows(rows, z) for key, rows in inv.blocks.items()}
+    w = {key: _zmatmul(rows, Z) for key, rows in inv.blocks.items()}
     for i in idx:
         for j in range(i + 1, kk + 1):
             if any(w[(i, j)]):
@@ -804,14 +763,14 @@ def lambda_prime_check(T: TAction, xi, lams=None):
     for i in idx:
         lam = lambda_prime_formula(lams, T.ps, i)
         _s, (ln, ld) = _zclear([lam.num.coeffs, lam.den.coeffs])
-        rhs = poly_mul(ln, inv.den_coeffs)
-        if any(poly_mul(wq, ld) != poly_mul(rhs, (zq,) if zq else ()) for wq, zq in zip(w[(i, i)], z)):
+        if _zmatmul(w[(i, i)], [{0: ld}]) != _zmatmul(Z, [{0: poly_mul(ln, inv.den_coeffs)}]):
             return ("b", i)
-    vecs = {key: coefficient_vectors(wk) for key, wk in w.items()}
+    coeffs = {key: [{k: (x,) for e in row.values() for k, x in enumerate(e) if x} for row in wk]
+              for key, wk in w.items()}
     quads = [(i, a, c, j) for i in idx for j in range(i + 1, kk + 1) for a in idx for c in range(1, a + 1)]
     quads += [(i, a, c, i) for i in idx for a in idx for c in range(1, a)]
     for i, a, c, j in quads:
-        if any(any(_apply_rows(form.blocks[(i, a)], v)) for v in vecs[(c, j)]):
+        if any(_zmatmul(form.blocks[(i, a)], coeffs[(c, j)])):
             return ("c", (i, a, c, j))
     return None
 

@@ -154,17 +154,19 @@ def rf_cleared_form(t):
     """(degree, den_coeffs, blocks) of a ClearedForm read off the RatFun
     blocks t: D the lcm of the reduced denominators, and one rational
     factor c making c D and every c D x_ij integral, primitive, with
-    c > 0."""
+    c > 0; blocks row-sparse, {column: coefficient tuple} for the nonzero
+    entries."""
     D = common_den(e for m in t.values() for row in m.entries for e in row)
-    polys = {key: [[e.num * (D // e.den) if e else None for e in row] for row in m.entries] for key, m in t.items()}
-    every = [D] + [p for rows in polys.values() for row in rows for p in row if p is not None]
+    polys = {key: [{c: e.num * (D // e.den) for c, e in enumerate(row) if e} for row in m.entries]
+             for key, m in t.items()}
+    every = [D] + [p for rows in polys.values() for row in rows for p in row.values()]
     scale = lcm(*(c.denominator for p in every for c in p.coeffs))
     content = gcd(*(c.numerator * (scale // c.denominator) for p in every for c in p.coeffs))
 
     def ints(p):
         return tuple(c.numerator * (scale // c.denominator) // content for c in p.coeffs)
 
-    blocks = {key: [[None if p is None else ints(p) for p in row] for row in rows] for key, rows in polys.items()}
+    blocks = {key: [{c: ints(p) for c, p in row.items()} for row in rows] for key, rows in polys.items()}
     return max(p.degree for p in every), ints(D), blocks
 
 
@@ -178,10 +180,11 @@ def trimmed(coeffs):
 
 def read_product(den, blocks, space=None):
     """The integer product (den, blocks) of yangian.block_product as RFMatrix
-    blocks of reduced RatFuns."""
+    blocks of reduced RatFuns, on the square blocks of the row-sparse
+    layout."""
     d = Poly(den)
     return {
-        key: RFMatrix([[RatFun(Poly(e), d) if e else RatFun.zero() for e in row] for row in rows], space, space)
+        key: RFMatrix([[RatFun(Poly(row.get(c, ())), d) for c in range(len(rows))] for row in rows], space, space)
         for key, rows in blocks.items()
     }
 
@@ -314,9 +317,7 @@ def sym_lift(family, slot, var):
     for (i, j), rows in form.blocks.items():
         par = (ps.parity(i) + ps.parity(j)) % 2
         for m, row in enumerate(rows):
-            for m2, e in enumerate(row):
-                if not e:
-                    continue
+            for m2, e in row.items():
                 x = _x_poly(e, var) * _block_sign(ps, i, j)
                 for a in range(k):
                     if slot == 1:

@@ -148,6 +148,8 @@ LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}
 
 B_L12 = {"type": "from-T", "t": {"type": "evaluation", "module": LAB12}, "eps": [1, 1]}
 CHAR21 = {"type": "char", "l": 1, "theta1": "1", "theta2": "2"}
+C_GAMMA_0 = {"type": "c-gamma", "ps": [], "eps": [], "gamma": "1/2"}
+C_GAMMA_1 = {"type": "c-gamma", "ps": [1], "eps": [-1], "gamma": "1/2"}
 APPENDIX = {"name": "appendix", "pipeline": "appendix", "inputs": {"ps": [1, -1], "eps": [1, -1], "l": 2}}
 PRINCIPAL_L2 = {"type": "principal", "l": 2, "theta1": "1", "theta2": "2", "lambda": ["3", "1"]}
 DAHA_JSON_A1 = {"l": 1, "kind": "A", "theta1": "1", "dim": 1, "sigma": [], "y": [[["2"]]]}
@@ -296,6 +298,22 @@ class TestMalformedInputs:
             ("verify-twisted", {"b": dict(B_L12, eps=[1.0, 1])}, "each eps entry must be a JSON integer, got 1.0"),
             ("verify-yangian", {"t": {"type": "trivial", "ps": [1, 0.5]}},
              "each ps entry must be a JSON integer, got 0.5"),
+            # An empty parity sequence (kappa = 0) is refused in every pipeline that reads one.
+            ("verify-yangian", {"t": {"type": "trivial", "ps": []}},
+             "inputs['t']: ParameterError: a parity sequence needs at least one entry"),
+            ("verify-twisted", {"b": C_GAMMA_0},
+             "inputs['b']: ParameterError: a parity sequence needs at least one entry"),
+            ("reduce", {"b": C_GAMMA_0, "mode": "under"},
+             "inputs['b']: ParameterError: a parity sequence needs at least one entry"),
+            ("drinfeld", {"m": CHAR21, "ps": [], "eps": []},
+             "inputs['ps']: ParameterError: a parity sequence needs at least one entry"),
+            ("appendix", {"ps": [], "eps": [], "l": 2},
+             "inputs['ps']: ParameterError: a parity sequence needs at least one entry"),
+            # Over and under drop an index, so a kappa = 1 family is refused before it is built.
+            ("reduce", {"b": C_GAMMA_1, "mode": "over"},
+             "inputs['b']: ValueError: over reduction needs kappa >= 2, got kappa = 1"),
+            ("reduce", {"b": C_GAMMA_1, "mode": "under"},
+             "inputs['b']: ValueError: under reduction needs kappa >= 2, got kappa = 1"),
         ],
         ids=["t-int", "t-list", "module-int", "m-float", "epsilon-zero", "appendix-l-zero", "appendix-l-negative",
              "principal-short-lambda", "center-short-monomial", "center-negative-exponent", "center-huge-degree",
@@ -308,7 +326,9 @@ class TestMalformedInputs:
              "principal-l-string", "char-sign-sigma-bool", "char-sign-zeta-float", "daha-json-dim-float",
              "daha-json-l-bool", "lab-s1-float", "corrupt-sign-i-string", "corrupt-sign-j-float",
              "reduce-star-a-float", "reduce-over-a-string", "center-exponent-float", "ps-entry-bool",
-             "eps-entry-string", "from-t-eps-entry-float", "trivial-ps-entry-float"],
+             "eps-entry-string", "from-t-eps-entry-float", "trivial-ps-entry-float",
+             "verify-yangian-empty-ps", "verify-twisted-empty-ps", "reduce-empty-ps", "drinfeld-empty-ps",
+             "appendix-empty-ps", "reduce-over-kappa-1", "reduce-under-kappa-1"],
     )
     def test_bad_values_exit_2(self, pipeline, inputs, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -653,9 +673,30 @@ def _fuzz_seeds():
 
 FUZZ_SEEDS = _fuzz_seeds()
 
-# Scalars, and coefficient lists like the "num" and "den" of a payload entry.
+
+def _fuzz_blocks():
+    """The constructor blocks of the shipped scenarios by role ("t", "b", "m"
+    and "module"), every one found at any depth, in a fixed order."""
+    out = {role: [] for role in ("t", "b", "m", "module")}
+
+    def walk(node):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+            if key in out and isinstance(child, dict) and child not in out[key]:
+                out[key].append(child)
+            walk(child)
+
+    for name in sorted(FUZZ_SEEDS):
+        walk(FUZZ_SEEDS[name]["inputs"])
+    return out
+
+
+FUZZ_BLOCKS = _fuzz_blocks()
+
+# Scalars, sign lists (empty and one-entry ones included), and coefficient
+# lists like the "num" and "den" of a payload entry.
 SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from([0.5, "", "x", "-1", "3/2", "1/0"])
+    | st.sampled_from([[], [1], [-1]])
     | st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]), min_size=1, max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["type", "l", "ps", "t"]), inner,
                                                                  max_size=3),
@@ -664,21 +705,31 @@ SMALL_JSON = st.recursive(
 
 
 class TestScenarioFuzz:
-    """Every mutant of a shipped scenario keeps the exit-code contract."""
+    """Every mutant of a shipped scenario keeps the exit-code contract.
+
+    A mutation deletes a subtree, replaces it with a small JSON value, or
+    (one in three where the scenario has one) swaps a constructor block
+    for a block of the same role from any shipped scenario, which brings
+    kappa = 3, gamma != 0, dual and tensor families into every pipeline."""
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=3000)
     @given(name=st.sampled_from(sorted(FUZZ_SEEDS)), data=st.data())
     def test_mutated_scenarios_exit_0_1_or_2(self, name, data):
         scenario = json.loads(json.dumps(FUZZ_SEEDS[name]))
         for _ in range(data.draw(st.integers(1, 2))):
-            at = data.draw(st.sampled_from(list(_subtree_paths(scenario))))
+            paths = list(_subtree_paths(scenario))
+            roles = [p for p in paths if p and p[-1] in FUZZ_BLOCKS]
+            swap = bool(roles) and data.draw(st.integers(0, 2)) == 0
+            at = data.draw(st.sampled_from(roles if swap else paths))
             if not at:
                 scenario = data.draw(SMALL_JSON)
                 continue
             parent = scenario
             for key in at[:-1]:
                 parent = parent[key]
-            if data.draw(st.booleans()):
+            if swap:
+                parent[at[-1]] = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BLOCKS[at[-1]]))))
+            elif data.draw(st.booleans()):
                 del parent[at[-1]]
             else:
                 parent[at[-1]] = data.draw(SMALL_JSON)

@@ -10,6 +10,7 @@ The families run over even and odd parity sequences, at kappa = 2 and 3,
 with and without a twist gamma.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -47,8 +48,10 @@ from tyang.twisted import (
     star_tilde_shift,
     verify_b,
 )
+from tyang.cli import run_scenario
 from tyang.yangian import (
     NotHighest,
+    SeriesFamily,
     dual_action,
     evaluation_action,
     highest_lweight,
@@ -211,3 +214,30 @@ def test_star_tilde_shift_refuses_a_changed_diagonal():
     assert star_tilde_shift(B, red, 1)
     bad = BAction(red.ctx, red.space, red.cleared().negate_block((1, 1)), red.provenance)
     assert not star_tilde_shift(B, bad, 1)
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios")
+
+
+class TestNoStoredZero:
+    """The row-sparse layout has one zero, an absent column: no family built
+    while a shipped scenario runs (its constructors, inverse series,
+    reductions and functor outputs) stores a zero entry or a column out of
+    range in its cleared form."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_shipped_scenario_families(self, name, monkeypatch):
+        forms = []
+        init = SeriesFamily.__init__
+
+        def record(self, ps, space, form, provenance=("direct",)):
+            forms.append((space.dim, form))
+            init(self, ps, space, form, provenance)
+
+        monkeypatch.setattr(SeriesFamily, "__init__", record)
+        report, _code = run_scenario(os.path.join(SCENARIO_DIR, name))
+        assert forms or report["pipeline"] in ("daha", "appendix")
+        for dim, form in forms:
+            for rows in form.blocks.values():
+                assert len(rows) == dim
+                assert all(e and 0 <= c < dim for row in rows for c, e in row.items())

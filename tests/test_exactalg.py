@@ -298,3 +298,54 @@ class TestIntegerPolynomials:
         assert poly_gcd((), ()) == ()
         assert poly_gcd((0, 6, -4), ()) == (0, -3, 2)
         assert poly_gcd((5,), (0, 3)) == (1,)
+
+
+@st.composite
+def _zmatrix_pairs(draw):
+    """(A, B): dense matrices of integer coefficient tuples, () for zero,
+    of shapes n x m and m x p with n possibly 0, so rows may be empty and
+    the shapes rectangular.  With cancel, A gains the columns a and -a and
+    B the rows b and b, for a new column a and a new row b: two terms that
+    cancel in every entry they reach, to zero where the rest of the
+    product is zero."""
+    n, m, p = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = [[draw(Z_POLY) for _ in range(m)] for _ in range(n)]
+    B = [[draw(Z_POLY) for _ in range(p)] for _ in range(m)]
+    cancel = draw(st.booleans())
+    if cancel:
+        a, b = [draw(Z_POLY) for _ in range(n)], [draw(Z_POLY) for _ in range(p)]
+        A = [row + [x, exactalg._zneg(x)] for row, x in zip(A, a)]
+        B = B + [b, b]
+    return A, B, cancel
+
+
+def _row_sparse(M):
+    return [{c: e for c, e in enumerate(row) if e} for row in M]
+
+
+class TestZMatmul:
+    """exactalg._zmatmul, the one product of the row-sparse Z[u] layout,
+    against the product of the same matrices with Poly entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_zmatrix_pairs())
+    def test_matches_the_poly_product(self, case):
+        A, B, cancel = case
+        got = exactalg._zmatmul(_row_sparse(A), _row_sparse(B))
+        assert len(got) == len(A)
+        for i, row in enumerate(got):
+            for j in range(len(B[0])):
+                want = sum((Poly(A[i][k]) * Poly(B[k][j]) for k in range(len(B))), Poly())
+                # An absent column is the only zero: nothing that cancels is stored.
+                assert (j in row) == bool(want)
+                assert Poly(row.get(j, ())) == want
+        if cancel:
+            # The cancelling pair leaves the product of the rest, under ==.
+            m = len(B) - 2
+            assert got == exactalg._zmatmul(_row_sparse([row[:m] for row in A]), _row_sparse(B[:m]))
+
+    def test_columns_of_integer_vectors(self):
+        assert exactalg._zcolumns([[1, 0, -2], [0, 0, 3]], 3) == [{0: (1,)}, {}, {0: (-2,), 1: (3,)}]
+        assert exactalg._zmatmul([{0: (0, 1), 2: (1,)}], exactalg._zcolumns([[1, 0, -2], [0, 0, 3]], 3)) == [
+            {0: (-2, 1), 1: (3,)}
+        ]
