@@ -4,8 +4,8 @@
     python3 benchmarks/bench_e2e.py --label NAME --out benchmarks/BENCH_<n>.json [--src SRC]
 
 Run from the root of a checkout.  The scenario lists come from
-perfbench/scenarios.py (imported, not changed) at seed 101; every scenario
-of every workload runs once, in this one interpreter, through
+perfbench/scenarios.py (imported, not changed) at seed 101; every workload
+runs PASSES times over, in this one interpreter, each scenario through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
 the tyang package imported from SRC (default: this checkout's src).
 Before each scenario the fixed reference loop of perfbench/one_pass.py
@@ -18,8 +18,10 @@ SHA-256 of every report, and
 the seconds spent inside the layers of LAYERS, timed by wrappers this
 script puts around them: verify_daha, sf_presentation and center_check in
 the daha-principal scenarios, the series product, the quotient module
-and the expansion in the drinfeld scenarios, the highest weight, the
-Verma conditions and the rank-one certificate in the classify scenarios,
+and the expansion in the drinfeld scenarios, the sign quotient
+(_sign_relations, _column_span_rref, _quotient_maps) there too, the
+highest weight, the Verma conditions and the rank-one certificate in the
+classify scenarios,
 appendix_identities in the appendix scenarios, and, in every scenario, the
 products of generator families (b_from_T, b_tensor, verify_b,
 inverse_series_action), the grid certifier check_identity_2var, whose
@@ -35,7 +37,10 @@ seconds are inclusive (an inverse series formed inside b_from_T counts in
 both) but a recursive call is not counted twice; each layer's "all"
 holds the seconds spent inside any of its functions, a call nested in
 another of them counted once, so it compares across checkouts whose
-functions call each other differently.  Last, the record holds
+functions call each other differently.  Every figure of the record,
+per scenario and per workload, is the median over the PASSES passes, so
+a single layer compares between records as the totals do; the reports
+must hash alike in every pass.  Last, the record holds
 the wall seconds and summary line of the Tier-1 suite of the checkout
 that holds SRC (``python -m pytest -q --continue-on-collection-errors``
 in SRC's parent).  Records under other names already in
@@ -49,6 +54,7 @@ import importlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -60,6 +66,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 LAYERS = {
     "hecke_s": ("daha-principal", ("daha.verify_daha", "daha.sf_presentation", "daha.center_check")),
     "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "yangian.series_expansion")),
+    "quotient_s": ("drinfeld", ("drinfeld._sign_relations", "drinfeld._column_span_rref", "drinfeld._quotient_maps")),
     "classify_s": ("classify", ("twisted.highest_bweight", "twisted.verma_conditions", "twisted.classify_rank1")),
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
@@ -68,6 +75,7 @@ LAYERS = {
     "appendix_s": ("appendix", ("drinfeld.appendix_identities",)),
 }
 SEED = 101
+PASSES = 5
 
 
 def _timed(qualname, sink, layer_depth):
@@ -127,6 +135,41 @@ def run_pass(cli, scenarios, reference, workload, work, layers):
     return out
 
 
+def median_record(passes):
+    """One record per scenario from the records of several passes: the
+    median of every figure, the layers' included; the report digests must
+    agree."""
+    out = {}
+    for name in passes[0]:
+        recs = [p[name] for p in passes]
+        if len({r["sha256"] for r in recs}) != 1:
+            raise SystemExit(f"{name}: the report differs between passes")
+        med = lambda get: round(statistics.median(map(get, recs)), 4)
+        rec = {"s": med(lambda r: r["s"]), "ref": med(lambda r: r["ref"]), "sha256": recs[0]["sha256"]}
+        for key in LAYERS:
+            if key in recs[0]:
+                rec[key] = {f: {u: med(lambda r: r[key][f][u]) for u in ("s", "ref")} for f in recs[0][key]}
+        out[name] = rec
+    return out
+
+
+def workload_totals(passes):
+    """The seconds and reference units of a workload, and the "all" of each
+    of its layers summed over its scenarios, as medians over the passes."""
+    med = lambda total, nd: round(statistics.median(total(p.values()) for p in passes), nd)
+    first = passes[0].values()
+    return {
+        "s": med(lambda recs: sum(r["s"] for r in recs), 3),
+        "ref": med(lambda recs: sum(r["ref"] for r in recs), 2),
+        "layers": {
+            key: {unit: med(lambda recs: sum(r[key]["all"][unit] for r in recs if key in r), 4)
+                  for unit in ("s", "ref")}
+            for key in LAYERS
+            if any(key in r for r in first)
+        },
+    }
+
+
 def run_tier1(src):
     """Wall seconds and summary line of the Tier-1 suite of the checkout
     holding src."""
@@ -162,23 +205,15 @@ def main():
     workloads = {}
     with tempfile.TemporaryDirectory() as work:
         for workload in scenarios.WORKLOADS:
-            per_scenario = run_pass(tyang.cli, scenarios, one_pass.reference, workload, work, layers)
-            recs = per_scenario.values()
-            workloads[workload] = {
-                "s": round(sum(r["s"] for r in recs), 3),
-                "ref": round(sum(r["ref"] for r in recs), 2),
-                "layers": {
-                    key: {unit: round(sum(r[key]["all"][unit] for r in recs if key in r), 4) for unit in ("s", "ref")}
-                    for key in LAYERS
-                    if any(key in r for r in recs)
-                },
-                "scenarios": per_scenario,
-            }
+            passes = [run_pass(tyang.cli, scenarios, one_pass.reference, workload, work, layers)
+                      for _ in range(PASSES)]
+            workloads[workload] = dict(workload_totals(passes), scenarios=median_record(passes))
 
     record = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seed": SEED,
+        "passes": PASSES,
         "workloads": workloads,
         "tier1": run_tier1(src),
     }

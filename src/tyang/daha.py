@@ -14,8 +14,9 @@ generators is held as s^e times the product, and each relation is
 multiplied through by the power of s of its highest degree, a term of
 degree e padded by s^(D - e).  So sigma_k y_k = y_(k+1) sigma_k + theta1
 is checked as (s sigma_k)(s y_k) = (s y_(k+1))(s sigma_k) + s (s theta1) 1.
-The generators over Q are read back, divided by s, only where they leave
-the module: serialization and the functors of drinfeld.
+The functors of drinfeld read the sign relations off the integer rows of
+sigma_k and zeta themselves; the generators over Q are read back, divided
+by s, only for serialization and the resolvents of the y family there.
 """
 
 from fractions import Fraction

@@ -8,21 +8,25 @@ F_k = d_k 1 + K_k a matrix over Z[u] in the one row-sparse layout of
 exactalg, read off the integer resolvent (superlinalg.cleared_resolvent)
 and the integer coupling operator Q^(k); the product of the factors is
 the one product exactalg._zmatmul.  The functor output lives on the quotient
-of the carrier by the sign-isotypic images of the reflections, with
-explicit projection P and section fixed by pivot order, so the product is
-formed at quotient size: the sign relations and s P, the projection scaled
-to integers, come first, and the product is multiplied from the left
-starting at s P x 1_V, q kappa rows for a quotient of dimension q, kept as
-N / den without any reduction (_cleared_product).  Its series entries are
-then s P x_ij(u), on which the quotient is certified (s P x_ij(u) W = 0 on
-every power-of-u coefficient, W a basis of the relation span), and whose
-free columns are the induced action, the cleared form of s P N S /
-(s den).  An empty quotient multiplies nothing.  The expansion check reads
-orders 0 and 1 on the full carrier off the top two coefficients of the
-same factors (_top_two), and order 2 modulo the quotient off the projected
-entries (yangian.series_expansion).  The module enters only through its
-generators over Q (the Hecke module holds them as integer rows over its
-own scale and divides on the read).
+of the carrier by the sign-isotypic images of the reflections, with the
+projection P fixed by pivot order, so the product is formed at quotient
+size: the sign relations and s P, the projection scaled to integers, come
+first, and the product is multiplied from the left starting at s P x 1_V,
+q kappa rows for a quotient of dimension q, kept as N / den without any
+reduction (_cleared_product).  Its series entries are then s P x_ij(u),
+on which the quotient is certified (s P x_ij(u) W = 0 on every power-of-u
+coefficient, W a basis of the relation span), and whose free columns are
+the induced action, the cleared form of s P N S / (s den).  An empty
+quotient multiplies nothing.  The expansion check reads orders 0 and 1 on
+the full carrier off the top two coefficients of the same factors
+(_top_two), and order 2 modulo the quotient off the projected entries
+(yangian.series_expansion).  The quotient has one layout from the Hecke
+module on: the sign relations are the columns of s (g - epsilon), s the
+module's scale, as integer row-sparse rows read off its integer
+generators (_sign_relations), whose span is put in RREF once, over
+Fractions (_column_span_rref); the Quotient keeps that RREF, its free
+columns and s P as integer row-sparse rows (_quotient_maps), and the
+Fraction projection and section of a DrinfeldModule are views of it.
 
 The coupling operator Q^(k) = sum_ij sgn_ij E_ij^(k) x E_ij^(aux) is
 assembled once per slot k as a tagged integer pattern (_q_pattern): its
@@ -38,11 +42,12 @@ row-sparse matrix each (superlinalg.sparse_addmul).
 
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from tyang._kernel import mat_rref, poly_mul
 from tyang.exactalg import _neg_u, _zadd, _zclear, _zcolumns, _zmatmul, _zneg, rat
-from tyang.daha import DahaModule, sf_presentation
+from tyang.daha import DahaModule, DahaParams, _transpose, induce_pair, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
     SuperSpace,
@@ -52,7 +57,6 @@ from tyang.superlinalg import (
     at_slots,
     cleared_resolvent,
     elementary,
-    kron_ops,
     mat_rank,
     poly_kernel,
     sparse_add,
@@ -68,8 +72,9 @@ from tyang.twisted import (
     highest_bweight,
     irreducible_burnside,
     b_tensor,
+    b_to_json,
 )
-from tyang.yangian import TAction, cleared_form, flip_at, series_expansion
+from tyang.yangian import TAction, cleared_form, flip_at, series_expansion, t_to_json
 
 
 class ParameterConstraint(ValueError):
@@ -83,21 +88,31 @@ class WellDefinednessFailure(ValueError):
 
 
 class DrinfeldModule:
-    """Quotient carrier with explicit projection/section and the action.
+    """Quotient carrier with its Quotient and the action.
 
     action is None exactly when the quotient is zero-dimensional.
+    projection and section are read off the quotient as Fraction matrices.
     """
 
-    def __init__(self, action, carrier_space, projection, section, subspace):
+    def __init__(self, action, carrier_space, quotient):
         self.action = action
         self.carrier_space = carrier_space
-        self.projection = projection
-        self.section = section
-        self.subspace = subspace
+        self.quotient = quotient
 
     @property
     def dim(self):
         return self.action.space.dim if self.action is not None else 0
+
+    @property
+    def projection(self):
+        """P, the rows of s P (quotient.prows) divided by s."""
+        s, D = self.quotient.s, self.carrier_space.dim
+        return [[Fraction(row.get(c, 0), s) for c in range(D)] for row in self.quotient.prows]
+
+    @property
+    def section(self):
+        """The section that puts the free coordinates back."""
+        return [[Fraction(int(f == r)) for f in self.quotient.free] for r in range(self.carrier_space.dim)]
 
 
 def _q_pattern(ps: ParitySeq, k: int, l: int):
@@ -254,30 +269,28 @@ def _top_two(steps, dim):
     return T, (b0, b1)
 
 
-def _column_span_rref(mats):
-    """RREF basis of the combined column space of the given matrices."""
-    rows = []
-    for m in mats:
-        for c in range(len(m[0])):
-            col = [m[r][c] for r in range(len(m))]
-            if any(col):
-                rows.append(col)
-    if not rows:
+def _column_span_rref(cols, D):
+    """(rows, pivots): the RREF basis of the span of the integer row-sparse
+    vectors cols of length D, over Fractions (mat_rref divides with /)."""
+    if not cols:
         return [], []
-    rref, pivots = mat_rref(rows)
-    return [rref[i] for i in range(len(pivots))], pivots
+    zero = Fraction(0)
+    dense = [[zero] * D for _ in cols]
+    for row, col in zip(dense, cols):
+        for c, x in col.items():
+            row[c] = Fraction(x)
+    rref, pivots = mat_rref(dense)
+    return rref[:len(pivots)], pivots
 
 
 class Quotient(NamedTuple):
-    """The quotient of a space by the span of the RREF rows subspace: proj,
-    the Fraction projection onto the free (non-pivot) coordinates free,
-    whose kernel is the span; sect, the section that puts them back; and
-    s proj, proj scaled to integers by the lcm s of its denominators, as
-    the sparse (column, int) rows prows (_integer_rows)."""
+    """The quotient of a space by the span of the RREF rows subspace, by
+    the projection P onto the free (non-pivot) coordinates free, whose
+    kernel is the span: row q of P is 1 at free[q] and minus the free
+    column of the RREF at each pivot.  prows holds s P as integer
+    row-sparse rows, for s the lcm of the denominators of P."""
 
     subspace: list
-    proj: list
-    sect: list
     free: list
     s: int
     prows: list
@@ -286,25 +299,15 @@ class Quotient(NamedTuple):
 def _quotient_maps(nrows, pivots, D) -> Quotient:
     """The Quotient of a space of dimension D by the span of the RREF rows
     nrows with the given pivots."""
-    free = [j for j in range(D) if j not in set(pivots)]
-    q = len(free)
-    proj = [[Fraction(0)] * D for _ in range(q)]
-    for qi, f in enumerate(free):
-        proj[qi][f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if nrows[r][f]:
-                proj[qi][p] = -nrows[r][f]
-    sect = [[Fraction(0)] * q for _ in range(D)]
-    for qi, f in enumerate(free):
-        sect[f][qi] = Fraction(1)
-    return Quotient(nrows, proj, sect, free, *_integer_rows(proj))
-
-
-def _integer_rows(rows):
-    """(s, out): s the lcm of the denominators of the Fraction matrix rows
-    and out the rows of s rows as sparse (column, int) pairs."""
-    s, ints = _zclear(rows)
-    return s, [[(c, x) for c, x in enumerate(row) if x] for row in ints]
+    pivot_set = set(pivots)
+    free = [j for j in range(D) if j not in pivot_set]
+    s = lcm(*(row[f].denominator for row in nrows for f in free))
+    prows = []
+    for f in free:
+        row = {p: -x.numerator * (s // x.denominator) for p, nrow in zip(pivots, nrows) if (x := nrow[f])}
+        row[f] = s
+        prows.append(dict(sorted(row.items())))
+    return Quotient(nrows, free, s, prows)
 
 
 def _check_invariant(blocks, basis):
@@ -338,20 +341,26 @@ def _series_blocks(N, ps: ParitySeq, carrier: SuperSpace):
 
 
 def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
-    """The operators g - epsilon on M x V^l whose images span the quotient
-    subspace, for g = sigma_i x P^(i,i+1) and g = m x v for (m, v) in extra,
-    m a row-sparse module operator (as M's generators) and v row-sparse on
-    V^l (as flip_at)."""
+    """The nonzero columns of s (g - epsilon) on M x V^l, s the scale of M,
+    as integer row-sparse rows: they span the quotient subspace.  g runs
+    over sigma_i x P^(i,i+1) and m x v for (m, v) in extra, m given as the
+    integer rows of s m (as M.int_zeta) and v as the +-1 integer rows of an
+    operator on V^l (as flip_at).  Both factors are even, so g is a plain
+    Kronecker product, and its columns are the rows of m^T x v^T."""
     l = M.params.l
-    sigma = M.sigma
-    pairs = [(sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
-    spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
+    se = M.scale * epsilon
+    pairs = [(M.int_sigma[i - 1], flip_at(ps, i, i + 1, l)) for i in range(1, l)]
     out = []
     for m, v in pairs + list(extra):
-        op = kron_ops([(_dense(m, M.dim), 0), (_dense(v, len(v)), 0)], spaces)
-        for r, row in enumerate(op):
-            row[r] -= epsilon
-        out.append(op)
+        w = len(v)
+        vt = _transpose(v, w)
+        for a, mcol in enumerate(_transpose(m, M.dim)):
+            for b, vcol in enumerate(vt):
+                col = {r * w + t: x * y for r, x in mcol.items() for t, y in vcol.items()}
+                c = a * w + b
+                col[c] = col.get(c, 0) - se
+                if col := {k: x for k, x in col.items() if x}:
+                    out.append(col)
     return out
 
 
@@ -378,7 +387,7 @@ def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> Dr
         qblocks = {key: [{where[c]: e for c, e in row.items() if c in where} for row in block]
                    for key, block in blocks.items()}
         action = family(head, qspace, cleared_form(poly_mul(den, (quotient.s,)), qblocks), ("drinfeld",))
-    return DrinfeldModule(action, carrier, quotient.proj, quotient.sect, quotient.subspace)
+    return DrinfeldModule(action, carrier, quotient)
 
 
 def _projected_product(steps, quotient, ps, carrier):
@@ -387,7 +396,7 @@ def _projected_product(steps, quotient, ps, carrier):
     carrier x V and s P the integer projection of the quotient, so each
     block holds q rows of s P N_ij, q the dimension of the quotient."""
     kk = ps.kappa
-    start = [{p * kk + a: (x,) for p, x in prow} for prow in quotient.prows for a in range(kk)]
+    start = [{p * kk + a: (x,) for p, x in prow.items()} for prow in quotient.prows for a in range(kk)]
     N, den = _cleared_product(steps, start)
     return _series_blocks(N, ps, carrier), den
 
@@ -406,7 +415,7 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     carrier = _carrier(M, ps)
-    quotient = _quotient_maps(*_column_span_rref(_sign_relations(M, ps, epsilon)), carrier.dim)
+    quotient = _quotient_maps(*_column_span_rref(_sign_relations(M, ps, epsilon), carrier.dim), carrier.dim)
     steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, M.params.l), 1)]
     blocks, den = _projected_product(steps, quotient, ps, carrier)
     return _quotient_module(blocks, den, carrier, quotient, "t", TAction, ps)
@@ -457,8 +466,8 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     jay = ps.jay
     carrier = _carrier(M, ps)
     g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
-    relations = _sign_relations(M, ps, epsilon, [(M.varsigma_l, g_last)])
-    quotient = _quotient_maps(*_column_span_rref(relations), carrier.dim)
+    relations = _sign_relations(M, ps, epsilon, [(M.int_zeta, g_last)])
+    quotient = _quotient_maps(*_column_span_rref(relations, carrier.dim), carrier.dim)
     Qs = _int_q_rows(ps, l)
     steps = [_cleared_factor(M, Qs[k - 1], k, chi, -jay) for k in range(1, l + 1)]
     steps.append(_g_step(ctx, carrier.dim * ps.kappa))
@@ -582,12 +591,8 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
                 )
                 scale = Fraction(-2 * ei) / (si * epsilon * th1)
                 coeff2 = series_expansion(product.blocks[(i, j)], product.den, 2, carrier.dim)[2]
-                for got, prow in zip(coeff2, prows):
-                    want = [0] * carrier.dim
-                    for p, x in prow:
-                        for c, y in ybox[p].items():
-                            want[c] += x * y
-                    if any(a != scale * b for a, b in zip(got, want)):
+                for got, want in zip(coeff2, sparse_mul(prows, ybox)):
+                    if any(a != scale * want.get(c, 0) for c, a in enumerate(got)):
                         return (2, (i, j))
     return None
 
@@ -749,14 +754,11 @@ def _box_sum(weights, boxes):
 
 def drinfeld_to_json(D: DrinfeldModule) -> dict:
     """Quotient data plus the induced action, ready for replay."""
-    from tyang.twisted import b_to_json
-    from tyang.yangian import t_to_json
-
     out = {
         "carrier_parities": list(D.carrier_space.parities),
         "projection": [[str(x) for x in row] for row in D.projection],
         "section": [[str(x) for x in row] for row in D.section],
-        "subspace": [[str(x) for x in row] for row in D.subspace],
+        "subspace": [[str(x) for x in row] for row in D.quotient.subspace],
     }
     if D.action is None:
         out["action"] = None
@@ -774,8 +776,6 @@ def functor_tensor_check(M1: DahaModule, M2: DahaModule, ps: ParitySeq, eps, eps
     dimensions, singular-space data, irreducibility verdicts, and an exact
     invertible intertwiner.  Returns None on agreement, else a tag.
     """
-    from tyang.daha import DahaParams, induce_pair
-
     if M1.params.l != 1 or M2.params.l != 1:
         raise ParameterConstraint("one letter on each side only")
     th1, th2 = M2.params.theta1, M2.params.theta2

@@ -535,10 +535,11 @@ def rational_roots(p: Poly):
     with no candidate set; +-a/b is evaluated, as a homogeneous integer
     sum, only when it passes those tests (_may_vanish), and each root found
     is divided out of f in integers before the scan goes on, so the
-    deflated f tests the rest.  A trailing or leading coefficient of f
-    above ROOT_SEARCH_BOUND in absolute value raises RootSearchBound before
-    any divisor is listed; dividing out the content first lets c (1 + u^3)
-    through at any c.
+    deflated f tests the rest; the cofactor is the last deflated f,
+    scaled to the leading coefficient of p.  A trailing or leading
+    coefficient of f above ROOT_SEARCH_BOUND in absolute value raises
+    RootSearchBound before any divisor is listed; dividing out the content
+    first lets c (1 + u^3) through at any c.
     The returned cofactor has no rational roots and the product of the
     linear factors times the cofactor equals p up to the (preserved)
     leading coefficient.
@@ -580,9 +581,8 @@ def rational_roots(p: Poly):
                         mult += 1
                     if mult:
                         found.append((Fraction(num, b), mult))
-        for c, mult in found:
-            for _ in range(mult):
-                work = work // Poly([-c, 1])
+        lc = work.leading() / f[-1]
+        work = Poly([x * lc for x in f])
         roots += found
     roots.sort(key=lambda rm: rm[0])
     return roots, work

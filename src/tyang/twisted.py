@@ -76,6 +76,7 @@ from tyang.yangian import (
     scalar_product,
     scaled_witness,
     series_expansion,
+    solve_shift_quotient,
 )
 
 
@@ -518,8 +519,6 @@ def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> Cla
     # Search mode.
     num, den = ratio.num, ratio.den
     if case == "s-equal-eps-equal":
-        from tyang.yangian import solve_shift_quotient
-
         roots_n, cn = rational_roots(num.monic())
         roots_d, cd = rational_roots(den.monic())
         if cn.degree > 0 or cd.degree > 0:
@@ -531,8 +530,6 @@ def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> Cla
             return failed("search-failed", "quotient solution is not symmetric")
         return verified(Pp)
     if case == "s-equal-eps-diff":
-        from tyang.yangian import solve_shift_quotient
-
         roots_n, cn = rational_roots(num.monic())
         roots_d, cd = rational_roots(den.monic())
         if cn.degree > 0 or cd.degree > 0:
@@ -609,8 +606,6 @@ def classify_highrank_search(mu: BHighestWeight):
     ctx = mu.ctx
     ps = ctx.ps
     kk = ctx.kappa
-    from tyang.yangian import solve_shift_quotient
-
     gammas = [Fraction(0)]
     if any(ctx.eps_sign(i) != ctx.eps_sign(i + 1) and ps.sign(i) == ps.sign(i + 1) for i in range(1, kk)):
         # gamma shows in the linear prefactors; recover candidates from the

@@ -14,7 +14,9 @@ yangian.block_product is checked against; rf_cleared_form is the cleared
 form read off RatFun entries, the reference for yangian.cleared_form.
 rf_quotient_family is the functor output formed entry by entry over the
 function field, the reference for the integer quotient of
-drinfeld._quotient_module.
+drinfeld._quotient_module.  ref_sign_quotient is the sign quotient of the
+functor formed over Q, through kron_ops and a dense column scan, the
+reference for the integer sign relations and Quotient of tyang.drinfeld.
 
 sym_lift, sym_flip and the sym_*_sides functions form both sides of the
 grid-certified identities exactly over Z[u, v] with sympy, from the
@@ -62,13 +64,15 @@ from math import gcd, lcm
 
 import sympy
 
-from tyang._kernel import mat_mul
+from tyang._kernel import mat_mul, mat_rref
 from tyang.daha import _cross, _transpose
 from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
 from tyang.glmn import GlModule, ParameterError, _coords_in_span
 from tyang.superlinalg import (
     DimensionMismatch,
     RFMatrix,
+    SuperSpace,
+    _dense,
     at_slots,
     charpoly,
     cleared_coefficients,
@@ -86,8 +90,8 @@ from tyang.superlinalg import (
     sparse_scale,
     tensor_space,
 )
-from tyang.twisted import BHighestWeight
-from tyang.yangian import NotHighest, cleared_form_rf, lambda_prime_formula
+from tyang.twisted import BHighestWeight, TwistedContext
+from tyang.yangian import NotHighest, cleared_form_rf, flip_at, lambda_prime_formula
 
 
 def _block_sign(ps, i, j):
@@ -491,6 +495,45 @@ def box_by_terms(ps, i, j, k, l):
     par = (ps.parity(i) + ps.parity(j)) % 2
     ops = at_slots(l, {k - 1: (elementary(ps.kappa, i, j), par)})
     return kron_rows_by_terms([(1, ops)], [ps.space()] * l)
+
+
+def ref_sign_quotient(M, ps, epsilon, eps=None):
+    """(subspace, free, proj, sect): the quotient of M x V^l by its sign
+    relations over Q, the route the integer drinfeld._sign_relations,
+    _column_span_rref and _quotient_maps replace.  Each g - epsilon is
+    assembled densely through kron_ops from M's generators read back over
+    Q, for g = sigma_i x P^(i,i+1) and, given the twist signs eps (the
+    relations of drinfeld.reflection_product), varsigma_l x G at the last
+    V slot; every nonzero column of every one is scanned off the dense
+    matrix; subspace and free are the RREF rows of their span and the
+    non-pivot columns, and proj and sect the Fraction projection onto the
+    free coordinates (1 at the free column, minus the RREF column at each
+    pivot) and the section that puts them back."""
+    l, kk = M.params.l, ps.kappa
+    spaces = [SuperSpace([0] * M.dim), tensor_space([ps.space()] * l)]
+    D = M.dim * kk**l
+    gens = [(M.sigma[i - 1], _dense(flip_at(ps, i, i + 1, l), kk**l)) for i in range(1, l)]
+    if eps is not None:
+        ctx = TwistedContext(ps, eps)
+        G = [[Fraction(ctx.eps_sign(r % kk + 1) if r == c else 0) for c in range(kk**l)] for r in range(kk**l)]
+        gens.append((M.varsigma_l, G))
+    cols = []
+    for m, v in gens:
+        op = kron_ops([(_dense(m, M.dim), 0), (v, 0)], spaces)
+        for r in range(D):
+            op[r][r] -= epsilon
+        cols += [col for c in range(D) if any(col := [op[r][c] for r in range(D)])]
+    rref, pivots = mat_rref(cols) if cols else ([], [])
+    subspace = rref[:len(pivots)]
+    free = [j for j in range(D) if j not in pivots]
+    proj = [[Fraction(0)] * D for _ in free]
+    for q, f in enumerate(free):
+        proj[q][f] = Fraction(1)
+        for row, p in zip(subspace, pivots):
+            if row[f]:
+                proj[q][p] = -row[f]
+    sect = [[Fraction(int(f == r)) for f in free] for r in range(D)]
+    return subspace, free, proj, sect
 
 
 def _ref_identity(dim):

@@ -657,6 +657,16 @@ def _subtree_paths(node, path=()):
         yield from _subtree_paths(child, path + (key,))
 
 
+def _cut_signs(node, n):
+    """Cut every "ps" and "eps" list under node to its first n entries."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        if key in ("ps", "eps") and isinstance(child, list):
+            node[key] = child[:n]
+        else:
+            _cut_signs(child, n)
+
+
 def _fuzz_seeds():
     """The shipped scenarios by file name, and the b-json payload of
     twisted-json-L12 run through classify as well (without expectations,
@@ -707,10 +717,13 @@ SMALL_JSON = st.recursive(
 class TestScenarioFuzz:
     """Every mutant of a shipped scenario keeps the exit-code contract.
 
-    A mutation deletes a subtree, replaces it with a small JSON value, or
-    (one in three where the scenario has one) swaps a constructor block
-    for a block of the same role from any shipped scenario, which brings
-    kappa = 3, gamma != 0, dual and tensor families into every pipeline."""
+    A mutation deletes a subtree, replaces it with a small JSON value,
+    (one in four where the scenario has a sign list) cuts every "ps" and
+    "eps" list to its first 0, 1 or 2 entries, so that the parity and twist
+    signs keep one length down to [] and [], or (one in three where the
+    scenario has one) swaps a constructor block for a block of the same
+    role from any shipped scenario, which brings kappa = 3, gamma != 0,
+    dual and tensor families into every pipeline."""
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=3000)
     @given(name=st.sampled_from(sorted(FUZZ_SEEDS)), data=st.data())
@@ -718,6 +731,9 @@ class TestScenarioFuzz:
         scenario = json.loads(json.dumps(FUZZ_SEEDS[name]))
         for _ in range(data.draw(st.integers(1, 2))):
             paths = list(_subtree_paths(scenario))
+            if any(p and p[-1] in ("ps", "eps") for p in paths) and data.draw(st.integers(0, 3)) == 0:
+                _cut_signs(scenario, data.draw(st.integers(0, 2)))
+                continue
             roles = [p for p in paths if p and p[-1] in FUZZ_BLOCKS]
             swap = bool(roles) and data.draw(st.integers(0, 2)) == 0
             at = data.draw(st.sampled_from(roles if swap else paths))

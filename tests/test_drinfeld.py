@@ -2,12 +2,23 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import box_by_terms, family_form, flip_by_terms, q_rows_by_terms, read_blocks, rf_cleared_form, rf_quotient_family, trimmed
+from support import (
+    box_by_terms,
+    family_form,
+    flip_by_terms,
+    q_rows_by_terms,
+    read_blocks,
+    ref_sign_quotient,
+    rf_cleared_form,
+    rf_quotient_family,
+    trimmed,
+)
 
 import tyang.drinfeld as drinfeld
 from tyang import exactalg
@@ -532,12 +543,12 @@ def _project(prows, rows):
     for prow in prows:
         if isinstance(rows[0], dict):
             acc = {}
-            for p, x in prow:
+            for p, x in prow.items():
                 for c, e in rows[p].items():
                     acc[c] = exactalg._zadd(acc.get(c, ()), tuple(x * a for a in e))
             out.append({c: e for c, e in acc.items() if e})
         else:
-            out.append([sum((x * rows[p][c] for p, x in prow), RatFun.zero()) for c in range(len(rows[0]))])
+            out.append([sum((x * rows[p][c] for p, x in prow.items()), RatFun.zero()) for c in range(len(rows[0]))])
     return out
 
 
@@ -644,7 +655,7 @@ class TestQuotientFamily:
         blocks[(1, 1)] = [{0: (1, 1)}, {1: (1, 1)}]  # (u + 1) / u
         blocks[(2, 2)] = [{0: (0, 1)}, {1: (0, 1)}]  # u / u
         quotient = drinfeld._quotient_maps([[F(1), F(1, 2)]], [0], 2)
-        assert quotient.s == 2 and quotient.prows == [[(0, -1), (1, 2)]]
+        assert quotient.s == 2 and quotient.prows == [{0: -1, 1: 2}]
         projected = {key: _project(quotient.prows, block) for key, block in blocks.items()}
         D = drinfeld._quotient_module(projected, (0, 1), SuperSpace([0, 0]), quotient, "t", TAction, ps)
         assert D.projection == [[F(-1, 2), F(1)]]
@@ -653,6 +664,68 @@ class TestQuotientFamily:
         u = RatFun.x()
         zero, one = RatFun.zero(), RatFun.one()
         assert [D.action.t[key][0, 0] for key in sorted(t)] == [(u + 1) / u, zero, zero, one]
+
+
+def _conjugated(M, d):
+    """M conjugated by the diagonal matrix d: an isomorphic module whose
+    generators are not symmetric and whose sign quotient has a fractional
+    projection."""
+    c = lambda m: [[F(d[r]) * x / d[k] for k, x in enumerate(row)] for r, row in enumerate(_dense(m, M.dim))]
+    return DahaModule(M.params, M.dim, [c(m) for m in M.sigma], c(M.varsigma_l), [c(m) for m in M.y])
+
+
+def _ref_quotient(M, ps, epsilon, eps=None):
+    """(Quotient fields, P, S) of the route over Q (ref_sign_quotient),
+    with s P cleared by the lcm s of the denominators of P."""
+    subspace, free, proj, sect = ref_sign_quotient(M, ps, epsilon, eps)
+    s = lcm(*(x.denominator for row in proj for x in row))
+    prows = [{c: int(s * x) for c, x in enumerate(row) if x} for row in proj]
+    return (subspace, free, s, prows), proj, sect
+
+
+class TestSignQuotient:
+    """The sign quotient built from the Hecke module's integer rows
+    (_sign_relations, _column_span_rref, _quotient_maps) is that of the
+    route over Q (support.ref_sign_quotient): the same RREF subspace, free
+    coordinates, scale and integer projection rows, and the same Fraction
+    projection and section on the functor output."""
+
+    MODULES = [
+        (char_module(DahaParams(2, 3, 4), -1, 1), (1, -1)),
+        (char_module(DahaParams(3, 3, 4), 1, 1), (1, -1)),
+        (char_module(DahaParams(4, 3, 4), -1, -1), (1, -1)),
+        (principal_series(DahaParams(1, 3, 4), [F(2)]), (1, -1)),
+        (principal_series(DahaParams(2, 3, 4), [F(2), F(-1)]), (1, -1)),
+        (char_module(DahaParams(2, 3, 4), -1, 1), (1, 1, -1)),
+        (_conjugated(principal_series(DahaParams(2, 3, 4), [F(2), F(-1)]), [1, 2, 3, 5, 1, 1, 1, 1]), (1, -1)),
+    ]
+    IDS = ["char-l2", "char-l3", "char-l4", "principal-l1", "principal-l2", "kappa3-char-l2", "conjugated-l2"]
+
+    @pytest.mark.parametrize("M, signs", MODULES, ids=IDS)
+    @pytest.mark.parametrize("eps", [(1, -1), (1, 1)])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_reflection_quotient(self, M, signs, eps, epsilon):
+        ps = ParitySeq(signs)
+        eps = list(eps + (1,))[:ps.kappa]
+        fields, proj, sect = _ref_quotient(M, ps, epsilon, eps)
+        product = drinfeld.reflection_product(M, ps, eps, epsilon)
+        assert tuple(product.quotient) == fields
+        D = drinfeld_BC(M, ps, eps, epsilon, product=product)
+        assert (D.projection, D.section) == (proj, sect)
+
+    @pytest.mark.parametrize("M, signs", MODULES, ids=IDS)
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_type_a_quotient(self, M, signs, epsilon):
+        ps = ParitySeq(signs)
+        fields, proj, sect = _ref_quotient(M, ps, epsilon)
+        D = drinfeld_A(M, ps, epsilon)
+        assert tuple(D.quotient) == fields
+        assert (D.projection, D.section) == (proj, sect)
+
+    def test_fractional_projection_is_reached(self):
+        # The conjugated module is the case whose projection is scaled.
+        M, signs = self.MODULES[-1]
+        assert drinfeld.reflection_product(M, ParitySeq(signs), [1, -1]).quotient.s > 1
 
 
 class TestCheckInvariant:
