@@ -6,13 +6,17 @@ echelon form, and the polynomial product, division, gcd and evaluation.
 The product and evaluation kernels serve Python ints and Fractions alike:
 their sums start from the int 0, so integer data stays in ints and
 Fraction data in Fractions (an entry nothing lands on is the int 0, equal
-to Fraction(0)).  The echelon form and the division divide, so they take
-Fractions.  The gcd is the primitive remainder sequence over Z[u];
-rational data is cleared to integers before it.
+to Fraction(0)).  The echelon form is fraction-free: echelon_insert keeps
+a Gauss-Jordan basis of primitive integer rows {column: int}, the one
+row reduction of constant vectors there is, and mat_rref clears rational
+rows into it and divides once per pivot row at the end.  The polynomial
+division divides, so it takes Fractions.  The gcd is the primitive
+remainder sequence over Z[u]; rational data is cleared to integers
+before it.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # The one implementation there is; environment stamps record it.
 BACKEND = "pure"
@@ -119,35 +123,64 @@ def mat_mul(A, B):
     return out
 
 
+def _eliminate(v, r, p):
+    """The primitive integer row a v - x r, zero at column p, for r[p] > 0
+    and x / a = v[p] / r[p] in lowest terms: a > 0, so the sign of v is
+    kept wherever r is zero.  Rows are {column: int} with no zero entry."""
+    a, x = r[p], v[p]
+    g = gcd(a, x)
+    a, x = a // g, x // g
+    out = {c: a * y for c, y in v.items()}
+    for c, y in r.items():
+        z = out.get(c, 0) - x * y
+        if z:
+            out[c] = z
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: y // g for c, y in out.items()} if g > 1 else out
+
+
+def echelon_insert(rows, v):
+    """Insert the integer row v ({column: int}, no zero entry) into the
+    echelon basis rows ({pivot: row}); True when v lies outside their span,
+    which then grows by one row.
+
+    rows is a Gauss-Jordan basis in primitive integer rows: each row is
+    positive at its pivot, which is its leading column, and zero at every
+    other pivot, so row / row[pivot] in pivot order is the reduced row
+    echelon form of the span.  v is cleared at every pivot it meets by a
+    fraction-free combination (_eliminate); what is left, made primitive
+    and positive at its leading column, the new pivot, is then cleared
+    from every row that meets that column.  The only divisions are exact
+    ones, by contents."""
+    for p in [c for c in v if c in rows]:
+        v = _eliminate(v, rows[p], p)
+    if not v:
+        return False
+    p = min(v)
+    g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
+    v = {c: x // g for c, x in v.items()}
+    for q, r in rows.items():
+        if p in r:
+            rows[q] = _eliminate(r, v, p)
+    rows[p] = v
+    return True
+
+
 def mat_rref(A):
-    """Reduced row echelon form of a Fraction matrix; returns (rows, pivot
-    column indices)."""
-    rows = [list(r) for r in A]
-    if not rows:
+    """Reduced row echelon form of a matrix of ints or Fractions; returns
+    (rows, pivot column indices), as many Fraction rows as A has, the zero
+    rows last.  Each row is cleared to integers and inserted into one
+    echelon basis (echelon_insert); the one division is by each pivot entry
+    at the end."""
+    if not A:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                for j in range(c, ncols):
-                    if rr[j]:
-                        ri[j] -= f * rr[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [[_ZERO] * ncols for _ in range(len(rows) - r)], pivots
+    ncols = len(A[0])
+    rows = {}
+    for r in A:
+        s = lcm(*(x.denominator for x in r))
+        echelon_insert(rows, {c: x.numerator * (s // x.denominator) for c, x in enumerate(r) if x})
+    pivots = sorted(rows)
+    out = [[Fraction(r[c], r[p]) if c in r else _ZERO for c in range(ncols)] for p, r in sorted(rows.items())]
+    return out + [[_ZERO] * ncols for _ in range(len(A) - len(pivots))], pivots

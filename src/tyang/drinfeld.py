@@ -23,10 +23,11 @@ the full carrier off the top two coefficients of the same factors
 (yangian.series_expansion).  The quotient has one layout from the Hecke
 module on: the sign relations are the columns of s (g - epsilon), s the
 module's scale, as integer row-sparse rows read off its integer
-generators (_sign_relations), whose span is put in RREF once, over
-Fractions (_column_span_rref); the Quotient keeps that RREF, its free
-columns and s P as integer row-sparse rows (_quotient_maps), and the
-Fraction projection and section of a DrinfeldModule are views of it.
+generators (_sign_relations), whose span is put in echelon form once, by
+the fraction-free _kernel.echelon_insert (_quotient); the Quotient keeps
+those primitive integer pivot rows, the free columns and s P as integer
+row-sparse rows, and the Fraction projection, section and RREF of a
+DrinfeldModule are views of it.
 
 The coupling operator Q^(k) = sum_ij sgn_ij E_ij^(k) x E_ij^(aux) is
 assembled once per slot k as a tagged integer pattern (_q_pattern): its
@@ -45,8 +46,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from tyang._kernel import mat_rref, poly_mul
-from tyang.exactalg import _neg_u, _zadd, _zclear, _zcolumns, _zmatmul, _zneg, rat
+from tyang._kernel import echelon_insert, poly_mul
+from tyang.exactalg import _neg_u, _zadd, _zmatmul, _zneg, rat
 from tyang.daha import DahaModule, DahaParams, _transpose, induce_pair, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
@@ -269,25 +270,14 @@ def _top_two(steps, dim):
     return T, (b0, b1)
 
 
-def _column_span_rref(cols, D):
-    """(rows, pivots): the RREF basis of the span of the integer row-sparse
-    vectors cols of length D, over Fractions (mat_rref divides with /)."""
-    if not cols:
-        return [], []
-    zero = Fraction(0)
-    dense = [[zero] * D for _ in cols]
-    for row, col in zip(dense, cols):
-        for c, x in col.items():
-            row[c] = Fraction(x)
-    rref, pivots = mat_rref(dense)
-    return rref[:len(pivots)], pivots
-
-
 class Quotient(NamedTuple):
-    """The quotient of a space by the span of the RREF rows subspace, by
-    the projection P onto the free (non-pivot) coordinates free, whose
-    kernel is the span: row q of P is 1 at free[q] and minus the free
-    column of the RREF at each pivot.  prows holds s P as integer
+    """The quotient of a space by the span of the relation rows, by the
+    projection P onto the free (non-pivot) coordinates free, whose kernel
+    is the span.  subspace holds the span's Gauss-Jordan basis as primitive
+    integer row-sparse rows, each positive at its pivot, its leading
+    column, and zero at every other pivot (_kernel.echelon_insert), so
+    row / row[pivot] is the RREF; row q of P is 1 at free[q] and minus that
+    RREF's free column at each pivot.  prows holds s P as integer
     row-sparse rows, for s the lcm of the denominators of P."""
 
     subspace: list
@@ -296,21 +286,27 @@ class Quotient(NamedTuple):
     prows: list
 
 
-def _quotient_maps(nrows, pivots, D) -> Quotient:
-    """The Quotient of a space of dimension D by the span of the RREF rows
-    nrows with the given pivots."""
-    pivot_set = set(pivots)
-    free = [j for j in range(D) if j not in pivot_set]
-    s = lcm(*(row[f].denominator for row in nrows for f in free))
-    prows = []
-    for f in free:
-        row = {p: -x.numerator * (s // x.denominator) for p, nrow in zip(pivots, nrows) if (x := nrow[f])}
-        row[f] = s
-        prows.append(dict(sorted(row.items())))
-    return Quotient(nrows, free, s, prows)
+def _quotient(relations, D) -> Quotient:
+    """The Quotient of a space of dimension D by the span of the integer
+    row-sparse vectors relations.  A primitive row that is nonzero off its
+    pivot has content 1 there, so row[pivot] is the denominator of its
+    part of P, and s the lcm of the pivot entries."""
+    rows = {}
+    for v in relations:
+        echelon_insert(rows, v)
+    pivots = sorted(rows)
+    free = [j for j in range(D) if j not in rows]
+    s = lcm(*(rows[p][p] for p in pivots))
+    prows = {f: {f: s} for f in free}
+    for p in pivots:
+        m = s // rows[p][p]
+        for c, x in rows[p].items():
+            if c != p:
+                prows[c][p] = -x * m
+    return Quotient([rows[p] for p in pivots], free, s, [dict(sorted(prows[f].items())) for f in free])
 
 
-def _check_invariant(blocks, basis):
+def _check_invariant(blocks, basis, D):
     """The first key, in sorted order, whose series entry does not map the
     span of the constant basis into itself over the function field; None
     if none.
@@ -320,13 +316,10 @@ def _check_invariant(blocks, basis):
     span (row-sparse matrices over Z[u]).  N(u) preserves the span exactly
     when P N_t v = 0 for every power-of-u coefficient N_t and basis vector
     v, that is when s P N(u) times the basis, as the columns of one matrix,
-    is zero.  The basis is scaled to integers too (a nonzero scale does not
-    change which products vanish), so the product runs in Python ints, on
-    all the N_t at once.
+    is zero.  The basis is the integer row-sparse rows of a Quotient, of
+    length D, so the product runs in Python ints, on all the N_t at once.
     """
-    if not basis:
-        return None
-    cols = _zcolumns(_zclear(basis)[1], len(basis[0]))
+    cols = [{t: (x,) for t, x in col.items()} for col in _transpose(basis, D)]
     return next((key for key in sorted(blocks) if any(_zmatmul(blocks[key], cols))), None)
 
 
@@ -374,7 +367,7 @@ def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> Dr
     family(head, quotient space, form, ("drinfeld",)), form the cleared
     form of s P N S / (s den), the free columns of the blocks.
     """
-    bad = _check_invariant(blocks, quotient.subspace)
+    bad = _check_invariant(blocks, quotient.subspace, carrier.dim)
     if bad is not None:
         raise WellDefinednessFailure(
             f"series coefficients do not preserve the quotient subspace at {letter}_{bad}",
@@ -415,7 +408,7 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     carrier = _carrier(M, ps)
-    quotient = _quotient_maps(*_column_span_rref(_sign_relations(M, ps, epsilon), carrier.dim), carrier.dim)
+    quotient = _quotient(_sign_relations(M, ps, epsilon), carrier.dim)
     steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, M.params.l), 1)]
     blocks, den = _projected_product(steps, quotient, ps, carrier)
     return _quotient_module(blocks, den, carrier, quotient, "t", TAction, ps)
@@ -467,7 +460,7 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     carrier = _carrier(M, ps)
     g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
     relations = _sign_relations(M, ps, epsilon, [(M.int_zeta, g_last)])
-    quotient = _quotient_maps(*_column_span_rref(relations, carrier.dim), carrier.dim)
+    quotient = _quotient(relations, carrier.dim)
     Qs = _int_q_rows(ps, l)
     steps = [_cleared_factor(M, Qs[k - 1], k, chi, -jay) for k in range(1, l + 1)]
     steps.append(_g_step(ctx, carrier.dim * ps.kappa))
@@ -758,7 +751,8 @@ def drinfeld_to_json(D: DrinfeldModule) -> dict:
         "carrier_parities": list(D.carrier_space.parities),
         "projection": [[str(x) for x in row] for row in D.projection],
         "section": [[str(x) for x in row] for row in D.section],
-        "subspace": [[str(x) for x in row] for row in D.quotient.subspace],
+        "subspace": [[str(Fraction(row.get(c, 0), row[min(row)])) for c in range(D.carrier_space.dim)]
+                     for row in D.quotient.subspace],
     }
     if D.action is None:
         out["action"] = None

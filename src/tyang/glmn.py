@@ -8,7 +8,6 @@ off the parity sequence.
 
 from fractions import Fraction
 
-from tyang._kernel import mat_rref
 from tyang.exactalg import rat
 from tyang.superlinalg import SuperSpace, mat_vec
 
@@ -134,26 +133,6 @@ def make_Lab(s1: int, a, b) -> GlModule:
         (1, 2): [[z, a + b], [z, z]],
     }
     return GlModule(ps, space, action)
-
-
-def _coords_in_span(basis, vectors):
-    """Coordinates of each vector in the span of basis; None if outside."""
-    if not basis:
-        return None if any(any(x for x in v) for v in vectors) else [[] for _ in vectors]
-    dim = len(basis[0])
-    cols = len(basis)
-    # Augmented system [B | targets] with basis vectors as the B columns.
-    rows = [[basis[k][r] for k in range(cols)] + [v[r] for v in vectors] for r in range(dim)]
-    rref, pivots = mat_rref(rows)
-    if any(p >= cols for p in pivots):
-        return None
-    out = []
-    for t in range(len(vectors)):
-        coord = [Fraction(0)] * cols
-        for r, p in enumerate(pivots):
-            coord[p] = rref[r][cols + t]
-        out.append(coord)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,21 @@ Conventions fixed here and used everywhere else:
     the sign being read off the source (column) indices.
 
 Constant matrices are lists of rows of Python ints or Fractions, with
-their products and echelon forms from tyang._kernel; the grid certifier
-check_identity_2var samples integer points.  Matrices over Z[u] (the
-resolvent cleared_resolvent returns, the rows poly_kernel and
-coefficient_matrices read) have the one layout of exactalg: row-sparse
-rows {column: integer coefficient tuple}, an absent column the only zero.
+their products and echelon forms from tyang._kernel; spin closes a span
+of integer matrices under left multiplication on the fraction-free
+_kernel.echelon_insert, for the algebra closure and the irreducibility
+test.  The grid certifier check_identity_2var samples integer points.
+Matrices over Z[u] (the resolvent cleared_resolvent returns, the rows
+poly_kernel and coefficient_matrices read) have the one layout of
+exactalg: row-sparse rows {column: integer coefficient tuple}, an absent
+column the only zero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from tyang._kernel import mat_mul, mat_rref
+from tyang._kernel import echelon_insert, mat_mul, mat_rref
 from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
 
 
@@ -147,7 +151,8 @@ def sparse_scale(A, c=1, rows=None, cols=None):
 
 
 def mat_nullspace(A):
-    """Basis of the right nullspace of a Fraction matrix, in RREF convention."""
+    """Basis of the right nullspace of a matrix of ints or Fractions, in RREF
+    convention, as Fraction vectors."""
     if not A:
         return []
     ncols = len(A[0])
@@ -178,18 +183,17 @@ def coefficient_matrices(rows, ncols):
 def poly_kernel(rows, ncols):
     """Basis of the constant vectors x with r(u) . x = 0 for every row r of
     the row-sparse matrix rows over Z[u], with ncols columns: the
-    nullspace (mat_nullspace) of the rows of its coefficient matrices
-    (coefficient_matrices), or the identity when every row is zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
+    nullspace (mat_nullspace) of the integer rows of its coefficient
+    matrices (coefficient_matrices), or the identity when every row is
+    zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
     mat_nullspace reads the basis off the reduced echelon form, which
     depends only on the row space, so the basis does not depend on how the
     rows were cleared."""
-    vecs = [[Fraction(x) for x in r] for C in coefficient_matrices(rows, ncols) for r in C if any(r)]
+    vecs = [r for C in coefficient_matrices(rows, ncols) for r in C if any(r)]
     return mat_nullspace(vecs) if vecs else mat_identity(ncols)
 
 
 def mat_rank(A):
-    if not A:
-        return 0
     return len(mat_rref(A)[1])
 
 
@@ -245,53 +249,32 @@ def cleared_resolvent(A):
     return [{c: next(it) for c in row} for row in R], d
 
 
+def spin(start, maps, dim):
+    """A basis of the smallest subspace that holds the matrices start and is
+    closed under left multiplication by the matrices maps, in a space of
+    dimension dim: the start matrices, then the images of each basis matrix
+    under each map in turn, each kept when it is independent of those
+    before it (_kernel.echelon_insert on its flattened entries).  A vector
+    is spun as a one-column matrix.  Each map is applied once to each basis
+    matrix, and integer input stays integer."""
+    rows, basis = {}, []
+    images = (mat_mul(A, X) for X in basis for A in maps)
+    for X in chain(start, images):
+        if echelon_insert(rows, {c: x for c, x in enumerate(chain.from_iterable(X)) if x}):
+            basis.append(X)
+            if len(basis) == dim:
+                break
+    return basis
+
+
 def algebra_closure(gens, dim):
-    """Span closure of a list of operators under matrix multiplication.
-
-    Returns a list of matrices whose span is the unital algebra generated by
-    gens inside End of a dim-dimensional space.
-    """
-    cap = dim * dim
-    basis_rows = []   # RREF rows over the flattened dim^2 coordinates
-    pivots = []
-    basis_mats = []
-
-    def reduce_and_add(mat):
-        row = [x for r in mat for x in r]
-        for br, p in zip(basis_rows, pivots):
-            if row[p]:
-                f = row[p]
-                row = [x - f * y for x, y in zip(row, br)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        inv = 1 / row[lead]
-        row = [x * inv for x in row]
-        basis_rows.append(row)
-        pivots.append(lead)
-        basis_mats.append(mat)
-        return True
-
-    queue = []
-    for g in list(gens) + [mat_identity(dim)]:
-        if reduce_and_add(g):
-            queue.append(g)
-    head = 0
-    while head < len(queue) and len(basis_mats) < cap:
-        g = queue[head]
-        head += 1
-        for h in list(basis_mats):
-            prod = mat_mul(g, h)
-            if reduce_and_add(prod):
-                queue.append(prod)
-            if len(basis_mats) >= cap:
-                break
-            prod = mat_mul(h, g)
-            if reduce_and_add(prod):
-                queue.append(prod)
-            if len(basis_mats) >= cap:
-                break
-    return basis_mats
+    """A basis of the unital algebra generated by the operators gens inside
+    End of a dim-dimensional space: the spin of the identity under left
+    multiplication by a basis of the span of gens, each cleared to an
+    integer matrix first (a nonzero scale changes no span)."""
+    basis = spin([_zclear(g)[1] for g in gens], [], dim * dim)
+    one = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return spin([one], basis, dim * dim)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Every cleared block is a row-sparse matrix over Z[u], an absent column
 its only zero, and every product of them, the combinations of diagonal
 blocks (_diagonal_sum) and the restrictions included, is the one product
 exactalg._zmatmul.
-The irreducibility test reads B's coefficients off its cleared form.
+The irreducibility test reads B's coefficients off its cleared form, and
+spins their algebra and its eigenvectors in integers (superlinalg.spin).
 Highest weights are read off it too, over one common denominator, and the
 Verma conditions and the rank-one classification run on those integer
 numerators (BHighestWeight).  B's RatFun entries are a view, formed only
@@ -46,7 +47,7 @@ from tyang.exactalg import (
     rf_equal,
     rf_from_json,
 )
-from tyang.glmn import ParitySeq, _coords_in_span, json_blocks
+from tyang.glmn import ParitySeq, json_blocks
 from tyang.superlinalg import (
     DimensionMismatch,
     SuperSpace,
@@ -55,8 +56,8 @@ from tyang.superlinalg import (
     check_identity_2var,
     coefficient_matrices,
     mat_nullspace,
-    mat_vec,
     poly_kernel,
+    spin,
 )
 from tyang.yangian import (
     ClearedForm,
@@ -801,31 +802,16 @@ class BurnsideVerdict:
     invariant_subspace: list = field(default_factory=list)
 
 
-def _cyclic_span(v, gens, d):
-    span = [v]
-    changed = True
-    while changed and len(span) < d:
-        changed = False
-        for A in gens:
-            for w in list(span):
-                img = mat_vec(A, w)
-                if any(img) and _coords_in_span(span, [img]) is None:
-                    span.append(img)
-                    changed = True
-                    if len(span) >= d:
-                        return span
-    return span
-
-
 def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     """Span-closure irreducibility test over the rationals.
 
     The module is absolutely irreducible iff the expansion coefficients of
     all b_ij(u), up to u^-(cleared degree + 2) and read off the cleared
-    form, generate the full matrix algebra; on a sub-maximal closure a
-    proper invariant subspace is searched through cyclic spans of
-    eigenvectors of algebra elements, and 'inconclusive' is reported when no
-    candidate element splits over the rationals.
+    form, generate the full matrix algebra (superlinalg.algebra_closure);
+    on a sub-maximal closure a proper invariant subspace is searched by
+    spinning eigenvectors of algebra elements under the coefficients,
+    cleared to integer matrices (superlinalg.spin), and 'inconclusive' is
+    reported when no candidate element splits over the rationals.
     """
     d = B.dim
     form = B.cleared()
@@ -838,6 +824,7 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     closure = algebra_closure(gens, d)
     if len(closure) == d * d:
         return BurnsideVerdict("irreducible", d * d)
+    maps = [_zclear(C)[1] for C in gens]
     # Candidate elements whose eigenvectors may expose a submodule: single
     # coefficients first, then a few small combinations.  A candidate whose
     # root search refuses its coefficients (RootSearchBound) is skipped.
@@ -859,9 +846,9 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
             for r in range(d):
                 shifted[r][r] -= lam
             for v in mat_nullspace(shifted):
-                span = _cyclic_span(v, gens, d)
-                if 0 < len(span) < d:
-                    return BurnsideVerdict("reducible", len(closure), span)
+                span = spin([[[x] for x in _zclear([v])[1][0]]], maps, d)
+                if len(span) < d:
+                    return BurnsideVerdict("reducible", len(closure), [[x for x, in X] for X in span])
     return BurnsideVerdict("inconclusive", len(closure))
 
 

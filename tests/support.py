@@ -18,6 +18,12 @@ drinfeld._quotient_module.  ref_sign_quotient is the sign quotient of the
 functor formed over Q, through kron_ops and a dense column scan, the
 reference for the integer sign relations and Quotient of tyang.drinfeld.
 
+ref_rref is Gauss-Jordan over Q, the reference for the fraction-free
+_kernel.echelon_insert and mat_rref, and _coords_in_span, the coordinates
+of vectors in a span, runs on it; ref_algebra_closure is the algebra
+closure by pairwise products, the reference for the spin of
+superlinalg.algebra_closure.
+
 sym_lift, sym_flip and the sym_*_sides functions form both sides of the
 grid-certified identities exactly over Z[u, v] with sympy, from the
 cleared forms: the references that the grid bounds and grid verdicts of
@@ -64,10 +70,10 @@ from math import gcd, lcm
 
 import sympy
 
-from tyang._kernel import mat_mul, mat_rref
+from tyang._kernel import mat_mul
 from tyang.daha import _cross, _transpose
 from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
-from tyang.glmn import GlModule, ParameterError, _coords_in_span
+from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
     DimensionMismatch,
     RFMatrix,
@@ -497,10 +503,93 @@ def box_by_terms(ps, i, j, k, l):
     return kron_rows_by_terms([(1, ops)], [ps.space()] * l)
 
 
+def ref_rref(A):
+    """Reduced row echelon form of a Fraction matrix by Gauss-Jordan over
+    Q, dividing each pivot row by its pivot as it goes; returns (rows,
+    pivot column indices), as many rows as A has, the zero rows last."""
+    rows = [list(r) for r in A]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / Fraction(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r] + [[Fraction(0)] * ncols for _ in range(len(rows) - r)], pivots
+
+
+def ref_algebra_closure(gens, dim):
+    """A basis of the unital algebra generated by gens inside End of a
+    dim-dimensional space, by pairwise products over Q: every product g h
+    and h g of a new element g with the basis so far is reduced against the
+    flattened RREF rows kept so far, until nothing new appears or the basis
+    reaches dim^2 elements."""
+    cap = dim * dim
+    rows, pivots, basis = [], [], []
+
+    def add(mat):
+        row = [Fraction(x) for r in mat for x in r]
+        for br, p in zip(rows, pivots):
+            if row[p]:
+                f = row[p]
+                row = [x - f * y for x, y in zip(row, br)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        rows.append([x / row[lead] for x in row])
+        pivots.append(lead)
+        basis.append(mat)
+        return True
+
+    queue = [g for g in list(gens) + [mat_identity(dim)] if add(g)]
+    for g in queue:
+        for h in list(basis):
+            for prod in (mat_mul(g, h), mat_mul(h, g)):
+                if len(basis) >= cap:
+                    return basis
+                if add(prod):
+                    queue.append(prod)
+    return basis
+
+
+def _coords_in_span(basis, vectors):
+    """Coordinates of each vector in the span of basis, over Q (ref_rref);
+    None if outside."""
+    if not basis:
+        return None if any(any(x for x in v) for v in vectors) else [[] for _ in vectors]
+    dim = len(basis[0])
+    cols = len(basis)
+    # Augmented system [B | targets] with basis vectors as the B columns.
+    rows = [[basis[k][r] for k in range(cols)] + [v[r] for v in vectors] for r in range(dim)]
+    rref, pivots = ref_rref(rows)
+    if any(p >= cols for p in pivots):
+        return None
+    out = []
+    for t in range(len(vectors)):
+        coord = [Fraction(0)] * cols
+        for r, p in enumerate(pivots):
+            coord[p] = rref[r][cols + t]
+        out.append(coord)
+    return out
+
+
 def ref_sign_quotient(M, ps, epsilon, eps=None):
     """(subspace, free, proj, sect): the quotient of M x V^l by its sign
-    relations over Q, the route the integer drinfeld._sign_relations,
-    _column_span_rref and _quotient_maps replace.  Each g - epsilon is
+    relations over Q, the route the integer drinfeld._sign_relations and
+    _quotient replace.  Each g - epsilon is
     assembled densely through kron_ops from M's generators read back over
     Q, for g = sigma_i x P^(i,i+1) and, given the twist signs eps (the
     relations of drinfeld.reflection_product), varsigma_l x G at the last
@@ -523,7 +612,7 @@ def ref_sign_quotient(M, ps, epsilon, eps=None):
         for r in range(D):
             op[r][r] -= epsilon
         cols += [col for c in range(D) if any(col := [op[r][c] for r in range(D)])]
-    rref, pivots = mat_rref(cols) if cols else ([], [])
+    rref, pivots = ref_rref(cols)
     subspace = rref[:len(pivots)]
     free = [j for j in range(D) if j not in pivots]
     proj = [[Fraction(0)] * D for _ in free]

@@ -654,7 +654,7 @@ class TestQuotientFamily:
         blocks = {(i, j): [{}, {}] for i in (1, 2) for j in (1, 2)}
         blocks[(1, 1)] = [{0: (1, 1)}, {1: (1, 1)}]  # (u + 1) / u
         blocks[(2, 2)] = [{0: (0, 1)}, {1: (0, 1)}]  # u / u
-        quotient = drinfeld._quotient_maps([[F(1), F(1, 2)]], [0], 2)
+        quotient = drinfeld._quotient([{0: 2, 1: 1}], 2)
         assert quotient.s == 2 and quotient.prows == [{0: -1, 1: 2}]
         projected = {key: _project(quotient.prows, block) for key, block in blocks.items()}
         D = drinfeld._quotient_module(projected, (0, 1), SuperSpace([0, 0]), quotient, "t", TAction, ps)
@@ -683,12 +683,20 @@ def _ref_quotient(M, ps, epsilon, eps=None):
     return (subspace, free, s, prows), proj, sect
 
 
+def _rref_view(quotient, D):
+    """The Quotient with its integer pivot rows divided by their pivot
+    entries, dense: the RREF of the relation span."""
+    rows = [[F(row.get(c, 0), row[min(row)]) for c in range(D)] for row in quotient.subspace]
+    return (rows, *quotient[1:])
+
+
 class TestSignQuotient:
     """The sign quotient built from the Hecke module's integer rows
-    (_sign_relations, _column_span_rref, _quotient_maps) is that of the
-    route over Q (support.ref_sign_quotient): the same RREF subspace, free
-    coordinates, scale and integer projection rows, and the same Fraction
-    projection and section on the functor output."""
+    (_sign_relations, _quotient) is that of the route over Q
+    (support.ref_sign_quotient): the same RREF subspace, read off the
+    integer pivot rows as row / row[pivot], free coordinates, scale and
+    integer projection rows, and the same Fraction projection and section
+    on the functor output."""
 
     MODULES = [
         (char_module(DahaParams(2, 3, 4), -1, 1), (1, -1)),
@@ -709,7 +717,7 @@ class TestSignQuotient:
         eps = list(eps + (1,))[:ps.kappa]
         fields, proj, sect = _ref_quotient(M, ps, epsilon, eps)
         product = drinfeld.reflection_product(M, ps, eps, epsilon)
-        assert tuple(product.quotient) == fields
+        assert _rref_view(product.quotient, drinfeld._carrier(M, ps).dim) == fields
         D = drinfeld_BC(M, ps, eps, epsilon, product=product)
         assert (D.projection, D.section) == (proj, sect)
 
@@ -719,7 +727,7 @@ class TestSignQuotient:
         ps = ParitySeq(signs)
         fields, proj, sect = _ref_quotient(M, ps, epsilon)
         D = drinfeld_A(M, ps, epsilon)
-        assert tuple(D.quotient) == fields
+        assert _rref_view(D.quotient, D.carrier_space.dim) == fields
         assert (D.projection, D.section) == (proj, sect)
 
     def test_fractional_projection_is_reached(self):
@@ -736,22 +744,23 @@ class TestCheckInvariant:
         M = char_module(DahaParams(2, 1, 2), 1, 1)
         product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
         blocks, basis = product.blocks, product.quotient.subspace
-        assert blocks[(1, 2)] and drinfeld._check_invariant(blocks, basis) is None
+        dim = drinfeld._carrier(M, ParitySeq([1, -1])).dim
+        assert blocks[(1, 2)] and drinfeld._check_invariant(blocks, basis, dim) is None
         D = max(len(p) - 1 for block in blocks.values() for row in block for p in row.values())
         # v = basis[0] has v[c] != 0, so adding 7 u^D at column c of the
         # first row of s P N_12 moves s P N_12 v off zero in u^D alone.
-        c = next(c for c, x in enumerate(basis[0]) if x)
+        c = min(basis[0])
         key = (1, 2)
         planted = {k: [dict(row) for row in block] for k, block in blocks.items()}
         row = planted[key][0]
         row[c] = drinfeld._zadd(row.get(c, ()), (0,) * D + (7,))
-        assert drinfeld._check_invariant(planted, basis) == key
+        assert drinfeld._check_invariant(planted, basis, dim) == key
         # Reading only the coefficients 0, ..., D - 1 misses the violation.
         truncated = {
             k: [{col: trimmed(p[:D]) for col, p in r.items() if trimmed(p[:D])} for r in block]
             for k, block in planted.items()
         }
-        assert drinfeld._check_invariant(truncated, basis) is None
+        assert drinfeld._check_invariant(truncated, basis, dim) is None
 
 
 def _shipped_drinfeld_cases():
@@ -796,8 +805,8 @@ class TestTopTwo:
     def test_zero_quotient_multiplies_nothing(self, monkeypatch):
         # An empty double quotient: one echelon form, and no polynomial
         # product inside the series product.  A nonzero one is the control.
-        inside, muls, rrefs = [False], [], []
-        orig_mul, orig_product, orig_rref = drinfeld.poly_mul, drinfeld._cleared_product, drinfeld.mat_rref
+        inside, muls, quotients = [False], [], []
+        orig_mul, orig_product, orig_quotient = drinfeld.poly_mul, drinfeld._cleared_product, drinfeld._quotient
 
         def poly_mul(a, b):
             if inside[0]:
@@ -813,11 +822,11 @@ class TestTopTwo:
 
         monkeypatch.setattr(drinfeld, "poly_mul", poly_mul)
         monkeypatch.setattr(drinfeld, "_cleared_product", cleared_product)
-        monkeypatch.setattr(drinfeld, "mat_rref", lambda rows: rrefs.append(1) or orig_rref(rows))
+        monkeypatch.setattr(drinfeld, "_quotient", lambda rows, D: quotients.append(1) or orig_quotient(rows, D))
         ps = ParitySeq([1, -1])
         M = char_module(DahaParams(1, 1, 2), 1, -1)
         assert drinfeld_BC(M, ps, [1, 1]).action is None
-        assert muls == [] and rrefs == [1]
+        assert muls == [] and quotients == [1]
         assert drinfeld_BC(M, ps, [1, -1]).action is not None
         assert muls
 

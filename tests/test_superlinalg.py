@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import apply_at_factor
+from support import apply_at_factor, ref_algebra_closure, ref_rref
 
-from tyang._kernel import mat_mul
+from tyang._kernel import echelon_insert, mat_mul, mat_rref
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -34,6 +36,10 @@ from tyang.superlinalg import (
     sparse_scale,
     tensor_space,
 )
+from tyang.yangian import series_expansion
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios")
 
 
 def F(a, b=1):
@@ -451,7 +457,94 @@ class TestCharPoly:
         assert charpoly(A) == Poly([0, 0, 1])
 
 
+ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+@st.composite
+def echelon_input(draw):
+    """Rows of ints and Fractions with repeated, zero, negated (negative
+    leading entry) and cancelling rows among them, in shuffled order."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    rows = list(base)
+    pick = st.integers(0, len(base) - 1)
+    for kind in draw(st.lists(st.sampled_from(["repeat", "zero", "negate", "cancel"]), max_size=4)):
+        a, b = base[draw(pick)], base[draw(pick)]
+        rows.append({
+            "repeat": lambda: list(a),
+            "zero": lambda: [0] * ncols,
+            "negate": lambda: [-x for x in a],
+            "cancel": lambda: [2 * x - 3 * y for x, y in zip(a, b)],
+        }[kind]())
+    return draw(st.permutations(rows))
+
+
+def _cleared(row):
+    s = math.lcm(*(Fraction(x).denominator for x in row))
+    return {c: int(x * s) for c, x in enumerate(row) if x}
+
+
+class TestEchelon:
+    """The fraction-free echelon form (echelon_insert, mat_rref) against
+    Gauss-Jordan over Q (support.ref_rref)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(echelon_input())
+    def test_mat_rref_is_the_reference_rref(self, rows):
+        assert mat_rref(rows) == ref_rref(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(echelon_input(), st.randoms(use_true_random=False))
+    def test_insertion_in_any_order_holds_the_rref(self, rows, rnd):
+        ref, pivots = ref_rref(rows)
+        order = list(rows)
+        rnd.shuffle(order)
+        basis = {}
+        grown = [echelon_insert(basis, _cleared(r)) for r in order]
+        assert sum(grown) == len(pivots) and sorted(basis) == pivots
+        for p, row in basis.items():
+            assert row[p] > 0 and math.gcd(*row.values()) == 1 and min(row) == p
+            assert not any(q in row for q in pivots if q != p)
+        ncols = len(rows[0])
+        assert [[F(basis[p].get(c, 0), basis[p][p]) for c in range(ncols)] for p in pivots] == ref[:len(pivots)]
+
+    def test_back_elimination_at_a_later_pivot(self):
+        # (0, 1, 1) then (0, 0, 1): the second pivot is cleared from the first.
+        basis = {}
+        assert echelon_insert(basis, {1: 1, 2: 1}) and echelon_insert(basis, {2: -3})
+        assert basis == {1: {1: 1}, 2: {2: 1}}
+        assert not echelon_insert(basis, {1: 4, 2: -4})
+
+
+def _burnside_gens(B):
+    """The coefficients irreducible_burnside closes: orders 1 to degree + 2
+    of every b_ij(u), nonzero ones only."""
+    form = B.cleared()
+    return [C for key in sorted(form.blocks)
+            for C in series_expansion(form.blocks[key], form.den_coeffs, form.degree + 2)[1:] if any(map(any, C))]
+
+
+def _shipped_classify_families():
+    from tyang.cli import build_baction
+
+    out = []
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, name)) as fh:
+            scenario = json.load(fh)
+        if scenario["pipeline"] == "classify":
+            out.append(pytest.param(build_baction(scenario["inputs"]["b"])[1], id=name))
+    return out
+
+
+def _same_span(mats, others):
+    flat = lambda ms: [[F(x) for row in m for x in row] for m in ms]
+    return ref_rref(flat(mats))[0][:len(mats)] == ref_rref(flat(others))[0][:len(others)]
+
+
 class TestAlgebraClosure:
+    """The spin of the identity against the closure by pairwise products
+    (support.ref_algebra_closure): the same algebra."""
+
     def test_full_matrix_algebra(self):
         gens = [E(0, 1, 2), E(1, 0, 2)]
         gens = [[[F(x) for x in row] for row in g] for g in gens]
@@ -462,6 +555,30 @@ class TestAlgebraClosure:
         d = [[F(1), F(0)], [F(0), F(2)]]
         closure = algebra_closure([d], 2)
         assert len(closure) == 2
+
+    HAND = [
+        ([E(0, 1, 2)], 2, 2),
+        ([E(0, 1, 2), E(1, 1, 2)], 2, 3),
+        ([E(0, 1, 3), E(1, 2, 3)], 3, 4),
+        ([[[F(1, 2) * x for x in row] for row in E(0, 1, 3)], [[F(-3) * x for x in row] for row in E(1, 2, 3)]], 3, 4),
+        ([], 3, 1),
+        ([E(0, 1, 3), E(1, 2, 3), E(2, 0, 3)], 3, 9),
+    ]
+
+    @pytest.mark.parametrize("gens, dim, expected", HAND)
+    def test_hand_cases(self, gens, dim, expected):
+        closure = algebra_closure(gens, dim)
+        ref = ref_algebra_closure(gens, dim)
+        assert len(closure) == len(ref) == expected
+        assert _same_span(closure, ref)
+
+    @pytest.mark.parametrize("build", _shipped_classify_families())
+    def test_shipped_classify_families(self, build):
+        B = build()
+        gens = _burnside_gens(B)
+        closure = algebra_closure(gens, B.dim)
+        assert len(closure) == len(ref_algebra_closure(gens, B.dim))
+        assert _same_span(closure, ref_algebra_closure(gens, B.dim))
 
 
 class TestGridCheck:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    _coords_in_span,
     assemble,
     bweight_from_series,
     family_form,
@@ -15,7 +16,7 @@ from support import (
 
 from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun, rf_equal
-from tyang.glmn import ParitySeq, make_Lab, make_vector_rep, _coords_in_span
+from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec
 from tyang.yangian import (
     NotHighest,
@@ -596,6 +597,32 @@ class TestBurnside:
         v = irreducible_burnside(B)
         assert v.status == "reducible"
         assert 0 < len(v.invariant_subspace) < 4
+
+    @pytest.mark.parametrize("zs, eps, status, closure", [
+        ((0, 1), (1, -1), "reducible", 8),
+        ((0, 1, 3), (1, -1), "reducible", 32),
+        ((0, 2, 5), (1, 1), "irreducible", 64),
+        ((0, 1, 3, 7), (1, -1), "reducible", 128),
+    ], ids=["dim4", "dim8-reducible", "dim8-irreducible", "dim16"])
+    def test_gamma_half_twists_of_vector_tensors(self, zs, eps, status, closure):
+        # The gamma = 1/2 twists of tensors of gl(1|1) vector modules at
+        # z = zs; at dim 16 the closure spans 128 of the 256 dimensions.  A
+        # reducible verdict's witness is a proper subspace that every
+        # coefficient maps into itself (support._coords_in_span, over Q).
+        ps = ParitySeq([1, -1])
+        T = evaluation_action(make_vector_rep(ps), zs[0])
+        for z in zs[1:]:
+            T = tensor_action(T, evaluation_action(make_vector_rep(ps), z))
+        B = b_from_T(T, TwistedContext(ps, list(eps), F(1, 2)))
+        v = irreducible_burnside(B)
+        assert (v.status, v.closure_dim) == (status, closure)
+        if status == "reducible":
+            form = B.cleared()
+            gens = [C for key in sorted(form.blocks)
+                    for C in series_expansion(form.blocks[key], form.den_coeffs, form.degree + 2)[1:]]
+            span = v.invariant_subspace
+            assert 0 < len(span) < B.dim
+            assert _coords_in_span(span, [mat_vec(C, w) for C in gens for w in span]) is not None
 
     def test_direct_sum_of_characters_reducible(self):
         ctx = TwistedContext(ParitySeq([1, -1]), [1, 1])

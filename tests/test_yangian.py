@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import (
+    _coords_in_span,
     assemble,
     family_form,
     gl_tensor,
@@ -751,8 +752,6 @@ class TestWeightShift:
         dec = weight_decompose(M)
         T = tensor_action(evaluation_action(La, 0), evaluation_action(Lb, 0))
         eps = lambda i: tuple(F(1 if k == i - 1 else 0) for k in range(2))
-        from tyang.glmn import _coords_in_span
-
         form = T.cleared()
         for (i, j) in T.t:
             for r, C in enumerate(series_expansion(form.blocks[(i, j)], form.den_coeffs, 2)[1:], 1):
