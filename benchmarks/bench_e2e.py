@@ -3,9 +3,13 @@
 
     python3 benchmarks/bench_e2e.py --label NAME --out benchmarks/BENCH_<n>.json [--src SRC]
 
-Run from the root of a checkout.  The scenario lists come from
-perfbench/scenarios.py (imported, not changed) at seed 101; every workload
-runs PASSES times over, in this one interpreter, each scenario through
+Run from the root of a checkout.  The scenario lists of the perfbench
+workloads come from perfbench/scenarios.py (imported, not changed) at seed
+101, run PASSES times over at perfbench's dimension cap; a fourth workload,
+heavy, holds the scenario files of benchmarks/heavy (RTT and reflection
+certificates at dim 16 to 64, among them one negative control), run
+HEAVY_PASSES times over with the cap HEAVY_MAX_DIM.  Each scenario runs in
+this one interpreter through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
 the tyang package imported from SRC (default: this checkout's src).
 Before each scenario the fixed reference loop of perfbench/one_pass.py
@@ -34,8 +38,8 @@ differently.  They are also taken in the units of the loop run before
 each scenario, so a layer compares across records as the scenario totals
 do; each workload holds every layer it runs summed over its scenarios,
 in seconds and in those units.  Every figure of the record, per scenario
-and per workload, is the median over the PASSES passes; the reports must
-hash alike in every pass.  Last, the record holds the wall seconds and
+and per workload, is the median over the workload's passes; the reports
+must hash alike in every pass.  Last, the record holds the wall seconds and
 summary line of the Tier-1 suite of the checkout that holds SRC
 (``python -m pytest -q --continue-on-collection-errors`` in SRC's
 parent).  Records under other names already in the file are kept, so one
@@ -71,6 +75,9 @@ LAYERS = {
 }
 SEED = 101
 PASSES = 5
+HEAVY_DIR = os.path.join(ROOT, "benchmarks", "heavy")
+HEAVY_PASSES = 3
+HEAVY_MAX_DIM = 1024
 
 
 def _timed(qualname, seconds, depth):
@@ -96,30 +103,39 @@ def _timed(qualname, seconds, depth):
             setattr(mod, name, wrapper)
 
 
-def run_pass(cli, scenarios, reference, workload, work, layers):
-    """One pass over a workload: {name: record}, with the seconds of each
-    layer of LAYERS in the records of the scenarios it marks, and each
-    scenario's seconds over those of one run of reference, the loop run
-    just before it."""
+def run_pass(cli, items, reference, work, layers, max_dim):
+    """One pass over a workload's (name, scenario bytes) items: {name:
+    record}, with the seconds of each layer of LAYERS in the records of the
+    scenarios it marks, and each scenario's seconds over those of one run
+    of reference, the loop run just before it."""
     out = {}
-    for sc in scenarios.generate(workload, SEED):
-        path = os.path.join(work, sc["name"] + ".json")
-        report = os.path.join(work, sc["name"] + ".report.json")
+    for name, data in items:
+        path = os.path.join(work, name + ".json")
+        report = os.path.join(work, name + ".report.json")
         with open(path, "wb") as fh:
-            fh.write(scenarios.scenario_bytes(sc))
+            fh.write(data)
         for seconds in layers.values():
             seconds[0] = 0.0
         ref = reference()
         t0 = time.perf_counter()
-        cli.main(["run", path, "--out", report, "--max-dim", str(scenarios.MAX_DIM)])
+        cli.main(["run", path, "--out", report, "--max-dim", str(max_dim)])
         seconds = time.perf_counter() - t0
         rec = {"s": round(seconds, 4), "ref": round(seconds / ref, 4)}
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
         for key, (marker, _names) in LAYERS.items():
-            if marker is None or marker in sc["name"]:
+            if marker is None or marker in name:
                 rec[key] = {"s": round(layers[key][0], 4), "ref": round(layers[key][0] / ref, 4)}
-        out[sc["name"]] = rec
+        out[name] = rec
+    return out
+
+
+def heavy_items():
+    """The (name, bytes) of the heavy scenario files, by file name."""
+    out = []
+    for fname in sorted(os.listdir(HEAVY_DIR)):
+        with open(os.path.join(HEAVY_DIR, fname), "rb") as fh:
+            out.append((fname[: -len(".json")], fh.read()))
     return out
 
 
@@ -184,12 +200,18 @@ def main():
         for qualname in names:
             _timed(qualname, layers[key], depth)
 
+    plan = {
+        workload: ([(sc["name"], scenarios.scenario_bytes(sc)) for sc in scenarios.generate(workload, SEED)],
+                   PASSES, scenarios.MAX_DIM)
+        for workload in scenarios.WORKLOADS
+    }
+    plan["heavy"] = (heavy_items(), HEAVY_PASSES, HEAVY_MAX_DIM)
     workloads = {}
     with tempfile.TemporaryDirectory() as work:
-        for workload in scenarios.WORKLOADS:
-            passes = [run_pass(tyang.cli, scenarios, one_pass.reference, workload, work, layers)
-                      for _ in range(PASSES)]
-            workloads[workload] = dict(workload_totals(passes), scenarios=median_record(passes))
+        for workload, (items, npasses, max_dim) in plan.items():
+            passes = [run_pass(tyang.cli, items, one_pass.reference, work, layers, max_dim)
+                      for _ in range(npasses)]
+            workloads[workload] = dict(workload_totals(passes), scenarios=median_record(passes), passes=npasses)
 
     record = {
         "python": platform.python_version(),

@@ -13,7 +13,9 @@ Constant matrices are lists of rows of Python ints or Fractions, with
 their products and echelon forms from tyang._kernel; spin closes a span
 of integer matrices under left multiplication on the fraction-free
 _kernel.echelon_insert, for the algebra closure and the irreducibility
-test.  The grid certifier check_identity_2var samples integer points.
+test.  check_identity_2var certifies a two-variable identity, given its
+degree bound and its coefficient height, at one integer Kronecker point,
+and walks the integer grid only to locate a witness.
 Matrices over Z[u] (the resolvent cleared_resolvent returns, the rows
 poly_kernel and coefficient_matrices read) have the one layout of
 exactalg: row-sparse rows {column: integer coefficient tuple}, an absent
@@ -38,6 +40,10 @@ class SingularMatrix(ArithmeticError):
 
 class GridExhausted(RuntimeError):
     pass
+
+
+class DegreeBoundError(ArithmeticError):
+    """A grid identity's degree bound is below the degrees of its sides."""
 
 
 class SuperSpace:
@@ -650,25 +656,39 @@ class Grid2Witness:
     label: str = ""
 
 
-def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
-    """Certify a two-variable matrix identity on a degree-beating grid.
+def check_identity_2var(lhs_eval, rhs_eval, deg_bound, height, bad_u=None, bad_v=None):
+    """Certify a two-variable matrix identity at one Kronecker point.
 
     lhs_eval and rhs_eval map an integer point (u0, v0), given as Python
-    ints, to matrices, and lhs_eval is called exactly once per grid point
-    visited, before rhs_eval; bad_u and bad_v are called on ints as well.
-    Both sides may carry a common nonzero scale s(u0, v0) (say, integer
-    matrices over the product of the factors' denominators): equality of
-    s * lhs and s * rhs is equality of the sides, so the verdict is that of
-    the unscaled identity.  deg_bound = (d_u, d_v) must dominate the degrees
-    of both sides after clearing denominators; equality on a
-    (d_u+1) x (d_v+1) product grid of admissible points then certifies the
-    identity (Combinatorial Nullstellensatz: any grid of that size does,
-    so integer points carry the whole certificate).  Returns None on pass
-    and a Grid2Witness on the first failing point, holding the point as
-    Fractions and the sides as the callbacks returned them (scaled, if
-    they were).
+    ints, to matrices, lhs_eval called before rhs_eval; bad_u and bad_v
+    are called on ints as well.  Both sides may carry a common nonzero
+    scale s(u0, v0) (say, integer matrices over the product of the
+    factors' denominators): equality of s * lhs and s * rhs is equality of
+    the sides, so the verdict is that of the unscaled identity.  Every
+    entry of lhs - rhs, as a polynomial after clearing denominators, must
+    have degree at most deg_bound = (d_u, d_v) in each variable and
+    coefficients of absolute value at most height.
+
+    The certificate is one point (X^e, X), X = 2^k > 2 height and
+    e = max(d_v + 1, 2), X doubled while bad_u or bad_v refuses it: there
+    lhs - rhs is Q(X) with Q the Kronecker image of the difference
+    (exponent e i + j for u^i v^j), whose coefficients are at most height
+    < X - 1 in absolute value, so Q(X) = 0 forces Q = 0 (Kronecker
+    substitution).  e >= 2 keeps u0 != +-v0.  Returns None on pass.  When
+    the point refutes, the (d_u+1) x (d_v+1) product grid of admissible
+    odd u and even v is walked in order, each point evaluated once, only
+    to locate a witness: equality on the whole grid would certify the
+    identity (Combinatorial Nullstellensatz), so the first failing point
+    is returned as a Grid2Witness, holding the point as Fractions and the
+    sides as the callbacks returned them (scaled, if they were), and a
+    grid that agrees raises DegreeBoundError.
     """
     d_u, d_v = deg_bound
+    e, X = max(d_v + 1, 2), 1 << max(1, (2 * height).bit_length())
+    while (bad_u is not None and bad_u(X**e)) or (bad_v is not None and bad_v(X)):
+        X *= 2
+    if lhs_eval(X**e, X) == rhs_eval(X**e, X):
+        return None
     us = []
     cand = 1
     while len(us) < d_u + 1:
@@ -691,4 +711,4 @@ def check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
             rhs = rhs_eval(u0, v0)
             if lhs != rhs:
                 return Grid2Witness((Fraction(u0), Fraction(v0)), lhs, rhs)
-    return None
+    raise DegreeBoundError(f"the sides differ, but agree on the {d_u + 1} x {d_v + 1} grid")

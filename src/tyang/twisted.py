@@ -241,15 +241,17 @@ class BReport:
 def verify_b(B: BAction) -> BReport:
     """Certify the reflection equation and the unitarity scalar.
 
-    The reflection equation is certified on a degree-beating grid, both
+    The reflection equation is certified by check_identity_2var, both
     sides as integer chains over the scale d_1 d_2 (u - v) (u + v)
-    (B1 = N_1 / d_1, B2 = N_2 / d_2).  The grid points are integers, so
-    each side is the polynomial matrix (u-v) (u+v) N_1(u) N_2(v), in the
-    order of the identity, with x R(x) = x 1 - (1 x P).  With d the
-    cleared degree of B every entry of N has degree at most d, and each of
-    the two R factors adds 1 in each variable: the sides have bidegree at
-    most (d + 2, d + 2), and a (d + 3) x (d + 3) grid certifies the
-    identity (Combinatorial Nullstellensatz).  The product B(u)B(-u)
+    (B1 = N_1 / d_1, B2 = N_2 / d_2).  At integer points each side is
+    the polynomial matrix (u-v) (u+v) N_1(u) N_2(v), in the order of the
+    identity, with x R(x) = x 1 - (1 x P).  With d the cleared degree of B
+    every entry of N has degree at most d, and each of the two R factors
+    adds 1 in each variable: the degree bound is (d + 2, d + 2).  The
+    height is 18 n L^2, with n = len(R.rows) the lifted dimension and L
+    the largest l1 norm of an entry of N (ClearedForm.l1): each R factor
+    at most triples the l1 norm of an entry (|u -+ v|_1 = 2, and a flip
+    term), so each side is at most 9 n L^2.  The product B(u)B(-u)
     must be a scalar f(u), which is then even (B(-u) B(u) = f(u) 1 is the
     identity at -u); unitarity_scalar forms it.
     """
@@ -269,6 +271,7 @@ def verify_b(B: BAction) -> BReport:
         lhs,
         rhs,
         (form.degree + 2, form.degree + 2),
+        18 * len(R.rows) * form.l1() ** 2,
         bad_u=lambda u: poly_eval(form.den_coeffs, u) == 0,
         bad_v=lambda v: poly_eval(form.den_coeffs, v) == 0,
     )

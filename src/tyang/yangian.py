@@ -35,10 +35,11 @@ operators that act on a tensor slot: the grid lifts of a family, where R
 acts on V x V, and the coproducts.  Every tensor lift, flip and sum of
 lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
 so all Koszul signs come from that single assembler.
-The grid checks run in integers only, at integer points.  ScaledR
-applies x R(x) = x 1 - (1 x P) to integer matrices as a signed
-permutation, never assembling 1 x R(x).  cleared_evaluator memoises, per
-grid coordinate, the values at x of the cleared coefficients
+The grid checks run in integers only, at integer points: the one
+Kronecker point of check_identity_2var, and grid points only to locate a
+witness.  ScaledR applies x R(x) = x 1 - (1 x P) to integer matrices as
+a signed permutation, never assembling 1 x R(x).  cleared_evaluator
+memoises, per coordinate, the values at x of the cleared coefficients
 (_kernel.poly_eval) scattered into the lift through an index pattern
 built once per slot (cleared_at), so both sides of an identity are
 integer chains over one common nonzero scale per point; a family read at
@@ -161,7 +162,7 @@ def cleared_evaluator(family, slot):
     """x -> (N, d) with family.full_at(x, slot, 2) = N / d at an integer x,
     N an integer matrix and d a nonzero integer (SeriesFamily.cleared_at).
 
-    Memoised per grid coordinate and evaluated on first use, so a check
+    Memoised per coordinate and evaluated on first use, so a check
     evaluates each family once per coordinate and a failing one no further
     than it reaches.
     """
@@ -201,6 +202,11 @@ class ClearedForm(NamedTuple):
     degree: int
     den_coeffs: tuple
     blocks: dict
+
+    def l1(self) -> int:
+        """The largest l1 norm (sum of absolute coefficients) of an entry
+        c D x_ij(u), from which the grid certifiers bound their heights."""
+        return max((sum(map(abs, e)) for rows in self.blocks.values() for row in rows for e in row.values()), default=0)
 
     def neg_u(self) -> "ClearedForm":
         """The form of the family at -u: the odd coefficients change sign,
@@ -810,13 +816,16 @@ def _rtt_check(R, label, first, second):
     chains over the scale d_A d_B x, with A1 = N_A / d_A, B2 = N_B / d_B
     and x R(x) applied by ScaledR.
 
-    The grid points are integers, so each side is the polynomial matrix
+    At integer points each side is the polynomial matrix
     (u -+ v) N_A(u) N_B(v), in the order of the identity, with
     x R(x) = x 1 - (1 x P).  Every entry of N_A has degree at most
     deg_A, the cleared degree of A, and the one R factor adds 1 in each
-    variable: the sides have bidegree at most (deg_A + 1, deg_B + 1), and a
-    (deg_A + 2) x (deg_B + 2) grid certifies the identity (Combinatorial
-    Nullstellensatz).
+    variable: the degree bound is (deg_A + 1, deg_B + 1).  The height is
+    6 n L_A L_B, by l1 norms (submultiplicative, and bounding every
+    coefficient): n = len(R.rows) the lifted dimension, L the largest l1
+    norm of an entry of N (ClearedForm.l1), each row of x 1 - (1 x P)
+    has two entries and |u -+ v|_1 = 2, so each side is at most
+    3 n L_A L_B.
     """
     (A1, _, form_a), (_, B2, form_b) = first, second
     if label == "exchange":
@@ -831,6 +840,7 @@ def _rtt_check(R, label, first, second):
         lhs,
         rhs,
         (form_a.degree + 1, form_b.degree + 1),
+        6 * len(R.rows) * form_a.l1() * form_b.l1(),
         bad_u=lambda u: poly_eval(form_a.den_coeffs, u) == 0,
         bad_v=lambda v: poly_eval(form_b.den_coeffs, v) == 0,
     )
@@ -859,17 +869,19 @@ def verify_yang_baxter(ps: ParitySeq):
 
     Each side applies the three factors, as ScaledR on a one-dimensional
     carrier, to the integer identity matrix, so both are integer matrices
-    over the scale (u-v) u v.  At the integer grid points they are the polynomial matrices (u - v - P12)(u - P13)(v - P23)
-    and its reverse, of bidegree at most (2, 2): two R factors in each
-    variable, so a 3 x 3 grid certifies the identity.  Returns None on pass
-    or the Grid2Witness labelled "yang-baxter".
+    over the scale (u-v) u v.  At integer points they are the polynomial
+    matrices (u - v - P12)(u - P13)(v - P23) and its reverse, of degree
+    bound (2, 2), two R factors in each variable, and height 24: an entry
+    of a side has l1 norm at most 3 * 2 * 2, each factor multiplying it
+    by |x|_1 + 1 (one for its flip).  Returns None on pass or the
+    Grid2Witness labelled "yang-baxter".
     """
     R12, R13, R23 = (ScaledR(flip_at(ps, a, b, 3), 1) for a, b in ((1, 2), (1, 3), (2, 3)))
     n = ps.kappa ** 3
     one = [[int(i == j) for j in range(n)] for i in range(n)]
     lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
     rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
-    w = check_identity_2var(lhs, rhs, (2, 2), bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
+    w = check_identity_2var(lhs, rhs, (2, 2), 24, bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
     return scaled_witness(w, lambda u0, v0: (u0 - v0) * u0 * v0, "yang-baxter")
 
 

@@ -26,9 +26,13 @@ superlinalg.algebra_closure.
 
 sym_lift, sym_flip and the sym_*_sides functions form both sides of the
 grid-certified identities exactly over Z[u, v] with sympy, from the
-cleared forms: the references that the grid bounds and grid verdicts of
-yangian.verify_rtt, twisted.verify_b and yangian.verify_yang_baxter are
-checked against.
+cleared forms: the references that the degree bounds, heights and
+verdicts of yangian.verify_rtt, twisted.verify_b and
+yangian.verify_yang_baxter are checked against (sym_bidegree,
+sym_height).  ref_check_identity_2var is the grid-only certifier, every
+point of the (d_u + 1) x (d_v + 1) grid evaluated on a pass: the
+reference for the verdicts and witnesses of the one-point certifier
+superlinalg.check_identity_2var.
 
 kron_rows_by_terms forms a sum of Koszul-signed tensor products entry by
 entry from the sign rule, without the assembler; q_rows_by_terms,
@@ -76,6 +80,8 @@ from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
 from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
     DimensionMismatch,
+    Grid2Witness,
+    GridExhausted,
     RFMatrix,
     SuperSpace,
     _dense,
@@ -425,6 +431,48 @@ def sym_bidegree(*mats):
     """The largest degrees in u and in v of the entries of the matrices."""
     entries = [p for M in mats for p in M.values()]
     return max(p.degree(U) for p in entries), max(p.degree(V) for p in entries)
+
+
+def sym_height(lhs, rhs):
+    """The largest absolute coefficient of an entry of lhs - rhs."""
+    diff = [lhs.get(key, _zpoly({})) - rhs.get(key, _zpoly({})) for key in {*lhs, *rhs}]
+    return max((abs(int(c)) for p in diff for c in p.coeffs() if c), default=0)
+
+
+def ref_check_identity_2var(lhs_eval, rhs_eval, deg_bound, bad_u=None, bad_v=None):
+    """Certify a two-variable matrix identity on a degree-beating grid.
+
+    Equality on a (d_u + 1) x (d_v + 1) product grid of admissible
+    integer points, odd u and even v, certifies an identity whose sides
+    have degree at most deg_bound = (d_u, d_v) in each variable
+    (Combinatorial Nullstellensatz).  The grid is walked in order, lhs_eval
+    before rhs_eval at each point; returns None on pass and a Grid2Witness
+    on the first failing point.
+    """
+    d_u, d_v = deg_bound
+    us = []
+    cand = 1
+    while len(us) < d_u + 1:
+        if cand > 20000:
+            raise GridExhausted("could not place the u-grid")
+        if bad_u is None or not bad_u(cand):
+            us.append(cand)
+        cand += 2  # odd u-values
+    vs = []
+    cand = 2
+    while len(vs) < d_v + 1:
+        if cand > 20000:
+            raise GridExhausted("could not place the v-grid")
+        if bad_v is None or not bad_v(cand):
+            vs.append(cand)
+        cand += 2  # even v-values, so u-v and u+v never vanish
+    for u0 in us:
+        for v0 in vs:
+            lhs = lhs_eval(u0, v0)
+            rhs = rhs_eval(u0, v0)
+            if lhs != rhs:
+                return Grid2Witness((Fraction(u0), Fraction(v0)), lhs, rhs)
+    return None
 
 
 def sym_at(M, n, u0, v0):

@@ -1,4 +1,4 @@
-"""The grid bounds and grid verdicts of the RTT, reflection and Yang-Baxter
+"""The grid bounds and verdicts of the RTT, reflection and Yang-Baxter
 certificates against both sides formed exactly over Z[u, v].
 
 Every call of check_identity_2var made by verify_rtt (exchange,
@@ -7,12 +7,15 @@ verify_yang_baxter is recorded.  The sympy oracle of support.py forms the
 two sides of the same identity from the cleared forms, with the grid's
 scale, on carriers with dim kappa <= 4.  For each recorded call:
 
-- the oracle's sides agree with the grid's at the first grid point, so
-  they are the polynomials the grid samples;
-- the bound passed equals the bidegree of those sides, so a bound one
-  lower in either variable fails here, and none is larger than needed;
-- the grid verdict equals the exact one (lhs - rhs == 0), on positive
-  cases and on negative controls.
+- the oracle's sides agree with the certifier's at the first point
+  evaluated (the Kronecker point), so they are the polynomials it samples;
+- the degree bound passed equals the bidegree of those sides, so a bound
+  one lower in either variable fails here, and none is larger than needed;
+- the height passed is at least the largest absolute coefficient of the
+  oracle's lhs - rhs, so the one point certifies;
+- the verdict equals the exact one (lhs - rhs == 0), on positive cases
+  and on negative controls, and a witness is the first failing point of
+  the grid-only oracle certifier run on the oracle's sides.
 """
 
 from fractions import Fraction as F
@@ -20,9 +23,11 @@ from fractions import Fraction as F
 import pytest
 
 from support import (
+    ref_check_identity_2var,
     sym_at,
     sym_bidegree,
     sym_flip,
+    sym_height,
     sym_reflection_sides,
     sym_rtt_sides,
     sym_yang_baxter_sides,
@@ -47,10 +52,11 @@ RTT_ORDER = ("exchange", "mixed-left", "mixed-right")
 @pytest.fixture
 def grid_calls(monkeypatch):
     """The calls of check_identity_2var from yangian and twisted, as
-    (deg_bound, first point, lhs there, rhs there, witness) tuples."""
+    (deg_bound, height, first point evaluated, lhs there, rhs there,
+    witness, keyword arguments) tuples."""
     calls = []
 
-    def recording(lhs_eval, rhs_eval, deg_bound, **kwargs):
+    def recording(lhs_eval, rhs_eval, deg_bound, height, **kwargs):
         first = []
 
         def lhs(u0, v0):
@@ -65,8 +71,8 @@ def grid_calls(monkeypatch):
                 first.append(out)
             return out
 
-        w = check_identity_2var(lhs, rhs, deg_bound, **kwargs)
-        calls.append((deg_bound, *first, w))
+        w = check_identity_2var(lhs, rhs, deg_bound, height, **kwargs)
+        calls.append((deg_bound, height, *first, w, kwargs))
         return w
 
     monkeypatch.setattr(yangian, "check_identity_2var", recording)
@@ -76,7 +82,7 @@ def grid_calls(monkeypatch):
 
 def assert_matches_oracle(call, sides, tight):
     """The recorded grid call against the exact sides (lhs, rhs)."""
-    deg_bound, (u0, v0), grid_lhs, grid_rhs, w = call
+    deg_bound, height, (u0, v0), grid_lhs, grid_rhs, w, kwargs = call
     lhs, rhs = sides
     n = len(grid_lhs)
     assert sym_at(lhs, n, u0, v0) == grid_lhs
@@ -85,7 +91,13 @@ def assert_matches_oracle(call, sides, tight):
     assert d_u <= deg_bound[0] and d_v <= deg_bound[1]
     if tight:
         assert deg_bound == (d_u, d_v)
+    assert sym_height(lhs, rhs) <= height
     assert (w is None) == (lhs == rhs)
+    if w is not None:
+        ref = ref_check_identity_2var(
+            lambda u, v: sym_at(lhs, n, u, v), lambda u, v: sym_at(rhs, n, u, v), deg_bound, **kwargs
+        )
+        assert (w.point, w.lhs, w.rhs) == (ref.point, ref.lhs, ref.rhs)
 
 
 def _lab():

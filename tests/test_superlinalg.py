@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import apply_at_factor, ref_algebra_closure, ref_rref
+from support import apply_at_factor, ref_algebra_closure, ref_check_identity_2var, ref_rref
 
 from tyang._kernel import echelon_insert, mat_mul, mat_rref
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import (
+    DegreeBoundError,
     DimensionMismatch,
     RFMatrix,
     SingularMatrix,
@@ -581,34 +582,98 @@ class TestAlgebraClosure:
         assert _same_span(closure, ref_algebra_closure(gens, B.dim))
 
 
+def _poly_at(p, u, v):
+    """A polynomial {(i, j): c} = sum c u^i v^j at integers (u, v)."""
+    return sum(c * u**i * v**j for (i, j), c in p.items())
+
+
+def _poly_add(p, q):
+    out = dict(p)
+    for key, x in q.items():
+        out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
+
+
+@st.composite
+def grid_identities(draw):
+    """(lhs, rhs, deg_bound, height, diff) of polynomial matrices, each
+    {(row, col): {(i, j): c}}: rhs random, and lhs = rhs + diff entry by
+    entry, diff of bidegree at most deg_bound with coefficients at most
+    height, the height attained by one coefficient (at +height or
+    -height) unless drawn larger.  The terms of diff include monomials,
+    carries c u^i v^j (v - 2^k), which vanish at v = 2^k, and wraps
+    c u^i (u - v^d_v), which vanish at u = v^d_v, and zero entries, so
+    the sides agree wherever those points are evaluated."""
+    d_u, d_v = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n = draw(st.integers(1, 2))
+    coeff = st.integers(-40, 40)
+    mono = lambda: {(draw(st.integers(0, d_u)), draw(st.integers(0, d_v))): draw(coeff)}
+    lhs, rhs, diff = {}, {}, {}
+    for key in itertools.product(range(n), repeat=2):
+        rhs[key] = _poly_add({}, {(draw(st.integers(0, d_u)), draw(st.integers(0, d_v))): draw(coeff) for _ in range(3)})
+        d = {}
+        for _ in range(draw(st.integers(0, 3))):
+            kind, c = draw(st.sampled_from(["mono", "carry", "wrap"])), draw(st.integers(-3, 3))
+            i = draw(st.integers(0, d_u))
+            if kind == "carry" and d_v >= 1:
+                j, k = draw(st.integers(0, d_v - 1)), draw(st.integers(1, 5))
+                c = draw(st.sampled_from([-1, 1]))
+                d = _poly_add(d, {(i, j + 1): c, (i, j): -c * 2**k})
+            elif kind == "wrap" and d_u >= 1 and i < d_u:
+                d = _poly_add(d, {(i + 1, 0): c, (i, d_v): -c})
+            else:
+                d = _poly_add(d, mono())
+        diff[key] = d
+        lhs[key] = _poly_add(rhs[key], d)
+    top = max((abs(c) for d in diff.values() for c in d.values()), default=0)
+    height = top + draw(st.sampled_from([0, 0, 0, 1, 5]))
+    return lhs, rhs, (d_u, d_v), height, diff
+
+
+def _matrix_eval(M, n):
+    return lambda u, v: [[_poly_at(M[(r, c)], u, v) for c in range(n)] for r in range(n)]
+
+
 class TestGridCheck:
     def test_constant_identity(self):
         one = [[F(1)]]
-        assert check_identity_2var(lambda u, v: one, lambda u, v: one, (0, 0)) is None
+        assert check_identity_2var(lambda u, v: one, lambda u, v: one, (0, 0), 0) is None
 
     def test_perturbed_fails_with_witness(self):
         lhs = lambda u, v: [[u + v]]
         rhs = lambda u, v: [[u + v + 1]]
-        w = check_identity_2var(lhs, rhs, (1, 1))
+        w = check_identity_2var(lhs, rhs, (1, 1), 1)
         assert w is not None and w.status == "fail"
-        u0, v0 = w.point
-        assert w.lhs == [[u0 + v0]]
+        assert w.point == (F(1), F(2)) and w.lhs == [[3]]
 
     def test_degree_bound_grid_is_exact(self):
         # (u+v)^2 agrees with u^2+2uv+v^2: passes with the true bound.
         lhs = lambda u, v: [[(u + v) ** 2]]
         rhs = lambda u, v: [[u * u + 2 * u * v + v * v]]
-        assert check_identity_2var(lhs, rhs, (2, 2)) is None
+        assert check_identity_2var(lhs, rhs, (2, 2), 0) is None
 
     def test_forbidden_points_skipped(self):
+        # The Kronecker point (X^2, X) moves from X = 2 to X = 4 when u = 4
+        # is refused, and the grid walk skips u = 1.
         seen = []
 
         def lhs(u, v):
             seen.append((u, v))
-            return [[F(1)]]
+            return [[u]]
 
-        check_identity_2var(lhs, lambda u, v: [[F(1)]], (1, 1), bad_u=lambda u: u == 1)
-        assert all(u != 1 for u, _ in seen)
+        w = check_identity_2var(lhs, lambda u, v: [[u + 1]], (1, 1), 1, bad_u=lambda u: u in (1, 4))
+        assert seen == [(16, 4), (3, 2)]
+        assert w.point == (F(3), F(2))
+
+    def test_one_point_per_pass(self):
+        seen = []
+
+        def lhs(u, v):
+            seen.append((u, v))
+            return [[(u + v) ** 2]]
+
+        assert check_identity_2var(lhs, lambda u, v: [[u * u + 2 * u * v + v * v]], (2, 2), 0) is None
+        assert seen == [(2**3, 2)]
 
     @staticmethod
     def _row_bump(d):
@@ -617,29 +682,64 @@ class TestGridCheck:
         us = [F(2 * i + 1) for i in range(d + 1)]
         lhs = lambda u, v: [[u * v]]
         rhs = lambda u, v: [[u * v + 7 * math.prod(u - ui for ui in us[:d])]]
-        return us, lhs, rhs
+        # The l1 norm of 7 * prod (u - u_i) bounds its coefficients.
+        height = 7 * math.prod(1 + ui for ui in us[:d])
+        return us, lhs, rhs, int(height)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bound_is_sharp(self, d):
-        us, lhs, rhs = self._row_bump(d)
-        w = check_identity_2var(lhs, rhs, (d, d))
+        us, lhs, rhs, height = self._row_bump(d)
+        w = check_identity_2var(lhs, rhs, (d, d), height)
         assert w is not None and w.point == (us[d], F(2))
-        # One row short, every placed row agrees: the recorded bound is needed.
-        assert check_identity_2var(lhs, rhs, (d - 1, d)) is None
+        # One row short, every placed row agrees: the point refutes, and the
+        # grid walk finds no witness, so the recorded bound is needed.
+        with pytest.raises(DegreeBoundError):
+            check_identity_2var(lhs, rhs, (d - 1, d), height)
 
     def test_common_scale_keeps_verdict_and_point(self):
         # u - v is odd, so nonzero (of either sign) on every grid point.
         scaled = lambda f: lambda u, v: [[(u - v) * x for x in row] for row in f(u, v)]
-        _, lhs, rhs = self._row_bump(2)
-        w = check_identity_2var(lhs, rhs, (2, 2))
-        ws = check_identity_2var(scaled(lhs), scaled(rhs), (2, 2))
+        _, lhs, rhs, height = self._row_bump(2)
+        w = check_identity_2var(lhs, rhs, (2, 2), height)
+        # The scaled difference has bidegree (3, 1), and |u - v|_1 = 2.
+        ws = check_identity_2var(scaled(lhs), scaled(rhs), (3, 1), 2 * height)
         assert ws.point == w.point
         u0, v0 = w.point
         assert ws.lhs == [[(u0 - v0) * x for x in row] for row in w.lhs]
-        assert check_identity_2var(scaled(lhs), scaled(rhs), (1, 2)) is None
+        with pytest.raises(DegreeBoundError):
+            check_identity_2var(scaled(lhs), scaled(rhs), (1, 1), 2 * height)
         square = lambda u, v: [[(u + v) ** 2]]
         expanded = lambda u, v: [[u * u + 2 * u * v + v * v]]
-        assert check_identity_2var(scaled(square), scaled(expanded), (2, 2)) is None
+        assert check_identity_2var(scaled(square), scaled(expanded), (3, 3), 0) is None
+
+    def test_understated_height_false_passes(self):
+        # v - 32 has height 32; at height 15 the point is (32^2, 32), where
+        # the sides agree.
+        lhs, rhs = (lambda u, v: [[v]]), (lambda u, v: [[32]])
+        assert check_identity_2var(lhs, rhs, (0, 1), 15) is None
+        w = check_identity_2var(lhs, rhs, (0, 1), 32)
+        assert w.point == (F(1), F(2)) and (w.lhs, w.rhs) == ([[2]], [[32]])
+
+    @pytest.mark.parametrize("d_v", [1, 2, 3])
+    def test_understated_v_degree_false_passes(self, d_v):
+        # u - v^(d_v + 1) vanishes at (X^(d_v + 1), X).
+        lhs, rhs = (lambda u, v: [[u]]), (lambda u, v: [[v ** (d_v + 1)]])
+        assert check_identity_2var(lhs, rhs, (1, d_v), 1) is None
+        w = check_identity_2var(lhs, rhs, (1, d_v + 1), 1)
+        assert w.point == (F(1), F(2)) and (w.lhs, w.rhs) == ([[1]], [[2 ** (d_v + 1)]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_identities())
+    def test_verdict_and_witness_match_the_grid(self, case):
+        lhs, rhs, deg_bound, height, diff = case
+        n = math.isqrt(len(lhs))
+        w = check_identity_2var(_matrix_eval(lhs, n), _matrix_eval(rhs, n), deg_bound, height)
+        assert (w is None) == (not any(diff.values()))
+        ref = ref_check_identity_2var(_matrix_eval(lhs, n), _matrix_eval(rhs, n), deg_bound)
+        if w is None:
+            assert ref is None
+        else:
+            assert (w.point, w.lhs, w.rhs) == (ref.point, ref.lhs, ref.rhs)
 
 
 class TestNullspace:

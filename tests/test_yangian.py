@@ -458,7 +458,9 @@ class TestRTT:
         assert w is not None and w.status == "fail"
 
     def test_each_family_evaluated_once_per_coordinate(self, monkeypatch):
-        # |us| + |vs| evaluations per identity, not four per grid point.
+        # A passing identity evaluates one point, so each of its two
+        # families once (or not at all, when an earlier identity already
+        # evaluated it there), not four times per grid point.
         T = evaluation_action(make_Lab(1, 1, 2), 0)
         calls, seen = [0], []
         cleared_at, check = SeriesFamily.cleared_at, yangian.check_identity_2var
@@ -467,18 +469,40 @@ class TestRTT:
             calls[0] += 1
             return cleared_at(self, *args, **kwargs)
 
-        def recording_check(lhs, rhs, deg_bound, **kwargs):
-            calls[0] = 0
-            w = check(lhs, rhs, deg_bound, **kwargs)
-            seen.append((calls[0], deg_bound))
+        def recording_check(lhs, rhs, *args, **kwargs):
+            calls[0], points = 0, []
+
+            def lhs_at(u0, v0):
+                points.append((u0, v0))
+                return lhs(u0, v0)
+
+            w = check(lhs_at, rhs, *args, **kwargs)
+            seen.append((calls[0], len(points)))
             return w
 
         monkeypatch.setattr(SeriesFamily, "cleared_at", counting_cleared_at)
         monkeypatch.setattr(yangian, "check_identity_2var", recording_check)
         assert verify_rtt(T) is None
         assert len(seen) == 3
-        for n, (d_u, d_v) in seen:
-            assert 0 < n <= (d_u + 1) + (d_v + 1)
+        for n, points in seen:
+            assert points == 1 and 0 < n <= 2
+
+    def test_two_lifted_products_per_passing_identity(self, monkeypatch):
+        # gl(1|1) vector module, four factors: dim 16, lifted to 64 rows.
+        # Each of the three identities passes at its one point, one lifted
+        # product per side.
+        V = lambda z: evaluation_action(make_vector_rep(ParitySeq([1, -1])), z)
+        T = tensor_action(tensor_action(tensor_action(V(0), V(1)), V(3)), V(7))
+        assert T.dim == 16
+        sizes, product = [], yangian.mat_mul
+
+        def counting(A, B):
+            sizes.append((len(A), len(B)))
+            return product(A, B)
+
+        monkeypatch.setattr(yangian, "mat_mul", counting)
+        assert verify_rtt(T) is None
+        assert sizes == [(64, 64)] * 6
 
     def test_grid_checks_leave_the_fraction_path(self, monkeypatch):
         # verify_rtt and verify_b evaluate in integers only: the Fraction
