@@ -7,7 +7,9 @@ Run from the root of a checkout.  The scenario lists of the perfbench
 workloads come from perfbench/scenarios.py (imported, not changed) at seed
 101, run PASSES times over at perfbench's dimension cap; a fourth workload,
 heavy, holds the scenario files of benchmarks/heavy (RTT and reflection
-certificates at dim 16 to 64, among them one negative control), run
+certificates at dim 16 to 64, among them one negative control, the
+drinfeld functor on the principal series at l = 3 and a rank-one
+classification at dim 8), run
 HEAVY_PASSES times over with the cap HEAVY_MAX_DIM.  Each scenario runs in
 this one interpreter through
 ``tyang.cli.main(["run", file, "--out", report, "--max-dim", cap])``, with
@@ -29,9 +31,14 @@ certificate in the classify scenarios, appendix_identities in the
 appendix scenarios, and, in every scenario, the products of generator
 families (b_from_T, b_tensor, verify_b, inverse_series_action), the grid
 certifier check_identity_2var, whose seconds hold the grid evaluation of
-the families it calls back, and the Koszul assembly (_kron_rows and
-_kron_sum_rows).  A timed function is wrapped in every tyang module that
-binds it, and a layer's seconds are those spent inside any of its
+the families it calls back, the grid lift of a family at one point
+(yangian._lift_at, inside the grid seconds), and the Koszul assembly
+(_kron_rows and _kron_sum_rows), which no longer holds the grid lift: it
+is the coproducts, the flips and the Drinfeld operators.  A timed function
+is wrapped in every tyang module that binds it, a function the checkout
+under SRC lacks is not timed, and a layer none of whose functions exists
+there is left out of the record (so an older checkout can be run with
+this script).  A layer's seconds are those spent inside any of its
 functions, a call nested in another of them, or in itself, counted once,
 so a layer compares across checkouts whose functions call each other
 differently.  They are also taken in the units of the loop run before
@@ -70,6 +77,7 @@ LAYERS = {
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
     "grid_s": (None, ("superlinalg.check_identity_2var",)),
+    "lift_s": (None, ("yangian._lift_at",)),
     "assembly_s": (None, ("superlinalg._kron_rows", "superlinalg._kron_sum_rows")),
     "appendix_s": ("appendix", ("drinfeld.appendix_identities",)),
 }
@@ -84,9 +92,11 @@ def _timed(qualname, seconds, depth):
     """Replace tyang.<module>.<name>, in every loaded tyang module that
     binds it, by a wrapper that adds its seconds to seconds[0] when no
     function of its layer, whose shared call depth is depth, is running
-    around it."""
+    around it.  Returns whether the function exists."""
     module, name = qualname.split(".")
-    func = getattr(importlib.import_module("tyang." + module), name)
+    func = getattr(importlib.import_module("tyang." + module), name, None)
+    if func is None:
+        return False
 
     def wrapper(*args, **kwargs):
         depth[0] += 1
@@ -101,13 +111,14 @@ def _timed(qualname, seconds, depth):
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("tyang") and getattr(mod, name, None) is func:
             setattr(mod, name, wrapper)
+    return True
 
 
 def run_pass(cli, items, reference, work, layers, max_dim):
     """One pass over a workload's (name, scenario bytes) items: {name:
-    record}, with the seconds of each layer of LAYERS in the records of the
-    scenarios it marks, and each scenario's seconds over those of one run
-    of reference, the loop run just before it."""
+    record}, with the seconds of each timed layer (layers, keyed as LAYERS)
+    in the records of the scenarios it marks, and each scenario's seconds
+    over those of one run of reference, the loop run just before it."""
     out = {}
     for name, data in items:
         path = os.path.join(work, name + ".json")
@@ -124,7 +135,7 @@ def run_pass(cli, items, reference, work, layers, max_dim):
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
         for key, (marker, _names) in LAYERS.items():
-            if marker is None or marker in name:
+            if key in layers and (marker is None or marker in name):
                 rec[key] = {"s": round(layers[key][0], 4), "ref": round(layers[key][0] / ref, 4)}
         out[name] = rec
     return out
@@ -196,9 +207,9 @@ def main():
 
     layers = {}
     for key, (_marker, names) in LAYERS.items():
-        layers[key], depth = [0.0], [0]
-        for qualname in names:
-            _timed(qualname, layers[key], depth)
+        seconds, depth = [0.0], [0]
+        if any([_timed(qualname, seconds, depth) for qualname in names]):
+            layers[key] = seconds
 
     plan = {
         workload: ([(sc["name"], scenarios.scenario_bytes(sc)) for sc in scenarios.generate(workload, SEED)],

@@ -302,6 +302,14 @@ def _col_parities(spaces):
     return out
 
 
+def _passed_parities(spaces, slot):
+    """The parities an operator at factor slot passes, by the column index
+    of the factors before it: an operator of parity par placed there takes
+    the Koszul sign (-1)^(par * passed[c]) at column index c of those
+    factors, the sign _kron_nonzero_rows applies."""
+    return _col_parities(spaces[:slot + 1])[slot]
+
+
 def _kron_nonzero_rows(ops, spaces, col_par):
     """kron_ops as its nonzero rows only, a list of (row, {col: value})
     pairs in row order; col_par is _col_parities(spaces).  This is the one

@@ -57,6 +57,7 @@ from tyang.superlinalg import (
     coefficient_matrices,
     mat_nullspace,
     poly_kernel,
+    sparse_mul,
     spin,
 )
 from tyang.yangian import (
@@ -262,10 +263,10 @@ def verify_b(B: BAction) -> BReport:
     form = B.cleared()
 
     def lhs(u0, v0):  # R(u-v) B1(u) R(u+v) B2(v)
-        return R.left(u0 - v0, mat_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
+        return R.left(u0 - v0, sparse_mul(B1(u0)[0], R.left(u0 + v0, B2(v0)[0])))
 
     def rhs(u0, v0):  # B2(v) R(u+v) B1(u) R(u-v)
-        return mat_mul(B2(v0)[0], R.left(u0 + v0, R.right(B1(u0)[0], u0 - v0)))
+        return sparse_mul(B2(v0)[0], R.left(u0 + v0, R.right(B1(u0)[0], u0 - v0)))
 
     w = check_identity_2var(
         lhs,

@@ -37,21 +37,26 @@ lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
 so all Koszul signs come from that single assembler.
 The grid checks run in integers only, at integer points: the one
 Kronecker point of check_identity_2var, and grid points only to locate a
-witness.  ScaledR applies x R(x) = x 1 - (1 x P) to integer matrices as
-a signed permutation, never assembling 1 x R(x).  cleared_evaluator
-memoises, per coordinate, the values at x of the cleared coefficients
-(_kernel.poly_eval) scattered into the lift through an index pattern
-built once per slot (cleared_at), so both sides of an identity are
-integer chains over one common nonzero scale per point; a family read at
--u is the family of its form's neg_u.  full_at, the RatFun evaluation
-assembled in Fraction arithmetic by realize_mixed, is the reference they
-agree with.
+witness.  Their sides are row-sparse integer matrices from end to end.
+cleared_evaluator memoises, per coordinate, the lift of a family
+(cleared_at): each cleared coefficient evaluated at x (_kernel.poly_eval)
+and written, with its block and Koszul signs, straight into {column: int}
+rows of module x V x V in one signed scatter (_lift_at), whose signs are
+read off superlinalg._passed_parities, so the rule stays with the Koszul
+core; no lifted matrix is held dense.  The lifts are multiplied by
+superlinalg.sparse_mul, and ScaledR applies x R(x) = x 1 - (1 x P) as a
+signed permutation of rows or columns, never assembling 1 x R(x).  Both
+sides of an identity are integer chains over one common nonzero scale
+per point, and only a refuting point's sides are densified, for its
+witness (scaled_witness).  A family read at -u is the family of its
+form's neg_u.  full_at, the RatFun evaluation assembled in Fraction
+arithmetic by realize_mixed, is the reference they agree with.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from tyang._kernel import mat_mul, poly_eval, poly_mul
+from tyang._kernel import poly_eval, poly_mul
 from tyang.exactalg import (
     Poly,
     PoleError,
@@ -77,6 +82,7 @@ from tyang.superlinalg import (
     SuperSpace,
     _kron_rows,
     _kron_sum_rows,
+    _passed_parities,
     at_slots,
     check_identity_2var,
     cleared_resolvent,
@@ -84,6 +90,7 @@ from tyang.superlinalg import (
     elementary,
     kron_sum,
     rfmat_inverse,
+    sparse_mul,
 )
 
 
@@ -128,34 +135,54 @@ def r_matrix_at(P, x: Fraction):
 
 
 class ScaledR:
-    """x R(x) = x 1 - (1 x P) on carrier x V x V at an integer x, in O(n^2).
+    """x R(x) = x 1 - (1 x P) on carrier x V x V at an integer x, applied
+    to row-sparse integer matrices in O(nnz).
 
     P is the graded flip on V x V, a signed permutation, so 1 x P moves
     whole rows (from the left) or columns (from the right) of a matrix up
-    to sign; no R-matrix is assembled.  Both products carry the scale x,
-    so x = 0, where the scale would make both sides vanish, is refused.
+    to sign; no R-matrix is assembled, and entries that cancel are dropped.
+    Both products carry the scale x, so x = 0, where the scale would make
+    both sides vanish, is refused.
     """
 
     def __init__(self, P, carrier_dim):
         n = len(P)
         # P row-sparse (flip_at): one (column, sign) entry in each row.
         self.rows = [(m * n + c, s) for m in range(carrier_dim) for row in P for c, s in row.items()]
-        self.col_src = [0] * len(self.rows)
-        self.col_sign = [0] * len(self.rows)
-        for i, (j, s) in enumerate(self.rows):
-            self.col_src[j], self.col_sign[j] = i, s
 
     def left(self, x, M):
-        """x R(x) M."""
+        """x R(x) M: row r is x M_r - s M_j, for (j, s) = rows[r]."""
         if not x:
             raise ZeroDivisionError("R(x) has a pole at x = 0")
-        return [[x * a - s * b for a, b in zip(Mi, M[j])] for Mi, (j, s) in zip(M, self.rows)]
+        out = []
+        for Mi, (j, s) in zip(M, self.rows):
+            row = {c: x * a for c, a in Mi.items()}
+            for c, b in M[j].items():
+                v = row.get(c, 0) - s * b
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            out.append(row)
+        return out
 
     def right(self, M, x):
-        """M x R(x)."""
+        """M x R(x): entry (r, k) of M moves to column j with sign s, for
+        (j, s) = rows[k]."""
         if not x:
             raise ZeroDivisionError("R(x) has a pole at x = 0")
-        return [[x * a - s * Mi[i] for a, i, s in zip(Mi, self.col_src, self.col_sign)] for Mi in M]
+        out = []
+        for Mi in M:
+            row = {c: x * a for c, a in Mi.items()}
+            for k, a in Mi.items():
+                j, s = self.rows[k]
+                v = row.get(j, 0) - s * a
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return out
 
 
 def cleared_evaluator(family, slot):
@@ -177,13 +204,14 @@ def cleared_evaluator(family, slot):
 
 
 def scaled_witness(w, scale, label):
-    """Label the witness of a grid check run on scaled sides, dividing both
-    sides by scale(u0, v0) back to the exact Fraction values."""
+    """Label the witness of a grid check run on scaled row-sparse sides,
+    dividing both sides by scale(u0, v0) back to the exact Fraction values,
+    as dense square matrices: only a refuting point's sides are densified."""
     if w is None:
         return None
     s = scale(*w.point)
-    lhs = [[Fraction(x, s) for x in row] for row in w.lhs]
-    rhs = [[Fraction(x, s) for x in row] for row in w.rhs]
+    n = len(w.lhs)
+    lhs, rhs = ([[Fraction(row.get(c, 0), s) for c in range(n)] for row in m] for m in (w.lhs, w.rhs))
     return Grid2Witness(w.point, lhs, rhs, label=label)
 
 
@@ -391,8 +419,7 @@ class SeriesFamily:
     T(u), its inverse series T'(u) and the twisted B(u) all share this
     layout, so evaluation, assembly and degree data live here once.  The
     entries are never changed after construction, so the RatFun blocks t
-    and the lift patterns of the grid evaluation are each computed once,
-    on first use, and kept.
+    are computed once, on first use, and kept.
     """
 
     def __init__(self, ps: ParitySeq, space: SuperSpace, form: ClearedForm, provenance=("direct",)):
@@ -401,7 +428,6 @@ class SeriesFamily:
         self.provenance = provenance
         self._cleared = form
         self._t = None
-        self._lifts = {}
 
     @property
     def dim(self) -> int:
@@ -438,58 +464,57 @@ class SeriesFamily:
         """The family over its common denominator."""
         return self._cleared
 
-    def lift_pattern(self, slot):
-        """(coeffs, pattern) placing the cleared entries in the lift to
-        module x V x V with the V factor of the family at slot (1 or 2).
-
-        coeffs lists the coefficient lists of the nonzero entries, block by
-        block.  pattern is the lifted matrix with +-k for +-(entry k - 1)
-        and 0 for zero, so that with vals the values of the entries,
-        [0, *vals, -vals[-1], ..., -vals[0]] indexed by it is the lift.  It
-        is assembled once per slot by _kron_rows with the entry numbers in
-        place of the module operators, so the Koszul signs are those of
-        realize_mixed.
-        """
-        if slot not in self._lifts:
-            ps = self.ps
-            k = ps.kappa
-            spaces = [self.space, ps.space(), ps.space()]
-            n = self.dim * k * k
-            coeffs, pattern = [], [[0] * n for _ in range(n)]
-            for (i, j), rows in self.cleared().blocks.items():
-                if not any(rows):
-                    continue
-                tags = [[0] * self.dim for _ in rows]
-                for trow, row in zip(tags, rows):
-                    for c, cs in row.items():
-                        coeffs.append(cs)
-                        trow[c] = len(coeffs)
-                par = (ps.parity(i) + ps.parity(j)) % 2
-                e = elementary(k, i, j, _block_sign(ps, i, j))
-                lifted = _kron_rows(at_slots(3, {0: (tags, par), slot: (e, par)}), spaces)
-                for out, row in zip(pattern, lifted):
-                    for c, tag in row.items():
-                        out[c] = tag
-            self._lifts[slot] = coeffs, pattern
-        return self._lifts[slot]
-
     def cleared_at(self, x, slot):
         """(N, d) with full_at(x, slot, 2) = N / d in integers, at an
-        integer x.
-
-        Every cleared entry c D x_ij(u) and d = c D(u) are evaluated at x
-        (_kernel.poly_eval), and the entries are scattered into the lift by
-        lift_pattern.  Raises PoleError where D vanishes, so d is never
-        zero.
-        """
-        form = self.cleared()
-        coeffs, pattern = self.lift_pattern(slot)
-        d = poly_eval(form.den_coeffs, x)
+        integer x, N row-sparse (_lift_at).  Raises PoleError where D
+        vanishes, so d is never zero."""
+        d = poly_eval(self.cleared().den_coeffs, x)
         if not d:
             raise PoleError(f"the common denominator vanishes at u = {x}")
-        vals = [poly_eval(cs, x) for cs in coeffs]
-        values = [0, *vals, *(-v for v in reversed(vals))].__getitem__
-        return [list(map(values, row)) for row in pattern], d
+        return _lift_at(self, x, slot), d
+
+
+def _lift_at(family, x, slot):
+    """The lift of the cleared family c D x_ij(u) at an integer x to module
+    x V x V, the V factor of the family at slot (1 or 2), as row-sparse
+    integer rows: sum_ij (-1)^(|i||j|+|j|) N_ij(x) x E_ij, Koszul-signed
+    as realize_mixed assembles it.
+
+    One pass over the cleared entries, each evaluated once
+    (_kernel.poly_eval): entry (q, p) of block (i, j) lands at row
+    (q k + i - 1) k + b and column (p k + j - 1) k + b for slot 1, and at
+    row (q k + c) k + i - 1 and column (p k + c) k + j - 1 for slot 2,
+    k = kappa, with the block sign times (-1)^(|x_ij| |passed|), the
+    parities passed read off superlinalg._passed_parities: |p| at slot 1,
+    |p| + |c| at slot 2.  Entries vanishing at x are left out.
+    """
+    ps, k = family.ps, family.kappa
+    V = ps.space()
+    passed = _passed_parities([family.space, V, V], slot)
+    par = V.parities
+    rows = [{} for _ in range(family.dim * k * k)]
+    for (i, j), block in family.cleared().blocks.items():
+        odd = par[i - 1] ^ par[j - 1]
+        bs = _block_sign(ps, i, j)
+        for q, row in enumerate(block):
+            if slot == 1:
+                signed = {}
+                for p, cs in row.items():
+                    v = poly_eval(cs, x)
+                    if v:
+                        signed[(p * k + j - 1) * k] = -bs * v if odd and passed[p] else bs * v
+                if signed:
+                    base = (q * k + i - 1) * k
+                    for b in range(k):
+                        rows[base + b].update({col + b: v for col, v in signed.items()})
+            else:
+                vals = [(p, bs * v) for p, cs in row.items() if (v := poly_eval(cs, x))]
+                if vals:
+                    for c in range(k):
+                        rows[(q * k + c) * k + i - 1].update(
+                            {(p * k + c) * k + j - 1: -v if odd and passed[p * k + c] else v for p, v in vals}
+                        )
+    return rows
 
 
 class TAction(SeriesFamily):
@@ -830,12 +855,12 @@ def _rtt_check(R, label, first, second):
     (A1, _, form_a), (_, B2, form_b) = first, second
     if label == "exchange":
         x = lambda u0, v0: u0 - v0
-        lhs = lambda u0, v0: R.left(x(u0, v0), mat_mul(A1(u0)[0], B2(v0)[0]))
-        rhs = lambda u0, v0: R.right(mat_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
+        lhs = lambda u0, v0: R.left(x(u0, v0), sparse_mul(A1(u0)[0], B2(v0)[0]))
+        rhs = lambda u0, v0: R.right(sparse_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
     else:
         x = lambda u0, v0: u0 + v0
-        lhs = lambda u0, v0: mat_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
-        rhs = lambda u0, v0: mat_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
+        lhs = lambda u0, v0: sparse_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
+        rhs = lambda u0, v0: sparse_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
     w = check_identity_2var(
         lhs,
         rhs,
@@ -878,7 +903,7 @@ def verify_yang_baxter(ps: ParitySeq):
     """
     R12, R13, R23 = (ScaledR(flip_at(ps, a, b, 3), 1) for a, b in ((1, 2), (1, 3), (2, 3)))
     n = ps.kappa ** 3
-    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    one = [{i: 1} for i in range(n)]
     lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
     rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
     w = check_identity_2var(lhs, rhs, (2, 2), 24, bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)

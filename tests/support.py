@@ -24,6 +24,10 @@ of vectors in a span, runs on it; ref_algebra_closure is the algebra
 closure by pairwise products, the reference for the spin of
 superlinalg.algebra_closure.
 
+ref_lift_at is the lift of a family at an integer point through a
+signed tag pattern that _kron_rows assembles, the reference for the
+one-pass signed scatter of yangian._lift_at.
+
 sym_lift, sym_flip and the sym_*_sides functions form both sides of the
 grid-certified identities exactly over Z[u, v] with sympy, from the
 cleared forms: the references that the degree bounds, heights and
@@ -85,6 +89,7 @@ from tyang.superlinalg import (
     RFMatrix,
     SuperSpace,
     _dense,
+    _kron_rows,
     at_slots,
     charpoly,
     cleared_coefficients,
@@ -343,6 +348,34 @@ def sym_lift(family, slot, var):
                     key = ((r[0] * k + r[1]) * k + r[2], (c[0] * k + c[1]) * k + c[2])
                     out[key] = -x if par * passed % 2 else x
     return out
+
+
+def ref_lift_at(family, x, slot):
+    """The lift of the cleared family at an integer x to carrier x V x V,
+    the V factor of the family at slot (1 or 2), as row-sparse integer
+    rows, by a tag pattern: the lifted matrix is assembled once by
+    _kron_rows with the entry numbers +-k in place of the module operators,
+    so the Koszul signs are those of the assembler, and the values of the
+    entries are read through it.  The reference for yangian._lift_at."""
+    ps = family.ps
+    k = ps.kappa
+    spaces = [family.space, ps.space(), ps.space()]
+    coeffs, pattern = [], [{} for _ in range(family.dim * k * k)]
+    for (i, j), rows in family.cleared().blocks.items():
+        if not any(rows):
+            continue
+        tags = [[0] * family.dim for _ in rows]
+        for trow, row in zip(tags, rows):
+            for c, cs in row.items():
+                coeffs.append(cs)
+                trow[c] = len(coeffs)
+        par = (ps.parity(i) + ps.parity(j)) % 2
+        e = elementary(k, i, j, _block_sign(ps, i, j))
+        for out, row in zip(pattern, _kron_rows(at_slots(3, {0: (tags, par), slot: (e, par)}), spaces)):
+            out.update(row)
+    vals = [sum(c * x**t for t, c in enumerate(cs)) for cs in coeffs]
+    value = lambda tag: vals[tag - 1] if tag > 0 else -vals[-tag - 1]
+    return [{c: value(tag) for c, tag in row.items() if value(tag)} for row in pattern]
 
 
 def sym_flip(ps, a, b, n):

@@ -5,11 +5,13 @@ script is read, not imported, as the tracer's is in test_tracer_targets.
 
 Its heavy workload runs the scenario files of benchmarks/heavy; each is
 parsed here, and its carrier sized by the CLI's readers without building
-it, so a malformed file fails here too.
+it, so a malformed file fails here too.  Expectations may pin the data of
+checks besides the overall verdict.
 """
 
 import importlib
 import json
+import math
 import os
 
 import pytest
@@ -19,8 +21,11 @@ from tyang import cli
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 BENCH = os.path.join(ROOT, "benchmarks", "bench_e2e.py")
 HEAVY_DIR = os.path.join(ROOT, "benchmarks", "heavy")
-# file -> (pipeline, carrier dim, kappa, expected overall)
+# file -> (pipeline, carrier dim, kappa, expected overall); the carrier of
+# a drinfeld scenario is M x V^(l+1), as the CLI's guard counts it.
 HEAVY = {
+    "classify-vector11-x3.json": ("classify", 8, 2, "pass"),
+    "drinfeld-principal-l3.json": ("drinfeld", 768, 2, "pass"),
     "reflection-negative-control-x4.json": ("verify-twisted", 16, 2, "fail"),
     "reflection-vector11-x5-gamma.json": ("verify-twisted", 32, 2, "pass"),
     "rtt-vector11-x6.json": ("verify-yangian", 64, 2, "pass"),
@@ -56,8 +61,14 @@ def test_heavy_scenario_parses(fname):
         scenario = json.load(fh)
     assert scenario["name"] == fname[: -len(".json")]
     assert scenario["pipeline"] == pipeline and pipeline in cli.PIPELINE_FUNCS
-    assert scenario["expectations"] == {"overall": overall}
-    reader, key = (cli.build_taction, "t") if pipeline == "verify-yangian" else (cli.build_baction, "b")
-    size, _build = reader(scenario["inputs"][key])
+    assert scenario["expectations"]["overall"] == overall
+    assert set(scenario["expectations"]) <= {"overall", "checks"}
+    inputs = scenario["inputs"]
+    if pipeline == "drinfeld":
+        (factors, l), _build = cli.build_daha_module(inputs["m"])
+        size = (math.prod(factors) * len(inputs["ps"]) ** (l + 1), len(inputs["ps"]))
+    else:
+        reader, key = (cli.build_taction, "t") if pipeline == "verify-yangian" else (cli.build_baction, "b")
+        size, _build = reader(inputs[key])
     assert size == (dim, kappa)
     assert dim <= _bench_namespace()["HEAVY_MAX_DIM"]

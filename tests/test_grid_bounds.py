@@ -18,6 +18,7 @@ scale, on carriers with dim kappa <= 4.  For each recorded call:
   the grid-only oracle certifier run on the oracle's sides.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -49,11 +50,17 @@ from tyang.yangian import (
 RTT_ORDER = ("exchange", "mixed-left", "mixed-right")
 
 
+def _densify(rows):
+    """Square row-sparse integer rows as a dense matrix."""
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
 @pytest.fixture
 def grid_calls(monkeypatch):
     """The calls of check_identity_2var from yangian and twisted, as
     (deg_bound, height, first point evaluated, lhs there, rhs there,
-    witness, keyword arguments) tuples."""
+    witness, keyword arguments) tuples.  The certifiers form their sides
+    row-sparse; the recorded sides, and those of a witness, are dense."""
     calls = []
 
     def recording(lhs_eval, rhs_eval, deg_bound, height, **kwargs):
@@ -62,17 +69,18 @@ def grid_calls(monkeypatch):
         def lhs(u0, v0):
             out = lhs_eval(u0, v0)
             if not first:
-                first.extend([(u0, v0), out])
+                first.extend([(u0, v0), _densify(out)])
             return out
 
         def rhs(u0, v0):
             out = rhs_eval(u0, v0)
             if len(first) == 2:
-                first.append(out)
+                first.append(_densify(out))
             return out
 
         w = check_identity_2var(lhs, rhs, deg_bound, height, **kwargs)
-        calls.append((deg_bound, height, *first, w, kwargs))
+        dense = w and replace(w, lhs=_densify(w.lhs), rhs=_densify(w.rhs))
+        calls.append((deg_bound, height, *first, dense, kwargs))
         return w
 
     monkeypatch.setattr(yangian, "check_identity_2var", recording)

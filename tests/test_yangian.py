@@ -14,6 +14,7 @@ from support import (
     lab_tprime_table,
     read_blocks,
     read_product,
+    ref_lift_at,
     rf_block_product,
     rf_cleared_form,
     rows_match_table,
@@ -24,9 +25,10 @@ from support import (
 from tyang._kernel import mat_mul, poly_eval, poly_mul
 from tyang.exactalg import Poly, PoleError, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
-from tyang import cli, twisted, yangian
+from tyang import cli, superlinalg, twisted, yangian
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec, rfmat_inverse
 from tyang.yangian import (
+    ClearedForm,
     NotHighest,
     SeriesFamily,
     TAction,
@@ -490,19 +492,29 @@ class TestRTT:
     def test_two_lifted_products_per_passing_identity(self, monkeypatch):
         # gl(1|1) vector module, four factors: dim 16, lifted to 64 rows.
         # Each of the three identities passes at its one point, one lifted
-        # product per side.
+        # row-sparse product per side, and no dense product is formed.
         V = lambda z: evaluation_action(make_vector_rep(ParitySeq([1, -1])), z)
         T = tensor_action(tensor_action(tensor_action(V(0), V(1)), V(3)), V(7))
         assert T.dim == 16
-        sizes, product = [], yangian.mat_mul
+        sizes, product = [], yangian.sparse_mul
 
         def counting(A, B):
             sizes.append((len(A), len(B)))
             return product(A, B)
 
-        monkeypatch.setattr(yangian, "mat_mul", counting)
+        dense = []
+
+        def recording(A, B):
+            dense.append(len(A))
+            return mat_mul(A, B)
+
+        monkeypatch.setattr(yangian, "sparse_mul", counting)
+        for module in (superlinalg, twisted, yangian):
+            if getattr(module, "mat_mul", None) is mat_mul:
+                monkeypatch.setattr(module, "mat_mul", recording)
         assert verify_rtt(T) is None
         assert sizes == [(64, 64)] * 6
+        assert 64 not in dense
 
     def test_grid_checks_leave_the_fraction_path(self, monkeypatch):
         # verify_rtt and verify_b evaluate in integers only: the Fraction
@@ -587,6 +599,28 @@ def _at_minus_u(family):
 _CLEARED_CASES = []
 
 
+@st.composite
+def _lift_cases(draw, ps):
+    """(family, x) for a random sparse integer family over ps: a module of
+    1 to 3 basis vectors of drawn parities, and each block missing, held
+    with every row empty, or sparse, its entries random integer
+    polynomials or u - x, which vanishes at the point x."""
+    x = draw(st.integers(-6, 6))
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    d, idx = len(parities), range(1, ps.kappa + 1)
+    coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda cs: cs[-1])
+    entry = st.one_of(coeffs.map(tuple), st.just((-x, 1)))
+    rows = st.dictionaries(st.integers(0, d - 1), entry, max_size=d)
+    blocks = {}
+    for key in ((i, j) for i in idx for j in idx):
+        kind = draw(st.sampled_from(["missing", "empty", "sparse", "sparse"]))
+        if kind == "empty":
+            blocks[key] = [{} for _ in range(d)]
+        elif kind == "sparse":
+            blocks[key] = [draw(rows) for _ in range(d)]
+    return SeriesFamily(ps, SuperSpace(parities), ClearedForm(1, (1,), blocks)), x
+
+
 class TestClearedEvaluation:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 5), st.sampled_from([1, 2]), st.integers(-40, 40))
@@ -597,9 +631,19 @@ class TestClearedEvaluation:
         family, evaluated, sign = _CLEARED_CASES[case]
         assume(poly_eval(family.cleared().den_coeffs, sign * x) != 0)
         N, d = cleared_evaluator(evaluated, slot)(x)
-        assert d and all(type(n) is int for row in N for n in row)
+        assert d and all(type(n) is int and n for row in N for n in row.values())
         ref = family.full_at(sign * x, slot=slot, nslots=2)
-        assert [[Fraction(n, d) for n in row] for row in N] == ref
+        assert [[Fraction(row.get(c, 0), d) for c in range(len(N))] for row in N] == ref
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("ps", list(all_parity_seqs(3)), ids=lambda ps: "".join("+-"[s < 0] for s in ps.s))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_lift_matches_the_tag_pattern(self, ps, slot, data):
+        # The one-pass signed scatter against the lift read through the
+        # _kron_rows tag pattern, entry for entry.
+        family, x = data.draw(_lift_cases(ps))
+        assert yangian._lift_at(family, x, slot) == ref_lift_at(family, x, slot)
 
     def test_cleared_form_is_computed_once(self):
         T = evaluation_action(make_Lab(1, 1, 2), 3)
