@@ -25,8 +25,9 @@ SHA-256 of its report.  The layers are the seconds spent inside the
 functions of LAYERS, timed by wrappers this script puts around them:
 verify_daha, sf_presentation and center_check in the daha-principal
 scenarios, the series product, the quotient module and the expansion in
-the drinfeld scenarios, the sign quotient (_sign_relations and _quotient)
-there too, the highest weight, the Verma conditions and the rank-one
+the drinfeld scenarios, the sign relations (_sign_relations) and every
+echelon form (_kernel.echelon: the sign quotient's, and those of the
+kernels and the irreducibility test of the functor output) there too, the highest weight, the Verma conditions and the rank-one
 certificate in the classify scenarios, appendix_identities in the
 appendix scenarios, and, in every scenario, the products of generator
 families (b_from_T, b_tensor, verify_b, inverse_series_action), the grid
@@ -51,7 +52,10 @@ summary line of the Tier-1 suite of the checkout that holds SRC
 (``python -m pytest -q --continue-on-collection-errors`` in SRC's
 parent).  Records under other names already in the file are kept, so one
 file can hold the same benchmark run on two checkouts (say, a change and
-its parent).
+its parent).  Standard output has each workload's totals and layers, and
+each heavy scenario's median reference units: one heavy scenario, the
+drinfeld functor at l = 3, is most of the heavy total and would hide a
+change to any other.
 """
 
 import argparse
@@ -72,7 +76,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 LAYERS = {
     "hecke_s": ("daha-principal", ("daha.verify_daha", "daha.sf_presentation", "daha.center_check")),
     "drinfeld_s": ("drinfeld", ("drinfeld._cleared_product", "drinfeld._quotient_module", "yangian.series_expansion")),
-    "quotient_s": ("drinfeld", ("drinfeld._sign_relations", "drinfeld._quotient")),
+    "quotient_s": ("drinfeld", ("drinfeld._sign_relations", "_kernel.echelon")),
     "classify_s": ("classify", ("twisted.highest_bweight", "twisted.verma_conditions", "twisted.classify_rank1")),
     "families_s": (None, (
         "twisted.b_from_T", "twisted.b_tensor", "twisted.verify_b", "yangian.inverse_series_action")),
@@ -243,6 +247,9 @@ def main():
     for workload, rec in workloads.items():
         layers = ", ".join(f"{key} {v['ref']:.2f}" for key, v in rec["layers"].items())
         print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['ref']:.2f} ref; layers in ref: {layers}")
+        if workload == "heavy":
+            for name, sc in rec["scenarios"].items():
+                print(f"{args.label} heavy {name}: {sc['ref']:.2f} ref")
     print(f"{args.label} tier1: {record['tier1']['s']:.1f} s, {record['tier1']['summary']}")
 
 

@@ -8,8 +8,12 @@ their sums start from the int 0, so integer data stays in ints and
 Fraction data in Fractions (an entry nothing lands on is the int 0, equal
 to Fraction(0)).  The echelon form is fraction-free: echelon_insert keeps
 a Gauss-Jordan basis of primitive integer rows {column: int}, the one
-row reduction of constant vectors there is, and mat_rref clears rational
-rows into it and divides once per pivot row at the end.  The polynomial
+row reduction of constant vectors there is, and echelon reads a span off
+it once as an Echelon: its pivot rows, its free columns and its RREF
+nullspace scaled to integers, the one value every reader of a span of
+constant vectors takes (the sign quotient, the polynomial kernel and the
+rank-reduction restriction).  mat_rref clears rational rows into one
+Echelon and divides once per pivot row at the end.  The polynomial
 division divides, so it takes Fractions.  The gcd is the primitive
 remainder sequence over Z[u]; rational data is cleared to integers
 before it.
@@ -17,6 +21,7 @@ before it.
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 # The one implementation there is; environment stamps record it.
 BACKEND = "pure"
@@ -168,19 +173,69 @@ def echelon_insert(rows, v):
     return True
 
 
+class Echelon(NamedTuple):
+    """The echelon form of a span of integer vectors of length ncols.
+
+    basis holds the span's Gauss-Jordan basis (echelon_insert) in pivot
+    order: primitive integer rows {column: int}, each positive at its
+    pivot, its leading column, and zero at every other pivot, so row /
+    row[pivot] is the RREF.  free lists the other columns, in order.
+    null[q] is s times the RREF nullspace vector of free[q], an integer
+    row {column: int}: s at free[q], 0 at every other free column, and
+    minus s times the RREF's free[q] column at each pivot, for s the lcm
+    of the pivot entries.  Those are also the rows of s P, for P the
+    projection onto the free coordinates whose kernel is the span."""
+
+    basis: list
+    free: list
+    s: int
+    null: list
+
+    def vectors(self):
+        """The RREF nullspace basis, the rows of null over s, as dense
+        Fraction vectors."""
+        n = len(self.basis) + len(self.free)
+        return [[Fraction(row.get(c, 0), self.s) for c in range(n)] for row in self.null]
+
+
+def echelon(rows, ncols) -> Echelon:
+    """The Echelon of the span of the integer rows ({column: int}, no zero
+    entry) in a space of ncols columns; with no rows every column is free
+    and s = 1.  A primitive pivot row that is nonzero off its pivot has
+    content 1 there, so row[pivot] is the denominator of its part of the
+    RREF, and s the lcm of those denominators."""
+    basis = {}
+    for v in rows:
+        echelon_insert(basis, v)
+    pivots = sorted(basis)
+    free = [c for c in range(ncols) if c not in basis]
+    s = lcm(*(basis[p][p] for p in pivots))
+    null = {f: {f: s} for f in free}
+    for p in pivots:
+        m = s // basis[p][p]
+        for c, x in basis[p].items():
+            if c != p:
+                null[c][p] = -x * m
+    return Echelon([basis[p] for p in pivots], free, s, [dict(sorted(null[f].items())) for f in free])
+
+
+def cleared_rows(A):
+    """The rows of a matrix of ints or Fractions, each scaled by the lcm of
+    its denominators to integers, as {column: int} rows."""
+    scales = (lcm(*(x.denominator for x in r)) for r in A)
+    return [{c: x.numerator * (s // x.denominator) for c, x in enumerate(r) if x} for r, s in zip(A, scales)]
+
+
 def mat_rref(A):
     """Reduced row echelon form of a matrix of ints or Fractions; returns
     (rows, pivot column indices), as many Fraction rows as A has, the zero
-    rows last.  Each row is cleared to integers and inserted into one
-    echelon basis (echelon_insert); the one division is by each pivot entry
-    at the end."""
+    rows last.  Each row is cleared to integers (cleared_rows) and the span
+    put in echelon form once (echelon); the one division is by each pivot
+    entry at the end."""
     if not A:
         return [], []
     ncols = len(A[0])
-    rows = {}
-    for r in A:
-        s = lcm(*(x.denominator for x in r))
-        echelon_insert(rows, {c: x.numerator * (s // x.denominator) for c, x in enumerate(r) if x})
-    pivots = sorted(rows)
-    out = [[Fraction(r[c], r[p]) if c in r else _ZERO for c in range(ncols)] for p, r in sorted(rows.items())]
+    basis = echelon(cleared_rows(A), ncols).basis
+    pivots = [min(r) for r in basis]
+    out = [[Fraction(r[c], r[p]) if c in r else _ZERO for c in range(ncols)] for p, r in zip(pivots, basis)]
     return out + [[_ZERO] * ncols for _ in range(len(A) - len(pivots))], pivots

@@ -24,10 +24,10 @@ the full carrier off the top two coefficients of the same factors
 module on: the sign relations are the columns of s (g - epsilon), s the
 module's scale, as integer row-sparse rows read off its integer
 generators (_sign_relations), whose span is put in echelon form once, by
-the fraction-free _kernel.echelon_insert (_quotient); the Quotient keeps
-those primitive integer pivot rows, the free columns and s P as integer
-row-sparse rows, and the Fraction projection, section and RREF of a
-DrinfeldModule are views of it.
+the fraction-free _kernel.echelon; its Echelon keeps those primitive
+integer pivot rows, the free columns and, as its null rows, s P as
+integer row-sparse rows, and the Fraction projection, section and RREF
+of a DrinfeldModule are views of it.
 
 The coupling operator Q^(k) = sum_ij sgn_ij E_ij^(k) x E_ij^(aux) is
 assembled once per slot k as a tagged integer pattern (_q_pattern): its
@@ -43,10 +43,8 @@ row-sparse matrix each (superlinalg.sparse_addmul).
 
 import operator
 from fractions import Fraction
-from math import lcm
-from typing import NamedTuple
 
-from tyang._kernel import echelon_insert, poly_mul
+from tyang._kernel import echelon, poly_mul
 from tyang.exactalg import _neg_u, _zadd, _zmatmul, _zneg, rat
 from tyang.daha import DahaModule, DahaParams, _transpose, induce_pair, sf_presentation
 from tyang.glmn import ParitySeq
@@ -89,7 +87,7 @@ class WellDefinednessFailure(ValueError):
 
 
 class DrinfeldModule:
-    """Quotient carrier with its Quotient and the action.
+    """Quotient carrier with its quotient, an Echelon, and the action.
 
     action is None exactly when the quotient is zero-dimensional.
     projection and section are read off the quotient as Fraction matrices.
@@ -106,9 +104,8 @@ class DrinfeldModule:
 
     @property
     def projection(self):
-        """P, the rows of s P (quotient.prows) divided by s."""
-        s, D = self.quotient.s, self.carrier_space.dim
-        return [[Fraction(row.get(c, 0), s) for c in range(D)] for row in self.quotient.prows]
+        """P, the rows of s P (quotient.null) divided by s."""
+        return self.quotient.vectors()
 
     @property
     def section(self):
@@ -270,42 +267,6 @@ def _top_two(steps, dim):
     return T, (b0, b1)
 
 
-class Quotient(NamedTuple):
-    """The quotient of a space by the span of the relation rows, by the
-    projection P onto the free (non-pivot) coordinates free, whose kernel
-    is the span.  subspace holds the span's Gauss-Jordan basis as primitive
-    integer row-sparse rows, each positive at its pivot, its leading
-    column, and zero at every other pivot (_kernel.echelon_insert), so
-    row / row[pivot] is the RREF; row q of P is 1 at free[q] and minus that
-    RREF's free column at each pivot.  prows holds s P as integer
-    row-sparse rows, for s the lcm of the denominators of P."""
-
-    subspace: list
-    free: list
-    s: int
-    prows: list
-
-
-def _quotient(relations, D) -> Quotient:
-    """The Quotient of a space of dimension D by the span of the integer
-    row-sparse vectors relations.  A primitive row that is nonzero off its
-    pivot has content 1 there, so row[pivot] is the denominator of its
-    part of P, and s the lcm of the pivot entries."""
-    rows = {}
-    for v in relations:
-        echelon_insert(rows, v)
-    pivots = sorted(rows)
-    free = [j for j in range(D) if j not in rows]
-    s = lcm(*(rows[p][p] for p in pivots))
-    prows = {f: {f: s} for f in free}
-    for p in pivots:
-        m = s // rows[p][p]
-        for c, x in rows[p].items():
-            if c != p:
-                prows[c][p] = -x * m
-    return Quotient([rows[p] for p in pivots], free, s, [dict(sorted(prows[f].items())) for f in free])
-
-
 def _check_invariant(blocks, basis, D):
     """The first key, in sorted order, whose series entry does not map the
     span of the constant basis into itself over the function field; None
@@ -316,7 +277,7 @@ def _check_invariant(blocks, basis, D):
     span (row-sparse matrices over Z[u]).  N(u) preserves the span exactly
     when P N_t v = 0 for every power-of-u coefficient N_t and basis vector
     v, that is when s P N(u) times the basis, as the columns of one matrix,
-    is zero.  The basis is the integer row-sparse rows of a Quotient, of
+    is zero.  The basis is the integer pivot rows of an Echelon, of
     length D, so the product runs in Python ints, on all the N_t at once.
     """
     cols = [{t: (x,) for t, x in col.items()} for col in _transpose(basis, D)]
@@ -358,7 +319,7 @@ def _sign_relations(M: DahaModule, ps: ParitySeq, epsilon, extra=()):
 
 
 def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> DrinfeldModule:
-    """Quotient of the carrier by the span of quotient.subspace, with the
+    """Quotient of the carrier by the span of quotient.basis, with the
     action induced by the series entries, given as the projected blocks
     s P N / den (see _projected_product).
 
@@ -367,7 +328,7 @@ def _quotient_module(blocks, den, carrier, quotient, letter, family, head) -> Dr
     family(head, quotient space, form, ("drinfeld",)), form the cleared
     form of s P N S / (s den), the free columns of the blocks.
     """
-    bad = _check_invariant(blocks, quotient.subspace, carrier.dim)
+    bad = _check_invariant(blocks, quotient.basis, carrier.dim)
     if bad is not None:
         raise WellDefinednessFailure(
             f"series coefficients do not preserve the quotient subspace at {letter}_{bad}",
@@ -389,7 +350,7 @@ def _projected_product(steps, quotient, ps, carrier):
     carrier x V and s P the integer projection of the quotient, so each
     block holds q rows of s P N_ij, q the dimension of the quotient."""
     kk = ps.kappa
-    start = [{p * kk + a: (x,) for p, x in prow.items()} for prow in quotient.prows for a in range(kk)]
+    start = [{p * kk + a: (x,) for p, x in prow.items()} for prow in quotient.null for a in range(kk)]
     N, den = _cleared_product(steps, start)
     return _series_blocks(N, ps, carrier), den
 
@@ -408,7 +369,7 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
     chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
     c = rat(c)
     carrier = _carrier(M, ps)
-    quotient = _quotient(_sign_relations(M, ps, epsilon), carrier.dim)
+    quotient = echelon(_sign_relations(M, ps, epsilon), carrier.dim)
     steps = [_cleared_factor(M, Q, k, chi, c) for k, Q in enumerate(_int_q_rows(ps, M.params.l), 1)]
     blocks, den = _projected_product(steps, quotient, ps, carrier)
     return _quotient_module(blocks, den, carrier, quotient, "t", TAction, ps)
@@ -420,7 +381,7 @@ class ReflectionProduct:
 
     steps are its 2l + 1 cleared factors (d, F) (_cleared_product), for the
     resolved chi and gamma; ctx carries gamma (unset when it is 0).
-    quotient is the Quotient of the carrier M x V^l by the sign relations
+    quotient is the Echelon of the sign relations on the carrier M x V^l
     of the double quotient, which do not depend on chi and gamma, and
     blocks / den are the series entries of (s P x 1_V) times the product
     (_projected_product), q rows of s P x_ij(u) each over integer
@@ -460,7 +421,7 @@ def reflection_product(M: DahaModule, ps: ParitySeq, eps, epsilon=1, chi=None, g
     carrier = _carrier(M, ps)
     g_last = [{r: g} for r, g in enumerate(_g_at_slot(ps, ctx, l, l))]
     relations = _sign_relations(M, ps, epsilon, [(M.int_zeta, g_last)])
-    quotient = _quotient(relations, carrier.dim)
+    quotient = echelon(relations, carrier.dim)
     Qs = _int_q_rows(ps, l)
     steps = [_cleared_factor(M, Qs[k - 1], k, chi, -jay) for k in range(1, l + 1)]
     steps.append(_g_step(ctx, carrier.dim * ps.kappa))
@@ -546,7 +507,7 @@ def bchi_expansion_check(M: DahaModule, ps: ParitySeq, eps, epsilon=1, product=N
     product = _product_for(product, M, ps, eps, epsilon)
     spaces = [SuperSpace([0] * M.dim)] + [ps.space()] * l
     carrier = _carrier(M, ps)
-    prows = product.quotient.prows
+    prows = product.quotient.null
 
     ys, fail = sf_presentation(M)
     if fail is not None:
@@ -752,7 +713,7 @@ def drinfeld_to_json(D: DrinfeldModule) -> dict:
         "projection": [[str(x) for x in row] for row in D.projection],
         "section": [[str(x) for x in row] for row in D.section],
         "subspace": [[str(Fraction(row.get(c, 0), row[min(row)])) for c in range(D.carrier_space.dim)]
-                     for row in D.quotient.subspace],
+                     for row in D.quotient.basis],
     }
     if D.action is None:
         out["action"] = None
@@ -834,7 +795,7 @@ def _intertwiner(lhs: BAction, rhs: BAction):
                 rows.append({k: x for k, x in row.items() if x})
     if not any(rows):
         return None
-    basis = poly_kernel(rows, n * n)
+    basis = poly_kernel(rows, n * n).vectors()
     for v in basis:
         X = [[v[r * n + c] for c in range(n)] for r in range(n)]
         if mat_rank(X) == n:

@@ -10,23 +10,25 @@ Conventions fixed here and used everywhere else:
     the sign being read off the source (column) indices.
 
 Constant matrices are lists of rows of Python ints or Fractions, with
-their products and echelon forms from tyang._kernel; spin closes a span
-of integer matrices under left multiplication on the fraction-free
-_kernel.echelon_insert, for the algebra closure and the irreducibility
-test.  check_identity_2var certifies a two-variable identity, given its
-degree bound and its coefficient height, at one integer Kronecker point,
-and walks the integer grid only to locate a witness.
+their products and echelon forms from tyang._kernel: mat_rank,
+mat_nullspace and poly_kernel read one _kernel.echelon, and spin closes
+a span of integer matrices under left multiplication on the
+fraction-free _kernel.echelon_insert, for the algebra closure and the
+irreducibility test.  check_identity_2var certifies a two-variable
+identity, given its degree bound and its coefficient height, at one
+integer Kronecker point, and walks the integer grid only to locate a
+witness.
 Matrices over Z[u] (the resolvent cleared_resolvent returns, the rows
-poly_kernel and coefficient_matrices read) have the one layout of
-exactalg: row-sparse rows {column: integer coefficient tuple}, an absent
-column the only zero.
+coefficient_rows splits into row-sparse integer matrices, one per power
+of u) have the one layout of exactalg: row-sparse rows {column: integer
+coefficient tuple}, an absent column the only zero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from tyang._kernel import echelon_insert, mat_mul, mat_rref
+from tyang._kernel import cleared_rows, echelon, echelon_insert, mat_mul
 from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
 
 
@@ -83,11 +85,6 @@ def tensor_space(spaces) -> SuperSpace:
 # Fractions; products and echelon forms come from tyang._kernel.  The
 # characteristic polynomial and the resolvent clear a rational matrix once
 # (exactalg._zclear) and run in ints from there.
-
-def mat_identity(n):
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
 
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
@@ -158,49 +155,30 @@ def sparse_scale(A, c=1, rows=None, cols=None):
 
 def mat_nullspace(A):
     """Basis of the right nullspace of a matrix of ints or Fractions, in RREF
-    convention, as Fraction vectors."""
-    if not A:
-        return []
-    ncols = len(A[0])
-    rref, pivots = mat_rref(A)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][j]
-        basis.append(v)
-    return basis
+    convention, as Fraction vectors (_kernel.Echelon.vectors)."""
+    return echelon(cleared_rows(A), len(A[0])).vectors() if A else []
 
 
-def coefficient_matrices(rows, ncols):
-    """The dense integer matrices C_k with rows = sum_k C_k u^k, for rows a
-    row-sparse matrix over Z[u] with ncols columns, up to its degree."""
+def coefficient_rows(rows):
+    """The integer matrices C_k with rows = sum_k C_k u^k, up to the degree
+    of rows, a row-sparse matrix over Z[u], each row-sparse as rows is."""
     top = max((len(e) for row in rows for e in row.values()), default=0)
-    out = [[[0] * ncols for _ in rows] for _ in range(top)]
-    for q, row in enumerate(rows):
-        for c, e in row.items():
-            for k, x in enumerate(e):
-                out[k][q][c] = x
-    return out
+    return [[{c: e[k] for c, e in row.items() if k < len(e) and e[k]} for row in rows] for k in range(top)]
 
 
 def poly_kernel(rows, ncols):
-    """Basis of the constant vectors x with r(u) . x = 0 for every row r of
-    the row-sparse matrix rows over Z[u], with ncols columns: the
-    nullspace (mat_nullspace) of the integer rows of its coefficient
-    matrices (coefficient_matrices), or the identity when every row is
-    zero.  Scaling a row by a nonzero polynomial keeps its kernel, and
-    mat_nullspace reads the basis off the reduced echelon form, which
-    depends only on the row space, so the basis does not depend on how the
-    rows were cleared."""
-    vecs = [r for C in coefficient_matrices(rows, ncols) for r in C if any(r)]
-    return mat_nullspace(vecs) if vecs else mat_identity(ncols)
+    """The Echelon (_kernel.echelon) of the integer rows of the coefficient
+    matrices (coefficient_rows) of the row-sparse matrix rows over Z[u],
+    with ncols columns: its null rows span the constant vectors x with
+    r(u) . x = 0 for every row r, and with no nonzero row every column is
+    free.  Scaling a row by a nonzero polynomial keeps its kernel, and the
+    Echelon depends only on the row space, so it does not depend on how
+    the rows were cleared."""
+    return echelon([r for C in coefficient_rows(rows) for r in C if r], ncols)
 
 
 def mat_rank(A):
-    return len(mat_rref(A)[1])
+    return len(echelon(cleared_rows(A), len(A[0])).basis) if A else 0
 
 
 def _faddeev_leverrier(A):
@@ -648,9 +626,7 @@ def rfmat_kernel(Ms) -> list:
             raise DimensionMismatch("kernel of matrices with different column spaces")
         for row in M.entries:
             rows.extend(r for r in cleared_coefficients(row)[1] if any(r))
-    if not rows:
-        return [v for v in mat_identity(ncols)]
-    return mat_nullspace(rows)
+    return echelon(cleared_rows(rows), ncols).vectors()
 
 
 @dataclass

@@ -9,9 +9,10 @@ are shared, and every BAction is born a ClearedForm over Z[u]: B(u) from
 T(u) and the unitarity product B(u) B(-u) are block products of cleared
 families (yangian.block_product), the coideal tensor is the Kronecker
 assembly of the cleared forms of T(u) T'(-u) and of B (yangian._kron_blocks,
-signed by the kron_ops core), and the rank reductions shift, combine and
+signed by superlinalg._passed_parities), and the rank reductions shift, combine and
 restrict the cleared rows to a constant subspace in integers (_restrict),
-with that subspace the kernel of the cleared rows (superlinalg.poly_kernel).
+with that subspace the kernel of the cleared rows, read off the integer
+null rows of its _kernel.Echelon (superlinalg.poly_kernel).
 Every cleared block is a row-sparse matrix over Z[u], an absent column
 its only zero, and every product of them, the combinations of diagonal
 blocks (_diagonal_sum) and the restrictions included, is the one product
@@ -28,8 +29,10 @@ yangian.cleared_form_rf.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
-from tyang._kernel import mat_mul, poly_eval, poly_mul
+from tyang._kernel import cleared_rows, echelon, poly_eval, poly_mul
+from tyang.daha import _transpose
 from tyang.exactalg import (
     Poly,
     RatFun,
@@ -37,7 +40,6 @@ from tyang.exactalg import (
     _neg_u,
     _zadd,
     _zclear,
-    _zcolumns,
     _zcompose,
     _zmatmul,
     _zneg,
@@ -54,8 +56,7 @@ from tyang.superlinalg import (
     algebra_closure,
     charpoly,
     check_identity_2var,
-    coefficient_matrices,
-    mat_nullspace,
+    coefficient_rows,
     poly_kernel,
     sparse_mul,
     spin,
@@ -374,55 +375,53 @@ def _diagonal_sum(form: ClearedForm, weights):
     return _zmatmul(side, [{c: w} for w in weights.values() for c in range(n)])
 
 
-def _restrict(den, blocks, K):
+def _restrict(den, blocks, E):
     """(den', blocks') for the family blocks / den restricted to the span of
-    the constant vectors K, a basis as superlinalg.poly_kernel returns it:
-    each vector is 1 at its last nonzero coordinate (its free column), where
-    every other vector is 0, so the coordinates of a vector in the span are
-    its values at the free columns.
+    the constant vectors E.null, for E the Echelon superlinalg.poly_kernel
+    returns: null[q] is s at its free column free[q], where every other
+    row is 0, so s times the coordinates of a vector in the span are its
+    values at the free columns.
 
-    With s K = Kz integral, a block N applied to the columns of Kz is
-    W = N Kz, whose rows at the free columns are the coordinates of its
-    columns over s, so the restricted entries are those rows over s den;
-    Kz W_free = s W is the invariance check, in Z[u].  Raises ValueError
-    when the span is not invariant.
+    A block N applied to the columns of null is W = N null^T, whose rows
+    at the free columns are the coordinates of its columns over s, so the
+    restricted entries are those rows over s den; null^T W_free = s W is
+    the invariance check, in Z[u].  Raises ValueError when the span is not
+    invariant.
     """
-    s, Kz = _zclear(K)
-    n, m = len(Kz[0]), len(Kz)
-    cols, scale = _zcolumns(Kz, n), [{t: (s,)} for t in range(m)]
-    free = [max(c for c, x in enumerate(v) if x) for v in Kz]
+    cols = [{t: (x,) for t, x in col.items()} for col in _transpose(E.null, len(E.basis) + len(E.free))]
+    scale = [{t: (E.s,)} for t in range(len(E.free))]
     out = {}
     for key, rows in blocks.items():
         W = _zmatmul(rows, cols)
-        out[key] = [W[f] for f in free]
+        out[key] = [W[f] for f in E.free]
         if _zmatmul(cols, out[key]) != _zmatmul(W, scale):
             raise ValueError("subspace is not invariant")
-    return poly_mul(den, (s,)), out
+    return poly_mul(den, (E.s,)), out
 
 
 def find_highest_space(B: BAction):
-    """Basis of { eta : b_ij(u) eta = 0 for i < j }.
+    """Basis of { eta : b_ij(u) eta = 0 for i < j }, as Fraction vectors.
 
     Also certifies that the space is invariant under every b_rr(u) (else
     _restrict raises ValueError) and that the restricted diagonal
     operators D_a(u) commute for all u and v: with D_a(u) = sum_s A_s u^s /
     d(u) over the common denominator, D_a(u) D_b(v) = D_b(v) D_a(u) holds
     identically exactly when every A_s commutes with every B_t of D_b,
-    which is checked; a failure raises ValueError.
+    which is checked on the row-sparse integer coefficients
+    (superlinalg.coefficient_rows); a failure raises ValueError.
     """
     kk, form = B.kappa, B.cleared()
     idx = range(1, kk + 1)
-    K = poly_kernel([row for i in idx for j in range(i + 1, kk + 1) for row in form.blocks[(i, j)]], B.dim)
-    if not K:
+    E = poly_kernel([row for i in idx for j in range(i + 1, kk + 1) for row in form.blocks[(i, j)]], B.dim)
+    if not E.free:
         return []
-    n = len(K)
-    _den, diag = _restrict(form.den_coeffs, {r: form.blocks[(r, r)] for r in idx}, K)
-    coeffs = [coefficient_matrices(diag[r], n) for r in idx]
+    _den, diag = _restrict(form.den_coeffs, {r: form.blocks[(r, r)] for r in idx}, E)
+    coeffs = [coefficient_rows(diag[r]) for r in idx]
     for a in range(kk):
         for b in range(kk):
-            if any(mat_mul(X, Y) != mat_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
+            if any(sparse_mul(X, Y) != sparse_mul(Y, X) for X in coeffs[a] for Y in coeffs[b]):
                 raise ValueError(f"restricted diagonal operators {a+1},{b+1} fail to commute")
-    return K
+    return E.vectors()
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +708,11 @@ def verify_sufficiency(mu: BHighestWeight, gamma, lams):
 # ---------------------------------------------------------------------------
 # Rank reductions.
 
-def _graded(space: SuperSpace, K) -> SuperSpace:
-    """The grading of the span of K, the RREF basis of a graded subspace of
-    space: each vector of it is homogeneous, of the parity of its nonzero
-    coordinates."""
-    return SuperSpace([space.parity(next(c for c, x in enumerate(v) if x)) for v in K])
+def _graded(space: SuperSpace, E) -> SuperSpace:
+    """The grading of the span of E.null, for E the Echelon of a graded
+    subspace of space: each null row is homogeneous, of the parity of its
+    free column."""
+    return SuperSpace([space.parity(f) for f in E.free])
 
 
 def _corrected(form: ClearedForm, keep, extra):
@@ -736,8 +735,9 @@ def reduce_rank(B: BAction, mode, a=None) -> BAction:
     mode 'over' drops the first index, 'under' the last (with the shifted
     diagonal correction), 'star' cuts down to the neighbouring pair
     (a, a+1) with the spectral shift rho_{a+2}/2.  The singular subspace is
-    the common kernel of the cleared rows of the constraint blocks
-    (superlinalg.poly_kernel), and the reduced family, shifted and
+    the common kernel of the cleared rows of the constraint blocks, an
+    Echelon kept in the provenance (superlinalg.poly_kernel), and the
+    reduced family, shifted and
     corrected over Z[u] (ClearedForm.shift, _corrected), is restricted to it
     in integers (_restrict) and acts on it with its own grading (_graded).
     """
@@ -758,21 +758,21 @@ def reduce_rank(B: BAction, mode, a=None) -> BAction:
         empty = "star subspace is trivial"
     else:
         raise ValueError(f"unknown reduction mode {mode!r}")
-    K = poly_kernel([row for key in constraints for row in form.blocks[key]], B.dim)
-    if not K:
+    E = poly_kernel([row for key in constraints for row in form.blocks[key]], B.dim)
+    if not E.free:
         raise EmptySubspace(empty)
     if mode == "over":
-        ctx, prov = B.ctx.drop_first(), ("reduce-over", B, K)
+        ctx, prov = B.ctx.drop_first(), ("reduce-over", B, E)
         idx = range(1, kk)
         den, blocks = form.den_coeffs, {(i, j): form.blocks[(i + 1, j + 1)] for i in idx for j in idx}
     elif mode == "under":
-        ctx, prov = B.ctx.drop_last(), ("reduce-under", B, K)
+        ctx, prov = B.ctx.drop_last(), ("reduce-under", B, E)
         den, blocks = _corrected(form.shift(Fraction(ps.sign(kk), 2)), range(1, kk), {kk: ps.sign(kk)})
     else:
-        ctx, prov = B.ctx.star(a), ("reduce-star", B, a, K)
+        ctx, prov = B.ctx.star(a), ("reduce-star", B, a, E)
         extra = {k2: ps.sign(k2) for k2 in range(a + 2, kk + 1)}
         den, blocks = _corrected(form.shift(ps.rho(a + 2) / 2), (a, a + 1), extra)
-    return BAction(ctx, _graded(B.space, K), cleared_form(*_restrict(den, blocks, K)), prov)
+    return BAction(ctx, _graded(B.space, E), cleared_form(*_restrict(den, blocks, E)), prov)
 
 
 def tilde_form(B: BAction, i: int) -> ClearedForm:
@@ -787,11 +787,11 @@ def star_tilde_shift(B: BAction, red: BAction, a: int) -> bool:
     """Whether the tilde operators of red = reduce_rank(B, "star", a) are
     those of B at a and a + 1, shifted by rho_(a+2)/2 and restricted to
     the reduced space; compared as cleared forms, which are unique."""
-    K = red.provenance[3]
+    E = red.provenance[3]
     shift = B.ps.rho(a + 2) / 2
     for i in (1, 2):
         moved = tilde_form(B, a + i - 1).shift(shift)
-        if tilde_form(red, i) != cleared_form(*_restrict(moved.den_coeffs, moved.blocks, K)):
+        if tilde_form(red, i) != cleared_form(*_restrict(moved.den_coeffs, moved.blocks, E)):
             return False
     return True
 
@@ -849,8 +849,9 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
             shifted = [row[:] for row in A]
             for r in range(d):
                 shifted[r][r] -= lam
-            for v in mat_nullspace(shifted):
-                span = spin([[[x] for x in _zclear([v])[1][0]]], maps, d)
+            for v in echelon(cleared_rows(shifted), d).null:
+                g = gcd(*v.values())
+                span = spin([[[v.get(c, 0) // g] for c in range(d)]], maps, d)
                 if len(span) < d:
                     return BurnsideVerdict("reducible", len(closure), [[x for x, in X] for X in span])
     return BurnsideVerdict("inconclusive", len(closure))

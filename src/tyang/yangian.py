@@ -32,9 +32,11 @@ the unsigned block layouts of the two cleared forms (_layouts), sliced
 back into kappa x kappa blocks (_blocks), with no gcd in the loop, never
 formed on the assembled operator.  Koszul-signed assembly is for
 operators that act on a tensor slot: the grid lifts of a family, where R
-acts on V x V, and the coproducts.  Every tensor lift, flip and sum of
-lifts goes through kron_ops (its row core _kron_rows, summed by kron_sum),
-so all Koszul signs come from that single assembler.
+acts on V x V, and the coproducts.  Every flip and sum of lifts goes
+through kron_ops (its row core _kron_rows, summed by kron_sum); the grid
+lift (_lift_at) and the coproduct of two cleared forms (_kron_blocks)
+read their Koszul signs off superlinalg._passed_parities, so every sign
+follows the one rule of that assembler.
 The grid checks run in integers only, at integer points: the one
 Kronecker point of check_identity_2var, and grid points only to locate a
 witness.  Their sides are row-sparse integer matrices from end to end.
@@ -80,7 +82,6 @@ from tyang.superlinalg import (
     Grid2Witness,
     RFMatrix,
     SuperSpace,
-    _kron_rows,
     _kron_sum_rows,
     _passed_parities,
     at_slots,
@@ -564,22 +565,24 @@ def _kron_blocks(terms, spaces):
     par_A), (B, par_B)]) with w = +-1 and A and B row-sparse matrices over
     Z[u], as such a matrix.
 
-    _kron_rows assembles the supports of A and B, so the Koszul sign of
-    each entry comes from the one assembler; the entry at
-    ((r1, r2), (c1, c2)) is that sign times A[r1][c1] B[r2][c2].
+    The entry at ((r1, r2), (c1, c2)) is w A[r1][c1] B[r2][c2] times the
+    Koszul sign (-1)^(par_B |c1|) of B passing column c1 of the first
+    factor, read off superlinalg._passed_parities as _lift_at reads it.
     """
     d2 = spaces[1].dim
+    passed = _passed_parities(spaces, 1)
     acc = [{} for _ in range(spaces[0].dim * d2)]
-    for w, ops in terms:
-        (A, _), (B, _) = ops
-        support = [([[int(c in row) for c in range(sp.dim)] for row in m], par) for (m, par), sp in zip(ops, spaces)]
-        for r, row in enumerate(_kron_rows(support, spaces)):
-            r1, r2 = divmod(r, d2)
-            for c, sign in row.items():
-                c1, c2 = divmod(c, d2)
-                p = poly_mul(A[r1][c1], B[r2][c2])
-                p = p if sign * w == 1 else _zneg(p)
-                acc[r][c] = _zadd(acc[r][c], p) if c in acc[r] else p
+    for w, ((A, _), (B, par)) in terms:
+        for r1, rowA in enumerate(A):
+            for c1, a in rowA.items():
+                neg = (w == -1) != bool(par and passed[c1])
+                for r, rowB in enumerate(B, r1 * d2):
+                    row = acc[r]
+                    for c2, b in rowB.items():
+                        p = poly_mul(a, b)
+                        p = _zneg(p) if neg else p
+                        c = c1 * d2 + c2
+                        row[c] = _zadd(row[c], p) if c in row else p
     return [{c: e for c, e in row.items() if e} for row in acc]
 
 

@@ -16,11 +16,15 @@ rf_quotient_family is the functor output formed entry by entry over the
 function field, the reference for the integer quotient of
 drinfeld._quotient_module.  ref_sign_quotient is the sign quotient of the
 functor formed over Q, through kron_ops and a dense column scan, the
-reference for the integer sign relations and Quotient of tyang.drinfeld.
+reference for the integer sign relations and their _kernel.echelon in
+tyang.drinfeld.
 
 ref_rref is Gauss-Jordan over Q, the reference for the fraction-free
-_kernel.echelon_insert and mat_rref, and _coords_in_span, the coordinates
-of vectors in a span, runs on it; ref_algebra_closure is the algebra
+_kernel.echelon_insert, echelon and mat_rref, and ref_nullspace and
+_coords_in_span, the coordinates of vectors in a span, run on it;
+ref_poly_kernel is the constant kernel of rows over Z[u] by dense
+coefficient matrices and ref_nullspace, the reference for
+superlinalg.poly_kernel; ref_algebra_closure is the algebra
 closure by pairwise products, the reference for the spin of
 superlinalg.algebra_closure.
 
@@ -69,7 +73,9 @@ family_form.  ref_lambda_prime_check is the inverse-weight check read off
 those RatFun blocks.
 
 verify_gl_module, gl_tensor, weight_decompose, gl_to_json and
-apply_at_factor are gl(m|n) module helpers that only the tests use.
+apply_at_factor are gl(m|n) module helpers that only the tests use, and
+mat_identity is the Fraction identity matrix, which no library code
+needs.
 """
 
 from fractions import Fraction
@@ -97,7 +103,6 @@ from tyang.superlinalg import (
     elementary,
     kron_ops,
     kron_sum,
-    mat_identity,
     mat_nullspace,
     mat_vec,
     rfmat_inverse,
@@ -612,6 +617,47 @@ def ref_rref(A):
     return rows[:r] + [[Fraction(0)] * ncols for _ in range(len(rows) - r)], pivots
 
 
+def mat_identity(n):
+    """The n x n identity as Fraction rows."""
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def ref_nullspace(A, ncols):
+    """The right nullspace of a matrix of ints or Fractions with ncols
+    columns, read off ref_rref: for each non-pivot column f the Fraction
+    vector that is 1 at f, 0 at every other non-pivot column, and minus
+    the RREF's column f at each pivot; the identity when A has no rows."""
+    rref, pivots = ref_rref(A)
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(int(j == f)) for j in range(ncols)]
+        for row, p in zip(rref, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def coefficient_matrices(rows, ncols):
+    """The dense integer matrices C_k with rows = sum_k C_k u^k, for rows a
+    row-sparse matrix over Z[u] with ncols columns, up to its degree."""
+    top = max((len(e) for row in rows for e in row.values()), default=0)
+    out = [[[0] * ncols for _ in rows] for _ in range(top)]
+    for q, row in enumerate(rows):
+        for c, e in row.items():
+            for k, x in enumerate(e):
+                out[k][q][c] = x
+    return out
+
+
+def ref_poly_kernel(rows, ncols):
+    """The constant kernel of a row-sparse matrix over Z[u] with ncols
+    columns by the dense route: the Fraction nullspace (ref_nullspace) of
+    the nonzero rows of its coefficient matrices (coefficient_matrices),
+    the reference for the Echelon of superlinalg.poly_kernel."""
+    return ref_nullspace([r for C in coefficient_matrices(rows, ncols) for r in C if any(r)], ncols)
+
+
 def ref_algebra_closure(gens, dim):
     """A basis of the unital algebra generated by gens inside End of a
     dim-dimensional space, by pairwise products over Q: every product g h
@@ -670,7 +716,7 @@ def _coords_in_span(basis, vectors):
 def ref_sign_quotient(M, ps, epsilon, eps=None):
     """(subspace, free, proj, sect): the quotient of M x V^l by its sign
     relations over Q, the route the integer drinfeld._sign_relations and
-    _quotient replace.  Each g - epsilon is
+    _kernel.echelon replace.  Each g - epsilon is
     assembled densely through kron_ops from M's generators read back over
     Q, for g = sigma_i x P^(i,i+1) and, given the twist signs eps (the
     relations of drinfeld.reflection_product), varsigma_l x G at the last

@@ -344,7 +344,7 @@ class TestCriterion7Reductions:
             under = reduce_rank(B, "under")
             rep = verify_b(under)
             assert rep.reflection is None and rep.scalar_ok
-            K = under.provenance[2]
+            K = under.provenance[2].vectors()
             half = Fraction(ps.sign(2), 2)
             assert rf_tilde_operator(under, 1) == restrict_rf(rf_tilde_operator(B, 1).shift(half), K)
         _ok("criterion 7a: first and last index reductions with the shifted diagonal")
@@ -356,7 +356,7 @@ class TestCriterion7Reductions:
         St = reduce_rank(B, "star", a=1)
         rep = verify_b(St)
         assert rep.reflection is None and rep.scalar_ok
-        K = St.provenance[3]
+        K = St.provenance[3].vectors()
         shift = ps.rho(3) / 2
         for i in (1, 2):
             assert rf_tilde_operator(St, i) == restrict_rf(rf_tilde_operator(B, i).shift(shift), K)

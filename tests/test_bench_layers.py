@@ -48,6 +48,15 @@ def test_every_layer_function_resolves():
         assert callable(getattr(importlib.import_module("tyang." + module), name)), qualname
 
 
+def test_quotient_layer_times_the_drinfeld_echelon_form():
+    # The wrapper replaces _kernel.echelon where a module binds it, so the
+    # sign quotient is timed only while drinfeld binds that very function.
+    from tyang import _kernel, drinfeld
+
+    assert _bench_namespace()["LAYERS"]["quotient_s"][1] == ("drinfeld._sign_relations", "_kernel.echelon")
+    assert drinfeld.echelon is _kernel.echelon
+
+
 def test_heavy_workload_reads_every_heavy_file():
     namespace = _bench_namespace()
     assert sorted(os.listdir(namespace["HEAVY_DIR"])) == sorted(HEAVY)

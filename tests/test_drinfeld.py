@@ -12,6 +12,7 @@ from support import (
     box_by_terms,
     family_form,
     flip_by_terms,
+    mat_identity,
     q_rows_by_terms,
     read_blocks,
     ref_sign_quotient,
@@ -42,7 +43,6 @@ from tyang.superlinalg import (
     SuperSpace,
     _dense,
     kron_ops,
-    mat_identity,
     rfmat_inverse,
     sparse_add,
     tensor_space,
@@ -439,8 +439,6 @@ class TestSerialization:
         data = drinfeld_to_json(D)
         assert data["action"]["kind"] == "twisted"
         json.dumps(data)  # stays JSON-serializable
-        from tyang.superlinalg import mat_identity
-
         assert mat_mul(D.projection, D.section) == mat_identity(D.dim)
 
 
@@ -590,7 +588,7 @@ class TestClearedProduct:
         }
         assert len(product.quotient.free) == q
         ncols = drinfeld._carrier(M, ps).dim
-        prows = product.quotient.prows
+        prows = product.quotient.null
         assert {key: _reduce(block, product.den, ncols) for key, block in product.blocks.items()} == {
             key: _project(prows, grid.entries) for key, grid in ref.items()
         }
@@ -609,7 +607,7 @@ class TestClearedProduct:
         assert {key: _reduce(block, den) for key, block in full.items()} == {
             key: grid.entries for key, grid in ref.items()
         }
-        assert product.blocks == {key: _project(product.quotient.prows, block) for key, block in full.items()}
+        assert product.blocks == {key: _project(product.quotient.null, block) for key, block in full.items()}
 
     def test_type_a_product(self):
         # drinfeld_A's product T_1 ... T_l with a shift, through the same
@@ -654,9 +652,9 @@ class TestQuotientFamily:
         blocks = {(i, j): [{}, {}] for i in (1, 2) for j in (1, 2)}
         blocks[(1, 1)] = [{0: (1, 1)}, {1: (1, 1)}]  # (u + 1) / u
         blocks[(2, 2)] = [{0: (0, 1)}, {1: (0, 1)}]  # u / u
-        quotient = drinfeld._quotient([{0: 2, 1: 1}], 2)
-        assert quotient.s == 2 and quotient.prows == [{0: -1, 1: 2}]
-        projected = {key: _project(quotient.prows, block) for key, block in blocks.items()}
+        quotient = drinfeld.echelon([{0: 2, 1: 1}], 2)
+        assert quotient.s == 2 and quotient.null == [{0: -1, 1: 2}]
+        projected = {key: _project(quotient.null, block) for key, block in blocks.items()}
         D = drinfeld._quotient_module(projected, (0, 1), SuperSpace([0, 0]), quotient, "t", TAction, ps)
         assert D.projection == [[F(-1, 2), F(1)]]
         t, form = rf_quotient_family(D, blocks, (0, 1))
@@ -675,7 +673,7 @@ def _conjugated(M, d):
 
 
 def _ref_quotient(M, ps, epsilon, eps=None):
-    """(Quotient fields, P, S) of the route over Q (ref_sign_quotient),
+    """(Echelon fields, P, S) of the route over Q (ref_sign_quotient),
     with s P cleared by the lcm s of the denominators of P."""
     subspace, free, proj, sect = ref_sign_quotient(M, ps, epsilon, eps)
     s = lcm(*(x.denominator for row in proj for x in row))
@@ -684,15 +682,15 @@ def _ref_quotient(M, ps, epsilon, eps=None):
 
 
 def _rref_view(quotient, D):
-    """The Quotient with its integer pivot rows divided by their pivot
+    """The Echelon with its integer pivot rows divided by their pivot
     entries, dense: the RREF of the relation span."""
-    rows = [[F(row.get(c, 0), row[min(row)]) for c in range(D)] for row in quotient.subspace]
+    rows = [[F(row.get(c, 0), row[min(row)]) for c in range(D)] for row in quotient.basis]
     return (rows, *quotient[1:])
 
 
 class TestSignQuotient:
     """The sign quotient built from the Hecke module's integer rows
-    (_sign_relations, _quotient) is that of the route over Q
+    (_sign_relations, _kernel.echelon) is that of the route over Q
     (support.ref_sign_quotient): the same RREF subspace, read off the
     integer pivot rows as row / row[pivot], free coordinates, scale and
     integer projection rows, and the same Fraction projection and section
@@ -743,7 +741,7 @@ class TestCheckInvariant:
     def test_top_coefficient_violation_is_found(self):
         M = char_module(DahaParams(2, 1, 2), 1, 1)
         product = drinfeld.reflection_product(M, ParitySeq([1, -1]), [1, -1])
-        blocks, basis = product.blocks, product.quotient.subspace
+        blocks, basis = product.blocks, product.quotient.basis
         dim = drinfeld._carrier(M, ParitySeq([1, -1])).dim
         assert blocks[(1, 2)] and drinfeld._check_invariant(blocks, basis, dim) is None
         D = max(len(p) - 1 for block in blocks.values() for row in block for p in row.values())
@@ -806,7 +804,7 @@ class TestTopTwo:
         # An empty double quotient: one echelon form, and no polynomial
         # product inside the series product.  A nonzero one is the control.
         inside, muls, quotients = [False], [], []
-        orig_mul, orig_product, orig_quotient = drinfeld.poly_mul, drinfeld._cleared_product, drinfeld._quotient
+        orig_mul, orig_product, orig_quotient = drinfeld.poly_mul, drinfeld._cleared_product, drinfeld.echelon
 
         def poly_mul(a, b):
             if inside[0]:
@@ -822,7 +820,7 @@ class TestTopTwo:
 
         monkeypatch.setattr(drinfeld, "poly_mul", poly_mul)
         monkeypatch.setattr(drinfeld, "_cleared_product", cleared_product)
-        monkeypatch.setattr(drinfeld, "_quotient", lambda rows, D: quotients.append(1) or orig_quotient(rows, D))
+        monkeypatch.setattr(drinfeld, "echelon", lambda rows, D: quotients.append(1) or orig_quotient(rows, D))
         ps = ParitySeq([1, -1])
         M = char_module(DahaParams(1, 1, 2), 1, -1)
         assert drinfeld_BC(M, ps, [1, 1]).action is None

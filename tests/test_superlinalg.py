@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import apply_at_factor, ref_algebra_closure, ref_check_identity_2var, ref_rref
+from support import (
+    apply_at_factor,
+    mat_identity,
+    ref_algebra_closure,
+    ref_check_identity_2var,
+    ref_nullspace,
+    ref_poly_kernel,
+    ref_rref,
+)
 
-from tyang._kernel import echelon_insert, mat_mul, mat_rref
+from tyang._kernel import echelon, echelon_insert, mat_mul, mat_rref
 from tyang.exactalg import Poly, RatFun
 from tyang.superlinalg import (
     DegreeBoundError,
@@ -27,8 +35,8 @@ from tyang.superlinalg import (
     common_den,
     kron_ops,
     kron_sum,
-    mat_identity,
     mat_nullspace,
+    poly_kernel,
     rfmat_inverse,
     rfmat_kernel,
     sparse_add,
@@ -462,14 +470,16 @@ ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, 
 
 
 @st.composite
-def echelon_input(draw):
-    """Rows of ints and Fractions with repeated, zero, negated (negative
-    leading entry) and cancelling rows among them, in shuffled order."""
-    ncols = draw(st.integers(1, 6))
-    base = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+def echelon_input(draw, entries=ENTRIES, cols=(1, 6), min_rows=1):
+    """Rows of entries (ints and Fractions by default) with cols[0] to
+    cols[1] columns and repeated, zero, negated (negative leading entry)
+    and cancelling rows among them, in shuffled order."""
+    ncols = draw(st.integers(*cols))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=min_rows, max_size=5))
     rows = list(base)
-    pick = st.integers(0, len(base) - 1)
-    for kind in draw(st.lists(st.sampled_from(["repeat", "zero", "negate", "cancel"]), max_size=4)):
+    kinds = st.lists(st.sampled_from(["repeat", "zero", "negate", "cancel"]), max_size=4 if base else 0)
+    pick = st.integers(0, max(len(base) - 1, 0))
+    for kind in draw(kinds):
         a, b = base[draw(pick)], base[draw(pick)]
         rows.append({
             "repeat": lambda: list(a),
@@ -486,8 +496,8 @@ def _cleared(row):
 
 
 class TestEchelon:
-    """The fraction-free echelon form (echelon_insert, mat_rref) against
-    Gauss-Jordan over Q (support.ref_rref)."""
+    """The fraction-free echelon form (echelon_insert, echelon, mat_rref)
+    against Gauss-Jordan over Q (support.ref_rref, ref_nullspace)."""
 
     @settings(max_examples=200, deadline=None)
     @given(echelon_input())
@@ -509,12 +519,72 @@ class TestEchelon:
         ncols = len(rows[0])
         assert [[F(basis[p].get(c, 0), basis[p][p]) for c in range(ncols)] for p in pivots] == ref[:len(pivots)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7), st.data())
+    def test_echelon_reads_the_reference_rref(self, ncols, data):
+        rows = data.draw(echelon_input(st.integers(-5, 5), (ncols, ncols), 0))
+        E = echelon([{c: x for c, x in enumerate(r) if x} for r in rows], ncols)
+        ref, pivots = ref_rref(rows)
+        assert [min(row) for row in E.basis] == pivots
+        assert [[F(row.get(c, 0), row[min(row)]) for c in range(ncols)] for row in E.basis] == ref[:len(pivots)]
+        assert E.free == [c for c in range(ncols) if c not in pivots]
+        for f, v in zip(E.free, E.null):
+            assert all(type(x) is int and x for x in v.values())
+            assert [v.get(g, 0) for g in E.free] == [E.s * (g == f) for g in E.free]
+            assert all(sum(x * v.get(c, 0) for c, x in enumerate(r)) == 0 for r in rows)
+        assert E.vectors() == ref_nullspace(rows, ncols)
+
+    @pytest.mark.parametrize("ncols", [0, 1, 4])
+    def test_no_rows_is_the_identity(self, ncols):
+        E = echelon([], ncols)
+        assert (E.basis, E.free, E.s) == ([], list(range(ncols)), 1)
+        assert E.null == [{c: 1} for c in range(ncols)]
+        assert E.vectors() == mat_identity(ncols)
+
+    def test_scale_is_the_lcm_of_the_pivot_entries(self):
+        # Pivot rows (2, 0, 1) and (0, 3, 1): s = 6, and each null row is
+        # s times the RREF nullspace vector, not the largest pivot entry.
+        E = echelon([{0: 2, 2: 1}, {1: 3, 2: 1}], 3)
+        assert (E.free, E.s, E.null) == ([2], 6, [{0: -3, 1: -2, 2: 6}])
+        assert E.vectors() == [[F(-1, 2), F(-1, 3), F(1)]]
+
     def test_back_elimination_at_a_later_pivot(self):
         # (0, 1, 1) then (0, 0, 1): the second pivot is cleared from the first.
         basis = {}
         assert echelon_insert(basis, {1: 1, 2: 1}) and echelon_insert(basis, {2: -3})
         assert basis == {1: {1: 1}, 2: {2: 1}}
         assert not echelon_insert(basis, {1: 4, 2: -4})
+
+
+@st.composite
+def poly_rows(draw):
+    """(ncols, rows): a row-sparse matrix over Z[u] with 0 to 5 columns,
+    with zero rows and rows repeated, negated or scaled by u among them."""
+    ncols = draw(st.integers(0, 5))
+    coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda p: p[-1]).map(tuple)
+    row = st.dictionaries(st.integers(0, ncols - 1), coeffs, max_size=ncols) if ncols else st.just({})
+    base = draw(st.lists(row, max_size=4))
+    rows = list(base)
+    for r in base:
+        kind = draw(st.sampled_from(["none", "repeat", "zero", "negate", "times-u"]))
+        rows += {"none": [], "repeat": [dict(r)], "zero": [{}], "negate": [{c: tuple(-x for x in e) for c, e in r.items()}],
+                 "times-u": [{c: (0,) + e for c, e in r.items()}]}[kind]
+    return ncols, rows
+
+
+class TestPolyKernel:
+    """poly_kernel, the Echelon of the sparse u^k coefficient rows, against
+    the dense route (support.ref_poly_kernel)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_rows())
+    def test_vectors_are_the_reference_kernel(self, drawn):
+        ncols, rows = drawn
+        assert poly_kernel(rows, ncols).vectors() == ref_poly_kernel(rows, ncols)
+
+    def test_zero_rows_leave_every_column_free(self):
+        E = poly_kernel([{}, {}], 3)
+        assert (E.free, E.s, E.null) == ([0, 1, 2], 1, [{0: 1}, {1: 1}, {2: 1}])
 
 
 def _burnside_gens(B):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,15 +11,17 @@ from support import (
     bweight_from_series,
     family_form,
     read_blocks,
+    ref_poly_kernel,
     restrict_rf,
     rf_tilde_operator,
     weight_decompose,
 )
 
+from tyang import cli, twisted
 from tyang._kernel import mat_mul
 from tyang.exactalg import Poly, RatFun, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
-from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec
+from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec, poly_kernel
 from tyang.yangian import (
     NotHighest,
     evaluation_action,
@@ -514,7 +518,7 @@ class TestReductions:
         under = reduce_rank(b_l12, "under")
         assert verify_b(under).ok
         # tilde of the reduced action is the shifted parent tilde.
-        K = under.provenance[2]
+        K = under.provenance[2].vectors()
         ps = b_l12.ps
         half = Fraction(ps.sign(2), 2)
         want = restrict_rf(rf_tilde_operator(b_l12, 1).shift(half), K)
@@ -529,7 +533,7 @@ class TestReductions:
         assert St.kappa == 2
         rep = verify_b(St)
         assert rep.reflection is None and rep.scalar_ok
-        K = St.provenance[3]
+        K = St.provenance[3].vectors()
         shift = ps.rho(3) / 2
         for i in (1, 2):
             want = restrict_rf(rf_tilde_operator(B, i).shift(shift), K)
@@ -545,7 +549,7 @@ class TestReductions:
             B = b_from_T(T, TwistedContext(T.ps, eps))
             for mode, a in (("over", None), ("under", None), ("star", 1), ("star", 2)):
                 red = reduce_rank(B, mode, a)
-                K = red.provenance[-1]
+                K = red.provenance[-1].vectors()
                 for v, p in zip(K, red.space.parities):
                     assert {B.space.parity(c) for c, x in enumerate(v) if x} == {p}
                 assert verify_b(red).ok, (eps, mode, a)
@@ -567,6 +571,43 @@ class TestReductions:
         Bb = BAction(ctx, SuperSpace([0]), family_form(sub))
         with pytest.raises(EmptySubspace):
             reduce_rank(Bb, "over")
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "tyang", "data", "scenarios")
+
+
+def _shipped_b_families():
+    """{name: inputs.b} of every shipped reduce and classify scenario."""
+    out = {}
+    for fname in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, fname)) as fh:
+            scenario = json.load(fh)
+        if scenario["pipeline"] in ("reduce", "classify"):
+            out[scenario["name"]] = scenario["inputs"]["b"]
+    return out
+
+
+SHIPPED_B = _shipped_b_families()
+
+
+@pytest.mark.parametrize("spec", list(SHIPPED_B.values()), ids=list(SHIPPED_B))
+def test_kernels_of_shipped_families_are_the_dense_route(spec, monkeypatch):
+    # Every constant kernel that the reductions and the highest space of a
+    # shipped reduce or classify family read off poly_kernel is the one of
+    # dense coefficient matrices and a Fraction nullspace.
+    B = cli.build_baction(spec)[1]()
+    calls = []
+    monkeypatch.setattr(twisted, "poly_kernel", lambda rows, n: calls.append((rows, n)) or poly_kernel(rows, n))
+    modes = [("over", None), ("under", None)] + [("star", a) for a in range(1, B.kappa)]
+    for mode, a in modes:
+        try:
+            reduce_rank(B, mode, a)
+        except EmptySubspace:
+            pass
+    find_highest_space(B)
+    assert len(calls) == len(modes) + 1
+    for rows, n in calls:
+        assert poly_kernel(rows, n).vectors() == ref_poly_kernel(rows, n)
 
 
 class TestBurnside:

@@ -10,6 +10,7 @@ from support import (
     assemble,
     family_form,
     gl_tensor,
+    kron_rows_by_terms,
     lab_t_table,
     lab_tprime_table,
     read_blocks,
@@ -411,6 +412,45 @@ class TestTensor:
                         continue
                     c0 = e.series(0)[0]
                     assert c0 == (1 if (i == j and p == q) else 0)
+
+
+@st.composite
+def kron_terms(draw):
+    """(spaces, terms) for _kron_blocks: two spaces of 1 to 3 vectors, each
+    with an odd one, and 1 to 3 terms (w, [(A, par_A), (B, par_B)]) of
+    constant integer matrices, as dense rows."""
+    spaces = [SuperSpace(draw(st.lists(st.integers(0, 1), max_size=2)) + [1]) for _ in range(2)]
+    matrix = lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)
+    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), st.tuples(
+        *[st.tuples(matrix(sp.dim), st.integers(0, 1)) for sp in spaces])), min_size=1, max_size=3))
+    return spaces, terms
+
+
+class TestKronBlocks:
+    """yangian._kron_blocks, whose Koszul sign is read off
+    superlinalg._passed_parities, against the sign rule entry by entry
+    (support.kron_rows_by_terms), on constant entries with odd vectors in
+    both factors."""
+
+    @staticmethod
+    def _blocks(spaces, terms):
+        cleared = lambda m: [{c: (x,) for c, x in enumerate(row) if x} for row in m]
+        out = yangian._kron_blocks([(w, [(cleared(m), par) for m, par in ops]) for w, ops in terms], spaces)
+        return [{c: e for c, (e,) in row.items()} for row in out]
+
+    @settings(max_examples=100, deadline=None)
+    @given(kron_terms())
+    def test_matches_the_sign_rule(self, drawn):
+        spaces, terms = drawn
+        assert self._blocks(spaces, terms) == kron_rows_by_terms([(w, list(ops)) for w, ops in terms], spaces)
+
+    def test_odd_factor_passing_an_odd_column(self):
+        # E_01 x E_00 with the second factor odd: column (1, 0) passes the
+        # odd vector 1 of the first space, so the entry is negated.
+        spaces = [SuperSpace([0, 1]), SuperSpace([0, 1])]
+        terms = [(1, [([[0, 1], [0, 0]], 0), ([[1, 0], [0, 0]], 1)])]
+        assert self._blocks(spaces, terms) == [{2: -1}, {}, {}, {}]
+        assert self._blocks(spaces, terms) == kron_rows_by_terms(terms, spaces)
 
 
 class TestYangBaxter:
