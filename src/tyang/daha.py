@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from tyang.exactalg import rat
-from tyang.superlinalg import _dense, sparse_add, sparse_mul, sparse_scale
+from tyang.superlinalg import _dense, _transpose, sparse_add, sparse_mul, sparse_scale
 
 
 class DahaParams:
@@ -314,15 +314,6 @@ def group_rows(G: WGroup, g):
     out = [None] * len(G.elements)
     for c, w in enumerate(G.elements):
         out[G.index[w_compose(g, w)]] = {c: 1}
-    return out
-
-
-def _transpose(rows, dim):
-    """The transpose of a row-sparse matrix with dim columns, row-sparse."""
-    out = [{} for _ in range(dim)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            out[c][r] = x
     return out
 
 

@@ -46,13 +46,14 @@ from fractions import Fraction
 
 from tyang._kernel import echelon, poly_mul
 from tyang.exactalg import _neg_u, _zadd, _zmatmul, _zneg, rat
-from tyang.daha import DahaModule, DahaParams, _transpose, induce_pair, sf_presentation
+from tyang.daha import DahaModule, DahaParams, induce_pair, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
     SuperSpace,
     _dense,
     _kron_rows,
     _kron_sum_rows,
+    _transpose,
     at_slots,
     cleared_resolvent,
     elementary,

@@ -15,9 +15,9 @@ mat_nullspace and poly_kernel read one _kernel.echelon, and spin closes
 a span of integer matrices under left multiplication on the
 fraction-free _kernel.echelon_insert, for the algebra closure and the
 irreducibility test.  check_identity_2var certifies a two-variable
-identity, given its degree bound and its coefficient height, at one
-integer Kronecker point, and walks the integer grid only to locate a
-witness.
+identity, given its degree bound and its coefficient height (which
+yangian.certify_words reads off the identity's words), at one integer
+Kronecker point, and walks the integer grid only to locate a witness.
 Matrices over Z[u] (the resolvent cleared_resolvent returns, the rows
 coefficient_rows splits into row-sparse integer matrices, one per power
 of u) have the one layout of exactalg: row-sparse rows {column: integer
@@ -150,6 +150,15 @@ def sparse_scale(A, c=1, rows=None, cols=None):
         else:
             row = {j: ci * x * cols[j] for j, x in Ai.items()}
         out.append({j: x for j, x in row.items() if x})
+    return out
+
+
+def _transpose(rows, dim):
+    """The transpose of a row-sparse matrix with dim columns, row-sparse."""
+    out = [{} for _ in range(dim)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
     return out
 
 

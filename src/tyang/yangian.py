@@ -39,7 +39,10 @@ read their Koszul signs off superlinalg._passed_parities, so every sign
 follows the one rule of that assembler.
 The grid checks run in integers only, at integer points: the one
 Kronecker point of check_identity_2var, and grid points only to locate a
-witness.  Their sides are row-sparse integer matrices from end to end.
+witness.  Each identity is two words over the same factors, families and
+R factors, and certify_words, the one caller of check_identity_2var,
+reads its degree bound, height, poles and witness scale off them.  Their
+sides are row-sparse integer matrices from end to end.
 cleared_evaluator memoises, per coordinate, the lift of a family
 (cleared_at): each cleared coefficient evaluated at x (_kernel.poly_eval)
 and written, with its block and Koszul signs, straight into {column: int}
@@ -50,7 +53,7 @@ superlinalg.sparse_mul, and ScaledR applies x R(x) = x 1 - (1 x P) as a
 signed permutation of rows or columns, never assembling 1 x R(x).  Both
 sides of an identity are integer chains over one common nonzero scale
 per point, and only a refuting point's sides are densified, for its
-witness (scaled_witness).  A family read at -u is the family of its
+witness.  A family read at -u is the family of its
 form's neg_u.  full_at, the RatFun evaluation assembled in Fraction
 arithmetic by realize_mixed, is the reference they agree with.
 """
@@ -202,18 +205,6 @@ def cleared_evaluator(family, slot):
         return cache[x]
 
     return at
-
-
-def scaled_witness(w, scale, label):
-    """Label the witness of a grid check run on scaled row-sparse sides,
-    dividing both sides by scale(u0, v0) back to the exact Fraction values,
-    as dense square matrices: only a refuting point's sides are densified."""
-    if w is None:
-        return None
-    s = scale(*w.point)
-    n = len(w.lhs)
-    lhs, rhs = ([[Fraction(row.get(c, 0), s) for c in range(n)] for row in m] for m in (w.lhs, w.rhs))
-    return Grid2Witness(w.point, lhs, rhs, label=label)
 
 
 class ClearedForm(NamedTuple):
@@ -812,67 +803,102 @@ def lambda_prime_check(T: TAction, xi, lams=None):
 # ---------------------------------------------------------------------------
 # Relation certification.
 
+def certify_words(label, lhs, rhs, n):
+    """Certify the identity lhs = rhs of two words over the same factors,
+    acting on dimension n, at the one Kronecker point of
+    check_identity_2var.  Returns None on pass or the Grid2Witness
+    labelled label.
+
+    A factor is a family (evaluator, form, var): a cleared_evaluator, its
+    ClearedForm, and the variable it reads, 0 for u and 1 for v; or an R
+    factor (R, (a, b)): the ScaledR R read at x = a u + b v.  Both sides
+    are integer chains over one scale, the product of the family
+    denominators and of every x.  At integer points a side is a polynomial
+    matrix: every entry of a family's numerator N has degree at most its
+    cleared degree and l1 norm at most L = form.l1(), and
+    x R(x) = x 1 - (1 x P) adds 1 in each variable x reads.  The degree
+    bound is the sum of these.  By l1 norms (submultiplicative, and
+    bounding every coefficient) each product of two lifted matrices adds
+    the factor n, and each R factor, two entries in a row, multiplies the
+    norm by at most |x|_1 + 1: a side is at most
+    prod L * n^(families - 1) * prod (|x|_1 + 1), and the height of
+    lhs - rhs is twice that.  Each family's denominator is refused in its
+    own variable, and 0 in a variable an R factor reads alone.
+
+    A word is applied from the right: an R factor right of every family
+    acts by ScaledR.right (on the identity, in a word with no family), so
+    a passing identity costs one lifted product per family past the
+    first on each side; every other R factor acts by ScaledR.left and a
+    family by sparse_mul.  Only a refuting point's sides are densified,
+    divided by the scale, for the Fraction witness.
+    """
+    is_r = lambda f: isinstance(f[0], ScaledR)
+    fams = [f for f in lhs if not is_r(f)]
+    xs = [f[1] for f in lhs if is_r(f)]
+    deg = [sum(form.degree for _, form, var in fams if var == t) + sum(bool(ab[t]) for ab in xs) for t in (0, 1)]
+    height = 2 * n ** max(len(fams) - 1, 0)
+    for _, form, _ in fams:
+        height *= form.l1()
+    for a, b in xs:
+        height *= abs(a) + abs(b) + 1
+
+    def bad(t):
+        dens = [form.den_coeffs for _, form, var in fams if var == t]
+        alone = any(not ab[1 - t] for ab in xs)
+        return lambda x: (alone and x == 0) or any(poly_eval(d, x) == 0 for d in dens)
+
+    def side(word):
+        last = max((i for i, f in enumerate(word) if not is_r(f)), default=-1)
+
+        def at(u0, v0):
+            pt = (u0, v0)
+            acc = word[last][0](pt[word[last][2]])[0] if last >= 0 else [{i: 1} for i in range(n)]
+            for R, (a, b) in word[last + 1:]:
+                acc = R.right(acc, a * u0 + b * v0)
+            for f in reversed(word[:max(last, 0)]):  # none left of a word with no family
+                if is_r(f):
+                    acc = f[0].left(f[1][0] * u0 + f[1][1] * v0, acc)
+                else:
+                    acc = sparse_mul(f[0](pt[f[2]])[0], acc)
+            return acc
+
+        return at
+
+    w = check_identity_2var(side(lhs), side(rhs), tuple(deg), height, bad_u=bad(0), bad_v=bad(1))
+    if w is None:
+        return None
+    s = 1
+    for ev, form, var in fams:
+        s *= ev(w.point[var])[1]
+    for a, b in xs:
+        s *= a * w.point[0] + b * w.point[1]
+    dense = ([[Fraction(row.get(c, 0), s) for c in range(len(m))] for row in m] for m in (w.lhs, w.rhs))
+    return Grid2Witness(w.point, *dense, label=label)
+
+
 def verify_rtt(T: TAction):
     """Certify the exchange relation and its two inverse-series variants.
 
     The exchange relation is R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v); the
     mixed ones put T'(-u) (left) or T'(-v) (right) in place of one factor
     and read A1(u) R(u+v) B2(v) = B2(v) R(u+v) A1(u).  Returns None on pass
-    or the first Grid2Witness, labelled with which identity failed.
+    or the first Grid2Witness (certify_words), labelled with which
+    identity failed.
     """
     R = ScaledR(flip_at(T.ps, 1, 2, 2), T.dim)
     Tpn = TPrimeAction(T.ps, T.space, inverse_series_action(T).cleared().neg_u())
-    # (slot-1 and slot-2 evaluators, cleared form) of T(u) and T'(-u); the
-    # three identities share the caches.
-    fam, inv = ((cleared_evaluator(F, 1), cleared_evaluator(F, 2), F.cleared()) for F in (T, Tpn))
-    for label, first, second in (
-        ("exchange", fam, fam),
-        ("mixed-left", inv, fam),
-        ("mixed-right", fam, inv),
+    # T(u), T(v), T'(-u), T'(-v); the three identities share the caches.
+    T1, T2, I1, I2 = ((cleared_evaluator(F, var + 1), F.cleared(), var) for F in (T, Tpn) for var in (0, 1))
+    minus, plus = (R, (1, -1)), (R, (1, 1))
+    for label, lhs, rhs in (
+        ("exchange", [minus, T1, T2], [T2, T1, minus]),
+        ("mixed-left", [I1, plus, T2], [T2, plus, I1]),
+        ("mixed-right", [T1, plus, I2], [I2, plus, T1]),
     ):
-        w = _rtt_check(R, label, first, second)
+        w = certify_words(label, lhs, rhs, len(R.rows))
         if w is not None:
             return w
     return None
-
-
-def _rtt_check(R, label, first, second):
-    """Grid-certify X (Y Z) = Z (Y X) for one identity of verify_rtt.
-
-    (X, Y, Z) is (R(u-v), A1(u), B2(v)) for the exchange relation and
-    (A1(u), R(u+v), B2(v)) for the mixed ones.  Both sides are integer
-    chains over the scale d_A d_B x, with A1 = N_A / d_A, B2 = N_B / d_B
-    and x R(x) applied by ScaledR.
-
-    At integer points each side is the polynomial matrix
-    (u -+ v) N_A(u) N_B(v), in the order of the identity, with
-    x R(x) = x 1 - (1 x P).  Every entry of N_A has degree at most
-    deg_A, the cleared degree of A, and the one R factor adds 1 in each
-    variable: the degree bound is (deg_A + 1, deg_B + 1).  The height is
-    6 n L_A L_B, by l1 norms (submultiplicative, and bounding every
-    coefficient): n = len(R.rows) the lifted dimension, L the largest l1
-    norm of an entry of N (ClearedForm.l1), each row of x 1 - (1 x P)
-    has two entries and |u -+ v|_1 = 2, so each side is at most
-    3 n L_A L_B.
-    """
-    (A1, _, form_a), (_, B2, form_b) = first, second
-    if label == "exchange":
-        x = lambda u0, v0: u0 - v0
-        lhs = lambda u0, v0: R.left(x(u0, v0), sparse_mul(A1(u0)[0], B2(v0)[0]))
-        rhs = lambda u0, v0: R.right(sparse_mul(B2(v0)[0], A1(u0)[0]), x(u0, v0))
-    else:
-        x = lambda u0, v0: u0 + v0
-        lhs = lambda u0, v0: sparse_mul(A1(u0)[0], R.left(x(u0, v0), B2(v0)[0]))
-        rhs = lambda u0, v0: sparse_mul(B2(v0)[0], R.left(x(u0, v0), A1(u0)[0]))
-    w = check_identity_2var(
-        lhs,
-        rhs,
-        (form_a.degree + 1, form_b.degree + 1),
-        6 * len(R.rows) * form_a.l1() * form_b.l1(),
-        bad_u=lambda u: poly_eval(form_a.den_coeffs, u) == 0,
-        bad_v=lambda v: poly_eval(form_b.den_coeffs, v) == 0,
-    )
-    return scaled_witness(w, lambda u0, v0: A1(u0)[1] * B2(v0)[1] * x(u0, v0), label)
 
 
 def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
@@ -893,24 +919,13 @@ def flip_at(ps: ParitySeq, slot_a: int, slot_b: int, nfactors: int):
 
 def verify_yang_baxter(ps: ParitySeq):
     """Certify the braid identity R12(u-v) R13(u) R23(v) = R23(v) R13(u)
-    R12(u-v) for R(u) = 1 - P/u on V x V x V.
-
-    Each side applies the three factors, as ScaledR on a one-dimensional
-    carrier, to the integer identity matrix, so both are integer matrices
-    over the scale (u-v) u v.  At integer points they are the polynomial
-    matrices (u - v - P12)(u - P13)(v - P23) and its reverse, of degree
-    bound (2, 2), two R factors in each variable, and height 24: an entry
-    of a side has l1 norm at most 3 * 2 * 2, each factor multiplying it
-    by |x|_1 + 1 (one for its flip).  Returns None on pass or the
-    Grid2Witness labelled "yang-baxter".
+    R12(u-v) for R(u) = 1 - P/u on V x V x V, as two words of ScaledR on
+    a one-dimensional carrier (certify_words).  Returns None on pass or
+    the Grid2Witness labelled "yang-baxter".
     """
     R12, R13, R23 = (ScaledR(flip_at(ps, a, b, 3), 1) for a, b in ((1, 2), (1, 3), (2, 3)))
-    n = ps.kappa ** 3
-    one = [{i: 1} for i in range(n)]
-    lhs = lambda u, v: R12.left(u - v, R13.left(u, R23.left(v, one)))
-    rhs = lambda u, v: R23.left(v, R13.left(u, R12.left(u - v, one)))
-    w = check_identity_2var(lhs, rhs, (2, 2), 24, bad_u=lambda u: u == 0, bad_v=lambda v: v == 0)
-    return scaled_witness(w, lambda u0, v0: (u0 - v0) * u0 * v0, "yang-baxter")
+    lhs = [(R12, (1, -1)), (R13, (1, 0)), (R23, (0, 1))]
+    return certify_words("yang-baxter", lhs, lhs[::-1], ps.kappa ** 3)
 
 
 # ---------------------------------------------------------------------------

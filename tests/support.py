@@ -85,7 +85,7 @@ from math import gcd, lcm
 import sympy
 
 from tyang._kernel import mat_mul
-from tyang.daha import _cross, _transpose
+from tyang.daha import _cross
 from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
 from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
@@ -96,6 +96,7 @@ from tyang.superlinalg import (
     SuperSpace,
     _dense,
     _kron_rows,
+    _transpose,
     at_slots,
     charpoly,
     cleared_coefficients,

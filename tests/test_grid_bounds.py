@@ -12,7 +12,9 @@ scale, on carriers with dim kappa <= 4.  For each recorded call:
 - the degree bound passed equals the bidegree of those sides, so a bound
   one lower in either variable fails here, and none is larger than needed;
 - the height passed is at least the largest absolute coefficient of the
-  oracle's lhs - rhs, so the one point certifies;
+  oracle's lhs - rhs, so the one point certifies, and at least twice the
+  largest of either side, the bound certify_words derives for every
+  identity, whether or not its sides agree;
 - the verdict equals the exact one (lhs - rhs == 0), on positive cases
   and on negative controls, and a witness is the first failing point of
   the grid-only oracle certifier run on the oracle's sides.
@@ -57,7 +59,8 @@ def _densify(rows):
 
 @pytest.fixture
 def grid_calls(monkeypatch):
-    """The calls of check_identity_2var from yangian and twisted, as
+    """The calls of check_identity_2var, all made by
+    yangian.certify_words, as
     (deg_bound, height, first point evaluated, lhs there, rhs there,
     witness, keyword arguments) tuples.  The certifiers form their sides
     row-sparse; the recorded sides, and those of a witness, are dense."""
@@ -84,7 +87,6 @@ def grid_calls(monkeypatch):
         return w
 
     monkeypatch.setattr(yangian, "check_identity_2var", recording)
-    monkeypatch.setattr(twisted, "check_identity_2var", recording)
     return calls
 
 
@@ -100,6 +102,7 @@ def assert_matches_oracle(call, sides, tight):
     if tight:
         assert deg_bound == (d_u, d_v)
     assert sym_height(lhs, rhs) <= height
+    assert 2 * max(sym_height(lhs, {}), sym_height(rhs, {})) <= height
     assert (w is None) == (lhs == rhs)
     if w is not None:
         ref = ref_check_identity_2var(

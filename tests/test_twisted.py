@@ -84,10 +84,6 @@ class TestContext:
                 for k in range(1, 4):
                     assert ctx.varpi(k) - ctx.varpi(k + 1) == eps[k - 1] * signs[k - 1]
 
-    def test_g_matrix(self):
-        ctx = TwistedContext(ParitySeq([1, -1]), [1, -1])
-        assert ctx.g_matrix() == [[F(1), F(0)], [F(0), F(-1)]]
-
 
 class TestEmbedding:
     def test_trivial_module_gives_constant_g(self):
