@@ -509,6 +509,16 @@ def _sf_failure(M: DahaModule, ys, h1, h2):
     c12, c11 = (2, 2 * h1 * h2), (2, h1 * h1)
     letters = range(1, l + 1)
     yy = {(i, j): mul(ys[i - 1], ys[j - 1]) for i in letters for j in letters if i != j}
+    # Each sigma_ik sigma_jk and varsigma_a varsigma_b recurs across the
+    # brackets, so it is formed once, keyed by its indices.
+    products = {}
+
+    def once(key, a, b):
+        out = products.get(key)
+        if out is None:
+            out = products[key] = mul(a, b)
+        return out
+
     for i in letters:
         for j in letters:
             if i == j:
@@ -521,8 +531,8 @@ def _sf_failure(M: DahaModule, ys, h1, h2):
                     continue
                 sik, sjk = M.sigma_ij(i, k), M.sigma_ij(j, k)
                 zk = M.varsigma_i(k)
-                ik_jk, jk_ik = mul(sik, sjk), mul(sjk, sik)
-                zizj, zizk, zjzk = mul(zi, zj), mul(zi, zk), mul(zj, zk)
+                ik_jk, jk_ik = once(("s", i, j, k), sik, sjk), once(("s", j, i, k), sjk, sik)
+                zizj, zizk, zjzk = once(("z", i, j), zi, zj), once(("z", i, k), zi, zk), once(("z", j, k), zj, zk)
                 t1 = _gadd(s, jk_ik, ik_jk, minus)
                 t2 = mul(ik_jk, _gadd(s, _gadd(s, zizj, zjzk), zizk, minus))
                 t3 = mul(jk_ik, _gadd(s, _gadd(s, zizj, zizk), zjzk, minus))

@@ -91,24 +91,46 @@ def mat_vec(A, v):
 
 
 # Row-sparse matrices: one {col: value} dict per row, zeros left out, the
-# row format of _kron_rows.  Every helper drops entries that cancel, so ==
-# on two such matrices is equality of the matrices.
+# rows _kron_rows writes the (row, col, value) triples of the Koszul core
+# into.  No stored entry is ever 0, so == on two such matrices is equality
+# of the matrices.  Each helper builds an output row once, in one dict, at
+# one dict write per term: it copies a row (sparse_add, and sparse_mul on
+# a row of A with one entry) or scales it, or accumulates into it
+# Gustavson-style, deleting an entry the moment it cancels, so no second
+# pass filters a finished row; only sparse_scale by a scale that holds a 0
+# filters, and sparse_mul copies a row in which an entry cancelled, to
+# free the deleted slots.  No output row is an input row, and no input but
+# the accumulator of sparse_addmul is changed.
 
 def sparse_mul(A, B):
-    """The product of row-sparse matrices of ints or Fractions."""
+    """The product of row-sparse matrices of ints or Fractions.  A row of A
+    with one entry a at k gives a times row k of B, copied once: every row
+    of a signed permutation is such a row."""
     out = []
     for Ai in A:
-        row = {}
+        if len(Ai) == 1:
+            ((k, a),) = Ai.items()
+            out.append(dict(B[k]) if a == 1 else {j: a * b for j, b in B[k].items()})
+            continue
+        row, cancelled = {}, False
         for k, a in Ai.items():
             for j, b in B[k].items():
                 prev = row.get(j)
-                row[j] = a * b if prev is None else prev + a * b
-        out.append({j: x for j, x in row.items() if x})
+                if prev is None:
+                    row[j] = a * b
+                elif x := prev + a * b:
+                    row[j] = x
+                else:
+                    del row[j]
+                    cancelled = True
+        # A deleted entry keeps its slot until the dict is copied.
+        out.append(dict(row) if cancelled else row)
     return out
 
 
 def sparse_add(A, B, c=1):
-    """A + c * B for row-sparse matrices of one shape."""
+    """A + c * B for row-sparse matrices of one shape: each row of A is
+    copied once, and c * B is added into the copy in place."""
     out = []
     for Ai, Bi in zip(A, B):
         row = dict(Ai)
@@ -116,8 +138,12 @@ def sparse_add(A, B, c=1):
             if c != 1:
                 b = c * b
             prev = row.get(j)
-            row[j] = b if prev is None else prev + b
-        out.append({j: x for j, x in row.items() if x})
+            x = b if prev is None else prev + b
+            if x:
+                row[j] = x
+            elif prev is not None:
+                del row[j]
+        out.append(row)
     return out
 
 
@@ -141,7 +167,10 @@ def sparse_addmul(acc, A, B=None, c=1):
 
 def sparse_scale(A, c=1, rows=None, cols=None):
     """c * diag(rows) * A * diag(cols) for a row-sparse A; rows and cols
-    are vectors (say, of signs) and None stands for all ones."""
+    are vectors (say, of signs) and None stands for all ones.  A product of
+    nonzero numbers is nonzero, so the rows are filtered for zeros only
+    when c, rows or cols holds a 0."""
+    zero = not c or (rows is not None and 0 in rows) or (cols is not None and 0 in cols)
     out = []
     for i, Ai in enumerate(A):
         ci = c if rows is None else c * rows[i]
@@ -149,7 +178,7 @@ def sparse_scale(A, c=1, rows=None, cols=None):
             row = {j: ci * x for j, x in Ai.items()}
         else:
             row = {j: ci * x * cols[j] for j, x in Ai.items()}
-        out.append({j: x for j, x in row.items() if x})
+        out.append({j: x for j, x in row.items() if x} if zero else row)
     return out
 
 
@@ -298,43 +327,42 @@ def _passed_parities(spaces, slot):
 
 
 def _kron_nonzero_rows(ops, spaces, col_par):
-    """kron_ops as its nonzero rows only, a list of (row, {col: value})
-    pairs in row order; col_par is _col_parities(spaces).  This is the one
-    place Koszul signs are read.
+    """kron_ops as its nonzero entries, a list of (row, col, value) triples
+    with no two at one (row, col); col_par is _col_parities(spaces).  This
+    is the one place Koszul signs are read.
 
-    Only the nonzero rows of the partial products are carried from factor
-    to factor, and each factor matrix is read once into its nonzero rows,
-    so the cost follows the entries emitted, not the dimension."""
+    A flat scatter: the partial product is carried from factor to factor
+    as its list of triples, extended by one list comprehension per factor.
+    An identity slot of dim d maps each triple to d triples, and a matrix
+    slot maps it to one triple per nonzero entry of the factor, read once;
+    a slot of parity par negates the triple's value where the column
+    prefix col_par[slot] is odd at the triple's column.  So the cost is
+    the entries emitted, one tuple each, with no per-row dict built
+    between factors, and as the factors' entries are nonzero, no emitted
+    value is 0."""
     if len(ops) != len(spaces):
         raise DimensionMismatch("one operator slot per tensor factor required")
-    rows = [(0, {0: 1})]
+    ents = [(0, 0, 1)]
     for (m, par), sp, cp in zip(ops, spaces, col_par):
         d = sp.dim
-        if m is not None:
-            if len(m) != d or any(len(mr) != d for mr in m):
-                raise DimensionMismatch("operator does not match its factor")
-            m = [(r2, nz) for r2, mr in enumerate(m) if (nz := [(c2, x) for c2, x in enumerate(mr) if x])]
-        new = []
-        for r1, row1 in rows:
-            signed = [(c1 * d, -v if par and cp[c1] else v) for c1, v in row1.items()]
-            base1 = r1 * d
-            if m is None:
-                for r2 in range(d):
-                    new.append((base1 + r2, {base + r2: vs for base, vs in signed}))
-            else:
-                for r2, mr in m:
-                    new.append((base1 + r2, {base + c2: vs * x for base, vs in signed for c2, x in mr}))
-        rows = new
-    return rows
+        if m is None:
+            ents = [(r * d + k, c * d + k, -v if par and cp[c] else v) for r, c, v in ents for k in range(d)]
+            continue
+        if len(m) != d or any(len(mr) != d for mr in m):
+            raise DimensionMismatch("operator does not match its factor")
+        nz = [(r2, c2, x) for r2, mr in enumerate(m) for c2, x in enumerate(mr) if x]
+        ents = [(r * d + r2, c * d + c2, (-v if par and cp[c] else v) * x) for r, c, v in ents for r2, c2, x in nz]
+    return ents
 
 
 def _kron_rows(ops, spaces):
     """kron_ops as row-sparse rows: one {col: value} dict per row holding
-    only the nonzero entries, assembled by _kron_nonzero_rows, whose cost
-    follows the entries emitted; the rows no entry reaches stay empty."""
+    only the nonzero entries, each triple of _kron_nonzero_rows written
+    straight into its row, so the cost is the entries emitted; the rows no
+    entry reaches stay empty."""
     out = [{} for _ in range(_tensor_dim(spaces))]
-    for r, row in _kron_nonzero_rows(ops, spaces, _col_parities(spaces)):
-        out[r] = row
+    for r, c, v in _kron_nonzero_rows(ops, spaces, _col_parities(spaces)):
+        out[r][c] = v
     return out
 
 
@@ -379,23 +407,23 @@ def elementary(k, i, j, c=1):
 
 def _kron_sum_rows(terms, spaces):
     """kron_sum as row-sparse rows, with cancelled entries dropped: the
-    nonzero rows of each term (_kron_nonzero_rows, on column parities
-    computed once for all terms) are added in place."""
+    triples of each term (_kron_nonzero_rows, on column parities computed
+    once for all terms) are added straight into their rows, an entry
+    deleted the moment it cancels."""
     col_par = _col_parities(spaces)
     total = [{} for _ in range(_tensor_dim(spaces))]
     for w, ops in terms:
-        for r, trow in _kron_nonzero_rows(ops, spaces, col_par):
+        for r, c, x in _kron_nonzero_rows(ops, spaces, col_par):
+            if w != 1:
+                x = w * x
             row = total[r]
-            for c, x in trow.items():
-                if w != 1:
-                    x = w * x
-                prev = row.get(c)
-                if prev is not None:
-                    x = prev + x
-                if x:
-                    row[c] = x
-                else:
-                    row.pop(c, None)
+            prev = row.get(c)
+            if prev is not None:
+                x = prev + x
+            if x:
+                row[c] = x
+            elif prev is not None:
+                del row[c]
     return total
 
 

@@ -27,6 +27,7 @@ from tyang.superlinalg import (
     RFMatrix,
     SingularMatrix,
     SuperSpace,
+    _dense,
     _kron_rows,
     algebra_closure,
     charpoly,
@@ -247,7 +248,7 @@ def sparse(A):
 
 @st.composite
 def sparse_kron_terms(draw):
-    """(terms, spaces) for the nonzero-row path of the assembler: 2-4
+    """(terms, spaces) for the sparse cases of the assembler: 2-4
     factors of dim 1-3 (at most 36 in all), each of dim 2 or more with both
     parities, whose slots are identities, matrix units, all-zero matrices
     or matrices with empty rows, of odd or even parity, and weights of
@@ -280,9 +281,10 @@ def sparse_kron_terms(draw):
 
 
 class TestKronNonzeroRows:
-    """The assembler carries only nonzero rows from factor to factor; on
-    sparse factors its rows, kron_ops and kron_sum must still be the
-    entry-by-entry reference and the entrywise sum."""
+    """The assembler carries only the nonzero entries from factor to
+    factor, as (row, col, value) triples; on sparse factors its rows,
+    kron_ops and kron_sum must still be the entry-by-entry reference and
+    the entrywise sum."""
 
     @settings(max_examples=120, deadline=None)
     @given(sparse_kron_terms())
@@ -299,6 +301,47 @@ class TestKronNonzeroRows:
                 kron_ops(ops, spaces)
             with pytest.raises(DimensionMismatch):
                 kron_sum([(1, ops)], spaces)
+
+
+# Small ints and Fractions, so that sums and products cancel often.
+SPARSE_VALUES = st.sampled_from([1, -1, 2, -2, 3, F(1, 2), F(-1, 2), F(2, 3)])
+
+
+@st.composite
+def sparse_rows(draw, n):
+    """An n x n row-sparse matrix of ints and Fractions whose rows are
+    empty, hold one entry, or hold a random set of entries; or a signed
+    permutation, every row of which holds one entry."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        return [{perm[i]: draw(st.sampled_from([1, -1, 2, F(-1, 2)]))} for i in range(n)]
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["empty", "one", "many"]))
+        cols = [] if kind == "empty" else [draw(st.integers(0, n - 1))] if kind == "one" else draw(st.sets(st.integers(0, n - 1)))
+        rows.append({c: draw(SPARSE_VALUES) for c in cols})
+    return rows
+
+
+@st.composite
+def sparse_operands(draw):
+    """(n, A, B, acc, c, rows, cols) for the row-sparse helpers: n 1-4,
+    B at times -A / c, or A with a row of it negated, so that sums cancel;
+    c at times 0; rows and cols None or vectors that may hold a 0."""
+    n = draw(st.integers(1, 4))
+    A, acc = draw(sparse_rows(n)), draw(sparse_rows(n))
+    c = draw(st.sampled_from([1, -1, 0, 2, F(1, 3)]))
+    kind = draw(st.sampled_from(["free", "cancel", "negated-row"]))
+    if kind == "cancel" and c:
+        B = [{j: F(-x) / c for j, x in row.items()} for row in A]
+    elif kind == "negated-row":
+        B = [dict(row) for row in A]
+        i = draw(st.integers(0, n - 1))
+        B[i] = {j: -x for j, x in B[i].items()}
+    else:
+        B = draw(sparse_rows(n))
+    scales = st.none() | st.lists(st.sampled_from([1, -1, 0, 2]), min_size=n, max_size=n)
+    return n, A, B, acc, c, draw(scales), draw(scales)
 
 
 class TestSparseRows:
@@ -331,6 +374,39 @@ class TestSparseRows:
         sparse_addmul(acc, A, None, -1)
         assert acc == [{}, {}, {}]
         assert A == sparse(self.A) and B == sparse(self.B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_operands(), st.booleans())
+    def test_helpers_match_dense_references(self, case, identity_b):
+        """Each helper is its dense reference (mat_mul, entrywise sums and
+        scales), stores no 0, changes no input, and returns no input row:
+        a one-entry row of A must give a copy of a row of B, not the row.
+        sparse_addmul runs with B or with None, the identity."""
+        n, A, B, acc, c, rows, cols = case
+        dA, dB, dacc = _dense(A, n), _dense(B, n), _dense(acc, n)
+        kept = [[dict(r) for r in M] for M in (A, B)]
+        rs, cs = rows or [1] * n, cols or [1] * n
+        one = [[int(i == j) for j in range(n)] for i in range(n)]
+        acc_rows = list(acc)
+        results = {
+            "mul": (sparse_mul(A, B), mat_mul(dA, dB)),
+            "add": (sparse_add(A, B, c), [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(dA, dB)]),
+            "scale": (
+                sparse_scale(A, c, rows, cols),
+                [[c * rs[i] * x * cs[j] for j, x in enumerate(r)] for i, r in enumerate(dA)],
+            ),
+            "addmul": (
+                sparse_addmul(acc, A, None if identity_b else B, c),
+                [[x + c * y for x, y in zip(rx, ry)] for rx, ry in zip(dacc, mat_mul(dA, one if identity_b else dB))],
+            ),
+        }
+        assert [[dict(r) for r in M] for M in (A, B)] == kept
+        assert results["addmul"][0] is acc and all(r is old for r, old in zip(acc, acc_rows))
+        inputs = {id(r) for r in A + B}
+        for name, (got, want) in results.items():
+            assert got == sparse(want), name
+            assert all(x != 0 for r in got for x in r.values()), name
+            assert not {id(r) for r in got} & inputs, name
 
 
 class TestApplyAtFactor:
