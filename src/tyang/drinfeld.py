@@ -565,8 +565,8 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
     double sums are accumulated in place, one product c A B at a time,
     into one row-sparse matrix each (sparse_addmul); the flip weights of
     the boxes in them do not depend on (i, j) and are summed once
-    (_sigma_weights, _flip_pair_weights); and as G, s_i and eps_i are
-    signs, each comparison scales one side only.
+    (_sigma_weights, _flip_pair_weights); and as s_i and eps_i are signs,
+    each (i, j) entry is read off with its sign s_i eps_i (_aux_entry).
     """
     kk = ps.kappa
     ctx = TwistedContext(ps, eps)
@@ -619,31 +619,30 @@ def appendix_identities(ps: ParitySeq, eps, l: int):
                 if ctx.eps_sign(i) == ctx.eps_sign(j):
                     continue
                 # s_i want = -e_i got (ordered) and e_i got (sandwiched),
-                # and s_i = +-1, so want = -+e_i s_i got.
-                si = ps.sign(i)
-                ei = ctx.eps_sign(i)
+                # and s_i = +-1, so want = -+e_i s_i got, read off signed.
+                t = ps.sign(i) * ctx.eps_sign(i)
                 boxes = [_box_at(ps, i, j, k, l) for k in range(1, l + 1)]
-                got1 = _aux_entry(lhs1, ps, i, j, pars)
-                if _box_sum(sigma, boxes) != sparse_scale(got1, -ei * si):
+                if _box_sum(sigma, boxes) != _aux_entry(lhs1, ps, i, j, pars, sign=-t):
                     return f"ordered double sum at (i,j)=({i},{j})"
-                got2 = _aux_entry(lhs2, ps, i, j, pars)
-                if _box_sum(pair, boxes) != sparse_scale(got2, ei * si):
+                if _box_sum(pair, boxes) != _aux_entry(lhs2, ps, i, j, pars, sign=t):
                     return f"sandwiched double sum at (i,j)=({i},{j})"
     return None
 
 
-def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg):
-    """Standard (i, j) entry of a row-sparse operator F from W x V to U x V,
-    as a row-sparse matrix from W to U, whose basis parities on W are pars
-    (the inverse of the Koszul assembly of yangian.realize_mixed, with its
-    block signs; U = W for a square F, and F from W x V to U x V is G x 1_V
-    times a square one exactly when the entry is G times its entry).  A
-    sign is applied entrywise through neg, the negation of F's entries."""
+def _aux_entry(F, ps: ParitySeq, i, j, pars, neg=operator.neg, sign=1):
+    """sign = +-1 times the standard (i, j) entry of a row-sparse operator
+    F from W x V to U x V, as a row-sparse matrix from W to U, whose basis
+    parities on W are pars (the inverse of the Koszul assembly of
+    yangian.realize_mixed, with its block signs; U = W for a square F, and
+    F from W x V to U x V is G x 1_V times a square one exactly when the
+    entry is G times its entry).  Signs are applied entrywise through neg,
+    the negation of F's entries, in the one pass that reads the entry."""
     kk = ps.kappa
     pi, pj = ps.parity(i), ps.parity(j)
-    # Negate by the block sign (-1)^(pi pj + pj), and once more on an odd
-    # basis vector of W when the entry is odd (pi + pj): flip[parity].
-    flip = [(pi * pj + pj) % 2 == 1, (pi * pj + pi) % 2 == 1]
+    # Negate by sign and the block sign (-1)^(pi pj + pj), and once more on
+    # an odd basis vector of W when the entry is odd (pi + pj): flip[parity].
+    odd = pi * pj + (sign < 0)
+    flip = [(odd + pj) % 2 == 1, (odd + pi) % 2 == 1]
     out = []
     for q in range(len(F) // kk):
         row = {}

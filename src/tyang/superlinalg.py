@@ -14,10 +14,12 @@ their products and echelon forms from tyang._kernel: mat_rank,
 mat_nullspace and poly_kernel read one _kernel.echelon, and spin closes
 a span of integer matrices under left multiplication on the
 fraction-free _kernel.echelon_insert, for the algebra closure and the
-irreducibility test.  check_identity_2var certifies a two-variable
-identity, given its degree bound and its coefficient height (which
-yangian.certify_words reads off the identity's words), at one integer
-Kronecker point, and walks the integer grid only to locate a witness.
+irreducibility test; minpoly reads a matrix's minimal polynomial off the
+same insertion of its powers.  check_identity_2var certifies a
+two-variable identity, given its degree bound and its coefficient height
+(which yangian.certify_words reads off the identity's words), at one
+integer Kronecker point, and walks the integer grid only to locate a
+witness.
 Matrices over Z[u] (the resolvent cleared_resolvent returns, the rows
 coefficient_rows splits into row-sparse integer matrices, one per power
 of u) have the one layout of exactalg: row-sparse rows {column: integer
@@ -82,9 +84,10 @@ def tensor_space(spaces) -> SuperSpace:
 
 # ---------------------------------------------------------------------------
 # Constant matrix helpers.  Matrices are lists of rows, of Python ints or
-# Fractions; products and echelon forms come from tyang._kernel.  The
-# characteristic polynomial and the resolvent clear a rational matrix once
-# (exactalg._zclear) and run in ints from there.
+# Fractions; products and echelon forms come from tyang._kernel.  minpoly
+# clears a rational matrix once (exactalg._zclear) and reads its minimal
+# polynomial, in ints, off one echelon basis of its powers; the resolvent
+# and twisted.irreducible_burnside read it.
 
 def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in A]
@@ -219,54 +222,48 @@ def mat_rank(A):
     return len(echelon(cleared_rows(A), len(A[0])).basis) if A else 0
 
 
-def _faddeev_leverrier(A):
-    """(s, cs, Bs) for a rational matrix A, with s the lcm of its
-    denominators, so that B = s A is integral (exactalg._zclear): then
-    det(u*1 - B) = sum_k cs[k] u^(n-k) and adj(u*1 - B) = sum_k Bs[k]
-    u^(n-1-k), by the Faddeev-LeVerrier scheme B_0 = 1, c_k = -tr(B B_(k-1))
-    / k, B_k = B B_(k-1) + c_k 1, in Python ints: c_k is a coefficient of
-    det(u*1 - B) in Z[u], so the division by k is exact."""
+def minpoly(A):
+    """(s, c, powers) for a rational matrix A: B = s A is integral
+    (exactalg._zclear), sum_k c[k] B^k = 0 is its minimal polynomial, a
+    primitive integer tuple with c[-1] > 0, and powers holds 1, B, ...,
+    B^(m-1) for m = len(c) - 1.  The powers go into one echelon basis
+    (_kernel.echelon_insert), power k flattened with one more column,
+    n^2 + k, that tracks it; the first row whose pivot is such a column
+    is zero on the entries, so its tracking part is the relation."""
     n = len(A)
     s, B = _zclear(A)
-    cs = [1]
-    Bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for k in range(1, n + 1):
-        M = mat_mul(B, Bs[-1])
-        c = -sum(M[i][i] for i in range(n)) // k
-        cs.append(c)
-        if k < n:
-            for i in range(n):
-                M[i][i] += c
-            Bs.append(M)
-    return s, cs, Bs
-
-
-def charpoly(A) -> Poly:
-    """Characteristic polynomial det(u*1 - A) = sum_k c_k / s^k u^(n-k), the
-    c_k those of s A (_faddeev_leverrier)."""
-    s, cs, _Bs = _faddeev_leverrier(A)
-    return Poly([Fraction(c, s**k) for k, c in enumerate(cs)][::-1])
+    N, rows, powers = n * n, {}, []
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        v = {c: x for c, x in enumerate(chain.from_iterable(P)) if x}
+        v[N + len(powers)] = 1
+        echelon_insert(rows, v)
+        if (p := max(rows)) >= N:
+            c = [rows[p].get(N + k, 0) for k in range(len(powers) + 1)]
+            return s, tuple(-x for x in c) if c[-1] < 0 else tuple(c), powers
+        powers.append(P)
+        P = mat_mul(B, P)
 
 
 def cleared_resolvent(A):
     """(u*1 - A)^{-1} = R / d over Z[u]: R a row-sparse matrix over Z[u]
-    and d an integer coefficient tuple.  With B = s A integral, the
-    resolvent is s adj(s u - B) / det(s u - B), read off the integer
-    Faddeev-LeVerrier data, and reduced by exactalg._zreduce, so d is the
-    lcm of the reduced denominators up to a constant."""
-    n = len(A)
-    s, cs, Bs = _faddeev_leverrier(A)
-    pw = [s**t for t in range(n + 1)]
-    d = tuple(cs[n - t] * pw[t] for t in range(n + 1))
-    R = [{} for _ in range(n)]
+    and d an integer coefficient tuple.  With B = s A and mu = sum_k c_k
+    u^k its minimal polynomial (minpoly), the resolvent is the reduced
+    adjoint s sum_(j<m) B^j h_j(s u) / mu(s u), h_j(u) = sum_(k>j) c_k
+    u^(k-1-j), reduced by exactalg._zreduce, so d is the lcm of the
+    reduced denominators up to a constant."""
+    s, cs, Bs = minpoly(A)
+    m = len(Bs)
+    pw = [s**t for t in range(m + 1)]
+    R = [{} for _ in A]
     for r, row in enumerate(R):
-        for c in range(n):
-            p = [Bs[n - 1 - t][r][c] * pw[t + 1] for t in range(n)]
+        for c in range(len(A)):
+            p = [sum(Bs[j][r][c] * cs[j + 1 + t] for j in range(m - t)) * pw[t + 1] for t in range(m)]
             while p and not p[-1]:
                 p.pop()
             if p:
                 row[c] = tuple(p)
-    d, entries = _zreduce(d, [p for row in R for p in row.values()])
+    d, entries = _zreduce(tuple(c * w for c, w in zip(cs, pw)), [p for row in R for p in row.values()])
     it = iter(entries)
     return [{c: next(it) for c in row} for row in R], d
 

@@ -54,8 +54,8 @@ from tyang.superlinalg import (
     SuperSpace,
     _transpose,
     algebra_closure,
-    charpoly,
     coefficient_rows,
+    minpoly,
     poly_kernel,
     sparse_mul,
     spin,
@@ -784,7 +784,9 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     on a sub-maximal closure a proper invariant subspace is searched by
     spinning eigenvectors of algebra elements under the coefficients,
     cleared to integer matrices (superlinalg.spin), and 'inconclusive' is
-    reported when no candidate element splits over the rationals.
+    reported when no candidate element splits over the rationals.  A
+    candidate's eigenvalues are the roots of its minimal polynomial
+    (superlinalg.minpoly); no multiplicity is read.
     """
     d = B.dim
     form = B.cleared()
@@ -811,7 +813,8 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
         candidates.append(combo)
     for A in candidates:
         try:
-            roots, _cof = rational_roots(charpoly(A))
+            s, c, _powers = minpoly(A)
+            roots, _cof = rational_roots(Poly([x * s**k for k, x in enumerate(c)]).monic())
         except RootSearchBound:
             continue
         for lam, _mult in roots:

@@ -26,7 +26,11 @@ ref_poly_kernel is the constant kernel of rows over Z[u] by dense
 coefficient matrices and ref_nullspace, the reference for
 superlinalg.poly_kernel; ref_algebra_closure is the algebra
 closure by pairwise products, the reference for the spin of
-superlinalg.algebra_closure.
+superlinalg.algebra_closure.  charpoly is the characteristic polynomial
+by the Faddeev-LeVerrier scheme (_faddeev_leverrier), and
+ref_cleared_resolvent the resolvent read off its full adjugate: the
+references for the minimal polynomial superlinalg.minpoly and the
+reduced adjoint of superlinalg.cleared_resolvent.
 
 ref_lift_at is the lift of a family at an integer point through a
 signed tag pattern that _kron_rows assembles, the reference for the
@@ -86,7 +90,7 @@ import sympy
 
 from tyang._kernel import mat_mul
 from tyang.daha import _cross
-from tyang.exactalg import Poly, RatFun, _zclear, rational_roots
+from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rational_roots
 from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -98,7 +102,6 @@ from tyang.superlinalg import (
     _kron_rows,
     _transpose,
     at_slots,
-    charpoly,
     cleared_coefficients,
     common_den,
     elementary,
@@ -691,6 +694,55 @@ def ref_algebra_closure(gens, dim):
                 if add(prod):
                     queue.append(prod)
     return basis
+
+
+def _faddeev_leverrier(A):
+    """(s, cs, Bs) for a rational matrix A, with s the lcm of its
+    denominators, so that B = s A is integral (exactalg._zclear): then
+    det(u*1 - B) = sum_k cs[k] u^(n-k) and adj(u*1 - B) = sum_k Bs[k]
+    u^(n-1-k), by the Faddeev-LeVerrier scheme B_0 = 1, c_k = -tr(B B_(k-1))
+    / k, B_k = B B_(k-1) + c_k 1, in Python ints: c_k is a coefficient of
+    det(u*1 - B) in Z[u], so the division by k is exact."""
+    n = len(A)
+    s, B = _zclear(A)
+    cs = [1]
+    Bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n + 1):
+        M = mat_mul(B, Bs[-1])
+        c = -sum(M[i][i] for i in range(n)) // k
+        cs.append(c)
+        if k < n:
+            for i in range(n):
+                M[i][i] += c
+            Bs.append(M)
+    return s, cs, Bs
+
+
+def charpoly(A) -> Poly:
+    """Characteristic polynomial det(u*1 - A) = sum_k c_k / s^k u^(n-k), the
+    c_k those of s A (_faddeev_leverrier)."""
+    s, cs, _Bs = _faddeev_leverrier(A)
+    return Poly([Fraction(c, s**k) for k, c in enumerate(cs)][::-1])
+
+
+def ref_cleared_resolvent(A):
+    """(u*1 - A)^{-1} = R / d over Z[u] as superlinalg.cleared_resolvent
+    returns it, read off the full adjugate: with B = s A integral, s
+    adj(s u - B) / det(s u - B) from the Faddeev-LeVerrier data, reduced
+    by exactalg._zreduce."""
+    n = len(A)
+    s, cs, Bs = _faddeev_leverrier(A)
+    pw = [s**t for t in range(n + 1)]
+    d = tuple(cs[n - t] * pw[t] for t in range(n + 1))
+    R = [{} for _ in range(n)]
+    for r, row in enumerate(R):
+        for c in range(n):
+            p = trimmed([Bs[n - 1 - t][r][c] * pw[t + 1] for t in range(n)])
+            if p:
+                row[c] = p
+    d, entries = _zreduce(d, [p for row in R for p in row.values()])
+    it = iter(entries)
+    return [{c: next(it) for c in row} for row in R], d
 
 
 def _coords_in_span(basis, vectors):

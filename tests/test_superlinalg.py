@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from support import (
     apply_at_factor,
+    charpoly,
     mat_identity,
     ref_algebra_closure,
     ref_check_identity_2var,
@@ -30,13 +31,13 @@ from tyang.superlinalg import (
     _dense,
     _kron_rows,
     algebra_closure,
-    charpoly,
     check_identity_2var,
     cleared_coefficients,
     common_den,
     kron_ops,
     kron_sum,
     mat_nullspace,
+    minpoly,
     poly_kernel,
     rfmat_inverse,
     rfmat_kernel,
@@ -231,7 +232,11 @@ class TestKronSum:
     @settings(max_examples=30, deadline=None)
     @given(kron_terms(RATFUNS))
     def test_ratfun_terms(self, case):
+        # Each term's kron_ops is the entry-by-entry kron_reference, so a
+        # sign error the assembler shares with kron_sum cannot cancel out.
         terms, spaces = case
+        for _w, ops in terms:
+            assert RFMatrix.from_const(kron_ops(ops, spaces)) == RFMatrix.from_const(kron_reference(ops, spaces))
         got = kron_sum(terms, spaces)
         want, touched = self.entrywise(terms, spaces)
         assert RFMatrix.from_const(got) == RFMatrix.from_const(want)
@@ -540,6 +545,36 @@ class TestCharPoly:
     def test_nilpotent(self):
         A = [[F(0), F(1)], [F(0), F(0)]]
         assert charpoly(A) == Poly([0, 0, 1])
+
+
+class TestMinpoly:
+    """The minimal polynomial of s A and its first powers on matrices whose
+    minimal polynomial is known; a degree below n means the power loop
+    must stop at the first relation and keep every power before it."""
+
+    CASES = [
+        # (A, s, c): diagonal, nilpotent, a scalar with a denominator, and
+        # J_3(2) + (2), whose minimal polynomial (u - 2)^3 has degree 3 < 4.
+        ([[F(2), F(0)], [F(0), F(3)]], 1, (6, -5, 1)),
+        ([[F(0), F(1)], [F(0), F(0)]], 1, (0, 0, 1)),
+        ([[F(1, 2) if r == c else F(0) for c in range(3)] for r in range(3)], 2, (-1, 1)),
+        (
+            [[F(2), F(1), F(0), F(0)], [F(0), F(2), F(1), F(0)], [F(0), F(0), F(2), F(0)], [F(0)] * 3 + [F(2)]],
+            1,
+            (-8, 12, -6, 1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("A, s, c", CASES)
+    def test_known_minimal_polynomials(self, A, s, c):
+        got_s, got_c, powers = minpoly(A)
+        assert (got_s, got_c) == (s, c)
+        B = [[int(s * x) for x in row] for row in A]
+        P = mat_identity(len(A))
+        assert len(powers) == len(c) - 1
+        for Q in powers:
+            assert Q == P
+            P = mat_mul(B, P)
 
 
 ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=4))

@@ -1,8 +1,8 @@
 """Property tests of the exact arithmetic against sympy as an independent
-oracle: the characteristic polynomial and the integer resolvent of rational
-matrices, polynomial gcd and division, the normal form of rational
-functions and of cleared Z[u] data, expansions at infinity, echelon forms
-and nullspaces, and the rational root search.  sympy is used here only,
+oracle: the characteristic and minimal polynomials and the integer
+resolvent of rational matrices, polynomial gcd and division, the normal
+form of rational functions and of cleared Z[u] data, expansions at
+infinity, echelon forms and nullspaces, and the rational root search.  sympy is used here only,
 never by the package."""
 
 from fractions import Fraction
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from tyang._kernel import mat_rref, poly_mul
 from tyang.exactalg import Poly, RatFun, _zadd, _zreduce, rational_roots
-from tyang.superlinalg import charpoly, cleared_resolvent, mat_nullspace
+from tyang.superlinalg import cleared_resolvent, mat_nullspace, minpoly
+
+from support import charpoly, ref_cleared_resolvent
 
 U = sympy.Symbol("u")
 T = sympy.Symbol("t")
@@ -105,6 +107,47 @@ class TestCharpolyAndResolvent:
             g = sympy.gcd(g, sym_poly(p))
         assert g.degree() == 0
         assert all(type(x) is int for p in [d, *entries] for x in p)
+
+
+class TestMinpoly:
+    """minpoly(A) = (s, c, powers): sum_k c_k (s A)^k = 0 with c primitive,
+    c[-1] > 0, and powers the first len(c) - 1 powers of s A."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_annihilates_and_divides_charpoly(self, A):
+        s, c, _powers = minpoly(A)
+        assert s == _scale(A) and c[-1] > 0 and gcd(*c) == 1
+        B = sym_matrix(A) * s
+        n = len(A)
+        assert sum((x * B**k for k, x in enumerate(c)), sympy.zeros(n, n)) == sympy.zeros(n, n)
+        # mu(s u) = sum_k c_k s^k u^k vanishes on A and divides det(u - A).
+        mu = sym_poly([Fraction(x * s**k) for k, x in enumerate(c)])
+        _q, r = sympy.div(sympy.Poly(sym_matrix(A).charpoly(U).as_expr(), U, domain="QQ"), mu)
+        assert r.is_zero
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_lower_powers_are_independent(self, A):
+        # powers holds 1, B, ..., B^(m-1), m = deg mu, and they are
+        # independent: no polynomial of lower degree annihilates B.
+        s, c, powers = minpoly(A)
+        B = sym_matrix(A) * s
+        m = len(c) - 1
+        assert len(powers) == m
+        for k, P in enumerate(powers):
+            assert all(type(x) is int for row in P for x in row)
+            assert sympy.Matrix(P) == B**k
+        flat = sympy.Matrix([[x for row in P for x in row] for P in powers])
+        assert flat.rank() == m
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices())
+    def test_resolvent_matches_faddeev_leverrier(self, A):
+        # The reduced adjoint gives the full adjugate's (R, d) exactly.
+        R, d = cleared_resolvent(A)
+        assert (R, d) == ref_cleared_resolvent(A)
+        assert all(type(x) is int for p in [d, *(e for row in R for e in row.values())] for x in p)
 
 
 POLYS = st.lists(FRACS, min_size=0, max_size=6).map(Poly)
