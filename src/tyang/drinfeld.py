@@ -169,12 +169,13 @@ def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     R x Q^(k).  d is an integer coefficient tuple and F a row-sparse
     matrix over Z[u]; every entry of K has degree below that of d, so no
     diagonal entry of F cancels.  Q is Q^(k) as integer row-sparse rows
-    (_int_q_rows).  neg substitutes u -> -u.  Both tensor factors are
-    even, so the Kronecker product carries no Koszul sign.
+    (_int_q_rows), and y_k is read as its integer rows over the scale of
+    M.  neg substitutes u -> -u.  Both tensor factors are even, so the
+    Kronecker product carries no Koszul sign.
     """
     n = M.dim
-    y = _dense(M.y[k - 1], n)
-    A = [[chi * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
+    y, c_over_s = _dense(M.int_y[k - 1], n), chi / M.scale
+    A = [[c_over_s * y[r][c] - (shift if r == c else 0) for c in range(n)] for r in range(n)]
     R, d = cleared_resolvent(A)
     if neg:
         d, R = _neg_u(d), [{c: _neg_u(p) for c, p in row.items()} for row in R]
@@ -356,6 +357,11 @@ def _projected_product(steps, quotient, ps, carrier):
     return _series_blocks(N, ps, carrier), den
 
 
+def _chi(M: DahaModule, epsilon, chi=None):
+    """chi, defaulting to epsilon/theta1, the well-definedness locus."""
+    return rat(chi) if chi is not None else Fraction(epsilon) / M.params.theta1
+
+
 def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> DrinfeldModule:
     """Series action on the sign-quotient of M x V^l, type A.
 
@@ -366,8 +372,7 @@ def drinfeld_A(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None, c=0) -> Drinfe
         raise ParameterConstraint("unsupported module kind")
     if epsilon not in (1, -1):
         raise ParameterConstraint("epsilon must be +-1")
-    th1 = M.params.theta1
-    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
+    chi = _chi(M, epsilon, chi)
     c = rat(c)
     carrier = _carrier(M, ps)
     quotient = echelon(_sign_relations(M, ps, epsilon), carrier.dim)
@@ -403,7 +408,7 @@ def _bc_parameters(M: DahaModule, ps, eps, epsilon, chi=None, gamma=None):
     """chi and gamma resolved: chi defaults to epsilon/theta1 and gamma to
     (theta2/theta1 - varpi_1)/2."""
     th1, th2 = M.params.theta1, M.params.theta2
-    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
+    chi = _chi(M, epsilon, chi)
     gamma = rat(gamma) if gamma is not None else (th2 / th1 - TwistedContext(ps, eps).varpi(1)) / 2
     return chi, gamma
 
@@ -470,8 +475,7 @@ def tk_sk_identity(M: DahaModule, ps: ParitySeq, epsilon=1, chi=None):
     """T_k(u) S_k(u) = 1 for every k, checked cleared over Z[u] as
     N_T N_S = d_T d_S 1, both sides over the same scale of the two steps;
     None on pass, else the failing k."""
-    th1 = M.params.theta1
-    chi = rat(chi) if chi is not None else Fraction(epsilon) / th1
+    chi = _chi(M, epsilon, chi)
     jay = ps.jay
     l = M.params.l
     dim = M.dim * ps.kappa ** (l + 1)

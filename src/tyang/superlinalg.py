@@ -53,12 +53,11 @@ class DegreeBoundError(ArithmeticError):
 class SuperSpace:
     """A finite-dimensional Z2-graded space given by its basis parities."""
 
-    __slots__ = ("dim", "parities", "labels")
+    __slots__ = ("dim", "parities")
 
-    def __init__(self, parities, labels=None):
+    def __init__(self, parities):
         self.parities = tuple(int(p) % 2 for p in parities)
         self.dim = len(self.parities)
-        self.labels = tuple(labels) if labels is not None else None
 
     def parity(self, idx: int) -> int:
         return self.parities[idx]

@@ -20,8 +20,13 @@ exactalg._zmatmul.
 The irreducibility test reads B's coefficients off its cleared form, and
 spins their algebra and its eigenvectors in integers (superlinalg.spin).
 Highest weights are read off it too, over one common denominator, and the
-Verma conditions and the rank-one classification run on those integer
-numerators (BHighestWeight).  B's RatFun entries are a view, formed only
+Verma conditions run on those integer numerators (BHighestWeight).  The
+classification criterion is stated once, per neighbouring pair (i, i+1)
+of the tilde series (_pair_failure), with one search per pair
+(_pair_search) and one rule for the candidates of gamma (_search):
+classify_rank1 is its kappa = 2 instance on any parity sequence, and
+classify_highrank and classify_highrank_search check and search it at any
+kappa on the standard one.  B's RatFun entries are a view, formed only
 for the JSON writer and full_at; b_from_json reads RatFun input through
 yangian.cleared_form_rf.
 """
@@ -283,10 +288,10 @@ class BHighestWeight:
     nums and den are integer coefficient tuples with mu_i(u) = nums[i - 1]
     / den, as yangian.highest_eigenseries reads them; the tilde series
     mu~_i(u) = (2u - rho_(i+1)) mu_i(u) + sum_(a > i) s_a mu_a(u) share den,
-    with numerators tilde_nums.  The certifiers (verma_conditions,
-    classify_rank1) read only these integers; mus, mu(i) and tilde(i) are
-    reduced RatFun views, formed on first read.  Two weights are equal when
-    their reduced series are.
+    with numerators tilde_nums.  verma_conditions reads only these
+    integers, and the classification only their reduced ratios; mus,
+    mu(i), tilde(i) and ratios are reduced RatFun views, formed on first
+    read.  Two weights are equal when their reduced series are.
     """
 
     def __init__(self, nums, den, ctx: TwistedContext):
@@ -317,6 +322,14 @@ class BHighestWeight:
     def mus(self):
         den = Poly(self.den)
         return tuple(RatFun(Poly(n), den) for n in self.nums)
+
+    @cached_property
+    def ratios(self):
+        """mu~_i / mu~_(i+1) for i < kappa, reduced: den cancels, so each is
+        RatFun(T_i, T_(i+1)) on the tilde numerators; None where either
+        vanishes."""
+        T = self.tilde_nums
+        return tuple(RatFun(Poly(a), Poly(b)) if a and b else None for a, b in zip(T, T[1:]))
 
     def mu(self, i: int) -> RatFun:
         return self.mus[i - 1]
@@ -434,192 +447,159 @@ class ClassificationCertificate:
     detail: str = ""
 
 
-def classify_rank1(mu: BHighestWeight, mode="search", P=None, gamma=None) -> ClassificationCertificate:
-    """Finite-dimensionality certificate for a rank-one highest weight.
+def _prefactors(ctx: TwistedContext, i: int, c):
+    """(A_i, B_i), the linear prefactors of the pair (i, i+1):
+    A_i = 2 eps_i u - eps_i rho_(i+1) + varpi_(i+1) + c, and B_i the same
+    at i + 1.  They are equal when eps_i = eps_(i+1)."""
+    ps = ctx.ps
+    return tuple(
+        Poly([-ctx.eps_sign(k) * ps.rho(k + 1) + ctx.varpi(k + 1) + c, 2 * ctx.eps_sign(k)]) for k in (i, i + 1)
+    )
 
-    Verify mode checks the case-appropriate polynomial identity for the
-    given (P, gamma); search mode factors the tilde-ratio over the rationals
-    and reconstructs them.
+
+def _mixed_pairs(ctx: TwistedContext):
+    """The pairs (i, i+1) with s_i = s_(i+1) and eps_i != eps_(i+1), where
+    gamma enters the criterion."""
+    ps = ctx.ps
+    return [i for i in range(1, ctx.kappa) if ps.sign(i) == ps.sign(i + 1) and ctx.eps_sign(i) != ctx.eps_sign(i + 1)]
+
+
+def _pair_failure(mu: BHighestWeight, i: int, gamma, P):
+    """The finite-dimensionality criterion at the pair (i, i+1) for gamma
+    and the monic P = P_i: None on pass, else "symmetry", "identity" or
+    "divisibility".  With r = mu~_i / mu~_(i+1):
+    for s_i = s_(i+1), P(rho_i - u) = P(u), r = A_i P(u + s_i) / (B_i P(u))
+    (_prefactors at c = gamma), and A_i does not divide P when eps mixes;
+    for s_i != s_(i+1), r = eps_i eps_(i+1) (-1)^deg P P(u) / P(rho_(i+1) - u).
+    """
+    ctx, ps = mu.ctx, mu.ctx.ps
+    ratio = mu.ratios[i - 1]
+    if ps.sign(i) != ps.sign(i + 1):
+        sgn = ctx.eps_sign(i) * ctx.eps_sign(i + 1) * (-1 if P.degree % 2 else 1)
+        rhs = RatFun(P, P.compose_linear(-1, ps.rho(i + 1))) * sgn
+        return None if ratio is not None and rf_equal(ratio, rhs) else "identity"
+    if P.compose_linear(-1, ps.rho(i)) != P:
+        return "symmetry"
+    A, B = _prefactors(ctx, i, gamma)
+    if ratio is None or not rf_equal(ratio, RatFun(A * P.shift(ps.sign(i)), B * P)):
+        return "identity"
+    if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and divides(A, P):
+        return "divisibility"
+    return None
+
+
+def _pair_search(mu: BHighestWeight, i: int, gamma):
+    """The monic P_i passing _pair_failure at (i, gamma), or None.  The
+    solvers verify what they return: solve_shift_quotient of r B_i / A_i
+    and then the symmetry and divisibility conditions for s_i = s_(i+1),
+    _solve_involution_quotient otherwise."""
+    ctx, ps = mu.ctx, mu.ctx.ps
+    ratio = mu.ratios[i - 1]
+    if ps.sign(i) != ps.sign(i + 1):
+        return _solve_involution_quotient(ratio, ps.rho(i + 1), ctx.eps_sign(i) * ctx.eps_sign(i + 1))
+    A, B = _prefactors(ctx, i, gamma)
+    P = solve_shift_quotient(ratio * RatFun(B, A), ps.sign(i))
+    if P is None or P.compose_linear(-1, ps.rho(i)) != P:
+        return None
+    return None if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and divides(A, P) else P
+
+
+def _ratio_roots(ratio: RatFun):
+    """The rational roots of the numerator and of the denominator of ratio,
+    or None when either keeps a factor with no rational root."""
+    (rn, cn), (rd, cd) = rational_roots(ratio.num.monic()), rational_roots(ratio.den)
+    if cn.degree > 0 or cd.degree > 0:
+        return None
+    return [r for r, _m in rn], [r for r, _m in rd]
+
+
+def _search(mu: BHighestWeight, roots):
+    """(gamma, [P_1, ..., P_(kappa-1)]) passing every _pair_failure, or None.
+
+    roots maps each mixed pair i (_mixed_pairs) to the _ratio_roots of its
+    ratio; with none, gamma = 0 is the one candidate.  A passing P_i is
+    prime to A_i, so the zero of A_i is a root of the ratio's numerator
+    unless B_i shares it and both cancel (A_i + B_i = 0; at kappa = 2 that
+    zero is s_2/2).  The candidates are these gammas, read off A_i and B_i
+    at c = 0, which are -gamma at their zeros, and those at which B_i
+    vanishes at a denominator root.  They are tried in ascending order of
+    the zero of A_i0 at the first mixed pair i0, which moves as -eps_i0 gamma.
+    """
+    ctx = mu.ctx
+    gammas = {Fraction(0)} if not roots else set()
+    for i, (rn, rd) in roots.items():
+        A, B = _prefactors(ctx, i, 0)
+        gammas.update([-A(x) for x in rn] + [-B(x) for x in rd] + [-(A(0) + B(0)) / 2])
+    e0 = ctx.eps_sign(min(roots)) if roots else 1
+    for gamma in sorted(gammas, key=lambda g: -e0 * g):
+        Ps = []
+        for i in range(1, ctx.kappa):
+            Ps.append(_pair_search(mu, i, gamma))
+            if Ps[-1] is None:
+                break
+        else:
+            return gamma, Ps
+    return None
+
+
+def classify_rank1(mu: BHighestWeight) -> ClassificationCertificate:
+    """Finite-dimensionality certificate for a rank-one highest weight: the
+    kappa = 2 instance of _search, on any parity sequence.
+
+    Its case names the one pair; a vanishing tilde series fails, and a
+    ratio with a factor of no rational root is undecided-irrational.  The
+    mixed case reports the zero g = s_2 - gamma / (2 eps_1) of A_1 in place
+    of gamma.
     """
     ctx = mu.ctx
     if ctx.kappa != 2:
         raise WrongRank("rank-one classification needs kappa = 2")
-    ps = ctx.ps
-    s1, s2 = ps.sign(1), ps.sign(2)
-    e1, e2 = ctx.eps_sign(1), ctx.eps_sign(2)
-    if s1 == s2 and e1 == e2:
-        case = "s-equal-eps-equal"
-    elif s1 == s2:
-        case = "s-equal-eps-diff"
-    else:
+    s2, e1 = ctx.ps.sign(2), ctx.eps_sign(1)
+    mixed = _mixed_pairs(ctx)
+    if ctx.ps.sign(1) != s2:
         case = "s-diff"
-
-    def verified(Pp, gg=None, detail=""):
-        return ClassificationCertificate(case, Pp, gg, "verified", detail)
-
-    def failed(status, detail=""):
-        return ClassificationCertificate(case, None, None, status, detail)
-
-    T1, T2 = mu.tilde_nums
-    if not (T1 and T2):
-        return failed("search-failed", "a tilde series vanishes: no ratio to certify")
-    # The tilde series share den, which cancels in their ratio.
-    ratio = RatFun(Poly(T1), Poly(T2))
-
-    if mode == "verify":
-        if P is None:
-            raise ValueError("verify mode needs P")
-        if case == "s-equal-eps-equal":
-            if P.compose_linear(-1, 2 * s2) != P:
-                return failed("search-failed", "symmetry fails")
-            ok = rf_equal(ratio, RatFun(P.shift(s2), P))
-            return verified(P) if ok else failed("search-failed", "identity fails")
-        if case == "s-equal-eps-diff":
-            if gamma is None:
-                raise ValueError("verify mode needs gamma in the mixed-sign case")
-            gamma = rat(gamma)
-            if P.compose_linear(-1, 2 * s2) != P:
-                return failed("search-failed", "symmetry fails")
-            if P(gamma) == 0:
-                return failed("search-failed", "P vanishes at gamma")
-            twist = RatFun(Poly([gamma, -1]), Poly([gamma - s2, 1]))
-            ok = rf_equal(ratio, RatFun(P.shift(s2), P) * twist)
-            return verified(P, gamma) if ok else failed("search-failed", "identity fails")
-        sgn = e1 * e2 * (-1 if P.degree % 2 else 1)
-        ok = rf_equal(ratio, RatFun(P, P.compose_linear(-1, s2)) * sgn)
-        return verified(P) if ok else failed("search-failed", "identity fails")
-
-    # Search mode.
-    num, den = ratio.num, ratio.den
-    if case == "s-equal-eps-equal":
-        roots_n, cn = rational_roots(num.monic())
-        roots_d, cd = rational_roots(den.monic())
-        if cn.degree > 0 or cd.degree > 0:
-            return failed("undecided-irrational")
-        Pp = solve_shift_quotient(ratio, s2)
-        if Pp is None:
-            return failed("search-failed")
-        if Pp.compose_linear(-1, 2 * s2) != Pp:
-            return failed("search-failed", "quotient solution is not symmetric")
-        return verified(Pp)
-    if case == "s-equal-eps-diff":
-        roots_n, cn = rational_roots(num.monic())
-        roots_d, cd = rational_roots(den.monic())
-        if cn.degree > 0 or cd.degree > 0:
-            return failed("undecided-irrational")
-        candidates = sorted(
-            {r for r, _ in roots_n}
-            | {s2 - r for r, _ in roots_d}
-            | {Fraction(s2, 2)}
-        )
-        for g in candidates:
-            twist = RatFun(Poly([g, -1]), Poly([g - s2, 1]))
-            if twist.is_zero():
-                continue
-            residual = ratio / twist
-            Pp = solve_shift_quotient(residual, s2)
-            if Pp is None:
-                continue
-            if Pp.compose_linear(-1, 2 * s2) != Pp or Pp(g) == 0:
-                continue
-            return verified(Pp, g)
-        return failed("search-failed")
-    # Mixed parity: ratio must be eps1 eps2 (-1)^deg P * P(u)/P(-u+s2).
-    roots_n, cn = rational_roots(num.monic())
-    roots_d, cd = rational_roots(den)
-    if cn.degree > 0 or cd.degree > 0:
-        return failed("undecided-irrational")
-    Pp = _solve_involution_quotient(ratio, Fraction(s2), e1 * e2)
-    if Pp is None:
-        return failed("search-failed")
-    return verified(Pp)
+    else:
+        case = "s-equal-eps-diff" if mixed else "s-equal-eps-equal"
+    if mu.ratios[0] is None:
+        return ClassificationCertificate(case, status="search-failed",
+                                         detail="a tilde series vanishes: no ratio to certify")
+    roots = _ratio_roots(mu.ratios[0])
+    if roots is None:
+        return ClassificationCertificate(case, status="undecided-irrational")
+    found = _search(mu, {i: roots for i in mixed})
+    if found is None:
+        return ClassificationCertificate(case, status="search-failed")
+    gamma, (P,) = found
+    return ClassificationCertificate(case, P, s2 - gamma / (2 * e1) if mixed else None)
 
 
 def classify_highrank(mu: BHighestWeight, gamma, Ps):
-    """Verify the higher-rank finite-dimensionality criteria.
-
-    Takes the candidate gamma and the list of kappa-1 monic polynomials;
-    checks the case-appropriate identity for every neighbouring pair.
+    """Verify the finite-dimensionality criterion (_pair_failure) for the
+    candidate gamma and the kappa - 1 monic polynomials Ps, pair by pair.
     Returns None on success, else (i, reason).  Only the standard parity
     sequence carries this criterion.
     """
     ctx = mu.ctx
-    ps = ctx.ps
-    if not ps.is_standard():
+    if not ctx.ps.is_standard():
         raise ValueError("criterion only stated for the standard parity sequence")
-    kk = ctx.kappa
-    if len(Ps) != kk - 1:
+    if len(Ps) != ctx.kappa - 1:
         raise ValueError("need kappa - 1 polynomials")
     gamma = rat(gamma)
-    for i in range(1, kk):
-        Pi = Ps[i - 1]
-        ratio = mu.tilde(i) / mu.tilde(i + 1)
-        si, sn = ps.sign(i), ps.sign(i + 1)
-        ei, en = ctx.eps_sign(i), ctx.eps_sign(i + 1)
-        if si == sn:
-            if Pi.compose_linear(-1, ps.rho(i)) != Pi:
-                return (i, "symmetry")
-            A = Poly([-ei * ps.rho(i + 1) + ctx.varpi(i + 1) + gamma, 2 * ei])
-            Bp = Poly([-en * ps.rho(i + 2) + ctx.varpi(i + 2) + gamma, 2 * en])
-            lhsP = A * Pi.shift(si)
-            rhsP = Bp * Pi
-            if not rf_equal(ratio, RatFun(lhsP, rhsP)):
-                return (i, "identity")
-            if ei != en and divides(A, Pi):
-                return (i, "divisibility")
-        else:
-            sgn = ei * en * (-1 if Pi.degree % 2 else 1)
-            if not rf_equal(ratio, RatFun(Pi, Pi.compose_linear(-1, ps.rho(i + 1))) * sgn):
-                return (i, "identity")
+    for i in range(1, ctx.kappa):
+        reason = _pair_failure(mu, i, gamma, Ps[i - 1])
+        if reason is not None:
+            return (i, reason)
     return None
 
 
 def classify_highrank_search(mu: BHighestWeight):
-    """Best-effort search for (gamma, Ps) passing classify_highrank."""
-    ctx = mu.ctx
-    ps = ctx.ps
-    kk = ctx.kappa
-    gammas = [Fraction(0)]
-    if any(ctx.eps_sign(i) != ctx.eps_sign(i + 1) and ps.sign(i) == ps.sign(i + 1) for i in range(1, kk)):
-        # gamma shows in the linear prefactors; recover candidates from the
-        # roots they leave in the reduced tilde-ratio.
-        cand = set()
-        for i in range(1, kk):
-            if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and ps.sign(i) == ps.sign(i + 1):
-                ei, en = ctx.eps_sign(i), ctx.eps_sign(i + 1)
-                ratio = mu.tilde(i) / mu.tilde(i + 1)
-                roots_n, _ = rational_roots(ratio.num.monic())
-                roots_d, _ = rational_roots(ratio.den)
-                for r, _m in roots_n:
-                    cand.add(ei * ps.rho(i + 1) - ctx.varpi(i + 1) - 2 * ei * r)
-                for r, _m in roots_d:
-                    cand.add(en * ps.rho(i + 2) - ctx.varpi(i + 2) - 2 * en * r)
-        cand.add(Fraction(0))
-        gammas = sorted(cand)
-    for gamma in gammas:
-        Ps = []
-        ok = True
-        for i in range(1, kk):
-            ratio = mu.tilde(i) / mu.tilde(i + 1)
-            si, sn = ps.sign(i), ps.sign(i + 1)
-            ei, en = ctx.eps_sign(i), ctx.eps_sign(i + 1)
-            if si == sn:
-                A = Poly([-ei * ps.rho(i + 1) + ctx.varpi(i + 1) + gamma, 2 * ei])
-                Bp = Poly([-en * ps.rho(i + 2) + ctx.varpi(i + 2) + gamma, 2 * en])
-                resid = ratio * RatFun(Bp, A)
-                Pi = solve_shift_quotient(resid, si)
-                if Pi is None or Pi.compose_linear(-1, ps.rho(i)) != Pi:
-                    ok = False
-                    break
-            else:
-                Pi = _solve_involution_quotient(ratio, ps.rho(i + 1), ei * en)
-                if Pi is None:
-                    ok = False
-                    break
-            Ps.append(Pi)
-        if ok and classify_highrank(mu, gamma, Ps) is None:
-            return gamma, Ps
-    return None
+    """(gamma, Ps) passing classify_highrank, or None: _search on the
+    rational roots of the mixed pairs' ratios."""
+    if not all(mu.tilde_nums):
+        return None
+    roots = {i: _ratio_roots(mu.ratios[i - 1]) for i in _mixed_pairs(mu.ctx)}
+    # A mixed pair whose ratio keeps an irrational factor has no P.
+    return None if None in roots.values() else _search(mu, roots)
 
 
 def _solve_involution_quotient(ratio: RatFun, c, sign_pair):
@@ -654,22 +634,13 @@ def verify_sufficiency(mu: BHighestWeight, gamma, lams):
     tilde-ratio matches the twisted product formula, else the failing index.
     """
     ctx = mu.ctx
-    ps = ctx.ps
     gamma = rat(gamma)
-    kk = ctx.kappa
-    for i in range(1, kk):
-        r = ps.rho(i + 1)
-        ei, en = ctx.eps_sign(i), ctx.eps_sign(i + 1)
-        A = RatFun(Poly([-ei * r + ctx.varpi(i + 1) + 2 * gamma, 2 * ei]))
-        Bp = RatFun(Poly([-en * ps.rho(i + 2) + ctx.varpi(i + 2) + 2 * gamma, 2 * en]))
-        lhs = mu.tilde(i) / mu.tilde(i + 1)
-        rhs = (
-            A
-            * lams[i - 1]
-            * lams[i].subs_linear(-1, r)
-            / (Bp * lams[i] * lams[i - 1].subs_linear(-1, r))
-        )
-        if not rf_equal(lhs, rhs):
+    for i in range(1, ctx.kappa):
+        r = ctx.ps.rho(i + 1)
+        A, B = _prefactors(ctx, i, 2 * gamma)
+        rhs = RatFun(A) * lams[i - 1] * lams[i].subs_linear(-1, r)
+        rhs /= RatFun(B) * lams[i] * lams[i - 1].subs_linear(-1, r)
+        if mu.ratios[i - 1] is None or not rf_equal(mu.ratios[i - 1], rhs):
             return i
     return None
 

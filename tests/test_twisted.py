@@ -4,6 +4,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from support import (
     _coords_in_span,
@@ -407,10 +409,10 @@ class TestClassifyRank1:
         ratio = mu.tilde(1) / mu.tilde(2)
         assert rf_equal(ratio, RatFun(P, P.compose_linear(-1, -1)))
 
-    def test_verify_mode_agrees(self, b_l12):
+    def test_certificate_passes_the_criterion(self, b_l12):
         mu = highest_bweight(b_l12, [1, 0])
-        cert = classify_rank1(mu, mode="verify", P=Poly([3, 4, 1]))
-        assert cert.status == "verified"
+        assert classify_highrank(mu, F(0), [Poly([3, 4, 1])]) is None
+        assert classify_highrank(mu, F(0), [Poly([3, 1])]) == (1, "identity")
 
     def test_trivial_ratio(self):
         ctx = TwistedContext(ParitySeq([1, -1]), [1, 1])
@@ -429,8 +431,8 @@ class TestClassifyRank1:
         cert = classify_rank1(mu)
         assert cert.status == "verified"
         assert cert.gamma is not None
-        again = classify_rank1(mu, mode="verify", P=cert.P, gamma=cert.gamma)
-        assert again.status == "verified"
+        # The rank-one g is the zero of A_1: gamma = 2 eps_1 (s_2 - g).
+        assert classify_highrank(mu, 2 * (1 - cert.gamma), [cert.P]) is None
 
     def test_even_equal_eps_search(self):
         ps = ParitySeq([1, 1])
@@ -483,11 +485,76 @@ class TestClassifyHighrank:
         res = classify_highrank(mu, gamma, bad)
         assert res is not None and res[0] == 1
 
+    def test_search_finds_the_rank_one_midpoint(self):
+        # The rank-one certificate has g = s_2/2, where A_1 and B_1 share
+        # their zero, so it cancels from the ratio and no root shows it.
+        ps = ParitySeq([1, 1])
+        ctx = TwistedContext(ps, [1, -1])
+        B = b_tensor(evaluation_action(make_vector_rep(ps), 1), c_gamma(ctx, F(1, 2)))
+        mu = highest_bweight(B, [1, 0])
+        cert = classify_rank1(mu)
+        assert (cert.P, cert.gamma) == (Poly([1, -2, 1]), F(1, 2))
+        found = classify_highrank_search(mu)
+        assert found == (F(1), [cert.P])
+        assert classify_highrank(mu, *found) is None
+
+    def test_search_finds_cancelled_prefactors_at_rank_three(self):
+        # A_1 = 2u - 4 + gamma and B_1 = -2u + gamma share their zero at
+        # gamma = 2, u = 1, not at s_1/2; the ratio is the constant -1.
+        ps = ParitySeq([1, 1, 1])
+        B = b_from_T(evaluation_action(make_vector_rep(ps), 1), TwistedContext(ps, [1, -1, -1]))
+        mu = highest_bweight(B, [1, 0, 0])
+        assert mu.ratios[0] == RatFun.const(-1)
+        found = classify_highrank_search(mu)
+        assert found == (F(2), [Poly.one(), Poly.one()])
+        assert classify_highrank(mu, *found) is None
+
     def test_non_standard_refused(self):
         ctx = TwistedContext(ParitySeq([-1, 1]), [1, 1])
         mu = highest_bweight(c_gamma(ctx, 1), [1])
         with pytest.raises(ValueError):
             classify_highrank(mu, F(0), [Poly.one()])
+
+
+_RAT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+class TestRankOneIsTheRankTwoCriterion:
+    """Every rank-one certificate (P, g) passes classify_highrank with
+    gamma = 2 eps_1 (s_2 - g), or 0 when g is None, and the search finds
+    one, on the standard sequences of each case."""
+
+    @pytest.mark.parametrize("case", ["s-equal-eps-equal", "s-equal-eps-diff", "s-diff"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_certificates_agree(self, case, data):
+        s1 = data.draw(st.sampled_from([1, -1])) if case != "s-diff" else 1
+        ps = ParitySeq([s1, s1 if case != "s-diff" else -1])
+        e1 = data.draw(st.sampled_from([1, -1]))
+        ctx = TwistedContext(ps, [e1, -e1 if case == "s-equal-eps-diff" else e1])
+        if case == "s-diff" and data.draw(st.booleans()):
+            a = data.draw(_RAT)
+            rep = make_Lab(1, a, data.draw(_RAT.filter(lambda b: a + b)))
+        else:
+            rep = make_vector_rep(ps)
+        T = evaluation_action(rep, data.draw(_RAT))
+        if data.draw(st.booleans()):
+            T = tensor_action(T, evaluation_action(make_vector_rep(ps), data.draw(_RAT)))
+        kind = data.draw(st.sampled_from(["from-T", "gamma-twist", "c-gamma-tensor"]))
+        if kind == "c-gamma-tensor":
+            B = b_tensor(T, c_gamma(ctx, data.draw(_RAT)))
+        else:
+            B = b_from_T(T, TwistedContext(ps, ctx.eps, data.draw(_RAT) if kind == "gamma-twist" else None))
+        try:
+            mu = highest_bweight(B, [1] + [0] * (B.dim - 1))
+        except NotHighest:
+            assume(False)
+        cert = classify_rank1(mu)
+        assert (cert.case, cert.status) == (case, "verified")
+        gamma = 0 if cert.gamma is None else 2 * e1 * (ps.sign(2) - cert.gamma)
+        assert classify_highrank(mu, gamma, [cert.P]) is None
+        found = classify_highrank_search(mu)
+        assert found is not None and classify_highrank(mu, *found) is None
 
 
 class TestSufficiency:
