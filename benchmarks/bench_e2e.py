@@ -18,10 +18,12 @@ Before each scenario the fixed reference loop of perfbench/one_pass.py
 (``one_pass.reference``, imported, not changed) runs once, and the
 scenario's seconds are also recorded in units of that loop's seconds
 (``ref``), which a shared host's speed swings move far less than the
-seconds themselves.  The record stored under NAME in the output file is
-compact: per workload, its seconds and reference units and those of each
-layer of LAYERS, and per scenario only its reference units and the
-SHA-256 of its report.  The layers are the seconds spent inside the
+seconds themselves, and its CPU seconds (``cpu_s``, from
+``time.process_time``), which count this process alone and not the
+other processes of a shared host.  The record stored under NAME in the
+output file is compact: per workload, its seconds, CPU seconds and
+reference units and those of each layer of LAYERS, and per scenario only
+its reference units, CPU seconds and the SHA-256 of its report.  The layers are the seconds spent inside the
 functions of LAYERS, timed by wrappers this script puts around them:
 verify_daha, sf_presentation and center_check in the daha-principal
 scenarios, the series product, the quotient module and the expansion in
@@ -47,15 +49,19 @@ each scenario, so a layer compares across records as the scenario totals
 do; each workload holds every layer it runs summed over its scenarios,
 in seconds and in those units.  Every figure of the record, per scenario
 and per workload, is the median over the workload's passes; the reports
-must hash alike in every pass.  Last, the record holds the wall seconds and
-summary line of the Tier-1 suite of the checkout that holds SRC
-(``python -m pytest -q --continue-on-collection-errors`` in SRC's
-parent).  Records under other names already in the file are kept, so one
-file can hold the same benchmark run on two checkouts (say, a change and
-its parent).  Standard output has each workload's totals and layers, and
-each heavy scenario's median reference units: one heavy scenario, the
-drinfeld functor at l = 3, is most of the heavy total and would hide a
-change to any other.
+must hash alike in every pass.  The record also holds ``import_s``, the
+cold start of ``tyang run`` before any scenario work: the median, over
+IMPORT_RUNS fresh interpreters, of the seconds to ``import tyang.cli``
+from SRC, after SRC is byte-compiled so that no run pays compilation.
+Last, the record holds the wall seconds and summary line of the Tier-1
+suite of the checkout that holds SRC (``python -m pytest -q
+--continue-on-collection-errors`` in SRC's parent).  Records under other
+names already in the file are kept, so one file can hold the same
+benchmark run on two checkouts (say, a change and its parent).  Standard
+output has each workload's totals and layers, the import seconds, and
+each heavy scenario's median reference units and CPU seconds: one heavy
+scenario, the drinfeld functor at l = 3, is most of the heavy total and
+would hide a change to any other.
 """
 
 import argparse
@@ -90,6 +96,7 @@ PASSES = 5
 HEAVY_DIR = os.path.join(ROOT, "benchmarks", "heavy")
 HEAVY_PASSES = 3
 HEAVY_MAX_DIM = 1024
+IMPORT_RUNS = 11
 
 
 def _timed(qualname, seconds, depth):
@@ -132,10 +139,10 @@ def run_pass(cli, items, reference, work, layers, max_dim):
         for seconds in layers.values():
             seconds[0] = 0.0
         ref = reference()
-        t0 = time.perf_counter()
+        c0, t0 = time.process_time(), time.perf_counter()
         cli.main(["run", path, "--out", report, "--max-dim", str(max_dim)])
-        seconds = time.perf_counter() - t0
-        rec = {"s": round(seconds, 4), "ref": round(seconds / ref, 4)}
+        seconds, cpu = time.perf_counter() - t0, time.process_time() - c0
+        rec = {"s": round(seconds, 4), "ref": round(seconds / ref, 4), "cpu_s": round(cpu, 4)}
         with open(report, "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
         for key, (marker, _names) in LAYERS.items():
@@ -156,24 +163,27 @@ def heavy_items():
 
 def median_record(passes):
     """One compact record per scenario from the records of several passes:
-    the median of its reference units and the digest of its report, which
-    must agree in every pass."""
+    the medians of its reference units and CPU seconds and the digest of
+    its report, which must agree in every pass."""
     out = {}
     for name in passes[0]:
         recs = [p[name] for p in passes]
         if len({r["sha256"] for r in recs}) != 1:
             raise SystemExit(f"{name}: the report differs between passes")
-        out[name] = {"ref": round(statistics.median(r["ref"] for r in recs), 4), "sha256": recs[0]["sha256"]}
+        out[name] = {key: round(statistics.median(r[key] for r in recs), 4) for key in ("ref", "cpu_s")}
+        out[name]["sha256"] = recs[0]["sha256"]
     return out
 
 
 def workload_totals(passes):
-    """The seconds and reference units of a workload, and those of each of
-    its layers summed over its scenarios, as medians over the passes."""
+    """The seconds, CPU seconds and reference units of a workload, and the
+    seconds and reference units of each of its layers, summed over its
+    scenarios, as medians over the passes."""
     med = lambda total, nd: round(statistics.median(total(p.values()) for p in passes), nd)
     first = passes[0].values()
     return {
         "s": med(lambda recs: sum(r["s"] for r in recs), 3),
+        "cpu_s": med(lambda recs: sum(r["cpu_s"] for r in recs), 3),
         "ref": med(lambda recs: sum(r["ref"] for r in recs), 2),
         "layers": {
             key: {unit: med(lambda recs: sum(r[key][unit] for r in recs if key in r), 4)
@@ -182,6 +192,18 @@ def workload_totals(passes):
             if any(key in r for r in first)
         },
     }
+
+
+def time_import(src):
+    """Median seconds, over IMPORT_RUNS fresh interpreters, to import
+    tyang.cli from src, byte-compiled first."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", os.path.join(src, "tyang")], check=True)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import time; t0 = time.perf_counter(); import tyang.cli; print(time.perf_counter() - t0)"
+    runs = [float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                 check=True).stdout)
+            for _ in range(IMPORT_RUNS)]
+    return round(statistics.median(runs), 4)
 
 
 def run_tier1(src):
@@ -234,6 +256,7 @@ def main():
         "seed": SEED,
         "passes": PASSES,
         "workloads": workloads,
+        "import_s": time_import(src),
         "tier1": run_tier1(src),
     }
     data = {}
@@ -246,10 +269,12 @@ def main():
         fh.write("\n")
     for workload, rec in workloads.items():
         layers = ", ".join(f"{key} {v['ref']:.2f}" for key, v in rec["layers"].items())
-        print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['ref']:.2f} ref; layers in ref: {layers}")
+        print(f"{args.label} {workload}: {rec['s']:.3f} s, {rec['cpu_s']:.3f} cpu s, {rec['ref']:.2f} ref; "
+              f"layers in ref: {layers}")
         if workload == "heavy":
             for name, sc in rec["scenarios"].items():
-                print(f"{args.label} heavy {name}: {sc['ref']:.2f} ref")
+                print(f"{args.label} heavy {name}: {sc['ref']:.2f} ref, {sc['cpu_s']:.3f} cpu s")
+    print(f"{args.label} import tyang.cli: {record['import_s'] * 1000:.1f} ms")
     print(f"{args.label} tier1: {record['tier1']['s']:.1f} s, {record['tier1']['summary']}")
 
 

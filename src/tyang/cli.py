@@ -158,6 +158,9 @@ def build_baction(spec):
     if kind == "corrupt-sign":
         shape, base = build_baction(spec["base"])
         i, j = _json_int(spec["i"], "i"), _json_int(spec["j"], "j")
+        kappa = shape[1]
+        if not (1 <= i <= kappa and 1 <= j <= kappa):
+            raise ValueError(f"corrupt-sign needs 1 <= i, j <= kappa = {kappa}, got i = {i}, j = {j}")
 
         def corrupt():
             B = base()
@@ -476,10 +479,8 @@ def run_scenario(path, only=None, max_dim=64, timings=False):
         raise InputError(f"unknown pipeline {pipeline!r}")
     if not isinstance(scenario["inputs"], dict):
         raise InputError("the 'inputs' field must be a JSON object")
-    expectations = scenario.get("expectations") or {}
-    expected = expectations.get("checks") or {} if isinstance(expectations, dict) else None
-    if not isinstance(expected, dict) or not all(isinstance(f, dict) for f in expected.values()):
-        raise InputError("'expectations' must be an object whose 'checks' maps check ids to objects")
+    expectations = _expectations(scenario.get("expectations", {}))
+    expected = expectations.get("checks", {})
     t0 = time.monotonic()
     try:
         checks = func(scenario["inputs"], max_dim)
@@ -511,11 +512,29 @@ def run_scenario(path, only=None, max_dim=64, timings=False):
     return report, 0 if report["overall"] == "pass" else 1
 
 
+def _expectations(block):
+    """A scenario's expectations block, checked and returned: a JSON object
+    with no keys but 'overall', "pass" or "fail", and 'checks', an object
+    mapping check ids to objects of expected fields."""
+    if not isinstance(block, dict):
+        raise InputError(f"'expectations' must be a JSON object, got {type(block).__name__}")
+    unknown = sorted(set(block) - {"overall", "checks"})
+    if unknown:
+        raise InputError(f"'expectations' has unknown keys {unknown}; it takes 'overall' and 'checks'")
+    overall = block.get("overall", "pass")
+    if overall not in ("pass", "fail"):
+        raise InputError(f"the expected 'overall' must be \"pass\" or \"fail\", got {overall!r}")
+    checks = block.get("checks", {})
+    if not isinstance(checks, dict) or not all(isinstance(f, dict) for f in checks.values()):
+        raise InputError("the expected 'checks' must be an object mapping check ids to objects")
+    return block
+
+
 def _expectation_mismatches(expect, report):
     out = []
     if "overall" in expect and expect["overall"] != report["overall"]:
         out.append({"field": "overall", "expected": expect["overall"], "got": report["overall"]})
-    for cid, fields in (expect.get("checks") or {}).items():
+    for cid, fields in expect.get("checks", {}).items():
         rec = next((c for c in report["checks"] if c["id"] == cid), None)
         if rec is None:
             out.append({"field": cid, "expected": "present", "got": "missing"})

@@ -26,9 +26,9 @@ of u) have the one layout of exactalg: row-sparse rows {column: integer
 coefficient tuple}, an absent column the only zero.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from tyang._kernel import cleared_rows, echelon, echelon_insert, mat_mul
 from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
@@ -662,8 +662,7 @@ def rfmat_kernel(Ms) -> list:
     return echelon(cleared_rows(rows), ncols).vectors()
 
 
-@dataclass
-class Grid2Witness:
+class Grid2Witness(NamedTuple):
     """A failed two-variable identity check, with the refuting point."""
 
     point: tuple

@@ -31,10 +31,10 @@ for the JSON writer and full_at; b_from_json reads RatFun input through
 yangian.cleared_form_rf.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from tyang._kernel import cleared_rows, echelon, poly_mul
 from tyang.exactalg import (
@@ -224,13 +224,13 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
     return BAction(W.ctx, L.space.tensor(W.space), cleared_form(den, blocks), ("tensor", L, W))
 
 
-@dataclass
 class BReport:
     """Outcome of the relation checks on one B-action."""
 
-    reflection: object = None      # None or Grid2Witness
-    scalar_ok: bool = True         # B(u)B(-u) is a scalar matrix
-    unitarity: tuple = ((1,), (1,))  # the scalar as (num, den) over Z[u]
+    def __init__(self, reflection=None, scalar_ok=True, unitarity=((1,), (1,))):
+        self.reflection = reflection  # None or Grid2Witness
+        self.scalar_ok = scalar_ok    # B(u)B(-u) is a scalar matrix
+        self.unitarity = unitarity    # the scalar as (num, den) over Z[u]
 
     @cached_property
     def f(self) -> RatFun:
@@ -250,13 +250,12 @@ def verify_b(B: BAction) -> BReport:
     product B(u)B(-u) must be a scalar f(u), which is then even
     (B(-u) B(u) = f(u) 1 is the identity at -u); unitarity_scalar forms it.
     """
-    rep = BReport()
     R = ScaledR(flip_at(B.ps, 1, 2, 2), B.dim)
     B1, B2 = ((cleared_evaluator(B, var + 1), B.cleared(), var) for var in (0, 1))
     minus, plus = (R, (1, -1)), (R, (1, 1))
-    rep.reflection = certify_words("reflection", [minus, B1, plus, B2], [B2, plus, B1, minus], len(R.rows))
-    rep.unitarity, rep.scalar_ok = unitarity_scalar(B)
-    return rep
+    reflection = certify_words("reflection", [minus, B1, plus, B2], [B2, plus, B1, minus], len(R.rows))
+    unitarity, scalar_ok = unitarity_scalar(B)
+    return BReport(reflection, scalar_ok, unitarity)
 
 
 def unitarity_scalar(B: BAction):
@@ -438,8 +437,7 @@ def verma_conditions(mu: BHighestWeight, f):
     return None
 
 
-@dataclass
-class ClassificationCertificate:
+class ClassificationCertificate(NamedTuple):
     case: str
     P: object = None           # Poly or None
     gamma: object = None       # Fraction or None
@@ -739,11 +737,10 @@ def star_tilde_shift(B: BAction, red: BAction, a: int) -> bool:
 # ---------------------------------------------------------------------------
 # Irreducibility.
 
-@dataclass
-class BurnsideVerdict:
+class BurnsideVerdict(NamedTuple):
     status: str                   # irreducible | reducible | inconclusive
     closure_dim: int = 0
-    invariant_subspace: list = field(default_factory=list)
+    invariant_subspace: list = ()  # spanning vectors, when reducible
 
 
 def irreducible_burnside(B: BAction) -> BurnsideVerdict:

@@ -212,9 +212,19 @@ class TestMalformedInputs:
         "scenario",
         [5, None, dict(APPENDIX, pipeline=[1]), dict(APPENDIX, inputs=[1]),
          dict(APPENDIX, expectations=[1]), dict(APPENDIX, expectations=1.5),
-         dict(APPENDIX, expectations={"checks": 5}), dict(APPENDIX, expectations={"checks": {"x": 5}})],
+         dict(APPENDIX, expectations={"checks": 5}), dict(APPENDIX, expectations={"checks": {"x": 5}}),
+         # A present block is an object, even when it is empty or falsy.
+         dict(APPENDIX, expectations=[]), dict(APPENDIX, expectations=0), dict(APPENDIX, expectations=""),
+         dict(APPENDIX, expectations=False), dict(APPENDIX, expectations=None),
+         dict(APPENDIX, expectations={"checks": []}), dict(APPENDIX, expectations={"checks": 0}),
+         dict(APPENDIX, expectations={"checks": None}),
+         # Its keys are overall and checks only, and overall is pass or fail.
+         dict(APPENDIX, expectations={"overal": "fail"}), dict(APPENDIX, expectations={"overall": "maybe"})],
         ids=["top-level-int", "top-level-null", "pipeline-list", "inputs-list", "expectations-list",
-             "expectations-float", "expectation-checks-int", "expectation-fields-int"],
+             "expectations-float", "expectation-checks-int", "expectation-fields-int",
+             "expectations-empty-list", "expectations-zero", "expectations-empty-string", "expectations-false",
+             "expectations-null", "expectation-checks-empty-list", "expectation-checks-zero",
+             "expectation-checks-null", "expectations-misspelt-key", "expectation-overall-maybe"],
     )
     def test_malformed_envelope_exits_2(self, scenario, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -288,6 +298,8 @@ class TestMalformedInputs:
              "i must be a JSON integer, got '1'"),
             ("verify-twisted", {"b": {"type": "corrupt-sign", "base": B_L12, "i": 1, "j": 2.0}},
              "j must be a JSON integer, got 2.0"),
+            ("verify-twisted", {"b": {"type": "corrupt-sign", "base": B_L12, "i": 3, "j": 1}},
+             "corrupt-sign needs 1 <= i, j <= kappa = 2, got i = 3, j = 1"),
             ("reduce", {"b": B_L12, "mode": "star", "a": 1.0}, "a must be a JSON integer, got 1.0"),
             ("reduce", {"b": B_L12, "mode": "over", "a": "1"},
              "inputs['a']: TypeError: expected a JSON integer, got '1'"),
@@ -325,6 +337,7 @@ class TestMalformedInputs:
              "appendix-l-float", "appendix-l-bool", "epsilon-string", "epsilon-float", "char-l-float",
              "principal-l-string", "char-sign-sigma-bool", "char-sign-zeta-float", "daha-json-dim-float",
              "daha-json-l-bool", "lab-s1-float", "corrupt-sign-i-string", "corrupt-sign-j-float",
+             "corrupt-sign-i-out-of-range",
              "reduce-star-a-float", "reduce-over-a-string", "center-exponent-float", "ps-entry-bool",
              "eps-entry-string", "from-t-eps-entry-float", "trivial-ps-entry-float",
              "verify-yangian-empty-ps", "verify-twisted-empty-ps", "reduce-empty-ps", "drinfeld-empty-ps",

@@ -20,7 +20,6 @@ scale, on carriers with dim kappa <= 4.  For each recorded call:
   the grid-only oracle certifier run on the oracle's sides.
 """
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -82,7 +81,7 @@ def grid_calls(monkeypatch):
             return out
 
         w = check_identity_2var(lhs, rhs, deg_bound, height, **kwargs)
-        dense = w and replace(w, lhs=_densify(w.lhs), rhs=_densify(w.rhs))
+        dense = w and w._replace(lhs=_densify(w.lhs), rhs=_densify(w.rhs))
         calls.append((deg_bound, height, *first, dense, kwargs))
         return w
 

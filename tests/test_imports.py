@@ -1,13 +1,18 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and tyang.cli starts light.
 
 The repository has no linter, so this walks the module-level imports of
 src/tyang/*.py, tests/*.py and conftest.py and fails on any bound name
-that no other node of the module's syntax tree reads.
+that no other node of the module's syntax tree reads.  Every `tyang run`
+is a fresh interpreter that imports tyang.cli first, so a fresh
+interpreter's import of it must not load the introspection modules that
+dataclasses pulls in.
 """
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +46,18 @@ def test_the_scan_finds_an_unused_name():
 def test_every_import_is_used(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# Modules of the standard library that cost a cold start several
+# milliseconds and that nothing in tyang needs.
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_the_cli_import_loads_no_introspection_module():
+    code = "import sys; before = set(sys.modules); import tyang.cli; print(*sorted(set(sys.modules) - before))"
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "tyang.cli" in loaded
+    assert [name for name in INTROSPECTION if name in loaded] == []
