@@ -19,7 +19,6 @@ from tyang import twisted as twisted_mod
 from tyang import yangian as yangian_mod
 from tyang.exactalg import Poly, RootSearchBound, rat, rf_to_json
 from tyang.glmn import ParitySeq, gl_from_json, make_Lab, make_vector_rep
-from tyang.superlinalg import Grid2Witness
 
 
 class InputError(ValueError):
@@ -223,16 +222,15 @@ def _poly_str(p: Poly):
 
 
 def _witness_json(w):
+    """The report form of a Grid2Witness, or None."""
     if w is None:
         return None
-    if isinstance(w, Grid2Witness):
-        return {
-            "point": [str(w.point[0]), str(w.point[1])],
-            "label": w.label,
-            "lhs": [[str(x) for x in row] for row in w.lhs],
-            "rhs": [[str(x) for x in row] for row in w.rhs],
-        }
-    return {"detail": str(w)}
+    return {
+        "point": [str(w.point[0]), str(w.point[1])],
+        "label": w.label,
+        "lhs": [[str(x) for x in row] for row in w.lhs],
+        "rhs": [[str(x) for x in row] for row in w.rhs],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ def pipe_verify_twisted(inputs, max_dim):
     checks.append(_check("unitarity-scalar", "product at opposite arguments is an even scalar",
                          rep.scalar_ok,
                          None if rep.scalar_ok else {"detail": "non-scalar product"},
-                         data={"f": rf_to_json(rep.f)} if rep.f is not None else None))
+                         data={"f": rf_to_json(rep.f)}))
     if "eta" in inputs:
         eta = _build(_rat_list, inputs, "eta")
         mu, failed = _highest(twisted_mod.highest_bweight, B, eta)

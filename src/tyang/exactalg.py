@@ -15,7 +15,11 @@ integer vectors in it as columns.  A RatFun is normalized the same way:
 cleared, reduced by _zreduce, then divided by the leading coefficient of
 its denominator.
 Poly arithmetic over the rationals runs through the same kernels, and its
-gcd through Z[u].
+gcd through Z[u].  The rational root search, rational_roots, takes a
+coefficient sequence of ints or Fractions, clears it once and deflates
+it in integers, returning the integer cofactor; _is_root tests one
+candidate root a/b of an integer tuple.  The classification's quotient
+solvers call them on integer tuples, with no Poly.
 """
 
 from fractions import Fraction
@@ -180,13 +184,6 @@ class Poly:
             if c:
                 terms.append(f"{c}*u^{k}" if k else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def divides(p: Poly, q: Poly) -> bool:
-    """True when p divides q exactly."""
-    if p.is_zero():
-        return q.is_zero()
-    return (q % p).is_zero()
 
 
 class RatFun:
@@ -524,49 +521,49 @@ def _deflate(f, a, b):
     return g
 
 
-def rational_roots(p: Poly):
-    """All rational roots with multiplicities, plus the root-free cofactor.
+def rational_roots(p):
+    """(roots, cofactor) for the polynomial with coefficient sequence p
+    (ints or Fractions, p[k] the coefficient of u^k): its rational roots
+    with multiplicities, ascending, and the integer tuple left when they
+    are divided out, which has no rational root.
 
-    A root a/b in lowest terms of the primitive integer form f of p (p
-    cleared of denominators, then divided by its content) has a dividing
-    the trailing and b the leading coefficient, and b u - a divides f in
-    Z[u] (Gauss's lemma: b u - a is primitive), so b - a divides f(1) and
-    b + a divides f(-1).  The coprime pairs (a, b) are scanned lazily,
-    with no candidate set; +-a/b is evaluated, as a homogeneous integer
-    sum, only when it passes those tests (_may_vanish), and each root found
-    is divided out of f in integers before the scan goes on, so the
-    deflated f tests the rest; the cofactor is the last deflated f,
-    scaled to the leading coefficient of p.  A trailing or leading
-    coefficient of f above ROOT_SEARCH_BOUND in absolute value raises
-    RootSearchBound before any divisor is listed; dividing out the content
-    first lets c (1 + u^3) through at any c.
-    The returned cofactor has no rational roots and the product of the
-    linear factors times the cofactor equals p up to the (preserved)
-    leading coefficient.
+    p is cleared once (_zclear) and divided by its content, to the
+    primitive integer form f.  A root a/b of f in lowest terms has a
+    dividing the trailing and b the leading coefficient, and b u - a
+    divides f in Z[u] (Gauss's lemma: b u - a is primitive), so b - a
+    divides f(1) and b + a divides f(-1).  The coprime pairs (a, b) are
+    scanned lazily, with no candidate set; +-a/b is evaluated, as a
+    homogeneous integer sum, only when it passes those tests (_may_vanish),
+    and each root found is divided out of f in integers before the scan
+    goes on, so the deflated f tests the rest; the cofactor is the last
+    deflated f, primitive, with the sign of the leading coefficient of p.
+    A trailing or leading coefficient of f above ROOT_SEARCH_BOUND in
+    absolute value raises RootSearchBound before any divisor is listed;
+    dividing out the content first lets c (1 + u^3) through at any c.
     """
-    if p.is_zero():
+    _s, [f] = _zclear([p])
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    if not f:
         raise ValueError("zero polynomial")
+    g = gcd(*f)
+    f = [x // g for x in f]
     roots = []
-    work = p
     # Strip roots at zero first.
     mult0 = 0
-    while work.coeffs and work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
+    while not f[mult0]:
         mult0 += 1
     if mult0:
         roots.append((Fraction(0), mult0))
-    if work.degree >= 1:
-        _s, [f] = _zclear([work.coeffs])
-        g = gcd(*f)
-        f = [x // g for x in f]
+        f = f[mult0:]
+    if len(f) > 1:
         for c in (f[0], f[-1]):
             if abs(c) > ROOT_SEARCH_BOUND:
                 raise RootSearchBound(
                     f"rational root search refuses the integer coefficient {c}: "
                     f"its absolute value exceeds the bound 10^12"
                 )
-        found = []
-        f = list(f)
         tails = _divisors(f[0])
         for b in _divisors(f[-1]):
             for a in tails:
@@ -580,9 +577,6 @@ def rational_roots(p: Poly):
                         f = _deflate(f, num, b)
                         mult += 1
                     if mult:
-                        found.append((Fraction(num, b), mult))
-        lc = work.leading() / f[-1]
-        work = Poly([x * lc for x in f])
-        roots += found
+                        roots.append((Fraction(num, b), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, work
+    return roots, tuple(f)

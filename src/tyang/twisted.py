@@ -23,7 +23,8 @@ Highest weights are read off it too, over one common denominator, and the
 Verma conditions run on those integer numerators (BHighestWeight).  The
 classification criterion is stated once, per neighbouring pair (i, i+1)
 of the tilde series (_pair_failure), with one search per pair
-(_pair_search) and one rule for the candidates of gamma (_search):
+(_pair_search) and one rule for the candidates of gamma (_search), all
+on the reduced integer ratios of the tilde numerators:
 classify_rank1 is its kappa = 2 instance on any parity sequence, and
 classify_highrank and classify_highrank_search check and search it at any
 kappa on the standard one.  B's RatFun entries are a view, formed only
@@ -41,13 +42,14 @@ from tyang.exactalg import (
     Poly,
     RatFun,
     RootSearchBound,
+    _is_root,
     _neg_u,
     _zadd,
     _zclear,
     _zcompose,
     _zmatmul,
     _zneg,
-    divides,
+    _zreduce,
     rat,
     rational_roots,
     rf_equal,
@@ -227,7 +229,7 @@ def b_tensor(L: TAction, W: BAction) -> BAction:
 class BReport:
     """Outcome of the relation checks on one B-action."""
 
-    def __init__(self, reflection=None, scalar_ok=True, unitarity=((1,), (1,))):
+    def __init__(self, reflection, scalar_ok, unitarity):
         self.reflection = reflection  # None or Grid2Witness
         self.scalar_ok = scalar_ok    # B(u)B(-u) is a scalar matrix
         self.unitarity = unitarity    # the scalar as (num, den) over Z[u]
@@ -288,9 +290,10 @@ class BHighestWeight:
     / den, as yangian.highest_eigenseries reads them; the tilde series
     mu~_i(u) = (2u - rho_(i+1)) mu_i(u) + sum_(a > i) s_a mu_a(u) share den,
     with numerators tilde_nums.  verma_conditions reads only these
-    integers, and the classification only their reduced ratios; mus,
-    mu(i), tilde(i) and ratios are reduced RatFun views, formed on first
-    read.  Two weights are equal when their reduced series are.
+    integers, and the classification only their reduced ratios, pairs of
+    integer tuples; mus, mu(i) and tilde(i) are reduced RatFun views,
+    formed on first read.  Two weights are equal when their reduced series
+    are.
     """
 
     def __init__(self, nums, den, ctx: TwistedContext):
@@ -324,11 +327,17 @@ class BHighestWeight:
 
     @cached_property
     def ratios(self):
-        """mu~_i / mu~_(i+1) for i < kappa, reduced: den cancels, so each is
-        RatFun(T_i, T_(i+1)) on the tilde numerators; None where either
-        vanishes."""
-        T = self.tilde_nums
-        return tuple(RatFun(Poly(a), Poly(b)) if a and b else None for a, b in zip(T, T[1:]))
+        """mu~_i / mu~_(i+1) for i < kappa as a reduced pair (num, den) over
+        Z[u]: den cancels, so it is _zreduce(T_(i+1), [T_i]) on the tilde
+        numerators; None where either vanishes."""
+        T, out = self.tilde_nums, []
+        for a, b in zip(T, T[1:]):
+            if a and b:
+                den, (num,) = _zreduce(b, [a])
+                out.append((num, den))
+            else:
+                out.append(None)
+        return tuple(out)
 
     def mu(self, i: int) -> RatFun:
         return self.mus[i - 1]
@@ -446,12 +455,13 @@ class ClassificationCertificate(NamedTuple):
 
 
 def _prefactors(ctx: TwistedContext, i: int, c):
-    """(A_i, B_i), the linear prefactors of the pair (i, i+1):
-    A_i = 2 eps_i u - eps_i rho_(i+1) + varpi_(i+1) + c, and B_i the same
-    at i + 1.  They are equal when eps_i = eps_(i+1)."""
-    ps = ctx.ps
+    """(A_i, B_i), the linear prefactors of the pair (i, i+1), as integer
+    tuples scaled by the denominator q of the rational c:
+    A_i = q (2 eps_i u - eps_i rho_(i+1) + varpi_(i+1) + c), and B_i the
+    same at i + 1.  They are equal when eps_i = eps_(i+1)."""
+    ps, p, q = ctx.ps, c.numerator, c.denominator
     return tuple(
-        Poly([-ctx.eps_sign(k) * ps.rho(k + 1) + ctx.varpi(k + 1) + c, 2 * ctx.eps_sign(k)]) for k in (i, i + 1)
+        (q * int(ctx.varpi(k + 1) - ctx.eps_sign(k) * ps.rho(k + 1)) + p, 2 * q * ctx.eps_sign(k)) for k in (i, i + 1)
     )
 
 
@@ -462,57 +472,69 @@ def _mixed_pairs(ctx: TwistedContext):
     return [i for i in range(1, ctx.kappa) if ps.sign(i) == ps.sign(i + 1) and ctx.eps_sign(i) != ctx.eps_sign(i + 1)]
 
 
+def _involution_holds(num, den, P, c, sign):
+    """Whether num / den = sign (-1)^deg P P(u) / P(c - u), for integer
+    tuples num, den and a nonzero P, by cross-multiplication."""
+    sgn = sign if len(P) % 2 else -sign
+    return poly_mul(num, _zcompose(P, -1, c)) == poly_mul((sgn,), poly_mul(den, P))
+
+
 def _pair_failure(mu: BHighestWeight, i: int, gamma, P):
     """The finite-dimensionality criterion at the pair (i, i+1) for gamma
-    and the monic P = P_i: None on pass, else "symmetry", "identity" or
-    "divisibility".  With r = mu~_i / mu~_(i+1):
+    and P = P_i, an integer tuple: None on pass, else "symmetry",
+    "identity" or "divisibility".  With r = mu~_i / mu~_(i+1):
     for s_i = s_(i+1), P(rho_i - u) = P(u), r = A_i P(u + s_i) / (B_i P(u))
     (_prefactors at c = gamma), and A_i does not divide P when eps mixes;
     for s_i != s_(i+1), r = eps_i eps_(i+1) (-1)^deg P P(u) / P(rho_(i+1) - u).
+    Each is an identity in Z[u], the quotients cross-multiplied, and A_i
+    divides P exactly when its zero is a root of P.
     """
     ctx, ps = mu.ctx, mu.ctx.ps
     ratio = mu.ratios[i - 1]
     if ps.sign(i) != ps.sign(i + 1):
-        sgn = ctx.eps_sign(i) * ctx.eps_sign(i + 1) * (-1 if P.degree % 2 else 1)
-        rhs = RatFun(P, P.compose_linear(-1, ps.rho(i + 1))) * sgn
-        return None if ratio is not None and rf_equal(ratio, rhs) else "identity"
-    if P.compose_linear(-1, ps.rho(i)) != P:
+        sign = ctx.eps_sign(i) * ctx.eps_sign(i + 1)
+        ok = ratio is not None and P and _involution_holds(*ratio, P, int(ps.rho(i + 1)), sign)
+        return None if ok else "identity"
+    if _zcompose(P, -1, int(ps.rho(i))) != P:
         return "symmetry"
     A, B = _prefactors(ctx, i, gamma)
-    if ratio is None or not rf_equal(ratio, RatFun(A * P.shift(ps.sign(i)), B * P)):
+    if ratio is None or not P or (
+        poly_mul(poly_mul(ratio[0], B), P) != poly_mul(poly_mul(ratio[1], A), _zcompose(P, 1, ps.sign(i)))
+    ):
         return "identity"
-    if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and divides(A, P):
+    if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and _is_root(P, -A[0], A[1]):
         return "divisibility"
     return None
 
 
 def _pair_search(mu: BHighestWeight, i: int, gamma):
-    """The monic P_i passing _pair_failure at (i, gamma), or None.  The
-    solvers verify what they return: solve_shift_quotient of r B_i / A_i
-    and then the symmetry and divisibility conditions for s_i = s_(i+1),
-    _solve_involution_quotient otherwise."""
+    """P_i passing _pair_failure at (i, gamma), as an integer tuple, or
+    None: the one candidate of the quotient solver of the pair's case,
+    solve_shift_quotient of r B_i / A_i for s_i = s_(i+1) and
+    _solve_involution_quotient otherwise, kept if it passes."""
     ctx, ps = mu.ctx, mu.ctx.ps
-    ratio = mu.ratios[i - 1]
+    num, den = mu.ratios[i - 1]
     if ps.sign(i) != ps.sign(i + 1):
-        return _solve_involution_quotient(ratio, ps.rho(i + 1), ctx.eps_sign(i) * ctx.eps_sign(i + 1))
-    A, B = _prefactors(ctx, i, gamma)
-    P = solve_shift_quotient(ratio * RatFun(B, A), ps.sign(i))
-    if P is None or P.compose_linear(-1, ps.rho(i)) != P:
-        return None
-    return None if ctx.eps_sign(i) != ctx.eps_sign(i + 1) and divides(A, P) else P
+        P = _solve_involution_quotient(num, den, int(ps.rho(i + 1)), ctx.eps_sign(i) * ctx.eps_sign(i + 1))
+    else:
+        A, B = _prefactors(ctx, i, gamma)
+        P = solve_shift_quotient(poly_mul(num, B), poly_mul(den, A), ps.sign(i))
+    return None if P is None or _pair_failure(mu, i, gamma, P) else P
 
 
-def _ratio_roots(ratio: RatFun):
-    """The rational roots of the numerator and of the denominator of ratio,
-    or None when either keeps a factor with no rational root."""
-    (rn, cn), (rd, cd) = rational_roots(ratio.num.monic()), rational_roots(ratio.den)
-    if cn.degree > 0 or cd.degree > 0:
+def _ratio_roots(ratio):
+    """The rational roots of the numerator and of the denominator of the
+    reduced pair ratio, or None when either keeps a factor with no
+    rational root."""
+    (rn, cn), (rd, cd) = (rational_roots(p) for p in ratio)
+    if len(cn) > 1 or len(cd) > 1:
         return None
     return [r for r, _m in rn], [r for r, _m in rd]
 
 
 def _search(mu: BHighestWeight, roots):
-    """(gamma, [P_1, ..., P_(kappa-1)]) passing every _pair_failure, or None.
+    """(gamma, [P_1, ..., P_(kappa-1)]) passing every _pair_failure, the P_i
+    integer tuples, or None.
 
     roots maps each mixed pair i (_mixed_pairs) to the _ratio_roots of its
     ratio; with none, gamma = 0 is the one candidate.  A passing P_i is
@@ -526,8 +548,8 @@ def _search(mu: BHighestWeight, roots):
     ctx = mu.ctx
     gammas = {Fraction(0)} if not roots else set()
     for i, (rn, rd) in roots.items():
-        A, B = _prefactors(ctx, i, 0)
-        gammas.update([-A(x) for x in rn] + [-B(x) for x in rd] + [-(A(0) + B(0)) / 2])
+        (a0, a1), (b0, b1) = _prefactors(ctx, i, 0)
+        gammas.update([-a0 - a1 * x for x in rn] + [-b0 - b1 * x for x in rd] + [Fraction(-a0 - b0, 2)])
     e0 = ctx.eps_sign(min(roots)) if roots else 1
     for gamma in sorted(gammas, key=lambda g: -e0 * g):
         Ps = []
@@ -568,14 +590,14 @@ def classify_rank1(mu: BHighestWeight) -> ClassificationCertificate:
     if found is None:
         return ClassificationCertificate(case, status="search-failed")
     gamma, (P,) = found
-    return ClassificationCertificate(case, P, s2 - gamma / (2 * e1) if mixed else None)
+    return ClassificationCertificate(case, Poly(P).monic(), s2 - gamma / (2 * e1) if mixed else None)
 
 
 def classify_highrank(mu: BHighestWeight, gamma, Ps):
     """Verify the finite-dimensionality criterion (_pair_failure) for the
-    candidate gamma and the kappa - 1 monic polynomials Ps, pair by pair.
-    Returns None on success, else (i, reason).  Only the standard parity
-    sequence carries this criterion.
+    candidate gamma and the kappa - 1 polynomials Ps, pair by pair, on
+    their cleared integer forms.  Returns None on success, else (i,
+    reason).  Only the standard parity sequence carries this criterion.
     """
     ctx = mu.ctx
     if not ctx.ps.is_standard():
@@ -583,6 +605,7 @@ def classify_highrank(mu: BHighestWeight, gamma, Ps):
     if len(Ps) != ctx.kappa - 1:
         raise ValueError("need kappa - 1 polynomials")
     gamma = rat(gamma)
+    _s, Ps = _zclear([P.coeffs for P in Ps])
     for i in range(1, ctx.kappa):
         reason = _pair_failure(mu, i, gamma, Ps[i - 1])
         if reason is not None:
@@ -591,38 +614,30 @@ def classify_highrank(mu: BHighestWeight, gamma, Ps):
 
 
 def classify_highrank_search(mu: BHighestWeight):
-    """(gamma, Ps) passing classify_highrank, or None: _search on the
-    rational roots of the mixed pairs' ratios."""
+    """(gamma, Ps) passing classify_highrank, the Ps monic, or None:
+    _search on the rational roots of the mixed pairs' ratios."""
     if not all(mu.tilde_nums):
         return None
     roots = {i: _ratio_roots(mu.ratios[i - 1]) for i in _mixed_pairs(mu.ctx)}
     # A mixed pair whose ratio keeps an irrational factor has no P.
-    return None if None in roots.values() else _search(mu, roots)
+    found = None if None in roots.values() else _search(mu, roots)
+    return found and (found[0], [Poly(P).monic() for P in found[1]])
 
 
-def _solve_involution_quotient(ratio: RatFun, c, sign_pair):
-    """Monic P with ratio = sign_pair (-1)^deg P * P(u)/P(-u+c), or None.
+def _solve_involution_quotient(num, den, c, sign_pair):
+    """P with num / den = sign_pair (-1)^deg P P(u) / P(c - u), as an
+    integer tuple, or None, for num / den reduced over Z[u] (as
+    BHighestWeight.ratios holds it) and an integer c.
 
-    The reduced ratio determines P up to a cofactor g with g(-u+c)
-    proportional to g; the minimal candidate is verified before returning.
+    The reduced ratio determines P up to a cofactor g with g(c - u)
+    proportional to g: the minimal candidate is num times the part of
+    num(c - u) prime to den, and it is verified before returning.
     """
-    num, den = ratio.num, ratio.den
-    if num.degree != den.degree:
+    if len(num) != len(den) or num[-1] != sign_pair * den[-1]:
         return None
-    if num.leading() != sign_pair * den.leading():
-        return None
-    N = num.monic()
-    D = den.monic()
-    Nrev = N.compose_linear(-1, c).monic()
-    if D == Nrev:
-        P = N
-    else:
-        r = RatFun(D, Nrev)
-        P = N * r.den
-    sgn = sign_pair * (-1 if P.degree % 2 else 1)
-    if rf_equal(ratio, RatFun(P, P.compose_linear(-1, c)) * sgn):
-        return P
-    return None
+    rest, _ = _zreduce(_zcompose(num, -1, c), [den])
+    P = poly_mul(num, rest)
+    return P if _involution_holds(num, den, P, c, sign_pair) else None
 
 
 def verify_sufficiency(mu: BHighestWeight, gamma, lams):
@@ -635,10 +650,11 @@ def verify_sufficiency(mu: BHighestWeight, gamma, lams):
     gamma = rat(gamma)
     for i in range(1, ctx.kappa):
         r = ctx.ps.rho(i + 1)
-        A, B = _prefactors(ctx, i, 2 * gamma)
-        rhs = RatFun(A) * lams[i - 1] * lams[i].subs_linear(-1, r)
-        rhs /= RatFun(B) * lams[i] * lams[i - 1].subs_linear(-1, r)
-        if mu.ratios[i - 1] is None or not rf_equal(mu.ratios[i - 1], rhs):
+        A, B = (RatFun(Poly(x)) for x in _prefactors(ctx, i, 2 * gamma))
+        rhs = A * lams[i - 1] * lams[i].subs_linear(-1, r)
+        rhs /= B * lams[i] * lams[i - 1].subs_linear(-1, r)
+        ratio = mu.ratios[i - 1]
+        if ratio is None or not rf_equal(RatFun(Poly(ratio[0]), Poly(ratio[1])), rhs):
             return i
     return None
 
@@ -782,7 +798,7 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
     for A in candidates:
         try:
             s, c, _powers = minpoly(A)
-            roots, _cof = rational_roots(Poly([x * s**k for k, x in enumerate(c)]).monic())
+            roots, _cof = rational_roots([x * s**k for k, x in enumerate(c)])
         except RootSearchBound:
             continue
         for lam, _mult in roots:

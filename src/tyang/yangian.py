@@ -75,7 +75,6 @@ from tyang.exactalg import (
     _zreduce,
     rat,
     rational_roots,
-    rf_equal,
     rf_from_json,
     rf_to_json,
 )
@@ -977,10 +976,10 @@ def zhang_polynomials(lams, ps: ParitySeq):
     for i in range(1, kk):
         ratio = lams[i - 1] / lams[i]
         if i != m:
-            P = solve_shift_quotient(ratio, ps.sign(i))
+            P = solve_shift_quotient(ratio.num.coeffs, ratio.den.coeffs, ps.sign(i))
             if P is None:
                 return None
-            out[i - 1] = P
+            out[i - 1] = Poly(P).monic()
         else:
             if ratio.num.degree != ratio.den.degree:
                 return None
@@ -995,52 +994,35 @@ def zhang_polynomials(lams, ps: ParitySeq):
     return out
 
 
-def solve_shift_quotient(ratio: RatFun, s):
-    """Monic P with P(u + s)/P(u) equal to the given reduced ratio, or None.
+def solve_shift_quotient(num, den, s):
+    """P with P(u + s) / P(u) = num / den, as an integer tuple, or None, for
+    coefficient sequences num and den (ints or Fractions) and an integer s.
 
-    Each root chain beta, beta+s, ..., delta of P leaves exactly the root
+    num / den is cleared over one scale and reduced in Z[u] first.  Each
+    root chain beta, beta+s, ..., delta of P leaves exactly the root
     beta - s in the reduced numerator and delta in the reduced denominator,
     so P is rebuilt by matching numerator roots to denominator roots along
-    the s-lattice; the result is verified before being returned.
+    the s-lattice; the result is verified, by cross-multiplication, before
+    being returned.
     """
-    s = rat(s)
-    if ratio == RatFun.one():
-        return Poly.one()
-    num, den = ratio.num, ratio.den
-    if num.degree != den.degree or num.leading() != den.leading():
+    _c, (num, den) = _zclear([num, den])
+    den, (num,) = _zreduce(den, [num])
+    if len(num) != len(den) or num[-1] != den[-1]:
         return None
-    roots_n, cof_n = rational_roots(num.monic())
-    roots_d, cof_d = rational_roots(den.monic())
-    if cof_n.degree > 0 or cof_d.degree > 0:
+    (roots_n, cof_n), (roots_d, cof_d) = rational_roots(num), rational_roots(den)
+    if len(cof_n) > 1 or len(cof_d) > 1:
         return None
-    navail = []
-    for r, mult in roots_n:
-        navail.extend([r] * mult)
-    davail = []
-    for r, mult in roots_d:
-        davail.extend([r] * mult)
-    chain_roots = []
-    for nu in navail:
-        best = None
-        for idx, delta in enumerate(davail):
-            if delta is None:
-                continue
-            t = (delta - nu) / s - 1
-            if t.denominator == 1 and t >= 0:
-                if best is None or t < best[1]:
-                    best = (idx, t)
-        if best is None:
+    davail = [r for r, mult in roots_d for _ in range(mult)]
+    P = (1,)
+    for nu in (r for r, mult in roots_n for _ in range(mult)):
+        # The nearest unmatched delta = nu + t s, t >= 1, ends the chain
+        # nu + s, ..., delta.
+        steps = [(t, k) for k, delta in enumerate(davail)
+                 if delta is not None and (t := (delta - nu) / s).denominator == 1 and t >= 1]
+        if not steps:
             return None
-        idx, t = best
-        delta = davail[idx]
-        davail[idx] = None
-        step = 0
-        while step <= t:
-            chain_roots.append(nu + s * (step + 1))
-            step += 1
-    poly = Poly.one()
-    for r in sorted(chain_roots):
-        poly = poly * Poly([-r, 1])
-    if rf_equal(RatFun(poly.shift(s), poly), ratio):
-        return poly
-    return None
+        t, k = min(steps)
+        davail[k] = None
+        for r in (nu + s * j for j in range(1, int(t) + 1)):
+            P = poly_mul(P, (-r.numerator, r.denominator))
+    return P if poly_mul(_zcompose(P, 1, s), den) == poly_mul(P, num) else None

@@ -65,7 +65,11 @@ symmetry conditions formed from reduced RatFun, the references for the
 Z[u] reader yangian.highest_eigenseries and for twisted.verma_conditions
 and classify_rank1; ref_unitarity_scalar is the scalar of B(u) B(-u) that
 the last condition reads.  bweight_from_series clears RatFun series over
-their common denominator into a BHighestWeight.
+their common denominator into a BHighestWeight.  ref_solve_shift_quotient
+and ref_solve_involution_quotient are the two quotient solvers of the
+classification on reduced RatFun ratios, returning monic Polys: the
+references for the integer yangian.solve_shift_quotient and
+twisted._solve_involution_quotient.
 
 The rf_* constructors (rf_shift, rf_tensor, rf_dual, rf_c_gamma,
 rf_b_tensor, rf_reduce_rank with restrict_rf, rf_tilde_operator and
@@ -90,7 +94,7 @@ import sympy
 
 from tyang._kernel import mat_mul
 from tyang.daha import _cross
-from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rational_roots
+from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rational_roots, rf_equal
 from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -1034,6 +1038,70 @@ def ref_tilde_ratio(mus, ps):
     return t1 / t2 if t1 and t2 else None
 
 
+def ref_solve_shift_quotient(ratio, s):
+    """Monic P with P(u + s)/P(u) equal to the reduced RatFun ratio, or
+    None: numerator roots matched to denominator roots along the
+    s-lattice, in Fraction arithmetic, and the result verified."""
+    s = Fraction(s)
+    if ratio == RatFun.one():
+        return Poly.one()
+    num, den = ratio.num, ratio.den
+    if num.degree != den.degree or num.leading() != den.leading():
+        return None
+    roots_n, cof_n = rational_roots(num.monic().coeffs)
+    roots_d, cof_d = rational_roots(den.monic().coeffs)
+    if len(cof_n) > 1 or len(cof_d) > 1:
+        return None
+    navail = [r for r, mult in roots_n for _ in range(mult)]
+    davail = [r for r, mult in roots_d for _ in range(mult)]
+    chain_roots = []
+    for nu in navail:
+        best = None
+        for idx, delta in enumerate(davail):
+            if delta is None:
+                continue
+            t = (delta - nu) / s - 1
+            if t.denominator == 1 and t >= 0:
+                if best is None or t < best[1]:
+                    best = (idx, t)
+        if best is None:
+            return None
+        idx, t = best
+        davail[idx] = None
+        step = 0
+        while step <= t:
+            chain_roots.append(nu + s * (step + 1))
+            step += 1
+    poly = Poly.one()
+    for r in sorted(chain_roots):
+        poly = poly * Poly([-r, 1])
+    if rf_equal(RatFun(poly.shift(s), poly), ratio):
+        return poly
+    return None
+
+
+def ref_solve_involution_quotient(ratio, c, sign_pair):
+    """Monic P with ratio = sign_pair (-1)^deg P P(u)/P(-u+c), or None, for
+    a reduced RatFun ratio: the minimal candidate, verified."""
+    num, den = ratio.num, ratio.den
+    if num.degree != den.degree:
+        return None
+    if num.leading() != sign_pair * den.leading():
+        return None
+    N = num.monic()
+    D = den.monic()
+    Nrev = N.compose_linear(-1, c).monic()
+    if D == Nrev:
+        P = N
+    else:
+        r = RatFun(D, Nrev)
+        P = N * r.den
+    sgn = sign_pair * (-1 if P.degree % 2 else 1)
+    if rf_equal(ratio, RatFun(P, P.compose_linear(-1, c)) * sgn):
+        return P
+    return None
+
+
 def bweight_from_series(mus, ctx):
     """The BHighestWeight of the RatFun series mus, cleared over their
     common denominator D to integer numerators."""
@@ -1368,8 +1436,8 @@ def weight_decompose(M):
             if coords is None:
                 raise IrrationalSpectrum(f"e_{i}{i} does not preserve a weight block")
             sub = [[coords[c][r] for c in range(len(basis))] for r in range(len(basis))]
-            roots, cof = rational_roots(charpoly(sub))
-            if cof.degree > 0:
+            roots, cof = rational_roots(charpoly(sub).coeffs)
+            if len(cof) > 1:
                 raise IrrationalSpectrum(f"e_{i}{i} has irrational eigenvalues")
             found = 0
             for lam, _mult in roots:

@@ -128,20 +128,20 @@ class TestRfEqual:
 
 class TestRationalRoots:
     def test_factorable(self):
-        roots, cof = rational_roots(Poly([2, -3, 1]))
+        roots, cof = rational_roots([2, -3, 1])
         assert roots == [(F(1), 1), (F(2), 1)]
-        assert cof.degree == 0
+        assert cof == (1,)
 
     def test_irreducible(self):
-        roots, cof = rational_roots(Poly([1, 0, 1]))
+        roots, cof = rational_roots([1, 0, 1])
         assert roots == []
-        assert cof == Poly([1, 0, 1])
+        assert cof == (1, 0, 1)
 
     def test_multiplicities(self):
         p = Poly([1, 1]) ** 2 * Poly([-1, 2])
-        roots, cof = rational_roots(p)
+        roots, cof = rational_roots(p.coeffs)
         assert roots == [(F(-1), 2), (F(1, 2), 1)]
-        assert cof.degree == 0
+        assert cof == (1,)
 
     def test_found_factors_divide(self):
         rng = random.Random(7)
@@ -149,12 +149,12 @@ class TestRationalRoots:
             deg = rng.randint(1, 6)
             roots = [F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(deg)]
             p = Poly.from_roots(roots) * F(rng.randint(1, 5))
-            found, cof = rational_roots(p)
+            found, cof = rational_roots(p.coeffs)
             # Every claimed factor divides p exactly and nothing is missed.
             rebuilt = Poly.const(p.leading())
             for r, m in found:
                 rebuilt = rebuilt * Poly([-r, 1]) ** m
-            assert rebuilt * cof.monic() == p
+            assert rebuilt * Poly(cof).monic() == p
             assert sum(m for _, m in found) == deg
 
     def test_brute_force_candidate_scan(self):
@@ -163,7 +163,7 @@ class TestRationalRoots:
             deg = rng.randint(1, 6)
             roots = [F(rng.randint(-3, 3)) for _ in range(deg)]
             p = Poly.from_roots(roots)
-            found, _ = rational_roots(p)
+            found, _ = rational_roots(p.coeffs)
             # Exhaustive scan over a wide window of candidates.
             brute = {}
             for num in range(-12, 13):
@@ -188,15 +188,15 @@ class TestRationalRoots:
             return is_root(*args)
 
         monkeypatch.setattr(exactalg, "_is_root", counting)
-        roots, cof = rational_roots(Poly([7207200, 0, 0, 7207200]))
+        roots, cof = rational_roots([7207200, 0, 0, 7207200])
         assert roots == [(F(-1), 1)]
-        assert cof == Poly([7207200, -7207200, 7207200])
+        assert cof == (1, -1, 1)
         assert 0 < evaluated[0] < 1000
 
     def test_coefficient_at_the_bound_is_searched(self):
-        roots, cof = rational_roots(Poly([-ROOT_SEARCH_BOUND, 1]))
+        roots, cof = rational_roots([-ROOT_SEARCH_BOUND, 1])
         assert roots == [(F(ROOT_SEARCH_BOUND), 1)]
-        assert cof.degree == 0
+        assert cof == (1,)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -205,21 +205,21 @@ class TestRationalRoots:
     )
     def test_coefficient_above_the_bound_is_refused(self, coeffs):
         with pytest.raises(RootSearchBound, match=r"bound 10\^12"):
-            rational_roots(Poly(coeffs))
+            rational_roots(coeffs)
 
     def test_content_is_divided_out_before_the_bound(self):
         # c (1 + u^3) at c = 10^13: the primitive form 1 + u^3 is searched.
         c = 10**13
-        roots, cof = rational_roots(Poly([c, 0, 0, c]))
+        roots, cof = rational_roots([c, 0, 0, c])
         assert roots == [(F(-1), 1)]
-        assert cof == Poly([c, -c, c])
+        assert cof == (1, -1, 1)
 
     @pytest.mark.parametrize("content", [1, 2])
     def test_primitive_coefficient_above_the_bound_still_raises(self, content):
         # 10^12 + 1 is odd, so 2 (10^12 + 1) + 2 u^3 has the primitive form
         # (10^12 + 1) + u^3, whose trailing coefficient is above the bound.
         with pytest.raises(RootSearchBound, match=r"bound 10\^12"):
-            rational_roots(Poly([content * (10**12 + 1), 0, 0, content]))
+            rational_roots([content * (10**12 + 1), 0, 0, content])
 
 
 class TestInvariants:

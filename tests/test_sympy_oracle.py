@@ -295,9 +295,10 @@ class TestRationalRootsAgainstSympy:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(polys_with_rational_roots(), polys_with_many_divisors()))
     def test_roots_with_multiplicities(self, p):
-        roots, cof = rational_roots(p)
+        roots, cof = rational_roots(p.coeffs)
         want = sympy.roots(sym_poly(p.coeffs), filter="Q")
         assert roots == sorted((to_fraction(r), m) for r, m in want.items())
-        assert Poly.from_roots([r for r, m in roots for _ in range(m)]) * cof == p
-        if cof.degree >= 1:
-            assert not sympy.roots(sym_poly(cof.coeffs), filter="Q")
+        assert Poly.from_roots([r for r, m in roots for _ in range(m)]) * Poly(cof) * (p.leading() / cof[-1]) == p
+        assert all(isinstance(c, int) for c in cof) and gcd(*cof) == 1
+        if len(cof) > 1:
+            assert not sympy.roots(sym_poly(cof), filter="Q")

@@ -14,6 +14,8 @@ from support import (
     family_form,
     read_blocks,
     ref_poly_kernel,
+    ref_solve_involution_quotient,
+    ref_solve_shift_quotient,
     restrict_rf,
     rf_tilde_operator,
     weight_decompose,
@@ -21,7 +23,7 @@ from support import (
 
 from tyang import cli, twisted
 from tyang._kernel import mat_mul
-from tyang.exactalg import Poly, RatFun, rf_equal
+from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rf_equal
 from tyang.glmn import ParitySeq, make_Lab, make_vector_rep
 from tyang.superlinalg import RFMatrix, SuperSpace, at_slots, kron_ops, mat_vec, poly_kernel
 from tyang.yangian import (
@@ -33,6 +35,7 @@ from tyang.yangian import (
     inverse_series_action,
     lambda_prime_formula,
     series_expansion,
+    solve_shift_quotient,
     tensor_action,
     trivial_action,
 )
@@ -413,6 +416,7 @@ class TestClassifyRank1:
         mu = highest_bweight(b_l12, [1, 0])
         assert classify_highrank(mu, F(0), [Poly([3, 4, 1])]) is None
         assert classify_highrank(mu, F(0), [Poly([3, 1])]) == (1, "identity")
+        assert classify_highrank(mu, F(0), [Poly.zero()]) == (1, "identity")
 
     def test_trivial_ratio(self):
         ctx = TwistedContext(ParitySeq([1, -1]), [1, 1])
@@ -504,7 +508,7 @@ class TestClassifyHighrank:
         ps = ParitySeq([1, 1, 1])
         B = b_from_T(evaluation_action(make_vector_rep(ps), 1), TwistedContext(ps, [1, -1, -1]))
         mu = highest_bweight(B, [1, 0, 0])
-        assert mu.ratios[0] == RatFun.const(-1)
+        assert mu.ratios[0] == ((-1,), (1,))
         found = classify_highrank_search(mu)
         assert found == (F(2), [Poly.one(), Poly.one()])
         assert classify_highrank(mu, *found) is None
@@ -514,6 +518,19 @@ class TestClassifyHighrank:
         mu = highest_bweight(c_gamma(ctx, 1), [1])
         with pytest.raises(ValueError):
             classify_highrank(mu, F(0), [Poly.one()])
+
+    def test_a_p_that_a_1_divides_is_refused(self):
+        # s = (-1, -1), eps = (1, -1), mu = ((3 - 2u)/(3 + 2u), 1).  At
+        # gamma = -1, A_1 = 2u + 1, and P = (u + 1/2)(u + 3/2) passes the
+        # symmetry and the identity, but A_1 divides it; the search goes on
+        # to gamma = -3 (g = 1/2), where P = 1 passes.
+        u = RatFun.x()
+        ctx = TwistedContext(ParitySeq([-1, -1]), [1, -1])
+        mu = bweight_from_series(((3 - 2 * u) / (3 + 2 * u), RatFun.one()), ctx)
+        assert classify_highrank(mu, -1, [Poly([F(3, 4), 2, 1])]) == (1, "divisibility")
+        cert = classify_rank1(mu)
+        assert (cert.P, cert.gamma) == (Poly.one(), F(1, 2))
+        assert classify_highrank_search(mu) == (F(-3), [Poly.one()])
 
 
 _RAT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
@@ -555,6 +572,96 @@ class TestRankOneIsTheRankTwoCriterion:
         assert classify_highrank(mu, gamma, [cert.P]) is None
         found = classify_highrank_search(mu)
         assert found is not None and classify_highrank(mu, *found) is None
+
+
+_ROOT = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+def _spoiled(draw, ratio):
+    """ratio as it is, with its sign flipped, times a quotient of two
+    linear factors, or times a factor with no rational root."""
+    how = draw(st.sampled_from(["none", "none", "sign", "linear", "irrational"]))
+    if how == "sign":
+        return -ratio
+    if how == "linear":
+        return ratio * RatFun(Poly([draw(_ROOT), 1]), Poly([draw(_ROOT), 1]))
+    if how == "irrational":
+        return ratio * RatFun(Poly([1, 0, 1]), Poly([draw(_ROOT), 1]) ** 2)
+    return ratio
+
+
+class TestIntegerSolversMatchTheFractionOracles:
+    """The quotient solvers on integer tuples return the P of the Fraction
+    solvers (support.ref_*), up to a scalar, or None with them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_involution_quotient(self, data):
+        c = data.draw(st.integers(-3, 3))
+        sign_pair = data.draw(st.sampled_from([1, -1]))
+        roots = data.draw(st.lists(_ROOT, max_size=4))
+        # Roots paired as x, c - x, or at c/2, make P(u) and P(c - u) share
+        # factors, which cancel from the reduced ratio.
+        roots += [c - x for x in data.draw(st.lists(st.sampled_from(roots), max_size=2))] if roots else []
+        roots += [F(c, 2)] * data.draw(st.integers(0, 1))
+        P = Poly.from_roots(roots)
+        exact = RatFun(P, P.compose_linear(-1, c)) * (sign_pair * (-1) ** P.degree)
+        ratio = _spoiled(data.draw, exact)
+        _s, (n, d) = _zclear([ratio.num.coeffs, ratio.den.coeffs])
+        d, (n,) = _zreduce(d, [n])
+        got = twisted._solve_involution_quotient(n, d, c, sign_pair)
+        want = ref_solve_involution_quotient(ratio, c, sign_pair)
+        assert (None if got is None else Poly(got).monic()) == want
+        if ratio is exact:
+            assert want is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shift_quotient(self, data):
+        s = data.draw(st.sampled_from([1, -1]))
+        roots = data.draw(st.lists(_ROOT, max_size=3))
+        # Chains x, x + s, ... make P(u + s) and P(u) share factors.
+        roots += [x + s * k for x in roots for k in range(1, data.draw(st.integers(1, 3)))]
+        P = Poly.from_roots(roots)
+        exact = RatFun(P.shift(s), P)
+        ratio = _spoiled(data.draw, exact)
+        # The integer solver reduces its input: hand it a common factor.
+        common = Poly.from_roots(data.draw(st.lists(_ROOT, max_size=2))) * data.draw(_ROOT.filter(bool))
+        got = solve_shift_quotient((ratio.num * common).coeffs, (ratio.den * common).coeffs, s)
+        want = ref_solve_shift_quotient(ratio, s)
+        assert (None if got is None else Poly(got).monic()) == want
+        if ratio is exact:
+            assert want == P.monic()
+
+
+class TestClassificationStaysInZu:
+    """classify_rank1 forms no normalised RatFun: the ratios, the root
+    search and both quotient solvers run on integer tuples."""
+
+    @pytest.mark.parametrize("case", ["s-diff", "s-equal-eps-diff"])
+    def test_no_ratfun_is_normalised(self, case, monkeypatch):
+        if case == "s-diff":
+            # A gamma twist of L(2, 3).
+            ps = ParitySeq([1, -1])
+            T = evaluation_action(make_Lab(1, 2, 3), F(1, 2))
+            B = b_from_T(T, TwistedContext(ps, [1, 1], 2))
+        else:
+            # A vector tensor square, twisted with mixed eps.
+            ps = ParitySeq([1, 1])
+            T = tensor_action(evaluation_action(make_vector_rep(ps), 3), evaluation_action(make_vector_rep(ps), 1))
+            B = b_from_T(T, TwistedContext(ps, [1, -1]))
+        mu = highest_bweight(B, [1] + [0] * (B.dim - 1))
+        normalised, init = [], RatFun.__init__
+
+        def counting(self, num, den=None, _reduced=False):
+            if not _reduced:
+                normalised.append(num)
+            init(self, num, den, _reduced)
+
+        monkeypatch.setattr(RatFun, "__init__", counting)
+        cert = classify_rank1(mu)
+        assert (cert.case, cert.status) == (case, "verified")
+        assert normalised == []
 
 
 class TestSufficiency:
