@@ -1,24 +1,24 @@
 """Exact rationals, dense univariate polynomials, and reduced rational functions.
 
 The scalar field is the rationals throughout; every value is normalized at
-construction (polynomials carry no trailing zeros, rational functions have a
-monic denominator coprime to the numerator), so structural equality is
-mathematical equality.  Cleared data lives in Z[u], as integer coefficient
-tuples: tyang._kernel multiplies, evaluates and takes primitive gcds of
-them, and the helpers below add, negate and substitute into them (_zadd,
-_zneg, _neg_u, and _zcompose for a linear argument, say p(r - u)),
-divide exactly (_zdiv) and normalise (_zreduce); _zclear brings rational
-data there, over one common scale.  Every matrix over Z[u] has one layout:
-a list of row-sparse rows {column: coefficient tuple}, where an absent
-column is the only zero, and one product, _zmatmul; _zcolumns puts
-integer vectors in it as columns.  A RatFun is normalized the same way:
-cleared, reduced by _zreduce, then divided by the leading coefficient of
-its denominator.
-Poly arithmetic over the rationals runs through the same kernels, and its
-gcd through Z[u].  The rational root search, rational_roots, takes a
-coefficient sequence of ints or Fractions, clears it once and deflates
-it in integers, returning the integer cofactor; _is_root tests one
-candidate root a/b of an integer tuple.  The classification's quotient
+construction (polynomials carry no trailing zeros, rational functions are a
+reduced pair over Z[u]), so structural equality is mathematical equality.
+Cleared data lives in Z[u], as integer coefficient tuples: tyang._kernel
+multiplies, evaluates and takes primitive gcds of them, and the helpers below
+add, negate and substitute into them (_zadd, _zneg, _neg_u, and _zcompose for a
+linear argument, say p(r - u)), evaluate them homogeneously (_zhom, b^n
+p(a/b)), divide exactly (_zdiv) and normalise (_zreduce); _zclear brings
+rational data there, over one common scale. Every matrix over Z[u] has one
+layout: a list of row-sparse rows {column: coefficient tuple}, where an absent
+column is the only zero, and one product, _zmatmul; _zcolumns puts integer
+vectors in it as columns. A RatFun is the pair (zn, zd) that _zreduce returns,
+the normal form of every cleared family: its arithmetic, substitutions
+(_zcompose) and evaluation (_zhom) run on the pair, and its num and den are
+Poly views over the monic denominator. Poly arithmetic over the rationals runs
+through the same kernels, and its gcd through Z[u]. The rational root search,
+rational_roots, takes a coefficient sequence of ints or Fractions, clears it
+once and deflates it in integers, returning the integer cofactor; _is_root
+tests one candidate root a/b of an integer tuple. The classification's quotient
 solvers call them on integer tuples, with no Poly.
 """
 
@@ -35,10 +35,10 @@ class PoleError(ArithmeticError):
 
 
 def rat(x) -> Rat:
-    """Coerce ints, 'p/q' strings and Fractions to Rat."""
+    """Coerce ints, 'p/q' strings and Fractions to Rat; a bool is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -61,11 +61,6 @@ class Poly:
         return Poly([rat(c)])
 
     @staticmethod
-    def x(shift=0) -> "Poly":
-        """The polynomial u + shift."""
-        return Poly([rat(shift), 1])
-
-    @staticmethod
     def from_roots(roots) -> "Poly":
         p = Poly.one()
         for r in roots:
@@ -86,9 +81,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
 
     def leading(self) -> Rat:
         if not self.coeffs:
@@ -187,115 +179,119 @@ class Poly:
 
 
 class RatFun:
-    """Reduced rational function num/den with den monic and coprime to num.
+    """The rational function zn / zd: the pair of integer tuples _zreduce
+    returns (no common factor, joint content 1, zd[-1] > 0; zero is
+    ((), (1,))), the normal form of yangian.cleared_form.  num and den may
+    be Polys, coefficient sequences or scalars, and every reducing
+    construction goes through __init__; with _reduced=True they are integer
+    tuples already in this form, taken as given."""
 
-    With _reduced=True the caller vouches that num/den is already in this
-    form, and it is taken as given."""
-
-    __slots__ = ("num", "den")
+    __slots__ = ("zn", "zd")
 
     def __init__(self, num, den=None, _reduced=False):
-        if not isinstance(num, Poly):
-            num = Poly.const(num) if not isinstance(num, (list, tuple)) else Poly(num)
-        if den is None:
-            den = Poly.one()
-        elif not isinstance(den, Poly):
-            den = Poly.const(den) if not isinstance(den, (list, tuple)) else Poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = Poly.zero()
-            self.den = Poly.one()
+        if _reduced:
+            self.zn, self.zd = num, (1,) if den is None else den
             return
-        if not _reduced:
-            # Clear to Z[u], divide out the gcd and the content, then make
-            # the denominator monic: the one normal form of num/den.
-            _s, (n, d) = _zclear([num.coeffs, den.coeffs])
-            d, (n,) = _zreduce(d, [n])
-            lead = d[-1]
-            num = Poly([Fraction(x, lead) for x in n])
-            den = Poly([Fraction(x, lead) for x in d])
-        self.num = num
-        self.den = den
+        n, d = (x.coeffs if isinstance(x, Poly) else x if isinstance(x, (list, tuple)) else (x,)
+                for x in (num, 1 if den is None else den))
+        if not all(type(c) is int for c in n) or not all(type(c) is int for c in d):
+            _s, (n, d) = _zclear([[rat(c) for c in n], [rat(c) for c in d]])
+        n, d = _zadd(n, ()), _zadd(d, ())  # trailing zeros trimmed
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        d, (n,) = _zreduce(d, [n]) if n else ((1,), [()])
+        self.zn, self.zd = n, d
 
     @staticmethod
     def const(c) -> "RatFun":
-        return RatFun(Poly.const(c))
+        c = rat(c)
+        return RatFun((c.numerator,) if c else (), (c.denominator,), True)
 
     @staticmethod
     def x() -> "RatFun":
-        return RatFun(Poly.x())
+        return RatFun((0, 1), (1,), True)
 
     @staticmethod
     def zero() -> "RatFun":
-        return RatFun(Poly.zero())
+        return RatFun((), (1,), True)
 
     @staticmethod
     def one() -> "RatFun":
-        return RatFun(Poly.one())
+        return RatFun((1,), (1,), True)
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over the monic denominator den, a Poly view."""
+        return Poly([Fraction(c, self.zd[-1]) for c in self.zn])
+
+    @property
+    def den(self) -> Poly:
+        return Poly([Fraction(c, self.zd[-1]) for c in self.zd])
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.zn
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.zn)
 
     def __eq__(self, other):
-        if isinstance(other, RatFun):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
+        return (self.zn, self.zd) == (other.zn, other.zd) if isinstance(other, RatFun) else NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.zn, self.zd))
 
     def __add__(self, other):
-        if not isinstance(other, RatFun):
-            other = RatFun.const(rat(other))
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        other = other if isinstance(other, RatFun) else RatFun.const(other)
+        (a, b), (c, d) = (self.zn, self.zd), (other.zn, other.zd)
+        if b == d:
+            return RatFun(_zadd(a, c), b)
+        return RatFun(_zadd(_kernel.poly_mul(a, d), _kernel.poly_mul(c, b)), _kernel.poly_mul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den, _reduced=True)
+        return RatFun(_zneg(self.zn), self.zd, True)
 
     def __sub__(self, other):
-        if not isinstance(other, RatFun):
-            other = RatFun.const(rat(other))
-        return self + (-other)
+        return self + (-other if isinstance(other, RatFun) else -rat(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, RatFun):
-            return RatFun(self.num * rat(other), self.den)
-        return RatFun(self.num * other.num, self.den * other.den)
+            c = rat(other)
+            return RatFun(tuple(c.numerator * x for x in self.zn), tuple(c.denominator * x for x in self.zd))
+        return RatFun(_kernel.poly_mul(self.zn, other.zn), _kernel.poly_mul(self.zd, other.zd))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, RatFun):
-            return RatFun(self.num, self.den * rat(other))
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return self * (other.inverse() if isinstance(other, RatFun) else 1 / rat(other))
 
     def __rtruediv__(self, other):
-        return RatFun.const(rat(other)) / self
+        return RatFun.const(other) / self
 
     def inverse(self) -> "RatFun":
-        if self.is_zero():
+        """zd / zn, signed so that the denominator leads positive."""
+        n, d = self.zn, self.zd
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        return RatFun(self.den, self.num)
+        if n[-1] < 0:
+            n, d = _zneg(n), _zneg(d)
+        return RatFun(d, n, True)
 
     def __call__(self, x) -> Rat:
         return rf_eval(self, x)
 
     def subs_linear(self, a, b) -> "RatFun":
-        """The function f(a*u + b)."""
-        return RatFun(self.num.compose_linear(a, b), self.den.compose_linear(a, b))
+        """The function f(a*u + b), for a = A / q and b = B / q: zn and zd
+        are composed at one degree m (_zcompose), so q^m cancels."""
+        a, b = rat(a), rat(b)
+        q = lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        m = max(len(self.zn), len(self.zd)) - 1
+        return RatFun(_zcompose(self.zn, A, B, q, m), _zcompose(self.zd, A, B, q, m))
 
     def subs_neg(self) -> "RatFun":
         """f(-u)."""
@@ -306,56 +302,52 @@ class RatFun:
         return self.subs_linear(1, c)
 
     def series(self, order: int):
-        """Coefficients of the expansion at infinity, up to u^-order.
-
-        Only defined when deg num <= deg den; returns [c0, c1, ..., c_order]
-        with f(u) = sum c_r u^-r + O(u^-order-1).
-        """
-        dn, dd = self.num.degree, self.den.degree
-        if dn > dd:
+        """The Fractions [c0, c1, ..., c_order] with f(u) = sum c_r u^-r +
+        O(u^-order-1), the expansion at infinity (deg num <= deg den)."""
+        n, d = self.zn, self.zd
+        if len(n) > len(d):
             raise ValueError("no expansion at infinity: numerator degree too large")
         # Reverse coefficients turn the expansion into a power series division.
-        a = [Fraction(0)] * (dd - dn) + list(reversed(self.num.coeffs))
-        b = list(reversed(self.den.coeffs))
-        out = []
-        acc = a + [Fraction(0)] * (order + 1 - len(a))
+        acc, b, out = [0] * (len(d) - len(n)) + list(reversed(n)), d[::-1], []
+        acc += [0] * (order + 1 - len(acc))
         for r in range(order + 1):
-            c = acc[r] / b[0]
-            out.append(c)
-            for j in range(len(b)):
-                if r + j < len(acc):
-                    acc[r + j] -= c * b[j]
+            out.append(Fraction(acc[r], b[0]))
+            for j, y in enumerate(b[:len(acc) - r]):
+                acc[r + j] -= out[-1] * y
         return out
 
     def __repr__(self):
-        if self.den.is_one():
-            return f"RatFun({self.num!r})"
-        return f"RatFun({self.num!r} / {self.den!r})"
+        return f"RatFun({self.num!r})" if self.zd == (1,) else f"RatFun({self.num!r} / {self.den!r})"
 
 
 def rf_eval(f: RatFun, x) -> Rat:
-    """Evaluate f at x; raises PoleError on a pole."""
+    """f(a / b) from zn and zd at one degree m (_zhom); PoleError at a pole."""
     x = rat(x)
-    d = f.den(x)
-    if d == 0:
+    a, b, m = x.numerator, x.denominator, max(len(f.zn), len(f.zd)) - 1
+    d = _zhom(f.zd, a, b, m)
+    if not d:
         raise PoleError(f"pole at {x}")
-    return f.num(x) / d
+    return Fraction(_zhom(f.zn, a, b, m), d)
 
 
 def rf_equal(f: RatFun, g: RatFun) -> bool:
-    """Equality as rational functions, by cross multiplication."""
-    return f.num * g.den == g.num * f.den
+    """Equality as rational functions, by cross multiplication in Z[u]."""
+    return _kernel.poly_mul(f.zn, g.zd) == _kernel.poly_mul(g.zn, f.zd)
 
 
 def rf_to_json(f: RatFun) -> dict:
-    """f as {"num": [...], "den": [...]}, coefficients of u^0, u^1, ... as
-    "p/q" strings; the one RatFun encoding of scenario data and reports."""
-    return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
+    """f as {"num": [...], "den": [...]}, coefficients of u^0, u^1, ... over
+    the monic den as "p/q" strings: the RatFun encoding of data and reports."""
+    lead = f.zd[-1]
+    return {"num": [str(Fraction(c, lead)) for c in f.zn], "den": [str(Fraction(c, lead)) for c in f.zd]}
 
 
 def rf_from_json(data) -> RatFun:
-    """The inverse of rf_to_json (the function is reduced on the way in)."""
-    return RatFun(Poly([rat(c) for c in data["num"]]), Poly([rat(c) for c in data["den"]]))
+    """The inverse of rf_to_json (the function is reduced on the way in);
+    num and den must be JSON lists."""
+    if not (isinstance(data["num"], list) and isinstance(data["den"], list)):
+        raise TypeError(f"num and den must be JSON lists of coefficients, got {data!r}")
+    return RatFun(data["num"], data["den"])
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +494,20 @@ def _may_vanish(f, a, b):
     return (f1 % (b - a) == 0 if b != a else f1 == 0) and (fm1 % (b + a) == 0 if b != -a else fm1 == 0)
 
 
-def _is_root(f, a, b):
-    """Whether a/b is a root of the integer coefficient list f: the
-    homogeneous sum sum_k f_k a^k b^(n - k), n the degree, is zero."""
-    acc, bk = f[-1], 1
-    for c in reversed(f[:-1]):
-        bk *= b
+def _zhom(p, a, b, n=None):
+    """b^n p(a / b) for an integer coefficient sequence p and integers a and
+    b, n at least the degree of p (its degree by default): the homogeneous
+    sum sum_k p_k a^k b^(n - k), by Horner's rule."""
+    acc, bk = 0, 1
+    for c in reversed(p):
         acc = acc * a + c * bk
-    return acc == 0
+        bk *= b
+    return acc * b ** ((len(p) - 1 if n is None else n) - len(p) + 1)
+
+
+def _is_root(f, a, b):
+    """Whether a/b is a root of the integer coefficient list f."""
+    return not _zhom(f, a, b)
 
 
 def _deflate(f, a, b):

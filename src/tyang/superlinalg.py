@@ -28,10 +28,11 @@ coefficient tuple}, an absent column the only zero.
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
-from tyang._kernel import cleared_rows, echelon, echelon_insert, mat_mul
-from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rat
+from tyang._kernel import cleared_rows, echelon, echelon_insert, mat_mul, poly_gcd, poly_mul
+from tyang.exactalg import RatFun, _zclear, _zdiv, _zreduce, rat
 
 
 class DimensionMismatch(ValueError):
@@ -437,25 +438,27 @@ def kron_sum(terms, spaces):
 # ---------------------------------------------------------------------------
 # Matrices over the rational-function field.
 
-def common_den(entries) -> Poly:
-    """The lcm of the denominators of the nonzero RatFun entries."""
-    d = Poly.one()
+def common_den(entries):
+    """The lcm in Z[u] of the denominators zd of the nonzero RatFun entries:
+    the lcm of their contents times the lcm of their primitive parts."""
+    c, D = 1, (1,)
     for e in entries:
         if e:
-            d = d * (e.den // d.gcd(e.den))
-    return d
+            k = gcd(*e.zd)
+            p = tuple(x // k for x in e.zd)
+            c, D = lcm(c, k), poly_mul(D, _zdiv(p, poly_gcd(D, p)))
+    return tuple(c * x for x in D)
 
 
 def cleared_coefficients(entries):
     """(den, coeffs) for a list of RatFun entries: den is their common_den,
-    and coeffs[k] is the vector of u^k coefficients of den * entries, for k
-    up to the largest cleared degree.  Every zero entry contributes zeros,
-    and an all-zero list gives no vectors."""
+    and coeffs[k] is the integer vector of u^k coefficients of
+    den * entries, for k up to the largest cleared degree.  Every zero
+    entry contributes zeros, and an all-zero list gives no vectors."""
     den = common_den(entries)
-    cleared = [e.num * (den // e.den) if e else Poly.zero() for e in entries]
-    zero = Fraction(0)
-    top = max((p.degree for p in cleared), default=-1)
-    return den, [[p.coeffs[k] if k <= p.degree else zero for p in cleared] for k in range(top + 1)]
+    cleared = [poly_mul(e.zn, _zdiv(den, e.zd)) for e in entries]
+    top = max(map(len, cleared), default=0)
+    return den, [[p[k] if k < len(p) else 0 for p in cleared] for k in range(top)]
 
 
 class RFMatrix:
@@ -625,7 +628,7 @@ def rfmat_inverse(M: RFMatrix) -> RFMatrix:
         for r in range(col, n):
             e = A[r][col]
             if e:
-                w = e.num.degree + e.den.degree
+                w = len(e.zn) + len(e.zd)
                 if best is None or w < best:
                     piv, best = r, w
         if piv < 0:

@@ -237,7 +237,7 @@ class BReport:
     @cached_property
     def f(self) -> RatFun:
         """The scalar num / den as a reduced RatFun, for the report."""
-        return RatFun(Poly(self.unitarity[0]), Poly(self.unitarity[1]))
+        return RatFun(*self.unitarity)
 
     @property
     def ok(self):
@@ -322,8 +322,7 @@ class BHighestWeight:
 
     @cached_property
     def mus(self):
-        den = Poly(self.den)
-        return tuple(RatFun(Poly(n), den) for n in self.nums)
+        return tuple(RatFun(n, self.den) for n in self.nums)
 
     @cached_property
     def ratios(self):
@@ -344,7 +343,7 @@ class BHighestWeight:
 
     def tilde(self, i: int) -> RatFun:
         if i not in self._tildes:
-            self._tildes[i] = RatFun(Poly(self.tilde_nums[i - 1]), Poly(self.den))
+            self._tildes[i] = RatFun(self.tilde_nums[i - 1], self.den)
         return self._tildes[i]
 
 
@@ -650,11 +649,11 @@ def verify_sufficiency(mu: BHighestWeight, gamma, lams):
     gamma = rat(gamma)
     for i in range(1, ctx.kappa):
         r = ctx.ps.rho(i + 1)
-        A, B = (RatFun(Poly(x)) for x in _prefactors(ctx, i, 2 * gamma))
+        A, B = (RatFun(x) for x in _prefactors(ctx, i, 2 * gamma))
         rhs = A * lams[i - 1] * lams[i].subs_linear(-1, r)
         rhs /= B * lams[i] * lams[i - 1].subs_linear(-1, r)
         ratio = mu.ratios[i - 1]
-        if ratio is None or not rf_equal(RatFun(Poly(ratio[0]), Poly(ratio[1])), rhs):
+        if ratio is None or not rf_equal(RatFun(*ratio), rhs):
             return i
     return None
 
@@ -819,7 +818,7 @@ def irreducible_burnside(B: BAction) -> BurnsideVerdict:
 def scale_baction(B: BAction, h: RatFun) -> BAction:
     """Pull back through B(u) -> h(u) B(u); caller ensures h(u) h(-u) = 1."""
     form = B.cleared()
-    _s, (hn, hd) = _zclear([h.num.coeffs, h.den.coeffs])
+    hn, hd = h.zn, h.zd
     scale = [{c: hn} for c in range(B.dim)]
     blocks = {key: _zmatmul(rows, scale) for key, rows in form.blocks.items()}
     return BAction(B.ctx, B.space, cleared_form(poly_mul(form.den_coeffs, hd), blocks), ("scaled", B, h))
@@ -884,7 +883,7 @@ def b_from_json(data: dict) -> BAction:
     space = SuperSpace(data["parities"])
     b = json_blocks(data, "b", ctx.kappa, rf_from_json)
     for (i, j), rows in sorted(b.items()):
-        if any(e.num.degree > e.den.degree for row in rows for e in row):
+        if any(len(e.zn) > len(e.zd) for row in rows for e in row):
             raise ValueError(
                 f"b_{i}{j}(u) is not a series in u^-1: an entry has numerator degree above its denominator's"
             )

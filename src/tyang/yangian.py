@@ -70,6 +70,7 @@ from tyang.exactalg import (
     _zclear,
     _zcolumns,
     _zcompose,
+    _zdiv,
     _zmatmul,
     _zneg,
     _zreduce,
@@ -279,10 +280,10 @@ def cleared_form_rf(blocks) -> ClearedForm:
     JSON readers and the Gauss-Jordan inverse series)."""
     D = common_den(e for rows in blocks.values() for row in rows for e in row)
     num = {
-        key: [{c: (e.num * (D // e.den)).coeffs for c, e in enumerate(row) if e} for row in rows]
+        key: [{c: poly_mul(e.zn, _zdiv(D, e.zd)) for c, e in enumerate(row) if e} for row in rows]
         for key, rows in blocks.items()
     }
-    return cleared_form(*_integral(D.coeffs, num))
+    return cleared_form(D, num)
 
 
 def _integral(den, blocks):
@@ -435,9 +436,9 @@ class SeriesFamily:
         Gauss-Jordan inverse."""
         if self._t is None:
             form, sp = self._cleared, self.space
-            den, zero, cols = Poly(form.den_coeffs), RatFun.zero(), range(sp.dim)
+            den, zero, cols = form.den_coeffs, RatFun.zero(), range(sp.dim)
             self._t = {
-                key: RFMatrix([[RatFun(Poly(row[c]), den) if c in row else zero for c in cols] for row in rows], sp, sp)
+                key: RFMatrix([[RatFun(row[c], den) if c in row else zero for c in cols] for row in rows], sp, sp)
                 for key, rows in form.blocks.items()
             }
         return self._t
@@ -733,8 +734,7 @@ def highest_lweight(T: TAction, xi):
     """Extract the eigen-series tuple of a highest vector of T(u), as
     reduced RatFun."""
     nums, den = highest_eigenseries(T, xi, "t")
-    den = Poly(den)
-    return tuple(RatFun(Poly(n), den) for n in nums)
+    return tuple(RatFun(n, den) for n in nums)
 
 
 def varpi_weight(lams, ps: ParitySeq):
@@ -786,7 +786,7 @@ def lambda_prime_check(T: TAction, xi, lams=None):
                 return ("a", (i, j))
     for i in idx:
         lam = lambda_prime_formula(lams, T.ps, i)
-        _s, (ln, ld) = _zclear([lam.num.coeffs, lam.den.coeffs])
+        ln, ld = lam.zn, lam.zd
         if _zmatmul(w[(i, i)], [{0: ld}]) != _zmatmul(Z, [{0: poly_mul(ln, inv.den_coeffs)}]):
             return ("b", i)
     coeffs = {key: [{k: (x,) for e in row.values() for k, x in enumerate(e) if x} for row in wk]

@@ -80,6 +80,12 @@ which build every family as a ClearedForm, are compared with through
 family_form.  ref_lambda_prime_check is the inverse-weight check read off
 those RatFun blocks.
 
+RefRatFun is the rational function of Fraction Polys, num / den with den
+monic and coprime to num, reduced by Poly.gcd and divided by the leading
+coefficient of den, its arithmetic Poly arithmetic and its substitutions
+Poly.compose_linear; ref_rf_to_json writes its coefficients.  It is the
+reference for exactalg.RatFun, which holds the reduced pair over Z[u].
+
 verify_gl_module, gl_tensor, weight_decompose, gl_to_json and
 apply_at_factor are gl(m|n) module helpers that only the tests use, and
 mat_identity is the Fraction identity matrix, which no library code
@@ -92,9 +98,9 @@ from math import gcd, lcm
 
 import sympy
 
-from tyang._kernel import mat_mul
+from tyang._kernel import mat_mul, poly_mul
 from tyang.daha import _cross
-from tyang.exactalg import Poly, RatFun, _zclear, _zreduce, rational_roots, rf_equal
+from tyang.exactalg import Poly, PoleError, RatFun, _zclear, _zdiv, _zreduce, rat, rational_roots, rf_equal
 from tyang.glmn import GlModule, ParameterError
 from tyang.superlinalg import (
     DimensionMismatch,
@@ -190,7 +196,7 @@ def rf_cleared_form(t):
     factor c making c D and every c D x_ij integral, primitive, with
     c > 0; blocks row-sparse, {column: coefficient tuple} for the nonzero
     entries."""
-    D = common_den(e for m in t.values() for row in m.entries for e in row)
+    D = Poly(common_den(e for m in t.values() for row in m.entries for e in row))
     polys = {key: [{c: e.num * (D // e.den) for c, e in enumerate(row) if e} for row in m.entries]
              for key, m in t.items()}
     every = [D] + [p for rows in polys.values() for row in rows for p in row.values()]
@@ -1106,8 +1112,7 @@ def bweight_from_series(mus, ctx):
     """The BHighestWeight of the RatFun series mus, cleared over their
     common denominator D to integer numerators."""
     D = common_den(mus)
-    _s, (den, *nums) = _zclear([D.coeffs, *((m.num * (D // m.den)).coeffs for m in mus)])
-    return BHighestWeight(nums, den, ctx)
+    return BHighestWeight([poly_mul(m.zn, _zdiv(D, m.zd)) for m in mus], D, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1480,3 +1485,113 @@ def apply_at_factor(op, k, spaces, op_parity):
     grid = kron_ops(at_slots(len(spaces), {k - 1: (op, op_parity)}), spaces)
     sp = tensor_space(spaces)
     return RFMatrix.from_const(grid, row_space=sp, col_space=sp)
+
+
+# ---------------------------------------------------------------------------
+# Rational functions over Fraction Polys.
+
+class RefRatFun:
+    """Reduced rational function num / den of Fraction Polys, den monic and
+    coprime to num."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        num = num if isinstance(num, Poly) else Poly(num if isinstance(num, (list, tuple)) else [num])
+        den = Poly.one() if den is None else den if isinstance(den, Poly) else Poly([den])
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            num, den = Poly.zero(), Poly.one()
+        else:
+            g = num.gcd(den)
+            num, den = num // g, den // g
+            num, den = num * (1 / den.leading()), den.monic()
+        self.num, self.den = num, den
+
+    @staticmethod
+    def const(c):
+        return RefRatFun(Poly.const(c))
+
+    @staticmethod
+    def x():
+        return RefRatFun(Poly([0, 1]))
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, RefRatFun):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, RefRatFun):
+            other = RefRatFun.const(other)
+        return RefRatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefRatFun(-self.num, self.den)
+
+    def __sub__(self, other):
+        if not isinstance(other, RefRatFun):
+            other = RefRatFun.const(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, RefRatFun):
+            return RefRatFun(self.num * rat(other), self.den)
+        return RefRatFun(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, RefRatFun):
+            return RefRatFun(self.num, self.den * rat(other))
+        if not other:
+            raise ZeroDivisionError("division by zero rational function")
+        return RefRatFun(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return RefRatFun.const(other) / self
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        return RefRatFun(self.den, self.num)
+
+    def __call__(self, x):
+        x = rat(x)
+        d = self.den(x)
+        if d == 0:
+            raise PoleError(f"pole at {x}")
+        return self.num(x) / d
+
+    def subs_linear(self, a, b):
+        return RefRatFun(self.num.compose_linear(a, b), self.den.compose_linear(a, b))
+
+    def series(self, order):
+        dn, dd = self.num.degree, self.den.degree
+        if dn > dd:
+            raise ValueError("no expansion at infinity: numerator degree too large")
+        a = [Fraction(0)] * (dd - dn) + list(reversed(self.num.coeffs))
+        b = list(reversed(self.den.coeffs))
+        acc = a + [Fraction(0)] * (order + 1 - len(a))
+        out = []
+        for r in range(order + 1):
+            c = acc[r] / b[0]
+            out.append(c)
+            for j in range(len(b)):
+                if r + j < len(acc):
+                    acc[r + j] -= c * b[j]
+        return out
+
+
+def ref_rf_to_json(f):
+    """exactalg.rf_to_json on a RefRatFun."""
+    return {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}

@@ -196,11 +196,23 @@ class TestMalformedInputs:
             ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": "false"}, "inputs['expansion']"),
             ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": {"a": 1}}, "inputs['expansion']"),
             ("drinfeld", {"m": CHAR21, "ps": [1, -1], "eps": [1, -1], "expansion": []}, "inputs['expansion']"),
+            # A coefficient list is a JSON list: "021" is not read digit by
+            # digit, nor an object by its keys.
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d["b"]["1,1"][0][0].update(den="021"))},
+             "build_baction"),
+            ("verify-twisted", {"b": _payload("b-json", lambda d: d["b"]["1,1"][0][0].update(
+                num={"6": "0", "4": "1", "1": "2"}))}, "build_baction"),
+            # A bool is not a rational.
+            ("verify-twisted", {"b": {"type": "c-gamma", "ps": [1, -1], "eps": [1, -1], "gamma": True}},
+             "build_baction"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": LAB12, "z": False}}, "build_taction"),
+            ("verify-yangian", {"t": {"type": "evaluation", "module": dict(LAB12, a=True)}}, "build_taction"),
         ],
         ids=["missing-t", "zero-denominator", "float-z", "eps-value", "appendix-missing-l",
              "classify-missing-eta", "reduce-missing-mode", "drinfeld-missing-ps", "drinfeld-missing-eps",
              "reduce-star-missing-a", "reduce-star-a-out-of-range", "expansion-string", "expansion-object",
-             "expansion-list"],
+             "expansion-list", "b-json-string-den", "b-json-object-num", "c-gamma-bool-gamma",
+             "evaluation-bool-z", "lab-bool-a"],
     )
     def test_constructor_errors_exit_2(self, pipeline, inputs, named, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import trimmed
+from support import RefRatFun, ref_rf_to_json, trimmed
 
 from tyang import exactalg
 from tyang._kernel import poly_gcd, poly_mul
@@ -317,6 +318,168 @@ def _zmatrix_pairs(draw):
         A = [row + [x, exactalg._zneg(x)] for row, x in zip(A, a)]
         B = B + [b, b]
     return A, B, cancel
+
+
+FRACS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+SCALARS = st.one_of(st.integers(-3, 3), FRACS)
+COEFFS = st.lists(FRACS, max_size=4)
+
+
+@st.composite
+def ratfun_and_oracle(draw):
+    """(f, g): one rational function as an exactalg.RatFun and as the
+    Fraction oracle RefRatFun, from the same unreduced num and den."""
+    num, den = draw(COEFFS), draw(COEFFS.filter(any))
+    return RatFun(Poly(num), Poly(den)), RefRatFun(Poly(num), Poly(den))
+
+
+def assert_same(f, g):
+    """f (a RatFun) and g (a RefRatFun) hold one function: the same num and
+    den views and JSON, and f is the pair that __init__ normalises the
+    oracle's num / den to."""
+    assert (f.num, f.den) == (g.num, g.den)
+    assert rf_to_json(f) == ref_rf_to_json(g)
+    assert f == RatFun(g.num, g.den)
+    assert f.zd[-1] > 0
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the arithmetic error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+class TestAgainstFractionOracle:
+    """exactalg.RatFun, the reduced pair over Z[u], against RefRatFun, the
+    rational function of Fraction Polys, operation by operation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfun_and_oracle(), ratfun_and_oracle(), SCALARS)
+    def test_field_operations(self, a, b, c):
+        (f, F_), (g, G) = a, b
+        assert_same(f, F_)
+        assert (f == g) == (F_ == G)
+        assert_same(-f, -F_)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_same(op(f, g), op(F_, G))
+            assert_same(op(f, c), op(F_, c))
+            assert_same(op(c, f), op(c, F_))
+        for x, X, y, Y in ((f, F_, g, G), (f, F_, c, c), (c, c, f, F_)):
+            got, want = outcome(operator.truediv, x, y), outcome(operator.truediv, X, Y)
+            if isinstance(want, type):
+                assert got is ZeroDivisionError and want is ZeroDivisionError
+            else:
+                assert_same(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfun_and_oracle())
+    def test_inverse(self, a):
+        f, F_ = a
+        if f:
+            assert_same(f.inverse(), F_.inverse())
+            assert f.inverse() * f == RatFun.one()
+        else:
+            with pytest.raises(ZeroDivisionError):
+                f.inverse()
+
+    def test_inverse_of_a_negative_leading_numerator(self):
+        # (1 - 2u) / (u + 3): the inverse's denominator is made positive.
+        f, F_ = RatFun(Poly([1, -2]), Poly([3, 1])), RefRatFun(Poly([1, -2]), Poly([3, 1]))
+        assert f.zn[-1] < 0
+        assert_same(f.inverse(), F_.inverse())
+        assert f.inverse().zd == (-1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfun_and_oracle(), st.one_of(st.just(Fraction(-1)), FRACS), FRACS)
+    def test_subs_linear(self, a, p, q):
+        f, F_ = a
+        got, want = outcome(f.subs_linear, p, q), outcome(F_.subs_linear, p, q)
+        if isinstance(want, type):
+            assert got is want is ZeroDivisionError
+        else:
+            assert_same(got, want)
+        assert_same(f.shift(q), F_.subs_linear(1, q))
+        assert_same(f.subs_neg(), F_.subs_linear(-1, 0))
+
+    def test_subs_linear_with_rational_arguments(self):
+        # u / (u^2 + 1) at u/2 + 1/3: numerator and denominator degrees differ.
+        f, F_ = RatFun(Poly([0, 1]), Poly([1, 0, 1])), RefRatFun(Poly([0, 1]), Poly([1, 0, 1]))
+        assert_same(f.subs_linear(F(1, 2), F(1, 3)), F_.subs_linear(F(1, 2), F(1, 3)))
+        assert_same(f.subs_linear(-1, F(5, 2)), F_.subs_linear(-1, F(5, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfun_and_oracle(), st.integers(0, 5))
+    def test_series(self, a, order):
+        f, F_ = a
+        got, want = outcome(f.series, order), outcome(F_.series, order)
+        assert got == want
+        if not isinstance(got, type):
+            assert all(type(c) is Fraction for c in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfun_and_oracle(), FRACS)
+    def test_evaluation(self, a, x):
+        f, F_ = a
+        got, want = outcome(f, x), outcome(F_, x)
+        assert got == want
+        assert type(got) is Fraction or got is PoleError
+
+    def test_pole(self):
+        f = RatFun(Poly([1, 1]), Poly([-4, 0, 9]))  # (u + 1) / (9u^2 - 4)
+        for x in (F(2, 3), F(-2, 3)):
+            with pytest.raises(PoleError):
+                f(x)
+        assert f(F(1, 3)) == RefRatFun(Poly([1, 1]), Poly([-4, 0, 9]))(F(1, 3)) == F(-4, 9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratfun_and_oracle())
+    def test_zero(self, a):
+        f, F_ = a
+        z, Z = RatFun.zero(), RefRatFun(Poly())
+        assert (z.zn, z.zd) == ((), (1,))
+        assert_same(z, Z)
+        assert_same(f - f, Z)
+        assert_same(f * z, Z)
+        assert_same(f + z, F_)
+        assert_same(f * 0, Z)
+        assert z.series(3) == [0, 0, 0, 0]
+        assert z(F(5, 2)) == 0
+        with pytest.raises(ZeroDivisionError):
+            f / z
+        with pytest.raises(ZeroDivisionError):
+            f / 0
+
+
+class TestNoPolyArithmetic:
+    def test_ratfun_methods_run_no_poly_arithmetic(self, monkeypatch):
+        """Every RatFun operation runs on the integer pair: with the Poly
+        arithmetic made to raise, all of them still run."""
+
+        def refuse(*args):
+            raise AssertionError("Poly arithmetic in a RatFun method")
+
+        for name in ("__add__", "__mul__", "__divmod__", "gcd", "compose_linear"):
+            monkeypatch.setattr(Poly, name, refuse)
+        u = RatFun.x()
+        f = RatFun(Poly([1, -2]), Poly([F(3, 2), 1]))
+        g = RatFun([F(1, 3), 0, 1], [2, 5])
+        z = RatFun.zero()
+        values = [f + g, f - g, f * g, f / g, f + 2, 2 - f, f * F(2, 3), F(2, 3) / f, -f, f.inverse(),
+                  f.subs_linear(F(1, 2), F(-1, 3)), f.subs_linear(-1, 0), f.shift(F(1, 2)), f.subs_neg(),
+                  z + f, f * z, f - f, u / (u + 1), RatFun.const(F(3, 4)), RatFun.one()]
+        assert all(isinstance(v, RatFun) for v in values)
+        assert f.series(3) == [F(-2), F(4), F(-6), F(9)] and g.inverse().series(1) == [0, 5]
+        assert f(1) == F(-2, 5) and z(0) == 0
+        with pytest.raises(PoleError):
+            f(F(-3, 2))
+        with pytest.raises(ZeroDivisionError):
+            f / z
+        assert rf_equal(f * g, g * f) and f != g and hash(f) == hash(RatFun(f.num, f.den))
+        assert rf_from_json(rf_to_json(f)) == f and rf_from_json(rf_to_json(z)) == z
+        assert f.num == Poly([1, -2]) and f.den == Poly([F(3, 2), 1])
+        assert repr(f) and repr(u)
 
 
 def _row_sparse(M):
