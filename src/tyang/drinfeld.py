@@ -5,9 +5,9 @@ The carrier is M x V^l; the series action is a product of resolvent factors
 diagonal matrix G + gamma/u and the mirrored inverse factors.  Every factor
 is built cleared over Z[u], as F_k / d_k with d_k a scalar polynomial and
 F_k = d_k 1 + K_k a matrix over Z[u] in the one row-sparse layout of
-exactalg, read off the integer resolvent (superlinalg.cleared_resolvent)
-and the integer coupling operator Q^(k); the product of the factors is
-the one product exactalg._zmatmul.  The functor output lives on the quotient
+exactalg, assembled by yangian._kron_blocks from the integer resolvent
+(superlinalg.cleared_resolvent) and Q^(k); the factors' product is the
+one product exactalg._zmatmul.  The functor output lives on the quotient
 of the carrier by the sign-isotypic images of the reflections, with the
 projection P fixed by pivot order, so the product is formed at quotient
 size: the sign relations and s P, the projection scaled to integers, come
@@ -45,7 +45,7 @@ import operator
 from fractions import Fraction
 
 from tyang._kernel import echelon, poly_mul
-from tyang.exactalg import _neg_u, _zadd, _zmatmul, _zneg, rat
+from tyang.exactalg import _neg_u, _zmatmul, _zneg, rat
 from tyang.daha import DahaModule, DahaParams, induce_pair, sf_presentation
 from tyang.glmn import ParitySeq
 from tyang.superlinalg import (
@@ -74,7 +74,7 @@ from tyang.twisted import (
     b_tensor,
     b_to_json,
 )
-from tyang.yangian import TAction, cleared_form, flip_at, series_expansion, t_to_json
+from tyang.yangian import TAction, _kron_blocks, cleared_form, flip_at, series_expansion, t_to_json
 
 
 class ParameterConstraint(ValueError):
@@ -170,8 +170,8 @@ def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     matrix over Z[u]; every entry of K has degree below that of d, so no
     diagonal entry of F cancels.  Q is Q^(k) as integer row-sparse rows
     (_int_q_rows), and y_k is read as its integer rows over the scale of
-    M.  neg substitutes u -> -u.  Both tensor factors are even, so the
-    Kronecker product carries no Koszul sign.
+    M.  neg substitutes u -> -u.  F is one _kron_blocks call on the terms
+    K and d 1 x 1 over two even spaces, so no Koszul sign enters.
     """
     n = M.dim
     y, c_over_s = _dense(M.int_y[k - 1], n), chi / M.scale
@@ -179,16 +179,10 @@ def _cleared_factor(M: DahaModule, Q, k, chi, shift, sign=1, neg=False):
     R, d = cleared_resolvent(A)
     if neg:
         d, R = _neg_u(d), [{c: _neg_u(p) for c, p in row.items()} for row in R]
-    width = len(Q)
-    F = []
-    for Ra in R:
-        blocks = [(b * width, x if sign == 1 else _zneg(x)) for b, x in Ra.items()]
-        for Qr in Q:
-            row = {base + c: x if q == 1 else tuple(q * a for a in x) for base, x in blocks for c, q in Qr.items()}
-            r = len(F)
-            row[r] = _zadd(row[r], d) if r in row else d
-            F.append(row)
-    return d, F
+    spaces = [SuperSpace([0] * n), SuperSpace([0] * len(Q))]
+    K = (sign, [(R, 0), ([{c: (q,) for c, q in row.items()} for row in Q], 0)])
+    unit = (1, [([{r: d} for r in range(n)], 0), ([{c: (1,)} for c in range(len(Q))], 0)])
+    return d, _kron_blocks([K, unit], spaces)
 
 
 def _int_q_rows(ps: ParitySeq, l: int):
@@ -777,26 +771,20 @@ def _intertwiner(lhs: BAction, rhs: BAction):
     """An invertible X with lhs_ij(u) X = X rhs_ij(u), or None.
 
     With lhs = N / d and rhs = M / e over Z[u], X intertwines exactly when
-    e N_ij X - d X M_ij = 0 identically for every block: row-sparse rows
-    over Z[u] on the n^2 entries of X (row r n + c reads e N[r][a] at
-    X[a][c] and -d M[b][c] at X[r][b]), whose common constant kernel
-    (poly_kernel) is the space of intertwiners.
+    e N_ij X - d X M_ij = 0 identically for every block: on the n^2 entries
+    of X, row r n + c of the block's rows e N_ij x 1 - 1 x (d M_ij)^T
+    (_kron_blocks, on even spaces) reads e N[r][a] at X[a][c] and
+    -d M[b][c] at X[r][b], and their common constant kernel (poly_kernel)
+    is the space of intertwiners.
     """
     n = lhs.dim
     A, B = lhs.cleared(), rhs.cleared()
+    even = SuperSpace([0] * n)
+    e, d = [{r: B.den_coeffs} for r in range(n)], [{r: A.den_coeffs} for r in range(n)]
     rows = []
     for key in sorted(A.blocks):
-        NA, NB = A.blocks[key], B.blocks[key]
-        cols = [{} for _ in range(n)]  # the columns of M_ij, row-sparse
-        for b, row in enumerate(NB):
-            for c, x in row.items():
-                cols[c][b] = _zneg(poly_mul(A.den_coeffs, x))
-        for r in range(n):
-            for c in range(n):
-                row = {a * n + c: poly_mul(B.den_coeffs, x) for a, x in NA[r].items()}
-                for b, x in cols[c].items():
-                    row[r * n + b] = _zadd(row[r * n + b], x) if r * n + b in row else x
-                rows.append({k: x for k, x in row.items() if x})
+        terms = [(1, [(A.blocks[key], 0), (e, 0)]), (-1, [(d, 0), (_transpose(B.blocks[key], n), 0)])]
+        rows += _kron_blocks(terms, [even, even])
     if not any(rows):
         return None
     basis = poly_kernel(rows, n * n).vectors()

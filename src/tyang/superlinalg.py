@@ -325,8 +325,8 @@ def _passed_parities(spaces, slot):
 
 def _kron_nonzero_rows(ops, spaces, col_par):
     """kron_ops as its nonzero entries, a list of (row, col, value) triples
-    with no two at one (row, col); col_par is _col_parities(spaces).  This
-    is the one place Koszul signs are read.
+    with no two at one (row, col); col_par is _col_parities(spaces), the
+    prefixes _passed_parities slices for yangian._kron_blocks and _lift_at.
 
     A flat scatter: the partial product is carried from factor to factor
     as its list of triples, extended by one list comprehension per factor.

@@ -559,6 +559,7 @@ def _kron_blocks(terms, spaces):
     The entry at ((r1, r2), (c1, c2)) is w A[r1][c1] B[r2][c2] times the
     Koszul sign (-1)^(par_B |c1|) of B passing column c1 of the first
     factor, read off superlinalg._passed_parities as _lift_at reads it.
+    Each A entry is signed once; a unit B entry (1,) takes it with no product.
     """
     d2 = spaces[1].dim
     passed = _passed_parities(spaces, 1)
@@ -566,12 +567,12 @@ def _kron_blocks(terms, spaces):
     for w, ((A, _), (B, par)) in terms:
         for r1, rowA in enumerate(A):
             for c1, a in rowA.items():
-                neg = (w == -1) != bool(par and passed[c1])
+                if (w == -1) != bool(par and passed[c1]):
+                    a = _zneg(a)
                 for r, rowB in enumerate(B, r1 * d2):
                     row = acc[r]
                     for c2, b in rowB.items():
-                        p = poly_mul(a, b)
-                        p = _zneg(p) if neg else p
+                        p = a if b == (1,) else poly_mul(a, b)
                         c = c1 * d2 + c2
                         row[c] = _zadd(row[c], p) if c in row else p
     return [{c: e for c, e in row.items() if e} for row in acc]

@@ -259,10 +259,6 @@ def rf_quotient_family(D, blocks, den):
     return t, family_form(t)
 
 
-def _rf(num_coeffs, den_coeffs=(1,)):
-    return RatFun(Poly(num_coeffs), Poly(den_coeffs))
-
-
 def lab_t_table(s1, a, b):
     """Expected t_ij(u) action rows on v+ = e0 and v- = e1.
 
@@ -295,18 +291,6 @@ def lab_tprime_table(s1, a, b):
             (u * (u + s1 * a) / dplus, 1),
         ],
     }
-
-
-def action_rows(grids, dim=2):
-    """Rows of a {(i,j): RFMatrix} family on the standard basis vectors."""
-    rows = {}
-    for key, m in grids.items():
-        cols = []
-        for p in range(dim):
-            vec = [Fraction(1 if q == p else 0) for q in range(dim)]
-            cols.append(m.mat_vec(vec))
-        rows[key] = cols
-    return rows
 
 
 def rows_match_table(grids, table, dim=2):

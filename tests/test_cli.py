@@ -143,6 +143,31 @@ class TestGoldenReports:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
 
 
+HEAVY_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "heavy")
+
+# (exit code, SHA-256 of the report) of each heavy scenario run at the
+# dimension cap of benchmarks/bench_e2e.py, as benchmarks/BENCH_36.json
+# records them.
+HEAVY_REPORTS = {
+    "classify-vector11-x3.json": (0, "63c561f18def482aa362bac998a76fca9bf34053f079f9773b16b2aa9493cbff"),
+    "drinfeld-principal-l3.json": (0, "138cd2ba076330683a0b737fc61d24fd4f66407be1384611d7e041ff9e67045b"),
+    "reflection-negative-control-x4.json": (1, "d79747ae5e92cb6593fc5c17454ad45fc2da9254af14bddfdb2b94a420390bf5"),
+    "reflection-vector11-x5-gamma.json": (0, "927a6d4f59d3d486f5f95ce58c46e5f3b172578ff48903ef23d05ab08ad8585d"),
+    "rtt-vector11-x6.json": (0, "061cda28cf7a2884722f9e496f0b4dab63d0ed3d46f490fada2c6daf52a74f8d"),
+    "rtt-vector21-x3.json": (0, "6d328726107ed6509ad68a83a5ed2db38980d6ca1c35bae39ee4fb3bfe8df86a"),
+}
+
+
+class TestHeavyReports:
+    @pytest.mark.parametrize("name", sorted(os.listdir(HEAVY_DIR)))
+    def test_report_digest(self, name, tmp_path):
+        want_code, want_digest = HEAVY_REPORTS[name]
+        out = tmp_path / "report.json"
+        path = os.path.join(HEAVY_DIR, name)
+        assert main(["run", path, "--out", str(out), "--max-dim", "1024"]) == want_code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want_digest
+
+
 LAB12 = {"type": "Lab", "s1": 1, "a": "1", "b": "2"}
 
 

@@ -751,7 +751,7 @@ class TestCheckInvariant:
         key = (1, 2)
         planted = {k: [dict(row) for row in block] for k, block in blocks.items()}
         row = planted[key][0]
-        row[c] = drinfeld._zadd(row.get(c, ()), (0,) * D + (7,))
+        row[c] = exactalg._zadd(row.get(c, ()), (0,) * D + (7,))
         assert drinfeld._check_invariant(planted, basis, dim) == key
         # Reading only the coefficients 0, ..., D - 1 misses the violation.
         truncated = {

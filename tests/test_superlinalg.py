@@ -909,6 +909,18 @@ class TestGridCheck:
         w = check_identity_2var(lhs, rhs, (1, d_v + 1), 1)
         assert w.point == (F(1), F(2)) and (w.lhs, w.rhs) == ([[1]], [[2 ** (d_v + 1)]])
 
+    def test_kronecker_exponent_exceeds_the_v_degree(self):
+        # u - v^2 at bound (1, 2) vanishes at (X^2, X): the exponent e = 3
+        # puts the point at (4^3, 4), where it is refuted.
+        w = check_identity_2var(lambda u, v: [[u]], lambda u, v: [[v * v]], (1, 2), 1)
+        assert w is not None and w.point == (F(1), F(2))
+
+    def test_kronecker_base_exceeds_the_height(self):
+        # v - 8 has height 8 and vanishes at X = 8: the base X = 32 > 2 * 8
+        # refutes it.
+        w = check_identity_2var(lambda u, v: [[v]], lambda u, v: [[8]], (0, 1), 8)
+        assert w is not None and w.point == (F(1), F(2))
+
     @settings(max_examples=300, deadline=None)
     @given(grid_identities())
     def test_verdict_and_witness_match_the_grid(self, case):

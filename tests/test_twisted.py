@@ -532,6 +532,51 @@ class TestClassifyHighrank:
         assert (cert.P, cert.gamma) == (Poly.one(), F(1, 2))
         assert classify_highrank_search(mu) == (F(-3), [Poly.one()])
 
+    # (s, z, eps, gamma) of the modules of the sweep below whose highest
+    # vector e_1 gets no certificate: s homogeneous and eps with two mixed
+    # pairs, a gap of the search or of the criterion's hypotheses.
+    RANK_THREE_GAPS = {
+        ((1, 1, 1), F(0), (1, -1, 1), F(1)),
+        ((1, 1, 1), F(0), (-1, 1, -1), F(2)),
+        ((1, 1, 1), F(1), (1, -1, 1), None),
+        ((1, 1, 1), F(1), (-1, 1, -1), None),
+        ((1, 1, 1), F(1), (-1, 1, -1), F(1)),
+        ((1, 1, 1), F(2), (1, -1, 1), None),
+        ((1, 1, 1), F(2), (-1, 1, -1), None),
+        ((1, 1, 1), F(2), (-1, 1, -1), F(1)),
+        ((1, 1, 1), F(3), (1, -1, 1), F(1)),
+        ((1, 1, 1), F(3), (-1, 1, -1), F(2)),
+        ((1, 1, 1), F(1, 2), (1, -1, 1), F(1, 2)),
+        ((-1, -1, -1), F(0), (1, -1, 1), F(2)),
+        ((-1, -1, -1), F(0), (-1, 1, -1), F(1)),
+        ((-1, -1, -1), F(1), (-1, 1, -1), F(2)),
+    }
+
+    def test_necessity_sweep_at_rank_three(self):
+        # Every highest vector of b_from_T on the vector module, over the
+        # four standard s, every eps, z and gamma: each one the search
+        # certifies passes classify_highrank, and the rest are the pinned
+        # gaps.
+        assert all(len(set(s)) == 1 and eps in ((1, -1, 1), (-1, 1, -1)) for s, _, eps, _ in self.RANK_THREE_GAPS)
+        certified, gaps = 0, set()
+        for s in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
+            ps = ParitySeq(s)
+            for z in (F(0), F(1), F(2), F(3), F(1, 2)):
+                T = evaluation_action(make_vector_rep(ps), z)
+                for eps in itertools.product((1, -1), repeat=3):
+                    for gamma in (None, F(1, 2), F(1), F(2)):
+                        B = b_from_T(T, TwistedContext(ps, eps, gamma))
+                        for v in find_highest_space(B):
+                            mu = highest_bweight(B, v)
+                            found = classify_highrank_search(mu)
+                            if found is None:
+                                gaps.add((s, z, eps, gamma, tuple(v)))
+                            else:
+                                assert classify_highrank(mu, *found) is None
+                                certified += 1
+        assert certified == 678
+        assert gaps == {(*key, (1, 0, 0)) for key in self.RANK_THREE_GAPS}
+
 
 _RAT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
 

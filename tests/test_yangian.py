@@ -418,9 +418,12 @@ class TestTensor:
 def kron_terms(draw):
     """(spaces, terms) for _kron_blocks: two spaces of 1 to 3 vectors, each
     with an odd one, and 1 to 3 terms (w, [(A, par_A), (B, par_B)]) of
-    constant integer matrices, as dense rows."""
+    matrices over Z[u] as dense rows of coefficient tuples: () for 0, the
+    unit (1,), or 1 to 3 coefficients with a nonzero leading one."""
     spaces = [SuperSpace(draw(st.lists(st.integers(0, 1), max_size=2)) + [1]) for _ in range(2)]
-    matrix = lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)
+    poly = st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(lambda p: p[-1]).map(tuple)
+    entry = st.one_of(st.just(()), st.just((1,)), poly)
+    matrix = lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
     terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), st.tuples(
         *[st.tuples(matrix(sp.dim), st.integers(0, 1)) for sp in spaces])), min_size=1, max_size=3))
     return spaces, terms
@@ -429,28 +432,35 @@ def kron_terms(draw):
 class TestKronBlocks:
     """yangian._kron_blocks, whose Koszul sign is read off
     superlinalg._passed_parities, against the sign rule entry by entry
-    (support.kron_rows_by_terms), on constant entries with odd vectors in
-    both factors."""
+    (support.kron_rows_by_terms), on entries over Z[u] with unit entries,
+    -1 weights and odd vectors in both factors."""
 
     @staticmethod
     def _blocks(spaces, terms):
-        cleared = lambda m: [{c: (x,) for c, x in enumerate(row) if x} for row in m]
-        out = yangian._kron_blocks([(w, [(cleared(m), par) for m, par in ops]) for w, ops in terms], spaces)
-        return [{c: e for c, (e,) in row.items()} for row in out]
+        sparse = lambda m: [{c: x for c, x in enumerate(row) if x} for row in m]
+        return yangian._kron_blocks([(w, [(sparse(m), par) for m, par in ops]) for w, ops in terms], spaces)
 
     @settings(max_examples=100, deadline=None)
     @given(kron_terms())
     def test_matches_the_sign_rule(self, drawn):
+        # Every entry has degree at most 2, so each entry of the result has
+        # degree at most 4 and is fixed by its values at 5 points.
         spaces, terms = drawn
-        assert self._blocks(spaces, terms) == kron_rows_by_terms([(w, list(ops)) for w, ops in terms], spaces)
+        got = self._blocks(spaces, terms)
+        assert all(e and e[-1] for row in got for e in row.values())
+        for x in range(-2, 3):
+            at = lambda m: [[poly_eval(e, x) for e in row] for row in m]
+            want = kron_rows_by_terms([(w, [(at(m), par) for m, par in ops]) for w, ops in terms], spaces)
+            assert [{c: v for c, e in row.items() if (v := poly_eval(e, x))} for row in got] == want
 
     def test_odd_factor_passing_an_odd_column(self):
         # E_01 x E_00 with the second factor odd: column (1, 0) passes the
         # odd vector 1 of the first space, so the entry is negated.
         spaces = [SuperSpace([0, 1]), SuperSpace([0, 1])]
         terms = [(1, [([[0, 1], [0, 0]], 0), ([[1, 0], [0, 0]], 1)])]
-        assert self._blocks(spaces, terms) == [{2: -1}, {}, {}, {}]
-        assert self._blocks(spaces, terms) == kron_rows_by_terms(terms, spaces)
+        const = lambda m: [[(x,) if x else () for x in row] for row in m]
+        assert self._blocks(spaces, [(w, [(const(m), par) for m, par in ops]) for w, ops in terms]) == [{2: (-1,)}, {}, {}, {}]
+        assert kron_rows_by_terms(terms, spaces) == [{2: -1}, {}, {}, {}]
 
 
 class TestYangBaxter:
